@@ -139,7 +139,7 @@ fn fleet_round(
                     sock.write_all(chunk).expect("send body");
                     pace.on(chunk.len());
                 }
-                let (kind, raw_len) = read_msg_header(&mut sock)
+                let (kind, raw_len) = read_msg_header(&mut sock, u64::MAX)
                     .expect("reply header")
                     .expect("server closed early");
                 assert_eq!(kind, MsgKind::Direct, "plain echo must come back direct");

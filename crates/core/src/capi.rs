@@ -8,7 +8,7 @@
 //! can drive different descriptors concurrently.
 
 use crate::config::AdocConfig;
-use crate::socket::{AdocSocket, AdocStreamGroup, SendReport};
+use crate::socket::{AdocStreamGroup, SendReport};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fs::File;
@@ -16,8 +16,8 @@ use std::io::{self, Read, Write};
 use std::sync::atomic::{AtomicI32, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// Object-safe view of an [`AdocSocket`] so the registry can hold any
-/// stream type.
+/// Object-safe view of an [`AdocStreamGroup`] so the registry can hold
+/// any stream type.
 trait AdocStreamObj: Send {
     fn write_levels(&mut self, data: &[u8], min: u8, max: u8) -> io::Result<SendReport>;
     fn read(&mut self, out: &mut [u8]) -> io::Result<usize>;
@@ -31,36 +31,6 @@ trait AdocStreamObj: Send {
 /// Helper trait: `Write + Send` as a single object bound.
 pub trait WriteSend: Write + Send {}
 impl<T: Write + Send> WriteSend for T {}
-
-impl<R: Read + Send, W: Write + Send> AdocStreamObj for AdocSocket<R, W> {
-    fn write_levels(&mut self, data: &[u8], min: u8, max: u8) -> io::Result<SendReport> {
-        AdocSocket::write_levels(self, data, min, max)
-    }
-
-    fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
-        AdocSocket::read(self, out)
-    }
-
-    fn send_file_levels(&mut self, f: &mut File, min: u8, max: u8) -> io::Result<SendReport> {
-        AdocSocket::send_file_levels(self, f, min, max)
-    }
-
-    fn receive_file(&mut self, f: &mut dyn WriteSend) -> io::Result<u64> {
-        AdocSocket::receive_file(self, &mut WriteShim(f))
-    }
-
-    fn close(&mut self) -> io::Result<()> {
-        self.close_mut()
-    }
-
-    fn min_level(&self) -> u8 {
-        self.config().min_level
-    }
-
-    fn max_level(&self) -> u8 {
-        self.config().max_level
-    }
-}
 
 impl<R: Read + Send, W: Write + Send> AdocStreamObj for AdocStreamGroup<R, W> {
     fn write_levels(&mut self, data: &[u8], min: u8, max: u8) -> io::Result<SendReport> {
@@ -144,12 +114,7 @@ where
     R: Read + Send + 'static,
     W: Write + Send + 'static,
 {
-    let sock = AdocSocket::with_config(reader, writer, cfg)?;
-    let d = NEXT_FD.fetch_add(1, Ordering::Relaxed);
-    registry()
-        .lock()
-        .insert(d, Arc::new(Mutex::new(Box::new(sock))));
-    Ok(d)
+    adoc_register_group(vec![(reader, writer)], cfg)
 }
 
 /// Registers a striped stream group as one descriptor: the paper's API

@@ -27,10 +27,11 @@
 //!
 //! ## Two APIs
 //!
-//! * [`AdocSocket`] — idiomatic: wraps any `Read`/`Write` pair.
-//!   [`AdocStreamGroup`] stripes one logical connection over `N`
-//!   parallel streams (per-stream compression pipelines and congestion
-//!   windows; in-order reassembly via sequence numbers — see [`wire`]).
+//! * [`AdocStreamGroup`] — idiomatic: one logical connection over `N`
+//!   `Read`/`Write` pairs (per-stream compression pipelines and
+//!   congestion windows; in-order reassembly via sequence numbers — see
+//!   [`wire`]). [`AdocSocket`] is its one-pair form, the paper's single
+//!   socket: same type, same pipeline, v1 wire format.
 //! * [`capi`] — the paper's seven functions over integer descriptors
 //!   (`adoc_write`, `adoc_read`, `adoc_send_file`, …), thread-safe via a
 //!   locked global registry like the C library's static table;

@@ -3,9 +3,9 @@
 //! crucially — the *sensor* of the adaptation loop: its length and growth
 //! drive the compression level (§3.3).
 //!
-//! [`BoundedQueue`] is the generic bounded blocking channel; the striped
-//! sender also uses it to hand raw frames to per-stream pipelines.
-//! Shutdown is two-sided and panic-safe:
+//! [`BoundedQueue`] is the generic bounded blocking channel; every
+//! stream of a connection runs one between its compression and emission
+//! threads. Shutdown is two-sided and panic-safe:
 //!
 //! * the **producer** calls [`BoundedQueue::close`] (or holds a
 //!   [`CloseOnDrop`] guard): consumers drain what remains, then see
@@ -113,7 +113,7 @@ struct QueueInner<T> {
 }
 
 /// Bounded MPSC-ish blocking FIFO (one producer, one consumer per queue
-/// in AdOC; a striped sender runs one queue per stream).
+/// in AdOC; a sender runs one queue per stream).
 #[derive(Debug)]
 pub struct BoundedQueue<T> {
     inner: Mutex<QueueInner<T>>,

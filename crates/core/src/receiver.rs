@@ -1,83 +1,44 @@
 //! The reception side of AdOC (paper Fig. 1, "symmetric but does not
-//! monitor the queue size"): a reception thread reading frames off the
-//! socket into a FIFO, and a decompression thread draining it into the
-//! application sink.
+//! monitor the queue size"): reception threads reading frames off the
+//! sockets, and a decompression thread draining them into the application
+//! sink.
 //!
-//! [`receive_message`] mirrors the single-stream (v1) sender.
-//! [`receive_message_multi`] mirrors a striped sender: one reception
-//! thread per stream reads v2 frames into a shared, bounded
-//! [`ReorderBuffer`], and a decompression thread drains frames in global
-//! sequence order — so the application sees bytes **in order** no matter
-//! how the streams interleaved. Payloads live in pooled buffers from the
-//! shared [`BufferPool`]; the reorder window is capped at a few frames
-//! per stream, so a stalled stream backpressures its peers instead of
-//! buffering unboundedly.
+//! [`receive_message`] mirrors [`crate::sender::send_message`] for any
+//! stream count: one reception thread per stream parks its frames in a
+//! shared, bounded [`ReorderBuffer`] keyed by sequence number, and the
+//! decompression thread drains them in sequence order — so the
+//! application sees bytes **in order** no matter how the streams
+//! interleaved. A v1 stream (one stream, fresh message) is simply a
+//! reception thread that numbers frames itself and ends on the message's
+//! byte count instead of a FIN. Payloads live in pooled buffers from the
+//! shared [`crate::BufferPool`]; the reorder window is a few frames, so a
+//! stalled stream or a slow decompressor backpressures the network
+//! promptly instead of buffering unboundedly.
 
 use crate::config::AdocConfig;
 use crate::pool::PooledBuf;
-use crate::queue::{Packet, PacketQueue};
-use crate::wire::{self, FrameHeader, FrameHeaderV2, MsgKind};
+use crate::wire::{self, FrameHeader, Framing, MsgKind};
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::sync::Arc;
 use std::time::Instant;
 
-/// Frames buffered between the reception and decompression threads. Kept
-/// small so a slow decompressor backpressures the network promptly —
-/// that is the signal the sender's divergence guard reacts to.
-const RECV_QUEUE_FRAMES: usize = 16;
+/// Frames the reorder window buffers between the reception threads and
+/// the decompression thread. Kept small so a slow decompressor
+/// backpressures the network promptly — that is the signal the sender's
+/// divergence guard reacts to.
+const RECV_WINDOW_FRAMES: usize = 16;
 
-/// Reorder-window frames buffered per stream of a striped connection
-/// (same backpressure rationale as [`RECV_QUEUE_FRAMES`], scaled by the
-/// stream count).
-const REORDER_FRAMES_PER_STREAM: usize = 2;
-
-/// Receives one message, streaming its decoded bytes into `sink`.
-///
-/// Returns `Ok(None)` on clean end-of-stream, `Ok(Some(raw_len))` after a
-/// full message.
-pub fn receive_message<R, K>(
-    reader: &mut R,
-    sink: &mut K,
-    cfg: &AdocConfig,
-) -> io::Result<Option<u64>>
-where
-    R: Read + Send,
-    K: Write + Send,
-{
-    let Some((kind, raw_len)) = wire::read_msg_header(reader)? else {
-        return Ok(None);
-    };
-    if raw_len > cfg.max_message {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("message of {raw_len} bytes exceeds configured maximum"),
-        ));
-    }
-
-    match kind {
-        MsgKind::Direct => {
-            copy_exact(reader, sink, raw_len, cfg.buffer_size, cfg)?;
-            Ok(Some(raw_len))
-        }
-        MsgKind::Adaptive => {
-            receive_adaptive(reader, sink, raw_len, cfg)?;
-            Ok(Some(raw_len))
-        }
-    }
-}
-
-/// Live progress of a striped receive, exposed so a session-serving
+/// Live progress of an adaptive receive, exposed so a session-serving
 /// caller can park a partially-delivered message when the connection
-/// dies and continue it on the next one. Only the striped adaptive path
-/// reports progress: direct bodies and v1 (single-stream) framing have
-/// no global sequence numbers, so an interrupted message there restarts
-/// from its beginning.
+/// dies and continue it on the next one — and handed back to
+/// [`receive_message`] as the point to resume from. Direct bodies report
+/// no progress: an interrupted direct message restarts from its
+/// beginning.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecvProgress {
-    /// A trackable (striped adaptive) message is in flight. Cleared once
-    /// the message completes — a partial exists only while this is set.
+    /// An adaptive message is in flight. Cleared once the message
+    /// completes — a partial exists only while this is set.
     pub active: bool,
     /// Raw length of the in-flight message.
     pub total_raw: u64,
@@ -95,139 +56,71 @@ impl RecvProgress {
     }
 }
 
-/// Receives one message from a striped stream group (`readers[0]` is the
-/// primary stream). With one reader this is exactly [`receive_message`].
-pub fn receive_message_multi<R, K>(
-    readers: &mut [R],
-    sink: &mut K,
-    cfg: &AdocConfig,
-) -> io::Result<Option<u64>>
-where
-    R: Read + Send,
-    K: Write + Send,
-{
-    let mut progress = RecvProgress::default();
-    receive_message_multi_tracked(readers, sink, cfg, &mut progress)
-}
-
-/// [`receive_message_multi`] that additionally reports delivery progress
-/// through `progress` — on error, `progress` (plus the bytes already in
-/// the sink) defines the resume point a session server parks.
-pub fn receive_message_multi_tracked<R, K>(
+/// Receives one message from the connection's streams (`readers[0]` is
+/// the primary), streaming its decoded bytes into `sink` and reporting
+/// delivery through `progress` — on error, `progress` (plus the bytes
+/// already in the sink) defines the resume point a session server parks.
+///
+/// With `resume` (the progress an interrupted receive of this message
+/// left behind), continues that message instead: the peer ships frames
+/// `next_seq..` of a `total_raw`-byte message whose first `delivered_raw`
+/// bytes the caller already holds. No message header and no probe are
+/// read, framing is v2 whatever the width (mirroring the sender), and
+/// frames with sequence numbers below `next_seq` — replays — are
+/// rejected as duplicates.
+///
+/// Returns `Ok(None)` on clean end-of-stream, `Ok(Some(raw_len))` after a
+/// full message.
+pub fn receive_message<R, K>(
     readers: &mut [R],
     sink: &mut K,
     cfg: &AdocConfig,
     progress: &mut RecvProgress,
+    resume: Option<RecvProgress>,
 ) -> io::Result<Option<u64>>
 where
     R: Read + Send,
     K: Write + Send,
 {
-    assert!(
-        !readers.is_empty(),
-        "a stream group needs at least 1 stream"
-    );
-    progress.reset();
-    if readers.len() == 1 {
-        return receive_message(&mut readers[0], sink, cfg);
-    }
-    let Some((kind, raw_len)) = wire::read_msg_header(&mut readers[0])? else {
-        return Ok(None);
-    };
-    if raw_len > cfg.max_message {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("message of {raw_len} bytes exceeds configured maximum"),
-        ));
-    }
-    match kind {
-        MsgKind::Direct => {
-            copy_exact(&mut readers[0], sink, raw_len, cfg.buffer_size, cfg)?;
-            Ok(Some(raw_len))
+    assert!(!readers.is_empty(), "a connection needs at least 1 stream");
+    let body_len = match resume {
+        Some(at) => {
+            *progress = RecvProgress { active: true, ..at };
+            // Even with nothing left to deliver the peer sends its
+            // per-stream FINs, which must be consumed here or they would
+            // corrupt the next message's parse.
+            at.total_raw.checked_sub(at.delivered_raw).ok_or_else(|| {
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "resume point beyond message length",
+                )
+            })?
         }
-        MsgKind::Adaptive => {
+        None => {
+            progress.reset();
+            let primary = &mut readers[0];
+            let Some((kind, raw_len)) = wire::read_msg_header(primary, cfg.max_message)? else {
+                return Ok(None);
+            };
+            if kind == MsgKind::Direct {
+                copy_exact(primary, sink, raw_len, cfg.buffer_size, cfg)?;
+                return Ok(Some(raw_len));
+            }
             progress.active = true;
             progress.total_raw = raw_len;
-            receive_adaptive_striped(readers, sink, raw_len, cfg, progress)?;
-            progress.active = false;
-            Ok(Some(raw_len))
+            let probe_len = read_probe_prefix(primary, sink, raw_len, cfg)?;
+            progress.delivered_raw = probe_len;
+            if probe_len == raw_len {
+                progress.active = false;
+                return Ok(Some(raw_len));
+            }
+            raw_len - probe_len
         }
-    }
-}
-
-/// Continues a striped message interrupted mid-delivery: the peer ships
-/// frames `next_seq..` of a `total_raw`-byte message whose first
-/// `delivered_raw` bytes the caller already holds. No message header and
-/// no probe are read; framing is always v2, even over a single stream
-/// (mirroring [`crate::sender::send_message_multi_resumed`]). Frames
-/// with sequence numbers below `next_seq` — replays — are rejected as
-/// duplicates. Returns `total_raw` on completion.
-pub fn receive_message_multi_resumed<R, K>(
-    readers: &mut [R],
-    sink: &mut K,
-    total_raw: u64,
-    delivered_raw: u64,
-    next_seq: u64,
-    cfg: &AdocConfig,
-    progress: &mut RecvProgress,
-) -> io::Result<u64>
-where
-    R: Read + Send,
-    K: Write + Send,
-{
-    assert!(
-        !readers.is_empty(),
-        "a stream group needs at least 1 stream"
-    );
-    let remaining = total_raw.checked_sub(delivered_raw).ok_or_else(|| {
-        io::Error::new(
-            io::ErrorKind::InvalidData,
-            "resume point beyond message length",
-        )
-    })?;
-    progress.active = true;
-    progress.total_raw = total_raw;
-    progress.delivered_raw = delivered_raw;
-    progress.next_seq = next_seq;
-    // Even with nothing left to deliver the peer sends its per-stream
-    // FINs, which must be consumed here or they would corrupt the next
-    // message's parse.
-    striped_body(readers, sink, remaining, next_seq, cfg, progress)?;
+    };
+    let framing = Framing::choose(readers.len(), resume.is_some(), false);
+    receive_frames(readers, sink, body_len, framing, cfg, progress)?;
     progress.active = false;
-    Ok(total_raw)
-}
-
-fn receive_adaptive<R, K>(
-    reader: &mut R,
-    sink: &mut K,
-    raw_len: u64,
-    cfg: &AdocConfig,
-) -> io::Result<()>
-where
-    R: Read + Send,
-    K: Write + Send,
-{
-    let probe_len = read_probe_prefix(reader, sink, raw_len, cfg)?;
-    let remaining = raw_len - probe_len;
-    if remaining == 0 {
-        return Ok(());
-    }
-
-    // Reception + decompression overlap (paper §3.1), mirrored from the
-    // sender but with a fixed small queue.
-    let queue = PacketQueue::new(RECV_QUEUE_FRAMES);
-    let (recv_res, decomp_res) = std::thread::scope(|s| {
-        let recv = s.spawn(|| reception_thread(reader, remaining, &queue, cfg));
-        let decomp = s.spawn(|| decompression_thread(sink, remaining, &queue, cfg));
-        (recv.join(), decomp.join())
-    });
-    let recv = recv_res.map_err(|_| io::Error::other("reception thread panicked"))?;
-    let decomp = decomp_res.map_err(|_| io::Error::other("decompression thread panicked"))?;
-    // Prefer the decoder's error (it poisons the queue, which the
-    // reception thread sees as Closed).
-    decomp?;
-    recv?;
-    Ok(())
+    Ok(Some(progress.total_raw))
 }
 
 /// Reads and validates the probe-length prefix, copying the probe bytes
@@ -249,56 +142,10 @@ fn read_probe_prefix<R: Read, K: Write>(
     Ok(probe_len)
 }
 
-fn reception_thread<R: Read>(
-    reader: &mut R,
-    total_raw: u64,
-    queue: &PacketQueue,
-    cfg: &AdocConfig,
-) -> io::Result<()> {
-    // Panic-safe end-of-stream for the decompression thread: every exit
-    // (error, panic, success) closes the queue.
-    let _close = queue.close_on_drop();
-    let mut collected = 0u64;
-    while collected < total_raw {
-        let fh = FrameHeader::read(reader, adoc_codec::ADOC_MAX_LEVEL)?;
-        if u64::from(fh.raw_len) + collected > total_raw {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "frames exceed message length",
-            ));
-        }
-        check_payload_bound(fh.raw_len, fh.payload_len, cfg)?;
-        // Pooled payload buffer, filled through `Take` so the reserved
-        // capacity is never zeroed first; it returns to the slab once
-        // the decompression thread drops the packet.
-        let payload = read_payload(reader, fh.payload_len, cfg)?;
-        collected += u64::from(fh.raw_len);
-        let len = payload.len();
-        let pkt = Packet::view(Arc::new(payload), 0, len, fh.level, fh.raw_len);
-        if queue.push(pkt).is_err() {
-            // Decoder failed; its error wins.
-            return Ok(());
-        }
-    }
-    Ok(())
-}
-
-/// Sanity bound shared by both wire versions: a frame payload can exceed
-/// its raw size only by small codec overhead; anything larger is
-/// corruption.
-fn check_payload_bound(raw_len: u32, payload_len: u32, cfg: &AdocConfig) -> io::Result<()> {
-    if u64::from(payload_len) > 2 * u64::from(raw_len).max(cfg.buffer_size as u64) + 1024 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "frame payload too large",
-        ));
-    }
-    Ok(())
-}
-
 /// Reads exactly `payload_len` bytes into a pooled buffer, acquiring
 /// wire budget first — inbound pacing: a throttled reader drains the
 /// socket at its share, and TCP backpressure slows the greedy sender.
+/// Filled through `Take` so the reserved capacity is never zeroed first.
 fn read_payload<R: Read>(
     reader: &mut R,
     payload_len: u32,
@@ -320,40 +167,6 @@ fn read_payload<R: Read>(
     }
 }
 
-fn decompression_thread<K: Write>(
-    sink: &mut K,
-    total_raw: u64,
-    queue: &PacketQueue,
-    cfg: &AdocConfig,
-) -> io::Result<()> {
-    // Panic-safe: any exit unblocks a reception thread waiting for queue
-    // space (poisoning after the producer finished is a no-op).
-    let _poison = queue.poison_on_drop();
-    let mut produced = 0u64;
-    // Decode scratch: pooled, reused across every frame of the message,
-    // and decompress_at appends into it directly (no intermediate vector
-    // inside the codec either).
-    let mut scratch = cfg.pool.get(cfg.buffer_size);
-    while let Some(pkt) = queue.pop() {
-        let raw_len = pkt.raw_share as usize;
-        scratch.clear();
-        let t0 = Instant::now();
-        if let Err(e) = adoc_codec::decompress_at(pkt.level, pkt.bytes(), raw_len, &mut scratch) {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, e));
-        }
-        cfg.throttle.charge(t0.elapsed());
-        sink.write_all(&scratch)?;
-        produced += raw_len as u64;
-    }
-    if produced != total_raw {
-        return Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            format!("message truncated: {produced} of {total_raw} bytes"),
-        ));
-    }
-    Ok(())
-}
-
 /// Why a [`ReorderBuffer::push`] was refused.
 enum ReorderPushError {
     /// Some side of the pipeline already died; stop quietly, the root
@@ -363,10 +176,9 @@ enum ReorderPushError {
     Duplicate,
 }
 
-/// One v2 frame parked in the reorder window.
+/// One frame parked in the reorder window.
 struct RecvFrame {
-    level: u8,
-    raw_len: u32,
+    hdr: FrameHeader,
     payload: PooledBuf,
 }
 
@@ -383,7 +195,7 @@ struct ReorderInner {
     failed: bool,
 }
 
-/// The shared reassembly window of a striped receive: reception threads
+/// The shared reassembly window of a receive: reception threads
 /// [`push`](ReorderBuffer::push) frames keyed by global sequence number,
 /// the decompression thread [`pop_next`](ReorderBuffer::pop_next)s them
 /// in order. Bounded: a push beyond the window blocks — **except** for
@@ -413,7 +225,7 @@ impl ReorderBuffer {
             }),
             can_push: Condvar::new(),
             can_pop: Condvar::new(),
-            cap: (REORDER_FRAMES_PER_STREAM * total_streams).max(4),
+            cap: RECV_WINDOW_FRAMES,
         }
     }
 
@@ -513,7 +325,7 @@ impl Drop for AbortOnDrop<'_> {
 }
 
 /// Fires [`ReorderBuffer::fail`] on drop — held by the decompression
-/// thread; a no-op for reception threads that already finished.
+/// stage; a no-op for reception threads that already finished.
 struct FailOnDrop<'a> {
     rb: &'a ReorderBuffer,
 }
@@ -524,10 +336,15 @@ impl Drop for FailOnDrop<'_> {
     }
 }
 
-fn receive_adaptive_striped<R, K>(
+/// The frame stage of a receive: per-stream reception threads feed the
+/// reorder window, which the decompression thread drains in
+/// global-sequence order. Shared by the fresh path (after the probe) and
+/// the resume path (no probe, window starting at the parked cursor).
+fn receive_frames<R, K>(
     readers: &mut [R],
     sink: &mut K,
-    raw_len: u64,
+    body_len: u64,
+    framing: Framing,
     cfg: &AdocConfig,
     progress: &mut RecvProgress,
 ) -> io::Result<()>
@@ -535,74 +352,42 @@ where
     R: Read + Send,
     K: Write + Send,
 {
-    let probe_len = read_probe_prefix(&mut readers[0], sink, raw_len, cfg)?;
-    progress.delivered_raw = probe_len;
-    let remaining = raw_len - probe_len;
-    if remaining == 0 {
-        return Ok(());
-    }
-    striped_body(readers, sink, remaining, 0, cfg, progress)
-}
-
-/// The frame stage of a striped receive: per-stream reception threads
-/// feed a reorder window drained in global-sequence order on the calling
-/// thread. Shared by the fresh path (after the probe, `start_seq` 0) and
-/// the resume path (no probe, `start_seq` = the parked cursor).
-fn striped_body<R, K>(
-    readers: &mut [R],
-    sink: &mut K,
-    remaining: u64,
-    start_seq: u64,
-    cfg: &AdocConfig,
-    progress: &mut RecvProgress,
-) -> io::Result<()>
-where
-    R: Read + Send,
-    K: Write + Send,
-{
-    let n = readers.len();
-    let reorder = ReorderBuffer::new(n, start_seq);
+    let reorder = ReorderBuffer::new(readers.len(), progress.next_seq);
     let (recv_res, decomp_res) = std::thread::scope(|s| {
-        let mut handles = Vec::with_capacity(n);
-        for (i, r) in readers.iter_mut().enumerate() {
-            let rb = &reorder;
-            handles.push(s.spawn(move || stream_reception_thread(i as u8, r, rb, cfg)));
-        }
-        // The decompression stage runs on the calling thread; panics are
-        // contained so a dying codec/throttle/sink surfaces as io::Error
-        // here exactly as it does on the single-stream path (the fail
-        // guard has already released the reception threads by the time
-        // the unwind is caught).
-        let decomp = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            striped_decompression(sink, remaining, &reorder, cfg, progress)
-        }))
-        .unwrap_or_else(|_| Err(io::Error::other("decompression stage panicked")));
+        let rb = &reorder;
+        let handles: Vec<_> = readers
+            .iter_mut()
+            .enumerate()
+            .map(|(i, r)| s.spawn(move || reception_thread(i as u8, r, body_len, framing, rb, cfg)))
+            .collect();
+        let decomp = s.spawn(move || decompression_thread(sink, body_len, rb, cfg, progress));
         (
             handles.into_iter().map(|h| h.join()).collect::<Vec<_>>(),
-            decomp,
+            decomp.join(),
         )
     });
 
-    // A reception (socket) error is the root cause when present — the
-    // consumer's "truncated" error is its downstream symptom. Decode and
-    // sink failures surface from the consumer, whose reception threads
-    // then end quietly.
-    let mut recv_err: Option<io::Error> = None;
+    // A panicking thread has already released its peers through the
+    // window guards; it surfaces as an error instead of aborting the
+    // caller. A reception (socket) error is the root cause when present
+    // — the consumer's "truncated" error is its downstream symptom.
+    // Decode and sink failures surface from the consumer, whose reception
+    // threads then end quietly.
     for res in recv_res {
-        match res.map_err(|_| io::Error::other("reception thread panicked")) {
-            Ok(Ok(())) => {}
-            Ok(Err(e)) | Err(e) => recv_err = recv_err.or(Some(e)),
-        }
+        res.map_err(|_| io::Error::other("reception thread panicked"))??;
     }
-    if let Some(e) = recv_err {
-        return Err(e);
-    }
-    decomp_res
+    decomp_res.map_err(|_| io::Error::other("decompression thread panicked"))?
 }
 
-fn stream_reception_thread<R: Read>(
+/// One stream's reception thread: reads frames off the socket into the
+/// reorder window until the stream's share of the message is over — at
+/// its FIN, or for v1 framing (which has none) at the message's byte
+/// count.
+fn reception_thread<R: Read>(
     stream_id: u8,
     reader: &mut R,
+    body_len: u64,
+    framing: Framing,
     reorder: &ReorderBuffer,
     cfg: &AdocConfig,
 ) -> io::Result<()> {
@@ -611,8 +396,9 @@ fn stream_reception_thread<R: Read>(
         armed: true,
     };
     let mut frames_seen = 0u64;
-    loop {
-        let fh = FrameHeaderV2::read(reader, adoc_codec::ADOC_MAX_LEVEL)?;
+    let mut collected = 0u64;
+    while framing.owes_fin() || collected < body_len {
+        let fh = framing.read_header(reader, stream_id, frames_seen)?;
         if fh.stream != stream_id {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -632,11 +418,12 @@ fn stream_reception_thread<R: Read>(
                     ),
                 ));
             }
-            reorder.stream_done();
-            guard.armed = false;
-            return Ok(());
+            break;
         }
-        check_payload_bound(fh.raw_len, fh.payload_len, cfg)?;
+        // Before anything is sized from the header: no one stream can
+        // carry more than the whole body.
+        fh.body()
+            .check_bounds(cfg.buffer_size, body_len - collected)?;
         let payload = read_payload(reader, fh.payload_len, cfg)?;
         // Timestamped frame → the remote leg of the delay-signal loop:
         // departure is the sender's stamp, arrival is now. Both
@@ -646,9 +433,9 @@ fn stream_reception_thread<R: Read>(
             hub.record_remote(ts, hub.now_us(), fh.payload_len as usize);
         }
         frames_seen += 1;
+        collected += u64::from(fh.raw_len);
         let frame = RecvFrame {
-            level: fh.level,
-            raw_len: fh.raw_len,
+            hdr: fh.body(),
             payload,
         };
         match reorder.push(fh.seq, frame) {
@@ -669,45 +456,44 @@ fn stream_reception_thread<R: Read>(
             }
         }
     }
+    reorder.stream_done();
+    guard.armed = false;
+    Ok(())
 }
 
-fn striped_decompression<K: Write>(
+/// The decompression thread: drains the reorder window in sequence order
+/// into the sink, advancing `progress` frame by frame.
+fn decompression_thread<K: Write>(
     sink: &mut K,
-    total_raw: u64,
+    body_len: u64,
     reorder: &ReorderBuffer,
     cfg: &AdocConfig,
     progress: &mut RecvProgress,
 ) -> io::Result<()> {
     let _fail = FailOnDrop { rb: reorder };
     let mut produced = 0u64;
+    // Decode scratch: pooled, reused across every frame of the message,
+    // and decompress_at appends into it directly (no intermediate vector
+    // inside the codec either).
     let mut scratch = cfg.pool.get(cfg.buffer_size);
-    while let Some(frame) = reorder.pop_next() {
-        if u64::from(frame.raw_len) + produced > total_raw {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "frames exceed message length",
-            ));
-        }
+    while let Some(RecvFrame { hdr, payload }) = reorder.pop_next() {
+        // Each reception thread could only bound its own stream; the
+        // streams together must not overrun the message either.
+        hdr.check_bounds(cfg.buffer_size, body_len - produced)?;
         scratch.clear();
         let t0 = Instant::now();
-        if let Err(e) = adoc_codec::decompress_at(
-            frame.level,
-            &frame.payload,
-            frame.raw_len as usize,
-            &mut scratch,
-        ) {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, e));
-        }
+        adoc_codec::decompress_at(hdr.level, &payload, hdr.raw_len as usize, &mut scratch)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
         cfg.throttle.charge(t0.elapsed());
         sink.write_all(&scratch)?;
-        produced += u64::from(frame.raw_len);
-        progress.delivered_raw += u64::from(frame.raw_len);
+        produced += u64::from(hdr.raw_len);
+        progress.delivered_raw += u64::from(hdr.raw_len);
         progress.next_seq += 1;
     }
-    if produced != total_raw {
+    if produced != body_len {
         return Err(io::Error::new(
             io::ErrorKind::UnexpectedEof,
-            format!("message truncated: {produced} of {total_raw} bytes"),
+            format!("message truncated: {produced} of {body_len} bytes"),
         ));
     }
     Ok(())
@@ -740,16 +526,43 @@ fn copy_exact<R: Read, W: Write>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sender::{send_message, send_message_multi, send_message_multi_resumed};
+    use crate::sender::send_message;
+    use crate::session::ResumePoint;
     use std::io::Cursor;
+
+    /// A fresh (non-resumed) receive with throwaway progress.
+    fn recv<R: Read + Send>(
+        readers: &mut [R],
+        sink: &mut (impl Write + Send),
+        cfg: &AdocConfig,
+    ) -> io::Result<Option<u64>> {
+        receive_message(readers, sink, cfg, &mut RecvProgress::default(), None)
+    }
+
+    /// The progress an interrupted receive would have parked.
+    fn parked(total_raw: u64, delivered_raw: u64, next_seq: u64) -> Option<RecvProgress> {
+        Some(RecvProgress {
+            active: true,
+            total_raw,
+            delivered_raw,
+            next_seq,
+        })
+    }
 
     fn roundtrip_with(cfg_tx: &AdocConfig, cfg_rx: &AdocConfig, data: &[u8]) -> Vec<u8> {
         let mut wire = Vec::new();
         let mut src = data;
-        send_message(&mut wire, &mut src, data.len() as u64, cfg_tx).unwrap();
+        send_message(
+            std::slice::from_mut(&mut wire),
+            &mut src,
+            data.len() as u64,
+            None,
+            cfg_tx,
+        )
+        .unwrap();
         let mut c = Cursor::new(wire);
         let mut out = Vec::new();
-        let got = receive_message(&mut c, &mut out, cfg_rx).unwrap();
+        let got = recv(std::slice::from_mut(&mut c), &mut out, cfg_rx).unwrap();
         assert_eq!(got, Some(data.len() as u64));
         out
     }
@@ -764,10 +577,10 @@ mod tests {
     ) -> Vec<u8> {
         let mut sinks: Vec<Vec<u8>> = vec![Vec::new(); streams];
         let mut src = data;
-        send_message_multi(&mut sinks, &mut src, data.len() as u64, cfg_tx).unwrap();
+        send_message(&mut sinks, &mut src, data.len() as u64, None, cfg_tx).unwrap();
         let mut cursors: Vec<Cursor<Vec<u8>>> = sinks.into_iter().map(Cursor::new).collect();
         let mut out = Vec::new();
-        let got = receive_message_multi(&mut cursors, &mut out, cfg_rx).unwrap();
+        let got = recv(&mut cursors, &mut out, cfg_rx).unwrap();
         assert_eq!(got, Some(data.len() as u64));
         out
     }
@@ -907,39 +720,59 @@ mod tests {
         let data = compressible(2 << 20);
         let mut sinks: Vec<Vec<u8>> = vec![Vec::new(); 3];
         let mut src = &data[..];
-        send_message_multi(&mut sinks, &mut src, data.len() as u64, &tx).unwrap();
+        send_message(&mut sinks, &mut src, data.len() as u64, None, &tx).unwrap();
         // Cut one secondary stream mid-frame.
         let cut = sinks[1].len() / 2;
         sinks[1].truncate(cut);
         let mut cursors: Vec<Cursor<Vec<u8>>> = sinks.into_iter().map(Cursor::new).collect();
         let mut out = Vec::new();
-        let err =
-            receive_message_multi(&mut cursors, &mut out, &AdocConfig::default()).unwrap_err();
+        let err = recv(&mut cursors, &mut out, &AdocConfig::default()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
     #[test]
     fn striped_duplicate_sequence_detected() {
-        // Corrupt a secondary stream by rewriting its first frame's
-        // sequence number to collide with a later frame of the same
-        // stream: the reorder buffer must reject the duplicate instead
+        // Rewrite one frame's sequence number to collide with another
+        // frame's: the reorder buffer must reject the duplicate instead
         // of silently dropping or reordering data. (A 700 KB message
         // keeps the frame count below the reorder window, so the
         // duplicate is actually pushed rather than the pipeline stalling
         // on the missing renamed sequence — a stall that, on a real
         // socket, is indistinguishable from a slow peer.)
         let tx = AdocConfig::default().with_levels(3, 3);
-        let data = compressible(700_000); // 4 frames: stream 1 carries 1, 3
+        let data = compressible(700_000); // 4 frames
         let mut sinks: Vec<Vec<u8>> = vec![Vec::new(); 2];
         let mut src = &data[..];
-        send_message_multi(&mut sinks, &mut src, data.len() as u64, &tx).unwrap();
-        // Stream 1's first frame header starts at byte 0 of sinks[1];
-        // its seq field sits at bytes 2..10. Rewrite seq 1 → 3 so two
-        // frames claim seq 3.
-        sinks[1][2..10].copy_from_slice(&3u64.to_le_bytes());
+        send_message(&mut sinks, &mut src, data.len() as u64, None, &tx).unwrap();
+        // Which stream claimed which frame is a race, so walk the capture
+        // for `(stream, header offset, seq)` of every data frame; stream
+        // 0 starts behind the message header and probe-length field.
+        let mut found = Vec::new();
+        for (i, sink) in sinks.iter().enumerate() {
+            let mut c = Cursor::new(&sink[..]);
+            c.set_position(if i == 0 {
+                wire::MSG_HEADER_LEN as u64 + 4
+            } else {
+                0
+            });
+            loop {
+                let at = c.position() as usize;
+                let fh = wire::FrameHeaderV2::read(&mut c, 10).unwrap();
+                if fh.is_fin() {
+                    break;
+                }
+                found.push((i, at, fh.seq));
+                c.set_position(c.position() + u64::from(fh.payload_len));
+            }
+        }
+        assert_eq!(found.len(), 4);
+        // The seq field sits at bytes 2..10 of a v2 header.
+        let (stream, at, _) = found[0];
+        let other_seq = found[1].2;
+        sinks[stream][at + 2..at + 10].copy_from_slice(&other_seq.to_le_bytes());
         let mut cursors: Vec<Cursor<Vec<u8>>> = sinks.into_iter().map(Cursor::new).collect();
         let mut out = Vec::new();
-        let res = receive_message_multi(&mut cursors, &mut out, &AdocConfig::default());
+        let res = recv(&mut cursors, &mut out, &AdocConfig::default());
         assert!(res.is_err(), "duplicate sequence must be rejected");
     }
 
@@ -950,34 +783,28 @@ mod tests {
         // need not match the original, and chunk boundaries of the
         // continuation are independent of the first attempt's.
         let data = compressible(2 << 20);
-        let delivered = 123_456u64;
-        let next_seq = 7u64;
+        let at = ResumePoint {
+            next_seq: 7,
+            delivered_raw: 123_456,
+        };
+        let delivered = at.delivered_raw as usize;
         for streams in [1usize, 2, 4] {
             let tx = AdocConfig::default().with_levels(1, 10);
             let mut sinks: Vec<Vec<u8>> = vec![Vec::new(); streams];
-            let mut src = &data[delivered as usize..];
-            send_message_multi_resumed(
-                &mut sinks,
-                &mut src,
-                data.len() as u64 - delivered,
-                next_seq,
-                &tx,
-            )
-            .unwrap();
+            let mut src = &data[delivered..];
+            send_message(&mut sinks, &mut src, data.len() as u64, Some(at), &tx).unwrap();
             let mut cursors: Vec<Cursor<Vec<u8>>> = sinks.into_iter().map(Cursor::new).collect();
-            let mut out = data[..delivered as usize].to_vec();
+            let mut out = data[..delivered].to_vec();
             let mut progress = RecvProgress::default();
-            let n = receive_message_multi_resumed(
+            let n = receive_message(
                 &mut cursors,
                 &mut out,
-                data.len() as u64,
-                delivered,
-                next_seq,
                 &AdocConfig::default(),
                 &mut progress,
+                parked(data.len() as u64, at.delivered_raw, at.next_seq),
             )
             .unwrap();
-            assert_eq!(n, data.len() as u64, "streams = {streams}");
+            assert_eq!(n, Some(data.len() as u64), "streams = {streams}");
             assert_eq!(out, data, "streams = {streams}");
             assert!(!progress.active, "completed resume clears the partial");
             assert_eq!(progress.delivered_raw, data.len() as u64);
@@ -993,24 +820,25 @@ mod tests {
         let tx = AdocConfig::default();
         let mut sinks: Vec<Vec<u8>> = vec![Vec::new(); 2];
         let mut src: &[u8] = b"";
-        send_message_multi_resumed(&mut sinks, &mut src, 0, 5, &tx).unwrap();
+        let at = ResumePoint {
+            next_seq: 5,
+            delivered_raw: 100,
+        };
+        send_message(&mut sinks, &mut src, 100, Some(at), &tx).unwrap();
         for s in &sinks {
             assert_eq!(s.len(), wire::FRAME_HEADER_V2_LEN, "FIN only");
         }
         let mut cursors: Vec<Cursor<Vec<u8>>> = sinks.into_iter().map(Cursor::new).collect();
         let mut out = Vec::new();
-        let mut progress = RecvProgress::default();
-        let n = receive_message_multi_resumed(
+        let n = receive_message(
             &mut cursors,
             &mut out,
-            100,
-            100,
-            5,
             &AdocConfig::default(),
-            &mut progress,
+            &mut RecvProgress::default(),
+            parked(100, 100, 5),
         )
         .unwrap();
-        assert_eq!(n, 100);
+        assert_eq!(n, Some(100));
         assert!(out.is_empty());
     }
 
@@ -1024,18 +852,16 @@ mod tests {
         let tx = AdocConfig::default().with_levels(1, 10);
         let mut sinks: Vec<Vec<u8>> = vec![Vec::new(); 2];
         let mut src = &data[..];
-        send_message_multi_resumed(&mut sinks, &mut src, data.len() as u64, 0, &tx).unwrap();
+        let from_zero = Some(ResumePoint::default());
+        send_message(&mut sinks, &mut src, data.len() as u64, from_zero, &tx).unwrap();
         let mut cursors: Vec<Cursor<Vec<u8>>> = sinks.into_iter().map(Cursor::new).collect();
         let mut out = Vec::new();
-        let mut progress = RecvProgress::default();
-        let err = receive_message_multi_resumed(
+        let err = receive_message(
             &mut cursors,
             &mut out,
-            2 * data.len() as u64,
-            data.len() as u64,
-            4,
             &AdocConfig::default(),
-            &mut progress,
+            &mut RecvProgress::default(),
+            parked(2 * data.len() as u64, data.len() as u64, 4),
         )
         .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
@@ -1046,18 +872,31 @@ mod tests {
     fn resume_point_beyond_message_is_invalid() {
         let mut cursors: Vec<Cursor<Vec<u8>>> = vec![Cursor::new(Vec::new())];
         let mut out = Vec::new();
-        let mut progress = RecvProgress::default();
-        let err = receive_message_multi_resumed(
+        let err = receive_message(
             &mut cursors,
             &mut out,
-            10,
-            11,
-            0,
             &AdocConfig::default(),
-            &mut progress,
+            &mut RecvProgress::default(),
+            parked(10, 11, 0),
         )
         .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // The sender refuses the same resume point before writing a byte.
+        let at = ResumePoint {
+            next_seq: 0,
+            delivered_raw: 11,
+        };
+        let mut sinks = vec![Vec::new()];
+        let err = send_message(
+            &mut sinks,
+            &mut &b""[..],
+            10,
+            Some(at),
+            &AdocConfig::default(),
+        )
+        .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(sinks[0].is_empty());
     }
 
     #[test]
@@ -1065,12 +904,12 @@ mod tests {
         let cfg = AdocConfig::default();
         let mut c = Cursor::new(Vec::<u8>::new());
         let mut out = Vec::new();
-        assert!(receive_message(&mut c, &mut out, &cfg).unwrap().is_none());
-        // Same through the striped entry point.
-        let mut cursors = vec![Cursor::new(Vec::<u8>::new()), Cursor::new(Vec::<u8>::new())];
-        assert!(receive_message_multi(&mut cursors, &mut out, &cfg)
+        assert!(recv(std::slice::from_mut(&mut c), &mut out, &cfg)
             .unwrap()
             .is_none());
+        // Same through the striped entry point.
+        let mut cursors = vec![Cursor::new(Vec::<u8>::new()), Cursor::new(Vec::<u8>::new())];
+        assert!(recv(&mut cursors, &mut out, &cfg).unwrap().is_none());
     }
 
     #[test]
@@ -1079,12 +918,24 @@ mod tests {
         let data = compressible(1 << 20);
         let mut wire = Vec::new();
         let mut src = &data[..];
-        send_message(&mut wire, &mut src, data.len() as u64, &tx).unwrap();
+        send_message(
+            std::slice::from_mut(&mut wire),
+            &mut src,
+            data.len() as u64,
+            None,
+            &tx,
+        )
+        .unwrap();
         for frac in [wire.len() / 4, wire.len() / 2, wire.len() - 3] {
             let mut c = Cursor::new(wire[..frac].to_vec());
             let mut out = Vec::new();
             assert!(
-                receive_message(&mut c, &mut out, &AdocConfig::default()).is_err(),
+                recv(
+                    std::slice::from_mut(&mut c),
+                    &mut out,
+                    &AdocConfig::default()
+                )
+                .is_err(),
                 "cut at {frac} did not error"
             );
         }
@@ -1099,9 +950,9 @@ mod tests {
         let hdr = wire::encode_msg_header(MsgKind::Direct, 10_000);
         let mut c = Cursor::new(hdr.to_vec());
         let mut out = Vec::new();
-        assert!(receive_message(&mut c, &mut out, &cfg).is_err());
+        assert!(recv(std::slice::from_mut(&mut c), &mut out, &cfg).is_err());
         let mut cursors = vec![Cursor::new(hdr.to_vec()), Cursor::new(Vec::new())];
-        assert!(receive_message_multi(&mut cursors, &mut out, &cfg).is_err());
+        assert!(recv(&mut cursors, &mut out, &cfg).is_err());
     }
 
     #[test]
@@ -1110,13 +961,24 @@ mod tests {
         let data = compressible(700_000);
         let mut wire = Vec::new();
         let mut src = &data[..];
-        send_message(&mut wire, &mut src, data.len() as u64, &tx).unwrap();
+        send_message(
+            std::slice::from_mut(&mut wire),
+            &mut src,
+            data.len() as u64,
+            None,
+            &tx,
+        )
+        .unwrap();
         // Flip a byte inside the first frame payload (after headers).
         let idx = wire::MSG_HEADER_LEN + 4 + wire::FRAME_HEADER_LEN + 100;
         wire[idx] ^= 0xFF;
         let mut c = Cursor::new(wire);
         let mut out = Vec::new();
-        let res = receive_message(&mut c, &mut out, &AdocConfig::default());
+        let res = recv(
+            std::slice::from_mut(&mut c),
+            &mut out,
+            &AdocConfig::default(),
+        );
         assert!(
             res.is_err(),
             "corruption must be detected by decode or length checks"
@@ -1142,20 +1004,31 @@ mod tests {
         let data = compressible(2 << 20);
         let mut wire = Vec::new();
         let mut src = &data[..];
-        send_message(&mut wire, &mut src, data.len() as u64, &tx).unwrap();
+        send_message(
+            std::slice::from_mut(&mut wire),
+            &mut src,
+            data.len() as u64,
+            None,
+            &tx,
+        )
+        .unwrap();
         let mut c = Cursor::new(wire);
         let mut sink = TinySink(100_000);
-        let err = receive_message(&mut c, &mut sink, &AdocConfig::default()).unwrap_err();
+        let err = recv(
+            std::slice::from_mut(&mut c),
+            &mut sink,
+            &AdocConfig::default(),
+        )
+        .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::StorageFull);
 
         // Same failure through the striped path.
         let mut sinks: Vec<Vec<u8>> = vec![Vec::new(); 3];
         let mut src = &data[..];
-        send_message_multi(&mut sinks, &mut src, data.len() as u64, &tx).unwrap();
+        send_message(&mut sinks, &mut src, data.len() as u64, None, &tx).unwrap();
         let mut cursors: Vec<Cursor<Vec<u8>>> = sinks.into_iter().map(Cursor::new).collect();
         let mut sink = TinySink(100_000);
-        let err =
-            receive_message_multi(&mut cursors, &mut sink, &AdocConfig::default()).unwrap_err();
+        let err = recv(&mut cursors, &mut sink, &AdocConfig::default()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::StorageFull);
     }
 }

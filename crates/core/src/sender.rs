@@ -3,34 +3,32 @@
 //! the §5 heuristics — direct path, 256 KB probe, fast-network bypass,
 //! divergence and ratio guards.
 //!
-//! [`send_message`] drives the paper's single-stream pipeline (v1 wire
-//! format). [`send_message_multi`] stripes one logical message over `N`
-//! parallel streams: a dispatcher reads 200 KB buffers in order and
-//! round-robins frame `s` onto stream `s % N`, where each stream runs its
-//! **own** compression thread, emission queue, [`LevelController`] and
-//! [`BandwidthMonitor`] — so both the compression CPU and the congestion
-//! windows scale with the stream count. Frames carry v2 headers (stream
-//! id + global sequence number) and every stream ends the message with a
-//! FIN marker; the receiver reassembles by sequence number. All pipelines
-//! draw their buffers from the one shared [`BufferPool`] in the config.
+//! [`send_message`] runs that pipeline once per stream of the connection:
+//! every stream has its **own** compression thread, emission queue,
+//! [`LevelController`] and [`BandwidthMonitor`], and each compression
+//! thread *claims* its next 200 KB buffer from the one shared message
+//! source — so compression CPU and congestion windows scale with the
+//! stream count, and a slow stream simply claims less. One stream
+//! carrying a fresh message is the paper's pipeline and its v1 wire
+//! format; more streams (or a resumed tail) change only the frame
+//! headers (`wire::Framing`): v2 headers name the stream and a global
+//! sequence number, every stream ends the message with a FIN marker, and
+//! the receiver reassembles by sequence number. All pipelines draw their
+//! buffers from the one shared [`crate::BufferPool`] in the config.
 
-use crate::adapt::LevelController;
+use crate::adapt::{LevelController, LevelReason};
 use crate::bw::BandwidthMonitor;
 use crate::config::AdocConfig;
 use crate::error::AdocError;
 use crate::pool::PooledBuf;
-use crate::queue::{BoundedQueue, Packet, PacketQueue};
+use crate::queue::{Packet, PacketQueue};
+use crate::session::ResumePoint;
 use crate::signals::SignalHub;
 use crate::stats::{StreamSendStats, TransferStats};
-use crate::wire::{self, FrameHeader, FrameHeaderV2, MsgKind};
+use crate::wire::{self, FrameHeader, FrameHeaderV2, Framing, MsgKind};
 use std::io::{self, Read, Write};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
-
-/// Raw frames buffered between the striped dispatcher and each stream's
-/// compression thread. Small: the dispatcher reads ahead just enough to
-/// keep every compression thread busy.
-const RAW_QUEUE_FRAMES: usize = 2;
 
 /// What one message send did (merged into [`TransferStats`]).
 #[derive(Debug, Clone, Default)]
@@ -46,7 +44,7 @@ pub struct SendOutcome {
     /// Buffers encoded per level during this message.
     pub buffers_at_level: [u64; 11],
     /// `(when, level, reason)` per compression buffer, in order.
-    pub level_events: Vec<(Instant, u8, crate::adapt::LevelReason)>,
+    pub level_events: Vec<(Instant, u8, LevelReason)>,
     /// Divergence-guard reverts during this message.
     pub divergence_reverts: u64,
     /// Ratio-guard trips during this message.
@@ -56,8 +54,9 @@ pub struct SendOutcome {
     /// no fast path) this equals the message's raw length exactly — the
     /// invariant the divergence guard depends on.
     pub bw_raw_bytes: u64,
-    /// Per-stream accounting for striped sends; empty for single-stream
-    /// messages (stream 0 then carries everything).
+    /// Per-stream accounting for v2-framed (striped or resumed) sends;
+    /// empty for single-stream v1 messages (stream 0 then carries
+    /// everything).
     pub per_stream: Vec<StreamSendStats>,
     /// Visible bandwidth per level at the end of this message, in raw
     /// bits/s (0.0 = level unobserved; striped sends report the sum over
@@ -95,57 +94,85 @@ impl SendOutcome {
     }
 }
 
-/// Sends one message of exactly `raw_len` bytes drawn from `source`.
+/// Sends one message of `raw_len` bytes drawn from `source` over the
+/// connection's streams (`writers[0]` is the primary: message header,
+/// probe and direct bodies travel on it alone).
 ///
-/// Blocking: returns once every byte has been handed to `writer`.
+/// With `resume`, ships only the not-yet-delivered tail of a message
+/// whose first `at.delivered_raw` bytes the receiver already holds:
+/// `source` must be positioned there, no message header and no probe go
+/// on the wire — both sides agreed on the resume point during the
+/// session handshake — and frames are numbered from `at.next_seq` so the
+/// receiver slots them behind the bytes it kept. The group's width may
+/// differ from the interrupted connection's.
+///
+/// Blocking: returns once every byte has been handed to the writers.
 pub fn send_message<W, S>(
-    writer: &mut W,
-    source: &mut S,
-    raw_len: u64,
-    cfg: &AdocConfig,
-) -> io::Result<SendOutcome>
-where
-    W: Write + Send,
-    S: Read + Send,
-{
-    let direct = cfg.compression_disabled()
-        || (!cfg.compression_forced() && raw_len < cfg.probe_threshold as u64);
-    if direct {
-        return send_direct(writer, source, raw_len, cfg);
-    }
-    send_adaptive(writer, source, raw_len, cfg)
-}
-
-/// Sends one message striped over a group of parallel streams
-/// (`writers[0]` is the primary stream; see the module docs). With one
-/// writer this is exactly [`send_message`] — byte-identical v1 wire
-/// format.
-pub fn send_message_multi<W, S>(
     writers: &mut [W],
     source: &mut S,
     raw_len: u64,
+    resume: Option<ResumePoint>,
     cfg: &AdocConfig,
 ) -> io::Result<SendOutcome>
 where
     W: Write + Send,
     S: Read + Send,
 {
-    assert!(
-        !writers.is_empty(),
-        "a stream group needs at least 1 stream"
-    );
+    assert!(!writers.is_empty(), "a connection needs at least 1 stream");
     assert!(writers.len() <= 255, "stream ids are u8");
-    if writers.len() == 1 {
-        return send_message(&mut writers[0], source, raw_len, cfg);
+    let mut out = SendOutcome::default();
+    let (body_len, start_seq) = match resume {
+        Some(at) => {
+            let left = raw_len.checked_sub(at.delivered_raw).ok_or_else(|| {
+                io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    format!(
+                        "resume point {} beyond message length {raw_len}",
+                        at.delivered_raw
+                    ),
+                )
+            })?;
+            (left, at.next_seq)
+        }
+        None => {
+            let primary = &mut writers[0];
+            if cfg.compression_disabled()
+                || (!cfg.compression_forced() && raw_len < cfg.probe_threshold as u64)
+            {
+                return send_direct(primary, source, raw_len, cfg);
+            }
+            primary.write_all(&wire::encode_msg_header(MsgKind::Adaptive, raw_len))?;
+            out.wire_bytes += wire::MSG_HEADER_LEN as u64;
+            let probe_len = write_probe(primary, source, raw_len, cfg, &mut out)?;
+            if probe_len == raw_len {
+                // Nothing left to frame: the receiver stops after the
+                // probe too, so no FINs are owed either.
+                primary.flush()?;
+                return Ok(out);
+            }
+            (raw_len - probe_len, 0)
+        }
+    };
+
+    // Fast-path frames skip the timestamp: the link already outran
+    // compression, so there is no adaptation to feed.
+    let timestamped = cfg.signal_hub().is_some() && !out.fast_path;
+    let framing = Framing::choose(writers.len(), resume.is_some(), timestamped);
+    let frames = FrameSource {
+        state: Mutex::new(SourceState {
+            source,
+            next_seq: start_seq,
+            left: body_len,
+            error: None,
+        }),
+        header_len: framing.header_len(),
+    };
+    if out.fast_path {
+        send_raw_frames(writers, &frames, framing, cfg, &mut out)?;
+    } else {
+        run_pipelines(writers, &frames, framing, cfg, &mut out)?;
     }
-    // Small and disabled-compression messages take the direct path on the
-    // primary stream alone: striping tiny messages buys nothing.
-    let direct = cfg.compression_disabled()
-        || (!cfg.compression_forced() && raw_len < cfg.probe_threshold as u64);
-    if direct {
-        return send_direct(&mut writers[0], source, raw_len, cfg);
-    }
-    send_adaptive_striped(writers, source, raw_len, cfg)
+    Ok(out)
 }
 
 /// §5 "Small messages": header + raw bytes, no threads, latency identical
@@ -165,107 +192,6 @@ fn send_direct<W: Write, S: Read>(
         direct: true,
         ..SendOutcome::default()
     })
-}
-
-/// Next frame's raw size, checked against the u32 wire limit (a silent
-/// `as u32` truncation here used to corrupt ≥ 4 GiB buffers).
-fn next_frame_size(buffer_size: usize, remaining: u64) -> io::Result<usize> {
-    let want = (buffer_size as u64).min(remaining);
-    if want > wire::MAX_FRAME_LEN {
-        return Err(AdocError::FrameTooLarge { len: want }.into());
-    }
-    Ok(want as usize)
-}
-
-fn send_adaptive<W, S>(
-    writer: &mut W,
-    source: &mut S,
-    raw_len: u64,
-    cfg: &AdocConfig,
-) -> io::Result<SendOutcome>
-where
-    W: Write + Send,
-    S: Read + Send,
-{
-    let mut out = SendOutcome::default();
-    writer.write_all(&wire::encode_msg_header(MsgKind::Adaptive, raw_len))?;
-    out.wire_bytes += wire::MSG_HEADER_LEN as u64;
-
-    // Probe (§5 "Fast Networks") — skipped when compression is forced.
-    let probe_len = write_probe(writer, source, raw_len, cfg, &mut out)?;
-    if out.fast_path {
-        // Too fast to compress: ship the rest as raw v1 frames. Each
-        // frame is assembled (header in place, payload read straight in
-        // behind it) in a pooled buffer and put on the wire with a single
-        // write; the buffer returns to the pool at the end of the
-        // iteration, so a multi-buffer send touches the allocator at most
-        // once.
-        let mut remaining = raw_len - probe_len;
-        let mut frame = cfg
-            .pool
-            .get(wire::FRAME_HEADER_LEN + cfg.buffer_size.min(wire::MAX_FRAME_LEN as usize));
-        while remaining > 0 {
-            let want = next_frame_size(cfg.buffer_size, remaining)?;
-            // Same-size resize is a no-op, so the zero-fill happens
-            // once per message, not once per frame.
-            frame.resize(wire::FRAME_HEADER_LEN + want, 0);
-            source.read_exact(&mut frame[wire::FRAME_HEADER_LEN..])?;
-            let fh = FrameHeader {
-                level: 0,
-                raw_len: want as u32,
-                payload_len: want as u32,
-            };
-            frame[..wire::FRAME_HEADER_LEN].copy_from_slice(&fh.encode());
-            cfg.throttle.acquire_wire(frame.len());
-            writer.write_all(&frame)?;
-            out.wire_bytes += frame.len() as u64;
-            out.buffers_at_level[0] += 1;
-            out.level_events
-                .push((Instant::now(), 0, crate::adapt::LevelReason::default()));
-            remaining -= want as u64;
-        }
-        writer.flush()?;
-        return Ok(out);
-    }
-
-    // Full adaptive machinery: compression thread + emission thread
-    // around the FIFO queue (Fig. 1).
-    let queue = PacketQueue::new(cfg.queue_cap);
-    let bw = BandwidthMonitor::new();
-    let remaining = raw_len - probe_len;
-
-    let (comp_res, emit_res) = std::thread::scope(|s| {
-        let comp = s.spawn(|| compression_thread(source, remaining, &queue, &bw, cfg));
-        let emit =
-            s.spawn(|| emission_thread(writer, &queue, &bw, &*cfg.throttle, cfg.signal_hub()));
-        (comp.join(), emit.join())
-    });
-    // A panicking thread has already released its peer through the queue
-    // guards; surface the panic as an error instead of aborting the
-    // caller.
-    let emit = emit_res.map_err(|_| io::Error::other("emission thread panicked"))?;
-    let comp = comp_res.map_err(|_| io::Error::other("compression thread panicked"))?;
-
-    // An emission failure poisons the queue, which surfaces in the
-    // compression thread as Closed; prefer the emission (I/O) error.
-    let wire = emit?;
-    let comp = comp?;
-    out.wire_bytes += wire;
-    out.bw_raw_bytes = bw.total_raw_bytes();
-    for level in 0..=10u8 {
-        if let Some(bps) = bw.visible(level) {
-            out.level_bps[level as usize] = bps;
-        }
-    }
-    out.buffers_at_level
-        .iter_mut()
-        .zip(comp.buffers_at_level)
-        .for_each(|(d, s)| *d += s);
-    out.level_events.extend(comp.level_events);
-    out.divergence_reverts = comp.divergence_reverts;
-    out.ratio_trips = comp.ratio_trips;
-    writer.flush()?;
-    Ok(out)
 }
 
 /// Writes the probe prefix (primary stream), measuring link speed and
@@ -298,147 +224,163 @@ fn write_probe<W: Write, S: Read>(
     Ok(probe_len)
 }
 
-/// One raw compression buffer travelling from the striped dispatcher to a
-/// stream's compression thread.
-struct RawFrame {
-    /// Global in-message frame sequence number.
-    seq: u64,
-    /// Raw payload bytes in `buf` (after the reserved header prefix).
-    want: usize,
-    /// Pooled buffer: [`v2_header_len`] reserved bytes, then payload.
-    buf: PooledBuf,
+/// The message body as a shared supply of raw compression buffers: each
+/// stream's compression thread claims the next one under the lock, so
+/// frames are numbered in source order whichever stream carries them,
+/// and every stream's sequence numbers only ever increase.
+struct FrameSource<'a, S> {
+    state: Mutex<SourceState<'a, S>>,
+    /// Bytes reserved in front of every buffer for the frame header.
+    header_len: usize,
 }
 
-/// Header bytes reserved in front of every striped data frame: the wide
-/// (timestamped) v2 header when this connection feeds the delay-signal
-/// layer, the classic 18-byte one otherwise. The dispatcher and each
-/// stream's compression thread must agree, so both derive it from the
-/// same config gate.
-fn v2_header_len(cfg: &AdocConfig) -> usize {
-    if cfg.signal_hub().is_some() {
-        wire::FRAME_HEADER_V2_TS_LEN
-    } else {
-        wire::FRAME_HEADER_V2_LEN
-    }
+struct SourceState<'a, S> {
+    source: &'a mut S,
+    next_seq: u64,
+    /// Body bytes not yet claimed; zeroed to end the supply early.
+    left: u64,
+    /// Why the supply ended early: a failed or short read, or a buffer
+    /// size the wire cannot carry. Kept here rather than returned to the
+    /// claimer because it ranks *below* socket and codec errors, which it
+    /// may merely be a symptom of.
+    error: Option<io::Error>,
 }
 
-fn send_adaptive_striped<W, S>(
-    writers: &mut [W],
-    source: &mut S,
-    raw_len: u64,
-    cfg: &AdocConfig,
-) -> io::Result<SendOutcome>
-where
-    W: Write + Send,
-    S: Read + Send,
-{
-    let mut out = SendOutcome::default();
-    writers[0].write_all(&wire::encode_msg_header(MsgKind::Adaptive, raw_len))?;
-    out.wire_bytes += wire::MSG_HEADER_LEN as u64;
-    let probe_len = write_probe(&mut writers[0], source, raw_len, cfg, &mut out)?;
-    let remaining = raw_len - probe_len;
-    if remaining == 0 {
-        writers[0].flush()?;
-        return Ok(out);
-    }
-
-    if out.fast_path {
-        // Raw v2 frames on the primary stream (compression is not the
-        // bottleneck, so striping buys nothing), FIN on every stream so
-        // the receiver's per-stream readers unblock.
-        let mut left = remaining;
-        let mut seq = 0u64;
-        let mut frame = cfg
-            .pool
-            .get(wire::FRAME_HEADER_V2_LEN + cfg.buffer_size.min(wire::MAX_FRAME_LEN as usize));
-        while left > 0 {
-            let want = next_frame_size(cfg.buffer_size, left)?;
-            frame.resize(wire::FRAME_HEADER_V2_LEN + want, 0);
-            source.read_exact(&mut frame[wire::FRAME_HEADER_V2_LEN..])?;
-            // Fast-path frames skip the timestamp: the link already
-            // outran compression, so there is no adaptation to feed.
-            let fh = FrameHeaderV2::data(0, 0, seq, want as u32, want as u32);
-            frame[..wire::FRAME_HEADER_V2_LEN].copy_from_slice(&fh.encode());
-            cfg.throttle.acquire_wire(frame.len());
-            writers[0].write_all(&frame)?;
-            out.wire_bytes += frame.len() as u64;
-            out.buffers_at_level[0] += 1;
-            out.level_events
-                .push((Instant::now(), 0, crate::adapt::LevelReason::default()));
-            seq += 1;
-            left -= want as u64;
+impl<S> FrameSource<'_, S> {
+    /// Ends the supply: every later claim returns `None`.
+    fn stop(&self) {
+        if let Ok(mut st) = self.state.lock() {
+            st.left = 0;
         }
-        let frames_on_primary = seq;
-        let primary_frame_bytes = remaining + frames_on_primary * wire::FRAME_HEADER_V2_LEN as u64;
-        for (i, w) in writers.iter_mut().enumerate() {
-            let frames = if i == 0 { frames_on_primary } else { 0 };
+    }
+
+    fn take_error(&self) -> Option<io::Error> {
+        self.state.lock().ok()?.error.take()
+    }
+}
+
+impl<S: Read> FrameSource<'_, S> {
+    /// The next `(seq, raw size, buffer)`, or `None` once the body is
+    /// exhausted, the source failed, or a pipeline stopped the supply.
+    /// The raw bytes are read straight into frame position — reserved
+    /// header space first, payload appended behind it via `Take`, which
+    /// fills spare capacity without a zeroing pass — so a level-0 buffer
+    /// is already a complete frame with no copy.
+    fn claim(&self, cfg: &AdocConfig) -> Option<(u64, usize, PooledBuf)> {
+        // A poisoned lock means the source panicked under another
+        // claimer, whose thread reports it.
+        let mut st = self.state.lock().ok()?;
+        if st.left == 0 {
+            return None;
+        }
+        let read = next_frame_size(cfg.buffer_size, st.left).and_then(|want| {
+            let mut buf = cfg.pool.get(self.header_len + want);
+            buf.resize(self.header_len, 0);
+            match st.source.by_ref().take(want as u64).read_to_end(&mut buf) {
+                Ok(n) if n == want => Ok((want, buf)),
+                Ok(_) => Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    "source ended before the promised message length",
+                )),
+                Err(e) => Err(e),
+            }
+        });
+        match read {
+            Ok((want, buf)) => {
+                let seq = st.next_seq;
+                st.next_seq += 1;
+                st.left -= want as u64;
+                Some((seq, want, buf))
+            }
+            Err(e) => {
+                st.left = 0;
+                st.error = Some(e);
+                None
+            }
+        }
+    }
+}
+
+/// Fires [`FrameSource::stop`] on drop — held by every compression
+/// thread so that one pipeline dying (codec error, dead socket, panic)
+/// stops its siblings claiming the rest of the message.
+struct StopOnDrop<'a, 'b, S>(&'a FrameSource<'b, S>);
+
+impl<S> Drop for StopOnDrop<'_, '_, S> {
+    fn drop(&mut self) {
+        self.0.stop();
+    }
+}
+
+/// Next frame's raw size, checked against the u32 wire limit (a silent
+/// `as u32` truncation here used to corrupt ≥ 4 GiB buffers).
+fn next_frame_size(buffer_size: usize, remaining: u64) -> io::Result<usize> {
+    let want = (buffer_size as u64).min(remaining);
+    if want > wire::MAX_FRAME_LEN {
+        return Err(AdocError::FrameTooLarge { len: want }.into());
+    }
+    Ok(want as usize)
+}
+
+/// §5 "Fast Networks": too fast to compress, so the rest goes out as raw
+/// frames on the primary stream, inline (compression is not the
+/// bottleneck, so neither threads nor striping buy anything). Each frame
+/// is assembled in a pooled buffer and put on the wire with a single
+/// write; the buffer is back in the pool before the next claim, so a
+/// multi-buffer send touches the allocator at most once. Streams that owe
+/// a FIN still send it so the receiver's per-stream readers unblock.
+fn send_raw_frames<W: Write, S: Read>(
+    writers: &mut [W],
+    frames: &FrameSource<'_, S>,
+    framing: Framing,
+    cfg: &AdocConfig,
+    out: &mut SendOutcome,
+) -> io::Result<()> {
+    let hdr = framing.header_len();
+    let (mut sent, mut sent_bytes) = (0u64, 0u64);
+    while let Some((seq, want, mut frame)) = frames.claim(cfg) {
+        let body = FrameHeader {
+            level: 0,
+            raw_len: want as u32,
+            payload_len: want as u32,
+        };
+        framing.encode_header(&mut frame[..hdr], body, 0, seq, None);
+        cfg.throttle.acquire_wire(frame.len());
+        writers[0].write_all(&frame)?;
+        sent += 1;
+        sent_bytes += frame.len() as u64;
+        out.buffers_at_level[0] += 1;
+        out.level_events
+            .push((Instant::now(), 0, LevelReason::default()));
+    }
+    if let Some(e) = frames.take_error() {
+        return Err(e);
+    }
+    out.wire_bytes += sent_bytes;
+    for (i, w) in writers.iter_mut().enumerate() {
+        if framing.owes_fin() {
+            let (frames, frame_bytes) = if i == 0 { (sent, sent_bytes) } else { (0, 0) };
             w.write_all(&FrameHeaderV2::fin(i as u8, frames).encode())?;
-            w.flush()?;
             out.wire_bytes += wire::FRAME_HEADER_V2_LEN as u64;
             out.per_stream.push(StreamSendStats {
                 stream: i as u8,
-                wire_bytes: wire::FRAME_HEADER_V2_LEN as u64
-                    + if i == 0 { primary_frame_bytes } else { 0 },
-                raw_bytes: if i == 0 { remaining } else { 0 },
+                wire_bytes: wire::FRAME_HEADER_V2_LEN as u64 + frame_bytes,
+                raw_bytes: frame_bytes - frames * hdr as u64,
                 frames,
             });
         }
-        return Ok(out);
+        w.flush()?;
     }
-
-    striped_pipelines(writers, source, remaining, 0, cfg, &mut out)?;
-    Ok(out)
+    Ok(())
 }
 
-/// Resumes a striped message on a fresh stream group: ships the
-/// not-yet-delivered tail of a message whose first `start_seq` frames
-/// (and probe) the receiver already has. No message header and no probe
-/// go on the wire — both sides agreed on the resume point during the
-/// session handshake — and frames are numbered from `start_seq` so the
-/// receiver's reorder window slots them behind the bytes it kept.
-/// Always uses v2 framing, even over a single stream: the original
-/// message was striped, so the continuation must be too.
-pub fn send_message_multi_resumed<W, S>(
+/// The full adaptive machinery (Fig. 1), once per stream: compression
+/// thread → FIFO queue → emission thread → writer `i`, all compression
+/// threads claiming from the one `frames` supply.
+fn run_pipelines<W, S>(
     writers: &mut [W],
-    source: &mut S,
-    remaining: u64,
-    start_seq: u64,
-    cfg: &AdocConfig,
-) -> io::Result<SendOutcome>
-where
-    W: Write + Send,
-    S: Read + Send,
-{
-    assert!(
-        !writers.is_empty(),
-        "a stream group needs at least 1 stream"
-    );
-    assert!(writers.len() <= 255, "stream ids are u8");
-    let mut out = SendOutcome::default();
-    if remaining == 0 {
-        // Nothing left to ship, but every stream still owes its FIN so
-        // the receiver's per-stream readers observe end-of-message.
-        for (i, w) in writers.iter_mut().enumerate() {
-            w.write_all(&FrameHeaderV2::fin(i as u8, 0).encode())?;
-            w.flush()?;
-            out.wire_bytes += wire::FRAME_HEADER_V2_LEN as u64;
-        }
-        return Ok(out);
-    }
-    striped_pipelines(writers, source, remaining, start_seq, cfg, &mut out)?;
-    Ok(out)
-}
-
-/// The shared heart of a striped adaptive send: per-stream pipelines
-/// around the shared pool — dispatcher (this thread) → raw queue →
-/// compression thread → packet queue → emission thread → writer i.
-/// Frames are numbered globally from `start_seq` (0 for a fresh message,
-/// the negotiated resume point for a continued one).
-fn striped_pipelines<W, S>(
-    writers: &mut [W],
-    source: &mut S,
-    remaining: u64,
-    start_seq: u64,
+    frames: &FrameSource<'_, S>,
+    framing: Framing,
     cfg: &AdocConfig,
     out: &mut SendOutcome,
 ) -> io::Result<()>
@@ -447,78 +389,32 @@ where
     S: Read + Send,
 {
     let n = writers.len();
-    let raw_queues: Vec<BoundedQueue<RawFrame>> = (0..n)
-        .map(|_| BoundedQueue::new(RAW_QUEUE_FRAMES))
-        .collect();
-    let pkt_queues: Vec<PacketQueue> = (0..n).map(|_| PacketQueue::new(cfg.queue_cap)).collect();
+    let queues: Vec<PacketQueue> = (0..n).map(|_| PacketQueue::new(cfg.queue_cap)).collect();
     let monitors: Vec<BandwidthMonitor> = (0..n).map(|_| BandwidthMonitor::new()).collect();
 
-    let (disp_res, comp_res, emit_res) = std::thread::scope(|s| {
-        let mut comp_handles = Vec::with_capacity(n);
-        let mut emit_handles = Vec::with_capacity(n);
-        for (i, w) in writers.iter_mut().enumerate() {
-            let (rq, pq, bw) = (&raw_queues[i], &pkt_queues[i], &monitors[i]);
-            comp_handles.push(s.spawn(move || stream_compression_thread(i as u8, rq, pq, bw, cfg)));
-            emit_handles.push(
-                s.spawn(move || emission_thread(w, pq, bw, &*cfg.throttle, cfg.signal_hub())),
-            );
-        }
-
-        // Dispatcher: read buffers in order, stripe frame s onto stream
-        // s % n. The guards close every raw queue on *any* exit — error,
-        // panic or success — so no compression thread is ever stranded,
-        // and a panicking source surfaces as io::Error like every other
-        // pipeline stage.
-        let _closers: Vec<_> = raw_queues.iter().map(|q| q.close_on_drop()).collect();
-        let disp = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| -> io::Result<()> {
-            let mut left = remaining;
-            let mut seq = start_seq;
-            let hdr = v2_header_len(cfg);
-            while left > 0 {
-                let want = next_frame_size(cfg.buffer_size, left)?;
-                let mut buf = cfg.pool.get(hdr + want);
-                buf.resize(hdr, 0);
-                match source.by_ref().take(want as u64).read_to_end(&mut buf) {
-                    Ok(got) if got == want => {}
-                    Ok(_) => {
-                        return Err(io::Error::new(
-                            io::ErrorKind::UnexpectedEof,
-                            "source ended before the promised message length",
-                        ));
-                    }
-                    Err(e) => return Err(e),
-                }
-                let target = (seq % n as u64) as usize;
-                if raw_queues[target]
-                    .push(RawFrame { seq, want, buf })
-                    .is_err()
-                {
-                    // That stream's pipeline failed; its error is
-                    // authoritative.
-                    return Ok(());
-                }
-                seq += 1;
-                left -= want as u64;
-            }
-            Ok(())
-        }))
-        .unwrap_or_else(|_| Err(io::Error::other("dispatcher stage panicked")));
-        drop(_closers);
-        (
-            disp,
-            comp_handles
-                .into_iter()
-                .map(|h| h.join())
-                .collect::<Vec<_>>(),
-            emit_handles
-                .into_iter()
-                .map(|h| h.join())
-                .collect::<Vec<_>>(),
-        )
+    let (comp_res, emit_res): (Vec<_>, Vec<_>) = std::thread::scope(|s| {
+        let handles: Vec<_> = writers
+            .iter_mut()
+            .enumerate()
+            .map(|(i, w)| {
+                let (q, bw) = (&queues[i], &monitors[i]);
+                (
+                    s.spawn(move || compression_thread(i as u8, frames, framing, q, bw, cfg)),
+                    s.spawn(move || emission_thread(w, q, bw, &*cfg.throttle, cfg.signal_hub())),
+                )
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|(comp, emit)| (comp.join(), emit.join()))
+            .unzip()
     });
 
-    // Error priority mirrors the single-stream path: emission (socket)
-    // errors first, then compression, then the dispatcher's read error.
+    // Error priority: emission (socket) errors first — they poison the
+    // queue, which the compression thread merely observes as Closed —
+    // then compression, then the source. A panicking thread has already
+    // released its peers through the queue and supply guards; it
+    // surfaces as an error instead of aborting the caller.
     let mut stream_wire = vec![0u64; n];
     let mut first_err: Option<io::Error> = None;
     for (i, res) in emit_res.into_iter().enumerate() {
@@ -534,10 +430,9 @@ where
             Ok(Err(e)) | Err(e) => first_err = first_err.or(Some(e)),
         }
     }
-    if let Some(e) = first_err {
+    if let Some(e) = first_err.or_else(|| frames.take_error()) {
         return Err(e);
     }
-    disp_res?;
     for w in writers.iter_mut() {
         w.flush()?;
     }
@@ -557,12 +452,14 @@ where
         out.level_events.extend(comp.level_events);
         out.divergence_reverts += comp.divergence_reverts;
         out.ratio_trips += comp.ratio_trips;
-        out.per_stream.push(StreamSendStats {
-            stream: i as u8,
-            wire_bytes: stream_wire[i],
-            raw_bytes: monitors[i].total_raw_bytes(),
-            frames: comp.frames,
-        });
+        if framing.owes_fin() {
+            out.per_stream.push(StreamSendStats {
+                stream: i as u8,
+                wire_bytes: stream_wire[i],
+                raw_bytes: monitors[i].total_raw_bytes(),
+                frames: comp.frames,
+            });
+        }
     }
     // Interleaved pipelines report out of order; the connection timeline
     // must stay chronological.
@@ -573,7 +470,7 @@ where
 /// Per-message results a compression thread reports back.
 struct CompOutcome {
     buffers_at_level: [u64; 11],
-    level_events: Vec<(Instant, u8, crate::adapt::LevelReason)>,
+    level_events: Vec<(Instant, u8, LevelReason)>,
     divergence_reverts: u64,
     ratio_trips: u64,
     /// Data frames fully handed to the emission queue.
@@ -598,7 +495,7 @@ impl CompOutcome {
     }
 }
 
-/// The §5 ratio-guard stage shared by both pipelines: picks the level for
+/// The §5 ratio-guard stage: picks the level for
 /// a raw buffer (suspicious pre-check + full compression + ratio report)
 /// and returns the wire-ready frame body with `header_len` reserved bytes
 /// at the front, plus the level it ended up encoded at.
@@ -686,64 +583,50 @@ fn push_frame_packets(
     Ok(pushed)
 }
 
+/// One stream's compression thread (Fig. 1): claims raw buffers, picks
+/// each one's level from its own queue and monitor, and feeds the
+/// wire-ready frame to its emission thread as packets.
 fn compression_thread<S: Read>(
-    source: &mut S,
-    mut remaining: u64,
+    stream_id: u8,
+    frames: &FrameSource<'_, S>,
+    framing: Framing,
     queue: &PacketQueue,
     bw: &BandwidthMonitor,
     cfg: &AdocConfig,
 ) -> io::Result<CompOutcome> {
     // Every exit — success, error, panic — ends the stream for the
-    // emission thread; without this a dying producer strands the consumer
-    // in `pop` forever.
+    // emission thread (without this a dying producer strands the consumer
+    // in `pop` forever) and the supply for the sibling pipelines.
     let _close = queue.close_on_drop();
+    let _stop = StopOnDrop(frames);
     let mut ctrl = LevelController::new(cfg);
     let mut codec = adoc_codec::Codec::new();
     let mut out = CompOutcome::new();
+    let hub = cfg.signal_hub();
+    let hdr = framing.header_len();
 
-    while remaining > 0 {
-        let want = next_frame_size(cfg.buffer_size, remaining)?;
-        // The raw bytes are read straight into frame position — header
-        // space first, payload appended behind it via `Take`, which
-        // fills the reserved spare capacity without a zeroing pass — so
-        // a level-0 buffer is already a complete frame with no copy.
-        let mut raw = cfg.pool.get(wire::FRAME_HEADER_LEN + want);
-        raw.resize(wire::FRAME_HEADER_LEN, 0);
-        match source.by_ref().take(want as u64).read_to_end(&mut raw) {
-            Ok(n) if n == want => {}
-            Ok(_) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "source ended before the promised message length",
-                ));
-            }
-            Err(e) => return Err(e),
-        }
-
+    while let Some((seq, want, raw)) = frames.claim(cfg) {
         // §3.2: the level is updated before each new buffer — with the
         // freshest delay verdict alongside the queue length, when this
         // connection runs the signal layer.
-        let delay = cfg.signal_hub().and_then(|h| h.snapshot());
+        let delay = hub.and_then(|h| h.snapshot());
         let level = ctrl.next_level_with(queue.len(), bw, delay, cfg);
-        let (mut frame, level) = encode_frame_payload(
-            raw,
-            want,
-            wire::FRAME_HEADER_LEN,
-            level,
-            &mut ctrl,
-            &mut codec,
-            cfg,
-        )?;
+        let (mut frame, level) =
+            encode_frame_payload(raw, want, hdr, level, &mut ctrl, &mut codec, cfg)?;
         out.buffers_at_level[level as usize] += 1;
         out.level_events
             .push((Instant::now(), level, ctrl.last_reason()));
 
-        let fh = FrameHeader {
+        let body = FrameHeader {
             level,
             raw_len: want as u32,
-            payload_len: (frame.len() - wire::FRAME_HEADER_LEN) as u32,
+            payload_len: (frame.len() - hdr) as u32,
         };
-        frame[..wire::FRAME_HEADER_LEN].copy_from_slice(&fh.encode());
+        // Departure stamp for the receiver's remote estimator: taken at
+        // enqueue, so emission-queue wait shows up as delay — exactly the
+        // backlog the gradient is meant to see.
+        let ts_us = hub.map(|h| h.now_us());
+        framing.encode_header(&mut frame[..hdr], body, stream_id, seq, ts_us);
 
         match push_frame_packets(queue, frame, want, level, cfg.packet_size) {
             Ok(pushed) => ctrl.packets_pushed(pushed),
@@ -751,68 +634,16 @@ fn compression_thread<S: Read>(
             Err(()) => return Ok(out.finish(&ctrl)),
         }
         out.frames += 1;
-        remaining -= want as u64;
-    }
-    Ok(out.finish(&ctrl))
-}
-
-/// One stream's compression thread in a striped send: same adaptation
-/// loop as [`compression_thread`], but fed pre-read buffers by the
-/// dispatcher and emitting v2 frame headers.
-fn stream_compression_thread(
-    stream_id: u8,
-    raw_queue: &BoundedQueue<RawFrame>,
-    queue: &PacketQueue,
-    bw: &BandwidthMonitor,
-    cfg: &AdocConfig,
-) -> io::Result<CompOutcome> {
-    // Panic-safe shutdown on both sides: a dying compression thread must
-    // release the dispatcher (blocked pushing raw frames) *and* the
-    // emission thread (blocked popping packets).
-    let _poison_raw = raw_queue.poison_on_drop();
-    let _close = queue.close_on_drop();
-    let mut ctrl = LevelController::new(cfg);
-    let mut codec = adoc_codec::Codec::new();
-    let mut out = CompOutcome::new();
-    let hub = cfg.signal_hub();
-    let hdr = v2_header_len(cfg);
-
-    while let Some(RawFrame { seq, want, buf }) = raw_queue.pop() {
-        let delay = hub.and_then(|h| h.snapshot());
-        let level = ctrl.next_level_with(queue.len(), bw, delay, cfg);
-        let (mut frame, level) =
-            encode_frame_payload(buf, want, hdr, level, &mut ctrl, &mut codec, cfg)?;
-        out.buffers_at_level[level as usize] += 1;
-        out.level_events
-            .push((Instant::now(), level, ctrl.last_reason()));
-
-        let mut fh = FrameHeaderV2::data(
-            level,
-            stream_id,
-            seq,
-            want as u32,
-            (frame.len() - hdr) as u32,
-        );
-        // Departure stamp for the receiver's remote estimator: taken at
-        // enqueue, so emission-queue wait shows up as delay — exactly the
-        // backlog the gradient is meant to see.
-        fh.ts_us = hub.map(|h| h.now_us());
-        frame[..hdr].copy_from_slice(&fh.encode());
-
-        match push_frame_packets(queue, frame, want, level, cfg.packet_size) {
-            Ok(pushed) => ctrl.packets_pushed(pushed),
-            Err(()) => return Ok(out.finish(&ctrl)),
-        }
-        out.frames += 1;
     }
 
-    // End of message on this stream: the FIN marker records how many data
-    // frames the receiver must have seen.
-    let fin = FrameHeaderV2::fin(stream_id, out.frames);
-    let mut fbuf = cfg.pool.get(wire::FRAME_HEADER_V2_LEN);
-    fbuf.extend_from_slice(&fin.encode());
-    let len = fbuf.len();
-    let _ = queue.push(Packet::view(Arc::new(fbuf), 0, len, 0, 0));
+    if framing.owes_fin() {
+        // End of message on this stream: the FIN marker records how many
+        // data frames the receiver must have seen.
+        let mut fbuf = cfg.pool.get(wire::FRAME_HEADER_V2_LEN);
+        fbuf.extend_from_slice(&FrameHeaderV2::fin(stream_id, out.frames).encode());
+        let len = fbuf.len();
+        let _ = queue.push(Packet::view(Arc::new(fbuf), 0, len, 0, 0));
+    }
     Ok(out.finish(&ctrl))
 }
 
@@ -895,7 +726,14 @@ mod tests {
     fn send_to_vec(data: &[u8], cfg: &AdocConfig) -> (Vec<u8>, SendOutcome) {
         let mut wire = Vec::new();
         let mut src = data;
-        let out = send_message(&mut wire, &mut src, data.len() as u64, cfg).unwrap();
+        let out = send_message(
+            std::slice::from_mut(&mut wire),
+            &mut src,
+            data.len() as u64,
+            None,
+            cfg,
+        )
+        .unwrap();
         (wire, out)
     }
 
@@ -908,7 +746,7 @@ mod tests {
         assert!(out.probe_bps.is_none());
         assert_eq!(wire.len(), wire::MSG_HEADER_LEN + data.len());
         let mut c = Cursor::new(wire);
-        let (kind, len) = read_msg_header(&mut c).unwrap().unwrap();
+        let (kind, len) = read_msg_header(&mut c, u64::MAX).unwrap().unwrap();
         assert_eq!(kind, MsgKind::Direct);
         assert_eq!(len, data.len() as u64);
     }
@@ -952,7 +790,7 @@ mod tests {
         assert!(!out.direct);
         assert_eq!(out.wire_bytes, wire.len() as u64);
         let mut c = Cursor::new(wire);
-        let (kind, len) = read_msg_header(&mut c).unwrap().unwrap();
+        let (kind, len) = read_msg_header(&mut c, u64::MAX).unwrap().unwrap();
         assert_eq!(kind, MsgKind::Adaptive);
         assert_eq!(len, 0);
     }
@@ -971,7 +809,8 @@ mod tests {
         let cfg = AdocConfig::default();
         let mut wire = Vec::new();
         let mut src: &[u8] = b"only ten b";
-        let err = send_message(&mut wire, &mut src, 100, &cfg).unwrap_err();
+        let err =
+            send_message(std::slice::from_mut(&mut wire), &mut src, 100, None, &cfg).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
@@ -992,7 +831,14 @@ mod tests {
         cfg.packet_size = 8 << 10;
         let raw_len = 5u64 << 30;
         let mut wire = Vec::new();
-        let err = send_message(&mut wire, &mut EndlessZeros, raw_len, &cfg).unwrap_err();
+        let err = send_message(
+            std::slice::from_mut(&mut wire),
+            &mut EndlessZeros,
+            raw_len,
+            None,
+            &cfg,
+        )
+        .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         match AdocError::from_io(&err) {
             Some(AdocError::FrameTooLarge { len }) => assert_eq!(*len, raw_len),
@@ -1035,7 +881,14 @@ mod tests {
         };
         let mut sink = FailAfter { n: 300_000 };
         let mut src = &data[..];
-        let err = send_message(&mut sink, &mut src, data.len() as u64, &cfg).unwrap_err();
+        let err = send_message(
+            std::slice::from_mut(&mut sink),
+            &mut src,
+            data.len() as u64,
+            None,
+            &cfg,
+        )
+        .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::ConnectionReset);
     }
 
@@ -1060,7 +913,13 @@ mod tests {
         std::thread::spawn(move || {
             let mut wire = Vec::new();
             let mut src = &data[..];
-            let res = send_message(&mut wire, &mut src, data.len() as u64, &cfg);
+            let res = send_message(
+                std::slice::from_mut(&mut wire),
+                &mut src,
+                data.len() as u64,
+                None,
+                &cfg,
+            );
             let _ = done_tx.send(res.is_err());
         });
         match done_rx.recv_timeout(std::time::Duration::from_secs(10)) {
@@ -1111,24 +970,20 @@ mod tests {
 
     #[test]
     fn striped_send_accounts_every_stream() {
-        // 4 sinks, forced compression: every stream must carry frames,
-        // the per-stream raw bytes must sum to the message, and frame
-        // counts must match the round-robin striping.
+        // 4 sinks, forced compression: the per-stream frame counts and
+        // raw bytes must sum to the message (which stream claimed which
+        // frame is a race the accounting must not depend on).
         let cfg = AdocConfig::default().with_levels(1, 10);
         let data = adoc_data_stub(2 << 20); // 11 buffers at 200 KB
         let mut sinks: Vec<Vec<u8>> = vec![Vec::new(); 4];
         let mut src = &data[..];
-        let out = send_message_multi(&mut sinks, &mut src, data.len() as u64, &cfg).unwrap();
+        let out = send_message(&mut sinks, &mut src, data.len() as u64, None, &cfg).unwrap();
         assert_eq!(out.per_stream.len(), 4);
         let frames: u64 = out.per_stream.iter().map(|s| s.frames).sum();
         assert_eq!(frames, data.len().div_ceil(cfg.buffer_size) as u64);
         let raw: u64 = out.per_stream.iter().map(|s| s.raw_bytes).sum();
         assert_eq!(raw, data.len() as u64);
         assert_eq!(out.bw_raw_bytes, data.len() as u64);
-        // Round-robin: stream frame counts differ by at most one.
-        let min = out.per_stream.iter().map(|s| s.frames).min().unwrap();
-        let max = out.per_stream.iter().map(|s| s.frames).max().unwrap();
-        assert!(max - min <= 1, "striping must be balanced: {out:?}");
         let wire_sum: u64 = out.per_stream.iter().map(|s| s.wire_bytes).sum();
         // Header + probe-length field live on stream 0 but are counted
         // message-wide.
@@ -1144,7 +999,7 @@ mod tests {
         let data = vec![7u8; 2 << 20];
         let mut sinks: Vec<Vec<u8>> = vec![Vec::new(); 3];
         let mut src = &data[..];
-        let out = send_message_multi(&mut sinks, &mut src, data.len() as u64, &cfg).unwrap();
+        let out = send_message(&mut sinks, &mut src, data.len() as u64, None, &cfg).unwrap();
         assert!(out.fast_path);
         assert_eq!(out.per_stream.len(), 3);
         let probe = cfg.probe_size as u64;
@@ -1172,24 +1027,28 @@ mod tests {
 
     #[test]
     fn striped_send_with_one_stream_is_v1_byte_identical() {
-        // A pinned level (min == max) makes the adaptive frame stream
-        // deterministic, so the two wire captures must match byte for
-        // byte; the direct path is deterministic by construction.
-        for data in [
-            adoc_data_stub(10_000),  // direct
-            adoc_data_stub(1 << 20), // adaptive
-        ] {
-            for cfg in [
-                AdocConfig::default().with_levels(0, 0),
-                AdocConfig::default().with_levels(4, 4),
-            ] {
-                let (v1, _) = send_to_vec(&data, &cfg);
-                let mut group = vec![Vec::new()];
-                let mut src = &data[..];
-                send_message_multi(&mut group, &mut src, data.len() as u64, &cfg).unwrap();
-                assert_eq!(group[0], v1, "streams == 1 must stay v1");
-            }
+        // One stream is the same pipeline as any other width, so "stays
+        // v1" is checked against the format itself: the capture must walk
+        // as message header, probe length, then bare 9-byte frame headers
+        // whose raw sizes add up to the message — ending on the byte
+        // count, with no stream ids, sequence numbers or FIN anywhere.
+        // (Byte-exact goldens live in tests/fixtures.)
+        let data = adoc_data_stub(1 << 20);
+        let (v1, out) = send_to_vec(&data, &AdocConfig::default().with_levels(4, 4));
+        assert!(out.per_stream.is_empty(), "v1 reports no per-stream stats");
+        let mut c = Cursor::new(v1);
+        let (kind, len) = read_msg_header(&mut c, u64::MAX).unwrap().unwrap();
+        assert_eq!((kind, len), (MsgKind::Adaptive, data.len() as u64));
+        assert_eq!(wire::read_u32(&mut c).unwrap(), 0, "forced: no probe");
+        let mut raw = 0u64;
+        while raw < len {
+            let fh = FrameHeader::read(&mut c, 10).unwrap();
+            assert_eq!(fh.level, 4);
+            raw += u64::from(fh.raw_len);
+            c.set_position(c.position() + u64::from(fh.payload_len));
         }
+        assert_eq!(raw, len);
+        assert_eq!(c.position(), c.get_ref().len() as u64, "nothing after v1");
     }
 
     #[test]
@@ -1296,7 +1155,14 @@ mod tests {
         let data = adoc_data_stub(2 << 20);
         let mut sink = PacedSink(Vec::new());
         let mut src = &data[..];
-        let out = send_message(&mut sink, &mut src, data.len() as u64, &cfg).unwrap();
+        let out = send_message(
+            std::slice::from_mut(&mut sink),
+            &mut src,
+            data.len() as u64,
+            None,
+            &cfg,
+        )
+        .unwrap();
         let observed: Vec<u8> = (0..11u8)
             .filter(|&l| out.level_bps[l as usize] > 0.0)
             .collect();
@@ -1337,7 +1203,7 @@ mod tests {
             let data = adoc_data_stub(1_300_000);
             let mut sinks: Vec<Vec<u8>> = vec![Vec::new(); streams];
             let mut src = &data[..];
-            let out = send_message_multi(&mut sinks, &mut src, data.len() as u64, &cfg).unwrap();
+            let out = send_message(&mut sinks, &mut src, data.len() as u64, None, &cfg).unwrap();
             let on_wire: u64 = sinks.iter().map(|s| s.len() as u64).sum();
             assert_eq!(out.wire_bytes, on_wire, "streams = {streams}");
         }

@@ -205,6 +205,27 @@ impl TicketKey {
     }
 }
 
+/// Where to continue an interrupted transfer, as reported by the server
+/// in its resume accept: the sender skips the first `delivered_raw`
+/// bytes of the in-flight message and numbers its frames from
+/// `next_seq`. `(0, 0)` means no partial message survived — the client
+/// re-sends from the message boundary.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ResumePoint {
+    /// Next global frame sequence number the receiver expects.
+    pub next_seq: u64,
+    /// Raw bytes of the interrupted message already delivered.
+    pub delivered_raw: u64,
+}
+
+impl ResumePoint {
+    /// True when a partially-delivered message is waiting to be
+    /// continued (rather than restarted from its boundary).
+    pub fn mid_message(&self) -> bool {
+        self.next_seq != 0 || self.delivered_raw != 0
+    }
+}
+
 /// A server-minted resume credential (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SessionTicket {

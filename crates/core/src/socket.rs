@@ -1,17 +1,15 @@
-//! The idiomatic connection types: [`AdocSocket`] wraps a reader/writer
-//! pair (TCP halves, simulated link halves, pipes …) and exposes the
-//! paper's seven operations with Rust types; [`AdocStreamGroup`] does the
-//! same over `N` parallel streams, striping every large message across
-//! per-stream compression pipelines (see [`crate::sender`]) and
-//! reassembling in order on the receive side.
+//! The idiomatic connection type: [`AdocStreamGroup`] wraps `N`
+//! reader/writer pairs (TCP halves, simulated link halves, pipes …) and
+//! exposes the paper's seven operations with Rust types, running every
+//! message through the one pipeline in [`crate::sender`] /
+//! [`crate::receiver`]. [`AdocSocket`] is its `N == 1` spelling — the
+//! paper's single socket, speaking the v1 wire format.
 
 use crate::config::AdocConfig;
 use crate::error::AdocError;
-use crate::receiver::{
-    receive_message, receive_message_multi, receive_message_multi_resumed,
-    receive_message_multi_tracked, RecvProgress,
-};
-use crate::sender::{send_message, send_message_multi, send_message_multi_resumed, SendOutcome};
+use crate::receiver::{receive_message, RecvProgress};
+use crate::sender::{send_message, SendOutcome};
+pub use crate::session::ResumePoint;
 use crate::session::{SessionTicket, TicketKey};
 use crate::stats::TransferStats;
 use crate::wire::{self, session_status, GroupHello, SessionAccept, SessionHello, SessionKind};
@@ -34,27 +32,6 @@ pub struct SessionInfo {
     pub resumed: bool,
 }
 
-/// Where to continue an interrupted transfer, as reported by the server
-/// in its resume accept: the sender skips the first `delivered_raw`
-/// bytes of the in-flight message and numbers its frames from
-/// `next_seq`. `(0, 0)` means no partial message survived — the client
-/// re-sends from the message boundary.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ResumePoint {
-    /// Next global frame sequence number the receiver expects.
-    pub next_seq: u64,
-    /// Raw bytes of the interrupted message already delivered.
-    pub delivered_raw: u64,
-}
-
-impl ResumePoint {
-    /// True when a partially-delivered message is waiting to be
-    /// continued (rather than restarted from its boundary).
-    pub fn mid_message(&self) -> bool {
-        self.next_seq != 0 || self.delivered_raw != 0
-    }
-}
-
 /// What one send did, mirroring the paper's `slen` out-parameter
 /// (`raw / wire` is the achieved compression ratio).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -69,7 +46,9 @@ pub struct SendReport {
     pub fast_path: bool,
 }
 
-/// An AdOC connection over any `Read`/`Write` pair.
+/// An AdOC connection over one `Read`/`Write` pair — the paper's single
+/// socket: an [`AdocStreamGroup`] of one stream, built with
+/// [`AdocStreamGroup::new`] / [`AdocStreamGroup::with_config`].
 ///
 /// ```
 /// use adoc::AdocSocket;
@@ -87,236 +66,14 @@ pub struct SendReport {
 /// let n = rx.read(&mut buf).unwrap();
 /// assert_eq!(&buf[..n], b"hello adoc");
 /// ```
-pub struct AdocSocket<R: Read + Send, W: Write + Send> {
-    reader: R,
-    writer: W,
-    cfg: AdocConfig,
-    /// Decoded bytes from a partially-consumed message (the paper's
-    /// temporary buffers for partial reads, §4.1 `adoc_close`).
-    leftover: Vec<u8>,
-    leftover_pos: usize,
-    stats: TransferStats,
-}
+pub type AdocSocket<R, W> = AdocStreamGroup<R, W>;
 
-impl<R: Read + Send, W: Write + Send> AdocSocket<R, W> {
-    /// Wraps a reader/writer pair with the default (paper) configuration.
-    pub fn new(reader: R, writer: W) -> Self {
-        Self::with_config(reader, writer, AdocConfig::default())
-            .expect("the default AdocConfig is always valid")
-    }
-
-    /// Wraps with an explicit configuration. Fails with a typed
-    /// [`AdocError::InvalidConfig`] (inside the `io::Error`) when the
-    /// configuration is inconsistent, instead of letting the bad field
-    /// panic or hang inside the pipeline threads later.
-    pub fn with_config(reader: R, writer: W, mut cfg: AdocConfig) -> io::Result<Self> {
-        cfg.validate()?;
-        cfg.ensure_signal_hub();
-        Ok(AdocSocket {
-            reader,
-            writer,
-            cfg,
-            leftover: Vec::new(),
-            leftover_pos: 0,
-            stats: TransferStats::new(),
-        })
-    }
-
-    /// Connection configuration.
-    pub fn config(&self) -> &AdocConfig {
-        &self.cfg
-    }
-
-    /// Cumulative transfer statistics.
-    pub fn stats(&self) -> &TransferStats {
-        &self.stats
-    }
-
-    /// Sends `data` as one message (the paper's `adoc_write`): blocks
-    /// until every byte is on the socket, adapting the compression level
-    /// throughout.
-    pub fn write(&mut self, data: &[u8]) -> io::Result<SendReport> {
-        let cfg = self.cfg.clone();
-        self.send_with(data, &cfg)
-    }
-
-    /// `adoc_write_levels`: like [`Self::write`] with level bounds for
-    /// this call only. `max = 0` disables compression; `min ≥ 1` forces
-    /// it.
-    pub fn write_levels(&mut self, data: &[u8], min: u8, max: u8) -> io::Result<SendReport> {
-        let cfg = self.cfg.clone().with_levels(min, max);
-        cfg.validate()?;
-        self.send_with(data, &cfg)
-    }
-
-    fn send_with(&mut self, data: &[u8], cfg: &AdocConfig) -> io::Result<SendReport> {
-        let mut src = data;
-        let out = send_message(&mut self.writer, &mut src, data.len() as u64, cfg)?;
-        Ok(self.merge(out, data.len() as u64))
-    }
-
-    fn merge(&mut self, out: SendOutcome, raw: u64) -> SendReport {
-        out.merge_into(&mut self.stats, raw);
-        SendReport {
-            raw,
-            wire: out.wire_bytes,
-            probe_bps: out.probe_bps,
-            fast_path: out.fast_path,
-        }
-    }
-
-    /// Receives into `out` with POSIX `read` semantics (the paper's
-    /// `adoc_read`): blocks for at least one byte, may return fewer than
-    /// requested (message boundaries cause short reads), `Ok(0)` only at
-    /// end of stream.
-    pub fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
-        if out.is_empty() {
-            return Ok(0);
-        }
-        if self.leftover_len() == 0 {
-            self.leftover.clear();
-            self.leftover_pos = 0;
-            if receive_message(&mut self.reader, &mut self.leftover, &self.cfg)?.is_none() {
-                return Ok(0);
-            }
-            if self.leftover.is_empty() {
-                // Zero-length message: by POSIX semantics deliver 0 bytes
-                // without signalling EOF only if the caller retries; treat
-                // it as an empty read.
-                return Ok(0);
-            }
-        }
-        let avail = self.leftover_len();
-        let n = avail.min(out.len());
-        out[..n].copy_from_slice(&self.leftover[self.leftover_pos..self.leftover_pos + n]);
-        self.leftover_pos += n;
-        if self.leftover_len() == 0 {
-            self.leftover.clear();
-            self.leftover_pos = 0;
-        }
-        Ok(n)
-    }
-
-    /// Reads exactly `out.len()` bytes across message boundaries.
-    pub fn read_exact(&mut self, out: &mut [u8]) -> io::Result<()> {
-        let mut filled = 0;
-        while filled < out.len() {
-            let n = self.read(&mut out[filled..])?;
-            if n == 0 {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "stream ended mid read_exact",
-                ));
-            }
-            filled += n;
-        }
-        Ok(())
-    }
-
-    fn leftover_len(&self) -> usize {
-        self.leftover.len() - self.leftover_pos
-    }
-
-    /// `adoc_send_file`: streams a file as one message; returns the file
-    /// size and wire bytes (the paper returns the size and outputs `slen`).
-    pub fn send_file(&mut self, file: &mut File) -> io::Result<SendReport> {
-        let cfg = self.cfg.clone();
-        self.send_file_with(file, &cfg)
-    }
-
-    /// `adoc_send_file_levels`: level-bounded variant.
-    pub fn send_file_levels(
-        &mut self,
-        file: &mut File,
-        min: u8,
-        max: u8,
-    ) -> io::Result<SendReport> {
-        let cfg = self.cfg.clone().with_levels(min, max);
-        cfg.validate()?;
-        self.send_file_with(file, &cfg)
-    }
-
-    fn send_file_with(&mut self, file: &mut File, cfg: &AdocConfig) -> io::Result<SendReport> {
-        let len = file.metadata()?.len();
-        self.send_reader(file, len, cfg)
-    }
-
-    /// Streams exactly `len` bytes from any reader as one message
-    /// (generalizes `adoc_send_file` to non-file sources).
-    pub fn send_reader(
-        &mut self,
-        source: &mut (impl Read + Send),
-        len: u64,
-        cfg: &AdocConfig,
-    ) -> io::Result<SendReport> {
-        let out = send_message(&mut self.writer, source, len, cfg)?;
-        Ok(self.merge(out, len))
-    }
-
-    /// `adoc_receive_file`: drains any partially-read message, then
-    /// receives exactly one message, streaming it into `sink`. Returns the
-    /// number of bytes stored.
-    pub fn receive_file(&mut self, sink: &mut (impl Write + Send)) -> io::Result<u64> {
-        let mut total = 0u64;
-        if self.leftover_len() > 0 {
-            sink.write_all(&self.leftover[self.leftover_pos..])?;
-            total += self.leftover_len() as u64;
-            self.leftover.clear();
-            self.leftover_pos = 0;
-        }
-        match receive_message(&mut self.reader, sink, &self.cfg)? {
-            Some(n) => Ok(total + n),
-            None if total > 0 => Ok(total),
-            None => Ok(0),
-        }
-    }
-
-    /// `adoc_close`: flushes the writer and frees the partial-read
-    /// buffers. The underlying streams close on drop.
-    pub fn close(mut self) -> io::Result<()> {
-        self.close_mut()
-    }
-
-    /// In-place close used by the descriptor registry.
-    pub(crate) fn close_mut(&mut self) -> io::Result<()> {
-        self.leftover = Vec::new();
-        self.leftover_pos = 0;
-        self.writer.flush()
-    }
-
-    /// Consumes the socket, returning the underlying streams.
-    pub fn into_inner(self) -> (R, W) {
-        (self.reader, self.writer)
-    }
-}
-
-/// `std::io::Read`: makes the socket a drop-in replacement wherever plain
-/// stream reads are used (`io::copy`, `read_to_end`, `BufReader`, …) —
-/// the paper's integration story.
-impl<R: Read + Send, W: Write + Send> Read for AdocSocket<R, W> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        AdocSocket::read(self, buf)
-    }
-}
-
-/// `std::io::Write`: each call sends one AdOC message (write-combining
-/// callers should wrap in `BufWriter` to avoid tiny messages).
-impl<R: Read + Send, W: Write + Send> Write for AdocSocket<R, W> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        AdocSocket::write(self, buf).map(|r| r.raw as usize)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.writer.flush()
-    }
-}
-
-/// One logical AdOC connection striped over `N` parallel streams
-/// (`streams[0]` is the primary). With `N == 1` the wire format is
-/// byte-identical v1 ([`AdocSocket`] compatible); with `N >= 2` each
-/// stream runs its own compression pipeline on send and its own
-/// reception thread on receive, and the group negotiates the stream
-/// count once at construction (see [`crate::wire`]'s negotiation rule).
+/// One logical AdOC connection over `N` parallel streams (`streams[0]`
+/// is the primary). With `N == 1` ([`AdocSocket`]) nothing but the
+/// paper's v1 wire format ever reaches the socket; with `N >= 2` large
+/// messages stripe across one compression pipeline per stream, and the
+/// group negotiates the stream count once at construction (see
+/// [`crate::wire`]'s negotiation rule).
 ///
 /// ```
 /// use adoc::{AdocConfig, AdocStreamGroup};
@@ -341,16 +98,18 @@ impl<R: Read + Send, W: Write + Send> Write for AdocSocket<R, W> {
 /// rx.read_exact(&mut buf).unwrap();
 /// assert_eq!(&buf, b"striped hello");
 /// ```
-pub struct AdocStreamGroup<R: Read + Send, W: Write + Send> {
+pub struct AdocStreamGroup<R, W> {
     readers: Vec<R>,
     writers: Vec<W>,
     cfg: AdocConfig,
+    /// Decoded bytes from a partially-consumed message (the paper's
+    /// temporary buffers for partial reads, §4.1 `adoc_close`).
     leftover: Vec<u8>,
     leftover_pos: usize,
     stats: TransferStats,
 }
 
-impl<R: Read + Send, W: Write + Send> std::fmt::Debug for AdocStreamGroup<R, W> {
+impl<R, W> std::fmt::Debug for AdocStreamGroup<R, W> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AdocStreamGroup")
             .field("streams", &self.readers.len())
@@ -360,6 +119,22 @@ impl<R: Read + Send, W: Write + Send> std::fmt::Debug for AdocStreamGroup<R, W> 
 }
 
 impl<R: Read + Send, W: Write + Send> AdocStreamGroup<R, W> {
+    /// Wraps one reader/writer pair with the default (paper)
+    /// configuration.
+    pub fn new(reader: R, writer: W) -> Self {
+        Self::with_config(reader, writer, AdocConfig::default())
+            .expect("the default AdocConfig is always valid")
+    }
+
+    /// Wraps one reader/writer pair with an explicit configuration.
+    /// Fails with a typed [`AdocError::InvalidConfig`] (inside the
+    /// `io::Error`) when the configuration is inconsistent, instead of
+    /// letting the bad field panic or hang inside the pipeline threads
+    /// later.
+    pub fn with_config(reader: R, writer: W, cfg: AdocConfig) -> io::Result<Self> {
+        Self::from_negotiated(vec![(reader, writer)], cfg)
+    }
+
     /// Builds a group over already-connected stream pairs (index 0 is the
     /// primary). `cfg.streams` is set to `pairs.len()`. For `N >= 2` this
     /// performs the group handshake: it announces a [`GroupHello`] on
@@ -378,16 +153,12 @@ impl<R: Read + Send, W: Write + Send> AdocStreamGroup<R, W> {
         cfg: AdocConfig,
         token: u64,
     ) -> io::Result<Self> {
-        assert!(!pairs.is_empty(), "a stream group needs at least 1 stream");
-        let mut cfg = cfg.with_streams(pairs.len());
-        cfg.validate()?;
-        cfg.ensure_signal_hub();
-        let n = pairs.len();
-        let (mut readers, mut writers): (Vec<R>, Vec<W>) = pairs.into_iter().unzip();
+        let mut group = Self::from_negotiated(pairs, cfg)?;
+        let n = group.streams();
         if n > 1 {
             // Initiator-style handshake: announce on every stream, then
             // validate the peer's announcements.
-            for (i, w) in writers.iter_mut().enumerate() {
+            for (i, w) in group.writers.iter_mut().enumerate() {
                 w.write_all(
                     &GroupHello {
                         streams: n as u8,
@@ -398,7 +169,7 @@ impl<R: Read + Send, W: Write + Send> AdocStreamGroup<R, W> {
                 )?;
                 w.flush()?;
             }
-            for (i, r) in readers.iter_mut().enumerate() {
+            for (i, r) in group.readers.iter_mut().enumerate() {
                 let hello = GroupHello::read(r)?;
                 if hello.streams as usize != n {
                     return Err(AdocError::StreamCountMismatch {
@@ -418,14 +189,7 @@ impl<R: Read + Send, W: Write + Send> AdocStreamGroup<R, W> {
                 }
             }
         }
-        Ok(AdocStreamGroup {
-            readers,
-            writers,
-            cfg,
-            leftover: Vec::new(),
-            leftover_pos: 0,
-            stats: TransferStats::new(),
-        })
+        Ok(group)
     }
 
     /// Builds a group over stream pairs whose handshake the caller has
@@ -465,23 +229,39 @@ impl<R: Read + Send, W: Write + Send> AdocStreamGroup<R, W> {
         &self.stats
     }
 
-    /// Sends `data` as one message striped across the group.
+    /// Sends `data` as one message (the paper's `adoc_write`): blocks
+    /// until every byte is on the sockets, adapting the compression
+    /// level throughout.
     pub fn write(&mut self, data: &[u8]) -> io::Result<SendReport> {
         let cfg = self.cfg.clone();
-        self.send_with(data, &cfg)
+        self.send_reader(&mut &*data, data.len() as u64, &cfg)
     }
 
-    /// [`Self::write`] with level bounds for this call only.
+    /// `adoc_write_levels`: like [`Self::write`] with level bounds for
+    /// this call only. `max = 0` disables compression; `min ≥ 1` forces
+    /// it.
     pub fn write_levels(&mut self, data: &[u8], min: u8, max: u8) -> io::Result<SendReport> {
         let cfg = self.cfg.clone().with_levels(min, max);
         cfg.validate()?;
-        self.send_with(data, &cfg)
+        self.send_reader(&mut &*data, data.len() as u64, &cfg)
     }
 
-    fn send_with(&mut self, data: &[u8], cfg: &AdocConfig) -> io::Result<SendReport> {
-        let mut src = data;
-        let out = send_message_multi(&mut self.writers, &mut src, data.len() as u64, cfg)?;
-        Ok(self.merge(out, data.len() as u64))
+    /// Continues sending a message interrupted on a previous connection:
+    /// ships `data[at.delivered_raw..]` as frames numbered from
+    /// `at.next_seq`, re-striping the remainder across however many
+    /// streams *this* group has. `data` must be the same message the
+    /// interrupted send was transmitting. The report covers the resumed
+    /// portion only.
+    pub fn write_resumed(&mut self, data: &[u8], at: ResumePoint) -> io::Result<SendReport> {
+        let total = data.len() as u64;
+        // A resume point past the end is refused by `send_message` before
+        // it reads anything.
+        let mut tail = usize::try_from(at.delivered_raw)
+            .ok()
+            .and_then(|d| data.get(d..))
+            .unwrap_or_default();
+        let out = send_message(&mut self.writers, &mut tail, total, Some(at), &self.cfg)?;
+        Ok(self.merge(out, total - at.delivered_raw))
     }
 
     fn merge(&mut self, out: SendOutcome, raw: u64) -> SendReport {
@@ -494,8 +274,11 @@ impl<R: Read + Send, W: Write + Send> AdocStreamGroup<R, W> {
         }
     }
 
-    /// Receives with POSIX `read` semantics (short reads at message
-    /// boundaries, `Ok(0)` only at end of stream).
+    /// Receives into `out` with POSIX `read` semantics (the paper's
+    /// `adoc_read`): blocks for at least one byte, may return fewer than
+    /// requested (message boundaries cause short reads), `Ok(0)` only at
+    /// end of stream — or for a zero-length message, which delivers 0
+    /// bytes without ending the stream.
     pub fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
         if out.is_empty() {
             return Ok(0);
@@ -503,21 +286,23 @@ impl<R: Read + Send, W: Write + Send> AdocStreamGroup<R, W> {
         if self.leftover_len() == 0 {
             self.leftover.clear();
             self.leftover_pos = 0;
-            if receive_message_multi(&mut self.readers, &mut self.leftover, &self.cfg)?.is_none() {
-                return Ok(0);
-            }
-            if self.leftover.is_empty() {
-                return Ok(0);
-            }
+            let mut sink = ReadSink {
+                out,
+                filled: 0,
+                spill: &mut self.leftover,
+            };
+            receive_message(
+                &mut self.readers,
+                &mut sink,
+                &self.cfg,
+                &mut RecvProgress::default(),
+                None,
+            )?;
+            return Ok(sink.filled);
         }
-        let avail = self.leftover_len();
-        let n = avail.min(out.len());
+        let n = self.leftover_len().min(out.len());
         out[..n].copy_from_slice(&self.leftover[self.leftover_pos..self.leftover_pos + n]);
         self.leftover_pos += n;
-        if self.leftover_len() == 0 {
-            self.leftover.clear();
-            self.leftover_pos = 0;
-        }
         Ok(n)
     }
 
@@ -541,26 +326,27 @@ impl<R: Read + Send, W: Write + Send> AdocStreamGroup<R, W> {
         self.leftover.len() - self.leftover_pos
     }
 
-    /// Streams exactly `len` bytes from any reader as one striped
-    /// message.
+    /// Streams exactly `len` bytes from any reader as one message
+    /// (generalizes `adoc_send_file` to non-file sources).
     pub fn send_reader(
         &mut self,
         source: &mut (impl Read + Send),
         len: u64,
         cfg: &AdocConfig,
     ) -> io::Result<SendReport> {
-        let out = send_message_multi(&mut self.writers, source, len, cfg)?;
+        let out = send_message(&mut self.writers, source, len, None, cfg)?;
         Ok(self.merge(out, len))
     }
 
-    /// `adoc_send_file` over the group.
+    /// `adoc_send_file`: streams a file as one message; returns the file
+    /// size and wire bytes (the paper returns the size and outputs `slen`).
     pub fn send_file(&mut self, file: &mut File) -> io::Result<SendReport> {
         let cfg = self.cfg.clone();
         let len = file.metadata()?.len();
         self.send_reader(file, len, &cfg)
     }
 
-    /// Level-bounded file send over the group.
+    /// `adoc_send_file_levels`: level-bounded variant.
     pub fn send_file_levels(
         &mut self,
         file: &mut File,
@@ -573,88 +359,36 @@ impl<R: Read + Send, W: Write + Send> AdocStreamGroup<R, W> {
         self.send_reader(file, len, &cfg)
     }
 
-    /// Drains any partially-read message, then receives exactly one
-    /// message into `sink`. Returns the number of bytes stored.
+    /// `adoc_receive_file`: drains any partially-read message, then
+    /// receives exactly one message, streaming it into `sink`. Returns the
+    /// number of bytes stored.
     pub fn receive_file(&mut self, sink: &mut (impl Write + Send)) -> io::Result<u64> {
-        let mut progress = RecvProgress::default();
-        self.receive_file_tracked(sink, &mut progress)
+        self.receive_file_tracked(sink, &mut RecvProgress::default(), None)
     }
 
-    /// [`Self::receive_file`] that additionally reports delivery progress
-    /// through `progress`: when the receive fails mid-message, `progress`
-    /// plus the bytes already written to `sink` define the resume point a
-    /// session server parks for the reconnecting peer.
+    /// [`Self::receive_file`] for a session-serving caller. Delivery
+    /// progress is reported through `progress`: when the receive fails
+    /// mid-message, `progress` plus the bytes already written to `sink`
+    /// define the resume point to park for the reconnecting peer. Passing
+    /// that parked progress back as `resume` — on a new group, of any
+    /// width — continues the interrupted message (see
+    /// [`receive_message`]) instead of starting a fresh one.
     pub fn receive_file_tracked(
         &mut self,
         sink: &mut (impl Write + Send),
         progress: &mut RecvProgress,
+        resume: Option<RecvProgress>,
     ) -> io::Result<u64> {
-        let mut total = 0u64;
-        if self.leftover_len() > 0 {
-            sink.write_all(&self.leftover[self.leftover_pos..])?;
-            total += self.leftover_len() as u64;
-            self.leftover.clear();
-            self.leftover_pos = 0;
-        }
-        match receive_message_multi_tracked(&mut self.readers, sink, &self.cfg, progress)? {
-            Some(n) => Ok(total + n),
-            None if total > 0 => Ok(total),
-            None => Ok(0),
-        }
+        let drained = self.leftover_len() as u64;
+        sink.write_all(&self.leftover[self.leftover_pos..])?;
+        self.leftover.clear();
+        self.leftover_pos = 0;
+        let n = receive_message(&mut self.readers, sink, &self.cfg, progress, resume)?;
+        Ok(drained + n.unwrap_or(0))
     }
 
-    /// Continues receiving a message interrupted on a previous
-    /// connection: the peer ships frames `next_seq..` of a
-    /// `total_raw`-byte message whose first `delivered_raw` bytes were
-    /// already delivered. Always v2 striped framing, any stream count
-    /// (the resumed group's width may differ from the original's).
-    /// Returns `total_raw` on completion.
-    pub fn receive_file_resumed(
-        &mut self,
-        sink: &mut (impl Write + Send),
-        total_raw: u64,
-        delivered_raw: u64,
-        next_seq: u64,
-        progress: &mut RecvProgress,
-    ) -> io::Result<u64> {
-        receive_message_multi_resumed(
-            &mut self.readers,
-            sink,
-            total_raw,
-            delivered_raw,
-            next_seq,
-            &self.cfg,
-            progress,
-        )
-    }
-
-    /// Continues sending a message interrupted on a previous connection:
-    /// ships `data[at.delivered_raw..]` as striped frames numbered from
-    /// `at.next_seq`, re-striping the remainder across however many
-    /// streams *this* group has. `data` must be the same message the
-    /// interrupted send was transmitting. The report covers the resumed
-    /// portion only.
-    pub fn write_resumed(&mut self, data: &[u8], at: ResumePoint) -> io::Result<SendReport> {
-        let total = data.len() as u64;
-        if at.delivered_raw > total {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!(
-                    "resume point {} beyond message length {total}",
-                    at.delivered_raw
-                ),
-            ));
-        }
-        let cfg = self.cfg.clone();
-        let mut src = &data[at.delivered_raw as usize..];
-        let remaining = total - at.delivered_raw;
-        let out =
-            send_message_multi_resumed(&mut self.writers, &mut src, remaining, at.next_seq, &cfg)?;
-        Ok(self.merge(out, remaining))
-    }
-
-    /// Flushes every stream and frees the partial-read buffers. The
-    /// underlying streams close on drop.
+    /// `adoc_close`: flushes every stream and frees the partial-read
+    /// buffers. The underlying streams close on drop.
     pub fn close(mut self) -> io::Result<()> {
         self.close_mut()
     }
@@ -663,15 +397,43 @@ impl<R: Read + Send, W: Write + Send> AdocStreamGroup<R, W> {
     pub(crate) fn close_mut(&mut self) -> io::Result<()> {
         self.leftover = Vec::new();
         self.leftover_pos = 0;
-        for w in &mut self.writers {
-            w.flush()?;
-        }
-        Ok(())
+        self.flush()
     }
 
     /// Consumes the group, returning the underlying stream pairs.
     pub fn into_pairs(self) -> Vec<(R, W)> {
         self.readers.into_iter().zip(self.writers).collect()
+    }
+
+    /// Consumes the connection, returning the primary stream's halves —
+    /// the only ones, for a connection built from one pair.
+    pub fn into_inner(self) -> (R, W) {
+        self.into_pairs().swap_remove(0)
+    }
+}
+
+/// Where [`AdocStreamGroup::read`] receives a message: decoded bytes go
+/// straight into the caller's buffer, and only what does not fit spills
+/// into the connection's leftover buffer for the next read. A caller that
+/// reads whole messages never makes the connection hold a message-sized
+/// allocation of its own.
+struct ReadSink<'a> {
+    out: &'a mut [u8],
+    filled: usize,
+    spill: &'a mut Vec<u8>,
+}
+
+impl Write for ReadSink<'_> {
+    fn write(&mut self, data: &[u8]) -> io::Result<usize> {
+        let n = data.len().min(self.out.len() - self.filled);
+        self.out[self.filled..self.filled + n].copy_from_slice(&data[..n]);
+        self.filled += n;
+        self.spill.extend_from_slice(&data[n..]);
+        Ok(data.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
     }
 }
 
@@ -1006,34 +768,28 @@ impl AdocStreamGroup<TcpStream, TcpStream> {
             }
             slots[id] = Some(s);
         }
-        let mut readers = Vec::with_capacity(n);
-        let mut writers = Vec::with_capacity(n);
+        let mut pairs = Vec::with_capacity(n);
         for (i, slot) in slots.into_iter().enumerate() {
             let mut s = slot.expect("all slots filled");
             s.write_all(&GroupHello::new(n as u8, i as u8).encode())?;
             s.flush()?;
-            readers.push(s.try_clone()?);
-            writers.push(s);
+            pairs.push((s.try_clone()?, s));
         }
-        Ok(AdocStreamGroup {
-            readers,
-            writers,
-            cfg,
-            leftover: Vec::new(),
-            leftover_pos: 0,
-            stats: TransferStats::new(),
-        })
+        Self::from_negotiated(pairs, cfg)
     }
 }
 
-/// `std::io::Read` for drop-in use, like [`AdocSocket`].
+/// `std::io::Read`: makes the connection a drop-in replacement wherever
+/// plain stream reads are used (`io::copy`, `read_to_end`, `BufReader`,
+/// …) — the paper's integration story.
 impl<R: Read + Send, W: Write + Send> Read for AdocStreamGroup<R, W> {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         AdocStreamGroup::read(self, buf)
     }
 }
 
-/// `std::io::Write`: each call sends one striped AdOC message.
+/// `std::io::Write`: each call sends one AdOC message (write-combining
+/// callers should wrap in `BufWriter` to avoid tiny messages).
 impl<R: Read + Send, W: Write + Send> Write for AdocStreamGroup<R, W> {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         AdocStreamGroup::write(self, buf).map(|r| r.raw as usize)
@@ -1142,6 +898,25 @@ mod tests {
         assert_eq!(&buf[..n1], b"abc");
         let n2 = rx.read(&mut buf).unwrap();
         assert_eq!(&buf[..n2], b"defg");
+    }
+
+    #[test]
+    fn whole_message_read_buffers_nothing() {
+        // A read that can take the whole message decodes into the
+        // caller's buffer; the connection allocates no copy of its own.
+        let (tx, mut rx) = pair();
+        let data = payload(1_000_000);
+        let data2 = data.clone();
+        let t = thread::spawn(move || {
+            let mut tx = tx;
+            tx.write(&data2).unwrap();
+            tx
+        });
+        let mut buf = vec![0u8; data.len() + 1];
+        let n = rx.read(&mut buf).unwrap();
+        t.join().unwrap();
+        assert_eq!(buf[..n], data[..]);
+        assert_eq!(rx.leftover.capacity(), 0);
     }
 
     #[test]

@@ -28,13 +28,17 @@
 //!            stream  raw_len:u32 = 0  payload_len:u32 = 0
 //! ```
 //!
-//! `seq` numbers frames of one message globally from 0 (the sender
-//! stripes frame `s` onto stream `s % N`); the receiver delivers frames
-//! in ascending `seq` regardless of arrival stream. Every stream ends
-//! each adaptive message with a `FinV2` marker — including streams that
-//! carried no data frames — so per-stream readers know when the message
-//! is over. Fast-path (probe-measured fast network) raw frames use the
-//! same v2 framing on the primary stream.
+//! `seq` numbers frames of one message globally from 0 (each stream's
+//! compression thread claims the next unsent frame, so a slow stream
+//! simply carries fewer; per-stream `seq`s only ever increase); the
+//! receiver delivers frames in ascending `seq` regardless of arrival
+//! stream. Every stream ends each adaptive message with a `FinV2` marker
+//! — including streams that carried no data frames — so per-stream
+//! readers know when the message is over. Fast-path (probe-measured fast
+//! network) raw frames use the same v2 framing on the primary stream.
+//! The resumed tail of an interrupted message (see [`crate::session`])
+//! is v2-framed at **any** width, one stream included: its frames need
+//! explicit sequence numbers to continue where the receiver stopped.
 //!
 //! # Negotiation rule
 //!
@@ -162,8 +166,10 @@ pub fn encode_msg_header(kind: MsgKind, raw_len: u64) -> [u8; MSG_HEADER_LEN] {
 }
 
 /// Reads a message header. Returns `Ok(None)` on clean EOF (no bytes at
-/// all); a partial header is an error.
-pub fn read_msg_header(r: &mut impl Read) -> io::Result<Option<(MsgKind, u64)>> {
+/// all); a partial header is an error, and so is a length above
+/// `max_message` — the bound every receiver (blocking or reactor) applies
+/// before it sizes anything from this peer-controlled field.
+pub fn read_msg_header(r: &mut impl Read, max_message: u64) -> io::Result<Option<(MsgKind, u64)>> {
     let mut h = [0u8; MSG_HEADER_LEN];
     // First byte decides between EOF and a real header.
     let mut got = 0usize;
@@ -183,6 +189,12 @@ pub fn read_msg_header(r: &mut impl Read) -> io::Result<Option<(MsgKind, u64)>> 
     }
     let kind = MsgKind::from_byte(h[1])?;
     let raw_len = u64::from_le_bytes(h[2..10].try_into().expect("8 bytes"));
+    if raw_len > max_message {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("message of {raw_len} bytes exceeds configured maximum"),
+        ));
+    }
     Ok(Some((kind, raw_len)))
 }
 
@@ -231,6 +243,28 @@ impl FrameHeader {
             raw_len,
             payload_len,
         })
+    }
+
+    /// The peer-controlled length bounds, checked before anything is
+    /// allocated or read for this frame: the frame must fit in the
+    /// `raw_left` bytes the message still owes, and a payload can exceed
+    /// its raw size only by small codec overhead — anything larger is
+    /// corruption.
+    pub fn check_bounds(&self, buffer_size: usize, raw_left: u64) -> io::Result<()> {
+        if u64::from(self.raw_len) > raw_left {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "frames exceed message length",
+            ));
+        }
+        if u64::from(self.payload_len) > 2 * u64::from(self.raw_len).max(buffer_size as u64) + 1024
+        {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "frame payload too large",
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -301,6 +335,15 @@ impl FrameHeaderV2 {
         self.level == LEVEL_FIN
     }
 
+    /// The stream-independent part: level and the two lengths.
+    pub fn body(&self) -> FrameHeader {
+        FrameHeader {
+            level: self.level,
+            raw_len: self.raw_len,
+            payload_len: self.payload_len,
+        }
+    }
+
     /// Encodes into 18 bytes, or 26 when a timestamp rides along.
     pub fn encode(&self) -> EncodedFrameV2 {
         let mut h = [0u8; FRAME_HEADER_V2_TS_LEN];
@@ -368,6 +411,92 @@ impl FrameHeaderV2 {
             payload_len,
             ts_us,
         })
+    }
+}
+
+/// How one message's adaptive frames are headed on the wire. Both ends
+/// derive it from what they already agree on — the group width and
+/// whether the message is a resumed tail — once per message, so the
+/// pipeline code is the same for every stream count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Framing {
+    /// The paper's format: 9-byte [`FrameHeader`]s on the only stream,
+    /// numbered by arrival order; the message ends on its byte count.
+    V1,
+    /// Striped format: [`FrameHeaderV2`]s naming stream and global
+    /// sequence number (plus a departure stamp when `timestamped`); every
+    /// stream ends the message with a FIN.
+    V2 {
+        /// Data frames carry [`FRAME_TS_FLAG`] and a timestamp.
+        timestamped: bool,
+    },
+}
+
+impl Framing {
+    /// `V1` iff one stream carries a fresh message: a resumed tail needs
+    /// explicit sequence numbers to slot in behind the delivered prefix,
+    /// whatever its width. `timestamped` only matters to the sender (the
+    /// reader follows the per-frame flag).
+    pub(crate) fn choose(streams: usize, resumed: bool, timestamped: bool) -> Framing {
+        if streams == 1 && !resumed {
+            Framing::V1
+        } else {
+            Framing::V2 { timestamped }
+        }
+    }
+
+    /// Bytes a data frame's header occupies in front of its payload.
+    pub(crate) fn header_len(self) -> usize {
+        match self {
+            Framing::V1 => FRAME_HEADER_LEN,
+            Framing::V2 { timestamped: false } => FRAME_HEADER_V2_LEN,
+            Framing::V2 { timestamped: true } => FRAME_HEADER_V2_TS_LEN,
+        }
+    }
+
+    /// True when every stream ends the message with a FIN marker (else
+    /// the byte count ends it).
+    pub(crate) fn owes_fin(self) -> bool {
+        matches!(self, Framing::V2 { .. })
+    }
+
+    /// Encodes a data frame's header into `dst`, which must be exactly
+    /// [`Self::header_len`] bytes. `V1` drops `stream`/`seq`/`ts_us`; an
+    /// untimestamped `V2` drops `ts_us`.
+    pub(crate) fn encode_header(
+        self,
+        dst: &mut [u8],
+        body: FrameHeader,
+        stream: u8,
+        seq: u64,
+        ts_us: Option<u64>,
+    ) {
+        match self {
+            Framing::V1 => dst.copy_from_slice(&body.encode()),
+            Framing::V2 { timestamped } => {
+                let mut fh =
+                    FrameHeaderV2::data(body.level, stream, seq, body.raw_len, body.payload_len);
+                fh.ts_us = ts_us.filter(|_| timestamped);
+                dst.copy_from_slice(&fh.encode());
+            }
+        }
+    }
+
+    /// Reads and validates the next frame header on `stream`. A `V1`
+    /// header names neither stream nor sequence number, so the reader
+    /// supplies them: `next_seq` is how many frames it has seen so far.
+    pub(crate) fn read_header(
+        self,
+        r: &mut impl Read,
+        stream: u8,
+        next_seq: u64,
+    ) -> io::Result<FrameHeaderV2> {
+        let max_level = adoc_codec::ADOC_MAX_LEVEL;
+        match self {
+            Framing::V1 => FrameHeader::read(r, max_level)
+                .map(|h| FrameHeaderV2::data(h.level, stream, next_seq, h.raw_len, h.payload_len)),
+            Framing::V2 { .. } => FrameHeaderV2::read(r, max_level),
+        }
     }
 }
 
@@ -730,7 +859,7 @@ mod tests {
         for (kind, len) in [(MsgKind::Direct, 0u64), (MsgKind::Adaptive, u64::MAX / 2)] {
             let enc = encode_msg_header(kind, len);
             let mut c = Cursor::new(enc.to_vec());
-            let (k, l) = read_msg_header(&mut c).unwrap().unwrap();
+            let (k, l) = read_msg_header(&mut c, u64::MAX).unwrap().unwrap();
             assert_eq!((k, l), (kind, len));
         }
     }
@@ -738,28 +867,28 @@ mod tests {
     #[test]
     fn clean_eof_is_none() {
         let mut c = Cursor::new(Vec::<u8>::new());
-        assert!(read_msg_header(&mut c).unwrap().is_none());
+        assert!(read_msg_header(&mut c, u64::MAX).unwrap().is_none());
     }
 
     #[test]
     fn partial_header_is_error() {
         let enc = encode_msg_header(MsgKind::Direct, 42);
         let mut c = Cursor::new(enc[..4].to_vec());
-        assert!(read_msg_header(&mut c).is_err());
+        assert!(read_msg_header(&mut c, u64::MAX).is_err());
     }
 
     #[test]
     fn bad_magic_rejected() {
         let mut enc = encode_msg_header(MsgKind::Direct, 1).to_vec();
         enc[0] = 0x00;
-        assert!(read_msg_header(&mut Cursor::new(enc)).is_err());
+        assert!(read_msg_header(&mut Cursor::new(enc), u64::MAX).is_err());
     }
 
     #[test]
     fn bad_kind_rejected() {
         let mut enc = encode_msg_header(MsgKind::Direct, 1).to_vec();
         enc[1] = 9;
-        assert!(read_msg_header(&mut Cursor::new(enc)).is_err());
+        assert!(read_msg_header(&mut Cursor::new(enc), u64::MAX).is_err());
     }
 
     #[test]

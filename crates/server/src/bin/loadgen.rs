@@ -245,15 +245,6 @@ trait ClientConn {
     fn read_exact(&mut self, out: &mut [u8]) -> std::io::Result<()>;
 }
 
-impl<R: Read + Send, W: Write + Send> ClientConn for AdocSocket<R, W> {
-    fn send(&mut self, data: &[u8]) -> std::io::Result<()> {
-        AdocSocket::write(self, data).map(|_| ())
-    }
-    fn read_exact(&mut self, out: &mut [u8]) -> std::io::Result<()> {
-        AdocSocket::read_exact(self, out)
-    }
-}
-
 impl<R: Read + Send, W: Write + Send> ClientConn for AdocStreamGroup<R, W> {
     fn send(&mut self, data: &[u8]) -> std::io::Result<()> {
         AdocStreamGroup::write(self, data).map(|_| ())

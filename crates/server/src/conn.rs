@@ -1,6 +1,7 @@
-//! Per-connection serving: the message loop shared by every transport,
-//! and the drain-aware stream wrappers that let a graceful shutdown
-//! finish in-flight frames without wedging on idle or stalled clients.
+//! Per-connection serving: the message loop shared by every blocking
+//! transport, and the drain-aware stream wrappers that let a graceful
+//! shutdown finish in-flight frames without wedging on idle or stalled
+//! clients.
 //!
 //! ## Drain semantics
 //!
@@ -22,7 +23,7 @@
 use crate::registry::{ConnId, ConnOutcome};
 use crate::session::PartialRecv;
 use crate::Server;
-use adoc::{AdocSocket, AdocStreamGroup, RecvProgress, SendReport, TransferStats};
+use adoc::{AdocStreamGroup, RecvProgress};
 use parking_lot::{Condvar, Mutex};
 use std::io::{self, Read, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -300,47 +301,17 @@ pub fn sink_ack(len: u64, hash: u64) -> [u8; 16] {
     ack
 }
 
-/// Object-safe view over the two connection types the serve loop drives.
-pub(crate) trait ServeConn: Send {
-    fn receive(&mut self, sink: &mut Vec<u8>) -> io::Result<u64>;
-    fn send(&mut self, data: &[u8]) -> io::Result<SendReport>;
-    fn stats(&self) -> &TransferStats;
-}
-
-impl<R: Read + Send, W: Write + Send> ServeConn for AdocSocket<R, W> {
-    fn receive(&mut self, sink: &mut Vec<u8>) -> io::Result<u64> {
-        self.receive_file(sink)
-    }
-    fn send(&mut self, data: &[u8]) -> io::Result<SendReport> {
-        self.write(data)
-    }
-    fn stats(&self) -> &TransferStats {
-        AdocSocket::stats(self)
-    }
-}
-
-impl<R: Read + Send, W: Write + Send> ServeConn for AdocStreamGroup<R, W> {
-    fn receive(&mut self, sink: &mut Vec<u8>) -> io::Result<u64> {
-        self.receive_file(sink)
-    }
-    fn send(&mut self, data: &[u8]) -> io::Result<SendReport> {
-        self.write(data)
-    }
-    fn stats(&self) -> &TransferStats {
-        AdocStreamGroup::stats(self)
-    }
-}
-
-/// Runs the per-connection message loop until EOF, a drain boundary, or
-/// an error; updates the registry after every message and removes the
-/// connection at the end. Returns the number of messages served.
-pub(crate) fn serve_messages(
+/// Serves a connection that dies with its transport: runs
+/// [`message_loop`] until EOF, a drain boundary, or an error, then
+/// removes the connection from the registry. Returns the number of
+/// messages served.
+pub(crate) fn serve_messages<R: Read + Send, W: Write + Send>(
     server: &Server,
     id: ConnId,
-    conn: &mut dyn ServeConn,
+    conn: &mut AdocStreamGroup<R, W>,
     ctl: &ConnCtl,
 ) -> io::Result<u64> {
-    let result = serve_loop(server, id, conn, ctl);
+    let result = message_loop(server, id, conn, ctl, None).map_err(|(e, _partial)| e);
     match &result {
         Ok(_) => server.registry().remove(id, ConnOutcome::Completed),
         Err(_) => server.registry().remove(id, ConnOutcome::Failed),
@@ -349,18 +320,32 @@ pub(crate) fn serve_messages(
     result
 }
 
-fn serve_loop(
+/// The per-connection message loop every blocking transport runs:
+/// receive, reply (echo or ack), update the registry, until EOF, a drain
+/// boundary, or an error. Session-aware: (a) with `resume`, the first
+/// receive continues a half-finished message a previous connection left
+/// behind, and (b) on a receive error the half-received state is handed
+/// back so the daemon can park it for a future resume instead of
+/// discarding it.
+///
+/// Returns the messages served, or the error plus the partial message
+/// (if the disconnect hit mid-message with bytes already delivered).
+/// Registry removal is the caller's job — the connection may live on as
+/// a detached session.
+pub(crate) fn message_loop<R: Read + Send, W: Write + Send>(
     server: &Server,
     id: ConnId,
-    conn: &mut dyn ServeConn,
+    conn: &mut AdocStreamGroup<R, W>,
     ctl: &ConnCtl,
-) -> io::Result<u64> {
+    mut resume: Option<PartialRecv>,
+) -> Result<u64, (io::Error, Option<PartialRecv>)> {
     let mut served = 0u64;
     let mut buf: Vec<u8> = Vec::new();
     // Last compression level observed on this connection's send path;
     // a change becomes an Event::LevelChange (the first observation is
     // a baseline, not a change).
     let mut last_level: Option<u8> = None;
+    let mut progress = RecvProgress::default();
     loop {
         if server.is_draining() {
             // Finish-in-flight already happened (the previous message
@@ -370,112 +355,19 @@ fn serve_loop(
         ctl.mark_boundary();
         buf.clear();
         let t0 = std::time::Instant::now();
-        let n = conn.receive(&mut buf)?;
-        if n == 0 && buf.is_empty() {
-            // Clean EOF (or a zero-byte message, which the protocol
-            // treats as a client-initiated close).
-            return Ok(served);
-        }
-        let read_us = t0.elapsed().as_micros() as u64;
-        let t1 = std::time::Instant::now();
-        let report = match server.mode() {
-            ServeMode::Echo => conn.send(&buf)?,
-            ServeMode::Sink => conn.send(&sink_ack(n, fnv1a64(&buf)))?,
-        };
-        let write_us = t1.elapsed().as_micros() as u64;
-        served += 1;
-        if let Some(snap) = server.registry().update(id, n, report.wire, conn.stats()) {
-            server.scheduler().report_delay(id, snap);
-        }
-        // Coarse two-stage span for the blocking path: receive() and
-        // send() run the whole pipeline inline, so scheduler waits and
-        // codec time are indistinguishable from I/O here. receive()
-        // also includes the client's think-time before the message, so
-        // this path never emits SlowRequest — only the reactor's spans,
-        // which start at the first header byte, can judge slowness.
-        let times = crate::trace::StageTimes {
-            read_us,
-            write_us,
-            total_us: read_us + write_us,
-            ..Default::default()
-        };
-        if server.config().instrument {
-            server
-                .tracer()
-                .record(id, n, server.events().now().as_secs_f64(), &times);
-        }
-        server.events().emit(crate::Event::MessageServed {
-            conn: id,
-            raw_bytes: n,
-            reply_wire_bytes: report.wire,
-            times,
+        // Continuing an interrupted message: the delivered prefix is
+        // already in hand, the new connection supplies the frames from
+        // `next_seq` on.
+        let resume_from = resume.take().map(|p| {
+            buf = p.buf;
+            RecvProgress {
+                active: true,
+                total_raw: p.total_raw,
+                delivered_raw: buf.len() as u64,
+                next_seq: p.next_seq,
+            }
         });
-        if server.events().is_active() {
-            if let Some(&adoc::LevelEvent { level, reason, .. }) =
-                conn.stats().level_timeline.last()
-            {
-                if let Some(from) = last_level.filter(|&prev| prev != level) {
-                    server.events().emit(crate::Event::LevelChange {
-                        conn: id,
-                        from,
-                        to: level,
-                        reason,
-                    });
-                }
-                last_level = Some(level);
-            }
-            server.note_pool_evictions();
-        }
-    }
-}
-
-/// The session-aware variant of [`serve_loop`]: identical message loop,
-/// but (a) the first receive can continue a half-finished message a
-/// previous connection left behind, and (b) on a receive error the
-/// half-received state is handed back to the caller so the daemon can
-/// park it for a future resume instead of discarding it.
-///
-/// Returns the messages served, or the error plus the partial message
-/// (if the disconnect hit mid-message with bytes already delivered).
-/// Registry removal is the caller's job — unlike [`serve_messages`],
-/// the connection may live on as a detached session.
-pub(crate) fn serve_session_messages<R: Read + Send, W: Write + Send>(
-    server: &Server,
-    id: ConnId,
-    conn: &mut AdocStreamGroup<R, W>,
-    ctl: &ConnCtl,
-    resume: Option<PartialRecv>,
-) -> Result<u64, (io::Error, Option<PartialRecv>)> {
-    let mut served = 0u64;
-    let mut buf: Vec<u8> = Vec::new();
-    let mut last_level: Option<u8> = None;
-    let mut progress = RecvProgress::default();
-    let mut pending_resume = resume;
-    loop {
-        if server.is_draining() {
-            return Ok(served);
-        }
-        ctl.mark_boundary();
-        buf.clear();
-        let t0 = std::time::Instant::now();
-        let recv = match pending_resume.take() {
-            Some(p) => {
-                // Continue the interrupted message: the delivered prefix
-                // is already in hand, the new connection supplies the
-                // frames from `next_seq` on.
-                buf = p.buf;
-                let delivered = buf.len() as u64;
-                conn.receive_file_resumed(
-                    &mut buf,
-                    p.total_raw,
-                    delivered,
-                    p.next_seq,
-                    &mut progress,
-                )
-            }
-            None => conn.receive_file_tracked(&mut buf, &mut progress),
-        };
-        let n = match recv {
+        let n = match conn.receive_file_tracked(&mut buf, &mut progress, resume_from) {
             Ok(n) => n,
             Err(e) => {
                 // Only a mid-message death leaves something worth
@@ -499,6 +391,8 @@ pub(crate) fn serve_session_messages<R: Read + Send, W: Write + Send>(
             }
         };
         if n == 0 && buf.is_empty() {
+            // Clean EOF (or a zero-byte message, which the protocol
+            // treats as a client-initiated close).
             return Ok(served);
         }
         let read_us = t0.elapsed().as_micros() as u64;
@@ -519,6 +413,12 @@ pub(crate) fn serve_session_messages<R: Read + Send, W: Write + Send>(
         if let Some(snap) = server.registry().update(id, n, report.wire, conn.stats()) {
             server.scheduler().report_delay(id, snap);
         }
+        // Coarse two-stage span for the blocking path: receive and write
+        // run the whole pipeline inline, so scheduler waits and codec
+        // time are indistinguishable from I/O here. The receive also
+        // includes the client's think-time before the message, so this
+        // path never emits SlowRequest — only the reactor's spans, which
+        // start at the first header byte, can judge slowness.
         let times = crate::trace::StageTimes {
             read_us,
             write_us,

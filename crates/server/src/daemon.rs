@@ -42,7 +42,7 @@
 //! closes every connection, bounded by the drain deadline).
 
 use crate::conn::{
-    serve_messages, serve_session_messages, ConnCtl, GuardedReader, GuardedWriter, RegistryGuard,
+    message_loop, serve_messages, ConnCtl, GuardedReader, GuardedWriter, RegistryGuard,
 };
 use crate::control::Control;
 use crate::event::Event;
@@ -408,29 +408,13 @@ fn handle_plain_group(
 
     // Whole group assembled: answer the acceptor hellos in id order,
     // then serve it as one connection.
-    let mut pairs = Vec::with_capacity(n);
     let peer_label = format!("{peer} x{n}");
     let id = server.registry().register(peer_label.clone());
     let _ghostbuster = RegistryGuard::new(&server, id);
     let ctl = ConnCtl::new(server.drain_state());
-    let poll = server.config().drain_poll;
-    for (i, mut s) in streams.into_iter().enumerate() {
-        let ok = io::Write::write_all(&mut s, &GroupHello::new(n as u8, i as u8).encode()).is_ok()
-            && io::Write::flush(&mut s).is_ok()
-            && s.set_read_timeout(Some(poll)).is_ok()
-            && s.set_write_timeout(Some(poll)).is_ok();
-        let reader = if ok { s.try_clone().ok() } else { None };
-        match reader {
-            Some(r) => pairs.push((
-                GuardedReader::new(r, Vec::new(), Arc::clone(&ctl), i == 0),
-                GuardedWriter::new(s, Arc::clone(&ctl)),
-            )),
-            None => {
-                server.registry().fail_handshake(id);
-                return;
-            }
-        }
-    }
+    let Some(pairs) = answer_session_streams(&server, id, &ctl, streams, None) else {
+        return;
+    };
     let cfg = server.conn_config(id, n, &peer_label);
     server.registry().activate(id, n);
     match AdocStreamGroup::from_negotiated(pairs, cfg) {
@@ -441,8 +425,8 @@ fn handle_plain_group(
     }
 }
 
-/// Writes a [`SessionAccept`] rejection on `stream` and records the
-/// refusal (session counter, handshake failure, typed event).
+/// Records the refusal (session counter, handshake failure, typed
+/// event) and writes a [`SessionAccept`] rejection on `stream`.
 fn reject_session(
     server: &Server,
     stream: &mut TcpStream,
@@ -450,13 +434,15 @@ fn reject_session(
     session_id: Option<u64>,
     reason: &'static str,
 ) {
-    let _ = io::Write::write_all(stream, &SessionAccept::reject(status).encode());
-    let _ = io::Write::flush(stream);
+    // Count, then reply: the reply is what unblocks the client, so
+    // anything it may inspect afterwards must already be recorded.
     server.sessions().count_rejected();
     server.registry().count_handshake_failure();
     server
         .events()
         .emit(Event::TicketRejected { session_id, reason });
+    let _ = io::Write::write_all(stream, &SessionAccept::reject(status).encode());
+    let _ = io::Write::flush(stream);
 }
 
 /// One stream of a v4 session group: the credential is verified **per
@@ -530,16 +516,16 @@ fn handle_session_stream(
     }
 }
 
-/// Replies the acceptor [`GroupHello`]s in id order (plus the
-/// [`SessionAccept`] on the primary, queued behind its hello) and wraps
-/// every stream in the drain-aware guards. `None` means a socket write
-/// failed; the handshake is already recorded as failed.
+/// Replies the acceptor [`GroupHello`]s in id order (plus, for a
+/// session, the [`SessionAccept`] on the primary, queued behind its
+/// hello) and wraps every stream in the drain-aware guards. `None` means
+/// a socket write failed; the handshake is already recorded as failed.
 fn answer_session_streams(
     server: &Server,
     id: ConnId,
     ctl: &Arc<ConnCtl>,
     streams: Vec<TcpStream>,
-    accept: &SessionAccept,
+    accept: Option<&SessionAccept>,
 ) -> Option<Vec<(GuardedReader<TcpStream>, GuardedWriter<TcpStream>)>> {
     let n = streams.len();
     let poll = server.config().drain_poll;
@@ -548,7 +534,9 @@ fn answer_session_streams(
         let mut ok =
             io::Write::write_all(&mut s, &GroupHello::new(n as u8, i as u8).encode()).is_ok();
         if ok && i == 0 {
-            ok = io::Write::write_all(&mut s, &accept.encode()).is_ok();
+            if let Some(accept) = accept {
+                ok = io::Write::write_all(&mut s, &accept.encode()).is_ok();
+            }
         }
         ok = ok
             && io::Write::flush(&mut s).is_ok()
@@ -592,7 +580,7 @@ fn serve_new_session(server: Arc<Server>, streams: Vec<TcpStream>, peer: SocketA
         next_seq: 0,
         delivered_raw: 0,
     };
-    let Some(pairs) = answer_session_streams(&server, id, &ctl, streams, &accept) else {
+    let Some(pairs) = answer_session_streams(&server, id, &ctl, streams, Some(&accept)) else {
         return;
     };
     let cfg = server.conn_config(id, n, &peer_label);
@@ -688,7 +676,7 @@ fn serve_resumed_session(
         next_seq,
         delivered_raw,
     };
-    let Some(pairs) = answer_session_streams(&server, id, &ctl, streams, &accept) else {
+    let Some(pairs) = answer_session_streams(&server, id, &ctl, streams, Some(&accept)) else {
         return;
     };
     // The new transport may have a different stream count; the sender
@@ -745,7 +733,7 @@ fn run_session(
     resume: Option<PartialRecv>,
     guard: &mut RegistryGuard<'_>,
 ) {
-    let end = match serve_session_messages(server, id, &mut group, ctl, resume) {
+    let end = match message_loop(server, id, &mut group, ctl, resume) {
         Ok(_) => SessionEnd::Done(ConnOutcome::Completed),
         Err((e, partial)) => {
             let disconnect = matches!(

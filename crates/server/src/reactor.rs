@@ -1073,14 +1073,11 @@ impl Reactor {
                             }
                         }
                     }
-                    let parsed = wire::read_msg_header(&mut &conn.hdr[..]);
+                    let parsed = wire::read_msg_header(&mut &conn.hdr[..], conn.cfg().max_message);
                     let (kind, raw_len) = match parsed {
                         Ok(Some(h)) => h,
                         _ => return Flow::Close(CloseKind::Failed),
                     };
-                    if raw_len > conn.cfg().max_message {
-                        return Flow::Close(CloseKind::Failed);
-                    }
                     if raw_len == 0 {
                         // A zero-byte message (of either kind) is a
                         // client-initiated close, like the blocking
@@ -1217,12 +1214,8 @@ impl Reactor {
                             Ok(h) => h,
                             Err(_) => return Flow::Close(CloseKind::Failed),
                         };
-                    // The blocking receiver's sanity bound, verbatim.
-                    let cap = 2 * u64::from(hdr.raw_len).max(conn.cfg().buffer_size as u64) + 1024;
-                    if u64::from(hdr.payload_len) > cap {
-                        return Flow::Close(CloseKind::Failed);
-                    }
-                    if conn.filled as u64 + u64::from(hdr.raw_len) > conn.raw_len {
+                    let raw_left = conn.raw_len.saturating_sub(conn.filled as u64);
+                    if hdr.check_bounds(conn.cfg().buffer_size, raw_left).is_err() {
                         return Flow::Close(CloseKind::Failed);
                     }
                     conn.state = State::AwaitPayloadBudget { hdr };

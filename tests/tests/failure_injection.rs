@@ -24,7 +24,14 @@ fn captured_wire(data: &[u8]) -> Vec<u8> {
     let mut wire = Vec::new();
     let mut src = data;
     let cfg = AdocConfig::default().with_levels(2, 10);
-    adoc::sender::send_message(&mut wire, &mut src, data.len() as u64, &cfg).unwrap();
+    adoc::sender::send_message(
+        std::slice::from_mut(&mut wire),
+        &mut src,
+        data.len() as u64,
+        None,
+        &cfg,
+    )
+    .unwrap();
     wire
 }
 
@@ -135,8 +142,39 @@ fn hostile_length_fields_do_not_allocate_absurdly() {
     wire.push(0xAD);
     wire.push(0); // direct
     wire.extend_from_slice(&u64::MAX.to_le_bytes());
-    let res = receive_bytes(wire, 16);
+    let res = receive_bytes(wire.clone(), 16);
     assert!(res.is_err());
+
+    // A frame header whose payload claims 4 GiB for 100 raw bytes must
+    // trip the payload bound before the payload buffer is sized.
+    let mut frame = Vec::new();
+    frame.push(0xAD);
+    frame.push(1); // adaptive
+    frame.extend_from_slice(&(1u64 << 20).to_le_bytes());
+    frame.extend_from_slice(&0u32.to_le_bytes()); // no probe
+    frame.push(2); // level
+    frame.extend_from_slice(&100u32.to_le_bytes());
+    frame.extend_from_slice(&u32::MAX.to_le_bytes());
+    let res = receive_bytes(frame.clone(), 16);
+    assert!(res.is_err());
+
+    // The reactor parses the same fields off a raw TCP socket and must
+    // apply the same bounds: it hangs up instead of reading on.
+    let handle = spawn_session_server(ServerConfig::builder().build().unwrap());
+    for hostile in [wire, frame] {
+        let mut sock = std::net::TcpStream::connect(handle.addr()).expect("dial");
+        sock.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        sock.write_all(&hostile).unwrap();
+        let mut reply = [0u8; 1];
+        match std::io::Read::read(&mut sock, &mut reply) {
+            Ok(0) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+            other => panic!("reactor kept a hostile connection open: {other:?}"),
+        }
+    }
+    assert_eq!(handle.server().registry().totals().failed, 2);
+    handle.shutdown().expect("clean drain");
 }
 
 #[test]
@@ -196,7 +234,14 @@ fn emission_death_with_full_queue_unblocks_producer() {
         let data = generate(DataKind::Incompressible, 2 << 20, 0xDEAD);
         let mut sink = StallThenFail { wrote: 0 };
         let mut src = &data[..];
-        adoc::sender::send_message(&mut sink, &mut src, data.len() as u64, &cfg).is_err()
+        adoc::sender::send_message(
+            std::slice::from_mut(&mut sink),
+            &mut src,
+            data.len() as u64,
+            None,
+            &cfg,
+        )
+        .is_err()
     });
 }
 
@@ -219,13 +264,22 @@ fn panicking_decoder_thread_does_not_hang_receive() {
     let data = payload(2 << 20);
     let mut wire = Vec::new();
     let mut src = &data[..];
-    adoc::sender::send_message(&mut wire, &mut src, data.len() as u64, &tx_cfg).unwrap();
+    adoc::sender::send_message(
+        std::slice::from_mut(&mut wire),
+        &mut src,
+        data.len() as u64,
+        None,
+        &tx_cfg,
+    )
+    .unwrap();
 
     must_finish_within(20, "receive with a panicking decoder", move || {
         let rx_cfg = AdocConfig::default().with_throttle(std::sync::Arc::new(PanicThrottle));
-        let mut c = std::io::Cursor::new(wire);
+        let mut readers = [std::io::Cursor::new(wire)];
         let mut out = std::io::sink();
-        adoc::receiver::receive_message(&mut c, &mut out, &rx_cfg).is_err()
+        let mut progress = adoc::RecvProgress::default();
+        adoc::receiver::receive_message(&mut readers, &mut out, &rx_cfg, &mut progress, None)
+            .is_err()
     });
 }
 
@@ -249,7 +303,7 @@ fn striped_receiver_vanishing_fails_all_streams() {
         let cfg = AdocConfig::default().with_levels(1, 10);
         let data = generate(DataKind::Ascii, 8 << 20, 0xF00D);
         let mut src = &data[..];
-        let res = adoc::sender::send_message_multi(&mut writers, &mut src, data.len() as u64, &cfg);
+        let res = adoc::sender::send_message(&mut writers, &mut src, data.len() as u64, None, &cfg);
         killer.join().unwrap();
         res.is_err()
     });

@@ -3,8 +3,8 @@
 //! reassembly correctness over pathological geometries and stream
 //! counts, stalled-stream behaviour, and real TCP stream groups.
 
-use adoc::receiver::receive_message_multi;
-use adoc::sender::{send_message, send_message_multi};
+use adoc::receiver::{receive_message, RecvProgress};
+use adoc::sender::send_message;
 use adoc::{AdocConfig, AdocStreamGroup};
 use adoc_data::{generate, DataKind};
 use adoc_sim::pipe::{duplex_pipe, PipeReader, PipeWriter};
@@ -37,27 +37,95 @@ fn group_pair(n: usize, cfg: &AdocConfig) -> (Group, Group) {
     group_pair_caps(&vec![1 << 20; n], cfg)
 }
 
+/// A wire capture under `tests/fixtures/`, taken from the separate v1 and
+/// striped senders at the commit before the two pipelines became one (the
+/// README there has the capture program).
+fn fixture(name: &str) -> Vec<u8> {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("fixtures")
+        .join(name);
+    std::fs::read(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+/// The geometry the fixtures were captured with: small enough that a
+/// 100 KB message spans several frames and the captures stay small.
+fn fixture_cfg() -> AdocConfig {
+    AdocConfig {
+        buffer_size: 32 * 1024,
+        packet_size: 4 * 1024,
+        probe_threshold: 8 * 1024,
+        probe_size: 4 * 1024,
+        delay_signals: false,
+        ..AdocConfig::default()
+    }
+}
+
+fn decode(streams: Vec<Vec<u8>>, cfg: &AdocConfig) -> Vec<u8> {
+    let mut cursors: Vec<Cursor<Vec<u8>>> = streams.into_iter().map(Cursor::new).collect();
+    let mut out = Vec::new();
+    let got = receive_message(
+        &mut cursors,
+        &mut out,
+        cfg,
+        &mut RecvProgress::default(),
+        None,
+    )
+    .unwrap();
+    assert_eq!(got, Some(out.len() as u64));
+    out
+}
+
 #[test]
 fn single_stream_wire_is_byte_identical_v1() {
-    // The compatibility contract from the negotiation rule: a 1-stream
-    // group writes exactly what the v1 sender writes — asserted against
-    // both the v1 implementation and a hand-built golden message.
+    // The compatibility contract from the negotiation rule: one stream
+    // writes exactly the paper's v1 bytes. N = 1 is now just a value of
+    // the stream count, so "v1" is pinned by what the dedicated v1 sender
+    // used to emit: a direct message, pinned-level adaptive messages (a
+    // fixed level makes the frame stream deterministic) and a fast-path
+    // message (probe forced fast).
     let data = generate(DataKind::Ascii, 100_000, 7);
-    let cfg = AdocConfig::default();
-    let mut v1 = Vec::new();
-    let mut src = &data[..];
-    send_message(&mut v1, &mut src, data.len() as u64, &cfg).unwrap();
-
-    let mut group = vec![Vec::new()];
-    let mut src = &data[..];
-    send_message_multi(&mut group, &mut src, data.len() as u64, &cfg).unwrap();
-    assert_eq!(group[0], v1, "streams == 1 must emit v1 bytes");
+    let pinned = |level: u8| fixture_cfg().with_levels(level, level);
+    let mut fast = fixture_cfg();
+    fast.fast_bps = 0.0;
+    for (name, cfg, input) in [
+        ("v1_direct.bin", fixture_cfg(), &data[..5_000]),
+        ("v1_pinned_l1.bin", pinned(1), &data[..]),
+        ("v1_pinned_l2.bin", pinned(2), &data[..]),
+        ("v1_pinned_l10.bin", pinned(10), &data[..]),
+        ("v1_fast_path.bin", fast, &data[..40_000]),
+    ] {
+        let mut wire = vec![Vec::new()];
+        let mut src = input;
+        send_message(&mut wire, &mut src, input.len() as u64, None, &cfg).unwrap();
+        assert!(
+            wire[0] == fixture(name),
+            "{name}: streams == 1 drifted from v1"
+        );
+        assert!(decode(wire, &cfg) == input, "{name}: decode");
+    }
 
     // Golden direct-path layout: magic, kind, u64 length, raw payload.
     let mut golden = vec![0xADu8, 0x00];
-    golden.extend_from_slice(&(data.len() as u64).to_le_bytes());
-    golden.extend_from_slice(&data);
-    assert_eq!(group[0], golden, "v1 direct framing drifted");
+    golden.extend_from_slice(&5_000u64.to_le_bytes());
+    golden.extend_from_slice(&data[..5_000]);
+    assert_eq!(
+        fixture("v1_direct.bin"),
+        golden,
+        "v1 direct framing drifted"
+    );
+}
+
+#[test]
+fn round_robin_striped_capture_still_decodes() {
+    // A 2-stream capture from the old dispatcher, which dealt frame s to
+    // stream s % 2: the receiver keys on sequence numbers and FIN counts
+    // only, so a peer striping that way must still be understood.
+    let data = generate(DataKind::Ascii, 100_000, 7);
+    let streams = vec![
+        fixture("v2_two_streams_l2_s0.bin"),
+        fixture("v2_two_streams_l2_s1.bin"),
+    ];
+    assert!(decode(streams, &fixture_cfg()) == data);
 }
 
 #[test]
@@ -208,7 +276,7 @@ proptest! {
 
         let mut sinks: Vec<Vec<u8>> = vec![Vec::new(); streams];
         let mut src = &data[..];
-        send_message_multi(&mut sinks, &mut src, data.len() as u64, &cfg).unwrap();
+        send_message(&mut sinks, &mut src, data.len() as u64, None, &cfg).unwrap();
         prop_assert_eq!(
             cfg.pool.stats().outstanding, 0,
             "sender leaked pooled buffers"
@@ -216,7 +284,9 @@ proptest! {
 
         let mut cursors: Vec<Cursor<Vec<u8>>> = sinks.into_iter().map(Cursor::new).collect();
         let mut out = Vec::new();
-        let got = receive_message_multi(&mut cursors, &mut out, &cfg).unwrap();
+        let got =
+            receive_message(&mut cursors, &mut out, &cfg, &mut RecvProgress::default(), None)
+                .unwrap();
         prop_assert_eq!(got, Some(data.len() as u64));
         prop_assert_eq!(out, data, "delivery must be byte-exact (streams = {})", streams);
         prop_assert_eq!(

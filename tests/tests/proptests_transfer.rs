@@ -1,7 +1,7 @@
 //! Cross-crate property tests: any payload, any level bounds, any read
 //! fragmentation — the bytes must arrive intact, in order, exactly once.
 
-use adoc::receiver::receive_message;
+use adoc::receiver::{receive_message, RecvProgress};
 use adoc::sender::send_message;
 use adoc::{AdocConfig, AdocSocket};
 use adoc_sim::pipe::{duplex_pipe, PipeReader, PipeWriter};
@@ -160,14 +160,17 @@ proptest! {
 
         let mut wire = Vec::new();
         let mut src = &data[..];
-        send_message(&mut wire, &mut src, data.len() as u64, &cfg).unwrap();
+        send_message(std::slice::from_mut(&mut wire), &mut src, data.len() as u64, None, &cfg).unwrap();
         prop_assert_eq!(
             cfg.pool.stats().outstanding, 0,
             "sender leaked pooled buffers"
         );
 
         let mut out = Vec::new();
-        let got = receive_message(&mut Cursor::new(wire), &mut out, &cfg).unwrap();
+        let mut readers = [Cursor::new(wire)];
+        let got =
+            receive_message(&mut readers, &mut out, &cfg, &mut RecvProgress::default(), None)
+                .unwrap();
         prop_assert_eq!(got, Some(data.len() as u64));
         prop_assert_eq!(out, data, "delivery must be byte-exact");
         prop_assert_eq!(

@@ -751,7 +751,7 @@ fn ten_thousand_idle_connections_hold_flat_memory_and_drain() {
                     sock.write_all(&payload).expect("send body");
                     // 512 B is under the probe threshold, so the echo
                     // comes back as one direct message.
-                    let (kind, raw_len) = read_msg_header(&mut sock)
+                    let (kind, raw_len) = read_msg_header(&mut sock, u64::MAX)
                         .expect("reply header")
                         .expect("server closed before replying");
                     assert_eq!(kind, MsgKind::Direct);
