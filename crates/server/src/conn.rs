@@ -22,7 +22,8 @@
 
 use crate::registry::{ConnId, ConnOutcome};
 use crate::session::PartialRecv;
-use crate::Server;
+use crate::trace::StageTimes;
+use crate::{ServedMessage, Server};
 use adoc::{AdocStreamGroup, RecvProgress};
 use parking_lot::{Condvar, Mutex};
 use std::io::{self, Read, Write};
@@ -146,12 +147,9 @@ impl Drop for RegistryGuard<'_> {
     }
 }
 
-/// Drain-aware read half (see the module docs). `prefix` replays bytes
-/// the handshake sniffer already consumed.
+/// Drain-aware read half (see the module docs).
 pub(crate) struct GuardedReader<R> {
     inner: R,
-    prefix: Vec<u8>,
-    pos: usize,
     ctl: Arc<ConnCtl>,
     /// Only the primary stream may synthesize the between-messages EOF:
     /// secondary streams are only ever read mid-message.
@@ -159,16 +157,9 @@ pub(crate) struct GuardedReader<R> {
 }
 
 impl<R: Read> GuardedReader<R> {
-    pub(crate) fn new(
-        inner: R,
-        prefix: Vec<u8>,
-        ctl: Arc<ConnCtl>,
-        primary: bool,
-    ) -> GuardedReader<R> {
+    pub(crate) fn new(inner: R, ctl: Arc<ConnCtl>, primary: bool) -> GuardedReader<R> {
         GuardedReader {
             inner,
-            prefix,
-            pos: 0,
             ctl,
             primary,
         }
@@ -177,15 +168,6 @@ impl<R: Read> GuardedReader<R> {
 
 impl<R: Read> Read for GuardedReader<R> {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        if self.pos < self.prefix.len() {
-            let n = (self.prefix.len() - self.pos).min(buf.len());
-            buf[..n].copy_from_slice(&self.prefix[self.pos..self.pos + n]);
-            self.pos += n;
-            if n > 0 {
-                self.ctl.mid_message.store(true, Ordering::Relaxed);
-            }
-            return Ok(n);
-        }
         loop {
             match self.inner.read(buf) {
                 Ok(n) => {
@@ -341,9 +323,7 @@ pub(crate) fn message_loop<R: Read + Send, W: Write + Send>(
 ) -> Result<u64, (io::Error, Option<PartialRecv>)> {
     let mut served = 0u64;
     let mut buf: Vec<u8> = Vec::new();
-    // Last compression level observed on this connection's send path;
-    // a change becomes an Event::LevelChange (the first observation is
-    // a baseline, not a change).
+    // Send level this connection was last seen at (see `message_served`).
     let mut last_level: Option<u8> = None;
     let mut progress = RecvProgress::default();
     loop {
@@ -410,48 +390,22 @@ pub(crate) fn message_loop<R: Read + Send, W: Write + Send>(
         };
         let write_us = t1.elapsed().as_micros() as u64;
         served += 1;
-        if let Some(snap) = server.registry().update(id, n, report.wire, conn.stats()) {
-            server.scheduler().report_delay(id, snap);
-        }
         // Coarse two-stage span for the blocking path: receive and write
         // run the whole pipeline inline, so scheduler waits and codec
-        // time are indistinguishable from I/O here. The receive also
-        // includes the client's think-time before the message, so this
-        // path never emits SlowRequest — only the reactor's spans, which
-        // start at the first header byte, can judge slowness.
-        let times = crate::trace::StageTimes {
-            read_us,
-            write_us,
-            total_us: read_us + write_us,
-            ..Default::default()
-        };
-        if server.config().instrument {
-            server
-                .tracer()
-                .record(id, n, server.events().now().as_secs_f64(), &times);
-        }
-        server.events().emit(crate::Event::MessageServed {
-            conn: id,
+        // time are indistinguishable from I/O here.
+        let msg = ServedMessage {
             raw_bytes: n,
             reply_wire_bytes: report.wire,
-            times,
-        });
-        if server.events().is_active() {
-            if let Some(&adoc::LevelEvent { level, reason, .. }) =
-                conn.stats().level_timeline.last()
-            {
-                if let Some(from) = last_level.filter(|&prev| prev != level) {
-                    server.events().emit(crate::Event::LevelChange {
-                        conn: id,
-                        from,
-                        to: level,
-                        reason,
-                    });
-                }
-                last_level = Some(level);
-            }
-            server.note_pool_evictions();
-        }
+            stats: conn.stats(),
+            times: Some(StageTimes {
+                read_us,
+                write_us,
+                total_us: read_us + write_us,
+                ..Default::default()
+            }),
+            from_first_byte: false,
+        };
+        server.message_served(id, msg, &mut last_level);
     }
 }
 
@@ -481,16 +435,6 @@ mod tests {
     }
 
     #[test]
-    fn guarded_reader_replays_prefix_then_inner() {
-        let ctl = ConnCtl::new(Arc::new(DrainState::default()));
-        let inner: &[u8] = b"world";
-        let mut r = GuardedReader::new(inner, b"hello ".to_vec(), ctl, true);
-        let mut out = String::new();
-        r.read_to_string(&mut out).unwrap();
-        assert_eq!(out, "hello world");
-    }
-
-    #[test]
     fn guarded_reader_synthesizes_eof_only_at_boundary_when_draining() {
         struct AlwaysTimeout;
         impl Read for AlwaysTimeout {
@@ -504,7 +448,7 @@ mod tests {
 
         // At a boundary: clean EOF.
         let ctl = ConnCtl::new(drain.clone());
-        let mut r = GuardedReader::new(AlwaysTimeout, Vec::new(), ctl.clone(), true);
+        let mut r = GuardedReader::new(AlwaysTimeout, ctl.clone(), true);
         let mut b = [0u8; 4];
         assert_eq!(r.read(&mut b).unwrap(), 0);
 
@@ -512,7 +456,7 @@ mod tests {
         // passed deadline turns into TimedOut.
         ctl.mid_message.store(true, Ordering::Relaxed);
         *drain.deadline.lock() = Some(Instant::now() - std::time::Duration::from_secs(1));
-        let mut r = GuardedReader::new(AlwaysTimeout, Vec::new(), ctl, true);
+        let mut r = GuardedReader::new(AlwaysTimeout, ctl, true);
         let err = r.read(&mut b).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::TimedOut);
     }
@@ -529,7 +473,7 @@ mod tests {
         drain.draining.store(true, Ordering::Relaxed);
         *drain.deadline.lock() = Some(Instant::now() - std::time::Duration::from_secs(1));
         let ctl = ConnCtl::new(drain);
-        let mut r = GuardedReader::new(AlwaysTimeout, Vec::new(), ctl, false);
+        let mut r = GuardedReader::new(AlwaysTimeout, ctl, false);
         let mut b = [0u8; 4];
         // Past the deadline a secondary errors out rather than faking EOF
         // (a fake EOF mid-frame would look like corruption upstream).

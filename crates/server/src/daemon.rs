@@ -1,17 +1,17 @@
-//! The TCP front end: accept loop, reactor hand-off, stream-group
-//! matching, admission control, and graceful shutdown.
+//! The TCP front end: binding, stream-group matching, session
+//! handshakes, and graceful shutdown.
 //!
 //! ## Accepting mixed clients
 //!
-//! Every accepted socket is handed to the [`crate::reactor::Reactor`],
-//! which sniffs it under the hello timeout (a reactor timer, not a
-//! blocking read). The first two bytes decide the protocol:
+//! The listener lives in the [`crate::reactor::Reactor`]'s poll set;
+//! the reactor accepts every dial and sniffs it under the hello timeout
+//! (a reactor timer, not a blocking read). The first two bytes decide
+//! the protocol:
 //!
 //! * `0xAD 'G'` — a stream of a v2 group. The reactor flips the socket
 //!   back to blocking and hands it to a dedicated thread; the full
 //!   [`GroupHello`] is read and the socket parks in [`PendingGroups`]
-//!   keyed by
-//!   `(peer IP, stream count, group token)`; the connection that
+//!   keyed by `(peer IP, stream count, group token)`; the connection that
 //!   completes its group replies the acceptor hellos and serves the
 //!   whole group. Tokens make concurrent dials from one host (every
 //!   loadgen client on `127.0.0.1`) unambiguous; partial groups expire
@@ -28,18 +28,18 @@
 //! * anything else — a protocol error: the socket is dropped and
 //!   counted as a handshake failure.
 //!
-//! A client that connects and never sends its hello (the classic
-//! wedge-the-accept-loop failure) times out on its reactor timer, is
-//! counted, and nothing else notices.
+//! A client that connects and never sends its hello times out on its
+//! reactor timer, is counted, and nothing else notices.
 //!
 //! ## Admission and shutdown
 //!
-//! While `reactor live + parked >= max_conns` the loop simply stops
-//! calling `accept` — excess dials queue in the kernel backlog
+//! While `reactor live + parked >= max_conns` the reactor simply stops
+//! polling the listener — excess dials queue in the kernel backlog
 //! (backpressure) instead of registering unboundedly.
-//! [`DaemonHandle::shutdown`] starts the server drain, stops the accept
-//! loop, expires parked sockets, and shuts the reactor down (which
-//! closes every connection, bounded by the drain deadline).
+//! [`DaemonHandle::shutdown`] starts the server drain and shuts the
+//! reactor down (which closes the listener first, then every
+//! connection, bounded by the drain deadline), then expires parked
+//! sockets and sessions.
 
 use crate::conn::{
     message_loop, serve_messages, ConnCtl, GuardedReader, GuardedWriter, RegistryGuard,
@@ -61,14 +61,9 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io;
 use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::{self, JoinHandle};
+use std::thread;
 use std::time::{Duration, Instant};
-
-/// How often the accept loop polls for shutdown / expired groups when
-/// idle or at the admission cap.
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
 
 type GroupKey = (IpAddr, u8, u64);
 
@@ -85,49 +80,45 @@ pub struct PendingGroups {
     inner: Mutex<HashMap<GroupKey, Pending>>,
 }
 
-/// What placing one stream into [`PendingGroups`] produced.
-enum Placed {
-    /// Group complete: every stream, in id order.
-    Complete(Vec<TcpStream>),
-    /// Stream parked; siblings still missing.
-    Parked,
-    /// Duplicate or out-of-range stream id — protocol error.
-    Invalid,
-}
-
 impl PendingGroups {
-    fn place(&self, key: GroupKey, stream_id: u8, stream: TcpStream, deadline: Instant) -> Placed {
-        let n = key.1 as usize;
-        if stream_id as usize >= n {
-            return Placed::Invalid;
-        }
+    /// Parks one stream of group `key`, whose siblings have
+    /// `hello_timeout` from the first arrival to show up. Returns every
+    /// stream, in id order, to the caller that completes the group;
+    /// `None` to the rest — a sibling's thread will finish the job — and
+    /// for a duplicate or out-of-range stream id, which is counted as a
+    /// handshake failure.
+    fn place(
+        &self,
+        server: &Server,
+        key: GroupKey,
+        stream_id: u8,
+        stream: TcpStream,
+        hello_timeout: Duration,
+    ) -> Option<Vec<TcpStream>> {
+        let (n, id) = (key.1 as usize, stream_id as usize);
         let mut g = self.inner.lock();
+        if id >= n || g.get(&key).is_some_and(|p| p.slots[id].is_some()) {
+            drop(g);
+            server.registry().count_handshake_failure();
+            return None;
+        }
         let entry = g.entry(key).or_insert_with(|| Pending {
             slots: (0..n).map(|_| None).collect(),
             have: 0,
-            deadline,
+            deadline: Instant::now() + hello_timeout,
         });
-        if entry.slots[stream_id as usize].is_some() {
-            return Placed::Invalid;
-        }
-        entry.slots[stream_id as usize] = Some(stream);
+        entry.slots[id] = Some(stream);
         entry.have += 1;
-        if entry.have == n {
-            let done = g.remove(&key).expect("entry just inserted");
-            Placed::Complete(
-                done.slots
-                    .into_iter()
-                    .map(|s| s.expect("all slots filled"))
-                    .collect(),
-            )
-        } else {
-            Placed::Parked
+        if entry.have < n {
+            return None;
         }
+        g.remove(&key)
+            .map(|done| done.slots.into_iter().flatten().collect())
     }
 
     /// Drops every parked stream of groups past their deadline; returns
     /// how many sockets were discarded.
-    fn prune_expired(&self, now: Instant) -> usize {
+    pub(crate) fn prune_expired(&self, now: Instant) -> usize {
         let mut g = self.inner.lock();
         let expired: Vec<GroupKey> = g
             .iter()
@@ -163,9 +154,7 @@ impl PendingGroups {
 pub struct DaemonHandle {
     server: Arc<Server>,
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
-    reactor: Option<ReactorHandle>,
+    reactor: ReactorHandle,
     pending: Arc<PendingGroups>,
     /// The embedded metrics/control HTTP listener, when the config
     /// names a `metrics_addr`.
@@ -203,54 +192,41 @@ impl DaemonHandle {
         self.metrics.as_ref().map(|h| h.addr())
     }
 
-    /// Graceful drain shutdown: stop accepting, expire parked handshake
-    /// sockets, let in-flight messages finish (bounded by the drain
-    /// deadline), shut the reactor down. A panicked thread is reported
-    /// as an error but never short-circuits the remaining cleanup.
-    pub fn shutdown(mut self) -> io::Result<()> {
-        self.server.begin_drain();
-        self.stop.store(true, Ordering::Relaxed);
-        let mut first_err: Option<io::Error> = None;
-        if let Some(t) = self.accept_thread.take() {
-            if t.join().is_err() {
-                first_err = Some(io::Error::other("accept thread panicked"));
-            }
-        }
-        for _ in 0..self.pending.clear() {
-            self.server.registry().count_handshake_failure();
-        }
-        // The reactor closes boundary connections immediately, cuts
-        // stragglers at the drain deadline, and joins its group threads
-        // before its own thread exits.
-        if let Some(reactor) = self.reactor.take() {
-            if let Err(e) = reactor.shutdown() {
-                first_err = first_err.or(Some(e));
-            }
+    /// Graceful drain shutdown: stop accepting, let in-flight messages
+    /// finish (bounded by the drain deadline), expire parked handshake
+    /// sockets and sessions. A panicked reactor is reported as an error
+    /// but never short-circuits the remaining cleanup.
+    pub fn shutdown(self) -> io::Result<()> {
+        let DaemonHandle {
+            server,
+            reactor,
+            pending,
+            metrics,
+            ..
+        } = self;
+        server.begin_drain();
+        // The reactor closes the listener, then boundary connections
+        // immediately, cuts stragglers at the drain deadline, and waits
+        // for every group thread to give its slot back before it exits.
+        let stopped = reactor.shutdown();
+        for _ in 0..pending.clear() {
+            server.registry().count_handshake_failure();
         }
         // Sessions still parked can never resume now (resumes are
         // refused while draining): reclaim their registry slots.
-        for (sid, p) in self.server.sessions().expire_all() {
-            self.server.events().emit(Event::SessionExpired {
-                conn: p.conn,
-                session_id: sid,
-            });
-            self.server.registry().remove(p.conn, ConnOutcome::Failed);
-        }
+        server.reclaim_sessions(server.sessions().expire_all());
         // Every connection has closed: the drain is complete. Emitted
         // before the HTTP listener stops so a final /events scrape can
         // still observe it.
-        self.server.events().emit(Event::DrainFinished);
-        if let Some(h) = self.metrics.take() {
+        server.events().emit(Event::DrainFinished);
+        if let Some(h) = metrics {
             h.shutdown();
         }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        stopped
     }
 }
 
-/// Binds `listen` and spawns the accept loop for `server`. Returns a
+/// Binds `listen` and starts the reactor on it for `server`. Returns a
 /// handle carrying the bound address.
 pub fn spawn(server: Arc<Server>, listen: impl ToSocketAddrs) -> io::Result<DaemonHandle> {
     let listener = TcpListener::bind(listen)?;
@@ -263,77 +239,15 @@ pub fn spawn(server: Arc<Server>, listen: impl ToSocketAddrs) -> io::Result<Daem
         )?),
         None => None,
     };
-    let stop = Arc::new(AtomicBool::new(false));
     let pending = Arc::new(PendingGroups::default());
-    let reactor = Reactor::spawn(Arc::clone(&server), Arc::clone(&pending))?;
-
-    let accept_thread = {
-        let server = Arc::clone(&server);
-        let stop = Arc::clone(&stop);
-        let injector = reactor.injector();
-        let pending = Arc::clone(&pending);
-        thread::Builder::new()
-            .name("adoc-accept".into())
-            .spawn(move || accept_loop(server, listener, stop, injector, pending))?
-    };
-
+    let reactor = Reactor::spawn(Arc::clone(&server), Arc::clone(&pending), listener)?;
     Ok(DaemonHandle {
         server,
         addr,
-        stop,
-        accept_thread: Some(accept_thread),
-        reactor: Some(reactor),
+        reactor,
         pending,
         metrics,
     })
-}
-
-fn accept_loop(
-    server: Arc<Server>,
-    listener: TcpListener,
-    stop: Arc<AtomicBool>,
-    reactor: ReactorHandle,
-    pending: Arc<PendingGroups>,
-) {
-    while !stop.load(Ordering::Relaxed) {
-        // Expired partial groups (a client that dialled some streams and
-        // died) must not pin admission slots.
-        for _ in 0..pending.prune_expired(Instant::now()) {
-            server.registry().count_handshake_failure();
-        }
-
-        // Parked sessions whose resume window lapsed give their registry
-        // slot back; the client that never came back is a failure.
-        for (sid, p) in server.sessions().sweep(Instant::now()) {
-            server.events().emit(Event::SessionExpired {
-                conn: p.conn,
-                session_id: sid,
-            });
-            server.registry().remove(p.conn, ConnOutcome::Failed);
-        }
-
-        // Admission control: at the cap we simply stop accepting; the
-        // kernel backlog backpressures the dialers. The count must cover
-        // every socket the reactor owns, not just registered
-        // connections — a socket spends up to hello_timeout in its
-        // sniff state before it reaches the registry, and a dial burst
-        // would otherwise register unboundedly. Parked group streams
-        // have no reactor entry of their own, so they are added on top.
-        let occupied = reactor.live() + pending.parked();
-        if occupied >= server.config().max_conns {
-            thread::sleep(ACCEPT_POLL);
-            continue;
-        }
-
-        match listener.accept() {
-            Ok((stream, peer)) => reactor.register(stream, peer),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(ACCEPT_POLL),
-            Err(e) => {
-                eprintln!("adoc-server: accept failed: {e}");
-                thread::sleep(ACCEPT_POLL);
-            }
-        }
-    }
 }
 
 pub(crate) fn handle_group_stream(
@@ -382,28 +296,17 @@ fn handle_plain_group(
         return;
     }
     let n = hello.streams as usize;
-    if n < 2 {
-        // A 1-stream client never sends a hello; announcing 1 here is a
-        // protocol violation.
-        server.registry().count_handshake_failure();
-        return;
-    }
-    if hello.token == 0 {
-        // Untokened multi-stream dials are ambiguous under concurrency
-        // (see the module docs): refuse rather than risk cross-weaving
-        // two clients' streams into one group.
+    if n < 2 || hello.token == 0 {
+        // A 1-stream client never sends a hello, so announcing 1 is a
+        // protocol violation; and untokened multi-stream dials are
+        // ambiguous under concurrency (see the module docs) — refuse
+        // rather than risk cross-weaving two clients' streams.
         server.registry().count_handshake_failure();
         return;
     }
     let key: GroupKey = (peer.ip(), hello.streams, hello.token);
-    let deadline = Instant::now() + hello_timeout;
-    let streams = match pending.place(key, hello.stream_id, stream, deadline) {
-        Placed::Parked => return, // a sibling's thread will finish the job
-        Placed::Invalid => {
-            server.registry().count_handshake_failure();
-            return;
-        }
-        Placed::Complete(streams) => streams,
+    let Some(streams) = pending.place(&server, key, hello.stream_id, stream, hello_timeout) else {
+        return;
     };
 
     // Whole group assembled: answer the acceptor hellos in id order,
@@ -464,34 +367,30 @@ fn handle_session_stream(
         return;
     }
     let verdict: Result<(), (u8, &'static str)> = match hello.kind {
+        // Auth optional: a fresh v4 session is always welcome.
+        SessionKind::New if !server.config().require_auth => Ok(()),
         SessionKind::New => {
-            if server.config().require_auth {
-                let want = server.ticket_key().hello_mac(hello.streams, hello.token);
-                if ct_eq(&want, &hello.mac) {
-                    Ok(())
-                } else {
-                    Err((session_status::AUTH_FAILED, "auth"))
-                }
-            } else {
-                // Auth optional: a fresh v4 session is always welcome.
+            let want = server.ticket_key().hello_mac(hello.streams, hello.token);
+            if ct_eq(&want, &hello.mac) {
                 Ok(())
+            } else {
+                Err((session_status::AUTH_FAILED, "auth"))
             }
         }
+        SessionKind::Resume if server.is_draining() => {
+            Err((session_status::RESUME_REJECTED, "draining"))
+        }
         SessionKind::Resume => {
-            if server.is_draining() {
-                Err((session_status::RESUME_REJECTED, "draining"))
-            } else {
-                let ticket = SessionTicket {
-                    session_id: hello.session_id,
-                    expires_us: hello.expires_us,
-                    mac: hello.mac,
-                };
-                match server.ticket_key().verify(&ticket, unix_now_us()) {
-                    Ok(()) => Ok(()),
-                    Err(TicketError::BadMac) => Err((session_status::AUTH_FAILED, "auth")),
-                    Err(TicketError::Expired) => Err((session_status::TICKET_EXPIRED, "expired")),
-                }
-            }
+            let ticket = SessionTicket {
+                session_id: hello.session_id,
+                expires_us: hello.expires_us,
+                mac: hello.mac,
+            };
+            let verified = server.ticket_key().verify(&ticket, unix_now_us());
+            verified.map_err(|e| match e {
+                TicketError::BadMac => (session_status::AUTH_FAILED, "auth"),
+                TicketError::Expired => (session_status::TICKET_EXPIRED, "expired"),
+            })
         }
     };
     if let Err((status, reason)) = verdict {
@@ -501,14 +400,8 @@ fn handle_session_stream(
     }
 
     let key: GroupKey = (peer.ip(), hello.streams, hello.token);
-    let deadline = Instant::now() + hello_timeout;
-    let streams = match pending.place(key, hello.stream_id, stream, deadline) {
-        Placed::Parked => return,
-        Placed::Invalid => {
-            server.registry().count_handshake_failure();
-            return;
-        }
-        Placed::Complete(streams) => streams,
+    let Some(streams) = pending.place(&server, key, hello.stream_id, stream, hello_timeout) else {
+        return;
     };
     match hello.kind {
         SessionKind::New => serve_new_session(server, streams, peer),
@@ -545,7 +438,7 @@ fn answer_session_streams(
         let reader = if ok { s.try_clone().ok() } else { None };
         match reader {
             Some(r) => pairs.push((
-                GuardedReader::new(r, Vec::new(), Arc::clone(ctl), i == 0),
+                GuardedReader::new(r, Arc::clone(ctl), i == 0),
                 GuardedWriter::new(s, Arc::clone(ctl)),
             )),
             None => {
@@ -619,45 +512,27 @@ fn serve_resumed_session(
             None => thread::sleep(Duration::from_millis(5)),
         }
     };
+    let refuse = |primary: &mut TcpStream, reason| {
+        let status = session_status::RESUME_REJECTED;
+        reject_session(&server, primary, status, Some(session_id), reason);
+    };
     let Some(parked) = parked else {
-        let reason = if server.is_draining() {
-            "draining"
-        } else {
-            "unknown"
-        };
-        reject_session(
-            &server,
+        let draining = server.is_draining();
+        return refuse(
             &mut streams[0],
-            session_status::RESUME_REJECTED,
-            Some(session_id),
-            reason,
+            if draining { "draining" } else { "unknown" },
         );
-        return;
     };
     if parked.peer != peer.ip() {
         // The ticket is bearer-style; the IP pin narrows replay. Re-park
         // so the legitimate client can still come back.
         server.sessions().park(session_id, parked);
-        reject_session(
-            &server,
-            &mut streams[0],
-            session_status::RESUME_REJECTED,
-            Some(session_id),
-            "peer",
-        );
-        return;
+        return refuse(&mut streams[0], "peer");
     }
     let id = parked.conn;
     if !server.registry().resume(id, n) {
         // The registry entry vanished (swept between take and here).
-        reject_session(
-            &server,
-            &mut streams[0],
-            session_status::RESUME_REJECTED,
-            Some(session_id),
-            "unknown",
-        );
-        return;
+        return refuse(&mut streams[0], "unknown");
     }
     let peer_label = format!("{peer} x{n}");
     let mut ghostbuster = RegistryGuard::new(&server, id);

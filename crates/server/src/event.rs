@@ -10,10 +10,10 @@
 //! `&str` peer label on the accept path), so **emitting allocates
 //! nothing**. The bus stamps the event with a sequence number and a
 //! timestamp from its monotonic [`EventClock`], then makes exactly one
-//! virtual call per attached subscriber ([`Subscriber::on_event`]). With
-//! no subscribers attached, `emit` is a branch on an empty slice; a
-//! subscriber that cares about one event type overrides that type's
-//! hook and inherits statically-dispatched no-ops for the rest.
+//! virtual call per attached subscriber ([`Subscriber::on_event`], the
+//! trait's only method). With no subscribers attached, `emit` is a
+//! branch on an empty slice; a subscriber that cares about one event
+//! kind matches on it and ignores the rest.
 //!
 //! ## Fault isolation
 //!
@@ -280,130 +280,13 @@ pub struct EventMeta {
     pub t: Duration,
 }
 
-/// Consumer of daemon events. Every hook has a no-op default, so a
-/// subscriber implements only what it cares about; the bus makes one
-/// virtual call per event ([`Subscriber::on_event`]), whose default
-/// dispatches to the typed hooks below with static calls.
-#[allow(unused_variables)]
+/// Consumer of daemon events: the bus makes one virtual call per event
+/// and the subscriber `match`es on the kinds it cares about
+/// ([`Event`] is `#[non_exhaustive]`, so end with a `_ => {}` arm).
 pub trait Subscriber: Send + Sync {
-    /// Catch-all entry point — the one virtual call the bus makes.
-    /// Override this to observe every event in one place (what
-    /// [`EventLog`] does); otherwise the default routes to the typed
-    /// hooks.
-    fn on_event(&self, meta: &EventMeta, event: &Event<'_>) {
-        match *event {
-            Event::ConnAccepted { conn, peer } => self.on_conn_accepted(meta, conn, peer),
-            Event::ConnAdmitted { conn, streams } => self.on_conn_admitted(meta, conn, streams),
-            Event::ConnClosed {
-                conn,
-                outcome,
-                messages,
-            } => self.on_conn_closed(meta, conn, outcome, messages),
-            Event::HandshakeFailed { conn } => self.on_handshake_failed(meta, conn),
-            Event::ConnError { conn, error } => self.on_conn_error(meta, conn, error),
-            Event::MessageServed {
-                conn,
-                raw_bytes,
-                reply_wire_bytes,
-                times,
-            } => self.on_message_served(meta, conn, raw_bytes, reply_wire_bytes, &times),
-            Event::SlowRequest {
-                conn,
-                raw_bytes,
-                times,
-            } => self.on_slow_request(meta, conn, raw_bytes, &times),
-            Event::SchedWait { conn, tier, waited } => self.on_sched_wait(meta, conn, tier, waited),
-            Event::RefillEpoch { credit } => self.on_refill_epoch(meta, credit),
-            Event::LevelChange {
-                conn,
-                from,
-                to,
-                reason,
-            } => self.on_level_change(meta, conn, from, to, reason),
-            Event::DrainStarted => self.on_drain_started(meta),
-            Event::DrainFinished => self.on_drain_finished(meta),
-            Event::PoolEvict { evicted } => self.on_pool_evict(meta, evicted),
-            Event::BudgetChanged { bytes_per_sec } => self.on_budget_changed(meta, bytes_per_sec),
-            Event::ReactorTick { ready, parked } => self.on_reactor_tick(meta, ready, parked),
-            Event::WorkerQueueDepth { depth } => self.on_worker_queue_depth(meta, depth),
-            Event::SessionResumed {
-                conn,
-                session_id,
-                streams,
-                mid_message,
-            } => self.on_session_resumed(meta, conn, session_id, streams, mid_message),
-            Event::TicketRejected { session_id, reason } => {
-                self.on_ticket_rejected(meta, session_id, reason)
-            }
-            Event::SessionExpired { conn, session_id } => {
-                self.on_session_expired(meta, conn, session_id)
-            }
-        }
-    }
-
-    /// A connection registered.
-    fn on_conn_accepted(&self, meta: &EventMeta, conn: ConnId, peer: &str) {}
-    /// A connection entered service.
-    fn on_conn_admitted(&self, meta: &EventMeta, conn: ConnId, streams: usize) {}
-    /// A connection left the registry.
-    fn on_conn_closed(&self, meta: &EventMeta, conn: ConnId, outcome: ConnOutcome, messages: u64) {}
-    /// A handshake failed.
-    fn on_handshake_failed(&self, meta: &EventMeta, conn: Option<ConnId>) {}
-    /// A connection failed from an internal fault (worker panic…).
-    fn on_conn_error(&self, meta: &EventMeta, conn: Option<ConnId>, error: &str) {}
-    /// One message was served; `times` is its stage span (all zeros on
-    /// untraced paths).
-    fn on_message_served(
-        &self,
-        meta: &EventMeta,
-        conn: ConnId,
-        raw: u64,
-        reply_wire: u64,
-        times: &StageTimes,
-    ) {
-    }
-    /// A message exceeded the slow-request threshold.
-    fn on_slow_request(&self, meta: &EventMeta, conn: ConnId, raw_bytes: u64, times: &StageTimes) {}
-    /// A blocked admission was admitted after `waited`.
-    fn on_sched_wait(&self, meta: &EventMeta, conn: ConnId, tier: Tier, waited: Duration) {}
-    /// Refill credit was distributed.
-    fn on_refill_epoch(&self, meta: &EventMeta, credit: f64) {}
-    /// A connection's compression level moved.
-    fn on_level_change(
-        &self,
-        meta: &EventMeta,
-        conn: ConnId,
-        from: u8,
-        to: u8,
-        reason: LevelReason,
-    ) {
-    }
-    /// A drain began.
-    fn on_drain_started(&self, meta: &EventMeta) {}
-    /// The drain completed.
-    fn on_drain_finished(&self, meta: &EventMeta) {}
-    /// The pool evicted idle buffers.
-    fn on_pool_evict(&self, meta: &EventMeta, evicted: u64) {}
-    /// The budget was retuned.
-    fn on_budget_changed(&self, meta: &EventMeta, bytes_per_sec: Option<f64>) {}
-    /// The reactor dispatched a non-idle poll cycle.
-    fn on_reactor_tick(&self, meta: &EventMeta, ready: usize, parked: usize) {}
-    /// A codec job entered the worker-pool queue.
-    fn on_worker_queue_depth(&self, meta: &EventMeta, depth: usize) {}
-    /// A reconnecting client resumed its detached session.
-    fn on_session_resumed(
-        &self,
-        meta: &EventMeta,
-        conn: ConnId,
-        session_id: u64,
-        streams: usize,
-        mid_message: bool,
-    ) {
-    }
-    /// A session hello or resume ticket was refused pre-admission.
-    fn on_ticket_rejected(&self, meta: &EventMeta, session_id: Option<u64>, reason: &str) {}
-    /// A detached session's resume window lapsed and it was reclaimed.
-    fn on_session_expired(&self, meta: &EventMeta, conn: ConnId, session_id: u64) {}
+    /// Observes one stamped event. Runs on the emitting (serving)
+    /// thread: keep it short, and never block.
+    fn on_event(&self, meta: &EventMeta, event: &Event<'_>);
 }
 
 struct SubscriberEntry {
@@ -562,7 +445,7 @@ pub struct EventCounts {
 
 /// The aggregating built-in subscriber: lock-free counters a metrics
 /// snapshot folds into the typed [`crate::metrics::MetricsDoc`]. Every
-/// hook is a handful of relaxed atomic adds — attaching it costs the
+/// event is a handful of relaxed atomic adds — attaching it costs the
 /// hot path one virtual call and nothing else (the bench suite pins
 /// this at < 3% on `fig_server_scale`).
 #[derive(Debug, Default)]
@@ -621,74 +504,37 @@ impl MetricsSubscriber {
 }
 
 impl Subscriber for MetricsSubscriber {
-    fn on_conn_accepted(&self, _m: &EventMeta, _conn: ConnId, _peer: &str) {
-        self.conns_accepted.fetch_add(1, Ordering::Relaxed);
-    }
-    fn on_conn_admitted(&self, _m: &EventMeta, _conn: ConnId, _streams: usize) {
-        self.conns_admitted.fetch_add(1, Ordering::Relaxed);
-    }
-    fn on_conn_closed(&self, _m: &EventMeta, _conn: ConnId, _outcome: ConnOutcome, _msgs: u64) {
-        self.conns_closed.fetch_add(1, Ordering::Relaxed);
-    }
-    fn on_handshake_failed(&self, _m: &EventMeta, _conn: Option<ConnId>) {
-        self.handshake_failures.fetch_add(1, Ordering::Relaxed);
-    }
-    fn on_message_served(
-        &self,
-        _m: &EventMeta,
-        _conn: ConnId,
-        _raw: u64,
-        _reply_wire: u64,
-        _times: &StageTimes,
-    ) {
-        self.messages_served.fetch_add(1, Ordering::Relaxed);
-    }
-    fn on_slow_request(&self, _m: &EventMeta, _conn: ConnId, _raw: u64, _times: &StageTimes) {
-        self.slow_requests.fetch_add(1, Ordering::Relaxed);
-    }
-    fn on_sched_wait(&self, _m: &EventMeta, _conn: ConnId, _tier: Tier, waited: Duration) {
-        self.sched_waits.fetch_add(1, Ordering::Relaxed);
-        self.sched_wait_nanos
-            .fetch_add(waited.as_nanos() as u64, Ordering::Relaxed);
-    }
-    fn on_refill_epoch(&self, _m: &EventMeta, _credit: f64) {
-        self.refill_epochs.fetch_add(1, Ordering::Relaxed);
-    }
-    fn on_level_change(&self, _m: &EventMeta, _conn: ConnId, _from: u8, _to: u8, _r: LevelReason) {
-        self.level_changes.fetch_add(1, Ordering::Relaxed);
-    }
-    fn on_drain_started(&self, _m: &EventMeta) {
-        self.drains.fetch_add(1, Ordering::Relaxed);
-    }
-    fn on_pool_evict(&self, _m: &EventMeta, evicted: u64) {
-        self.pool_evictions.fetch_add(evicted, Ordering::Relaxed);
-    }
-    fn on_budget_changed(&self, _m: &EventMeta, _bytes_per_sec: Option<f64>) {
-        self.budget_changes.fetch_add(1, Ordering::Relaxed);
-    }
-    fn on_reactor_tick(&self, _m: &EventMeta, _ready: usize, _parked: usize) {
-        self.reactor_ticks.fetch_add(1, Ordering::Relaxed);
-    }
-    fn on_worker_queue_depth(&self, _m: &EventMeta, depth: usize) {
-        self.worker_jobs.fetch_add(1, Ordering::Relaxed);
-        self.worker_queue_peak
-            .fetch_max(depth as u64, Ordering::Relaxed);
-    }
-    fn on_session_resumed(
-        &self,
-        _m: &EventMeta,
-        _conn: ConnId,
-        _session_id: u64,
-        _streams: usize,
-        _mid_message: bool,
-    ) {
-        self.sessions_resumed.fetch_add(1, Ordering::Relaxed);
-    }
-    fn on_ticket_rejected(&self, _m: &EventMeta, _session_id: Option<u64>, _reason: &str) {
-        self.tickets_rejected.fetch_add(1, Ordering::Relaxed);
-    }
-    fn on_session_expired(&self, _m: &EventMeta, _conn: ConnId, _session_id: u64) {
-        self.sessions_expired.fetch_add(1, Ordering::Relaxed);
+    fn on_event(&self, _meta: &EventMeta, event: &Event<'_>) {
+        let bump = |cell: &AtomicU64, by: u64| {
+            cell.fetch_add(by, Ordering::Relaxed);
+        };
+        match *event {
+            Event::ConnAccepted { .. } => bump(&self.conns_accepted, 1),
+            Event::ConnAdmitted { .. } => bump(&self.conns_admitted, 1),
+            Event::ConnClosed { .. } => bump(&self.conns_closed, 1),
+            Event::HandshakeFailed { .. } => bump(&self.handshake_failures, 1),
+            Event::MessageServed { .. } => bump(&self.messages_served, 1),
+            Event::SlowRequest { .. } => bump(&self.slow_requests, 1),
+            Event::SchedWait { waited, .. } => {
+                bump(&self.sched_waits, 1);
+                bump(&self.sched_wait_nanos, waited.as_nanos() as u64);
+            }
+            Event::RefillEpoch { .. } => bump(&self.refill_epochs, 1),
+            Event::LevelChange { .. } => bump(&self.level_changes, 1),
+            Event::DrainStarted => bump(&self.drains, 1),
+            Event::PoolEvict { evicted } => bump(&self.pool_evictions, evicted),
+            Event::BudgetChanged { .. } => bump(&self.budget_changes, 1),
+            Event::ReactorTick { .. } => bump(&self.reactor_ticks, 1),
+            Event::WorkerQueueDepth { depth } => {
+                bump(&self.worker_jobs, 1);
+                self.worker_queue_peak
+                    .fetch_max(depth as u64, Ordering::Relaxed);
+            }
+            Event::SessionResumed { .. } => bump(&self.sessions_resumed, 1),
+            Event::TicketRejected { .. } => bump(&self.tickets_rejected, 1),
+            Event::SessionExpired { .. } => bump(&self.sessions_expired, 1),
+            Event::ConnError { .. } | Event::DrainFinished => {}
+        }
     }
 }
 
@@ -827,20 +673,12 @@ pub fn render_json_line(meta: &EventMeta, event: &Event<'_>) -> String {
                 }
             );
         }
-        Event::HandshakeFailed { conn } => match conn {
-            Some(conn) => {
-                let _ = write!(out, ", \"conn\": {conn}");
-            }
-            None => out.push_str(", \"conn\": null"),
-        },
+        Event::HandshakeFailed { conn } => {
+            let _ = write!(out, ", \"conn\": {}", OrNull(conn));
+        }
         Event::ConnError { conn, error } => {
-            match conn {
-                Some(conn) => {
-                    let _ = write!(out, ", \"conn\": {conn}");
-                }
-                None => out.push_str(", \"conn\": null"),
-            }
-            let _ = write!(out, ", \"error\": \"{}\"", json_escape(error));
+            let (conn, error) = (OrNull(conn), json_escape(error));
+            let _ = write!(out, ", \"conn\": {conn}, \"error\": \"{error}\"");
         }
         Event::MessageServed {
             conn,
@@ -913,13 +751,8 @@ pub fn render_json_line(meta: &EventMeta, event: &Event<'_>) -> String {
             );
         }
         Event::TicketRejected { session_id, reason } => {
-            match session_id {
-                Some(id) => {
-                    let _ = write!(out, ", \"session_id\": {id}");
-                }
-                None => out.push_str(", \"session_id\": null"),
-            }
-            let _ = write!(out, ", \"reason\": \"{}\"", json_escape(reason));
+            let (id, reason) = (OrNull(session_id), json_escape(reason));
+            let _ = write!(out, ", \"session_id\": {id}, \"reason\": \"{reason}\"");
         }
         Event::SessionExpired { conn, session_id } => {
             let _ = write!(out, ", \"conn\": {conn}, \"session_id\": {session_id}");
@@ -927,6 +760,18 @@ pub fn render_json_line(meta: &EventMeta, event: &Event<'_>) -> String {
     }
     out.push('}');
     out
+}
+
+/// An optional id in a JSON line: the number, or `null`.
+struct OrNull(Option<u64>);
+
+impl std::fmt::Display for OrNull {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.0 {
+            Some(id) => write!(f, "{id}"),
+            None => f.write_str("null"),
+        }
+    }
 }
 
 /// Appends a `"stages"` object with the span's per-stage microseconds.

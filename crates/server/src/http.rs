@@ -28,15 +28,15 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 /// Accept-loop poll interval while idle; also the per-request socket
-/// read/write timeout (a *silent* client cannot wedge the listener for
-/// longer than this).
+/// read/write timeout — for reads only the granularity at which
+/// [`DeadlineReader`] re-checks [`REQUEST_DEADLINE`], never a verdict.
 const HTTP_POLL: Duration = Duration::from_millis(50);
 
-/// Hard wall-clock budget for reading one whole request. The socket
-/// timeout above only bounds each individual read — a client dripping
-/// one byte per poll interval would pass every per-read check while
-/// holding the serial listener for minutes. Every read also checks
-/// this total deadline, so the worst case a slow client can inflict is
+/// Hard wall-clock budget for reading one whole request, and the only
+/// thing that ends a slow one: a per-read verdict would both let a
+/// client dripping one byte per poll interval hold the serial listener
+/// for minutes and cut an honest client whose next segment is merely
+/// late. The worst case a slow or silent client can inflict is
 /// `REQUEST_DEADLINE + HTTP_POLL`.
 const REQUEST_DEADLINE: Duration = Duration::from_secs(2);
 
@@ -143,8 +143,8 @@ impl Response {
     }
 }
 
-/// A read half that enforces the whole-request deadline on top of the
-/// per-read socket timeout.
+/// A read half that enforces the whole-request deadline: the socket's
+/// per-read timeout only wakes it to look at the clock again.
 struct DeadlineReader {
     inner: TcpStream,
     deadline: Instant,
@@ -152,13 +152,22 @@ struct DeadlineReader {
 
 impl Read for DeadlineReader {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        if Instant::now() >= self.deadline {
-            return Err(io::Error::new(
-                io::ErrorKind::TimedOut,
-                "request read deadline exceeded",
-            ));
+        loop {
+            if Instant::now() >= self.deadline {
+                return Err(io::Error::new(
+                    io::ErrorKind::TimedOut,
+                    "request read deadline exceeded",
+                ));
+            }
+            match self.inner.read(buf) {
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    ) => {}
+                other => return other,
+            }
         }
-        self.inner.read(buf)
     }
 }
 

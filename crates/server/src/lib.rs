@@ -2,11 +2,12 @@
 //!
 //! The paper positions AdOC as a drop-in library for data-transfer
 //! *middleware* (NetSolve, IBP, GridFTP). This crate supplies the
-//! long-lived service those middlewares imply: a thread-per-connection
-//! daemon that multiplexes many simultaneous AdOC clients — plain v1
-//! single-socket connections and v2 striped [`adoc::AdocStreamGroup`]s
-//! alike — through the existing pooled adaptive pipeline, under a
-//! **policy layer** the transport itself stays ignorant of:
+//! long-lived service those middlewares imply: a daemon that
+//! multiplexes many simultaneous AdOC clients — plain v1 single-socket
+//! connections on one [`reactor`] thread, v2 striped
+//! [`adoc::AdocStreamGroup`]s on a thread per group — through the
+//! existing pooled adaptive pipeline, under a **policy layer** the
+//! transport itself stays ignorant of:
 //!
 //! * a [`registry::ConnRegistry`] tracking every connection's lifecycle
 //!   and per-connection transfer statistics;
@@ -16,14 +17,15 @@
 //!   its fair share instead of starving the rest;
 //! * one shared [`adoc::BufferPool`] with a bounded idle cap, keeping
 //!   steady-state memory O(active connections) rather than O(history);
-//! * **admission control** (a max-connections gate that pauses `accept`
-//!   — backpressure through the listen backlog, not unbounded threads);
+//! * **admission control** (a max-connections gate that stops polling
+//!   the listener — backpressure through the listen backlog);
 //! * **graceful drain**: stop accepting, let every in-flight message
 //!   finish, then exit — with a hard deadline so a stalled peer cannot
 //!   hold shutdown hostage;
 //! * a structured [`event`] subsystem: the registry, scheduler, serve
-//!   loop, and TCP front end emit a typed [`Event`] vocabulary through
-//!   an [`EventBus`] to attached [`Subscriber`]s — the built-in
+//!   paths, and TCP front end emit a typed [`Event`] vocabulary through
+//!   an [`EventBus`] to attached [`Subscriber`]s (one method,
+//!   [`Subscriber::on_event`]) — the built-in
 //!   [`MetricsSubscriber`] aggregates them into the typed
 //!   [`metrics::MetricsDoc`] (`adoc-server-metrics-v2`), the built-in
 //!   [`EventLog`] retains a bounded ring of JSON event lines, and user
@@ -85,8 +87,9 @@ pub struct ServerConfig {
     /// daemon-wide shared slab; its `throttle` (if any) is chained
     /// *behind* the fair-share scheduler as a CPU model.
     pub adoc: AdocConfig,
-    /// Admission cap: the accept loop pauses (backpressuring into the
-    /// listen backlog) while this many connections are live.
+    /// Admission cap: the reactor stops polling the listener
+    /// (backpressuring into the listen backlog) while this many
+    /// connections are live.
     pub max_conns: usize,
     /// Aggregate wire budget in bytes/second shared fairly across
     /// connections (`None` = unlimited; the scheduler still runs, only
@@ -370,64 +373,57 @@ impl ServerConfigBuilder {
     pub fn build(self) -> Result<ServerConfig, AdocError> {
         let cfg = self.cfg;
         cfg.adoc.validate()?;
-        if cfg.max_conns == 0 {
+        let budget = cfg.budget_bytes_per_sec.unwrap_or(1.0);
+        let bad_budget = format!("budget_bytes_per_sec must be positive and finite, got {budget}");
+        let violations = [
+            (cfg.max_conns == 0, "max_conns must be >= 1"),
+            (cfg.drain_poll.is_zero(), "drain_poll must be > 0"),
+            (!(budget > 0.0 && budget.is_finite()), bad_budget.as_str()),
+            (cfg.event_log_cap == 0, "event_log_cap must be >= 1"),
+            (
+                cfg.slow_request_threshold.is_zero(),
+                "slow_request_threshold must be > 0",
+            ),
+            (cfg.trace_ring_cap == 0, "trace_ring_cap must be >= 1"),
+            (
+                cfg.metrics_addr
+                    .as_ref()
+                    .is_some_and(|a| a.trim().is_empty()),
+                "metrics_addr must not be empty",
+            ),
+            (
+                cfg.require_auth && cfg.auth_secret.is_none(),
+                "require_auth needs an auth_secret (a random per-process key \
+                 would refuse every client that cannot know it)",
+            ),
+            (cfg.resume_window.is_zero(), "resume_window must be > 0"),
+            (cfg.ticket_ttl.is_zero(), "ticket_ttl must be > 0"),
+        ];
+        if let Some((_, reason)) = violations.iter().find(|(violated, _)| *violated) {
             return Err(AdocError::InvalidConfig {
-                reason: "max_conns must be >= 1".into(),
-            });
-        }
-        if cfg.drain_poll.is_zero() {
-            return Err(AdocError::InvalidConfig {
-                reason: "drain_poll must be > 0".into(),
-            });
-        }
-        if let Some(b) = cfg.budget_bytes_per_sec {
-            if !(b > 0.0 && b.is_finite()) {
-                return Err(AdocError::InvalidConfig {
-                    reason: format!("budget_bytes_per_sec must be positive and finite, got {b}"),
-                });
-            }
-        }
-        if cfg.event_log_cap == 0 {
-            return Err(AdocError::InvalidConfig {
-                reason: "event_log_cap must be >= 1".into(),
-            });
-        }
-        if cfg.slow_request_threshold.is_zero() {
-            return Err(AdocError::InvalidConfig {
-                reason: "slow_request_threshold must be > 0".into(),
-            });
-        }
-        if cfg.trace_ring_cap == 0 {
-            return Err(AdocError::InvalidConfig {
-                reason: "trace_ring_cap must be >= 1".into(),
-            });
-        }
-        if let Some(addr) = &cfg.metrics_addr {
-            if addr.trim().is_empty() {
-                return Err(AdocError::InvalidConfig {
-                    reason: "metrics_addr must not be empty".into(),
-                });
-            }
-        }
-        if cfg.require_auth && cfg.auth_secret.is_none() {
-            return Err(AdocError::InvalidConfig {
-                reason: "require_auth needs an auth_secret (a random per-process key \
-                         would refuse every client that cannot know it)"
-                    .into(),
-            });
-        }
-        if cfg.resume_window.is_zero() {
-            return Err(AdocError::InvalidConfig {
-                reason: "resume_window must be > 0".into(),
-            });
-        }
-        if cfg.ticket_ttl.is_zero() {
-            return Err(AdocError::InvalidConfig {
-                reason: "ticket_ttl must be > 0".into(),
+                reason: (*reason).into(),
             });
         }
         Ok(cfg)
     }
+}
+
+/// One served message as its serve path measured it — the input of
+/// [`Server::message_served`].
+pub(crate) struct ServedMessage<'a> {
+    /// Raw payload bytes of the received message.
+    pub raw_bytes: u64,
+    /// Wire bytes of the reply.
+    pub reply_wire_bytes: u64,
+    /// The connection's send-path statistics after the reply.
+    pub stats: &'a adoc::TransferStats,
+    /// Where the message's time went, if the path measured it.
+    pub times: Option<StageTimes>,
+    /// `times` began at the message's first byte, so its total may be
+    /// judged against the slow-request threshold. The reactor's spans
+    /// do; a blocking receive also counts the client's think-time
+    /// before the message and never is.
+    pub from_first_byte: bool,
 }
 
 /// The daemon core: registry + scheduler + shared pool + event bus +
@@ -648,6 +644,74 @@ impl Server {
         }
     }
 
+    /// The post-message epilogue every serve path runs once a reply's
+    /// last byte is written: registry counters (whose delay snapshot
+    /// feeds the scheduler), the stage-latency layer, then the
+    /// message's events. `last_level` is the send level this
+    /// connection was last seen at — a change becomes an
+    /// [`Event::LevelChange`]; the first observation is a baseline.
+    pub(crate) fn message_served(
+        &self,
+        id: registry::ConnId,
+        msg: ServedMessage<'_>,
+        last_level: &mut Option<u8>,
+    ) {
+        let (raw_bytes, reply_wire_bytes) = (msg.raw_bytes, msg.reply_wire_bytes);
+        let update = self
+            .registry
+            .update(id, raw_bytes, reply_wire_bytes, msg.stats);
+        if let Some(snap) = update {
+            self.sched.report_delay(id, snap);
+        }
+        if let Some(times) = msg.times.filter(|_| self.cfg.instrument) {
+            self.tracer
+                .record(id, raw_bytes, self.bus.now().as_secs_f64(), &times);
+        }
+        self.bus.emit(Event::MessageServed {
+            conn: id,
+            raw_bytes,
+            reply_wire_bytes,
+            times: msg.times.unwrap_or_default(),
+        });
+        let slow_us = self.cfg.slow_request_threshold.as_micros() as u64;
+        let judged = msg.times.filter(|_| msg.from_first_byte);
+        if let Some(times) = judged.filter(|t| t.total_us > slow_us) {
+            self.bus.emit(Event::SlowRequest {
+                conn: id,
+                raw_bytes,
+                times,
+            });
+        }
+        if !self.bus.is_active() {
+            return;
+        }
+        if let Some(&adoc::LevelEvent { level, reason, .. }) = msg.stats.level_timeline.last() {
+            if let Some(from) = last_level.filter(|&prev| prev != level) {
+                self.bus.emit(Event::LevelChange {
+                    conn: id,
+                    from,
+                    to: level,
+                    reason,
+                });
+            }
+            *last_level = Some(level);
+        }
+        self.note_pool_evictions();
+    }
+
+    /// Reclaims detached sessions that can no longer resume (their
+    /// window lapsed, or the daemon is shutting down): the client that
+    /// never came back is a failure, and its registry slot is freed.
+    pub(crate) fn reclaim_sessions(&self, lapsed: Vec<(u64, session::ParkedSession)>) {
+        for (session_id, parked) in lapsed {
+            self.bus.emit(Event::SessionExpired {
+                conn: parked.conn,
+                session_id,
+            });
+            self.registry.remove(parked.conn, ConnOutcome::Failed);
+        }
+    }
+
     /// Scheduling tier for a connection labelled `peer`: the first
     /// matching peer-prefix override, else the default tier.
     pub fn tier_for(&self, peer: &str) -> Tier {
@@ -668,20 +732,8 @@ impl Server {
         streams: usize,
         peer: &str,
     ) -> AdocConfig {
-        let base = self.cfg.adoc.clone();
-        let throttle = self
-            .sched
-            .register_with(id, self.tier_for(peer), 1.0)
-            .with_cpu(Arc::clone(&base.throttle));
-        let mut cfg = base.with_throttle(Arc::new(throttle)).with_streams(streams);
-        // Give the connection its own signal hub and hand the registry a
-        // handle: delay snapshots flow registry-ward on every update and
-        // the registry policy steers level bounds back through it.
-        cfg.ensure_signal_hub();
-        if let Some(hub) = cfg.signals.clone().filter(|_| cfg.delay_signals) {
-            self.registry.attach_hub(id, hub);
-        }
-        cfg
+        let throttle = self.sched.register_with(id, self.tier_for(peer), 1.0);
+        self.conn_config_with(id, streams, throttle)
     }
 
     /// Like [`Server::conn_config`], but for a **resumed** session: the
@@ -695,12 +747,21 @@ impl Server {
         streams: usize,
         co: sched::SchedCarryover,
     ) -> AdocConfig {
+        self.conn_config_with(id, streams, self.sched.restore(id, co))
+    }
+
+    fn conn_config_with(
+        &self,
+        id: registry::ConnId,
+        streams: usize,
+        throttle: ConnThrottle,
+    ) -> AdocConfig {
         let base = self.cfg.adoc.clone();
-        let throttle = self
-            .sched
-            .restore(id, co)
-            .with_cpu(Arc::clone(&base.throttle));
+        let throttle = throttle.with_cpu(Arc::clone(&base.throttle));
         let mut cfg = base.with_throttle(Arc::new(throttle)).with_streams(streams);
+        // Give the connection its own signal hub and hand the registry a
+        // handle: delay snapshots flow registry-ward on every update and
+        // the registry policy steers level bounds back through it.
         cfg.ensure_signal_hub();
         if let Some(hub) = cfg.signals.clone().filter(|_| cfg.delay_signals) {
             self.registry.attach_hub(id, hub);
@@ -724,7 +785,7 @@ impl Server {
         let cfg = self.conn_config(id, 1, peer);
         self.registry.activate(id, 1);
         let ctl = ConnCtl::new(self.drain_state());
-        let guarded = GuardedReader::new(reader, Vec::new(), Arc::clone(&ctl), true);
+        let guarded = GuardedReader::new(reader, Arc::clone(&ctl), true);
         let mut sock = match AdocSocket::with_config(guarded, writer, cfg) {
             Ok(s) => s,
             Err(e) => {

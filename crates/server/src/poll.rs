@@ -16,9 +16,11 @@
 //! rebuilds its fd array per call and is O(registered), acceptable as
 //! a portability net, not a scaling target.
 
-use std::io;
+use parking_lot::Mutex;
+use std::io::{self, PipeReader, PipeWriter, Read as _, Write as _};
 use std::os::raw::c_int;
-use std::os::unix::io::RawFd;
+use std::os::unix::io::{AsRawFd, RawFd};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 /// What a registration wants to be woken for.
@@ -63,6 +65,52 @@ pub struct PollEvent {
     /// The fd reported an error or hangup; the owner should read/write
     /// to collect the error and retire the connection.
     pub error: bool,
+}
+
+/// Self-pipe waker: any thread makes the poll loop's next
+/// [`Poller::wait`] return at once. `pending` coalesces bursts into at
+/// most one pipe byte.
+#[derive(Debug)]
+pub struct Waker {
+    tx: Mutex<PipeWriter>,
+    pending: AtomicBool,
+}
+
+impl Waker {
+    /// A waker whose pipe is registered with `poller` under `token`,
+    /// and the read end the poll loop hands back to
+    /// [`Waker::consume`] when that token reports readable.
+    pub fn new(poller: &Poller, token: u64) -> io::Result<(Waker, PipeReader)> {
+        let (rx, tx) = io::pipe()?;
+        poller.register(rx.as_raw_fd(), token, Interest::READ)?;
+        let waker = Waker {
+            tx: Mutex::new(tx),
+            pending: AtomicBool::new(false),
+        };
+        Ok((waker, rx))
+    }
+
+    /// Makes the next (or current) wait return.
+    pub fn wake(&self) {
+        if !self.pending.swap(true, Ordering::AcqRel) {
+            // EPIPE after the poll loop exits is harmless (Rust ignores
+            // SIGPIPE); the write is best-effort by design.
+            let _ = self.tx.lock().write(&[1]);
+        }
+    }
+
+    /// Consumes a wake. The pipe is drained BEFORE the flag is cleared:
+    /// `wake` only writes on a false→true transition, so while
+    /// `pending` is true no byte can land and this read cannot eat one
+    /// whose `wake` skipped the write. (Clearing first lets a wake slip
+    /// between clear and read, leaving `pending` true over an empty
+    /// pipe — a dead waker.) Act on the wake after this returns, and
+    /// whatever is queued meanwhile still wakes the next wait.
+    pub fn consume(&self, rx: &mut PipeReader) {
+        let mut drain_buf = [0u8; 64];
+        let _ = rx.read(&mut drain_buf);
+        self.pending.store(false, Ordering::Release);
+    }
 }
 
 /// Level-triggered readiness poller (see the module docs).
@@ -380,7 +428,6 @@ mod fallback {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write as _;
     use std::os::unix::io::AsRawFd;
     use std::time::Instant;
 

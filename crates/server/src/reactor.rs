@@ -1,29 +1,35 @@
-//! The readiness-driven I/O front end: every v1 connection the TCP
-//! daemon accepts is owned by one reactor thread that multiplexes all
-//! of their sockets through a [`Poller`], instead of parking one OS
-//! thread per connection in blocking reads.
+//! The readiness-driven I/O front end: one reactor thread owns the
+//! listener and every v1 connection it accepts, multiplexing all of
+//! their sockets through a [`Poller`] instead of parking one OS thread
+//! per connection in blocking reads.
 //!
 //! ## Shape
 //!
-//! The accept loop hands raw sockets to [`ReactorHandle::register`];
-//! the reactor sniffs the two protocol bytes itself (under the hello
-//! timeout, now a reactor timer instead of a socket timeout):
+//! The listener sits in the poll set under its own token: a dial wakes
+//! the reactor, which accepts it and sniffs the two protocol bytes
+//! (under the hello timeout, a reactor timer):
 //!
-//! * a v1 message header → the connection becomes a resumable state
-//!   machine ([`State`]) registered with the poller and served to
-//!   completion without ever blocking the reactor;
+//! * a v1 message header → the connection is registered and served to
+//!   completion as a resumable state machine ([`Stage`]) without ever
+//!   blocking the reactor;
 //! * a v2 group hello → the socket is flipped back to blocking mode
-//!   and handed to a dedicated thread running the unchanged
-//!   stream-group path (groups are rare, bounded by admission, and
-//!   their striped frame scheduling is inherently thread-shaped);
-//! * anything else → a handshake failure, exactly as before.
+//!   and handed to a dedicated thread running the stream-group path
+//!   (groups are rare, bounded by admission, and their striped frame
+//!   scheduling is inherently thread-shaped);
+//! * anything else → a handshake failure.
 //!
-//! Codec work never runs on the reactor thread: frames above level 0
-//! are inflated/deflated by the bounded [`WorkerPool`] (one job in
-//! flight per connection), so a core count's worth of workers bounds
-//! compression CPU no matter how many sockets are registered — the
-//! paper's "compression may use spare cycles, never extra capacity"
-//! premise applied to the server's concurrency structure.
+//! The state machine is a driver, not a protocol implementation: all
+//! inbound bytes arrive through one resumable read ([`fill`], told
+//! *what* it fills by a [`Target`]), all outbound bytes leave through
+//! one drain ([`drain`]) over the reply's short queue of byte spans
+//! ([`Span`]), both meet the scheduler in one place
+//! ([`Cursor::limit`]), and the one piece of policy — the level of the
+//! next reply frame — is [`next_reply_level`]. Codec work never runs
+//! here: frames above level 0 go through the bounded [`WorkerPool`]
+//! (one job in flight per connection), so a core count's worth of
+//! workers bounds compression CPU however many sockets are registered —
+//! the paper's "compression may use spare cycles, never extra capacity"
+//! applied to the server's concurrency structure.
 //!
 //! ## Backpressure and fairness
 //!
@@ -32,29 +38,29 @@
 //! the connection — its poller interest drops to [`Interest::NONE`]
 //! (level-triggered polling would otherwise spin on the readable
 //! socket it must not drain yet) and a reactor timer re-tries at the
-//! scheduler's hinted deadline. The scheduler's parked-waker fires the
-//! reactor's wake pipe early when refill credit or a budget change
-//! makes progress likely, so throttled connections neither spin nor
-//! oversleep.
+//! scheduler's hinted deadline; the scheduler's parked-waker fires the
+//! wake pipe earlier when progress becomes likely. Admission control is
+//! the same move applied to the listener: at `max_conns` its interest
+//! drops to `NONE` — excess dials queue in the kernel backlog — and the
+//! close that frees a slot restores it.
 //!
 //! ## Drain
 //!
-//! The drain contract is unchanged from the thread-per-connection
-//! front end: a draining server closes connections sitting at a
-//! message boundary immediately, lets mid-message connections finish
-//! (reads, worker jobs, and reply writes all keep running), and cuts
-//! whatever is left as `Failed` once the drain deadline passes. An
-//! idle fleet of thousands of connections therefore drains in one
-//! sweep instead of thousands of poll-timeout round trips.
+//! A draining server closes connections sitting at a message boundary
+//! immediately, lets mid-message connections finish, serves no
+//! connection sniffed after the drain began, and cuts whatever is left
+//! as `Failed` once the drain deadline passes; shutdown closes the
+//! listener before anything else. An idle fleet of thousands of
+//! connections therefore drains in one sweep.
 
 use crate::conn::{fnv1a64, sink_ack, DrainState, ServeMode};
 use crate::daemon::{handle_group_stream, PendingGroups};
 use crate::event::Event;
-use crate::poll::{Interest, PollEvent, Poller};
+use crate::poll::{Interest, PollEvent, Poller, Waker};
 use crate::registry::{ConnId, ConnOutcome};
-use crate::trace::StageTimes;
+use crate::trace::{MsgSpan, StageKind};
 use crate::workers::{default_worker_threads, Job, JobTiming, WorkerPool};
-use crate::Server;
+use crate::{ServedMessage, Server};
 use adoc::wire::{
     self, FrameHeader, MsgKind, FRAME_HEADER_LEN, GROUP_MAGIC, MAGIC, MSG_HEADER_LEN,
 };
@@ -63,8 +69,8 @@ use adoc_codec::ADOC_MAX_LEVEL;
 use parking_lot::Mutex;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
-use std::io::{self, PipeReader, PipeWriter, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::io::{self, PipeReader, Read as _, Write as _};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -74,378 +80,473 @@ use std::time::{Duration, Instant};
 /// Poller token reserved for the reactor's wake pipe.
 const WAKE_TOKEN: u64 = u64::MAX;
 
-/// Upper bound on an idle poll sleep: control-plane state the reactor
-/// cannot be woken for directly (a drain started over HTTP) is noticed
-/// within this window.
-const IDLE_POLL: Duration = Duration::from_millis(500);
+/// Poller token reserved for the listener.
+const LISTEN_TOKEN: u64 = u64::MAX - 1;
 
-/// Poll cap while draining or stopping: the drain deadline and the
-/// empty-conns exit condition are re-checked at this cadence.
+/// Timer-heap token of the housekeeping pass (never a poller token).
+const HOUSEKEEPING_TOKEN: u64 = u64::MAX - 2;
+
+/// Cadence of the housekeeping timer — also the window within which
+/// state the reactor cannot be woken for (a drain started over HTTP) is
+/// noticed.
+const HOUSEKEEPING: Duration = Duration::from_millis(100);
+
+/// Poll cap while draining or stopping, when deadlines matter.
 const DRAIN_POLL: Duration = Duration::from_millis(10);
-
-/// Self-pipe waker: any thread (scheduler refills, worker completions,
-/// the accept loop) makes the reactor's next `poll` return immediately.
-/// The `pending` flag coalesces bursts into at most one pipe byte.
-struct Waker {
-    tx: Mutex<PipeWriter>,
-    pending: AtomicBool,
-}
-
-impl Waker {
-    fn wake(&self) {
-        if !self.pending.swap(true, Ordering::AcqRel) {
-            // EPIPE after the reactor exits is harmless (Rust ignores
-            // SIGPIPE); the write is best-effort by design.
-            let _ = self.tx.lock().write(&[1]);
-        }
-    }
-
-    fn clear(&self) {
-        self.pending.store(false, Ordering::Release);
-    }
-}
 
 /// State shared between the reactor thread and its handle.
 struct Shared {
-    /// Sockets accepted but not yet picked up by the reactor.
-    inject: Mutex<Vec<(TcpStream, SocketAddr)>>,
     /// Finished worker jobs waiting for the reactor to resume their
-    /// connections. `Err` carries a worker panic or codec failure; the
-    /// [`JobTiming`] is the job's queue wait and codec time for the
-    /// connection's stage span.
+    /// connections.
     completions: Mutex<Vec<Completion>>,
     /// Connections currently owned by the reactor plus running group
-    /// threads — the daemon's admission-control count.
+    /// threads — the admission-control count, and what shutdown waits
+    /// to see reach zero.
     live: AtomicUsize,
     stop: AtomicBool,
-    waker: Arc<Waker>,
+    /// Scheduler refills, worker completions and exiting group threads
+    /// wake the reactor through this.
+    waker: Waker,
 }
 
-/// What a worker job hands back to the state machine.
-enum JobDone {
-    /// Decompressed inbound frame bytes (appended to the message).
-    Inflated(Vec<u8>),
-    /// An encoded reply frame (header included). `level` is the level
-    /// actually used — 0 when compression did not pay and the worker
-    /// fell back to a stored frame (`trip`).
-    Deflated {
-        level: u8,
-        trip: bool,
-        frame: Vec<u8>,
-    },
+/// What a worker job hands back: an inbound frame's decompressed
+/// bytes, or an encoded reply frame (header included), with the level
+/// actually used — 0 when compression did not pay and the frame was
+/// stored. `Err` is a codec failure or a worker panic.
+type JobResult = Result<(u8, Vec<u8>), String>;
+
+/// Gives a group thread's admission slot back when it ends — by return
+/// or by panic — and tells the reactor.
+struct Slot(Arc<Shared>);
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        self.0.live.fetch_sub(1, Ordering::Relaxed);
+        self.0.waker.wake();
+    }
 }
 
-type JobResult = Result<JobDone, String>;
-
-/// One worker completion routed back to the reactor: `(token, result,
-/// timing)`.
+/// `(token, result, the job's queue wait and codec time)`.
 type Completion = (u64, JobResult, JobTiming);
 
-/// Which stage owns the span's lap clock on the reactor thread. Worker
-/// stages (queue wait, codec) are measured by the worker itself and
-/// folded in via [`MsgSpan::absorb_job`].
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum StageKind {
-    /// Reading inbound bytes (header, body, probe, frame payloads).
-    Read,
-    /// Parked on a refused wire admission.
-    SchedWait,
-    /// Writing the reply.
-    Write,
-}
-
-/// Lap clock over one in-flight message: wall time since `mark`
-/// accrues to `owner` whenever ownership switches, so park time lands
-/// in `sched_us` no matter which stage the refusal interrupted.
-/// Created when the first header byte arrives (idle client think-time
-/// between messages belongs to no span) and finished at the reply's
-/// last byte. Stages deliberately need not sum to `total_us`: handoff
-/// slivers (a completion waiting for the next poll) are dropped rather
-/// than misattributed.
-struct MsgSpan {
-    started: Instant,
-    mark: Instant,
-    owner: StageKind,
-    times: StageTimes,
-}
-
-impl MsgSpan {
-    fn begin() -> MsgSpan {
-        let now = Instant::now();
-        MsgSpan {
-            started: now,
-            mark: now,
-            owner: StageKind::Read,
-            times: StageTimes::default(),
-        }
-    }
-
-    /// Charges the lap since `mark` to the current owner.
-    fn flush(&mut self) {
-        let now = Instant::now();
-        let us = now.duration_since(self.mark).as_micros() as u64;
-        match self.owner {
-            StageKind::Read => self.times.read_us += us,
-            StageKind::SchedWait => self.times.sched_us += us,
-            StageKind::Write => self.times.write_us += us,
-        }
-        self.mark = now;
-    }
-
-    /// Charges the lap to the current owner, then hands the clock to
-    /// `to`.
-    fn switch(&mut self, to: StageKind) {
-        self.flush();
-        self.owner = to;
-    }
-
-    /// Folds a worker job's self-measured durations in and restarts the
-    /// lap at now (the submit-side `flush` already closed the reactor's
-    /// lap, so the worker interval is never double-counted).
-    fn absorb_job(&mut self, timing: JobTiming) {
-        self.times.queue_us += timing.queue.as_micros() as u64;
-        self.times.codec_us += timing.codec.as_micros() as u64;
-        self.mark = Instant::now();
-    }
-
-    /// Closes the span: final lap charged, total stamped.
-    fn finish(mut self) -> StageTimes {
-        self.flush();
-        self.times.total_us = self.started.elapsed().as_micros() as u64;
-        self.times
-    }
-}
-
-/// The handle the daemon owns: socket injection, the admission gauge,
-/// and shutdown.
+/// The handle the daemon owns on a spawned reactor: shutdown.
 pub struct ReactorHandle {
     shared: Arc<Shared>,
-    thread: Option<JoinHandle<()>>,
-}
-
-impl std::fmt::Debug for ReactorHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ReactorHandle")
-            .field("live", &self.live())
-            .finish()
-    }
+    thread: JoinHandle<()>,
 }
 
 impl ReactorHandle {
-    /// Hands an accepted socket to the reactor. Counted in
-    /// [`ReactorHandle::live`] immediately, so the accept loop's
-    /// admission check has no injection-queue blind spot.
-    pub fn register(&self, stream: TcpStream, peer: SocketAddr) {
-        self.shared.live.fetch_add(1, Ordering::Relaxed);
-        self.shared.inject.lock().push((stream, peer));
-        self.shared.waker.wake();
-    }
-
-    /// Connections owned by the reactor (sniffing, serving, or running
-    /// as group threads it spawned).
-    pub fn live(&self) -> usize {
-        self.shared.live.load(Ordering::Relaxed)
-    }
-
-    /// A second, thread-less handle on the same reactor (for the
-    /// accept loop; the owner keeps the joinable one).
-    pub fn injector(&self) -> ReactorHandle {
-        ReactorHandle {
-            shared: Arc::clone(&self.shared),
-            thread: None,
-        }
-    }
-
-    /// Stops the reactor once every connection has closed (the caller
-    /// starts the server drain first; the drain deadline bounds the
-    /// wait) and joins its thread.
-    pub fn shutdown(mut self) -> io::Result<()> {
+    /// Closes the listener, stops the reactor once every connection
+    /// has closed (the caller starts the server drain first; the drain
+    /// deadline bounds the wait) and joins its thread.
+    pub fn shutdown(self) -> io::Result<()> {
         self.shared.stop.store(true, Ordering::Relaxed);
         self.shared.waker.wake();
-        if let Some(t) = self.thread.take() {
-            if t.join().is_err() {
-                return Err(io::Error::other("reactor thread panicked"));
-            }
-        }
-        Ok(())
+        self.thread
+            .join()
+            .map_err(|_| io::Error::other("reactor thread panicked"))
     }
 }
 
-/// Resumable per-connection protocol position. Cursor fields live in
-/// the variants; bulk buffers live on [`Conn`].
-enum State {
-    /// Reading the two protocol-sniff bytes (pre-registry).
-    Sniff { got: usize },
-    /// Reading a 10-byte message header; `got == 0` is the message
-    /// boundary the drain logic keys on.
-    ReadHeader { got: usize },
-    /// Reading a direct message body straight into `msg`.
-    ReadDirect { credit: usize },
-    /// Reading an adaptive message's 4-byte probe-length prefix.
-    ReadProbeLen { got: usize },
-    /// Reading the raw probe bytes into `msg[..end]`.
-    ReadProbe { end: usize, credit: usize },
-    /// Reading a 9-byte frame header.
-    ReadFrameHeader { got: usize },
-    /// Parked: the frame payload's wire admission was refused.
-    AwaitPayloadBudget { hdr: FrameHeader },
-    /// Reading one frame's payload.
-    ReadFramePayload {
-        hdr: FrameHeader,
-        payload: PooledBuf,
-        got: usize,
-    },
-    /// A decompression job is in flight; the completion resumes us.
-    Inflate,
-    /// Writing the reply.
-    Reply(Reply),
-    /// A compression job for the next reply frame is in flight.
-    Deflate(Reply),
-    /// Transient placeholder while an arm owns the state.
-    Taken,
-}
-
-/// Progress of one reply message.
-struct Reply {
-    /// Message header (plus the zero probe-length prefix when
-    /// adaptive).
-    head: Vec<u8>,
-    head_pos: usize,
-    body: ReplyBody,
-    /// Offset into `msg` of the next chunk to encode (adaptive echo).
-    next_chunk: usize,
-    /// The encoded frame currently being written, if any.
-    frame: Option<(Vec<u8>, usize)>,
-    /// Wire admission for the current frame/body already granted.
-    charged: bool,
-    /// The current frame's write saw backpressure (drives the level
-    /// controller).
-    blocked: bool,
-    /// Total bytes put on the wire for this reply.
-    wire: u64,
-    /// Raw bytes of the reply (echo: the message length; sink: 16).
-    raw: u64,
-}
-
-enum ReplyBody {
-    /// Echo the message raw after the header.
-    Direct { pos: usize, credit: usize },
-    /// 16-byte sink acknowledgement.
-    Ack { buf: [u8; 16], pos: usize },
-    /// Chunked adaptive frames built from `msg`.
-    Adaptive,
+/// The socket side of a connection.
+struct Io {
+    stream: TcpStream,
+    peer: SocketAddr,
+    token: u64,
+    /// Interest currently installed in the poller.
+    interest: Interest,
+    /// Generation of this connection's live timer; stale heap entries
+    /// are skipped on pop.
+    timer_gen: u64,
 }
 
 /// One reactor-owned connection.
 struct Conn {
-    stream: TcpStream,
-    peer: SocketAddr,
-    token: u64,
-    /// Registry id once the sniff proves this is a v1 connection.
-    id: Option<ConnId>,
-    /// Per-connection config (scheduler throttle chained) — present
-    /// exactly when `id` is.
-    cfg: Option<AdocConfig>,
+    io: Io,
     state: State,
-    /// Interest currently installed in the poller.
-    interest: Interest,
-    /// Header/prefix scratch (message header, probe length, frame
-    /// header all fit).
-    hdr: [u8; MSG_HEADER_LEN],
-    /// Raw length of the in-flight inbound message.
-    raw_len: u64,
-    /// Inbound message bytes assembled so far (`msg[..filled]` valid;
-    /// the buffer is pre-sized to `raw_len`).
-    msg: Option<PooledBuf>,
-    filled: usize,
-    /// Send-path statistics (the reply side), mirrored into the
-    /// registry after every message like the blocking serve loop.
+}
+
+enum State {
+    /// Pre-registry: reading the two protocol-sniff bytes — the start
+    /// of a message header, if this is a v1 connection.
+    Sniff(Read),
+    /// A registered v1 connection and where its current message stands.
+    Serving(Box<Session>, Stage),
+}
+
+impl State {
+    /// Registry id once the sniff has proved this is a v1 connection.
+    fn id(&self) -> Option<ConnId> {
+        match self {
+            State::Sniff(_) => None,
+            State::Serving(sess, _) => Some(sess.id),
+        }
+    }
+}
+
+/// What registration gives a v1 connection, for its whole life.
+struct Session {
+    id: ConnId,
+    /// Per-connection config (scheduler throttle chained).
+    cfg: AdocConfig,
+    /// Reply-side statistics, mirrored into the registry per message.
     stats: adoc::TransferStats,
     last_level: Option<u8>,
-    /// Reply-side compression level controller: climbs on write
-    /// backpressure, decays toward `min_level` when the socket keeps
-    /// up — the paper's adaptation signal, driven by readiness instead
-    /// of a blocked `write`.
-    out_level: u8,
-    /// Generation of this connection's live timer; stale heap entries
-    /// are skipped on pop.
-    timer_gen: u64,
-    /// Stage span of the in-flight message (present between the first
-    /// header byte and the reply's last byte, on traced servers).
+    /// Level of the next reply frame; see [`next_reply_level`].
+    level: u8,
+    /// Stage span of the in-flight message (first header byte to last
+    /// reply byte, on traced servers).
     span: Option<MsgSpan>,
 }
 
-impl Conn {
+/// Resumable protocol position of the message in flight. Every buffer
+/// a stage needs travels inside it.
+enum Stage {
+    /// Filling [`Read::target`] from the socket.
+    Read(Read),
+    /// A decompression job is in flight; the completion resumes us.
+    Inflate(Inbound),
+    /// Writing the reply.
+    Reply(Reply),
+    /// A compression job for the next reply frame is in flight.
+    Deflate(Reply),
+}
+
+/// The inbound message: a buffer of the announced raw length and how
+/// much of it has been assembled.
+struct Inbound {
+    buf: PooledBuf,
+    filled: usize,
+}
+
+/// Progress through one run of bytes moving under wire admission.
+#[derive(Default)]
+struct Cursor {
+    /// Bytes moved so far.
+    pos: usize,
+    /// Bytes wire admission has covered and the socket not yet moved.
+    credit: usize,
+}
+
+impl Cursor {
+    /// How far the next I/O call may go in a `len`-byte run — the one
+    /// place I/O meets the scheduler: to the run's end when unmetered
+    /// (`quantum == 0`), else to the end of what wire admission has
+    /// covered, asking `admit` for the next quantum when that is
+    /// nothing. `None` = refused: the connection parks.
+    fn limit(
+        &mut self,
+        len: usize,
+        quantum: usize,
+        admit: &mut impl FnMut(usize) -> bool,
+    ) -> Option<usize> {
+        if quantum == 0 {
+            return Some(len);
+        }
+        if self.credit == 0 {
+            let want = (len - self.pos).min(quantum);
+            if !admit(want) {
+                return None;
+            }
+            self.credit = want;
+        }
+        Some(self.pos + self.credit)
+    }
+
+    fn advance(&mut self, n: usize) {
+        self.pos += n;
+        self.credit = self.credit.saturating_sub(n);
+    }
+}
+
+/// One resumable inbound read: what is being filled and how far.
+struct Read {
+    target: Target,
+    cur: Cursor,
+    /// Where the header-sized targets land.
+    scratch: [u8; MSG_HEADER_LEN],
+}
+
+/// What a [`Read`] fills.
+enum Target {
+    /// The 10-byte message header; nothing of it read yet is the
+    /// message boundary.
+    MsgHeader,
+    /// An adaptive message's 4-byte probe-length prefix.
+    ProbeLen(Inbound),
+    /// A 9-byte frame header.
+    FrameHeader(Inbound),
+    /// Raw bytes into `msg.buf[msg.filled..end]`, admitted `quantum` at
+    /// a time: a direct body (`buffer_size` quanta, like the blocking
+    /// receiver), a probe (`packet_size`), or a stored frame (whole).
+    Body {
+        msg: Inbound,
+        end: usize,
+        quantum: usize,
+    },
+    /// A compressed frame's payload, admitted whole before its first
+    /// byte.
+    Payload(Inbound, FrameHeader, PooledBuf),
+}
+
+impl Read {
+    fn new(target: Target) -> Read {
+        let mut cur = Cursor::default();
+        if let Target::Body { msg, .. } = &target {
+            cur.pos = msg.filled;
+        }
+        Read {
+            target,
+            cur,
+            scratch: [0u8; MSG_HEADER_LEN],
+        }
+    }
+
+    /// The step that starts reading `target`.
+    fn step(target: Target) -> Step {
+        Step::Next(Stage::Read(Read::new(target)))
+    }
+
     fn at_boundary(&self) -> bool {
-        matches!(self.state, State::ReadHeader { got: 0 })
+        matches!(self.target, Target::MsgHeader) && self.cur.pos == 0
     }
 
-    fn cfg(&self) -> &AdocConfig {
-        self.cfg
-            .as_ref()
-            .expect("registered connection has a config")
+    /// The bytes being filled, their admission quantum, the cursor.
+    fn window(&mut self) -> (&mut [u8], usize, &mut Cursor) {
+        let (dst, quantum) = match &mut self.target {
+            Target::MsgHeader => (&mut self.scratch[..], 0),
+            Target::ProbeLen(_) => (&mut self.scratch[..4], 0),
+            Target::FrameHeader(_) => (&mut self.scratch[..FRAME_HEADER_LEN], 0),
+            Target::Body { msg, end, quantum } => (&mut msg.buf[..*end], *quantum),
+            Target::Payload(_, _, payload) => {
+                let len = payload.len();
+                (&mut payload[..], len)
+            }
+        };
+        (dst, quantum, &mut self.cur)
     }
 }
 
-/// How a connection leaves the reactor.
-enum CloseKind {
-    /// Clean: counted `Completed` if registered.
-    Clean,
-    /// Protocol/io/worker failure: counted `Failed` if registered.
-    Failed,
-    /// Pre-registration failure (bad magic, hello timeout, EOF during
-    /// sniff): a handshake-failure count, like the blocking sniffer.
-    Handshake,
-}
-
-/// What driving a connection's state machine produced.
-enum Flow {
-    /// Still alive; install this poller interest and wait.
-    Keep(Interest),
-    Close(CloseKind),
-    /// Sniffed a v2 group hello: hand the socket to a blocking thread.
-    Handoff,
-}
-
-enum ReadStep {
-    Data(usize),
+/// How a [`fill`] ended.
+enum Fill {
+    /// The target is full.
+    Done,
+    /// The socket has no more bytes for now.
+    Block,
+    /// Wire admission was refused.
+    Parked,
     Eof,
-    Block,
     Fail,
 }
 
-fn read_step(stream: &mut TcpStream, buf: &mut [u8]) -> ReadStep {
-    if buf.is_empty() {
-        return ReadStep::Data(0);
-    }
+fn read_step(stream: &mut TcpStream, buf: &mut [u8]) -> Result<usize, Fill> {
     match stream.read(buf) {
-        Ok(0) => ReadStep::Eof,
-        Ok(n) => ReadStep::Data(n),
-        Err(e) if e.kind() == io::ErrorKind::WouldBlock => ReadStep::Block,
-        Err(e) if e.kind() == io::ErrorKind::Interrupted => ReadStep::Data(0),
-        Err(_) => ReadStep::Fail,
+        Ok(0) => Err(Fill::Eof),
+        Ok(n) => Ok(n),
+        Err(e) if e.kind() == io::ErrorKind::WouldBlock => Err(Fill::Block),
+        Err(e) if e.kind() == io::ErrorKind::Interrupted => Ok(0),
+        Err(_) => Err(Fill::Fail),
     }
 }
 
-enum WriteStep {
-    Data(usize),
+/// The one resumable read: pulls bytes from `stream` into `dst` until
+/// it is full, the socket runs dry, or `admit` refuses the next quantum
+/// of a metered target. Never reads past what was admitted.
+fn fill(
+    stream: &mut TcpStream,
+    dst: &mut [u8],
+    quantum: usize,
+    cur: &mut Cursor,
+    mut admit: impl FnMut(usize) -> bool,
+) -> Fill {
+    while cur.pos < dst.len() {
+        let Some(end) = cur.limit(dst.len(), quantum, &mut admit) else {
+            return Fill::Parked;
+        };
+        match read_step(stream, &mut dst[cur.pos..end]) {
+            Ok(n) => cur.advance(n),
+            Err(ended) => return ended,
+        }
+    }
+    Fill::Done
+}
+
+/// Message header plus an adaptive reply's zero probe-length prefix.
+const HEAD_MAX: usize = MSG_HEADER_LEN + 4;
+
+/// One contiguous run of reply bytes.
+enum Span {
+    /// The first `.1` bytes of `.0`: the head, never metered.
+    Head([u8; HEAD_MAX], usize),
+    /// A sink-mode acknowledgement, admitted whole.
+    Ack([u8; 16]),
+    /// An encoded frame (header included), admitted whole.
+    Frame(Vec<u8>),
+    /// The message itself (a direct echo), in `buffer_size` quanta.
+    Body,
+}
+
+/// Progress of one reply: the message it answers and a short queue of
+/// byte spans still to put on the wire.
+struct Reply {
+    /// The inbound message (echoed, or acknowledged and dropped).
+    msg: PooledBuf,
+    /// Spans not yet fully written, front first: a head plus the one
+    /// body span known up front, or one adaptive frame at a time.
+    out: [Option<Span>; 2],
+    /// Progress through the front span.
+    cur: Cursor,
+    /// The front span's write saw backpressure.
+    blocked: bool,
+    /// Offset into `msg` of the next chunk to encode as a frame
+    /// (`msg.len()` = nothing to encode).
+    next_chunk: usize,
+    /// Bytes put on the wire so far.
+    wire: u64,
+    /// Raw length the head announces (echo: the message's; sink: 16).
+    raw: u64,
+}
+
+impl Reply {
+    /// A reply of `kind` to `msg`: its head, then `body` if that is
+    /// one span known up front. An adaptive reply's frames are queued
+    /// as they are encoded, after a zero-length probe (the level rule,
+    /// not a probe, picks the starting level).
+    fn new(kind: MsgKind, body: Option<Span>, msg: PooledBuf) -> Reply {
+        let raw = match &body {
+            Some(Span::Ack(ack)) => ack.len(),
+            _ => msg.len(),
+        } as u64;
+        let adaptive = kind == MsgKind::Adaptive;
+        let mut head = [0u8; HEAD_MAX];
+        head[..MSG_HEADER_LEN].copy_from_slice(&wire::encode_msg_header(kind, raw));
+        let head_len = if adaptive { HEAD_MAX } else { MSG_HEADER_LEN };
+        Reply {
+            next_chunk: if adaptive { 0 } else { msg.len() },
+            msg,
+            out: [Some(Span::Head(head, head_len)), body],
+            cur: Cursor::default(),
+            blocked: false,
+            wire: 0,
+            raw,
+        }
+    }
+
+    fn push(&mut self, span: Span) {
+        let slot = if self.out[0].is_none() { 0 } else { 1 };
+        self.out[slot] = Some(span);
+    }
+}
+
+/// How a [`drain`] ended.
+enum Drain {
+    /// Every queued span is on the wire.
+    Empty,
+    /// A frame just completed; `blocked` = its write saw backpressure.
+    Frame {
+        blocked: bool,
+    },
+    /// The socket's send buffer is full.
     Block,
+    /// Wire admission was refused.
+    Parked,
     Fail,
 }
 
-fn write_step(stream: &mut TcpStream, buf: &[u8]) -> WriteStep {
+fn write_step(stream: &mut TcpStream, buf: &[u8]) -> Result<usize, Drain> {
     match stream.write(buf) {
-        Ok(0) => WriteStep::Fail,
-        Ok(n) => WriteStep::Data(n),
-        Err(e) if e.kind() == io::ErrorKind::WouldBlock => WriteStep::Block,
-        Err(e) if e.kind() == io::ErrorKind::Interrupted => WriteStep::Data(0),
-        Err(_) => WriteStep::Fail,
+        Ok(0) => Err(Drain::Fail),
+        Ok(n) => Ok(n),
+        Err(e) if e.kind() == io::ErrorKind::WouldBlock => Err(Drain::Block),
+        Err(e) if e.kind() == io::ErrorKind::Interrupted => Ok(0),
+        Err(_) => Err(Drain::Fail),
     }
+}
+
+/// The one reply drain: writes the queued spans front to back until
+/// the queue is empty, the socket pushes back, or `admit` refuses the
+/// next quantum of a metered span. Never writes past what was admitted.
+fn drain(
+    stream: &mut TcpStream,
+    reply: &mut Reply,
+    buffer_size: usize,
+    mut admit: impl FnMut(usize) -> bool,
+) -> Drain {
+    loop {
+        let (bytes, quantum): (&[u8], usize) = match &reply.out[0] {
+            None => return Drain::Empty,
+            Some(Span::Head(head, len)) => (&head[..*len], 0),
+            Some(Span::Ack(ack)) => (&ack[..], ack.len()),
+            Some(Span::Frame(frame)) => (&frame[..], frame.len()),
+            Some(Span::Body) => (&reply.msg[..], buffer_size),
+        };
+        while reply.cur.pos < bytes.len() {
+            let Some(end) = reply.cur.limit(bytes.len(), quantum, &mut admit) else {
+                return Drain::Parked;
+            };
+            match write_step(stream, &bytes[reply.cur.pos..end]) {
+                Ok(n) => {
+                    reply.cur.advance(n);
+                    reply.wire += n as u64;
+                }
+                Err(ended) => {
+                    reply.blocked |= matches!(ended, Drain::Block);
+                    return ended;
+                }
+            }
+        }
+        let done = reply.out[0].take();
+        reply.out.swap(0, 1);
+        reply.cur = Cursor::default();
+        let blocked = std::mem::take(&mut reply.blocked);
+        if let Some(Span::Frame(_)) = done {
+            return Drain::Frame { blocked };
+        }
+    }
+}
+
+/// The reply-level rule, the reactor's one piece of adaptation policy:
+/// a frame whose write saw backpressure raises the level (spend cycles
+/// to shrink the wire), a clean write decays it toward `min_level` —
+/// the paper's signal, read from readiness instead of a blocked
+/// `write`. (Not yet the Fig. 2 controller or its guards: swapping in
+/// `LevelController` replaces this function.)
+fn next_reply_level(blocked: bool, level: u8, cfg: &AdocConfig) -> u8 {
+    if blocked {
+        (level + 1).min(cfg.max_level)
+    } else if level > cfg.min_level {
+        level - 1
+    } else {
+        level
+    }
+}
+
+/// A frame on the wire: header, then `body` (`raw` itself at level 0).
+fn encode_frame(level: u8, raw: &[u8], body: &[u8]) -> Vec<u8> {
+    let hdr = FrameHeader {
+        level,
+        raw_len: raw.len() as u32,
+        payload_len: body.len() as u32,
+    };
+    let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + body.len());
+    frame.extend_from_slice(&hdr.encode());
+    frame.extend_from_slice(body);
+    frame
+}
+
+/// What one turn of a connection's state machine produced.
+enum Step {
+    /// Keep going from this stage.
+    Next(Stage),
+    /// Wait in this stage for this readiness — with `NONE`, for a
+    /// timer, the scheduler's waker or a worker completion.
+    Wait(Stage, Interest),
+    /// The connection is over.
+    Close(ConnOutcome),
 }
 
 /// The reactor itself. [`Reactor::spawn`] runs it on a named thread
-/// behind a [`ReactorHandle`]; tests drive [`Reactor::run_once`]
-/// directly for deterministic single-step control.
+/// behind a [`ReactorHandle`]; tests step [`Reactor::run_once`].
 pub struct Reactor {
     server: Arc<Server>,
     pending: Arc<PendingGroups>,
@@ -453,6 +554,11 @@ pub struct Reactor {
     wake_rx: PipeReader,
     shared: Arc<Shared>,
     pool: WorkerPool<JobResult>,
+    /// In the poll set under [`LISTEN_TOKEN`] until shutdown.
+    listener: Option<TcpListener>,
+    /// The listener's interest is `READ`, not `NONE` (at `max_conns`,
+    /// or `accept` is failing).
+    listening: bool,
     conns: HashMap<u64, Conn>,
     /// `(deadline, token, timer_gen)` min-heap; entries whose gen no
     /// longer matches the connection are skipped (lazy deletion).
@@ -460,52 +566,44 @@ pub struct Reactor {
     /// Tokens parked on a throttle refusal — all retried when the
     /// scheduler's waker fires.
     throttled: HashSet<u64>,
-    group_threads: Vec<JoinHandle<()>>,
     events: Vec<PollEvent>,
     drain: Arc<DrainState>,
     next_token: u64,
-    /// Stage spans are recorded only on instrumented servers, so the
-    /// bare bench configuration pays nothing for the latency layer.
+    /// Stage spans are kept only on instrumented servers.
     traced: bool,
-    /// [`crate::ServerConfig::slow_request_threshold`] in microseconds.
-    slow_us: u64,
 }
 
 impl Reactor {
-    /// Builds a reactor for `server` without starting a thread.
-    pub fn new(server: Arc<Server>, pending: Arc<PendingGroups>) -> io::Result<Reactor> {
+    /// A reactor for `server` accepting on (nonblocking) `listener`.
+    pub fn new(
+        server: Arc<Server>,
+        pending: Arc<PendingGroups>,
+        listener: TcpListener,
+    ) -> io::Result<Reactor> {
         let poller = Poller::new()?;
-        let (wake_rx, wake_tx) = io::pipe()?;
-        poller.register(wake_rx.as_raw_fd(), WAKE_TOKEN, Interest::READ)?;
-        let waker = Arc::new(Waker {
-            tx: Mutex::new(wake_tx),
-            pending: AtomicBool::new(false),
-        });
+        let (waker, wake_rx) = Waker::new(&poller, WAKE_TOKEN)?;
+        poller.register(listener.as_raw_fd(), LISTEN_TOKEN, Interest::READ)?;
         let shared = Arc::new(Shared {
-            inject: Mutex::new(Vec::new()),
             completions: Mutex::new(Vec::new()),
             live: AtomicUsize::new(0),
             stop: AtomicBool::new(false),
-            waker: Arc::clone(&waker),
+            waker,
         });
         // Parked connections are re-tried as soon as refill credit or a
         // budget change lands, not only at their hinted retry deadline.
-        let sched_waker = Arc::clone(&waker);
+        let sched_shared = Arc::clone(&shared);
         server
             .scheduler()
-            .set_parked_waker(Arc::new(move || sched_waker.wake()));
+            .set_parked_waker(Arc::new(move || sched_shared.waker.wake()));
         let completion_shared = Arc::clone(&shared);
         let pool = WorkerPool::new(
             default_worker_threads(),
             Arc::clone(server.worker_gauges()),
             server.events_shared(),
             move |conn, result, timing| {
-                // Flatten the pool's panic channel into the job's own
-                // error channel: both close the connection the same way.
-                let flat = match result {
-                    Ok(inner) => inner,
-                    Err(panic) => Err(panic),
-                };
+                // A panic and a job's own error share one channel: both
+                // close the connection the same way.
+                let flat = result.and_then(std::convert::identity);
                 completion_shared
                     .completions
                     .lock()
@@ -513,48 +611,38 @@ impl Reactor {
                 completion_shared.waker.wake();
             },
         );
-        let drain = server.drain_state();
-        let traced = server.config().instrument;
-        let slow_us = server.config().slow_request_threshold.as_micros() as u64;
+        let first_pass = Reverse((Instant::now() + HOUSEKEEPING, HOUSEKEEPING_TOKEN, 0));
         Ok(Reactor {
-            traced,
-            slow_us,
+            traced: server.config().instrument,
+            drain: server.drain_state(),
             server,
             pending,
             poller,
             wake_rx,
             shared,
             pool,
+            listener: Some(listener),
+            listening: true,
             conns: HashMap::new(),
-            timers: BinaryHeap::new(),
+            timers: BinaryHeap::from([first_pass]),
             throttled: HashSet::new(),
-            group_threads: Vec::new(),
             events: Vec::new(),
-            drain,
             next_token: 1,
         })
     }
 
     /// Spawns the reactor loop on a dedicated thread.
-    pub fn spawn(server: Arc<Server>, pending: Arc<PendingGroups>) -> io::Result<ReactorHandle> {
-        let mut reactor = Reactor::new(server, pending)?;
+    pub fn spawn(
+        server: Arc<Server>,
+        pending: Arc<PendingGroups>,
+        listener: TcpListener,
+    ) -> io::Result<ReactorHandle> {
+        let mut reactor = Reactor::new(server, pending, listener)?;
         let shared = Arc::clone(&reactor.shared);
         let thread = std::thread::Builder::new()
             .name("adoc-reactor".into())
             .spawn(move || reactor.run())?;
-        Ok(ReactorHandle {
-            shared,
-            thread: Some(thread),
-        })
-    }
-
-    /// An injection/shutdown handle for a reactor driven manually with
-    /// [`Reactor::run_once`] (tests).
-    pub fn handle(&self) -> ReactorHandle {
-        ReactorHandle {
-            shared: Arc::clone(&self.shared),
-            thread: None,
-        }
+        Ok(ReactorHandle { shared, thread })
     }
 
     /// Connections currently owned (including group threads).
@@ -562,97 +650,69 @@ impl Reactor {
         self.shared.live.load(Ordering::Relaxed)
     }
 
+    fn stopping(&self) -> bool {
+        self.shared.stop.load(Ordering::Relaxed)
+    }
+
     /// Runs until stopped and empty.
     pub fn run(&mut self) {
-        loop {
-            if self.shared.stop.load(Ordering::Relaxed)
-                && self.conns.is_empty()
-                && self.group_threads.is_empty()
-            {
-                break;
-            }
+        while !(self.stopping() && self.live() == 0) {
             self.run_once(self.poll_timeout());
         }
     }
 
+    /// Time to the next timer (the housekeeping pass is always armed).
     fn poll_timeout(&self) -> Option<Duration> {
-        let now = Instant::now();
-        let mut timeout = self
-            .timers
-            .peek()
-            .map(|Reverse((deadline, _, _))| deadline.saturating_duration_since(now));
-        let cap = if self.drain.is_draining() || self.shared.stop.load(Ordering::Relaxed) {
-            DRAIN_POLL
-        } else {
-            IDLE_POLL
-        };
-        timeout = Some(timeout.map_or(cap, |t| t.min(cap)));
-        timeout
+        let Reverse((deadline, ..)) = self.timers.peek()?;
+        let next = deadline.saturating_duration_since(Instant::now());
+        let winding_down = self.drain.is_draining() || self.stopping();
+        let cap = if winding_down { DRAIN_POLL } else { next };
+        Some(next.min(cap))
     }
 
-    /// One poll-dispatch cycle; returns how many units of work
-    /// (readiness events, injections, completions, fired timers) were
-    /// dispatched. A parked or idle fleet produces ticks that return 0
-    /// and emit nothing.
+    /// One poll-dispatch cycle; returns the units of work dispatched
+    /// (accepted sockets, readiness events, completions, connection
+    /// timers). A parked or idle fleet's ticks return 0 and emit nothing.
     pub fn run_once(&mut self, timeout: Option<Duration>) -> usize {
         let mut events = std::mem::take(&mut self.events);
-        let n = self.poller.wait(&mut events, timeout);
         let mut work = 0usize;
         let mut woken = false;
-        if n.is_ok() {
-            for ev in &events {
-                if ev.token == WAKE_TOKEN {
-                    woken = true;
-                    // Drain the pipe BEFORE clearing the pending flag:
-                    // wake() only writes on a false→true transition, so
-                    // while `pending` is still true no new byte can
-                    // land, and this read can never consume a byte
-                    // whose wake() skipped the write. (Clearing first
-                    // opens exactly that race — a wake between the
-                    // clear and the read leaves pending=true with an
-                    // empty pipe, permanently wedging the waker.) A
-                    // wake landing after the clear writes its own byte,
-                    // which the next poll observes.
-                    let mut drain_buf = [0u8; 64];
-                    let _ = self.wake_rx.read(&mut drain_buf);
-                    self.shared.waker.clear();
-                } else {
-                    work += 1;
-                }
+        if self.poller.wait(&mut events, timeout).is_ok() {
+            if events.iter().any(|ev| ev.token == WAKE_TOKEN) {
+                woken = true;
+                // Consumed before dispatch, so a completion queued
+                // during it still wakes the next poll.
+                self.shared.waker.consume(&mut self.wake_rx);
             }
-            // Readiness dispatch happens after the wake-pipe drain so a
-            // completion queued during dispatch still wakes the next
-            // poll.
-            let ready: Vec<PollEvent> = events
-                .iter()
-                .filter(|ev| ev.token != WAKE_TOKEN)
-                .copied()
-                .collect();
-            for ev in ready {
-                if ev.error && !ev.readable && !ev.writable {
-                    // ERR/HUP is reported regardless of the interest
-                    // mask. With no readiness the state machine can act
-                    // on (a parked or worker-waiting connection holds
-                    // Interest::NONE), dispatching would just re-refuse
-                    // admission against a dead peer on every poll — a
-                    // 100% CPU loop growing the timer heap. The peer is
-                    // gone; close directly.
-                    if let Some(conn) = self.conns.remove(&ev.token) {
-                        let kind = if conn.id.is_some() {
-                            CloseKind::Failed
-                        } else {
-                            CloseKind::Handshake
-                        };
-                        self.close(conn, kind);
+            for ev in &events {
+                match ev.token {
+                    WAKE_TOKEN => {}
+                    LISTEN_TOKEN => work += self.accept_ready(),
+                    token if ev.readable || ev.writable || !ev.error => {
+                        work += 1;
+                        self.dispatch(token);
                     }
-                } else {
-                    self.dispatch(ev.token);
+                    token => {
+                        // Bare ERR/HUP, which arrives whatever the
+                        // interest mask. Dispatching a parked
+                        // (Interest::NONE) connection on it would
+                        // re-refuse admission against a dead peer every
+                        // poll — a 100% CPU loop growing the timer
+                        // heap. Close directly.
+                        work += 1;
+                        if let Some(Conn { io, state }) = self.conns.remove(&token) {
+                            self.close(io, state.id().map(|id| (id, ConnOutcome::Failed)));
+                        }
+                    }
                 }
             }
         }
         self.events = events;
-        work += self.process_injections();
-        work += self.process_completions();
+        let done: Vec<Completion> = std::mem::take(&mut *self.shared.completions.lock());
+        work += done.len();
+        for (token, result, timing) in done {
+            self.complete(token, result, timing);
+        }
         work += self.fire_timers();
         if woken {
             // The scheduler's waker cannot name a connection; retry the
@@ -661,9 +721,10 @@ impl Reactor {
             for token in parked {
                 self.dispatch(token);
             }
+            // Or a group thread gave its slot back.
+            self.resume_listener();
         }
         self.sweep_drain();
-        self.reap_group_threads();
         if work > 0 && self.server.events().is_active() {
             self.server.events().emit(Event::ReactorTick {
                 ready: work,
@@ -673,68 +734,94 @@ impl Reactor {
         work
     }
 
-    fn process_injections(&mut self) -> usize {
-        let injected: Vec<(TcpStream, SocketAddr)> =
-            std::mem::take(&mut *self.shared.inject.lock());
-        let n = injected.len();
-        for (stream, peer) in injected {
-            self.admit(stream, peer);
+    /// Admission control counts every socket the reactor owns, not
+    /// just registered connections (a dial burst would otherwise sit
+    /// unbounded in sniff states), plus parked group streams, which
+    /// have no reactor entry.
+    fn has_room(&self) -> bool {
+        self.live() + self.pending.parked() < self.server.config().max_conns
+    }
+
+    /// `READ`, or `NONE` to leave dials in the kernel backlog.
+    fn listen(&mut self, on: bool) {
+        let interest = if on { Interest::READ } else { Interest::NONE };
+        if let Some(listener) = &self.listener {
+            if self
+                .poller
+                .modify(listener.as_raw_fd(), LISTEN_TOKEN, interest)
+                .is_ok()
+            {
+                self.listening = on;
+            }
         }
-        n
+    }
+
+    /// Re-arms a paused listener if there is room. Called where room
+    /// appears: a close, a group thread's wake, housekeeping.
+    fn resume_listener(&mut self) {
+        if !self.listening && self.has_room() {
+            self.listen(true);
+        }
+    }
+
+    /// Accepts until the backlog is empty or the daemon is full.
+    fn accept_ready(&mut self) -> usize {
+        let mut accepted = 0usize;
+        while self.has_room() {
+            let Some(listener) = &self.listener else {
+                return accepted;
+            };
+            match listener.accept() {
+                Ok((stream, peer)) => {
+                    accepted += 1;
+                    self.admit(stream, peer);
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return accepted,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => {
+                    eprintln!("adoc-server: accept failed: {e}");
+                    break;
+                }
+            }
+        }
+        // Full — or out of descriptors, most likely, and polling on
+        // would spin on a dial we cannot take. Either way: pause until
+        // a close or the next housekeeping pass finds room.
+        self.listen(false);
+        accepted
+    }
+
+    /// A socket that never reached the registry is gone.
+    fn fail_handshake(&mut self) {
+        self.server.registry().count_handshake_failure();
+        self.shared.live.fetch_sub(1, Ordering::Relaxed);
     }
 
     fn admit(&mut self, stream: TcpStream, peer: SocketAddr) {
-        stream.set_nodelay(true).ok();
-        if stream.set_nonblocking(true).is_err() {
-            self.server.registry().count_handshake_failure();
-            self.shared.live.fetch_sub(1, Ordering::Relaxed);
-            return;
-        }
+        self.shared.live.fetch_add(1, Ordering::Relaxed);
         let token = self.next_token;
         self.next_token += 1;
-        if self
-            .poller
-            .register(stream.as_raw_fd(), token, Interest::READ)
-            .is_err()
+        stream.set_nodelay(true).ok();
+        if stream.set_nonblocking(true).is_err()
+            || self
+                .poller
+                .register(stream.as_raw_fd(), token, Interest::READ)
+                .is_err()
         {
-            self.server.registry().count_handshake_failure();
-            self.shared.live.fetch_sub(1, Ordering::Relaxed);
-            return;
+            return self.fail_handshake();
         }
-        let hello_timeout = self.server.config().adoc.hello_timeout;
-        let mut conn = Conn {
+        let mut io = Io {
             stream,
             peer,
             token,
-            id: None,
-            cfg: None,
-            state: State::Sniff { got: 0 },
             interest: Interest::READ,
-            hdr: [0u8; MSG_HEADER_LEN],
-            raw_len: 0,
-            msg: None,
-            filled: 0,
-            stats: adoc::TransferStats::new(),
-            last_level: None,
-            out_level: 0,
             timer_gen: 0,
-            span: None,
         };
-        self.arm_timer(&mut conn, hello_timeout);
-        self.conns.insert(token, conn);
+        let hello_timeout = self.server.config().adoc.hello_timeout;
+        self.arm_timer(token, &mut io.timer_gen, hello_timeout);
         // The client may have sent its first bytes already; serve them
         // this tick instead of waiting for the next poll.
-        self.dispatch(token);
-    }
-
-    fn process_completions(&mut self) -> usize {
-        let done: Vec<(u64, Result<JobDone, String>, JobTiming)> =
-            std::mem::take(&mut *self.shared.completions.lock());
-        let n = done.len();
-        for (token, result, timing) in done {
-            self.complete(token, result, timing);
-        }
-        n
+        self.sniff(io, Read::new(Target::MsgHeader));
     }
 
     fn fire_timers(&mut self) -> usize {
@@ -745,890 +832,518 @@ impl Reactor {
                 break;
             }
             self.timers.pop();
-            let live_gen = match self.conns.get(&token) {
-                Some(conn) => conn.timer_gen,
-                None => continue,
-            };
-            if live_gen != gen {
-                continue; // stale: the connection moved on
+            if token == HOUSEKEEPING_TOKEN {
+                self.housekeeping(now);
+                continue;
             }
+            let sniffing = match self.conns.get(&token) {
+                Some(conn) if conn.io.timer_gen == gen => matches!(conn.state, State::Sniff(_)),
+                _ => continue, // stale: the connection moved on, or is gone
+            };
             fired += 1;
-            if matches!(
-                self.conns.get(&token).map(|c| &c.state),
-                Some(State::Sniff { .. })
-            ) {
-                // Hello timeout: the peer never finished its first two
-                // bytes.
-                if let Some(conn) = self.conns.remove(&token) {
-                    self.close(conn, CloseKind::Handshake);
-                }
-            } else {
+            if !sniffing {
                 // Throttle retry (or a stale hello timer on an active
                 // connection, where dispatch is a harmless no-op).
                 self.dispatch(token);
+            } else if let Some(conn) = self.conns.remove(&token) {
+                // Hello timeout: the peer never sent its first two bytes.
+                self.close(conn.io, None);
             }
         }
         fired
     }
 
+    /// The periodic pass over state other threads park. Re-arms itself.
+    fn housekeeping(&mut self, now: Instant) {
+        // Expired partial groups (a client that dialled some streams
+        // and died) must not pin admission slots.
+        for _ in 0..self.pending.prune_expired(now) {
+            self.server.registry().count_handshake_failure();
+        }
+        // Sessions whose resume window lapsed give their slot back.
+        let lapsed = self.server.sessions().sweep(now);
+        self.server.reclaim_sessions(lapsed);
+        self.resume_listener();
+        self.timers
+            .push(Reverse((now + HOUSEKEEPING, HOUSEKEEPING_TOKEN, 0)));
+    }
+
     /// Closes everything the drain rules say must go this tick.
     fn sweep_drain(&mut self) {
+        let stopping = self.stopping();
+        if stopping {
+            // The listener goes first, so nothing new arrives while
+            // the rest drains; the close resets dials in its backlog.
+            if let Some(listener) = self.listener.take() {
+                let _ = self.poller.deregister(listener.as_raw_fd());
+            }
+        }
         if !self.drain.is_draining() {
             return;
         }
         let cut_stalled = self.drain.deadline_passed();
-        let doomed: Vec<(u64, CloseKind)> = self
+        let doomed: Vec<(u64, ConnOutcome)> = self
             .conns
             .iter()
-            .filter_map(|(&token, conn)| {
-                if matches!(conn.state, State::Sniff { .. }) {
-                    Some((token, CloseKind::Handshake))
-                } else if conn.at_boundary() {
-                    Some((token, CloseKind::Clean))
-                } else if cut_stalled {
-                    Some((token, CloseKind::Failed))
-                } else {
-                    None
+            .filter_map(|(&token, conn)| match &conn.state {
+                // A sniff may still turn out to be a session hello owed
+                // a typed refusal; only shutdown cuts it short.
+                State::Sniff(_) => {
+                    (stopping || cut_stalled).then_some((token, ConnOutcome::Failed))
                 }
+                State::Serving(_, Stage::Read(read)) if read.at_boundary() => {
+                    Some((token, ConnOutcome::Completed))
+                }
+                State::Serving(..) => cut_stalled.then_some((token, ConnOutcome::Failed)),
             })
             .collect();
-        for (token, kind) in doomed {
-            if let Some(conn) = self.conns.remove(&token) {
-                self.close(conn, kind);
+        for (token, outcome) in doomed {
+            if let Some(Conn { io, state }) = self.conns.remove(&token) {
+                self.close(io, state.id().map(|id| (id, outcome)));
             }
         }
     }
 
-    fn reap_group_threads(&mut self) {
-        let mut i = 0;
-        while i < self.group_threads.len() {
-            if self.group_threads[i].is_finished() {
-                if self.group_threads.swap_remove(i).join().is_err() {
-                    eprintln!("adoc-server: a group serving thread panicked");
-                }
-            } else {
-                i += 1;
-            }
-        }
-    }
-
-    /// Runs `token`'s state machine until it blocks, parks, queues a
-    /// job, or closes.
+    /// Resumes `token`'s state machine.
     fn dispatch(&mut self, token: u64) {
-        let Some(mut conn) = self.conns.remove(&token) else {
+        let Some(Conn { io, state }) = self.conns.remove(&token) else {
             return;
         };
-        // A parked connection being retried leaves the set; a refused
-        // admission below re-inserts it.
+        // Retried: out of the parked set until refused again.
         self.throttled.remove(&token);
-        match self.drive(&mut conn) {
-            Flow::Keep(interest) => {
-                if interest != conn.interest
-                    && self
-                        .poller
-                        .modify(conn.stream.as_raw_fd(), token, interest)
-                        .is_ok()
-                {
-                    conn.interest = interest;
-                }
-                self.conns.insert(token, conn);
-            }
-            Flow::Close(kind) => self.close(conn, kind),
-            Flow::Handoff => self.handoff(conn),
+        match state {
+            State::Sniff(read) => self.sniff(io, read),
+            State::Serving(sess, stage) => self.drive(io, sess, Step::Next(stage)),
         }
+    }
+
+    /// Turns a served connection's state machine, starting from
+    /// `step`, until it has to wait or is over.
+    fn drive(&mut self, mut io: Io, mut sess: Box<Session>, mut step: Step) {
+        loop {
+            step = match step {
+                Step::Next(stage) => self.step(&mut io, &mut sess, stage),
+                Step::Wait(stage, interest) => {
+                    return self.keep(io, State::Serving(sess, stage), interest)
+                }
+                Step::Close(outcome) => return self.close(io, Some((sess.id, outcome))),
+            };
+        }
+    }
+
+    /// Puts a live connection back, waiting for `interest`.
+    fn keep(&mut self, mut io: Io, state: State, interest: Interest) {
+        if interest != io.interest
+            && self
+                .poller
+                .modify(io.stream.as_raw_fd(), io.token, interest)
+                .is_ok()
+        {
+            io.interest = interest;
+        }
+        self.conns.insert(io.token, Conn { io, state });
+    }
+
+    /// Ends a connection: `served` is its registry entry and outcome;
+    /// `None` is a socket that never got one — a handshake failure.
+    fn close(&mut self, io: Io, served: Option<(ConnId, ConnOutcome)>) {
+        let _ = self.poller.deregister(io.stream.as_raw_fd());
+        self.throttled.remove(&io.token);
+        match served {
+            Some((id, outcome)) => {
+                self.server.tracer().deregister(id);
+                self.server.registry().remove(id, outcome);
+            }
+            None => self.server.registry().count_handshake_failure(),
+        }
+        self.shared.live.fetch_sub(1, Ordering::Relaxed);
+        self.resume_listener();
+        // The caller drops the connection's session last: its config's
+        // scheduler throttle deregisters the bucket.
     }
 
     /// Resumes a connection with its worker-job result.
-    fn complete(&mut self, token: u64, result: Result<JobDone, String>, timing: JobTiming) {
-        let Some(mut conn) = self.conns.remove(&token) else {
+    fn complete(&mut self, token: u64, result: JobResult, timing: JobTiming) {
+        let Some(Conn { io, mut state }) = self.conns.remove(&token) else {
             return; // closed while the job ran (drain cut, peer reset)
         };
-        if let Some(span) = conn.span.as_mut() {
-            span.absorb_job(timing);
+        if let State::Serving(sess, _) = &mut state {
+            if let Some(span) = sess.span.as_mut() {
+                span.absorb_job(timing);
+            }
         }
-        let done = match result {
-            Ok(done) => done,
-            Err(msg) => {
+        let (sess, step) = match (state, result) {
+            (State::Serving(mut sess, Stage::Inflate(mut msg)), Ok((_, raw))) => {
+                // Appended — unless it overruns the announced length.
+                let step = match msg.buf.get_mut(msg.filled..msg.filled + raw.len()) {
+                    Some(dst) => {
+                        dst.copy_from_slice(&raw);
+                        msg.filled += raw.len();
+                        self.after_inbound(&mut sess, msg)
+                    }
+                    None => Step::Close(ConnOutcome::Failed),
+                };
+                (sess, step)
+            }
+            (State::Serving(mut sess, Stage::Deflate(mut reply)), Ok((level, frame))) => {
+                sess.stats.record_buffer(level);
+                // Level 0 from a compression job is the fallback.
+                sess.stats.ratio_trips += u64::from(level == 0);
+                reply.push(Span::Frame(frame));
+                (sess, Step::Next(Stage::Reply(reply)))
+            }
+            (state, result) => {
                 // The typed worker-failure path: a panicked or failed
                 // codec job closes exactly this connection.
+                let error = match result {
+                    Err(msg) => format!("codec worker: {msg}"),
+                    Ok(_) => "worker completion arrived in an impossible state".to_string(),
+                };
+                let conn = state.id();
                 self.server.events().emit(Event::ConnError {
-                    conn: conn.id,
-                    error: &format!("codec worker: {msg}"),
+                    conn,
+                    error: &error,
                 });
-                self.close(conn, CloseKind::Failed);
-                return;
+                return self.close(io, conn.map(|id| (id, ConnOutcome::Failed)));
             }
         };
-        let next: Result<(), String> =
-            match (std::mem::replace(&mut conn.state, State::Taken), done) {
-                (State::Inflate, JobDone::Inflated(bytes)) => {
-                    let msg = conn.msg.as_mut().expect("inflating implies a message");
-                    msg[conn.filled..conn.filled + bytes.len()].copy_from_slice(&bytes);
-                    conn.filled += bytes.len();
-                    if conn.filled as u64 == conn.raw_len {
-                        if let Err(kind) = self.start_reply(&mut conn) {
-                            self.close(conn, kind);
-                            return;
-                        }
-                    } else {
-                        conn.state = State::ReadFrameHeader { got: 0 };
-                    }
-                    Ok(())
-                }
-                (State::Deflate(mut reply), JobDone::Deflated { level, trip, frame }) => {
-                    conn.stats.record_buffer(level);
-                    if trip {
-                        conn.stats.ratio_trips += 1;
-                    }
-                    reply.frame = Some((frame, 0));
-                    reply.charged = false;
-                    reply.blocked = false;
-                    conn.state = State::Reply(reply);
-                    Ok(())
-                }
-                _ => Err("worker completion arrived in an impossible state".to_string()),
-            };
-        match next {
-            Ok(()) => {
-                self.conns.insert(token, conn);
-                self.dispatch(token);
-            }
-            Err(msg) => {
-                self.server.events().emit(Event::ConnError {
-                    conn: conn.id,
-                    error: &msg,
-                });
-                self.close(conn, CloseKind::Failed);
-            }
-        }
+        self.drive(io, sess, step);
     }
 
-    fn arm_timer(&mut self, conn: &mut Conn, after: Duration) {
-        conn.timer_gen += 1;
-        self.timers.push(Reverse((
-            Instant::now() + after,
-            conn.token,
-            conn.timer_gen,
-        )));
+    fn arm_timer(&mut self, token: u64, timer_gen: &mut u64, after: Duration) {
+        *timer_gen += 1;
+        self.timers
+            .push(Reverse((Instant::now() + after, token, *timer_gen)));
     }
 
-    /// Admission helper: `true` = admitted (the span's lap clock goes
-    /// to `stage`), `false` = parked (timer armed, the lap clock goes
-    /// to sched-wait, caller returns `Keep(NONE)`).
-    fn try_admit(&mut self, conn: &mut Conn, bytes: usize, stage: StageKind) -> bool {
-        match conn.cfg().throttle.try_acquire_wire(bytes) {
-            Ok(()) => {
-                if let Some(span) = conn.span.as_mut() {
-                    span.switch(stage);
-                }
-                true
-            }
-            Err(retry) => {
-                if let Some(span) = conn.span.as_mut() {
-                    span.switch(StageKind::SchedWait);
-                }
-                self.throttled.insert(conn.token);
-                self.arm_timer(conn, retry);
-                false
-            }
+    /// Wire admission for `bytes`: `true` = admitted (the span's lap
+    /// clock goes to `stage`), `false` = parked (retry timer armed, the
+    /// lap clock goes to sched-wait).
+    fn try_admit(
+        &mut self,
+        token: u64,
+        timer_gen: &mut u64,
+        sess: &mut Session,
+        bytes: usize,
+        stage: StageKind,
+    ) -> bool {
+        let verdict = sess.cfg.throttle.try_acquire_wire(bytes);
+        if let Some(span) = sess.span.as_mut() {
+            span.switch(if verdict.is_ok() {
+                stage
+            } else {
+                StageKind::SchedWait
+            });
         }
-    }
-
-    fn close(&mut self, conn: Conn, kind: CloseKind) {
-        let _ = self.poller.deregister(conn.stream.as_raw_fd());
-        self.throttled.remove(&conn.token);
-        if let Some(id) = conn.id {
-            self.server.tracer().deregister(id);
+        if let Err(retry) = verdict {
+            self.throttled.insert(token);
+            self.arm_timer(token, timer_gen, retry);
         }
-        match (conn.id, kind) {
-            (Some(id), CloseKind::Clean) => {
-                self.server.registry().remove(id, ConnOutcome::Completed)
-            }
-            (Some(id), _) => self.server.registry().remove(id, ConnOutcome::Failed),
-            (None, CloseKind::Clean) => {}
-            (None, _) => self.server.registry().count_handshake_failure(),
-        }
-        self.shared.live.fetch_sub(1, Ordering::Relaxed);
-        // Dropping the conn drops its config, whose scheduler throttle
-        // deregisters the bucket.
+        verdict.is_ok()
     }
 
     /// Flips a group-hello socket back to blocking and serves it on a
-    /// dedicated thread via the unchanged stream-group path.
-    fn handoff(&mut self, conn: Conn) {
-        let _ = self.poller.deregister(conn.stream.as_raw_fd());
-        let sniff = [conn.hdr[0], conn.hdr[1]];
-        let Conn { stream, peer, .. } = conn;
+    /// dedicated thread via the stream-group path.
+    fn handoff(&mut self, io: Io, sniff: [u8; 2]) {
+        let _ = self.poller.deregister(io.stream.as_raw_fd());
+        let Io { stream, peer, .. } = io;
         let hello_timeout = self.server.config().adoc.hello_timeout;
         if stream.set_nonblocking(false).is_err()
             || stream.set_read_timeout(Some(hello_timeout)).is_err()
         {
-            self.server.registry().count_handshake_failure();
-            self.shared.live.fetch_sub(1, Ordering::Relaxed);
-            return;
+            return self.fail_handshake();
         }
         let server = Arc::clone(&self.server);
         let pending = Arc::clone(&self.pending);
-        let shared = Arc::clone(&self.shared);
+        let slot = Slot(Arc::clone(&self.shared));
         let spawned = std::thread::Builder::new()
             .name(format!("adoc-conn-{peer}"))
             .spawn(move || {
+                let _slot = slot;
                 handle_group_stream(server, pending, stream, peer, sniff, hello_timeout);
-                shared.live.fetch_sub(1, Ordering::Relaxed);
-                shared.waker.wake();
             });
-        match spawned {
-            Ok(handle) => self.group_threads.push(handle),
-            Err(e) => {
-                eprintln!("adoc-server: cannot spawn group serving thread: {e}");
-                self.server.registry().count_handshake_failure();
-                self.shared.live.fetch_sub(1, Ordering::Relaxed);
+        if let Err(e) = spawned {
+            // The unspawned closure has dropped its slot already.
+            eprintln!("adoc-server: cannot spawn group serving thread: {e}");
+            self.server.registry().count_handshake_failure();
+        }
+    }
+
+    /// Reads the two protocol bytes and decides what the socket is.
+    fn sniff(&mut self, mut io: Io, mut read: Read) {
+        let (dst, cur) = (&mut read.scratch[..2], &mut read.cur);
+        match fill(&mut io.stream, dst, 0, cur, |_| true) {
+            Fill::Done => {}
+            Fill::Block | Fill::Parked => return self.keep(io, State::Sniff(read), Interest::READ),
+            Fill::Eof | Fill::Fail => return self.close(io, None),
+        }
+        let bytes = [read.scratch[0], read.scratch[1]];
+        if bytes == [MAGIC, GROUP_MAGIC] {
+            return self.handoff(io, bytes);
+        }
+        // Not a v1 message header — or one arriving after the drain
+        // began, which takes no further messages.
+        if bytes[0] != MAGIC || bytes[1] > 1 || self.drain.is_draining() {
+            return self.close(io, None);
+        }
+        if self.server.config().require_auth {
+            // A v1 connection has no credential to present: refused
+            // pre-admission, exactly like a plaintext group hello.
+            self.server.sessions().count_rejected();
+            self.server.events().emit(Event::TicketRejected {
+                session_id: None,
+                reason: "auth",
+            });
+            return self.close(io, None);
+        }
+        // A v1 message header begins: register the connection and go on
+        // reading the header behind the two sniffed bytes.
+        let peer_label = io.peer.to_string();
+        let id = self.server.registry().register(peer_label.clone());
+        let cfg = self.server.conn_config(id, 1, &peer_label);
+        self.server.registry().activate(id, 1);
+        let mut sess = Box::new(Session {
+            id,
+            level: cfg.min_level,
+            cfg,
+            stats: adoc::TransferStats::new(),
+            last_level: None,
+            span: None,
+        });
+        if self.traced {
+            // A live, registered connection answers GET /trace (empty
+            // ring) before its first message completes.
+            self.server.tracer().register(id);
+            sess.span = Some(MsgSpan::begin());
+        }
+        self.drive(io, sess, Step::Next(Stage::Read(read)));
+    }
+
+    /// One turn of the state machine.
+    fn step(&mut self, io: &mut Io, sess: &mut Session, stage: Stage) -> Step {
+        match stage {
+            Stage::Read(mut read) => {
+                let at_boundary = read.at_boundary();
+                if at_boundary && self.drain.is_draining() {
+                    // A draining server takes no further messages.
+                    return Step::Close(ConnOutcome::Completed);
+                }
+                let (dst, quantum, cur) = read.window();
+                let filled = fill(&mut io.stream, dst, quantum, cur, |bytes| {
+                    self.try_admit(io.token, &mut io.timer_gen, sess, bytes, StageKind::Read)
+                });
+                if at_boundary && !read.at_boundary() && self.traced && sess.span.is_none() {
+                    // The span starts at a message's first header byte:
+                    // client idle time between messages is excluded.
+                    sess.span = Some(MsgSpan::begin());
+                }
+                match filled {
+                    Fill::Done => self.filled(io.token, sess, read),
+                    Fill::Block => Step::Wait(Stage::Read(read), Interest::READ),
+                    Fill::Parked => Step::Wait(Stage::Read(read), Interest::NONE),
+                    // The client hung up between messages.
+                    Fill::Eof if read.at_boundary() => Step::Close(ConnOutcome::Completed),
+                    Fill::Eof | Fill::Fail => Step::Close(ConnOutcome::Failed),
+                }
+            }
+            // Waiting on the worker; the completion resumes us.
+            Stage::Inflate(_) | Stage::Deflate(_) => Step::Wait(stage, Interest::NONE),
+            Stage::Reply(mut reply) => {
+                let drained = drain(&mut io.stream, &mut reply, sess.cfg.buffer_size, |bytes| {
+                    self.try_admit(io.token, &mut io.timer_gen, sess, bytes, StageKind::Write)
+                });
+                match drained {
+                    Drain::Fail => Step::Close(ConnOutcome::Failed),
+                    Drain::Block => Step::Wait(Stage::Reply(reply), Interest::WRITE),
+                    Drain::Parked => Step::Wait(Stage::Reply(reply), Interest::NONE),
+                    Drain::Frame { blocked } => {
+                        sess.level = next_reply_level(blocked, sess.level, &sess.cfg);
+                        Step::Next(Stage::Reply(reply))
+                    }
+                    Drain::Empty if reply.next_chunk < reply.msg.len() => {
+                        self.encode_next(io.token, sess, reply)
+                    }
+                    Drain::Empty => self.finish_message(sess, reply),
+                }
             }
         }
     }
 
-    /// The state machine. Loops until the connection blocks on the
-    /// socket, parks on the throttle, queues a worker job, or closes.
-    fn drive(&mut self, conn: &mut Conn) -> Flow {
-        loop {
-            match std::mem::replace(&mut conn.state, State::Taken) {
-                State::Sniff { mut got } => {
-                    match read_step(&mut conn.stream, &mut conn.hdr[got..2]) {
-                        ReadStep::Eof | ReadStep::Fail => return Flow::Close(CloseKind::Handshake),
-                        ReadStep::Block => {
-                            conn.state = State::Sniff { got };
-                            return Flow::Keep(Interest::READ);
-                        }
-                        ReadStep::Data(n) => {
-                            got += n;
-                            if got < 2 {
-                                conn.state = State::Sniff { got };
-                                continue;
-                            }
-                        }
-                    }
-                    if conn.hdr[0] != MAGIC {
-                        return Flow::Close(CloseKind::Handshake);
-                    }
-                    if conn.hdr[1] == GROUP_MAGIC {
-                        return Flow::Handoff;
-                    }
-                    if conn.hdr[1] > 1 {
-                        return Flow::Close(CloseKind::Handshake);
-                    }
-                    if self.server.config().require_auth {
-                        // A v1 connection has no credential to present:
-                        // refused pre-admission, exactly like a
-                        // plaintext group hello.
-                        self.server.sessions().count_rejected();
-                        self.server.events().emit(Event::TicketRejected {
-                            session_id: None,
-                            reason: "auth",
-                        });
-                        return Flow::Close(CloseKind::Handshake);
-                    }
-                    // A v1 message header begins: register the
-                    // connection and resume header parsing with the two
-                    // sniffed bytes already in place.
-                    let peer_label = conn.peer.to_string();
-                    let id = self.server.registry().register(peer_label.clone());
-                    let cfg = self.server.conn_config(id, 1, &peer_label);
-                    self.server.registry().activate(id, 1);
-                    conn.out_level = cfg.min_level;
-                    conn.id = Some(id);
-                    conn.cfg = Some(cfg);
-                    if self.traced {
-                        // A live, registered connection answers
-                        // GET /trace (empty ring) before its first
-                        // message completes.
-                        self.server.tracer().register(id);
-                        conn.span = Some(MsgSpan::begin());
-                    }
-                    conn.state = State::ReadHeader { got: 2 };
+    /// A read completed: parse what it filled and decide what comes
+    /// next. Every peer-controlled length is bounded here, before
+    /// anything is sized from it.
+    fn filled(&mut self, token: u64, sess: &mut Session, read: Read) -> Step {
+        let Read {
+            target, scratch, ..
+        } = read;
+        let fail = Step::Close(ConnOutcome::Failed);
+        let cfg = &sess.cfg;
+        match target {
+            Target::MsgHeader => {
+                let Ok(Some((kind, raw_len))) =
+                    wire::read_msg_header(&mut &scratch[..], cfg.max_message)
+                else {
+                    return fail;
+                };
+                if raw_len == 0 {
+                    // A zero-byte message is a client-initiated close,
+                    // as in the blocking serve loop.
+                    return Step::Close(ConnOutcome::Completed);
                 }
-                State::ReadHeader { mut got } => {
-                    if got == 0 && self.drain.is_draining() {
-                        // At a boundary: a draining server takes no
-                        // further messages.
-                        return Flow::Close(CloseKind::Clean);
-                    }
-                    match read_step(&mut conn.stream, &mut conn.hdr[got..MSG_HEADER_LEN]) {
-                        ReadStep::Eof if got == 0 => return Flow::Close(CloseKind::Clean),
-                        ReadStep::Eof | ReadStep::Fail => return Flow::Close(CloseKind::Failed),
-                        ReadStep::Block => {
-                            conn.state = State::ReadHeader { got };
-                            return Flow::Keep(Interest::READ);
-                        }
-                        ReadStep::Data(n) => {
-                            if got == 0 && n > 0 && self.traced && conn.span.is_none() {
-                                // First header byte of a new message:
-                                // the span starts here, so client idle
-                                // time between messages is excluded.
-                                conn.span = Some(MsgSpan::begin());
-                            }
-                            got += n;
-                            if got < MSG_HEADER_LEN {
-                                conn.state = State::ReadHeader { got };
-                                continue;
-                            }
-                        }
-                    }
-                    let parsed = wire::read_msg_header(&mut &conn.hdr[..], conn.cfg().max_message);
-                    let (kind, raw_len) = match parsed {
-                        Ok(Some(h)) => h,
-                        _ => return Flow::Close(CloseKind::Failed),
-                    };
-                    if raw_len == 0 {
-                        // A zero-byte message (of either kind) is a
-                        // client-initiated close, like the blocking
-                        // serve loop.
-                        return Flow::Close(CloseKind::Clean);
-                    }
-                    conn.raw_len = raw_len;
-                    conn.filled = 0;
-                    let mut msg = conn.cfg().pool.get(raw_len as usize);
-                    msg.resize(raw_len as usize, 0);
-                    conn.msg = Some(msg);
-                    conn.state = match kind {
-                        MsgKind::Direct => State::ReadDirect { credit: 0 },
-                        MsgKind::Adaptive => State::ReadProbeLen { got: 0 },
-                    };
+                let end = raw_len as usize;
+                let mut buf = cfg.pool.get(end);
+                buf.resize(end, 0);
+                let msg = Inbound { buf, filled: 0 };
+                let quantum = cfg.buffer_size;
+                Read::step(match kind {
+                    MsgKind::Direct => Target::Body { msg, end, quantum },
+                    MsgKind::Adaptive => Target::ProbeLen(msg),
+                })
+            }
+            Target::ProbeLen(msg) => match wire::read_u32(&mut &scratch[..4]) {
+                // A zero-length probe is an empty body: complete at once.
+                Ok(probe_len) if probe_len as usize <= msg.buf.len() => {
+                    let (end, quantum) = (probe_len as usize, cfg.packet_size);
+                    Read::step(Target::Body { msg, end, quantum })
                 }
-                State::ReadDirect { mut credit } => {
-                    let remaining = conn.raw_len as usize - conn.filled;
-                    if credit == 0 {
-                        // Inbound pacing in the blocking receiver's
-                        // quanta: a buffer_size's worth at a time.
-                        let quantum = remaining.min(conn.cfg().buffer_size);
-                        if !self.try_admit(conn, quantum, StageKind::Read) {
-                            conn.state = State::ReadDirect { credit };
-                            return Flow::Keep(Interest::NONE);
-                        }
-                        credit = quantum;
-                    }
-                    let msg = conn.msg.as_mut().expect("direct read has a message");
-                    let end = conn.filled + credit.min(remaining);
-                    match read_step(&mut conn.stream, &mut msg[conn.filled..end]) {
-                        ReadStep::Eof | ReadStep::Fail => return Flow::Close(CloseKind::Failed),
-                        ReadStep::Block => {
-                            conn.state = State::ReadDirect { credit };
-                            return Flow::Keep(Interest::READ);
-                        }
-                        ReadStep::Data(n) => {
-                            conn.filled += n;
-                            credit -= n;
-                        }
-                    }
-                    if conn.filled as u64 == conn.raw_len {
-                        if let Err(kind) = self.start_reply(conn) {
-                            return Flow::Close(kind);
-                        }
-                    } else {
-                        conn.state = State::ReadDirect { credit };
-                    }
+                _ => fail,
+            },
+            Target::Body { mut msg, end, .. } => {
+                msg.filled = end;
+                self.after_inbound(sess, msg)
+            }
+            Target::FrameHeader(msg) => {
+                let raw_left = (msg.buf.len() - msg.filled) as u64;
+                let hdr = match FrameHeader::read(&mut &scratch[..FRAME_HEADER_LEN], ADOC_MAX_LEVEL)
+                {
+                    Ok(hdr) if hdr.check_bounds(cfg.buffer_size, raw_left).is_ok() => hdr,
+                    _ => return fail,
+                };
+                let len = hdr.payload_len as usize;
+                if hdr.level > 0 {
+                    let mut payload = cfg.pool.get(len);
+                    payload.resize(len, 0);
+                    return Read::step(Target::Payload(msg, hdr, payload));
                 }
-                State::ReadProbeLen { mut got } => {
-                    match read_step(&mut conn.stream, &mut conn.hdr[got..4]) {
-                        ReadStep::Eof | ReadStep::Fail => return Flow::Close(CloseKind::Failed),
-                        ReadStep::Block => {
-                            conn.state = State::ReadProbeLen { got };
-                            return Flow::Keep(Interest::READ);
-                        }
-                        ReadStep::Data(n) => {
-                            got += n;
-                            if got < 4 {
-                                conn.state = State::ReadProbeLen { got };
-                                continue;
-                            }
-                        }
-                    }
-                    let probe_len =
-                        u32::from_le_bytes(conn.hdr[..4].try_into().expect("4 bytes")) as u64;
-                    if probe_len > conn.raw_len {
-                        return Flow::Close(CloseKind::Failed);
-                    }
-                    if probe_len == 0 {
-                        conn.state = match self.after_inbound_bytes(conn) {
-                            Ok(state) => state,
-                            Err(kind) => return Flow::Close(kind),
-                        };
-                    } else {
-                        conn.state = State::ReadProbe {
-                            end: probe_len as usize,
-                            credit: 0,
-                        };
-                    }
+                // A stored frame's payload is the raw bytes.
+                if hdr.payload_len != hdr.raw_len {
+                    return fail;
                 }
-                State::ReadProbe { end, mut credit } => {
-                    if credit == 0 {
-                        let quantum = (end - conn.filled).min(conn.cfg().packet_size);
-                        if !self.try_admit(conn, quantum, StageKind::Read) {
-                            conn.state = State::ReadProbe { end, credit };
-                            return Flow::Keep(Interest::NONE);
-                        }
-                        credit = quantum;
-                    }
-                    let msg = conn.msg.as_mut().expect("probe read has a message");
-                    let upto = (conn.filled + credit).min(end);
-                    match read_step(&mut conn.stream, &mut msg[conn.filled..upto]) {
-                        ReadStep::Eof | ReadStep::Fail => return Flow::Close(CloseKind::Failed),
-                        ReadStep::Block => {
-                            conn.state = State::ReadProbe { end, credit };
-                            return Flow::Keep(Interest::READ);
-                        }
-                        ReadStep::Data(n) => {
-                            conn.filled += n;
-                            credit -= n;
-                        }
-                    }
-                    conn.state = if conn.filled == end {
-                        match self.after_inbound_bytes(conn) {
-                            Ok(state) => state,
-                            Err(kind) => return Flow::Close(kind),
-                        }
-                    } else {
-                        State::ReadProbe { end, credit }
-                    };
-                    if matches!(conn.state, State::Reply(_)) {
-                        continue;
-                    }
+                let (end, quantum) = (msg.filled + len, len);
+                Read::step(Target::Body { msg, end, quantum })
+            }
+            Target::Payload(msg, hdr, mut payload) => {
+                // Decompression is codec work: off the reactor.
+                let (level, raw_len) = (hdr.level, hdr.raw_len as usize);
+                let input = std::mem::take(&mut *payload);
+                if let Some(span) = sess.span.as_mut() {
+                    // Close the read lap; the worker measures its own
+                    // queue/codec interval.
+                    span.flush();
                 }
-                State::ReadFrameHeader { mut got } => {
-                    match read_step(&mut conn.stream, &mut conn.hdr[got..FRAME_HEADER_LEN]) {
-                        ReadStep::Eof | ReadStep::Fail => return Flow::Close(CloseKind::Failed),
-                        ReadStep::Block => {
-                            conn.state = State::ReadFrameHeader { got };
-                            return Flow::Keep(Interest::READ);
-                        }
-                        ReadStep::Data(n) => {
-                            got += n;
-                            if got < FRAME_HEADER_LEN {
-                                conn.state = State::ReadFrameHeader { got };
-                                continue;
-                            }
-                        }
-                    }
-                    let hdr =
-                        match FrameHeader::read(&mut &conn.hdr[..FRAME_HEADER_LEN], ADOC_MAX_LEVEL)
-                        {
-                            Ok(h) => h,
-                            Err(_) => return Flow::Close(CloseKind::Failed),
-                        };
-                    let raw_left = conn.raw_len.saturating_sub(conn.filled as u64);
-                    if hdr.check_bounds(conn.cfg().buffer_size, raw_left).is_err() {
-                        return Flow::Close(CloseKind::Failed);
-                    }
-                    conn.state = State::AwaitPayloadBudget { hdr };
-                }
-                State::AwaitPayloadBudget { hdr } => {
-                    // Wire admission covers the payload, as in the
-                    // blocking receiver; parking here is what lets a
-                    // throttled connection sleep instead of spin.
-                    if !self.try_admit(conn, hdr.payload_len as usize, StageKind::Read) {
-                        conn.state = State::AwaitPayloadBudget { hdr };
-                        return Flow::Keep(Interest::NONE);
-                    }
-                    let payload = conn.cfg().pool.get(hdr.payload_len as usize);
-                    conn.state = State::ReadFramePayload {
-                        hdr,
-                        payload,
-                        got: 0,
-                    };
-                }
-                State::ReadFramePayload {
-                    hdr,
-                    mut payload,
-                    mut got,
-                } => {
-                    payload.resize(hdr.payload_len as usize, 0);
-                    match read_step(&mut conn.stream, &mut payload[got..]) {
-                        ReadStep::Eof | ReadStep::Fail => return Flow::Close(CloseKind::Failed),
-                        ReadStep::Block => {
-                            conn.state = State::ReadFramePayload { hdr, payload, got };
-                            return Flow::Keep(Interest::READ);
-                        }
-                        ReadStep::Data(n) => {
-                            got += n;
-                            if got < hdr.payload_len as usize {
-                                conn.state = State::ReadFramePayload { hdr, payload, got };
-                                continue;
-                            }
-                        }
-                    }
-                    if hdr.level == 0 {
-                        // Stored frame: the payload is the raw bytes.
-                        let msg = conn.msg.as_mut().expect("frame read has a message");
-                        msg[conn.filled..conn.filled + payload.len()].copy_from_slice(&payload);
-                        conn.filled += payload.len();
-                        conn.state = match self.after_inbound_bytes(conn) {
-                            Ok(state) => state,
-                            Err(kind) => return Flow::Close(kind),
-                        };
-                        if matches!(conn.state, State::Reply(_)) {
-                            continue;
-                        }
-                    } else {
-                        // Decompression is codec work: off the reactor.
-                        let level = hdr.level;
-                        let raw_len = hdr.raw_len as usize;
-                        let input = std::mem::take(&mut *payload);
-                        if let Some(span) = conn.span.as_mut() {
-                            // Close the read lap; the worker measures
-                            // its own queue/codec interval.
-                            span.flush();
-                        }
-                        self.pool.submit(Job {
-                            conn: conn.token,
-                            work: Box::new(move |_codec| {
-                                let mut out = Vec::with_capacity(raw_len);
-                                adoc_codec::decompress_at(level, &input, raw_len, &mut out)
-                                    .map_err(|e| e.to_string())?;
-                                Ok(JobDone::Inflated(out))
-                            }),
-                        });
-                        conn.state = State::Inflate;
-                        return Flow::Keep(Interest::NONE);
-                    }
-                }
-                State::Inflate => {
-                    // Waiting on the worker; the completion resumes us.
-                    conn.state = State::Inflate;
-                    return Flow::Keep(Interest::NONE);
-                }
-                State::Reply(reply) => match self.drive_reply(conn, reply) {
-                    ReplyFlow::Wait(state, interest) => {
-                        conn.state = state;
-                        return Flow::Keep(interest);
-                    }
-                    ReplyFlow::Close(kind) => return Flow::Close(kind),
-                },
-                State::Deflate(reply) => {
-                    conn.state = State::Deflate(reply);
-                    return Flow::Keep(Interest::NONE);
-                }
-                State::Taken => unreachable!("state taken re-entrantly"),
+                self.pool.submit(Job {
+                    conn: token,
+                    work: Box::new(move |_codec| {
+                        let mut out = Vec::with_capacity(raw_len);
+                        adoc_codec::decompress_at(level, &input, raw_len, &mut out)
+                            .map_err(|e| e.to_string())?;
+                        Ok((level, out))
+                    }),
+                });
+                Step::Wait(Stage::Inflate(msg), Interest::NONE)
             }
         }
     }
 
-    /// After probe/frame bytes landed: more frames, or a finished
-    /// message (start the reply). `Err` propagates `start_reply`'s
-    /// close verdict to the caller instead of inventing a state.
-    fn after_inbound_bytes(&mut self, conn: &mut Conn) -> Result<State, CloseKind> {
-        if conn.filled as u64 == conn.raw_len {
-            self.start_reply(conn)?;
-            Ok(std::mem::replace(&mut conn.state, State::Taken))
-        } else {
-            Ok(State::ReadFrameHeader { got: 0 })
+    /// After probe/frame/body bytes landed: more frames, or a finished
+    /// message — build its reply.
+    fn after_inbound(&mut self, sess: &mut Session, msg: Inbound) -> Step {
+        if msg.filled < msg.buf.len() {
+            return Read::step(Target::FrameHeader(msg));
         }
-    }
-
-    /// Builds the reply for the completed inbound message and moves the
-    /// connection into `Reply`. `Err` means close (zero-length message).
-    fn start_reply(&mut self, conn: &mut Conn) -> Result<(), CloseKind> {
-        if conn.raw_len == 0 {
-            return Err(CloseKind::Clean);
-        }
-        let raw_len = conn.raw_len;
-        let cfg = conn.cfg();
-        let reply = match self.server.mode() {
-            ServeMode::Sink => {
-                let msg = conn.msg.as_ref().expect("sink reply has a message");
-                let ack = sink_ack(raw_len, fnv1a64(msg));
-                conn.stats.direct_messages += 1;
-                Reply {
-                    head: wire::encode_msg_header(MsgKind::Direct, 16).to_vec(),
-                    head_pos: 0,
-                    body: ReplyBody::Ack { buf: ack, pos: 0 },
-                    next_chunk: 0,
-                    frame: None,
-                    charged: false,
-                    blocked: false,
-                    wire: 0,
-                    raw: 16,
-                }
-            }
+        let raw_len = msg.buf.len() as u64;
+        let cfg = &sess.cfg;
+        let (kind, body) = match self.server.mode() {
+            ServeMode::Sink => (
+                MsgKind::Direct,
+                Some(Span::Ack(sink_ack(raw_len, fnv1a64(&msg.buf)))),
+            ),
             ServeMode::Echo
                 if cfg.compression_disabled() || raw_len < cfg.probe_threshold as u64 =>
             {
-                conn.stats.direct_messages += 1;
-                Reply {
-                    head: wire::encode_msg_header(MsgKind::Direct, raw_len).to_vec(),
-                    head_pos: 0,
-                    body: ReplyBody::Direct { pos: 0, credit: 0 },
-                    next_chunk: 0,
-                    frame: None,
-                    charged: false,
-                    blocked: false,
-                    wire: 0,
-                    raw: raw_len,
-                }
+                (MsgKind::Direct, Some(Span::Body))
             }
-            ServeMode::Echo => {
-                // Adaptive echo with a zero-length probe: the level
-                // controller, not a probe, picks the starting level.
-                let mut head = wire::encode_msg_header(MsgKind::Adaptive, raw_len).to_vec();
-                head.extend_from_slice(&0u32.to_le_bytes());
-                Reply {
-                    head,
-                    head_pos: 0,
-                    body: ReplyBody::Adaptive,
-                    next_chunk: 0,
-                    frame: None,
-                    charged: false,
-                    blocked: false,
-                    wire: 0,
-                    raw: raw_len,
-                }
-            }
+            ServeMode::Echo => (MsgKind::Adaptive, None),
         };
-        if let Some(span) = conn.span.as_mut() {
+        if kind == MsgKind::Direct {
+            sess.stats.direct_messages += 1;
+        }
+        if let Some(span) = sess.span.as_mut() {
             // The message is fully read; everything from here is the
             // write side (a refused admission re-takes the clock).
             span.switch(StageKind::Write);
         }
-        conn.state = State::Reply(reply);
-        Ok(())
+        Step::Next(Stage::Reply(Reply::new(kind, body, msg.buf)))
     }
 
-    fn drive_reply(&mut self, conn: &mut Conn, mut reply: Reply) -> ReplyFlow {
-        // Message header first.
-        while reply.head_pos < reply.head.len() {
-            match write_step(&mut conn.stream, &reply.head[reply.head_pos..]) {
-                WriteStep::Fail => return ReplyFlow::Close(CloseKind::Failed),
-                WriteStep::Block => return ReplyFlow::Wait(State::Reply(reply), Interest::WRITE),
-                WriteStep::Data(n) => {
-                    reply.head_pos += n;
-                    reply.wire += n as u64;
-                }
-            }
+    /// Encodes the adaptive reply's next `buffer_size` chunk as a frame
+    /// at the connection's current level.
+    fn encode_next(&mut self, token: u64, sess: &mut Session, mut reply: Reply) -> Step {
+        let start = reply.next_chunk;
+        let end = (start + sess.cfg.buffer_size).min(reply.msg.len());
+        reply.next_chunk = end;
+        let chunk = &reply.msg[start..end];
+        let level = sess.level;
+        if level == 0 {
+            // Stored frames are pure memcpy: build inline.
+            sess.stats.record_buffer(0);
+            let frame = encode_frame(0, chunk, chunk);
+            reply.push(Span::Frame(frame));
+            return Step::Next(Stage::Reply(reply));
         }
-        loop {
-            // A frame (or ack) already encoded: put it on the wire.
-            if let Some((frame, mut pos)) = reply.frame.take() {
-                if !reply.charged {
-                    if !self.try_admit(conn, frame.len(), StageKind::Write) {
-                        reply.frame = Some((frame, pos));
-                        return ReplyFlow::Wait(State::Reply(reply), Interest::NONE);
-                    }
-                    reply.charged = true;
-                }
-                while pos < frame.len() {
-                    match write_step(&mut conn.stream, &frame[pos..]) {
-                        WriteStep::Fail => return ReplyFlow::Close(CloseKind::Failed),
-                        WriteStep::Block => {
-                            reply.blocked = true;
-                            reply.frame = Some((frame, pos));
-                            return ReplyFlow::Wait(State::Reply(reply), Interest::WRITE);
-                        }
-                        WriteStep::Data(n) => {
-                            pos += n;
-                            reply.wire += n as u64;
-                        }
-                    }
-                }
-                // Frame done: feed the adaptation signal. Backpressure
-                // raises the level (spend cycles to shrink the wire);
-                // a clean write decays toward min_level.
-                let cfg = conn.cfg();
-                if reply.blocked {
-                    conn.out_level = (conn.out_level + 1).min(cfg.max_level);
-                } else if conn.out_level > cfg.min_level {
-                    conn.out_level -= 1;
-                }
-                reply.charged = false;
-                reply.blocked = false;
-            }
-            match &mut reply.body {
-                ReplyBody::Ack { buf, pos } => {
-                    if !reply.charged {
-                        if !self.try_admit(conn, buf.len(), StageKind::Write) {
-                            return ReplyFlow::Wait(State::Reply(reply), Interest::NONE);
-                        }
-                        reply.charged = true;
-                    }
-                    while *pos < buf.len() {
-                        match write_step(&mut conn.stream, &buf[*pos..]) {
-                            WriteStep::Fail => return ReplyFlow::Close(CloseKind::Failed),
-                            WriteStep::Block => {
-                                return ReplyFlow::Wait(State::Reply(reply), Interest::WRITE)
-                            }
-                            WriteStep::Data(n) => {
-                                *pos += n;
-                                reply.wire += n as u64;
-                            }
-                        }
-                    }
-                    return self.finish_message(conn, reply);
-                }
-                ReplyBody::Direct { pos, credit } => {
-                    let msg_len = conn.msg.as_ref().expect("direct reply has a message").len();
-                    while *pos < msg_len {
-                        if *credit == 0 {
-                            let quantum = (msg_len - *pos).min(conn.cfg().buffer_size);
-                            if !self.try_admit(conn, quantum, StageKind::Write) {
-                                return ReplyFlow::Wait(State::Reply(reply), Interest::NONE);
-                            }
-                            *credit = quantum;
-                        }
-                        let end = (*pos + *credit).min(msg_len);
-                        let msg = conn.msg.as_ref().expect("direct reply has a message");
-                        match write_step(&mut conn.stream, &msg[*pos..end]) {
-                            WriteStep::Fail => return ReplyFlow::Close(CloseKind::Failed),
-                            WriteStep::Block => {
-                                return ReplyFlow::Wait(State::Reply(reply), Interest::WRITE)
-                            }
-                            WriteStep::Data(n) => {
-                                *pos += n;
-                                *credit -= n;
-                                reply.wire += n as u64;
-                            }
-                        }
-                    }
-                    return self.finish_message(conn, reply);
-                }
-                ReplyBody::Adaptive => {
-                    let msg = conn.msg.as_ref().expect("adaptive reply has a message");
-                    if reply.next_chunk >= msg.len() {
-                        return self.finish_message(conn, reply);
-                    }
-                    let cfg = conn.cfg();
-                    let start = reply.next_chunk;
-                    let end = (start + cfg.buffer_size).min(msg.len());
-                    let level = conn.out_level.clamp(cfg.min_level, cfg.max_level);
-                    reply.next_chunk = end;
-                    if level == 0 {
-                        // Stored frames are pure memcpy: build inline.
-                        let chunk = &msg[start..end];
-                        let hdr = FrameHeader {
-                            level: 0,
-                            raw_len: chunk.len() as u32,
-                            payload_len: chunk.len() as u32,
-                        };
-                        let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + chunk.len());
-                        frame.extend_from_slice(&hdr.encode());
-                        frame.extend_from_slice(chunk);
-                        conn.stats.record_buffer(0);
-                        reply.frame = Some((frame, 0));
-                        continue;
-                    }
-                    // Compression is worker-pool work; one job in
-                    // flight per connection bounds the queue.
-                    let chunk = msg[start..end].to_vec();
-                    if let Some(span) = conn.span.as_mut() {
-                        span.flush();
-                    }
-                    self.pool.submit(Job {
-                        conn: conn.token,
-                        work: Box::new(move |codec| {
-                            let mut payload = Vec::new();
-                            codec.compress_at(level, &chunk, &mut payload);
-                            let (level, trip, body): (u8, bool, &[u8]) =
-                                if payload.len() >= chunk.len() {
-                                    (0, true, &chunk)
-                                } else {
-                                    (level, false, &payload)
-                                };
-                            let hdr = FrameHeader {
-                                level,
-                                raw_len: chunk.len() as u32,
-                                payload_len: body.len() as u32,
-                            };
-                            let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + body.len());
-                            frame.extend_from_slice(&hdr.encode());
-                            frame.extend_from_slice(body);
-                            Ok(JobDone::Deflated { level, trip, frame })
-                        }),
-                    });
-                    return ReplyFlow::Wait(State::Deflate(reply), Interest::NONE);
-                }
-            }
+        // Compression is worker-pool work; one job in flight per
+        // connection bounds the queue.
+        let chunk = chunk.to_vec();
+        if let Some(span) = sess.span.as_mut() {
+            span.flush();
         }
-    }
-
-    /// Reply fully written: mirror the blocking serve loop's accounting
-    /// and return to the message boundary.
-    fn finish_message(&mut self, conn: &mut Conn, reply: Reply) -> ReplyFlow {
-        let id = conn.id.expect("served connection is registered");
-        conn.stats.messages += 1;
-        conn.stats.raw_bytes += reply.raw;
-        conn.stats.wire_bytes += reply.wire;
-        if let Some(snap) = self
-            .server
-            .registry()
-            .update(id, conn.raw_len, reply.wire, &conn.stats)
-        {
-            self.server.scheduler().report_delay(id, snap);
-        }
-        let span_times = conn.span.take().map(MsgSpan::finish);
-        if let Some(times) = span_times {
-            self.server.tracer().record(
-                id,
-                conn.raw_len,
-                self.server.events().now().as_secs_f64(),
-                &times,
-            );
-        }
-        self.server.events().emit(Event::MessageServed {
-            conn: id,
-            raw_bytes: conn.raw_len,
-            reply_wire_bytes: reply.wire,
-            times: span_times.unwrap_or_default(),
-        });
-        if let Some(times) = span_times.filter(|t| t.total_us > self.slow_us) {
-            self.server.events().emit(Event::SlowRequest {
-                conn: id,
-                raw_bytes: conn.raw_len,
-                times,
-            });
-        }
-        if self.server.events().is_active() {
-            if let Some(&adoc::LevelEvent { level, reason, .. }) = conn.stats.level_timeline.last()
-            {
-                if let Some(from) = conn.last_level.filter(|&prev| prev != level) {
-                    self.server.events().emit(Event::LevelChange {
-                        conn: id,
-                        from,
-                        to: level,
-                        reason,
-                    });
-                }
-                conn.last_level = Some(level);
-            }
-            self.server.note_pool_evictions();
-        }
-        // Returning the message buffer at every boundary caps idle
-        // memory at socket buffers and makes the bytes visible to the
-        // pool's idle gauges.
-        conn.msg = None;
-        conn.filled = 0;
-        conn.raw_len = 0;
-        ReplyFlow::Wait(State::ReadHeader { got: 0 }, Interest::READ)
-    }
-
-    /// Test hook: queue a job that panics, attributed to the
-    /// connection currently owning `token` — exercises the typed
-    /// worker-failure path end to end.
-    #[cfg(test)]
-    fn inject_panic_job(&self, token: u64) {
         self.pool.submit(Job {
             conn: token,
-            work: Box::new(|_codec| panic!("injected worker panic")),
+            work: Box::new(move |codec| {
+                let mut payload = Vec::new();
+                codec.compress_at(level, &chunk, &mut payload);
+                // Compression that does not pay falls back to a stored
+                // frame.
+                let (level, body) = if payload.len() >= chunk.len() {
+                    (0, &chunk)
+                } else {
+                    (level, &payload)
+                };
+                Ok((level, encode_frame(level, &chunk, body)))
+            }),
         });
+        Step::Wait(Stage::Deflate(reply), Interest::NONE)
     }
 
-    /// Test hook: tokens of currently-owned connections.
-    #[cfg(test)]
-    fn tokens(&self) -> Vec<u64> {
-        self.conns.keys().copied().collect()
+    /// Reply fully written: run the message epilogue and return to the
+    /// message boundary.
+    fn finish_message(&mut self, sess: &mut Session, reply: Reply) -> Step {
+        sess.stats.messages += 1;
+        sess.stats.raw_bytes += reply.raw;
+        sess.stats.wire_bytes += reply.wire;
+        let msg = ServedMessage {
+            raw_bytes: reply.msg.len() as u64,
+            reply_wire_bytes: reply.wire,
+            stats: &sess.stats,
+            times: sess.span.take().map(MsgSpan::finish),
+            from_first_byte: true,
+        };
+        self.server
+            .message_served(sess.id, msg, &mut sess.last_level);
+        // Dropping the reply returns the message buffer to the pool at
+        // every boundary: idle memory is capped at socket buffers.
+        Step::Wait(Stage::Read(Read::new(Target::MsgHeader)), Interest::READ)
     }
-}
-
-enum ReplyFlow {
-    /// Park or block with this state and poller interest (also how a
-    /// finished message returns to the read-header boundary).
-    Wait(State, Interest),
-    Close(CloseKind),
 }
 
 #[cfg(test)]
@@ -1636,22 +1351,35 @@ mod tests {
     use super::*;
     use crate::{ServeMode, ServerConfig};
     use adoc::AdocSocket;
-    use std::net::TcpListener;
     use std::sync::atomic::AtomicBool;
 
-    fn reactor_with(cfg: ServerConfig) -> (Reactor, Arc<Server>, TcpListener, SocketAddr) {
+    /// A reactor listening on an ephemeral loopback port, driven by
+    /// the test through `run_once`.
+    fn reactor_with(cfg: ServerConfig) -> (Reactor, Arc<Server>, SocketAddr) {
         let server = Server::new(cfg).expect("config");
-        let reactor =
-            Reactor::new(Arc::clone(&server), Arc::new(PendingGroups::default())).expect("reactor");
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        listener.set_nonblocking(true).expect("nonblocking");
         let addr = listener.local_addr().expect("addr");
-        (reactor, server, listener, addr)
+        let pending = Arc::new(PendingGroups::default());
+        let reactor = Reactor::new(Arc::clone(&server), pending, listener).expect("reactor");
+        (reactor, server, addr)
     }
 
-    /// Accepts one socket and injects it into the reactor.
-    fn accept_into(reactor: &Reactor, listener: &TcpListener) {
-        let (stream, peer) = listener.accept().expect("accept");
-        reactor.handle().register(stream, peer);
+    impl Reactor {
+        /// Queues a job that panics, attributed to the connection
+        /// currently owning `token` — exercises the typed
+        /// worker-failure path end to end.
+        fn inject_panic_job(&self, token: u64) {
+            self.pool.submit(Job {
+                conn: token,
+                work: Box::new(|_codec| panic!("injected worker panic")),
+            });
+        }
+
+        /// Tokens of currently-owned connections.
+        fn tokens(&self) -> Vec<u64> {
+            self.conns.keys().copied().collect()
+        }
     }
 
     fn run_until(
@@ -1668,7 +1396,7 @@ mod tests {
 
     #[test]
     fn echoes_direct_and_adaptive_messages_byte_exactly() {
-        let (mut reactor, server, listener, addr) =
+        let (mut reactor, server, addr) =
             reactor_with(ServerConfig::builder().build().expect("config"));
         let small = b"tiny direct message".to_vec();
         let big = adoc_data::generate(adoc_data::DataKind::Ascii, 1 << 20, 7);
@@ -1686,7 +1414,6 @@ mod tests {
                 }
             })
         };
-        accept_into(&reactor, &listener);
         run_until(&mut reactor, Duration::from_secs(30), |_| {
             client.is_finished()
         });
@@ -1702,7 +1429,7 @@ mod tests {
 
     #[test]
     fn sink_mode_acknowledges_with_length_and_hash() {
-        let (mut reactor, server, listener, addr) = reactor_with(
+        let (mut reactor, server, addr) = reactor_with(
             ServerConfig::builder()
                 .mode(ServeMode::Sink)
                 .build()
@@ -1722,7 +1449,6 @@ mod tests {
                 ack
             })
         };
-        accept_into(&reactor, &listener);
         run_until(&mut reactor, Duration::from_secs(30), |_| {
             client.is_finished()
         });
@@ -1739,9 +1465,29 @@ mod tests {
         assert_eq!(server.registry().totals().completed, 1);
     }
 
+    /// A client thread that echoes `len` bytes once and checks them.
+    fn direct_echo_client(addr: SocketAddr, len: usize, seed: u64) -> JoinHandle<()> {
+        std::thread::spawn(move || {
+            let payload = adoc_data::generate(adoc_data::DataKind::Ascii, len, seed);
+            let sock = TcpStream::connect(addr).expect("connect");
+            let r = sock.try_clone().expect("clone");
+            // Probe threshold above the payload keeps the client's
+            // own send direct, so inbound pacing is chunk-by-chunk.
+            let cfg = AdocConfig {
+                probe_threshold: 8 << 20,
+                ..AdocConfig::default()
+            };
+            let mut conn = AdocSocket::with_config(r, sock, cfg).expect("client cfg");
+            conn.write_all(&payload).expect("send");
+            let mut back = vec![0u8; payload.len()];
+            conn.read_exact(&mut back).expect("echo");
+            assert_eq!(back, payload);
+        })
+    }
+
     #[test]
     fn a_throttled_connection_parks_without_spinning() {
-        let (mut reactor, server, listener, addr) = reactor_with(
+        let (mut reactor, server, addr) = reactor_with(
             ServerConfig::builder()
                 // 1 MB/s aggregate: a 1 MiB direct echo (≈ 2 MiB of
                 // admissions) must park repeatedly.
@@ -1749,26 +1495,7 @@ mod tests {
                 .build()
                 .expect("config"),
         );
-        let payload = adoc_data::generate(adoc_data::DataKind::Ascii, 1 << 20, 11);
-        let client = {
-            let payload = payload.clone();
-            std::thread::spawn(move || {
-                let sock = TcpStream::connect(addr).expect("connect");
-                let r = sock.try_clone().expect("clone");
-                // Probe threshold above the payload keeps the client's
-                // own send direct, so inbound pacing is chunk-by-chunk.
-                let cfg = AdocConfig {
-                    probe_threshold: 8 << 20,
-                    ..AdocConfig::default()
-                };
-                let mut conn = AdocSocket::with_config(r, sock, cfg).expect("client cfg");
-                conn.write_all(&payload).expect("send");
-                let mut back = vec![0u8; payload.len()];
-                conn.read_exact(&mut back).expect("echo");
-                assert_eq!(back, payload);
-            })
-        };
-        accept_into(&reactor, &listener);
+        let client = direct_echo_client(addr, 1 << 20, 11);
         let mut observed_parked = false;
         let mut checked_quiet = false;
         let end = Instant::now() + Duration::from_secs(60);
@@ -1801,17 +1528,49 @@ mod tests {
     }
 
     #[test]
+    fn parked_connections_do_not_wake_each_other_in_a_loop() {
+        // With two throttled connections every admission's refill wakes
+        // the reactor to retry the other one early, and that retry is
+        // usually refused. The refusal must leave the reactor asleep: if
+        // its own forced refill counted as news, the reactor would wake
+        // itself, retry, be refused and wake itself again — 100% CPU
+        // for as long as anything is parked.
+        let (mut reactor, server, addr) = reactor_with(
+            ServerConfig::builder()
+                .budget(Some(1_000_000.0))
+                .build()
+                .expect("config"),
+        );
+        let clients = [11, 12].map(|seed| direct_echo_client(addr, 512 << 10, seed));
+        let mut polls = 0usize;
+        let end = Instant::now() + Duration::from_secs(60);
+        while !clients.iter().all(JoinHandle::is_finished) {
+            assert!(Instant::now() < end, "throttled echoes never finished");
+            reactor.run_once(Some(Duration::from_millis(20)));
+            polls += 1;
+        }
+        for client in clients {
+            client.join().expect("client");
+        }
+        // ~2 s of pacing: a hundred poll timeouts plus a few events for
+        // each of the ~32 admissions. A spinning reactor polls tens of
+        // thousands of times.
+        assert!(polls < 2_000, "{polls} polls: the reactor spins");
+        run_until(&mut reactor, Duration::from_secs(10), |r| r.live() == 0);
+        assert_eq!(server.scheduler().parked(), 0);
+    }
+
+    #[test]
     fn a_worker_panic_closes_the_connection_with_a_typed_error() {
-        let (mut reactor, server, listener, addr) =
+        let (mut reactor, server, addr) =
             reactor_with(ServerConfig::builder().build().expect("config"));
         let sock = TcpStream::connect(addr).expect("connect");
         let mut probe = sock.try_clone().expect("clone");
         // Register and reach the serving state: two header bytes sniff
         // the connection into the registry.
         probe.write_all(&[MAGIC, 0]).expect("sniff bytes");
-        accept_into(&reactor, &listener);
         run_until(&mut reactor, Duration::from_secs(10), |r| {
-            r.tokens().len() == 1 && r.conns.values().all(|c| c.id.is_some())
+            r.tokens().len() == 1 && r.conns.values().all(|c| c.state.id().is_some())
         });
         let token = reactor.tokens()[0];
 
@@ -1835,46 +1594,41 @@ mod tests {
 
     #[test]
     fn wake_consume_order_never_strands_the_pending_flag() {
-        // Mirrors run_once's consume cycle: drain the pipe, THEN clear.
-        // A wake racing in between is coalesced into the current cycle
-        // (pending is still true, so it writes nothing), and the first
-        // wake after the clear must land a fresh byte — pending can
-        // never end up true over an empty pipe, which would leave the
-        // waker permanently dead.
-        let (mut rx, tx) = io::pipe().expect("pipe");
-        let waker = Waker {
-            tx: Mutex::new(tx),
-            pending: AtomicBool::new(false),
-        };
-        waker.wake();
-        let mut buf = [0u8; 64];
-        assert_eq!(rx.read(&mut buf).expect("drain"), 1);
-        waker.wake(); // races the consume cycle: coalesced, no byte
-        waker.clear();
-        waker.wake(); // first wake after the clear re-arms the pipe
+        // A wake racing the consume cycle is coalesced into it (pending
+        // is still true, so it writes nothing), and the first wake
+        // after the consume must land a fresh byte — pending can never
+        // end up true over an empty pipe, which would leave the waker
+        // permanently dead.
         let poller = Poller::new().expect("poller");
-        poller
-            .register(rx.as_raw_fd(), 1, Interest::READ)
-            .expect("register");
+        let (waker, mut rx) = Waker::new(&poller, 1).expect("waker");
+        waker.wake();
+        waker.wake(); // coalesced: one byte in the pipe
+        waker.consume(&mut rx);
         let mut events = Vec::new();
+        let idle = poller
+            .wait(&mut events, Some(Duration::ZERO))
+            .expect("wait");
+        assert_eq!(idle, 0, "a consumed wake leaves the pipe empty");
+        waker.wake(); // first wake after the consume re-arms the pipe
         let n = poller
             .wait(&mut events, Some(Duration::from_secs(2)))
             .expect("wait");
         assert_eq!(
             n, 1,
-            "a wake after clear() must write a byte or the reactor sleeps forever"
+            "a wake after consume() must write a byte or the reactor sleeps forever"
         );
     }
 
     #[test]
     fn a_zero_length_adaptive_message_is_a_clean_close() {
-        let (mut reactor, server, listener, addr) =
+        let (mut reactor, server, addr) =
             reactor_with(ServerConfig::builder().build().expect("config"));
         let mut sock = TcpStream::connect(addr).expect("connect");
         sock.write_all(&wire::encode_msg_header(MsgKind::Adaptive, 0))
             .expect("header");
-        accept_into(&reactor, &listener);
-        run_until(&mut reactor, Duration::from_secs(10), |r| r.live() == 0);
+        run_until(&mut reactor, Duration::from_secs(10), |r| {
+            server.registry().totals().accepted == 1 && r.live() == 0
+        });
         let totals = server.registry().totals();
         assert_eq!(
             totals.completed, 1,
@@ -1941,7 +1695,7 @@ mod tests {
         // admits a quantum within the test horizon) and re-park on
         // every level-triggered HUP: a 100% CPU loop that also grows
         // the timer heap without bound.
-        let (mut reactor, server, listener, addr) = reactor_with(
+        let (mut reactor, server, addr) = reactor_with(
             ServerConfig::builder()
                 .budget(Some(10.0))
                 .build()
@@ -1959,7 +1713,6 @@ mod tests {
                 (&s).write_all(&vec![0x5au8; 200 * 1024 + 1]).expect("body");
             })
         };
-        accept_into(&reactor, &listener);
         run_until(&mut reactor, Duration::from_secs(10), |_| {
             server.scheduler().parked() == 1
         });
@@ -1977,7 +1730,7 @@ mod tests {
 
     #[test]
     fn drain_closes_idle_connections_at_the_boundary() {
-        let (mut reactor, server, listener, addr) =
+        let (mut reactor, server, addr) =
             reactor_with(ServerConfig::builder().build().expect("config"));
         let done = Arc::new(AtomicBool::new(false));
         let client = {
@@ -1996,7 +1749,6 @@ mod tests {
                 }
             })
         };
-        accept_into(&reactor, &listener);
         run_until(&mut reactor, Duration::from_secs(30), |_| {
             server.registry().totals().messages >= 1
         });

@@ -61,7 +61,7 @@
 
 use crate::event::{Event, EventBus};
 use adoc::{DelaySnapshot, Throttle};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
@@ -257,30 +257,58 @@ struct Bucket {
     /// Token balance in bytes; may be negative (debt) after a large
     /// admission.
     tokens: f64,
-    /// Threads currently blocked in `acquire` on this bucket.
-    waiters: usize,
-    /// When a nonblocking admission ([`FairScheduler`]'s `try_acquire`
-    /// path) was refused and the connection parked in its reactor —
-    /// `Some(instant)` makes the bucket backlogged exactly like a
-    /// blocked waiter, so refills keep crediting it while it sleeps off
-    /// the lock.
-    parked_since: Option<Instant>,
+    /// Refused admissions pending on this bucket: threads asleep on
+    /// the condvar (a striped group's emission threads share one
+    /// bucket, orphans share the drain bucket) plus a connection parked
+    /// in its reactor. While non-zero the bucket is backlogged and
+    /// refills keep crediting it.
+    pending: usize,
+    /// When the wait the bucket's next admission ends began: its first
+    /// refusal, or the previous admission if others stayed pending.
+    /// That admission reports it as one [`Event::SchedWait`].
+    backlogged_since: Option<Instant>,
+    /// The pending admission came through the nonblocking path (the
+    /// connection is parked in its reactor): counted in
+    /// [`FairScheduler::parked`] until admitted or deregistered.
+    parked: bool,
     /// Shared counters (also referenced by the directory and the
     /// connection's throttle handle).
     stats: Arc<ConnStats>,
 }
 
 impl Bucket {
+    fn new(tokens: f64, stats: Arc<ConnStats>) -> Bucket {
+        Bucket {
+            tokens,
+            pending: 0,
+            backlogged_since: None,
+            parked: false,
+            stats,
+        }
+    }
+
     fn weight(&self) -> f64 {
         self.stats.weight()
     }
 
-    /// True when an admission is pending on this bucket — blocked on the
-    /// condvar or parked in a reactor. Backlogged buckets get phase-1
-    /// refill credit and count toward the max-min share denominator.
+    /// True when an admission is pending on this bucket. Backlogged
+    /// buckets get phase-1 refill credit and count toward the max-min
+    /// share denominator.
     fn backlogged(&self) -> bool {
-        self.waiters > 0 || self.parked_since.is_some()
+        self.pending > 0
     }
+}
+
+/// Where an admission attempt stands in its caller's wait episode.
+#[derive(Clone, Copy, PartialEq)]
+enum Stage {
+    /// Not refused yet: the caller is not among the bucket's `pending`.
+    First,
+    /// A retry woken early by someone else's refill.
+    Woken,
+    /// A retry at the hinted instant — the event the caller waited
+    /// for, so it forces the refill past `MIN_EPOCH_SECS`.
+    Due,
 }
 
 /// Pacing state: everything admissions touch, behind one mutex that the
@@ -295,45 +323,27 @@ struct Pacing {
     drain: Bucket,
     /// When the last refill epoch was taken.
     last_refill: Instant,
-    /// Total blocked threads across all buckets (incl. the drain
-    /// bucket); refills only notify when this is non-zero.
-    waiters: usize,
-    /// Buckets currently parked on a refused nonblocking admission;
-    /// refills only invoke the parked-waker when this is non-zero.
-    parked: usize,
+    /// Threads asleep on the `refilled` condvar; refills only notify
+    /// when this is non-zero.
+    sleepers: usize,
 }
 
 impl Pacing {
-    /// Sum of every registered weight plus the drain bucket's — the
-    /// denominator for burst caps.
+    /// Every bucket: the registered ones and the shared drain bucket.
+    fn all(&self) -> impl Iterator<Item = &Bucket> {
+        self.buckets.values().chain([&self.drain])
+    }
+
+    /// Sum of every bucket's weight — the denominator for burst caps.
     fn total_weight(&self) -> f64 {
-        self.drain.weight() + self.buckets.values().map(Bucket::weight).sum::<f64>()
+        self.all().map(Bucket::weight).sum()
     }
 
-    /// Sum of the weights of buckets with blocked waiters — the
-    /// denominator for a waiter's max-min share prediction.
-    fn backlogged_weight(&self) -> f64 {
-        let mut w = if self.drain.backlogged() {
-            self.drain.weight()
-        } else {
-            0.0
-        };
-        w += self
-            .buckets
-            .values()
-            .filter(|b| b.backlogged())
-            .map(Bucket::weight)
-            .sum::<f64>();
-        w
-    }
-
-    /// Sum of the weights of backlogged Control-tier buckets — the
-    /// denominator of a control waiter's phase-0 share prediction. The
-    /// drain bucket is always Bulk and never contributes.
-    fn control_backlogged_weight(&self) -> f64 {
-        self.buckets
-            .values()
-            .filter(|b| b.backlogged() && b.stats.tier() == Tier::Control)
+    /// Summed weight of the backlogged buckets of `tier` (`None` = any)
+    /// — the denominator of a waiter's max-min share prediction.
+    fn backlogged_weight(&self, tier: Option<Tier>) -> f64 {
+        self.all()
+            .filter(|b| b.backlogged() && tier.is_none_or(|t| b.stats.tier() == t))
             .map(Bucket::weight)
             .sum()
     }
@@ -350,6 +360,14 @@ impl Pacing {
     /// Burst cap for a bucket of weight `w` under `budget`.
     fn cap_for(budget: f64, w: f64, total_weight: f64) -> f64 {
         (budget * BURST_SECS * w / total_weight.max(w)).max(MIN_BURST)
+    }
+
+    /// Burst cap a bucket of weight `w` registering now would get.
+    fn joining_cap(&self, w: f64) -> f64 {
+        match self.budget {
+            Some(budget) => Self::cap_for(budget, w, self.total_weight() + w),
+            None => MIN_BURST,
+        }
     }
 
     /// Advances the refill epoch if it is stale, water-filling the
@@ -403,15 +421,8 @@ impl Pacing {
     }
 
     fn phase_buckets(&mut self, pred: impl Fn(&Bucket) -> bool) -> Vec<&mut Bucket> {
-        let mut set: Vec<&mut Bucket> = self
-            .buckets
-            .values_mut()
-            .filter(|b| pred(b))
-            .collect::<Vec<_>>();
-        if pred(&self.drain) {
-            set.push(&mut self.drain);
-        }
-        set
+        let all = self.buckets.values_mut().chain([&mut self.drain]);
+        all.filter(|b| pred(b)).collect()
     }
 
     /// Weighted max-min water-filling: distributes `credit` over
@@ -504,7 +515,7 @@ struct Inner {
     /// [`Event::BudgetChanged`] go. Emission always happens *after* the
     /// pacing lock is released.
     bus: Arc<EventBus>,
-    /// Lock-free mirror of `pacing.parked` — the
+    /// Buckets whose pending admission is parked in a reactor — the
     /// `sched.parked_on_throttle` metrics gauge, and the fast check
     /// that skips the waker lock when nothing is parked.
     parked_count: AtomicU64,
@@ -585,12 +596,7 @@ impl FairScheduler {
     /// [`Event::RefillEpoch`], and [`Event::BudgetChanged`] through
     /// `bus`.
     pub fn with_bus(budget_bytes_per_sec: Option<f64>, bus: Arc<EventBus>) -> FairScheduler {
-        if let Some(b) = budget_bytes_per_sec {
-            assert!(
-                b > 0.0 && b.is_finite(),
-                "a bandwidth budget must be positive and finite"
-            );
-        }
+        Self::check_budget(budget_bytes_per_sec);
         let drain_stats = ConnStats::new(1.0, Tier::Bulk, MIN_BURST);
         FairScheduler {
             inner: Arc::new(Inner {
@@ -598,15 +604,9 @@ impl FairScheduler {
                 pacing: Mutex::new(Pacing {
                     budget: budget_bytes_per_sec,
                     buckets: HashMap::new(),
-                    drain: Bucket {
-                        tokens: MIN_BURST,
-                        waiters: 0,
-                        parked_since: None,
-                        stats: Arc::clone(&drain_stats),
-                    },
+                    drain: Bucket::new(MIN_BURST, Arc::clone(&drain_stats)),
                     last_refill: Instant::now(),
-                    waiters: 0,
-                    parked: 0,
+                    sleepers: 0,
                 }),
                 refilled: Condvar::new(),
                 directory: Mutex::new(HashMap::new()),
@@ -618,12 +618,7 @@ impl FairScheduler {
                 // scheduler accrues balances when a budget first
                 // arrives (see set_budget).
                 capacity_bits: AtomicU64::new(
-                    if budget_bytes_per_sec.is_some() {
-                        MIN_BURST
-                    } else {
-                        0.0
-                    }
-                    .to_bits(),
+                    budget_bytes_per_sec.map_or(0.0, |_| MIN_BURST).to_bits(),
                 ),
                 bus,
                 parked_count: AtomicU64::new(0),
@@ -643,15 +638,9 @@ impl FairScheduler {
         if bytes <= 0.0 {
             return;
         }
+        let add = |cur: u64| Some((f64::from_bits(cur) + bytes).to_bits());
         let cell = &self.inner.capacity_bits;
-        let mut cur = cell.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) + bytes).to_bits();
-            match cell.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => return,
-                Err(seen) => cur = seen,
-            }
-        }
+        let _ = cell.fetch_update(Ordering::Relaxed, Ordering::Relaxed, add);
     }
 
     /// Fraction of the granted admission capacity actually consumed:
@@ -688,6 +677,11 @@ impl FairScheduler {
         Some(((admitted - unpaced - debt) / capacity).clamp(0.0, 1.0))
     }
 
+    fn check_budget(budget: Option<f64>) {
+        let valid = budget.is_none_or(|b| b > 0.0 && b.is_finite());
+        assert!(valid, "a bandwidth budget must be positive and finite");
+    }
+
     fn budget_to_bits(budget: Option<f64>) -> u64 {
         // A real budget is asserted positive and finite, so NaN is free
         // to encode "unlimited".
@@ -708,12 +702,7 @@ impl FairScheduler {
     /// accumulated debt in one burst. All waiters are woken to
     /// re-evaluate at the new rate.
     pub fn set_budget(&self, budget_bytes_per_sec: Option<f64>) {
-        if let Some(b) = budget_bytes_per_sec {
-            assert!(
-                b > 0.0 && b.is_finite(),
-                "a bandwidth budget must be positive and finite"
-            );
-        }
+        Self::check_budget(budget_bytes_per_sec);
         let mut p = self.inner.pacing.lock();
         // Clock edge: the tail of credit earned under the outgoing
         // budget is distributed — and accounted as capacity — before
@@ -772,32 +761,31 @@ impl FairScheduler {
             "a scheduling weight must be positive and finite"
         );
         let effective = tier.weight() * weight;
-        let mut p = self.inner.pacing.lock();
+        let p = self.inner.pacing.lock();
         // New connections start with a full burst bank so short
         // interactive messages are snappy; the grant is a one-time
         // allowance, not ongoing share (refills only top idle banks up
         // from surplus).
-        let total_weight = p.total_weight() + effective;
-        let tokens = match p.budget {
-            Some(b) => Pacing::cap_for(b, effective, total_weight),
-            None => MIN_BURST,
-        };
+        let tokens = p.joining_cap(effective);
         if p.budget.is_some() {
             // The one-time burst grant is spendable paced capacity
             // (under an unlimited budget the bank is decorative until
             // set_budget accrues whatever survives the clamp).
             self.accrue_capacity(tokens);
         }
-        let stats = ConnStats::new(weight, tier, tokens);
-        p.buckets.insert(
-            conn,
-            Bucket {
-                tokens,
-                waiters: 0,
-                parked_since: None,
-                stats: Arc::clone(&stats),
-            },
-        );
+        self.install(p, conn, ConnStats::new(weight, tier, tokens))
+    }
+
+    /// Puts a bucket holding `stats`' balance on both sets of books —
+    /// pacing and the snapshot directory — and returns its handle.
+    fn install(
+        &self,
+        mut p: MutexGuard<'_, Pacing>,
+        conn: u64,
+        stats: Arc<ConnStats>,
+    ) -> ConnThrottle {
+        let bucket = Bucket::new(stats.tokens(), Arc::clone(&stats));
+        p.buckets.insert(conn, bucket);
         drop(p);
         self.inner.directory.lock().insert(conn, Arc::clone(&stats));
         ConnThrottle {
@@ -841,32 +829,11 @@ impl FairScheduler {
             "a scheduling weight must be positive and finite"
         );
         let effective = co.tier.weight() * co.weight;
-        let mut p = self.inner.pacing.lock();
-        let total_weight = p.total_weight() + effective;
-        let cap = match p.budget {
-            Some(b) => Pacing::cap_for(b, effective, total_weight),
-            None => MIN_BURST,
-        };
-        let tokens = co.tokens.min(cap);
+        let p = self.inner.pacing.lock();
+        let tokens = co.tokens.min(p.joining_cap(effective));
         let stats = ConnStats::new(co.weight, co.tier, tokens);
         stats.admitted.store(co.admitted, Ordering::Relaxed);
-        p.buckets.insert(
-            conn,
-            Bucket {
-                tokens,
-                waiters: 0,
-                parked_since: None,
-                stats: Arc::clone(&stats),
-            },
-        );
-        drop(p);
-        self.inner.directory.lock().insert(conn, Arc::clone(&stats));
-        ConnThrottle {
-            sched: self.clone(),
-            conn,
-            stats,
-            cpu: None,
-        }
+        self.install(p, conn, stats)
     }
 
     /// Active (registered) connection count.
@@ -946,192 +913,189 @@ impl FairScheduler {
         BucketSnapshot::of(0, &self.inner.drain_stats)
     }
 
-    /// Blocking admission for `conn` under the aggregate budget.
-    fn acquire_paced(&self, conn: u64, bytes: usize) {
-        let mut p = self.inner.pacing.lock();
-        // A blocked thread stays registered as a waiter for the whole
-        // episode — including the instants it holds the lock between
-        // sleeps. The refill it performs on wake must count its own
-        // bucket as backlogged, or the most-frequently-waking
-        // connection would donate its entire credit share to its peers
-        // (inverting the weighted split).
-        let mut waiting = false;
-        // A wake at the computed deadline forces the refill even if
-        // another admission advanced the epoch under MIN_EPOCH_SECS
-        // ago — the deadline *is* the event the waiter slept for, and
-        // refusing it credit would only buy a MIN_SLEEP re-sleep.
-        let mut deadline_wake = false;
-        // Refill credit distributed by this call and the instant it
-        // first blocked, both reported on the bus only once the pacing
-        // lock is dropped: a blocking episode coalesces to at most one
-        // RefillEpoch and one SchedWait, so the hot path never
-        // dispatches under the lock.
-        let mut episode_credit = 0.0f64;
-        let mut wait_start: Option<Instant> = None;
-        loop {
-            let now = Instant::now();
-            let credit = p.refill(now, deadline_wake);
-            self.accrue_capacity(credit);
-            episode_credit += credit;
-            let refilled = credit > 0.0;
-            let Some(budget) = p.budget else {
-                // The budget was lifted (set_budget(None)) while we held
-                // or waited for the lock: admit, only counting bytes.
-                let b = p.bucket_mut(conn);
-                if waiting {
-                    b.waiters -= 1;
-                }
-                b.stats.admitted.fetch_add(bytes as u64, Ordering::Relaxed);
-                let tier = b.stats.tier();
-                if waiting {
-                    p.waiters -= 1;
-                }
-                drop(p);
-                self.inner
-                    .total_admitted
-                    .fetch_add(bytes as u64, Ordering::Relaxed);
-                self.inner
-                    .unpaced_admitted
-                    .fetch_add(bytes as u64, Ordering::Relaxed);
-                self.emit_episode(conn, tier, wait_start, episode_credit);
-                return;
-            };
-            let b = p.bucket_mut(conn);
-            if b.tokens > 0.0 {
-                b.tokens -= bytes as f64;
-                b.stats.store_tokens(b.tokens);
-                b.stats.admitted.fetch_add(bytes as u64, Ordering::Relaxed);
-                let tier = b.stats.tier();
-                if waiting {
-                    b.waiters -= 1;
-                    p.waiters -= 1;
-                }
-                let wake = refilled && p.waiters > 0;
-                let wake_parked = refilled && p.parked > 0;
-                drop(p);
-                if wake {
-                    // The refill this admission performed may have paid
-                    // off someone else's debt; wake them now instead of
-                    // at their pessimistic deadline.
-                    self.inner.refilled.notify_all();
-                }
-                if wake_parked {
-                    self.wake_parked();
-                }
-                self.inner
-                    .total_admitted
-                    .fetch_add(bytes as u64, Ordering::Relaxed);
-                self.emit_episode(conn, tier, wait_start, episode_credit);
-                return;
-            }
-            // Block until this bucket's max-min share pays the debt off:
-            // sleep exactly until the predicted admission instant, and
-            // let refill/deregistration/budget events wake us earlier.
-            // The prediction is optimistic (it assumes only currently
-            // backlogged buckets compete for the budget), so a spurious
-            // wake loops back to a shorter sleep — never a longer one.
-            let debt = -b.tokens;
-            let weight = b.weight();
-            let tier = b.stats.tier();
-            if !waiting {
-                b.waiters += 1;
-                p.waiters += 1;
-                waiting = true;
-                wait_start = Some(now);
-            }
-            if refilled && p.waiters > 1 {
-                // The refill may have satisfied another waiter.
-                self.inner.refilled.notify_all();
-            }
-            let mut rate = budget * weight / p.backlogged_weight().max(weight);
-            if tier == Tier::Control {
-                // Phase-0 preemption guarantees control waiters at
-                // least their slice of the reserved fraction; sleep on
-                // the better of the two predictions.
-                let cw = p.control_backlogged_weight().max(weight);
-                rate = rate.max(budget * CONTROL_PREEMPT_FRACTION * weight / cw);
-            }
-            let wait = ((debt + 1.0) / rate).max(MIN_SLEEP_SECS);
-            let deadline = now + Duration::from_secs_f64(wait);
-            deadline_wake = self.inner.refilled.wait_until(&mut p, deadline).timed_out();
-            // The bucket is re-resolved at the top of the loop: it may
-            // have been deregistered while we slept, in which case the
-            // drain bucket inherited our waiter count.
-        }
-    }
-
-    /// Nonblocking admission for `conn`: either the bytes are admitted
-    /// and charged now (`Ok`), or the bucket is marked **parked** and
-    /// the caller gets the same debt-clearing prediction a blocking
-    /// waiter would sleep on (`Err(retry_after)`). A parked bucket is
-    /// backlogged for refill purposes — credit keeps flowing to it
-    /// while the connection sits in its reactor — and the registered
-    /// parked-waker fires on any event that could admit it early
-    /// (refills by other admissions, deregistrations, budget changes).
-    /// The eventual admission emits one [`Event::SchedWait`] covering
-    /// the whole parked episode, exactly like a blocking wait.
-    fn try_acquire_paced(&self, conn: u64, bytes: usize) -> Result<(), Duration> {
-        let mut p = self.inner.pacing.lock();
+    /// One admission attempt under the pacing lock — the only place a
+    /// bucket's tokens are spent, for blocking and nonblocking callers
+    /// alike. The model is debt-based: a positive balance admits and
+    /// pays the full `bytes`. Returns the refill credit the attempt
+    /// distributed and the verdict: `Ok` ends the caller's wait (its
+    /// tier and start, if it had been refused before); `Err` counts the
+    /// caller among the bucket's pending admissions — `parks` says it
+    /// will sit in a reactor rather than on the condvar — and predicts
+    /// when the bucket's max-min share will have paid the debt off. The
+    /// prediction is optimistic (only currently backlogged buckets
+    /// compete), so an early retry costs a shorter second wait, never
+    /// a longer one.
+    fn attempt(
+        &self,
+        p: &mut Pacing,
+        conn: u64,
+        bytes: usize,
+        parks: bool,
+        stage: Stage,
+    ) -> (f64, Result<Option<(Tier, Instant)>, Duration>) {
         let now = Instant::now();
-        // A parked retry is the event the connection slept for: force
-        // the refill past MIN_EPOCH_SECS, mirroring a deadline wake.
-        let force = p.bucket_mut(conn).parked_since.is_some();
-        let credit = p.refill(now, force);
+        // A refused caller stays pending across its retries, so the
+        // refill counts its bucket as backlogged — otherwise the
+        // most-frequently-waking connection would donate its credit
+        // share to its peers.
+        let credit = p.refill(now, stage == Stage::Due);
         self.accrue_capacity(credit);
-        let refilled = credit > 0.0;
         let budget = p.budget;
         let b = p.bucket_mut(conn);
-        if budget.is_none() || b.tokens > 0.0 {
-            if budget.is_some() {
-                b.tokens -= bytes as f64;
-                b.stats.store_tokens(b.tokens);
-            }
-            b.stats.admitted.fetch_add(bytes as u64, Ordering::Relaxed);
-            let tier = b.stats.tier();
-            let parked_since = b.parked_since.take();
-            if parked_since.is_some() {
-                p.parked -= 1;
-                self.inner.parked_count.fetch_sub(1, Ordering::Relaxed);
-            }
-            let wake_waiters = refilled && p.waiters > 0;
-            let wake_parked = refilled && p.parked > 0;
-            drop(p);
-            if wake_waiters {
-                self.inner.refilled.notify_all();
-            }
-            if wake_parked {
-                self.wake_parked();
-            }
-            self.inner
-                .total_admitted
-                .fetch_add(bytes as u64, Ordering::Relaxed);
-            if budget.is_none() {
-                self.inner
-                    .unpaced_admitted
-                    .fetch_add(bytes as u64, Ordering::Relaxed);
-            }
-            self.emit_episode(conn, tier, parked_since, credit);
-            return Ok(());
-        }
-        let budget = budget.expect("refused admission implies a budget");
-        let debt = -b.tokens;
         let weight = b.weight();
         let tier = b.stats.tier();
-        if b.parked_since.is_none() {
-            b.parked_since = Some(now);
-            p.parked += 1;
-            self.inner.parked_count.fetch_add(1, Ordering::Relaxed);
+        let budget = match budget {
+            Some(budget) if b.tokens <= 0.0 => budget,
+            paced => {
+                // Admitted; with the budget lifted only the bytes are
+                // counted, never charged.
+                if paced.is_some() {
+                    b.tokens -= bytes as f64;
+                    b.stats.store_tokens(b.tokens);
+                }
+                b.stats.admitted.fetch_add(bytes as u64, Ordering::Relaxed);
+                if parks && std::mem::take(&mut b.parked) {
+                    self.inner.parked_count.fetch_sub(1, Ordering::Relaxed);
+                }
+                let mut waited = None;
+                if stage != Stage::First {
+                    b.pending -= 1;
+                    // Whoever is still pending waits on from here.
+                    let next = (b.pending > 0).then_some(now);
+                    waited = std::mem::replace(&mut b.backlogged_since, next);
+                }
+                self.count_admitted(bytes, paced.is_none());
+                return (credit, Ok(waited.map(|since| (tier, since))));
+            }
+        };
+        let debt = -b.tokens;
+        if stage == Stage::First {
+            b.pending += 1;
+            b.backlogged_since.get_or_insert(now);
+            if parks {
+                b.parked = true;
+                self.inner.parked_count.fetch_add(1, Ordering::Relaxed);
+            }
         }
-        let mut rate = budget * weight / p.backlogged_weight().max(weight);
+        let mut rate = budget * weight / p.backlogged_weight(None).max(weight);
         if tier == Tier::Control {
-            let cw = p.control_backlogged_weight().max(weight);
+            // Phase-0 preemption guarantees control admissions at least
+            // their slice of the reserved fraction; wait on the better
+            // of the two predictions.
+            let cw = p.backlogged_weight(Some(Tier::Control)).max(weight);
             rate = rate.max(budget * CONTROL_PREEMPT_FRACTION * weight / cw);
         }
         let retry = ((debt + 1.0) / rate).max(MIN_SLEEP_SECS);
+        (credit, Err(Duration::from_secs_f64(retry)))
+    }
+
+    /// Lifetime byte counters behind [`FairScheduler::utilization`].
+    fn count_admitted(&self, bytes: usize, unpaced: bool) {
+        let total = &self.inner.total_admitted;
+        total.fetch_add(bytes as u64, Ordering::Relaxed);
+        if unpaced {
+            let unpaced = &self.inner.unpaced_admitted;
+            unpaced.fetch_add(bytes as u64, Ordering::Relaxed);
+        }
+    }
+
+    /// Blocking admission for `conn` under the aggregate budget:
+    /// [`FairScheduler::attempt`] until it admits, sleeping each retry
+    /// hint out on the condvar — every state change that could admit
+    /// earlier (a refill credited by another admission, a
+    /// deregistration, a budget change) signals it. A bucket
+    /// deregistered meanwhile re-resolves to the drain bucket, which
+    /// inherited the caller's pending count.
+    fn acquire_paced(&self, conn: u64, bytes: usize) {
+        let mut p = self.inner.pacing.lock();
+        let mut stage = Stage::First;
+        // One RefillEpoch per blocking episode, reported with the
+        // SchedWait once the lock is dropped.
+        let mut episode_credit = 0.0f64;
+        let waited = loop {
+            let (credit, verdict) = self.attempt(&mut p, conn, bytes, false, stage);
+            episode_credit += credit;
+            let retry = match verdict {
+                Ok(waited) => break waited,
+                Err(retry) => retry,
+            };
+            if stage == Stage::First {
+                p.sleepers += 1;
+            }
+            if credit > 0.0 && p.sleepers > 1 {
+                // The refill may have satisfied another waiter.
+                self.inner.refilled.notify_all();
+            }
+            let deadline = Instant::now() + retry;
+            let wake = self.inner.refilled.wait_until(&mut p, deadline);
+            stage = if wake.timed_out() {
+                Stage::Due
+            } else {
+                Stage::Woken
+            };
+        };
+        if stage != Stage::First {
+            p.sleepers -= 1;
+        }
+        let wake_sleepers = p.sleepers > 0;
         drop(p);
-        // No SchedWait yet — the episode ends when the retry admits.
-        self.emit_episode(conn, Tier::Bulk, None, credit);
-        Err(Duration::from_secs_f64(retry))
+        self.settle(conn, waited, episode_credit, wake_sleepers);
+    }
+
+    /// Nonblocking admission for `conn`: one [`FairScheduler::attempt`].
+    /// A refusal parks the bucket — backlogged for refill purposes
+    /// while the connection sits in its reactor, and woken through the
+    /// registered parked-waker on any event that could admit it before
+    /// the returned retry hint. The eventual admission emits one
+    /// [`Event::SchedWait`] covering the whole parked episode, exactly
+    /// like a blocking wait.
+    fn try_acquire_paced(&self, conn: u64, bytes: usize) -> Result<(), Duration> {
+        let mut p = self.inner.pacing.lock();
+        // A parked connection retries because its hint ran out or the
+        // waker fired; either is the event it sat parked for.
+        let stage = match p.bucket_mut(conn).parked {
+            true => Stage::Due,
+            false => Stage::First,
+        };
+        let (credit, verdict) = self.attempt(&mut p, conn, bytes, true, stage);
+        let wake_sleepers = p.sleepers > 0;
+        drop(p);
+        match verdict {
+            Ok(waited) => self.settle(conn, waited, credit, wake_sleepers),
+            // A refusal wakes nobody — the sliver its forced refill
+            // handed out would only have the reactor wake itself to be
+            // refused again — and ends no episode.
+            Err(_) => self.emit_episode(conn, None, credit),
+        }
+        verdict.map(drop)
+    }
+
+    /// After an admission, with the pacing lock released: wake whoever
+    /// the refill it performed may have paid off (now, instead of at
+    /// their pessimistic deadlines) and report the episode.
+    fn settle(&self, conn: u64, waited: Option<(Tier, Instant)>, credit: f64, wake_sleepers: bool) {
+        if credit > 0.0 {
+            if wake_sleepers {
+                self.inner.refilled.notify_all();
+            }
+            self.wake_parked();
+        }
+        self.emit_episode(conn, waited, credit);
+    }
+
+    /// Reports one admission episode's coalesced events; called with
+    /// the pacing lock already released.
+    fn emit_episode(&self, conn: u64, waited: Option<(Tier, Instant)>, credit: f64) {
+        if !self.inner.bus.is_active() {
+            return;
+        }
+        if credit > 0.0 {
+            self.inner.bus.emit(Event::RefillEpoch { credit });
+        }
+        if let Some((tier, since)) = waited {
+            let waited = since.elapsed();
+            self.inner.bus.emit(Event::SchedWait { conn, tier, waited });
+        }
     }
 
     /// Registers the out-of-band wakeup for parked admissions (a
@@ -1159,32 +1123,18 @@ impl FairScheduler {
         }
     }
 
-    /// Reports one admission episode's coalesced events; called with
-    /// the pacing lock already released.
-    fn emit_episode(&self, conn: u64, tier: Tier, wait_start: Option<Instant>, credit: f64) {
-        if !self.inner.bus.is_active() {
-            return;
-        }
-        if credit > 0.0 {
-            self.inner.bus.emit(Event::RefillEpoch { credit });
-        }
-        if let Some(start) = wait_start {
-            self.inner.bus.emit(Event::SchedWait {
-                conn,
-                tier,
-                waited: start.elapsed(),
-            });
-        }
-    }
-
     fn deregister(&self, conn: u64) {
         self.inner.directory.lock().remove(&conn);
         let mut p = self.inner.pacing.lock();
         if let Some(removed) = p.buckets.remove(&conn) {
-            // Any thread still blocked on this bucket re-resolves to the
-            // drain bucket when it wakes; hand the waiter count over so
-            // the bookkeeping stays balanced.
-            p.drain.waiters += removed.waiters;
+            // Any thread still blocked on this bucket is woken below
+            // and re-resolves to the drain bucket on its next attempt:
+            // hand its pending count over.
+            let orphans = removed.pending - usize::from(removed.parked);
+            if orphans > 0 {
+                p.drain.pending += orphans;
+                p.drain.backlogged_since = p.drain.backlogged_since.or(removed.backlogged_since);
+            }
             // Debt dies with the bucket but its admitted bytes were
             // counted: forgive it into capacity so utilization stays a
             // true ratio. (A positive leftover bank stays in capacity
@@ -1192,8 +1142,7 @@ impl FairScheduler {
             self.accrue_capacity(-removed.tokens);
             // A parked admission dies with its connection (the reactor
             // closes it; there is no thread to re-resolve).
-            if removed.parked_since.is_some() {
-                p.parked -= 1;
+            if removed.parked {
                 self.inner.parked_count.fetch_sub(1, Ordering::Relaxed);
             }
         }
@@ -1261,14 +1210,7 @@ impl Throttle for ConnThrottle {
             self.stats
                 .admitted
                 .fetch_add(bytes as u64, Ordering::Relaxed);
-            self.sched
-                .inner
-                .total_admitted
-                .fetch_add(bytes as u64, Ordering::Relaxed);
-            self.sched
-                .inner
-                .unpaced_admitted
-                .fetch_add(bytes as u64, Ordering::Relaxed);
+            self.sched.count_admitted(bytes, true);
         }
         if let Some(cpu) = &self.cpu {
             cpu.acquire_wire(bytes);
@@ -1286,14 +1228,7 @@ impl Throttle for ConnThrottle {
             self.stats
                 .admitted
                 .fetch_add(bytes as u64, Ordering::Relaxed);
-            self.sched
-                .inner
-                .total_admitted
-                .fetch_add(bytes as u64, Ordering::Relaxed);
-            self.sched
-                .inner
-                .unpaced_admitted
-                .fetch_add(bytes as u64, Ordering::Relaxed);
+            self.sched.count_admitted(bytes, true);
             Ok(())
         }
         // The chained CPU throttle is deliberately not consulted here:
@@ -1551,19 +1486,11 @@ mod tests {
         let total_weight = 6.0; // control 4 + bulk 1 + drain 1
         let bulk_cap = Pacing::cap_for(budget, 1.0, total_weight); // ~333 KB
         let control_cap = Pacing::cap_for(budget, 4.0, total_weight); // ~1.33 MB
-        let mut bulk = Bucket {
-            tokens: bulk_cap, // exactly at cap: pruned first
-            waiters: 0,
-            parked_since: None,
-            stats: ConnStats::new(1.0, Tier::Bulk, bulk_cap),
-        };
-        let mut control = Bucket {
-            tokens: 400_000.0, // above bulk's cap, well below its own
-            waiters: 0,
-            parked_since: None,
-            // base 1.0 at Control tier = effective weight 4.
-            stats: ConnStats::new(1.0, Tier::Control, 400_000.0),
-        };
+                                                                      // Exactly at cap: pruned first.
+        let mut bulk = Bucket::new(bulk_cap, ConnStats::new(1.0, Tier::Bulk, bulk_cap));
+        // Above bulk's cap, well below its own (base 1.0 at Control
+        // tier = effective weight 4).
+        let mut control = Bucket::new(400_000.0, ConnStats::new(1.0, Tier::Control, 400_000.0));
         assert!(control.tokens > bulk_cap && control.tokens < control_cap);
         let leftover = Pacing::water_fill(
             vec![&mut bulk, &mut control],
@@ -1741,6 +1668,80 @@ mod tests {
         sched.set_budget(None);
         parked.try_acquire_wire(1).expect("unlimited admits");
         assert_eq!(sched.parked(), 0);
+    }
+
+    #[test]
+    fn a_refused_retry_wakes_nobody() {
+        // A parked retry forces a refill. The sliver of credit that
+        // hands out must not fire the waker: the reactor would wake
+        // itself, retry, be refused and wake itself again — 100% CPU
+        // for as long as the debt lasts.
+        use std::sync::atomic::AtomicUsize;
+        let sched = FairScheduler::new(Some(1e6));
+        let wakes = Arc::new(AtomicUsize::new(0));
+        let w = Arc::clone(&wakes);
+        sched.set_parked_waker(Arc::new(move || {
+            w.fetch_add(1, Ordering::Relaxed);
+        }));
+        let t = sched.register(1);
+        t.try_acquire_wire(800 << 10).expect("burst admits");
+        t.try_acquire_wire(1).expect_err("parks");
+        for _ in 0..20 {
+            thread::sleep(Duration::from_millis(1));
+            t.try_acquire_wire(1)
+                .expect_err("~0.7 s of debt outlasts the loop");
+        }
+        assert_eq!(
+            wakes.load(Ordering::Relaxed),
+            0,
+            "a refusal woke the reactor"
+        );
+        assert_eq!(sched.parked(), 1);
+    }
+
+    #[test]
+    fn a_bucket_stays_backlogged_while_any_admission_is_pending() {
+        // A striped group's emission threads block on one ConnThrottle,
+        // driven here as two callers of `attempt`. One's admission must
+        // not un-backlog the bucket under the sibling still asleep on
+        // it, or the bucket forfeits its refill share to the rival.
+        let sched = FairScheduler::new(Some(1e6));
+        let (shared, rival) = (sched.register(1), sched.register(2));
+        let bank = sched.snapshot()[0].tokens as usize;
+        shared.acquire_wire(bank + 5_000); // ~10 ms of debt at half the budget
+        rival.acquire_wire(bank + 500_000); // in debt throughout
+        let mut p = sched.inner.pacing.lock();
+        for conn in [1, 1, 2] {
+            let (_, verdict) = sched.attempt(&mut p, conn, 1, false, Stage::First);
+            verdict.expect_err("in debt");
+        }
+        assert_eq!(p.bucket_mut(1).pending, 2);
+        drop(p);
+        thread::sleep(Duration::from_millis(40));
+        let mut p = sched.inner.pacing.lock();
+        let (_, first) = sched.attempt(&mut p, 1, 40_000, false, Stage::Due);
+        let (_, began) = first.expect("debt cleared").expect("it waited");
+        assert!(p.bucket_mut(1).backlogged(), "the sibling is still pending");
+        let next = p.bucket_mut(1).backlogged_since.expect("its wait goes on");
+        assert!(next > began, "the next wait is counted from this admission");
+        // Both buckets backlogged at equal weight: an epoch splits evenly.
+        let before = p.bucket_mut(1).tokens;
+        let epoch = p.last_refill + Duration::from_millis(10);
+        let credit = p.refill(epoch, true);
+        let share = (p.bucket_mut(1).tokens - before) / credit;
+        assert!(
+            (0.45..0.55).contains(&share),
+            "shared bucket got {share:.2}"
+        );
+        drop(p);
+        // The sibling outlives the registration: the drain bucket
+        // inherits its pending count and its retry settles it there.
+        drop(shared);
+        let mut p = sched.inner.pacing.lock();
+        assert_eq!(p.drain.pending, 1);
+        let (_, last) = sched.attempt(&mut p, 1, 1, false, Stage::Woken);
+        last.expect("the drain bucket's burst admits");
+        assert!(!p.drain.backlogged() && p.drain.backlogged_since.is_none());
     }
 
     #[test]

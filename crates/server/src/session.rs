@@ -11,7 +11,7 @@
 //! different stream count.
 //!
 //! Parked sessions are bounded by a deadline (`now + resume_window`):
-//! the accept loop sweeps the table on its poll cadence, and shutdown
+//! the reactor's housekeeping timer sweeps the table, and shutdown
 //! expires whatever is left, so a client that never returns cannot pin
 //! a registry slot forever.
 

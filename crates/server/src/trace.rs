@@ -25,6 +25,7 @@
 //! throughput.
 
 use crate::registry::ConnId;
+use crate::workers::JobTiming;
 use adoc::{HistSummary, Histogram};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -32,6 +33,7 @@ use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Stage-by-stage wall-clock breakdown of one served message, in
 /// microseconds. Stages are disjoint but deliberately do not sum to
@@ -53,6 +55,81 @@ pub struct StageTimes {
     pub write_us: u64,
     /// First header byte to last reply byte, wall clock.
     pub total_us: u64,
+}
+
+/// Which stage owns the span's lap clock on the reactor thread. Worker
+/// stages (queue wait, codec) are measured by the worker itself and
+/// folded in via [`MsgSpan::absorb_job`].
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum StageKind {
+    /// Reading inbound bytes (header, body, probe, frame payloads).
+    Read,
+    /// Parked on a refused wire admission.
+    SchedWait,
+    /// Writing the reply.
+    Write,
+}
+
+/// Lap clock over one in-flight message: wall time since `mark`
+/// accrues to `owner` whenever ownership switches, so park time lands
+/// in `sched_us` no matter which stage the refusal interrupted.
+/// Created when the first header byte arrives (idle client think-time
+/// between messages belongs to no span) and finished at the reply's
+/// last byte. Stages deliberately need not sum to `total_us`: handoff
+/// slivers (a completion waiting for the next poll) are dropped rather
+/// than misattributed.
+pub(crate) struct MsgSpan {
+    started: Instant,
+    mark: Instant,
+    owner: StageKind,
+    times: StageTimes,
+}
+
+impl MsgSpan {
+    pub(crate) fn begin() -> MsgSpan {
+        let now = Instant::now();
+        MsgSpan {
+            started: now,
+            mark: now,
+            owner: StageKind::Read,
+            times: StageTimes::default(),
+        }
+    }
+
+    /// Charges the lap since `mark` to the current owner.
+    pub(crate) fn flush(&mut self) {
+        let now = Instant::now();
+        let us = now.duration_since(self.mark).as_micros() as u64;
+        match self.owner {
+            StageKind::Read => self.times.read_us += us,
+            StageKind::SchedWait => self.times.sched_us += us,
+            StageKind::Write => self.times.write_us += us,
+        }
+        self.mark = now;
+    }
+
+    /// Charges the lap to the current owner, then hands the clock to
+    /// `to`.
+    pub(crate) fn switch(&mut self, to: StageKind) {
+        self.flush();
+        self.owner = to;
+    }
+
+    /// Folds a worker job's self-measured durations in and restarts the
+    /// lap at now (the submit-side `flush` already closed the reactor's
+    /// lap, so the worker interval is never double-counted).
+    pub(crate) fn absorb_job(&mut self, timing: JobTiming) {
+        self.times.queue_us += timing.queue.as_micros() as u64;
+        self.times.codec_us += timing.codec.as_micros() as u64;
+        self.mark = Instant::now();
+    }
+
+    /// Closes the span: final lap charged, total stamped.
+    pub(crate) fn finish(mut self) -> StageTimes {
+        self.flush();
+        self.times.total_us = self.started.elapsed().as_micros() as u64;
+        self.times
+    }
 }
 
 /// One flight-recorder entry: a finished message's span.
