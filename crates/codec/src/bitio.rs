@@ -7,22 +7,46 @@
 
 use crate::error::{CodecError, Result};
 
-/// Accumulates bits LSB-first and flushes whole bytes into a `Vec<u8>`.
+/// Accumulates bits LSB-first in a 64-bit word and stores whole words
+/// into `out`.
+///
+/// While the writer lives, `out` is longer than what has been written:
+/// the tail is zeroed scratch that word stores land in. [`finish`] (or
+/// dropping the writer) pads to a byte boundary and cuts `out` back to the
+/// bytes written. [`reserve`] sizes the scratch ahead of a run of writes so
+/// none of them has to grow the vector.
+///
+/// [`finish`]: BitWriter::finish
+/// [`reserve`]: BitWriter::reserve
 pub struct BitWriter<'a> {
     out: &'a mut Vec<u8>,
+    /// Bytes of `out` that are final; `out[pos..]` is scratch.
+    pos: usize,
     /// Pending bits, low bits are the oldest.
     acc: u64,
-    /// Number of valid bits in `acc` (always < 8 after `spill`).
+    /// Number of valid bits in `acc` (always < 8 between writes).
     nbits: u32,
 }
 
 impl<'a> BitWriter<'a> {
     /// Starts writing at the current end of `out`.
     pub fn new(out: &'a mut Vec<u8>) -> Self {
+        let pos = out.len();
         BitWriter {
             out,
+            pos,
             acc: 0,
             nbits: 0,
+        }
+    }
+
+    /// Makes room for `bytes` more bytes of output, so the writes that
+    /// produce them store without growing `out`.
+    pub fn reserve(&mut self, bytes: usize) {
+        // A store is a whole word wherever it starts.
+        let need = self.pos + bytes + 8;
+        if self.out.len() < need {
+            self.out.resize(need, 0);
         }
     }
 
@@ -30,40 +54,68 @@ impl<'a> BitWriter<'a> {
     #[inline]
     pub fn write_bits(&mut self, value: u32, n: u32) {
         debug_assert!(n <= 32);
-        debug_assert!(n == 32 || u64::from(value) < (1u64 << n));
-        self.acc |= u64::from(value) << self.nbits;
-        self.nbits += n;
-        self.spill();
+        self.put(u64::from(value), n);
     }
 
+    /// Appends the `n` low bits of `value` (n ≤ 56; the bits above must be
+    /// zero): merge into the accumulator, store the whole word at the
+    /// write position, keep the bits of the last partial byte.
     #[inline]
-    fn spill(&mut self) {
-        while self.nbits >= 8 {
-            self.out.push((self.acc & 0xff) as u8);
-            self.acc >>= 8;
-            self.nbits -= 8;
+    pub(crate) fn put(&mut self, value: u64, n: u32) {
+        debug_assert!(n <= 56 && value >> n == 0);
+        self.acc |= value << self.nbits;
+        self.nbits += n;
+        let word = self.acc.to_le_bytes();
+        match self.out.get_mut(self.pos..self.pos + 8) {
+            Some(dst) => dst.copy_from_slice(&word),
+            None => self.store_grown(word),
         }
+        let whole = self.nbits & !7;
+        self.pos += (whole >> 3) as usize;
+        self.acc >>= whole;
+        self.nbits &= 7;
+    }
+
+    /// The store of a write nobody reserved for.
+    #[cold]
+    #[inline(never)]
+    fn store_grown(&mut self, word: [u8; 8]) {
+        self.reserve(256 + self.pos / 2);
+        self.out[self.pos..self.pos + 8].copy_from_slice(&word);
     }
 
     /// Pads with zero bits to the next byte boundary (used before stored
     /// blocks and at end of stream).
     pub fn align_byte(&mut self) {
         if self.nbits > 0 {
-            self.out.push((self.acc & 0xff) as u8);
-            self.acc = 0;
-            self.nbits = 0;
+            self.put(0, 8 - self.nbits);
         }
+    }
+
+    /// Appends whole bytes; the writer must be byte-aligned (stored
+    /// blocks).
+    pub(crate) fn append_bytes(&mut self, bytes: &[u8]) {
+        debug_assert_eq!(self.nbits, 0, "must be byte-aligned");
+        self.out.truncate(self.pos);
+        self.out.extend_from_slice(bytes);
+        self.pos = self.out.len();
     }
 
     /// Flushes any partial byte and returns the underlying buffer length.
     pub fn finish(mut self) -> usize {
-        self.align_byte();
-        self.out.len()
+        self.seal();
+        self.pos
     }
 
-    /// Number of bits written so far modulo 8 (for cost accounting in tests).
-    pub fn pending_bits(&self) -> u32 {
-        self.nbits
+    fn seal(&mut self) {
+        self.align_byte();
+        self.out.truncate(self.pos);
+    }
+}
+
+impl Drop for BitWriter<'_> {
+    fn drop(&mut self) {
+        self.seal();
     }
 }
 
@@ -164,6 +216,21 @@ impl<'a> BitReader<'a> {
     pub fn remaining_bytes(&self) -> usize {
         self.data.len() - self.pos + (self.nbits / 8) as usize
     }
+
+    /// The reader's state for a loop that keeps it in locals: the input,
+    /// the next byte to load, the accumulator and its valid bit count.
+    pub(crate) fn raw(&self) -> (&'a [u8], usize, u64, u32) {
+        (self.data, self.pos, self.acc, self.nbits)
+    }
+
+    /// Takes the state back from such a loop. Bits of `acc` above `nbits`
+    /// (a word refill loads more than it counts) are dropped.
+    pub(crate) fn set_raw(&mut self, pos: usize, acc: u64, nbits: u32) {
+        debug_assert!(nbits < 64 && pos <= self.data.len());
+        self.pos = pos;
+        self.acc = acc & ((1u64 << nbits) - 1);
+        self.nbits = nbits;
+    }
 }
 
 /// Reverses the low `n` bits of `code` — converts an MSB-first Huffman code
@@ -173,9 +240,115 @@ pub fn reverse_bits(code: u16, n: u8) -> u16 {
     code.reverse_bits() >> (16 - u16::from(n))
 }
 
+/// The byte-at-a-time writer [`BitWriter`] replaced, kept as the oracle
+/// its bytes are compared against.
+#[cfg(test)]
+pub(crate) struct ByteBitWriter {
+    pub(crate) out: Vec<u8>,
+    acc: u64,
+    nbits: u32,
+}
+
+#[cfg(test)]
+impl ByteBitWriter {
+    pub(crate) fn new() -> Self {
+        ByteBitWriter {
+            out: Vec::new(),
+            acc: 0,
+            nbits: 0,
+        }
+    }
+
+    pub(crate) fn write_bits(&mut self, value: u32, n: u32) {
+        self.acc |= u64::from(value) << self.nbits;
+        self.nbits += n;
+        while self.nbits >= 8 {
+            self.out.push((self.acc & 0xff) as u8);
+            self.acc >>= 8;
+            self.nbits -= 8;
+        }
+    }
+
+    pub(crate) fn align_byte(&mut self) {
+        if self.nbits > 0 {
+            self.out.push((self.acc & 0xff) as u8);
+            self.acc = 0;
+            self.nbits = 0;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn word_writer_emits_the_bytewise_oracles_bytes() {
+        // Random (value, width) runs with alignments and byte appends in
+        // between, with and without a reservation, behind a prefix.
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for round in 0..2000 {
+            let mut oracle = ByteBitWriter::new();
+            let mut buf = b"prefix".to_vec();
+            let mut w = BitWriter::new(&mut buf);
+            if round % 3 == 0 {
+                w.reserve((next() % 600) as usize);
+            }
+            for _ in 0..next() % 200 {
+                let n = (next() % 33) as u32;
+                let v = (next() & ((1u64 << n) - 1)) as u32;
+                w.write_bits(v, n);
+                oracle.write_bits(v, n);
+                match next() % 23 {
+                    0 => {
+                        w.align_byte();
+                        oracle.align_byte();
+                    }
+                    1 => {
+                        w.align_byte();
+                        oracle.align_byte();
+                        let bytes = next().to_le_bytes();
+                        let k = (next() % 9) as usize;
+                        w.append_bytes(&bytes[..k]);
+                        oracle.out.extend_from_slice(&bytes[..k]);
+                    }
+                    _ => {}
+                }
+            }
+            if round % 2 == 0 {
+                let len = w.finish();
+                assert_eq!(len, buf.len());
+            } else {
+                drop(w);
+            }
+            oracle.align_byte();
+            assert_eq!(&buf[..6], b"prefix");
+            assert_eq!(&buf[6..], &oracle.out[..], "round {round}");
+        }
+    }
+
+    #[test]
+    fn merged_put_equals_separate_writes() {
+        let mut a = Vec::new();
+        let mut w = BitWriter::new(&mut a);
+        w.write_bits(0b101, 3);
+        w.put(0x00AB_CDEF_0123_4567 & ((1 << 56) - 1), 56);
+        w.put(0x1F, 5);
+        w.finish();
+        let mut o = ByteBitWriter::new();
+        o.write_bits(0b101, 3);
+        o.write_bits(0x0123_4567, 32);
+        o.write_bits(0x00AB_CDEF, 24);
+        o.write_bits(0x1F, 5);
+        o.align_byte();
+        assert_eq!(a, o.out);
+    }
 
     #[test]
     fn roundtrip_mixed_widths() {

@@ -1,11 +1,18 @@
 //! DEFLATE encoder (RFC 1951): turns LZ77 tokens into stored, fixed-Huffman
 //! or dynamic-Huffman blocks, choosing whichever is smallest by exact bit
 //! cost.
+//!
+//! The tokenizer's sink counts symbol frequencies as it stages tokens, and
+//! a block is written from packed per-block tables — a literal is one
+//! table word, a match two (length code merged with its extra bits,
+//! distance code merged with its) — so the entropy stage costs a few
+//! nanoseconds per token and allocates nothing once the encoder is warm.
 
 use crate::bitio::BitWriter;
-use crate::huffman::{limited_code_lengths, HuffEncoder};
-use crate::lz77::{Lz77Encoder, MatchParams, Token};
+use crate::huffman::{pack_bits, pack_codes, put_packed, PackageMerge};
+use crate::lz77::{Lz77Encoder, MatchParams};
 use crate::tables::*;
+use std::sync::OnceLock;
 
 /// Maximum tokens per block: bounds the frequency-table skew on big inputs
 /// and the memory held between header and body emission.
@@ -14,13 +21,89 @@ const TOKENS_PER_BLOCK: usize = 64 * 1024;
 /// Maximum payload of one stored block (16-bit LEN field).
 const STORED_MAX: usize = 65_535;
 
-/// Reusable DEFLATE compressor state: the LZ77 dictionary and the token
-/// staging buffer persist across calls, so compressing a stream of
-/// buffers (the AdOC hot path) allocates nothing after warm-up.
+/// Longest RLE form of a dynamic header's code-length sequence.
+const MAX_CLEN_OPS: usize = NUM_LITLEN + NUM_DIST;
+
+/// Staged-token layout: a [`Token`]'s bits, with a match's distance code
+/// (known since it was counted) in the five bits the token leaves free.
+const STAGED_MATCH: u32 = 0x8000_0000;
+const STAGED_DIST_CODE_SHIFT: u32 = 24;
+
+/// Reusable DEFLATE compressor state: the LZ77 dictionary, the token
+/// staging buffer and every per-block table persist across calls, so
+/// compressing a stream of buffers (the AdOC hot path) allocates nothing
+/// after warm-up.
 #[derive(Default)]
 pub struct DeflateEncoder {
     lz: Lz77Encoder,
-    tokens: Vec<Token>,
+    /// Staged tokens of the pending block.
+    tokens: Vec<u32>,
+    block: Block,
+}
+
+/// Symbol frequencies of the pending block, counted as tokens are staged.
+struct Freqs {
+    litlen: [u32; NUM_LITLEN],
+    dist: [u32; NUM_DIST],
+}
+
+/// What a block is written from: one [`pack_bits`] word per literal and
+/// per match length (code and extra bits merged), and per distance code.
+struct Codes {
+    /// By literal/length symbol (the fixed tree codes 288).
+    lit: [u32; 288],
+    /// By match length − 3: the length symbol's code with the extra bits.
+    len: [u32; 256],
+    /// By distance code (two spare slots keep a 5-bit index in bounds).
+    dist: [u32; 32],
+}
+
+impl Codes {
+    const NONE: Codes = Codes {
+        lit: [0; 288],
+        len: [0; 256],
+        dist: [0; 32],
+    };
+
+    fn set(&mut self, lit_lengths: &[u8], dist_lengths: &[u8]) {
+        pack_codes(lit_lengths, &mut self.lit);
+        pack_codes(dist_lengths, &mut self.dist);
+        for (l, slot) in self.len.iter_mut().enumerate() {
+            let (idx, extra, val) = length_to_code(l + 3);
+            let sym = self.lit[257 + idx];
+            let (code, n) = (sym >> 5, sym & 31);
+            *slot = pack_bits(code | u32::from(val) << n, n + u32::from(extra));
+        }
+    }
+}
+
+/// Everything about the pending block except its tokens: frequencies, the
+/// dynamic plan's scratch and the packed codes.
+struct Block {
+    freqs: Freqs,
+    merge: PackageMerge,
+    lit_lengths: [u8; NUM_LITLEN],
+    dist_lengths: [u8; NUM_DIST],
+    clen_lengths: [u8; NUM_CLEN],
+    ops: [ClenOp; MAX_CLEN_OPS],
+    codes: Codes,
+}
+
+impl Default for Block {
+    fn default() -> Self {
+        Block {
+            freqs: Freqs {
+                litlen: [0; NUM_LITLEN],
+                dist: [0; NUM_DIST],
+            },
+            merge: PackageMerge::default(),
+            lit_lengths: [0; NUM_LITLEN],
+            dist_lengths: [0; NUM_DIST],
+            clen_lengths: [0; NUM_CLEN],
+            ops: [ClenOp::Len(0); MAX_CLEN_OPS],
+            codes: Codes::NONE,
+        }
+    }
 }
 
 impl DeflateEncoder {
@@ -29,41 +112,56 @@ impl DeflateEncoder {
         Self::default()
     }
 
+    /// Positions the dictionary has storage for (see
+    /// [`Codec::dictionary_len`](crate::Codec::dictionary_len)).
+    pub fn dictionary_len(&self) -> usize {
+        self.lz.dictionary_len()
+    }
+
     /// Compresses `data` as a raw DEFLATE stream appended to `out`,
     /// reusing this encoder's dictionary and token storage.
     ///
     /// `level` 0 emits stored (uncompressed) blocks; 1–9 mirror zlib's
     /// effort/ratio trade-off via [`MatchParams::for_level`].
     pub fn deflate(&mut self, data: &[u8], level: u8, out: &mut Vec<u8>) {
+        let mut w = BitWriter::new(out);
         if level == 0 {
-            deflate_stored(data, out);
+            write_stored(&mut w, data, true);
             return;
         }
         let params = MatchParams::for_level(level);
 
-        let mut w = BitWriter::new(out);
-        let tokens = &mut self.tokens;
+        let DeflateEncoder { lz, tokens, block } = self;
         tokens.clear();
         let mut block_start = 0usize; // raw offset where the pending block began
         let mut raw_pos = 0usize; // raw bytes covered by tokens so far
 
         // Emit blocks as the tokenizer streams tokens; the final block is
         // flagged after tokenization completes.
-        self.lz.tokenize(data, &params, |tok| {
-            raw_pos += match tok.as_match() {
-                Some((len, _)) => len,
-                None => 1,
-            };
-            tokens.push(tok);
+        lz.tokenize(data, &params, |tok| {
+            let bits = tok.bits();
+            match tok.as_match() {
+                None => {
+                    block.freqs.litlen[(bits & 0xFF) as usize] += 1;
+                    raw_pos += 1;
+                    tokens.push(bits);
+                }
+                Some((len, dist)) => {
+                    let (dc, _, _) = dist_to_code(dist);
+                    block.freqs.litlen[257 + length_to_code(len).0] += 1;
+                    block.freqs.dist[dc] += 1;
+                    raw_pos += len;
+                    tokens.push(bits | (dc as u32) << STAGED_DIST_CODE_SHIFT);
+                }
+            }
             if tokens.len() >= TOKENS_PER_BLOCK {
-                emit_block(&mut w, tokens, &data[block_start..raw_pos], false);
+                block.emit(&mut w, tokens, &data[block_start..raw_pos], false);
                 tokens.clear();
                 block_start = raw_pos;
             }
         });
         debug_assert_eq!(raw_pos, data.len());
-        emit_block(&mut w, tokens, &data[block_start..], true);
-        w.finish();
+        block.emit(&mut w, tokens, &data[block_start..], true);
     }
 }
 
@@ -75,64 +173,29 @@ pub fn deflate(data: &[u8], level: u8, out: &mut Vec<u8>) {
     DeflateEncoder::new().deflate(data, level, out);
 }
 
-/// Emits `data` as a sequence of stored blocks (deflate "level 0").
-fn deflate_stored(data: &[u8], out: &mut Vec<u8>) {
-    let mut w = BitWriter::new(out);
-    let mut chunks = data.chunks(STORED_MAX).peekable();
-    if chunks.peek().is_none() {
-        // Empty input still needs one final (empty) block.
-        write_stored_block(&mut w, &[], true);
-    }
-    while let Some(chunk) = chunks.next() {
-        write_stored_block(&mut w, chunk, chunks.peek().is_none());
-    }
-    w.finish();
-}
-
-fn write_stored_block(w: &mut BitWriter<'_>, chunk: &[u8], last: bool) {
-    w.write_bits(u32::from(last), 1);
-    w.write_bits(0b00, 2);
-    w.align_byte();
-    // LEN / NLEN then raw bytes — append directly, the writer is aligned.
-    let len = chunk.len() as u16;
-    w.write_bits(u32::from(len), 16);
-    w.write_bits(u32::from(!len), 16);
-    for &b in chunk {
-        w.write_bits(u32::from(b), 8);
-    }
-}
-
-/// Frequency tables for one block.
-struct BlockFreqs {
-    litlen: [u32; NUM_LITLEN],
-    dist: [u32; NUM_DIST],
-}
-
-impl BlockFreqs {
-    fn count(tokens: &[Token]) -> Self {
-        let mut f = BlockFreqs {
-            litlen: [0; NUM_LITLEN],
-            dist: [0; NUM_DIST],
-        };
-        for t in tokens {
-            match t.as_match() {
-                Some((len, dist)) => {
-                    let (lc, _, _) = length_to_code(len);
-                    f.litlen[257 + lc] += 1;
-                    let (dc, _, _) = dist_to_code(dist);
-                    f.dist[dc] += 1;
-                }
-                None => f.litlen[t.as_literal().unwrap() as usize] += 1,
-            }
+/// Emits `raw` as stored blocks, the last one flagged final if `last`
+/// (an empty `raw` still takes one block).
+fn write_stored(w: &mut BitWriter<'_>, raw: &[u8], last: bool) {
+    let mut rest = raw;
+    loop {
+        let (chunk, tail) = rest.split_at(rest.len().min(STORED_MAX));
+        rest = tail;
+        let len = chunk.len() as u16;
+        w.reserve(5);
+        w.write_bits(u32::from(last && rest.is_empty()), 1);
+        w.write_bits(0b00, 2);
+        w.align_byte();
+        w.write_bits(u32::from(len) | u32::from(!len) << 16, 32);
+        w.append_bytes(chunk);
+        if rest.is_empty() {
+            return;
         }
-        f.litlen[EOB] += 1;
-        f
     }
 }
 
 /// Bit cost of the token body (symbols + extra bits) under the given code
 /// lengths, including the end-of-block symbol.
-fn body_cost(freqs: &BlockFreqs, lit_lengths: &[u8], dist_lengths: &[u8]) -> u64 {
+fn body_cost(freqs: &Freqs, lit_lengths: &[u8], dist_lengths: &[u8]) -> u64 {
     let mut bits = 0u64;
     for (sym, &f) in freqs.litlen.iter().enumerate() {
         if f == 0 {
@@ -176,19 +239,25 @@ impl ClenOp {
         }
     }
 
-    fn extra(self) -> Option<(u32, u32)> {
+    /// `(value, bit count)` of the op's extra bits (count 0 = none).
+    fn extra(self) -> (u32, u32) {
         match self {
-            ClenOp::Len(_) => None,
-            ClenOp::RepPrev(n) => Some((u32::from(n) - 3, 2)),
-            ClenOp::ZeroShort(n) => Some((u32::from(n) - 3, 3)),
-            ClenOp::ZeroLong(n) => Some((u32::from(n) - 11, 7)),
+            ClenOp::Len(_) => (0, 0),
+            ClenOp::RepPrev(n) => (u32::from(n) - 3, 2),
+            ClenOp::ZeroShort(n) => (u32::from(n) - 3, 3),
+            ClenOp::ZeroLong(n) => (u32::from(n) - 11, 7),
         }
     }
 }
 
-/// RLE-encodes the concatenated code-length sequence (RFC 1951 §3.2.7).
-fn rle_code_lengths(lengths: &[u8]) -> Vec<ClenOp> {
-    let mut ops = Vec::new();
+/// RLE-encodes the concatenated code-length sequence (RFC 1951 §3.2.7)
+/// into `ops`; returns how many it wrote (at most one per length).
+fn rle_code_lengths(lengths: &[u8], ops: &mut [ClenOp; MAX_CLEN_OPS]) -> usize {
+    let mut count = 0usize;
+    let mut push = |op| {
+        ops[count] = op;
+        count += 1;
+    };
     let mut i = 0usize;
     while i < lengths.len() {
         let cur = lengths[i];
@@ -200,191 +269,171 @@ fn rle_code_lengths(lengths: &[u8]) -> Vec<ClenOp> {
             let mut left = run;
             while left >= 11 {
                 let n = left.min(138);
-                ops.push(ClenOp::ZeroLong(n as u8));
+                push(ClenOp::ZeroLong(n as u8));
                 left -= n;
             }
             if left >= 3 {
-                ops.push(ClenOp::ZeroShort(left as u8));
+                push(ClenOp::ZeroShort(left as u8));
                 left = 0;
             }
             for _ in 0..left {
-                ops.push(ClenOp::Len(0));
+                push(ClenOp::Len(0));
             }
         } else {
-            ops.push(ClenOp::Len(cur));
+            push(ClenOp::Len(cur));
             let mut left = run - 1;
             while left >= 3 {
                 let n = left.min(6);
-                ops.push(ClenOp::RepPrev(n as u8));
+                push(ClenOp::RepPrev(n as u8));
                 left -= n;
             }
             for _ in 0..left {
-                ops.push(ClenOp::Len(cur));
+                push(ClenOp::Len(cur));
             }
         }
         i += run;
     }
-    ops
+    count
 }
 
-/// Everything needed to emit a dynamic header, plus its exact bit cost.
+/// The counts a dynamic header opens with, the length of its RLE op list
+/// in [`Block::ops`], and its exact bit cost.
 struct DynamicPlan {
-    lit_lengths: Vec<u8>,
-    dist_lengths: Vec<u8>,
     hlit: usize,
     hdist: usize,
     hclen: usize,
-    clen_lengths: Vec<u8>,
-    ops: Vec<ClenOp>,
+    ops: usize,
     header_bits: u64,
 }
 
-fn plan_dynamic(freqs: &BlockFreqs) -> DynamicPlan {
-    let mut lit_lengths = limited_code_lengths(&freqs.litlen, MAX_CODE_LEN);
-    lit_lengths.resize(NUM_LITLEN, 0);
+/// The fixed trees' packed codes, built once.
+fn fixed_codes() -> &'static Codes {
+    static FIXED: OnceLock<Codes> = OnceLock::new();
+    FIXED.get_or_init(|| {
+        let mut codes = Codes::NONE;
+        codes.set(&fixed_litlen_lengths(), &fixed_dist_lengths());
+        codes
+    })
+}
 
-    let mut dist_lengths = if freqs.dist.iter().all(|&f| f == 0) {
-        // No distances used: emit one dummy 1-bit code so the header stays
-        // well-formed (zlib does the same).
-        let mut l = vec![0u8; NUM_DIST];
-        l[0] = 1;
-        l
-    } else {
-        limited_code_lengths(&freqs.dist, MAX_CODE_LEN)
-    };
-    dist_lengths.resize(NUM_DIST, 0);
+impl Block {
+    /// Builds the block's optimal code lengths and the dynamic header that
+    /// declares them, in this block's scratch.
+    fn plan_dynamic(&mut self) -> DynamicPlan {
+        self.merge
+            .lengths(&self.freqs.litlen, MAX_CODE_LEN, &mut self.lit_lengths);
+        if self.freqs.dist.iter().all(|&f| f == 0) {
+            // No distances used: emit one dummy 1-bit code so the header stays
+            // well-formed (zlib does the same).
+            self.dist_lengths.fill(0);
+            self.dist_lengths[0] = 1;
+        } else {
+            self.merge
+                .lengths(&self.freqs.dist, MAX_CODE_LEN, &mut self.dist_lengths);
+        }
 
-    let hlit = lit_lengths
-        .iter()
-        .rposition(|&l| l > 0)
-        .map(|p| p + 1)
-        .unwrap_or(257)
-        .max(257);
-    let hdist = dist_lengths
-        .iter()
-        .rposition(|&l| l > 0)
-        .map(|p| p + 1)
-        .unwrap_or(1)
-        .max(1);
+        let used = |lengths: &[u8], min: usize| {
+            lengths
+                .iter()
+                .rposition(|&l| l > 0)
+                .map_or(min, |p| (p + 1).max(min))
+        };
+        let hlit = used(&self.lit_lengths, 257);
+        let hdist = used(&self.dist_lengths, 1);
 
-    let mut combined = Vec::with_capacity(hlit + hdist);
-    combined.extend_from_slice(&lit_lengths[..hlit]);
-    combined.extend_from_slice(&dist_lengths[..hdist]);
-    let ops = rle_code_lengths(&combined);
+        let mut combined = [0u8; MAX_CLEN_OPS];
+        combined[..hlit].copy_from_slice(&self.lit_lengths[..hlit]);
+        combined[hlit..hlit + hdist].copy_from_slice(&self.dist_lengths[..hdist]);
+        let ops = rle_code_lengths(&combined[..hlit + hdist], &mut self.ops);
 
-    let mut clen_freqs = [0u32; NUM_CLEN];
-    for op in &ops {
-        clen_freqs[op.symbol()] += 1;
-    }
-    let mut clen_lengths = limited_code_lengths(&clen_freqs, MAX_CLEN_LEN);
-    clen_lengths.resize(NUM_CLEN, 0);
+        let mut clen_freqs = [0u32; NUM_CLEN];
+        for op in &self.ops[..ops] {
+            clen_freqs[op.symbol()] += 1;
+        }
+        self.merge
+            .lengths(&clen_freqs, MAX_CLEN_LEN, &mut self.clen_lengths);
 
-    let hclen = CLEN_ORDER
-        .iter()
-        .rposition(|&sym| clen_lengths[sym] > 0)
-        .map(|p| p + 1)
-        .unwrap_or(4)
-        .max(4);
+        let hclen = CLEN_ORDER
+            .iter()
+            .rposition(|&sym| self.clen_lengths[sym] > 0)
+            .map_or(4, |p| (p + 1).max(4));
 
-    let mut header_bits = 5 + 5 + 4 + 3 * hclen as u64;
-    for op in &ops {
-        header_bits += u64::from(clen_lengths[op.symbol()]);
-        if let Some((_, n)) = op.extra() {
-            header_bits += u64::from(n);
+        let mut header_bits = 5 + 5 + 4 + 3 * hclen as u64;
+        for op in &self.ops[..ops] {
+            header_bits += u64::from(self.clen_lengths[op.symbol()]) + u64::from(op.extra().1);
+        }
+
+        DynamicPlan {
+            hlit,
+            hdist,
+            hclen,
+            ops,
+            header_bits,
         }
     }
 
-    DynamicPlan {
-        lit_lengths,
-        dist_lengths,
-        hlit,
-        hdist,
-        hclen,
-        clen_lengths,
-        ops,
-        header_bits,
-    }
-}
+    /// Emits one block, choosing stored / fixed / dynamic by exact cost,
+    /// and resets the frequencies for the next. `raw` is the uncompressed
+    /// byte range the tokens cover.
+    fn emit(&mut self, w: &mut BitWriter<'_>, tokens: &[u32], raw: &[u8], last: bool) {
+        self.freqs.litlen[EOB] += 1;
 
-fn write_tokens(
-    w: &mut BitWriter<'_>,
-    tokens: &[Token],
-    lit_enc: &HuffEncoder,
-    dist_enc: &HuffEncoder,
-) {
-    for t in tokens {
-        match t.as_match() {
-            None => lit_enc.write(w, t.as_literal().unwrap() as usize),
-            Some((len, dist)) => {
-                let (lc, lextra, lval) = length_to_code(len);
-                lit_enc.write(w, 257 + lc);
-                if lextra > 0 {
-                    w.write_bits(u32::from(lval), u32::from(lextra));
-                }
-                let (dc, dextra, dval) = dist_to_code(dist);
-                dist_enc.write(w, dc);
-                if dextra > 0 {
-                    w.write_bits(u32::from(dval), u32::from(dextra));
-                }
+        let plan = self.plan_dynamic();
+        let dynamic_cost =
+            plan.header_bits + body_cost(&self.freqs, &self.lit_lengths, &self.dist_lengths);
+        let fixed_cost = body_cost(&self.freqs, &fixed_litlen_lengths(), &fixed_dist_lengths());
+
+        // Stored: per 65535-byte chunk, 3-bit header + ≤7 alignment + 32 bits of
+        // LEN/NLEN + the bytes themselves.
+        let stored_blocks = raw.len().div_ceil(STORED_MAX).max(1) as u64;
+        let stored_cost = stored_blocks * (3 + 7 + 32) + 8 * raw.len() as u64;
+
+        if stored_cost < dynamic_cost && stored_cost < fixed_cost {
+            write_stored(w, raw, last);
+        } else if fixed_cost <= dynamic_cost {
+            w.reserve((3 + fixed_cost as usize).div_ceil(8));
+            w.write_bits(u32::from(last) | 0b01 << 1, 3);
+            write_tokens(w, tokens, fixed_codes());
+        } else {
+            w.reserve((3 + dynamic_cost as usize).div_ceil(8));
+            w.write_bits(u32::from(last) | 0b10 << 1, 3);
+            w.write_bits((plan.hlit - 257) as u32, 5);
+            w.write_bits((plan.hdist - 1) as u32, 5);
+            w.write_bits((plan.hclen - 4) as u32, 4);
+            for &sym in CLEN_ORDER.iter().take(plan.hclen) {
+                w.write_bits(u32::from(self.clen_lengths[sym]), 3);
             }
-        }
-    }
-    lit_enc.write(w, EOB);
-}
-
-/// Emits one block, choosing stored / fixed / dynamic by exact cost.
-/// `raw` is the uncompressed byte range the tokens cover.
-fn emit_block(w: &mut BitWriter<'_>, tokens: &[Token], raw: &[u8], last: bool) {
-    let freqs = BlockFreqs::count(tokens);
-
-    let plan = plan_dynamic(&freqs);
-    let dynamic_cost = plan.header_bits + body_cost(&freqs, &plan.lit_lengths, &plan.dist_lengths);
-
-    let fixed_lit = fixed_litlen_lengths();
-    let fixed_dist = fixed_dist_lengths();
-    let fixed_cost = body_cost(&freqs, &fixed_lit, &fixed_dist);
-
-    // Stored: per 65535-byte chunk, 3-bit header + ≤7 alignment + 32 bits of
-    // LEN/NLEN + the bytes themselves.
-    let stored_blocks = raw.len().div_ceil(STORED_MAX).max(1) as u64;
-    let stored_cost = stored_blocks * (3 + 7 + 32) + 8 * raw.len() as u64;
-
-    if stored_cost < dynamic_cost && stored_cost < fixed_cost {
-        let mut chunks = raw.chunks(STORED_MAX).peekable();
-        if chunks.peek().is_none() {
-            write_stored_block(w, &[], last);
-            return;
-        }
-        while let Some(chunk) = chunks.next() {
-            let is_last_chunk = chunks.peek().is_none();
-            write_stored_block(w, chunk, last && is_last_chunk);
-        }
-    } else if fixed_cost <= dynamic_cost {
-        w.write_bits(u32::from(last), 1);
-        w.write_bits(0b01, 2);
-        let lit_enc = HuffEncoder::from_lengths(&fixed_lit);
-        let dist_enc = HuffEncoder::from_lengths(&fixed_dist);
-        write_tokens(w, tokens, &lit_enc, &dist_enc);
-    } else {
-        w.write_bits(u32::from(last), 1);
-        w.write_bits(0b10, 2);
-        w.write_bits((plan.hlit - 257) as u32, 5);
-        w.write_bits((plan.hdist - 1) as u32, 5);
-        w.write_bits((plan.hclen - 4) as u32, 4);
-        for &sym in CLEN_ORDER.iter().take(plan.hclen) {
-            w.write_bits(u32::from(plan.clen_lengths[sym]), 3);
-        }
-        let clen_enc = HuffEncoder::from_lengths(&plan.clen_lengths);
-        for op in &plan.ops {
-            clen_enc.write(w, op.symbol());
-            if let Some((val, n)) = op.extra() {
+            let mut clen_codes = [0u32; NUM_CLEN];
+            pack_codes(&self.clen_lengths, &mut clen_codes);
+            for op in &self.ops[..plan.ops] {
+                put_packed(w, clen_codes[op.symbol()]);
+                let (val, n) = op.extra();
                 w.write_bits(val, n);
             }
+            self.codes.set(&self.lit_lengths, &self.dist_lengths);
+            write_tokens(w, tokens, &self.codes);
         }
-        let lit_enc = HuffEncoder::from_lengths(&plan.lit_lengths);
-        let dist_enc = HuffEncoder::from_lengths(&plan.dist_lengths);
-        write_tokens(w, tokens, &lit_enc, &dist_enc);
+        self.freqs.litlen.fill(0);
+        self.freqs.dist.fill(0);
     }
+}
+
+/// Writes the staged tokens and the end-of-block symbol: one word per
+/// literal, two per match.
+fn write_tokens(w: &mut BitWriter<'_>, tokens: &[u32], codes: &Codes) {
+    for &t in tokens {
+        if t & STAGED_MATCH == 0 {
+            put_packed(w, codes.lit[(t & 0xFF) as usize]);
+        } else {
+            put_packed(w, codes.len[(t >> 16 & 0xFF) as usize]);
+            let dc = (t >> STAGED_DIST_CODE_SHIFT & 31) as usize;
+            let sym = codes.dist[dc];
+            let (code, n) = (sym >> 5, sym & 31);
+            let extra = (t & 0xFFFF) + 1 - u32::from(DIST_BASE[dc]);
+            w.put(u64::from(code | extra << n), n + u32::from(DIST_EXTRA[dc]));
+        }
+    }
+    put_packed(w, codes.lit[EOB]);
 }
 
 /// Convenience: one-shot deflate returning a fresh vector.

@@ -1,9 +1,104 @@
 //! Canonical Huffman coding: optimal length-limited code construction
-//! (package-merge), canonical code assignment (RFC 1951 §3.2.2), and a
-//! table-driven decoder.
+//! (package-merge), canonical code assignment (RFC 1951 §3.2.2), packed
+//! encoder tables, and a two-level table-driven decoder.
 
-use crate::bitio::{reverse_bits, BitReader};
+use crate::bitio::{reverse_bits, BitReader, BitWriter};
 use crate::error::{CodecError, Result};
+
+/// Reusable scratch of the package-merge construction: a block's three
+/// code builds run in it without allocating.
+#[derive(Default)]
+pub(crate) struct PackageMerge {
+    /// Used symbols as `(frequency, symbol)`, ascending.
+    sorted: Vec<(u32, u16)>,
+    /// Item weights of the previous and the current level's list.
+    prev: Vec<u64>,
+    cur: Vec<u64>,
+    /// Every level's list in order, one flag per item: leaf or package.
+    is_leaf: Vec<bool>,
+}
+
+impl PackageMerge {
+    /// Writes optimal code lengths for `freqs` limited to `max_len` bits
+    /// into `lengths` (same length as `freqs`); zero-frequency symbols get
+    /// length 0.
+    ///
+    /// Boundary package-merge in O(n · max_len): level 1's list is the
+    /// leaves in `(frequency, symbol)` order; each later level merges the
+    /// pairwise packages of the level below with the leaves, a package
+    /// sorting before a leaf of equal weight. Only weights and leaf flags
+    /// are kept. The first `2n − 2` items of the last list are the
+    /// solution: its packages select twice as many items one level down,
+    /// and so on; a level that selects `a` leaves adds one bit to each of
+    /// the `a` lightest symbols.
+    pub(crate) fn lengths(&mut self, freqs: &[u32], max_len: u8, lengths: &mut [u8]) {
+        lengths.fill(0);
+        self.sorted.clear();
+        self.sorted.extend(
+            freqs
+                .iter()
+                .enumerate()
+                .filter(|(_, &f)| f > 0)
+                .map(|(sym, &f)| (f, sym as u16)),
+        );
+        let n = self.sorted.len();
+        match n {
+            0 => return,
+            1 => {
+                lengths[usize::from(self.sorted[0].1)] = 1;
+                return;
+            }
+            _ => assert!(
+                n <= 1usize << max_len,
+                "cannot code {n} symbols in {max_len} bits"
+            ),
+        }
+        self.sorted.sort_unstable();
+
+        let levels = usize::from(max_len);
+        // Where each level's flags start in `is_leaf`.
+        let mut starts = [0usize; 17];
+        self.is_leaf.clear();
+        self.is_leaf.resize(n, true);
+        starts[1] = n;
+        self.prev.clear();
+        self.prev
+            .extend(self.sorted.iter().map(|&(f, _)| u64::from(f)));
+        for level in 1..levels {
+            self.cur.clear();
+            let mut pairs = self.prev.chunks_exact(2).map(|p| p[0] + p[1]).peekable();
+            let mut leaves = self.sorted.iter().map(|&(f, _)| u64::from(f)).peekable();
+            loop {
+                let take_leaf = match (pairs.peek(), leaves.peek()) {
+                    (Some(p), Some(l)) => l < p,
+                    (None, Some(_)) => true,
+                    (Some(_), None) => false,
+                    (None, None) => break,
+                };
+                let next = if take_leaf {
+                    leaves.next()
+                } else {
+                    pairs.next()
+                };
+                self.cur.extend(next);
+                self.is_leaf.push(take_leaf);
+            }
+            starts[level + 1] = self.is_leaf.len();
+            std::mem::swap(&mut self.prev, &mut self.cur);
+        }
+
+        let mut selected = 2 * n - 2;
+        for level in (0..levels).rev() {
+            let list = &self.is_leaf[starts[level]..starts[level + 1]];
+            let taken = &list[..selected.min(list.len())];
+            let leaves = taken.iter().filter(|&&leaf| leaf).count();
+            for &(_, sym) in &self.sorted[..leaves] {
+                lengths[usize::from(sym)] += 1;
+            }
+            selected = 2 * (taken.len() - leaves);
+        }
+    }
+}
 
 /// Computes optimal code lengths for `freqs` limited to `max_len` bits using
 /// the package-merge algorithm. Symbols with zero frequency get length 0.
@@ -12,6 +107,305 @@ use crate::error::{CodecError, Result};
 /// always satisfy the Kraft equality when two or more symbols are used, and
 /// assign length 1 to a lone symbol.
 pub fn limited_code_lengths(freqs: &[u32], max_len: u8) -> Vec<u8> {
+    let mut lengths = vec![0u8; freqs.len()];
+    PackageMerge::default().lengths(freqs, max_len, &mut lengths);
+    lengths
+}
+
+/// The first canonical code of each length (RFC 1951 §3.2.2 step 2), by
+/// length; lengths above 15 do not occur in DEFLATE.
+fn first_codes(lengths: &[u8]) -> [u16; 16] {
+    let mut count = [0u16; 16];
+    for &l in lengths {
+        count[usize::from(l)] += 1;
+    }
+    count[0] = 0;
+    let mut next = [0u16; 16];
+    let mut code = 0u16;
+    for bits in 1..16 {
+        code = code.wrapping_add(count[bits - 1]) << 1;
+        next[bits] = code;
+    }
+    next
+}
+
+/// Calls `each(symbol, bit-reversed code, length)` for every coded symbol
+/// of the canonical code over `lengths`: shorter codes first, ties broken
+/// by symbol order.
+fn for_each_code(lengths: &[u8], mut each: impl FnMut(usize, u16, u8)) {
+    let mut next = first_codes(lengths);
+    for (sym, &len) in lengths.iter().enumerate() {
+        if len > 0 {
+            let code = &mut next[usize::from(len)];
+            each(sym, reverse_bits(*code, len), len);
+            *code = code.wrapping_add(1);
+        }
+    }
+}
+
+/// Assigns canonical codes to `lengths` per RFC 1951: shorter codes first,
+/// ties broken by symbol order. Returns MSB-first code values.
+pub fn canonical_codes(lengths: &[u8]) -> Vec<u16> {
+    let mut codes = vec![0u16; lengths.len()];
+    for_each_code(lengths, |sym, rev, len| codes[sym] = reverse_bits(rev, len));
+    codes
+}
+
+/// Verifies the Kraft sum of a length assignment.
+///
+/// Returns `Ordering::Equal` for a complete code, `Less` for an incomplete
+/// (under-subscribed) code and `Greater` for an over-subscribed (invalid)
+/// one.
+pub fn kraft(lengths: &[u8]) -> std::cmp::Ordering {
+    let mut sum: u64 = 0;
+    const ONE: u64 = 1 << 32; // fixed-point 1.0
+    for &l in lengths {
+        if l > 0 {
+            sum += ONE >> l;
+        }
+    }
+    sum.cmp(&ONE)
+}
+
+/// A run of bits ready for [`BitWriter::put`], packed in a word:
+/// `value << 5 | count` (count ≤ 31, value below `1 << count`).
+#[inline]
+pub(crate) fn pack_bits(value: u32, count: u32) -> u32 {
+    debug_assert!(count < 32 && value >> count == 0);
+    value << 5 | count
+}
+
+/// Emits a [`pack_bits`] word.
+#[inline]
+pub(crate) fn put_packed(w: &mut BitWriter<'_>, packed: u32) {
+    w.put(u64::from(packed >> 5), packed & 31);
+}
+
+/// Fills `codes[sym]` with the [`pack_bits`] form of each symbol's
+/// LSB-first canonical code (0 for an unused symbol).
+pub(crate) fn pack_codes(lengths: &[u8], codes: &mut [u32]) {
+    codes[..lengths.len()].fill(0);
+    for_each_code(lengths, |sym, rev, len| {
+        codes[sym] = pack_bits(u32::from(rev), u32::from(len));
+    });
+}
+
+/// Encoder-side table: per symbol, the LSB-first (pre-reversed) code and its
+/// length, ready for the bit writer.
+#[derive(Debug, Clone)]
+pub struct HuffEncoder {
+    codes: Vec<u32>,
+}
+
+impl HuffEncoder {
+    /// Builds an encoder from canonical code lengths.
+    pub fn from_lengths(lengths: &[u8]) -> Self {
+        let mut codes = vec![0u32; lengths.len()];
+        pack_codes(lengths, &mut codes);
+        HuffEncoder { codes }
+    }
+
+    /// Emits `sym` through the writer.
+    #[inline]
+    pub fn write(&self, w: &mut BitWriter<'_>, sym: usize) {
+        debug_assert!(self.len(sym) > 0, "symbol {sym} has no code");
+        put_packed(w, self.codes[sym]);
+    }
+
+    /// Code length of `sym` in bits (0 = unused symbol).
+    #[inline]
+    pub fn len(&self, sym: usize) -> u8 {
+        (self.codes[sym] & 31) as u8
+    }
+}
+
+/// Decoder-table entry layout. The low four bits are the bits to consume
+/// (a code's length in the primary table, its length less the primary
+/// index width in a sub-table; 0 marks a bit pattern no code has), then
+/// four bits of extra-bit count, the kind flags, and in the high half the
+/// value: a symbol or literal byte, a length or distance base, or a
+/// sub-table's offset.
+pub(crate) mod entry {
+    /// Bits to consume (in a [`LINK`]: the sub-table's index width).
+    pub(crate) const LEN_MASK: u32 = 0xF;
+    /// Shift of the extra-bit count (four bits).
+    pub(crate) const EXTRA_SHIFT: u32 = 4;
+    /// A literal byte, or a plain symbol number.
+    pub(crate) const LITERAL: u32 = 1 << 8;
+    /// A length or distance base with its extra-bit count.
+    pub(crate) const BASE: u32 = 1 << 9;
+    /// End of block.
+    pub(crate) const END: u32 = 1 << 10;
+    /// Primary-table pointer to a sub-table.
+    pub(crate) const LINK: u32 = 1 << 11;
+    /// A symbol that has a code but may not occur (286/287, 30/31).
+    pub(crate) const BAD: u32 = 1 << 12;
+    /// Shift of the value.
+    pub(crate) const VALUE_SHIFT: u32 = 16;
+}
+use entry::*;
+
+// Table slots written by decoder builds on this thread: the measure of
+// what a peer's block header can make the decoder spend.
+#[cfg(test)]
+thread_local! {
+    pub(crate) static BUILD_WORK: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Two-level table decoder: the next `bits` input bits index a primary
+/// table whose entries are either final or point to a sub-table indexed by
+/// the bits that follow, so a build costs `2^bits` slots plus one small
+/// sub-table per group of longer codes — never `2^15`, whatever lengths a
+/// block declares.
+///
+/// The table is reusable: [`rebuild`](Self::rebuild) keeps its storage.
+#[derive(Debug, Clone, Default)]
+pub struct HuffDecoder {
+    table: Vec<u32>,
+    /// Index width of the primary table.
+    bits: u32,
+}
+
+impl HuffDecoder {
+    /// Widest primary table: 2^11 slots, like the reference decoders.
+    pub(crate) const PRIMARY_BITS: u32 = 11;
+
+    /// Builds a decoder from canonical code lengths.
+    ///
+    /// `allow_incomplete` accepts under-subscribed codes (needed for the
+    /// one-distance-code streams zlib emits); over-subscribed codes are
+    /// always rejected.
+    pub fn from_lengths(lengths: &[u8], allow_incomplete: bool) -> Result<Self> {
+        let mut dec = HuffDecoder::default();
+        dec.rebuild(lengths, allow_incomplete, Self::PRIMARY_BITS, None)?;
+        Ok(dec)
+    }
+
+    /// Rebuilds the table in place for `lengths`, with a primary table of
+    /// at most `primary_bits` index bits. `payload[sym]` supplies each
+    /// symbol's entry (kind, extra-bit count, value); without it an entry
+    /// carries the symbol number.
+    pub(crate) fn rebuild(
+        &mut self,
+        lengths: &[u8],
+        allow_incomplete: bool,
+        primary_bits: u32,
+        payload: Option<&[u32]>,
+    ) -> Result<()> {
+        let max_len = lengths.iter().copied().max().unwrap_or(0);
+        if max_len == 0 {
+            return Err(CodecError::Corrupt("huffman code with no symbols"));
+        }
+        if max_len > 15 {
+            return Err(CodecError::Corrupt("huffman code longer than 15 bits"));
+        }
+        match kraft(lengths) {
+            std::cmp::Ordering::Greater => {
+                return Err(CodecError::Corrupt("over-subscribed huffman code"))
+            }
+            std::cmp::Ordering::Less => {
+                let used = lengths.iter().filter(|&&l| l > 0).count();
+                // RFC-tolerated special case: a single code of length 1.
+                if !(allow_incomplete || (used == 1 && max_len == 1)) {
+                    return Err(CodecError::Corrupt("incomplete huffman code"));
+                }
+            }
+            std::cmp::Ordering::Equal => {}
+        }
+
+        let bits = primary_bits.min(u32::from(max_len));
+        let primary = 1usize << bits;
+        self.bits = bits;
+        self.table.clear();
+        self.table.resize(primary, 0);
+        let entry_of = |sym: usize| match payload {
+            Some(p) => p[sym],
+            None => LITERAL | (sym as u32) << VALUE_SHIFT,
+        };
+
+        // Codes that fit the primary index fill every slot whose low bits
+        // equal the bit-reversed code; longer ones only record, in the slot
+        // of their first `bits` bits, how wide their sub-table must be.
+        let table = &mut self.table;
+        for_each_code(lengths, |sym, rev, len| {
+            let (rev, len) = (usize::from(rev), u32::from(len));
+            if len <= bits {
+                let entry = entry_of(sym) | len;
+                for slot in table[rev..].iter_mut().step_by(1 << len) {
+                    *slot = entry;
+                }
+            } else {
+                let link = &mut table[rev & (primary - 1)];
+                *link = LINK | (*link & LEN_MASK).max(len - bits);
+            }
+        });
+        if u32::from(max_len) > bits {
+            // Second pass: give each linked slot its sub-table (offset 0 is
+            // the primary table, so it reads as "none yet") and fill it.
+            for_each_code(lengths, |sym, rev, len| {
+                let (rev, len) = (usize::from(rev), u32::from(len));
+                if len <= bits {
+                    return;
+                }
+                let link = table[rev & (primary - 1)];
+                let width = 1usize << (link & LEN_MASK);
+                let mut offset = (link >> VALUE_SHIFT) as usize;
+                if offset == 0 {
+                    offset = table.len();
+                    debug_assert!(offset + width <= 1 << 16);
+                    table.resize(offset + width, 0);
+                    table[rev & (primary - 1)] = link | (offset as u32) << VALUE_SHIFT;
+                }
+                let entry = entry_of(sym) | (len - bits);
+                for slot in table[offset + (rev >> bits)..offset + width]
+                    .iter_mut()
+                    .step_by(1 << (len - bits))
+                {
+                    *slot = entry;
+                }
+            });
+        }
+        #[cfg(test)]
+        BUILD_WORK.with(|w| w.set(w.get() + self.table.len()));
+        Ok(())
+    }
+
+    /// The table and its primary index width, for a loop that indexes it
+    /// directly.
+    #[inline]
+    pub(crate) fn table(&self) -> (&[u32], u32) {
+        (&self.table, self.bits)
+    }
+
+    /// Reads one code: its final table entry, consumed. Peeks past the end
+    /// of input read as zeros; only consuming past it is an error.
+    #[inline]
+    pub(crate) fn read_entry(&self, r: &mut BitReader<'_>) -> Result<u32> {
+        let mut e = self.table[r.peek_bits(self.bits) as usize];
+        let mut len = e & LEN_MASK;
+        if e & LINK != 0 {
+            let sub = r.peek_bits(self.bits + len) >> self.bits;
+            e = self.table[(e >> VALUE_SHIFT) as usize + sub as usize];
+            len = self.bits + (e & LEN_MASK);
+        }
+        if e & LEN_MASK == 0 {
+            return Err(CodecError::Corrupt("invalid huffman code in stream"));
+        }
+        r.consume(len)?;
+        Ok(e)
+    }
+
+    /// Decodes one symbol from the reader.
+    #[inline]
+    pub fn decode(&self, r: &mut BitReader<'_>) -> Result<usize> {
+        Ok((self.read_entry(r)? >> VALUE_SHIFT) as usize)
+    }
+}
+
+/// The package-merge this module's replaced, clone-per-package and
+/// sort-per-level, kept as the oracle its lengths are compared against.
+#[cfg(test)]
+pub(crate) fn limited_code_lengths_oracle(freqs: &[u32], max_len: u8) -> Vec<u8> {
     let used: Vec<(u32, usize)> = freqs
         .iter()
         .enumerate()
@@ -85,166 +479,63 @@ pub fn limited_code_lengths(freqs: &[u32], max_len: u8) -> Vec<u8> {
     lengths
 }
 
-/// Assigns canonical codes to `lengths` per RFC 1951: shorter codes first,
-/// ties broken by symbol order. Returns MSB-first code values.
-pub fn canonical_codes(lengths: &[u8]) -> Vec<u16> {
-    let max_len = lengths.iter().copied().max().unwrap_or(0) as usize;
-    let mut bl_count = vec![0u16; max_len + 1];
-    for &l in lengths {
-        if l > 0 {
-            bl_count[l as usize] += 1;
-        }
-    }
-    let mut next_code = vec![0u16; max_len + 2];
-    let mut code = 0u16;
-    for bits in 1..=max_len {
-        code = (code + bl_count[bits - 1]) << 1;
-        next_code[bits] = code;
-    }
-    lengths
-        .iter()
-        .map(|&l| {
-            if l == 0 {
-                0
-            } else {
-                let c = next_code[l as usize];
-                next_code[l as usize] += 1;
-                c
-            }
-        })
-        .collect()
-}
-
-/// Verifies the Kraft sum of a length assignment.
-///
-/// Returns `Ordering::Equal` for a complete code, `Less` for an incomplete
-/// (under-subscribed) code and `Greater` for an over-subscribed (invalid)
-/// one.
-pub fn kraft(lengths: &[u8]) -> std::cmp::Ordering {
-    let mut sum: u64 = 0;
-    const ONE: u64 = 1 << 32; // fixed-point 1.0
-    for &l in lengths {
-        if l > 0 {
-            sum += ONE >> l;
-        }
-    }
-    sum.cmp(&ONE)
-}
-
-/// Encoder-side table: per symbol, the LSB-first (pre-reversed) code and its
-/// length, ready for `BitWriter::write_bits`.
-#[derive(Debug, Clone)]
-pub struct HuffEncoder {
-    codes: Vec<u16>,
-    lengths: Vec<u8>,
-}
-
-impl HuffEncoder {
-    /// Builds an encoder from canonical code lengths.
-    pub fn from_lengths(lengths: &[u8]) -> Self {
-        let canonical = canonical_codes(lengths);
-        let codes = canonical
-            .iter()
-            .zip(lengths)
-            .map(|(&c, &l)| if l == 0 { 0 } else { reverse_bits(c, l) })
-            .collect();
-        HuffEncoder {
-            codes,
-            lengths: lengths.to_vec(),
-        }
-    }
-
-    /// Emits `sym` through the writer.
-    #[inline]
-    pub fn write(&self, w: &mut crate::bitio::BitWriter<'_>, sym: usize) {
-        let len = self.lengths[sym];
-        debug_assert!(len > 0, "symbol {sym} has no code");
-        w.write_bits(u32::from(self.codes[sym]), u32::from(len));
-    }
-
-    /// Code length of `sym` in bits (0 = unused symbol).
-    #[inline]
-    pub fn len(&self, sym: usize) -> u8 {
-        self.lengths[sym]
-    }
-}
-
-/// Decoder built as a single flat lookup table of `2^max_len` entries: the
-/// next `max_len` bits index straight to `(symbol, code_len)`.
-///
-/// DEFLATE caps code lengths at 15 bits, so the table is at most 32 Ki
-/// entries; it is rebuilt per dynamic block, which is amortized across the
-/// tens of kilobytes each block spans.
-#[derive(Debug, Clone)]
-pub struct HuffDecoder {
-    /// Entry layout: `(sym << 4) | len`; len 0 marks an invalid code.
-    table: Vec<u32>,
-    max_len: u8,
-}
-
-impl HuffDecoder {
-    /// Builds a decoder from canonical code lengths.
-    ///
-    /// `allow_incomplete` accepts under-subscribed codes (needed for the
-    /// one-distance-code streams zlib emits); over-subscribed codes are
-    /// always rejected.
-    pub fn from_lengths(lengths: &[u8], allow_incomplete: bool) -> Result<Self> {
-        let max_len = lengths.iter().copied().max().unwrap_or(0);
-        if max_len == 0 {
-            return Err(CodecError::Corrupt("huffman code with no symbols"));
-        }
-        match kraft(lengths) {
-            std::cmp::Ordering::Greater => {
-                return Err(CodecError::Corrupt("over-subscribed huffman code"))
-            }
-            std::cmp::Ordering::Less => {
-                let used = lengths.iter().filter(|&&l| l > 0).count();
-                // RFC-tolerated special case: a single code of length 1.
-                if !(allow_incomplete || (used == 1 && max_len == 1)) {
-                    return Err(CodecError::Corrupt("incomplete huffman code"));
-                }
-            }
-            std::cmp::Ordering::Equal => {}
-        }
-
-        let codes = canonical_codes(lengths);
-        let mut table = vec![0u32; 1usize << max_len];
-        for (sym, (&code, &len)) in codes.iter().zip(lengths).enumerate() {
-            if len == 0 {
-                continue;
-            }
-            // The code occupies every table slot whose low `len` bits equal
-            // the bit-reversed code.
-            let rev = reverse_bits(code, len) as usize;
-            let step = 1usize << len;
-            let entry = ((sym as u32) << 4) | u32::from(len);
-            let mut idx = rev;
-            while idx < table.len() {
-                table[idx] = entry;
-                idx += step;
-            }
-        }
-        Ok(HuffDecoder { table, max_len })
-    }
-
-    /// Decodes one symbol from the reader.
-    #[inline]
-    pub fn decode(&self, r: &mut BitReader<'_>) -> Result<usize> {
-        let bits = r.peek_bits(u32::from(self.max_len));
-        let entry = self.table[bits as usize];
-        let len = entry & 0xF;
-        if len == 0 {
-            return Err(CodecError::Corrupt("invalid huffman code in stream"));
-        }
-        r.consume(len)?;
-        Ok((entry >> 4) as usize)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bitio::BitWriter;
+
+    #[test]
+    fn package_merge_matches_the_oracle_on_skewed_and_tied_frequencies() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut pm = PackageMerge::default();
+        for round in 0..10_000 {
+            let n = 2 + (next() % 285) as usize;
+            let mut freqs: Vec<u32> = match round % 4 {
+                // Fibonacci-skewed: forces the length limit to bind.
+                0 => {
+                    let (mut a, mut b) = (1u32, 1u32);
+                    (0..n)
+                        .map(|_| {
+                            let f = a;
+                            (a, b) = (b, a.saturating_add(b).min(1 << 28));
+                            f
+                        })
+                        .collect()
+                }
+                // A handful of distinct values: heavy ties.
+                1 => (0..n).map(|_| 1 + (next() % 3) as u32).collect(),
+                // Power-law with many zeros.
+                2 => (0..n)
+                    .map(|_| ((1u64 << (next() % 20)) as u32) * (next() % 2) as u32)
+                    .collect(),
+                _ => (0..n).map(|_| (next() % 5000) as u32).collect(),
+            };
+            // Shuffle so symbol order and weight order disagree.
+            for i in (1..n).rev() {
+                freqs.swap(i, (next() % (i as u64 + 1)) as usize);
+            }
+            let used = freqs.iter().filter(|&&f| f > 0).count();
+            let min_bits = used.next_power_of_two().trailing_zeros() as u8;
+            let max_len = match round % 3 {
+                0 => 15,
+                1 => 7.max(min_bits),
+                _ => (min_bits + (next() % 3) as u8).clamp(1, 15),
+            };
+            let mut got = vec![0xAAu8; n];
+            pm.lengths(&freqs, max_len, &mut got);
+            assert_eq!(
+                got,
+                limited_code_lengths_oracle(&freqs, max_len),
+                "round {round}: {n} symbols, limit {max_len}, {freqs:?}"
+            );
+        }
+    }
 
     #[test]
     fn single_symbol_gets_length_one() {

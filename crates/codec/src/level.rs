@@ -9,6 +9,7 @@
 
 use crate::deflate::DeflateEncoder;
 use crate::error::{CodecError, Result};
+use crate::inflate::Inflater;
 use crate::{lzf, zlib};
 
 /// Lowest level: no compression.
@@ -39,13 +40,15 @@ pub fn algo_for_level(level: u8) -> Algo {
     }
 }
 
-/// Reusable per-connection codec state: the DEFLATE dictionary and token
-/// staging persist across buffers, so the steady-state compression of a
-/// long transfer allocates nothing (the paper's C library got this for
-/// free from zlib's `deflateReset`).
+/// Reusable per-connection codec state: the DEFLATE dictionary, token
+/// staging and per-block tables of the encoder and the decoder's tables
+/// persist across buffers, so the steady-state compression and
+/// decompression of a long transfer allocate nothing (the paper's C
+/// library got this for free from zlib's `deflateReset`).
 #[derive(Default)]
 pub struct Codec {
     deflate: DeflateEncoder,
+    inflate: Inflater,
 }
 
 impl Codec {
@@ -63,6 +66,59 @@ impl Codec {
             Algo::Deflate(l) => zlib::zlib_compress_with(&mut self.deflate, input, l, out),
         }
     }
+
+    /// Positions the encoder's dictionary has storage for: 0 until the
+    /// first DEFLATE buffer, then the longest buffer compressed so far —
+    /// what a reused codec does not build again.
+    pub fn dictionary_len(&self) -> usize {
+        self.deflate.dictionary_len()
+    }
+
+    /// Decompresses a payload produced by [`compress_at`](Self::compress_at)
+    /// at the same level into `out`, whose length is the exact decoded size
+    /// (AdOC frames carry it), reusing this codec's decoder state.
+    pub fn decompress_into(&mut self, level: u8, input: &[u8], out: &mut [u8]) -> Result<()> {
+        let produced = match algo_for_level(level) {
+            Algo::Store => {
+                if input.len() != out.len() {
+                    return Err(CodecError::Corrupt("stored payload length mismatch"));
+                }
+                out.copy_from_slice(input);
+                out.len()
+            }
+            Algo::Lzf => {
+                let mut decoded = Vec::with_capacity(out.len());
+                lzf::decompress(input, &mut decoded, out.len())?;
+                out[..decoded.len()].copy_from_slice(&decoded);
+                decoded.len()
+            }
+            Algo::Deflate(_) => zlib::zlib_decompress_with(&mut self.inflate, input, out)?,
+        };
+        if produced != out.len() {
+            return Err(CodecError::Corrupt(
+                "decoded size differs from frame raw_len",
+            ));
+        }
+        Ok(())
+    }
+
+    /// [`decompress_into`](Self::decompress_into), appending the `raw_len`
+    /// decoded bytes to `out` (nothing on error).
+    pub fn decompress_at(
+        &mut self,
+        level: u8,
+        input: &[u8],
+        raw_len: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<()> {
+        let before = out.len();
+        out.resize(before + raw_len, 0);
+        let verdict = self.decompress_into(level, input, &mut out[before..]);
+        if verdict.is_err() {
+            out.truncate(before);
+        }
+        verdict
+    }
 }
 
 /// Compresses `input` at an AdOC level, appending to `out`.
@@ -76,24 +132,11 @@ pub fn compress_at(level: u8, input: &[u8], out: &mut Vec<u8>) {
 /// Decompresses a payload produced by [`compress_at`] at the same level.
 /// `raw_len` is the exact expected decoded size (AdOC frames carry it).
 /// Decoded bytes are appended to `out` directly — no intermediate vector.
+///
+/// One-shot convenience over [`Codec::decompress_at`]: builds fresh
+/// decoder tables per call. Streaming callers should hold a [`Codec`].
 pub fn decompress_at(level: u8, input: &[u8], raw_len: usize, out: &mut Vec<u8>) -> Result<()> {
-    let before = out.len();
-    match algo_for_level(level) {
-        Algo::Store => {
-            if input.len() != raw_len {
-                return Err(CodecError::Corrupt("stored payload length mismatch"));
-            }
-            out.extend_from_slice(input);
-        }
-        Algo::Lzf => lzf::decompress(input, out, raw_len)?,
-        Algo::Deflate(_) => zlib::zlib_decompress_into(input, raw_len, out)?,
-    }
-    if out.len() - before != raw_len {
-        return Err(CodecError::Corrupt(
-            "decoded size differs from frame raw_len",
-        ));
-    }
-    Ok(())
+    Codec::new().decompress_at(level, input, raw_len, out)
 }
 
 #[cfg(test)]

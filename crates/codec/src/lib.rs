@@ -5,7 +5,9 @@
 //! * [`lzf`] — the very fast/low-ratio codec used as compression level 1
 //!   (liblzf-compatible format);
 //! * [`deflate`] / [`inflate`] — a full RFC 1951 DEFLATE implementation
-//!   with zlib's level-1..9 effort ladder;
+//!   with zlib's level-1..9 effort ladder, at reference-zlib speed
+//!   (`cargo run --release -p adoc-codec --example yardstick` measures it
+//!   against the host's zlib) in safe Rust;
 //! * [`zlib`] / [`gzip`] — RFC 1950/1952 containers (what the paper's
 //!   Table 1 measures as "gzip N");
 //! * [`checksum`] — Adler-32 and CRC-32;
@@ -29,6 +31,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 pub mod bitio;
 pub mod checksum;
 pub mod deflate;

@@ -14,7 +14,6 @@ pub const MAX_DIST: usize = 32 * 1024;
 
 const HASH_BITS: u32 = 15;
 const HASH_SIZE: usize = 1 << HASH_BITS;
-const NIL: u32 = u32::MAX;
 
 /// One output token: a literal byte or a (length, distance) back-reference.
 ///
@@ -46,6 +45,12 @@ impl Token {
             "match distance {dist} outside 1..={MAX_DIST}"
         );
         Token(0x8000_0000 | (((len - MIN_MATCH) as u32) << 16) | ((dist - 1) as u32))
+    }
+
+    /// The packed form (see the type's docs).
+    #[inline]
+    pub(crate) fn bits(self) -> u32 {
+        self.0
     }
 
     /// `(length, distance)` if this token is a back-reference.
@@ -127,9 +132,25 @@ impl MatchParams {
     }
 }
 
+/// Hash of the first three bytes of a four-byte window: one big-endian
+/// word load puts them where the bytewise form's shifts would.
 #[inline]
-fn hash3(data: &[u8], i: usize) -> usize {
-    let v = (u32::from(data[i]) << 16) | (u32::from(data[i + 1]) << 8) | u32::from(data[i + 2]);
+fn hash_word(window: [u8; 4]) -> usize {
+    hash_value(u32::from_be_bytes(window) >> 8)
+}
+
+/// Hash of the three bytes that open `at`.
+#[inline]
+fn hash3(at: &[u8]) -> usize {
+    match at.first_chunk::<4>() {
+        Some(window) => hash_word(*window),
+        // Only a buffer's last position lacks the fourth byte.
+        None => hash_value((u32::from(at[0]) << 16) | (u32::from(at[1]) << 8) | u32::from(at[2])),
+    }
+}
+
+#[inline]
+fn hash_value(v: u32) -> usize {
     (v.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
 }
 
@@ -138,22 +159,35 @@ fn hash3(data: &[u8], i: usize) -> usize {
 /// stream of 200 KB buffers costs no allocation and no table wipe after
 /// the first call.
 ///
+/// The head table holds each hash's latest position as a stamp,
+/// `base + i`; a chain link holds the distance back to the position's
+/// predecessor on its chain, saturated at a value no window reaches
+/// where there is none that near — two bytes per position, so a walk's
+/// working set is the 64 KiB of links the window covers.
+///
 /// Staleness is handled by generation stamping instead of clearing:
-/// positions are stored as `base + i`, and `base` jumps past every
-/// previously stored value when a new buffer [`begin`](Self::begin)s.
-/// A head or chain entry below the current `base` belongs to an earlier
-/// buffer and reads as [`NIL`]. Only when `base` would overflow `u32`
-/// (once per ~4 GB tokenized) is the head table actually wiped.
+/// `base` jumps more than a window past every previously stored stamp
+/// when a new buffer [`begin`](Self::begin)s, so an entry of an earlier
+/// buffer (or a never-written 0) reads as farther away than any match may
+/// reach. Only when `base` would overflow `u32` (once per ~4 GB
+/// tokenized) is the head table actually wiped.
 pub struct Lz77Encoder {
+    /// Empty until the first buffer: a codec that never compresses costs
+    /// no table.
     head: Vec<u32>,
-    prev: Vec<u32>,
-    /// Stored value representing position 0 of the current buffer (≥ 1,
-    /// so 0 is always "never written").
+    links: Vec<u16>,
+    /// Stamp of position 0 of the current buffer.
     base: u32,
     /// Length of the current (or last) buffer, advanced into `base` on
     /// the next `begin`.
     len: usize,
 }
+
+/// Distance in stamps between buffers, and from 0 to the first: more than
+/// any match distance.
+const GENERATION_GAP: u32 = MAX_DIST as u32 + 1;
+/// A chain link that ends the walk: farther than any match distance.
+const NO_LINK: u32 = u16::MAX as u32;
 
 impl Default for Lz77Encoder {
     fn default() -> Self {
@@ -163,57 +197,62 @@ impl Default for Lz77Encoder {
 
 impl Lz77Encoder {
     /// Creates an encoder with an empty dictionary. The head table is
-    /// allocated once here; `prev` grows to the largest buffer seen.
+    /// allocated by the first buffer; the links grow to the largest seen.
     pub fn new() -> Self {
         Lz77Encoder {
-            head: vec![0; HASH_SIZE],
-            prev: Vec::new(),
-            base: 1,
+            head: Vec::new(),
+            links: Vec::new(),
+            base: GENERATION_GAP,
             len: 0,
         }
     }
 
+    /// Positions the chain links have storage for: the longest buffer
+    /// tokenized so far.
+    pub fn dictionary_len(&self) -> usize {
+        self.links.len()
+    }
+
     /// Starts a new buffer of `len` bytes: invalidates every stored
-    /// position in O(1) (amortised) and sizes `prev`.
+    /// position in O(1) (amortised) and sizes the links.
     fn begin(&mut self, len: usize) {
-        if self.prev.len() < len {
-            self.prev.resize(len, 0);
+        self.head.resize(HASH_SIZE, 0);
+        if self.links.len() < len {
+            self.links.resize(len, 0);
         }
-        let next = u64::from(self.base) + self.len as u64;
+        let next = u64::from(self.base) + self.len as u64 + u64::from(GENERATION_GAP);
         if next + len as u64 >= u64::from(u32::MAX) {
             self.head.fill(0);
-            self.base = 1;
+            self.base = GENERATION_GAP;
         } else {
             self.base = next as u32;
         }
         self.len = len;
     }
 
+    /// Enters every not-yet-indexed position below `upto` into the chains.
     #[inline]
-    fn insert(&mut self, data: &[u8], i: usize) {
-        let h = hash3(data, i);
-        self.prev[i] = self.head[h];
-        self.head[h] = self.base + i as u32;
-    }
-
-    /// Most recent prior position hashing like `i`, or [`NIL`].
-    #[inline]
-    fn candidates(&self, data: &[u8], i: usize) -> u32 {
-        self.decode(self.head[hash3(data, i)])
-    }
-
-    /// Next older position on `c`'s chain, or [`NIL`].
-    #[inline]
-    fn chain_prev(&self, c: usize) -> u32 {
-        self.decode(self.prev[c])
-    }
-
-    #[inline]
-    fn decode(&self, stored: u32) -> u32 {
-        if stored >= self.base {
-            stored - self.base
-        } else {
-            NIL
+    fn index_upto(&mut self, data: &[u8], inserted: &mut usize, upto: usize) {
+        let from = *inserted;
+        if from >= upto {
+            return;
+        }
+        *inserted = upto;
+        let head = &mut self.head[..HASH_SIZE];
+        // Positions with a fourth byte behind them hash from one load.
+        let whole = upto.min(data.len().saturating_sub(3)).max(from);
+        let windows = data[from..].windows(4);
+        let stamps = self.base + from as u32..;
+        for ((window, link), stamp) in windows.zip(&mut self.links[from..whole]).zip(stamps) {
+            let h = hash_word(window.try_into().expect("4-byte window"));
+            *link = (stamp - head[h]).min(NO_LINK) as u16;
+            head[h] = stamp;
+        }
+        for j in whole..upto {
+            let h = hash3(&data[j..]);
+            let stamp = self.base + j as u32;
+            self.links[j] = (stamp - head[h]).min(NO_LINK) as u16;
+            head[h] = stamp;
         }
     }
 
@@ -242,23 +281,30 @@ impl Lz77Encoder {
     }
 }
 
+/// Length of the common prefix of two equally long slices.
 #[inline]
-fn match_len(data: &[u8], a: usize, b: usize, max: usize) -> usize {
-    // Compare 8 bytes at a time; `a < b` and both in-bounds for `max`.
+fn match_len(a: &[u8], b: &[u8]) -> usize {
+    debug_assert_eq!(a.len(), b.len());
     let mut n = 0;
-    while n + 8 <= max {
-        let x = u64::from_le_bytes(data[a + n..a + n + 8].try_into().unwrap());
-        let y = u64::from_le_bytes(data[b + n..b + n + 8].try_into().unwrap());
-        let xor = x ^ y;
-        if xor != 0 {
-            return n + (xor.trailing_zeros() / 8) as usize;
+    for (x, y) in a.chunks_exact(8).zip(b.chunks_exact(8)) {
+        let x = u64::from_le_bytes(x.try_into().expect("8-byte chunk"));
+        let y = u64::from_le_bytes(y.try_into().expect("8-byte chunk"));
+        if x != y {
+            return n + ((x ^ y).trailing_zeros() / 8) as usize;
         }
         n += 8;
     }
-    while n < max && data[a + n] == data[b + n] {
-        n += 1;
-    }
-    n
+    n + a[n..]
+        .iter()
+        .zip(&b[n..])
+        .take_while(|(x, y)| x == y)
+        .count()
+}
+
+/// The two bytes at `at`, as one comparable word.
+#[inline(always)]
+fn pair_at(bytes: &[u8], at: usize) -> u16 {
+    u16::from_le_bytes(bytes[at..at + 2].try_into().expect("two bytes"))
 }
 
 /// Finds the best match for position `i`, walking at most `depth` chain
@@ -271,7 +317,10 @@ fn best_match(
     prev_len: usize,
 ) -> Option<(usize, usize)> {
     let max = (data.len() - i).min(MAX_MATCH);
-    if max < MIN_MATCH {
+    // The caller keeps a deferred match unless this one is longer, so only
+    // longer ones are looked for (zlib starts `best_len` the same way).
+    let mut best_len = prev_len.max(MIN_MATCH - 1);
+    if max <= best_len {
         return None;
     }
     let mut depth = if prev_len >= params.good_length {
@@ -280,42 +329,44 @@ fn best_match(
         params.max_chain
     };
     let nice = params.nice_length.min(max);
+    let cur = &data[i..i + max];
+    // All a candidate at `c < i` is compared over: `data[c..c + max]`.
+    let window = &data[..i + max - 1];
+    let links = &chains.links[..i];
 
-    let mut best_len = 0usize;
+    // Only a match longer than the best so far is kept, so a candidate
+    // must agree with the current position at the byte that would extend
+    // the best match and at the one before it (`scan_end`), and at the
+    // first two, before it is worth measuring.
+    let scan_start = pair_at(cur, 0);
+    let mut scan_end = pair_at(cur, best_len - 1);
     let mut best_dist = 0usize;
-    let mut cand = chains.candidates(data, i);
-    while cand != NIL && depth > 0 {
-        let c = cand as usize;
-        debug_assert!(c < i);
-        let dist = i - c;
-        if dist > MAX_DIST {
-            break; // chains are append-only; older entries are even farther
-        }
-        // Quick reject: check the byte that would extend the best match.
-        if best_len == 0 || data[c + best_len] == data[i + best_len] {
-            let len = match_len(data, c, i, max);
+    // Chains are append-only: the first candidate beyond the window (an
+    // earlier buffer's stamp included) ends the walk.
+    let mut dist = (chains.base + i as u32 - chains.head[hash3(cur)]) as usize;
+    while dist <= MAX_DIST && depth > 0 {
+        let c = i - dist;
+        if pair_at(window, c + best_len - 1) == scan_end && pair_at(window, c) == scan_start {
+            let len = match_len(&window[c..c + max], cur);
             if len > best_len {
                 best_len = len;
                 best_dist = dist;
                 if len >= nice {
                     break;
                 }
+                scan_end = pair_at(cur, len - 1);
             }
         }
-        cand = chains.chain_prev(c);
+        dist += usize::from(links[c]);
         depth -= 1;
     }
 
     // zlib's TOO_FAR heuristic: a 3-byte match far away costs more bits
     // than 3 literals.
-    if best_len == MIN_MATCH && best_dist > 4096 {
+    if best_dist == 0 || (best_len == MIN_MATCH && best_dist > 4096) {
         return None;
     }
-    if best_len >= MIN_MATCH {
-        Some((best_len, best_dist))
-    } else {
-        None
-    }
+    Some((best_len, best_dist))
 }
 
 /// Tokenizes `data` with the given effort parameters, invoking `sink` for
@@ -326,22 +377,6 @@ fn best_match(
 /// dictionary state per call. Streaming callers should hold an encoder.
 pub fn tokenize(data: &[u8], params: &MatchParams, sink: impl FnMut(Token)) {
     Lz77Encoder::new().tokenize(data, params, sink);
-}
-
-/// Inserts all not-yet-indexed positions below `upto` into the chains.
-#[inline]
-fn index_upto(
-    chains: &mut Lz77Encoder,
-    data: &[u8],
-    inserted: &mut usize,
-    upto: usize,
-    insert_end: usize,
-) {
-    let stop = upto.min(insert_end);
-    while *inserted < stop {
-        chains.insert(data, *inserted);
-        *inserted += 1;
-    }
 }
 
 fn tokenize_greedy(
@@ -355,7 +390,7 @@ fn tokenize_greedy(
     let mut i = 0usize;
     let mut inserted = 0usize;
     while i < n {
-        index_upto(chains, data, &mut inserted, i, insert_end);
+        chains.index_upto(data, &mut inserted, i.min(insert_end));
         let found = if i < insert_end {
             best_match(data, chains, i, params, 0)
         } else {
@@ -388,7 +423,7 @@ fn tokenize_lazy(
     let mut pending: Option<(usize, usize)> = None;
 
     while i < n {
-        index_upto(chains, data, &mut inserted, i, insert_end);
+        chains.index_upto(data, &mut inserted, i.min(insert_end));
         let prev_len = pending.map_or(0, |(l, _)| l);
         let cur = if i < insert_end && prev_len < params.max_lazy {
             best_match(data, chains, i, params, prev_len)
@@ -649,6 +684,9 @@ mod tests {
         let mut toks = Vec::new();
         enc.tokenize(&data, &params, |t| toks.push(t));
         assert_eq!(expand(&toks), data);
-        assert_eq!(enc.base, 1, "wrap must reset the generation base");
+        assert_eq!(
+            enc.base, GENERATION_GAP,
+            "wrap must reset the generation base"
+        );
     }
 }

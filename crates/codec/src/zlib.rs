@@ -4,7 +4,7 @@
 use crate::checksum::Adler32;
 use crate::deflate::DeflateEncoder;
 use crate::error::{CodecError, Result};
-use crate::inflate::inflate;
+use crate::inflate::{inflate, Inflater};
 
 /// Compresses `data` into a zlib stream appended to `out`, reusing the
 /// caller's [`DeflateEncoder`] state — the allocation-free streaming form
@@ -39,10 +39,9 @@ pub fn zlib_compress(data: &[u8], level: u8) -> Vec<u8> {
     out
 }
 
-/// Decompresses a zlib stream, appending the decoded bytes to `out` —
-/// no intermediate vector. `max_out` caps the decoded size; the header
-/// and Adler-32 trailer are verified.
-pub fn zlib_decompress_into(stream: &[u8], max_out: usize, out: &mut Vec<u8>) -> Result<()> {
+/// Checks a zlib stream's header; returns its DEFLATE body and the
+/// Adler-32 its trailer declares.
+fn open(stream: &[u8]) -> Result<(&[u8], u32)> {
     if stream.len() < 6 {
         return Err(CodecError::UnexpectedEof);
     }
@@ -64,18 +63,37 @@ pub fn zlib_decompress_into(stream: &[u8], max_out: usize, out: &mut Vec<u8>) ->
             "zlib: preset dictionaries unsupported",
         ));
     }
+    let (body, trailer) = stream[2..].split_at(stream.len() - 6);
+    let trailer = trailer.try_into().expect("4-byte trailer");
+    Ok((body, u32::from_be_bytes(trailer)))
+}
 
-    let body = &stream[2..stream.len() - 4];
-    let before = out.len();
-    inflate(body, out, max_out)?;
-
-    let trailer = &stream[stream.len() - 4..];
-    let expected = u32::from_be_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]);
-    let actual = Adler32::oneshot(&out[before..]);
+fn check(expected: u32, decoded: &[u8]) -> Result<()> {
+    let actual = Adler32::oneshot(decoded);
     if expected != actual {
         return Err(CodecError::ChecksumMismatch { expected, actual });
     }
     Ok(())
+}
+
+/// Decompresses a zlib stream into `out`, which is all the room there is,
+/// reusing the caller's [`Inflater`] tables; returns the bytes decoded.
+/// The header and Adler-32 trailer are verified.
+pub fn zlib_decompress_with(dec: &mut Inflater, stream: &[u8], out: &mut [u8]) -> Result<usize> {
+    let (body, adler) = open(stream)?;
+    let produced = dec.inflate_into(body, out)?;
+    check(adler, &out[..produced])?;
+    Ok(produced)
+}
+
+/// Decompresses a zlib stream, appending the decoded bytes to `out` —
+/// no intermediate vector. `max_out` caps the decoded size; the header
+/// and Adler-32 trailer are verified.
+pub fn zlib_decompress_into(stream: &[u8], max_out: usize, out: &mut Vec<u8>) -> Result<()> {
+    let (body, adler) = open(stream)?;
+    let before = out.len();
+    inflate(body, out, max_out)?;
+    check(adler, &out[before..])
 }
 
 /// Decompresses a zlib stream, verifying header and Adler-32 trailer.

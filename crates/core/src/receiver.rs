@@ -18,6 +18,7 @@
 use crate::config::AdocConfig;
 use crate::pool::PooledBuf;
 use crate::wire::{self, FrameHeader, Framing, MsgKind};
+use adoc_codec::Codec;
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -69,6 +70,8 @@ impl RecvProgress {
 /// frames with sequence numbers below `next_seq` — replays — are
 /// rejected as duplicates.
 ///
+/// `codec` lends the decompression thread the connection's decoder tables.
+///
 /// Returns `Ok(None)` on clean end-of-stream, `Ok(Some(raw_len))` after a
 /// full message.
 pub fn receive_message<R, K>(
@@ -77,6 +80,7 @@ pub fn receive_message<R, K>(
     cfg: &AdocConfig,
     progress: &mut RecvProgress,
     resume: Option<RecvProgress>,
+    codec: &mut Codec,
 ) -> io::Result<Option<u64>>
 where
     R: Read + Send,
@@ -118,7 +122,7 @@ where
         }
     };
     let framing = Framing::choose(readers.len(), resume.is_some(), false);
-    receive_frames(readers, sink, body_len, framing, cfg, progress)?;
+    receive_frames(readers, sink, body_len, framing, cfg, progress, codec)?;
     progress.active = false;
     Ok(Some(progress.total_raw))
 }
@@ -347,6 +351,7 @@ fn receive_frames<R, K>(
     framing: Framing,
     cfg: &AdocConfig,
     progress: &mut RecvProgress,
+    codec: &mut Codec,
 ) -> io::Result<()>
 where
     R: Read + Send,
@@ -360,7 +365,8 @@ where
             .enumerate()
             .map(|(i, r)| s.spawn(move || reception_thread(i as u8, r, body_len, framing, rb, cfg)))
             .collect();
-        let decomp = s.spawn(move || decompression_thread(sink, body_len, rb, cfg, progress));
+        let decomp =
+            s.spawn(move || decompression_thread(sink, body_len, rb, cfg, progress, codec));
         (
             handles.into_iter().map(|h| h.join()).collect::<Vec<_>>(),
             decomp.join(),
@@ -469,23 +475,24 @@ fn decompression_thread<K: Write>(
     reorder: &ReorderBuffer,
     cfg: &AdocConfig,
     progress: &mut RecvProgress,
+    codec: &mut Codec,
 ) -> io::Result<()> {
     let _fail = FailOnDrop { rb: reorder };
     let mut produced = 0u64;
-    // Decode scratch: pooled, reused across every frame of the message,
-    // and decompress_at appends into it directly (no intermediate vector
-    // inside the codec either).
+    // Decode scratch: pooled, sized once to the largest frame and reused
+    // across the message; the codec decodes straight into a frame's share.
     let mut scratch = cfg.pool.get(cfg.buffer_size);
+    scratch.resize((cfg.buffer_size as u64).min(body_len) as usize, 0);
     while let Some(RecvFrame { hdr, payload }) = reorder.pop_next() {
         // Each reception thread could only bound its own stream; the
         // streams together must not overrun the message either.
         hdr.check_bounds(cfg.buffer_size, body_len - produced)?;
-        scratch.clear();
+        let raw = &mut scratch[..hdr.raw_len as usize];
         let t0 = Instant::now();
-        adoc_codec::decompress_at(hdr.level, &payload, hdr.raw_len as usize, &mut scratch)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        let decoded = codec.decompress_into(hdr.level, &payload, raw);
+        decoded.map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
         cfg.throttle.charge(t0.elapsed());
-        sink.write_all(&scratch)?;
+        sink.write_all(raw)?;
         produced += u64::from(hdr.raw_len);
         progress.delivered_raw += u64::from(hdr.raw_len);
         progress.next_seq += 1;
@@ -536,7 +543,14 @@ mod tests {
         sink: &mut (impl Write + Send),
         cfg: &AdocConfig,
     ) -> io::Result<Option<u64>> {
-        receive_message(readers, sink, cfg, &mut RecvProgress::default(), None)
+        receive_message(
+            readers,
+            sink,
+            cfg,
+            &mut RecvProgress::default(),
+            None,
+            &mut Codec::new(),
+        )
     }
 
     /// The progress an interrupted receive would have parked.
@@ -558,6 +572,7 @@ mod tests {
             data.len() as u64,
             None,
             cfg_tx,
+            &mut Vec::new(),
         )
         .unwrap();
         let mut c = Cursor::new(wire);
@@ -577,7 +592,15 @@ mod tests {
     ) -> Vec<u8> {
         let mut sinks: Vec<Vec<u8>> = vec![Vec::new(); streams];
         let mut src = data;
-        send_message(&mut sinks, &mut src, data.len() as u64, None, cfg_tx).unwrap();
+        send_message(
+            &mut sinks,
+            &mut src,
+            data.len() as u64,
+            None,
+            cfg_tx,
+            &mut Vec::new(),
+        )
+        .unwrap();
         let mut cursors: Vec<Cursor<Vec<u8>>> = sinks.into_iter().map(Cursor::new).collect();
         let mut out = Vec::new();
         let got = recv(&mut cursors, &mut out, cfg_rx).unwrap();
@@ -720,7 +743,15 @@ mod tests {
         let data = compressible(2 << 20);
         let mut sinks: Vec<Vec<u8>> = vec![Vec::new(); 3];
         let mut src = &data[..];
-        send_message(&mut sinks, &mut src, data.len() as u64, None, &tx).unwrap();
+        send_message(
+            &mut sinks,
+            &mut src,
+            data.len() as u64,
+            None,
+            &tx,
+            &mut Vec::new(),
+        )
+        .unwrap();
         // Cut one secondary stream mid-frame.
         let cut = sinks[1].len() / 2;
         sinks[1].truncate(cut);
@@ -743,7 +774,15 @@ mod tests {
         let data = compressible(700_000); // 4 frames
         let mut sinks: Vec<Vec<u8>> = vec![Vec::new(); 2];
         let mut src = &data[..];
-        send_message(&mut sinks, &mut src, data.len() as u64, None, &tx).unwrap();
+        send_message(
+            &mut sinks,
+            &mut src,
+            data.len() as u64,
+            None,
+            &tx,
+            &mut Vec::new(),
+        )
+        .unwrap();
         // Which stream claimed which frame is a race, so walk the capture
         // for `(stream, header offset, seq)` of every data frame; stream
         // 0 starts behind the message header and probe-length field.
@@ -792,7 +831,15 @@ mod tests {
             let tx = AdocConfig::default().with_levels(1, 10);
             let mut sinks: Vec<Vec<u8>> = vec![Vec::new(); streams];
             let mut src = &data[delivered..];
-            send_message(&mut sinks, &mut src, data.len() as u64, Some(at), &tx).unwrap();
+            send_message(
+                &mut sinks,
+                &mut src,
+                data.len() as u64,
+                Some(at),
+                &tx,
+                &mut Vec::new(),
+            )
+            .unwrap();
             let mut cursors: Vec<Cursor<Vec<u8>>> = sinks.into_iter().map(Cursor::new).collect();
             let mut out = data[..delivered].to_vec();
             let mut progress = RecvProgress::default();
@@ -802,6 +849,7 @@ mod tests {
                 &AdocConfig::default(),
                 &mut progress,
                 parked(data.len() as u64, at.delivered_raw, at.next_seq),
+                &mut Codec::new(),
             )
             .unwrap();
             assert_eq!(n, Some(data.len() as u64), "streams = {streams}");
@@ -824,7 +872,7 @@ mod tests {
             next_seq: 5,
             delivered_raw: 100,
         };
-        send_message(&mut sinks, &mut src, 100, Some(at), &tx).unwrap();
+        send_message(&mut sinks, &mut src, 100, Some(at), &tx, &mut Vec::new()).unwrap();
         for s in &sinks {
             assert_eq!(s.len(), wire::FRAME_HEADER_V2_LEN, "FIN only");
         }
@@ -836,6 +884,7 @@ mod tests {
             &AdocConfig::default(),
             &mut RecvProgress::default(),
             parked(100, 100, 5),
+            &mut Codec::new(),
         )
         .unwrap();
         assert_eq!(n, Some(100));
@@ -853,7 +902,15 @@ mod tests {
         let mut sinks: Vec<Vec<u8>> = vec![Vec::new(); 2];
         let mut src = &data[..];
         let from_zero = Some(ResumePoint::default());
-        send_message(&mut sinks, &mut src, data.len() as u64, from_zero, &tx).unwrap();
+        send_message(
+            &mut sinks,
+            &mut src,
+            data.len() as u64,
+            from_zero,
+            &tx,
+            &mut Vec::new(),
+        )
+        .unwrap();
         let mut cursors: Vec<Cursor<Vec<u8>>> = sinks.into_iter().map(Cursor::new).collect();
         let mut out = Vec::new();
         let err = receive_message(
@@ -862,6 +919,7 @@ mod tests {
             &AdocConfig::default(),
             &mut RecvProgress::default(),
             parked(2 * data.len() as u64, data.len() as u64, 4),
+            &mut Codec::new(),
         )
         .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
@@ -878,6 +936,7 @@ mod tests {
             &AdocConfig::default(),
             &mut RecvProgress::default(),
             parked(10, 11, 0),
+            &mut Codec::new(),
         )
         .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
@@ -893,6 +952,7 @@ mod tests {
             10,
             Some(at),
             &AdocConfig::default(),
+            &mut Vec::new(),
         )
         .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
@@ -924,6 +984,7 @@ mod tests {
             data.len() as u64,
             None,
             &tx,
+            &mut Vec::new(),
         )
         .unwrap();
         for frac in [wire.len() / 4, wire.len() / 2, wire.len() - 3] {
@@ -967,6 +1028,7 @@ mod tests {
             data.len() as u64,
             None,
             &tx,
+            &mut Vec::new(),
         )
         .unwrap();
         // Flip a byte inside the first frame payload (after headers).
@@ -1010,6 +1072,7 @@ mod tests {
             data.len() as u64,
             None,
             &tx,
+            &mut Vec::new(),
         )
         .unwrap();
         let mut c = Cursor::new(wire);
@@ -1025,7 +1088,15 @@ mod tests {
         // Same failure through the striped path.
         let mut sinks: Vec<Vec<u8>> = vec![Vec::new(); 3];
         let mut src = &data[..];
-        send_message(&mut sinks, &mut src, data.len() as u64, None, &tx).unwrap();
+        send_message(
+            &mut sinks,
+            &mut src,
+            data.len() as u64,
+            None,
+            &tx,
+            &mut Vec::new(),
+        )
+        .unwrap();
         let mut cursors: Vec<Cursor<Vec<u8>>> = sinks.into_iter().map(Cursor::new).collect();
         let mut sink = TinySink(100_000);
         let err = recv(&mut cursors, &mut sink, &AdocConfig::default()).unwrap_err();

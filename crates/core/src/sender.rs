@@ -26,6 +26,7 @@ use crate::session::ResumePoint;
 use crate::signals::SignalHub;
 use crate::stats::{StreamSendStats, TransferStats};
 use crate::wire::{self, FrameHeader, FrameHeaderV2, Framing, MsgKind};
+use adoc_codec::Codec;
 use std::io::{self, Read, Write};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -106,6 +107,9 @@ impl SendOutcome {
 /// receiver slots them behind the bytes it kept. The group's width may
 /// differ from the interrupted connection's.
 ///
+/// `codecs` is the connection's warm encoder state, grown here to one per
+/// stream.
+///
 /// Blocking: returns once every byte has been handed to the writers.
 pub fn send_message<W, S>(
     writers: &mut [W],
@@ -113,6 +117,7 @@ pub fn send_message<W, S>(
     raw_len: u64,
     resume: Option<ResumePoint>,
     cfg: &AdocConfig,
+    codecs: &mut Vec<Codec>,
 ) -> io::Result<SendOutcome>
 where
     W: Write + Send,
@@ -120,6 +125,9 @@ where
 {
     assert!(!writers.is_empty(), "a connection needs at least 1 stream");
     assert!(writers.len() <= 255, "stream ids are u8");
+    if codecs.len() < writers.len() {
+        codecs.resize_with(writers.len(), Codec::new);
+    }
     let mut out = SendOutcome::default();
     let (body_len, start_seq) = match resume {
         Some(at) => {
@@ -170,7 +178,7 @@ where
     if out.fast_path {
         send_raw_frames(writers, &frames, framing, cfg, &mut out)?;
     } else {
-        run_pipelines(writers, &frames, framing, cfg, &mut out)?;
+        run_pipelines(writers, &frames, framing, codecs, cfg, &mut out)?;
     }
     Ok(out)
 }
@@ -381,6 +389,7 @@ fn run_pipelines<W, S>(
     writers: &mut [W],
     frames: &FrameSource<'_, S>,
     framing: Framing,
+    codecs: &mut [Codec],
     cfg: &AdocConfig,
     out: &mut SendOutcome,
 ) -> io::Result<()>
@@ -395,11 +404,12 @@ where
     let (comp_res, emit_res): (Vec<_>, Vec<_>) = std::thread::scope(|s| {
         let handles: Vec<_> = writers
             .iter_mut()
+            .zip(codecs)
             .enumerate()
-            .map(|(i, w)| {
-                let (q, bw) = (&queues[i], &monitors[i]);
+            .map(|(i, (w, codec))| {
+                let (id, q, bw) = (i as u8, &queues[i], &monitors[i]);
                 (
-                    s.spawn(move || compression_thread(i as u8, frames, framing, q, bw, cfg)),
+                    s.spawn(move || compression_thread(id, frames, framing, q, bw, codec, cfg)),
                     s.spawn(move || emission_thread(w, q, bw, &*cfg.throttle, cfg.signal_hub())),
                 )
             })
@@ -468,6 +478,7 @@ where
 }
 
 /// Per-message results a compression thread reports back.
+#[derive(Default)]
 struct CompOutcome {
     buffers_at_level: [u64; 11],
     level_events: Vec<(Instant, u8, LevelReason)>,
@@ -478,16 +489,6 @@ struct CompOutcome {
 }
 
 impl CompOutcome {
-    fn new() -> Self {
-        CompOutcome {
-            buffers_at_level: [0u64; 11],
-            level_events: Vec::new(),
-            divergence_reverts: 0,
-            ratio_trips: 0,
-            frames: 0,
-        }
-    }
-
     fn finish(mut self, ctrl: &LevelController) -> Self {
         self.divergence_reverts = ctrl.divergence_reverts;
         self.ratio_trips = ctrl.ratio_trips;
@@ -505,7 +506,7 @@ fn encode_frame_payload(
     header_len: usize,
     mut level: u8,
     ctrl: &mut LevelController,
-    codec: &mut adoc_codec::Codec,
+    codec: &mut Codec,
     cfg: &AdocConfig,
 ) -> io::Result<(PooledBuf, u8)> {
     // §5 "Compressed and random data", early abort: while the stream
@@ -592,6 +593,7 @@ fn compression_thread<S: Read>(
     framing: Framing,
     queue: &PacketQueue,
     bw: &BandwidthMonitor,
+    codec: &mut Codec,
     cfg: &AdocConfig,
 ) -> io::Result<CompOutcome> {
     // Every exit — success, error, panic — ends the stream for the
@@ -600,8 +602,7 @@ fn compression_thread<S: Read>(
     let _close = queue.close_on_drop();
     let _stop = StopOnDrop(frames);
     let mut ctrl = LevelController::new(cfg);
-    let mut codec = adoc_codec::Codec::new();
-    let mut out = CompOutcome::new();
+    let mut out = CompOutcome::default();
     let hub = cfg.signal_hub();
     let hdr = framing.header_len();
 
@@ -612,7 +613,7 @@ fn compression_thread<S: Read>(
         let delay = hub.and_then(|h| h.snapshot());
         let level = ctrl.next_level_with(queue.len(), bw, delay, cfg);
         let (mut frame, level) =
-            encode_frame_payload(raw, want, hdr, level, &mut ctrl, &mut codec, cfg)?;
+            encode_frame_payload(raw, want, hdr, level, &mut ctrl, codec, cfg)?;
         out.buffers_at_level[level as usize] += 1;
         out.level_events
             .push((Instant::now(), level, ctrl.last_reason()));
@@ -732,6 +733,7 @@ mod tests {
             data.len() as u64,
             None,
             cfg,
+            &mut Vec::new(),
         )
         .unwrap();
         (wire, out)
@@ -809,8 +811,15 @@ mod tests {
         let cfg = AdocConfig::default();
         let mut wire = Vec::new();
         let mut src: &[u8] = b"only ten b";
-        let err =
-            send_message(std::slice::from_mut(&mut wire), &mut src, 100, None, &cfg).unwrap_err();
+        let err = send_message(
+            std::slice::from_mut(&mut wire),
+            &mut src,
+            100,
+            None,
+            &cfg,
+            &mut Vec::new(),
+        )
+        .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
@@ -837,6 +846,7 @@ mod tests {
             raw_len,
             None,
             &cfg,
+            &mut Vec::new(),
         )
         .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
@@ -887,6 +897,7 @@ mod tests {
             data.len() as u64,
             None,
             &cfg,
+            &mut Vec::new(),
         )
         .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::ConnectionReset);
@@ -919,6 +930,7 @@ mod tests {
                 data.len() as u64,
                 None,
                 &cfg,
+                &mut Vec::new(),
             );
             let _ = done_tx.send(res.is_err());
         });
@@ -977,7 +989,15 @@ mod tests {
         let data = adoc_data_stub(2 << 20); // 11 buffers at 200 KB
         let mut sinks: Vec<Vec<u8>> = vec![Vec::new(); 4];
         let mut src = &data[..];
-        let out = send_message(&mut sinks, &mut src, data.len() as u64, None, &cfg).unwrap();
+        let out = send_message(
+            &mut sinks,
+            &mut src,
+            data.len() as u64,
+            None,
+            &cfg,
+            &mut Vec::new(),
+        )
+        .unwrap();
         assert_eq!(out.per_stream.len(), 4);
         let frames: u64 = out.per_stream.iter().map(|s| s.frames).sum();
         assert_eq!(frames, data.len().div_ceil(cfg.buffer_size) as u64);
@@ -999,7 +1019,15 @@ mod tests {
         let data = vec![7u8; 2 << 20];
         let mut sinks: Vec<Vec<u8>> = vec![Vec::new(); 3];
         let mut src = &data[..];
-        let out = send_message(&mut sinks, &mut src, data.len() as u64, None, &cfg).unwrap();
+        let out = send_message(
+            &mut sinks,
+            &mut src,
+            data.len() as u64,
+            None,
+            &cfg,
+            &mut Vec::new(),
+        )
+        .unwrap();
         assert!(out.fast_path);
         assert_eq!(out.per_stream.len(), 3);
         let probe = cfg.probe_size as u64;
@@ -1161,6 +1189,7 @@ mod tests {
             data.len() as u64,
             None,
             &cfg,
+            &mut Vec::new(),
         )
         .unwrap();
         let observed: Vec<u8> = (0..11u8)
@@ -1203,7 +1232,15 @@ mod tests {
             let data = adoc_data_stub(1_300_000);
             let mut sinks: Vec<Vec<u8>> = vec![Vec::new(); streams];
             let mut src = &data[..];
-            let out = send_message(&mut sinks, &mut src, data.len() as u64, None, &cfg).unwrap();
+            let out = send_message(
+                &mut sinks,
+                &mut src,
+                data.len() as u64,
+                None,
+                &cfg,
+                &mut Vec::new(),
+            )
+            .unwrap();
             let on_wire: u64 = sinks.iter().map(|s| s.len() as u64).sum();
             assert_eq!(out.wire_bytes, on_wire, "streams = {streams}");
         }

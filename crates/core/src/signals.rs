@@ -504,12 +504,6 @@ impl SignalHub {
         let b = self.bounds.load(Ordering::Relaxed);
         ((b & 0xFF) as u8, (b >> 8) as u8)
     }
-
-    /// Clamps `level` into the steered bounds.
-    pub fn clamp_level(&self, level: u8) -> u8 {
-        let (lo, hi) = self.level_bounds();
-        level.clamp(lo, hi)
-    }
 }
 
 #[cfg(test)]

@@ -13,6 +13,7 @@ pub use crate::session::ResumePoint;
 use crate::session::{SessionTicket, TicketKey};
 use crate::stats::TransferStats;
 use crate::wire::{self, session_status, GroupHello, SessionAccept, SessionHello, SessionKind};
+use adoc_codec::Codec;
 use std::fs::File;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
@@ -107,6 +108,8 @@ pub struct AdocStreamGroup<R, W> {
     leftover: Vec<u8>,
     leftover_pos: usize,
     stats: TransferStats,
+    /// Codec state kept across messages: `[i]` encodes stream `i`, `[0]` decodes.
+    codecs: Vec<Codec>,
 }
 
 impl<R, W> std::fmt::Debug for AdocStreamGroup<R, W> {
@@ -204,6 +207,7 @@ impl<R: Read + Send, W: Write + Send> AdocStreamGroup<R, W> {
         cfg.ensure_signal_hub();
         let (readers, writers): (Vec<R>, Vec<W>) = pairs.into_iter().unzip();
         Ok(AdocStreamGroup {
+            codecs: vec![Codec::new()],
             readers,
             writers,
             cfg,
@@ -260,7 +264,8 @@ impl<R: Read + Send, W: Write + Send> AdocStreamGroup<R, W> {
             .ok()
             .and_then(|d| data.get(d..))
             .unwrap_or_default();
-        let out = send_message(&mut self.writers, &mut tail, total, Some(at), &self.cfg)?;
+        let (writers, codecs) = (&mut self.writers, &mut self.codecs);
+        let out = send_message(writers, &mut tail, total, Some(at), &self.cfg, codecs)?;
         Ok(self.merge(out, total - at.delivered_raw))
     }
 
@@ -297,6 +302,7 @@ impl<R: Read + Send, W: Write + Send> AdocStreamGroup<R, W> {
                 &self.cfg,
                 &mut RecvProgress::default(),
                 None,
+                &mut self.codecs[0],
             )?;
             return Ok(sink.filled);
         }
@@ -334,7 +340,7 @@ impl<R: Read + Send, W: Write + Send> AdocStreamGroup<R, W> {
         len: u64,
         cfg: &AdocConfig,
     ) -> io::Result<SendReport> {
-        let out = send_message(&mut self.writers, source, len, None, cfg)?;
+        let out = send_message(&mut self.writers, source, len, None, cfg, &mut self.codecs)?;
         Ok(self.merge(out, len))
     }
 
@@ -383,7 +389,8 @@ impl<R: Read + Send, W: Write + Send> AdocStreamGroup<R, W> {
         sink.write_all(&self.leftover[self.leftover_pos..])?;
         self.leftover.clear();
         self.leftover_pos = 0;
-        let n = receive_message(&mut self.readers, sink, &self.cfg, progress, resume)?;
+        let codec = &mut self.codecs[0];
+        let n = receive_message(&mut self.readers, sink, &self.cfg, progress, resume, codec)?;
         Ok(drained + n.unwrap_or(0))
     }
 
@@ -951,6 +958,32 @@ mod tests {
             assert_eq!(buf, data);
         }
         t.join().unwrap();
+    }
+
+    #[test]
+    fn second_message_reuses_the_first_messages_codec() {
+        let (mut tx, mut rx) = pair();
+        assert_eq!(tx.codecs[0].dictionary_len(), 0);
+        let data = payload(500_000);
+        let expect = data.clone();
+        let t = thread::spawn(move || {
+            let mut buf = vec![0u8; expect.len()];
+            for _ in 0..2 {
+                rx.read_exact(&mut buf).unwrap();
+                assert_eq!(buf, expect);
+            }
+            rx
+        });
+        // Forced DEFLATE: the stream's encoder sizes its dictionary to the
+        // compression buffer on the first message …
+        tx.write_levels(&data, 2, 2).unwrap();
+        let warm = tx.codecs[0].dictionary_len();
+        assert_eq!(warm, tx.cfg.buffer_size);
+        // … and the second message compresses with that same state.
+        tx.write_levels(&data, 2, 2).unwrap();
+        assert_eq!(tx.codecs.len(), 1);
+        assert_eq!(tx.codecs[0].dictionary_len(), warm);
+        assert_eq!(t.join().unwrap().codecs.len(), 1);
     }
 
     #[test]

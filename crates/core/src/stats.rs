@@ -104,11 +104,6 @@ impl TransferStats {
         Self::default()
     }
 
-    /// Seconds since this connection's stats began.
-    pub fn now_secs(&self) -> f64 {
-        self.epoch.elapsed().as_secs_f64()
-    }
-
     /// Records one buffer compressed at `level`.
     pub fn record_buffer(&mut self, level: u8) {
         self.record_buffer_at(Instant::now(), level);

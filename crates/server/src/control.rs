@@ -8,7 +8,6 @@
 //! and hand it to [`Control`]. Keeping the verbs in one place means a
 //! new control operation automatically reaches every transport.
 
-use crate::event::EventRecord;
 use crate::Server;
 use std::sync::Arc;
 
@@ -115,12 +114,6 @@ impl Control {
     /// `None` when the connection has no trace (unknown or departed).
     pub fn trace_json(&self, conn: crate::registry::ConnId) -> Option<String> {
         self.server.tracer().trace_json(conn)
-    }
-
-    /// Buffered event records with sequence numbers greater than
-    /// `since`, oldest first.
-    pub fn events_since(&self, since: u64) -> Vec<EventRecord> {
-        self.server.event_log().records_since(since)
     }
 
     /// Buffered events after `since` rendered as JSON lines (one

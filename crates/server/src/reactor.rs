@@ -65,7 +65,7 @@ use adoc::wire::{
     self, FrameHeader, MsgKind, FRAME_HEADER_LEN, GROUP_MAGIC, MAGIC, MSG_HEADER_LEN,
 };
 use adoc::{AdocConfig, PooledBuf};
-use adoc_codec::ADOC_MAX_LEVEL;
+use adoc_codec::{Codec, ADOC_MAX_LEVEL};
 use parking_lot::Mutex;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
@@ -109,11 +109,16 @@ struct Shared {
     waker: Waker,
 }
 
-/// What a worker job hands back: an inbound frame's decompressed
-/// bytes, or an encoded reply frame (header included), with the level
-/// actually used — 0 when compression did not pay and the frame was
-/// stored. `Err` is a codec failure or a worker panic.
-type JobResult = Result<(u8, Vec<u8>), String>;
+/// What a worker job hands back: the message it took with it, a frame
+/// further. `Err` is a codec failure or a worker panic.
+type JobResult = Result<Done, String>;
+
+enum Done {
+    /// The inbound message, one more frame inflated into it.
+    Inflated(Inbound),
+    /// The reply, the level its next frame used (0 = stored) and the frame.
+    Deflated(Reply, u8, Vec<u8>),
+}
 
 /// Gives a group thread's admission slot back when it ends — by return
 /// or by panic — and tells the reactor.
@@ -204,12 +209,10 @@ struct Session {
 enum Stage {
     /// Filling [`Read::target`] from the socket.
     Read(Read),
-    /// A decompression job is in flight; the completion resumes us.
-    Inflate(Inbound),
+    /// A codec job is in flight with the message; its [`Done`] resumes us.
+    Job,
     /// Writing the reply.
     Reply(Reply),
-    /// A compression job for the next reply frame is in flight.
-    Deflate(Reply),
 }
 
 /// The inbound message: a buffer of the announced raw length and how
@@ -521,17 +524,30 @@ fn next_reply_level(blocked: bool, level: u8, cfg: &AdocConfig) -> u8 {
     }
 }
 
-/// A frame on the wire: header, then `body` (`raw` itself at level 0).
-fn encode_frame(level: u8, raw: &[u8], body: &[u8]) -> Vec<u8> {
+/// A frame on the wire, built in one buffer: room for the header, then `raw`
+/// compressed by `codec` at its level — or stored (level 0) for want of a
+/// codec or of a gain. Returns the level used with the frame.
+fn encode_frame(codec: Option<(&mut Codec, u8)>, raw: &[u8]) -> (u8, Vec<u8>) {
+    let mut frame = vec![0; FRAME_HEADER_LEN];
+    let mut level = 0;
+    if let Some((codec, at)) = codec {
+        codec.compress_at(at, raw, &mut frame);
+        level = at;
+    }
+    if level == 0 || frame.len() - FRAME_HEADER_LEN >= raw.len() {
+        frame.truncate(FRAME_HEADER_LEN);
+        frame.extend_from_slice(raw);
+        level = 0;
+    }
+    let (raw_len, payload_len) = (raw.len() as u32, (frame.len() - FRAME_HEADER_LEN) as u32);
     let hdr = FrameHeader {
         level,
-        raw_len: raw.len() as u32,
-        payload_len: body.len() as u32,
-    };
-    let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + body.len());
-    frame.extend_from_slice(&hdr.encode());
-    frame.extend_from_slice(body);
-    frame
+        raw_len,
+        payload_len,
+    }
+    .encode();
+    frame[..FRAME_HEADER_LEN].copy_from_slice(&hdr);
+    (level, frame)
 }
 
 /// What one turn of a connection's state machine produced.
@@ -973,19 +989,11 @@ impl Reactor {
             }
         }
         let (sess, step) = match (state, result) {
-            (State::Serving(mut sess, Stage::Inflate(mut msg)), Ok((_, raw))) => {
-                // Appended — unless it overruns the announced length.
-                let step = match msg.buf.get_mut(msg.filled..msg.filled + raw.len()) {
-                    Some(dst) => {
-                        dst.copy_from_slice(&raw);
-                        msg.filled += raw.len();
-                        self.after_inbound(&mut sess, msg)
-                    }
-                    None => Step::Close(ConnOutcome::Failed),
-                };
+            (State::Serving(mut sess, Stage::Job), Ok(Done::Inflated(msg))) => {
+                let step = self.after_inbound(&mut sess, msg);
                 (sess, step)
             }
-            (State::Serving(mut sess, Stage::Deflate(mut reply)), Ok((level, frame))) => {
+            (State::Serving(mut sess, Stage::Job), Ok(Done::Deflated(mut reply, level, frame))) => {
                 sess.stats.record_buffer(level);
                 // Level 0 from a compression job is the fallback.
                 sess.stats.ratio_trips += u64::from(level == 0);
@@ -1147,7 +1155,7 @@ impl Reactor {
                 }
             }
             // Waiting on the worker; the completion resumes us.
-            Stage::Inflate(_) | Stage::Deflate(_) => Step::Wait(stage, Interest::NONE),
+            Stage::Job => Step::Wait(stage, Interest::NONE),
             Stage::Reply(mut reply) => {
                 let drained = drain(&mut io.stream, &mut reply, sess.cfg.buffer_size, |bytes| {
                     self.try_admit(io.token, &mut io.timer_gen, sess, bytes, StageKind::Write)
@@ -1232,10 +1240,8 @@ impl Reactor {
                 let (end, quantum) = (msg.filled + len, len);
                 Read::step(Target::Body { msg, end, quantum })
             }
-            Target::Payload(msg, hdr, mut payload) => {
-                // Decompression is codec work: off the reactor.
-                let (level, raw_len) = (hdr.level, hdr.raw_len as usize);
-                let input = std::mem::take(&mut *payload);
+            Target::Payload(mut msg, hdr, payload) => {
+                // Decompression is codec work: off the reactor, into the message.
                 if let Some(span) = sess.span.as_mut() {
                     // Close the read lap; the worker measures its own
                     // queue/codec interval.
@@ -1243,14 +1249,17 @@ impl Reactor {
                 }
                 self.pool.submit(Job {
                     conn: token,
-                    work: Box::new(move |_codec| {
-                        let mut out = Vec::with_capacity(raw_len);
-                        adoc_codec::decompress_at(level, &input, raw_len, &mut out)
-                            .map_err(|e| e.to_string())?;
-                        Ok((level, out))
+                    work: Box::new(move |codec| {
+                        // `check_bounds` kept the frame inside the message.
+                        let end = msg.filled + hdr.raw_len as usize;
+                        let dst = &mut msg.buf[msg.filled..end];
+                        let decoded = codec.decompress_into(hdr.level, &payload, dst);
+                        decoded.map_err(|e| e.to_string())?;
+                        msg.filled = end;
+                        Ok(Done::Inflated(msg))
                     }),
                 });
-                Step::Wait(Stage::Inflate(msg), Interest::NONE)
+                Step::Wait(Stage::Job, Interest::NONE)
             }
         }
     }
@@ -1292,37 +1301,27 @@ impl Reactor {
         let start = reply.next_chunk;
         let end = (start + sess.cfg.buffer_size).min(reply.msg.len());
         reply.next_chunk = end;
-        let chunk = &reply.msg[start..end];
         let level = sess.level;
         if level == 0 {
             // Stored frames are pure memcpy: build inline.
             sess.stats.record_buffer(0);
-            let frame = encode_frame(0, chunk, chunk);
+            let (_, frame) = encode_frame(None, &reply.msg[start..end]);
             reply.push(Span::Frame(frame));
             return Step::Next(Stage::Reply(reply));
         }
-        // Compression is worker-pool work; one job in flight per
-        // connection bounds the queue.
-        let chunk = chunk.to_vec();
+        // Compression is worker-pool work, on the message itself; one
+        // job in flight per connection bounds the queue.
         if let Some(span) = sess.span.as_mut() {
             span.flush();
         }
         self.pool.submit(Job {
             conn: token,
             work: Box::new(move |codec| {
-                let mut payload = Vec::new();
-                codec.compress_at(level, &chunk, &mut payload);
-                // Compression that does not pay falls back to a stored
-                // frame.
-                let (level, body) = if payload.len() >= chunk.len() {
-                    (0, &chunk)
-                } else {
-                    (level, &payload)
-                };
-                Ok((level, encode_frame(level, &chunk, body)))
+                let (level, frame) = encode_frame(Some((codec, level)), &reply.msg[start..end]);
+                Ok(Done::Deflated(reply, level, frame))
             }),
         });
-        Step::Wait(Stage::Deflate(reply), Interest::NONE)
+        Step::Wait(Stage::Job, Interest::NONE)
     }
 
     /// Reply fully written: run the message epilogue and return to the

@@ -30,6 +30,7 @@ fn captured_wire(data: &[u8]) -> Vec<u8> {
         data.len() as u64,
         None,
         &cfg,
+        &mut Vec::new(),
     )
     .unwrap();
     wire
@@ -240,6 +241,7 @@ fn emission_death_with_full_queue_unblocks_producer() {
             data.len() as u64,
             None,
             &cfg,
+            &mut Vec::new(),
         )
         .is_err()
     });
@@ -270,6 +272,7 @@ fn panicking_decoder_thread_does_not_hang_receive() {
         data.len() as u64,
         None,
         &tx_cfg,
+        &mut Vec::new(),
     )
     .unwrap();
 
@@ -278,8 +281,15 @@ fn panicking_decoder_thread_does_not_hang_receive() {
         let mut readers = [std::io::Cursor::new(wire)];
         let mut out = std::io::sink();
         let mut progress = adoc::RecvProgress::default();
-        adoc::receiver::receive_message(&mut readers, &mut out, &rx_cfg, &mut progress, None)
-            .is_err()
+        adoc::receiver::receive_message(
+            &mut readers,
+            &mut out,
+            &rx_cfg,
+            &mut progress,
+            None,
+            &mut adoc_codec::Codec::new(),
+        )
+        .is_err()
     });
 }
 
@@ -303,7 +313,14 @@ fn striped_receiver_vanishing_fails_all_streams() {
         let cfg = AdocConfig::default().with_levels(1, 10);
         let data = generate(DataKind::Ascii, 8 << 20, 0xF00D);
         let mut src = &data[..];
-        let res = adoc::sender::send_message(&mut writers, &mut src, data.len() as u64, None, &cfg);
+        let res = adoc::sender::send_message(
+            &mut writers,
+            &mut src,
+            data.len() as u64,
+            None,
+            &cfg,
+            &mut Vec::new(),
+        );
         killer.join().unwrap();
         res.is_err()
     });

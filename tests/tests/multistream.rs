@@ -69,6 +69,7 @@ fn decode(streams: Vec<Vec<u8>>, cfg: &AdocConfig) -> Vec<u8> {
         cfg,
         &mut RecvProgress::default(),
         None,
+        &mut adoc_codec::Codec::new(),
     )
     .unwrap();
     assert_eq!(got, Some(out.len() as u64));
@@ -96,7 +97,15 @@ fn single_stream_wire_is_byte_identical_v1() {
     ] {
         let mut wire = vec![Vec::new()];
         let mut src = input;
-        send_message(&mut wire, &mut src, input.len() as u64, None, &cfg).unwrap();
+        send_message(
+            &mut wire,
+            &mut src,
+            input.len() as u64,
+            None,
+            &cfg,
+            &mut Vec::new(),
+        )
+        .unwrap();
         assert!(
             wire[0] == fixture(name),
             "{name}: streams == 1 drifted from v1"
@@ -276,7 +285,7 @@ proptest! {
 
         let mut sinks: Vec<Vec<u8>> = vec![Vec::new(); streams];
         let mut src = &data[..];
-        send_message(&mut sinks, &mut src, data.len() as u64, None, &cfg).unwrap();
+        send_message(&mut sinks, &mut src, data.len() as u64, None, &cfg, &mut Vec::new()).unwrap();
         prop_assert_eq!(
             cfg.pool.stats().outstanding, 0,
             "sender leaked pooled buffers"
@@ -285,7 +294,7 @@ proptest! {
         let mut cursors: Vec<Cursor<Vec<u8>>> = sinks.into_iter().map(Cursor::new).collect();
         let mut out = Vec::new();
         let got =
-            receive_message(&mut cursors, &mut out, &cfg, &mut RecvProgress::default(), None)
+            receive_message(&mut cursors, &mut out, &cfg, &mut RecvProgress::default(), None, &mut adoc_codec::Codec::new())
                 .unwrap();
         prop_assert_eq!(got, Some(data.len() as u64));
         prop_assert_eq!(out, data, "delivery must be byte-exact (streams = {})", streams);

@@ -160,7 +160,7 @@ proptest! {
 
         let mut wire = Vec::new();
         let mut src = &data[..];
-        send_message(std::slice::from_mut(&mut wire), &mut src, data.len() as u64, None, &cfg).unwrap();
+        send_message(std::slice::from_mut(&mut wire), &mut src, data.len() as u64, None, &cfg, &mut Vec::new()).unwrap();
         prop_assert_eq!(
             cfg.pool.stats().outstanding, 0,
             "sender leaked pooled buffers"
@@ -169,7 +169,7 @@ proptest! {
         let mut out = Vec::new();
         let mut readers = [Cursor::new(wire)];
         let got =
-            receive_message(&mut readers, &mut out, &cfg, &mut RecvProgress::default(), None)
+            receive_message(&mut readers, &mut out, &cfg, &mut RecvProgress::default(), None, &mut adoc_codec::Codec::new())
                 .unwrap();
         prop_assert_eq!(got, Some(data.len() as u64));
         prop_assert_eq!(out, data, "delivery must be byte-exact");
