@@ -284,29 +284,24 @@ impl LevelController {
         self.level
     }
 
-    /// Why the most recent [`Self::next_level`] decision landed where
-    /// it did.
+    /// Why the most recent [`Self::next_level_with`] decision landed
+    /// where it did.
     pub fn last_reason(&self) -> LevelReason {
         self.last_reason
     }
 
-    /// Computes the level for the next buffer given the current queue
-    /// length and the visible-bandwidth monitor (no delay signal).
-    pub fn next_level(&mut self, queue_len: usize, bw: &BandwidthMonitor, cfg: &AdocConfig) -> u8 {
-        self.next_level_with(queue_len, bw, None, cfg)
-    }
-
-    /// Computes the level for the next buffer, feeding the policy the
-    /// freshest delay-gradient snapshot the caller has.
+    /// Computes the level for the next buffer at `now`, feeding the
+    /// policy the freshest delay-gradient snapshot the caller has. The
+    /// controller reads no clock: `now` is what the divergence guard's
+    /// forbids are set from and expire against.
     pub fn next_level_with(
         &mut self,
         queue_len: usize,
         bw: &BandwidthMonitor,
         delay: Option<DelaySnapshot>,
+        now: Instant,
         cfg: &AdocConfig,
     ) -> u8 {
-        let now = Instant::now();
-
         // Incompressible-data penalty takes precedence (§5): minimum level
         // until the penalty packets have been sent. `last_len` is cleared
         // (not updated) for the window's duration: queue lengths observed
@@ -486,6 +481,13 @@ mod tests {
         AdocConfig::default()
     }
 
+    impl LevelController {
+        /// One decision at the wall clock, with no delay signal.
+        fn next_level(&mut self, queue_len: usize, bw: &BandwidthMonitor, cfg: &AdocConfig) -> u8 {
+            self.next_level_with(queue_len, bw, None, Instant::now(), cfg)
+        }
+    }
+
     #[test]
     fn controller_starts_at_min_and_climbs_when_queue_grows() {
         let cfg = test_cfg();
@@ -524,6 +526,41 @@ mod tests {
         c.level = 1;
         let l2 = c.next_level(25, &bw, &cfg);
         assert_ne!(l2, 3, "forbidden level must be skipped");
+    }
+
+    #[test]
+    fn divergence_forbid_lifts_exactly_at_forbid_duration() {
+        // Virtual time: the guard forbids level 3 at t0; proposals at
+        // later instants see the forbid until exactly t0 +
+        // forbid_duration. The later proposals read an empty monitor so
+        // the guard cannot re-forbid and extend the window.
+        let cfg = test_cfg();
+        let slow3 = BandwidthMonitor::new();
+        slow3.record(3, 100_000, Duration::from_millis(100));
+        slow3.record(1, 2_000_000, Duration::from_millis(100));
+        let quiet = BandwidthMonitor::new();
+        let mut c = LevelController::new(&cfg);
+        let mut propose = |bw: &BandwidthMonitor, at: Instant| {
+            // A growing large queue at level 1 proposes 1 + 2 = 3.
+            c.level = 1;
+            c.last_len = Some(20);
+            let level = c.next_level_with(25, bw, None, at, &cfg);
+            (level, c.last_reason(), c.divergence_reverts)
+        };
+        let t0 = Instant::now();
+        let forbid = cfg.forbid_duration;
+        assert_eq!(propose(&slow3, t0), (1, LevelReason::ThroughputDiverged, 1));
+        let tick = Duration::from_nanos(1);
+        assert_eq!(
+            propose(&quiet, t0 + forbid - tick),
+            (2, LevelReason::ThroughputDiverged, 1),
+            "one tick early the forbid still holds"
+        );
+        assert_eq!(
+            propose(&quiet, t0 + forbid),
+            (3, LevelReason::QueuePressure, 1),
+            "the forbid lifts exactly at forbid_duration"
+        );
     }
 
     #[test]
@@ -645,7 +682,13 @@ mod tests {
         let mut c = LevelController::new(&cfg);
         c.level = 3;
         c.last_len = Some(15);
-        let l = c.next_level_with(15, &bw, Some(delay_snap(CongestionState::Overuse)), &cfg);
+        let l = c.next_level_with(
+            15,
+            &bw,
+            Some(delay_snap(CongestionState::Overuse)),
+            Instant::now(),
+            &cfg,
+        );
         assert_eq!(l, 4);
         assert_eq!(c.last_reason(), LevelReason::DelayGradient);
     }
@@ -659,7 +702,13 @@ mod tests {
         let mut c = LevelController::new(&cfg);
         c.level = 5;
         c.last_len = Some(3);
-        let l = c.next_level_with(5, &bw, Some(delay_snap(CongestionState::Underuse)), &cfg);
+        let l = c.next_level_with(
+            5,
+            &bw,
+            Some(delay_snap(CongestionState::Underuse)),
+            Instant::now(),
+            &cfg,
+        );
         assert_eq!(l, 4);
         assert_eq!(c.last_reason(), LevelReason::DelayGradient);
     }
@@ -673,7 +722,7 @@ mod tests {
         c.last_len = Some(15);
         let mut snap = delay_snap(CongestionState::Overuse);
         snap.age = DELAY_FRESH + Duration::from_millis(1);
-        let l = c.next_level_with(15, &bw, Some(snap), &cfg);
+        let l = c.next_level_with(15, &bw, Some(snap), Instant::now(), &cfg);
         assert_eq!(l, 3, "stale signal must not boost");
         assert_eq!(c.last_reason(), LevelReason::QueuePressure);
     }

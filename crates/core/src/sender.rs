@@ -611,7 +611,7 @@ fn compression_thread<S: Read>(
         // freshest delay verdict alongside the queue length, when this
         // connection runs the signal layer.
         let delay = hub.and_then(|h| h.snapshot());
-        let level = ctrl.next_level_with(queue.len(), bw, delay, cfg);
+        let level = ctrl.next_level_with(queue.len(), bw, delay, Instant::now(), cfg);
         let (mut frame, level) =
             encode_frame_payload(raw, want, hdr, level, &mut ctrl, codec, cfg)?;
         out.buffers_at_level[level as usize] += 1;

@@ -47,18 +47,6 @@ pub trait Throttle: Send + Sync {
         let _ = bytes;
         Ok(())
     }
-
-    /// Advisory relative scheduling weight of this connection's wire
-    /// traffic — the hint a policy layer (e.g. a weighted fair
-    /// scheduler sitting on [`Throttle::acquire_wire`]) exposes back
-    /// through the seam so transports and diagnostics can see how the
-    /// connection ranks without knowing the scheduler. `1.0` means
-    /// "ordinary bulk traffic"; larger values mean proportionally
-    /// larger shares under contention. Purely observational for the
-    /// transport: it must not change wire behavior based on it.
-    fn wire_weight(&self) -> f64 {
-        1.0
-    }
 }
 
 /// Full-speed host: no extra cost.
@@ -127,21 +115,6 @@ mod tests {
         NoThrottle.acquire_wire(100 << 20);
         SleepThrottle::new(8.0).acquire_wire(100 << 20);
         assert!(start.elapsed() < Duration::from_millis(5));
-    }
-
-    #[test]
-    fn wire_weight_defaults_to_bulk_and_is_overridable() {
-        struct Heavy;
-        impl Throttle for Heavy {
-            fn charge(&self, _e: Duration) {}
-            fn wire_weight(&self) -> f64 {
-                4.0
-            }
-        }
-        assert_eq!(NoThrottle.wire_weight(), 1.0);
-        assert_eq!(SleepThrottle::new(2.0).wire_weight(), 1.0);
-        let t: &dyn Throttle = &Heavy;
-        assert_eq!(t.wire_weight(), 4.0);
     }
 
     #[test]

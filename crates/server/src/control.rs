@@ -60,8 +60,10 @@ pub fn parse_command(line: &str) -> Result<Option<Command>, String> {
         ("drain", None) => Command::Drain,
         ("help", None) => Command::Help,
         ("budget", Some("off")) => Command::Budget(None),
-        ("budget", Some(v)) => match v.parse::<f64>() {
-            Ok(mbit) if mbit > 0.0 && mbit.is_finite() => Command::Budget(Some(mbit * 1e6 / 8.0)),
+        // Judged after the conversion: a finite Mbit/s figure can still
+        // overflow to an infinite byte rate.
+        ("budget", Some(v)) => match v.parse::<f64>().map(|mbit| mbit * 1e6 / 8.0) {
+            Ok(bytes) if bytes > 0.0 && bytes.is_finite() => Command::Budget(Some(bytes)),
             _ => {
                 return Err(format!(
                     "bad budget \"{v}\" (want a positive Mbit/s number or \"off\")"
@@ -153,6 +155,8 @@ impl Control {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adoc::Throttle;
+    use std::time::Duration;
 
     #[test]
     fn blank_lines_parse_to_nothing() {
@@ -186,6 +190,8 @@ mod tests {
             ("budget fast", "bad budget \"fast\""),
             ("budget -3", "bad budget \"-3\""),
             ("budget inf", "bad budget \"inf\""),
+            ("budget 1e303", "bad budget \"1e303\""),
+            ("budget 0", "bad budget \"0\""),
             ("drain now", "unexpected trailing argument \"now\""),
             ("budget 64 now", "unexpected trailing argument \"now\""),
         ] {
@@ -193,6 +199,26 @@ mod tests {
             assert!(err.contains(needle), "{line:?} gave {err:?}");
             assert!(!err.contains('\n'), "{line:?} error spans lines: {err:?}");
         }
+    }
+
+    #[test]
+    fn extreme_budgets_parse_only_to_rates_the_scheduler_accepts() {
+        // 1e303 Mbit/s is finite but overflows to an infinite byte rate,
+        // which would trip the scheduler's assert; 1e-300 converts to a
+        // tiny positive rate the scheduler must take without panicking.
+        assert!(parse_command("budget 1e303").is_err());
+        let Ok(Some(Command::Budget(Some(tiny)))) = parse_command("budget 1e-300") else {
+            panic!("a tiny positive budget is valid");
+        };
+        assert!(tiny > 0.0 && tiny.is_finite());
+        let sched = crate::FairScheduler::new(None);
+        let t = sched.register(1);
+        sched.set_budget(Some(tiny));
+        t.try_acquire_wire(1 << 20).expect("the burst grant admits");
+        let retry = t
+            .try_acquire_wire(1)
+            .expect_err("a vanishing budget refuses");
+        assert!(retry >= Duration::from_secs(60), "hint {retry:?}");
     }
 
     #[test]

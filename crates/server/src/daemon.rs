@@ -555,8 +555,8 @@ fn serve_resumed_session(
         return;
     };
     // The new transport may have a different stream count; the sender
-    // re-stripes accordingly. Scheduler state (tier, weight, token
-    // balance, admitted bytes) carries over when it was captured.
+    // re-stripes accordingly. Scheduler state (tier, token balance,
+    // admitted bytes) carries over when it was captured.
     let cfg = match parked.carryover {
         Some(co) => server.conn_config_resumed(id, n, co),
         None => server.conn_config(id, n, &peer_label),

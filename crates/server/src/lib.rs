@@ -235,8 +235,8 @@ impl ServerConfig {
 /// ```
 ///
 /// [`ServerConfigBuilder::build`] validates everything
-/// [`Server::new`] would otherwise reject (and the budget/weight
-/// invariants the scheduler would otherwise assert), returning a typed
+/// [`Server::new`] would otherwise reject (and the budget invariant
+/// the scheduler would otherwise assert), returning a typed
 /// [`AdocError::InvalidConfig`] instead of a panic or a late I/O error.
 #[derive(Debug, Clone)]
 pub struct ServerConfigBuilder {
@@ -732,13 +732,13 @@ impl Server {
         streams: usize,
         peer: &str,
     ) -> AdocConfig {
-        let throttle = self.sched.register_with(id, self.tier_for(peer), 1.0);
+        let throttle = self.sched.register_with(id, self.tier_for(peer));
         self.conn_config_with(id, streams, throttle)
     }
 
     /// Like [`Server::conn_config`], but for a **resumed** session: the
     /// scheduler bucket is rebuilt from the carried-over state (tier,
-    /// weight, token balance, lifetime admitted bytes) instead of a
+    /// token balance, lifetime admitted bytes) instead of a
     /// fresh registration, so the reconnect is invisible to fairness
     /// accounting and the metrics document's per-connection counters.
     pub(crate) fn conn_config_resumed(

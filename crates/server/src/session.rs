@@ -4,8 +4,8 @@
 //! When a session-authenticated connection dies of a disconnect-like
 //! error, the daemon does not tear its state down — it **parks** the
 //! session here: the registry id (which survives, marked `Detached`),
-//! the scheduler carryover (tier, weight, token balance, lifetime
-//! admitted bytes), and any half-received message. A client
+//! the scheduler carryover (tier, token balance, lifetime admitted
+//! bytes), and any half-received message. A client
 //! reconnecting with the session's ticket **takes** the parked entry
 //! and carries on exactly where the old socket left off, on a possibly
 //! different stream count.
