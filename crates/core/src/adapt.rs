@@ -2,20 +2,30 @@
 //! verbatim — split into **mechanism** and **policy**:
 //!
 //! * mechanisms stay in [`LevelController`]: the Fig. 2 queue-driven
-//!   candidate, the forbidden-level table the divergence guard writes
-//!   into, and the §5 incompressible-data penalty (minimum level for
-//!   the next 10 packets after a bad ratio);
+//!   candidate (a full bounded queue reads as growing, as the paper's
+//!   unbounded one would be), the §5 divergence guard with its
+//!   forbidden-level table, and the §5 incompressible-data penalty
+//!   (minimum level for the next 10 packets after a bad ratio);
 //! * policies implement [`LevelPolicy`]: given the Fig. 2 candidate,
 //!   the visible-bandwidth monitor and (optionally) a
 //!   [`DelaySnapshot`] from the signal layer, they pick the level and
 //!   say *why* ([`LevelReason`]).
 //!
-//! [`ThroughputPolicy`] is the paper's §5 divergence guard verbatim;
+//! The divergence guard judges whatever level a policy picks: a level
+//! whose visible bandwidth — the slower of its wire side and its
+//! compression side ([`BandwidthMonitor::visible`]) — a smaller level
+//! beats by [`AdocConfig::divergence_margin`] is forbidden for
+//! [`AdocConfig::forbid_duration`] and the best smaller level used
+//! instead. When a forbid lapses the level's compression-side sample
+//! goes with it, so the level is measured again rather than banned on
+//! one slow sample. A controller belongs to one stream of a connection
+//! and outlives its messages, so forbids and measurements carry over.
+//!
 //! [`DelayAwarePolicy`] (the default) layers the delay-gradient signal
-//! on top: a rising delay gradient means the *network* is the
-//! bottleneck, so the level rises to squeeze more data through the
-//! same pipe; a draining queue with falling delay means the *CPU* is
-//! the gate, so the level backs off.
+//! on the Fig. 2 candidate: a rising delay gradient means the *network*
+//! is the bottleneck, so the level rises to squeeze more data through
+//! the same pipe; a draining queue with falling delay means the *CPU*
+//! is the gate, so the level backs off.
 
 use crate::bw::BandwidthMonitor;
 use crate::config::AdocConfig;
@@ -121,13 +131,10 @@ pub struct PolicyCtx<'a> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LevelDecision {
     /// The level to compress the next buffer at (still subject to the
-    /// controller's forbidden-level table).
+    /// controller's divergence guard and forbidden-level table).
     pub level: u8,
     /// Why.
     pub reason: LevelReason,
-    /// A level the controller should forbid for
-    /// [`AdocConfig::forbid_duration`] (the divergence guard's veto).
-    pub forbid: Option<u8>,
 }
 
 impl LevelDecision {
@@ -136,108 +143,64 @@ impl LevelDecision {
         LevelDecision {
             level,
             reason: LevelReason::QueuePressure,
-            forbid: None,
         }
     }
 }
 
 /// A pluggable level-selection policy: mechanisms (Fig. 2 candidate,
-/// forbid table, ratio penalty) live in [`LevelController`]; the
+/// divergence guard, ratio penalty) live in [`LevelController`]; the
 /// judgement call between them lives here.
 pub trait LevelPolicy: Send {
     /// Picks the level for the next buffer.
     fn decide(&mut self, ctx: &PolicyCtx<'_>) -> LevelDecision;
 }
 
-/// The paper's §5 divergence guard as a policy: accept the Fig. 2
-/// candidate unless a smaller level demonstrably moves raw data faster,
-/// in which case fall back to it and ask for the candidate to be
-/// forbidden.
-#[derive(Debug, Default)]
-pub struct ThroughputPolicy;
-
-impl LevelPolicy for ThroughputPolicy {
-    fn decide(&mut self, ctx: &PolicyCtx<'_>) -> LevelDecision {
-        let cand = ctx.candidate;
-        if cand > ctx.cfg.min_level {
-            if let (Some(cur_bw), Some((best_level, best_bw))) =
-                (ctx.bw.visible(cand), ctx.bw.best_below(cand))
-            {
-                if best_bw > cur_bw * ctx.cfg.divergence_margin {
-                    return LevelDecision {
-                        level: best_level.max(ctx.cfg.min_level),
-                        reason: LevelReason::ThroughputDiverged,
-                        forbid: Some(cand),
-                    };
-                }
-            }
-        }
-        LevelDecision::queue(cand)
-    }
-}
-
 /// How fresh a delay snapshot must be before [`DelayAwarePolicy`]
-/// trusts it over the pure throughput view.
+/// trusts it over the queue alone.
 pub const DELAY_FRESH: Duration = Duration::from_secs(1);
 
-/// The default policy: the throughput (divergence) view, overridden by
-/// the delay-gradient signal when it is fresh and decisive.
+/// The default policy: the Fig. 2 candidate, overridden by the
+/// delay-gradient signal when it is fresh and decisive.
 ///
 /// * **Overuse** (delay rising — the network is the bottleneck): raise
 ///   the level one step above the current one even if the queue alone
-///   would not, unless the throughput guard just vetoed a level
-///   (divergence is CPU-side evidence that more compression is slower).
+///   would not.
 /// * **Underuse** with a small queue (delay falling, sender barely
 ///   queueing — the CPU is the gate): back the level off one step so
 ///   compression stops throttling emission.
 #[derive(Debug, Default)]
-pub struct DelayAwarePolicy {
-    throughput: ThroughputPolicy,
-}
+pub struct DelayAwarePolicy;
 
 impl LevelPolicy for DelayAwarePolicy {
     fn decide(&mut self, ctx: &PolicyCtx<'_>) -> LevelDecision {
-        let base = self.throughput.decide(ctx);
-        let Some(d) = ctx.delay else { return base };
-        if d.age > DELAY_FRESH {
-            return base;
-        }
-        match d.state {
-            CongestionState::Overuse if base.forbid.is_none() => {
-                let boosted = base.level.max((ctx.current + 1).min(ctx.cfg.max_level));
-                if boosted != base.level {
-                    LevelDecision {
-                        level: boosted,
-                        reason: LevelReason::DelayGradient,
-                        forbid: None,
-                    }
-                } else {
-                    base
-                }
-            }
-            CongestionState::Underuse
-                if ctx.queue_len < ctx.cfg.low_water
-                    && ctx.current > ctx.cfg.min_level
-                    && base.level >= ctx.current =>
+        let (cand, cur, cfg) = (ctx.candidate, ctx.current, ctx.cfg);
+        let level = match ctx.delay.filter(|d| d.age <= DELAY_FRESH).map(|d| d.state) {
+            Some(CongestionState::Overuse) => cand.max((cur + 1).min(cfg.max_level)),
+            Some(CongestionState::Underuse)
+                if ctx.queue_len < cfg.low_water && cur > cfg.min_level && cand >= cur =>
             {
-                LevelDecision {
-                    level: ctx.current - 1,
-                    reason: LevelReason::DelayGradient,
-                    forbid: None,
-                }
+                cur - 1
             }
-            _ => base,
-        }
+            _ => return LevelDecision::queue(cand),
+        };
+        let reason = if level == cand {
+            LevelReason::QueuePressure
+        } else {
+            LevelReason::DelayGradient
+        };
+        LevelDecision { level, reason }
     }
 }
 
-/// Stateful controller driving one adaptive transfer: tracks the previous
-/// queue length, forbidden levels and the ratio penalty, delegating the
-/// judgement call to the configured [`LevelPolicy`].
+/// Stateful controller driving one stream's adaptive sends: tracks the
+/// previous queue length, forbidden levels and the ratio penalty, runs
+/// the divergence guard, and delegates the judgement call to the
+/// configured [`LevelPolicy`].
 pub struct LevelController {
     level: u8,
     last_len: Option<usize>,
-    /// Until when each level is forbidden by the divergence guard.
+    /// Until when each level is forbidden by the divergence guard; an
+    /// entry is cleared (and its level re-measured) once it lapses.
     forbidden_until: [Option<Instant>; 11],
     /// Wire packets remaining at the minimum level after a ratio-guard
     /// trip (§5: the next 10 *packets*, not buffers).
@@ -279,15 +242,16 @@ impl LevelController {
         }
     }
 
-    /// Current level without updating.
-    pub fn level(&self) -> u8 {
-        self.level
-    }
-
     /// Why the most recent [`Self::next_level_with`] decision landed
     /// where it did.
     pub fn last_reason(&self) -> LevelReason {
         self.last_reason
+    }
+
+    /// Starts a message on a fresh emission queue, whose first delta must
+    /// not be measured against the previous message's last queue length.
+    pub fn begin_message(&mut self) {
+        self.last_len = None;
     }
 
     /// Computes the level for the next buffer at `now`, feeding the
@@ -302,6 +266,15 @@ impl LevelController {
         now: Instant,
         cfg: &AdocConfig,
     ) -> u8 {
+        // §5 forbids a diverging level for 1 s, then tries it again: its
+        // compression-side sample lapses too, so it cannot veto anew.
+        for (level, until) in (0u8..).zip(self.forbidden_until.iter_mut()) {
+            if until.is_some_and(|t| t <= now) {
+                *until = None;
+                bw.forget_compression(level);
+            }
+        }
+
         // Incompressible-data penalty takes precedence (§5): minimum level
         // until the penalty packets have been sent. `last_len` is cleared
         // (not updated) for the window's duration: queue lengths observed
@@ -319,6 +292,8 @@ impl LevelController {
         self.penalty_draining = false;
 
         let delta = match self.last_len {
+            // Fig. 2's queue is unbounded: a full bounded one still grows.
+            _ if queue_len >= cfg.queue_cap => 1,
             Some(prev) => queue_len as isize - prev as isize,
             None => 0,
         };
@@ -353,27 +328,37 @@ impl LevelController {
             lo = lo.max(slo).min(cfg.max_level);
             hi = hi.min(shi).max(lo);
         }
-        let mut cand = decision.level.clamp(lo, hi);
         let mut reason = decision.reason;
-        if let Some(f) = decision.forbid {
-            self.forbidden_until[f as usize] = Some(now + cfg.forbid_duration);
-            self.divergence_reverts += 1;
-        }
+        let mut cand = self.below_forbids(decision.level.clamp(lo, hi), lo, &mut reason);
 
-        // Skip levels still under a forbid (fall to the next lower one).
-        while cand > lo {
-            match self.forbidden_until[cand as usize] {
-                Some(t) if t > now => {
-                    cand -= 1;
+        // §5 divergence guard, under every policy: a smaller level that
+        // visibly delivers more raw data than this one gets the buffer,
+        // and this one is forbidden. A level already forbidden was
+        // skipped above, so its forbid is never extended from the same
+        // stale sample.
+        if cand > lo {
+            if let (Some(cur), Some((best, best_bps))) = (bw.visible(cand), bw.best_below(cand)) {
+                if best_bps > cur * cfg.divergence_margin {
+                    self.forbidden_until[cand as usize] = Some(now + cfg.forbid_duration);
+                    self.divergence_reverts += 1;
                     reason = LevelReason::ThroughputDiverged;
+                    cand = self.below_forbids(best.max(lo), lo, &mut reason);
                 }
-                _ => break,
             }
         }
 
         self.level = cand;
         self.last_reason = reason;
         cand
+    }
+
+    /// The highest level `<= level` (and `>= lo`) not under a forbid.
+    fn below_forbids(&self, mut level: u8, lo: u8, reason: &mut LevelReason) -> u8 {
+        while level > lo && self.forbidden_until[level as usize].is_some() {
+            level -= 1;
+            *reason = LevelReason::ThroughputDiverged;
+        }
+        level
     }
 
     /// Reports the compression outcome of a buffer: `ratio` = raw/encoded.
@@ -493,7 +478,7 @@ mod tests {
         let cfg = test_cfg();
         let bw = BandwidthMonitor::new();
         let mut c = LevelController::new(&cfg);
-        assert_eq!(c.level(), 0);
+        assert_eq!(c.level, 0);
         // Simulate a steadily growing queue.
         let mut lens = vec![0usize, 4, 12, 18, 25, 33, 40];
         let mut max_seen = 0;
@@ -561,6 +546,126 @@ mod tests {
             (3, LevelReason::QueuePressure, 1),
             "the forbid lifts exactly at forbid_duration"
         );
+    }
+
+    /// Level 3 moves 80 Mbit/s of raw data over the wire but its
+    /// compressor manages only 8; level 1 delivers 40 end to end. By the
+    /// wire side alone level 3 is the best rung.
+    fn slow_compressor_at_3() -> BandwidthMonitor {
+        let bw = BandwidthMonitor::new();
+        bw.record(3, 1_000_000, Duration::from_millis(100));
+        bw.record_compression(3, 100_000, Duration::from_millis(100));
+        bw.record(1, 500_000, Duration::from_millis(100));
+        bw.record_compression(1, 10_000_000, Duration::from_millis(100));
+        bw
+    }
+
+    #[test]
+    fn guard_vetoes_a_level_whose_compressor_cannot_keep_up() {
+        let cfg = test_cfg();
+        let bw = slow_compressor_at_3();
+        let mut c = LevelController::new(&cfg);
+        let t0 = Instant::now();
+        c.level = 1;
+        c.last_len = Some(20);
+        // A growing large queue proposes 1 + 2 = 3.
+        assert_eq!(c.next_level_with(25, &bw, None, t0, &cfg), 1);
+        assert_eq!(c.last_reason(), LevelReason::ThroughputDiverged);
+        assert_eq!(c.divergence_reverts, 1);
+        assert_eq!(c.forbidden_until[3], Some(t0 + cfg.forbid_duration));
+    }
+
+    #[test]
+    fn a_lapsed_forbid_remeasures_the_level_once() {
+        let cfg = test_cfg();
+        let bw = slow_compressor_at_3();
+        let mut c = LevelController::new(&cfg);
+        let mut propose = |at: Instant| {
+            c.level = 1;
+            c.last_len = Some(20);
+            let level = c.next_level_with(25, &bw, None, at, &cfg);
+            (level, c.last_reason(), c.divergence_reverts)
+        };
+        let t0 = Instant::now();
+        let forbid = cfg.forbid_duration;
+        assert_eq!(propose(t0), (1, LevelReason::ThroughputDiverged, 1));
+        assert_eq!(
+            propose(t0 + forbid / 2),
+            (2, LevelReason::ThroughputDiverged, 1),
+            "a forbidden level is skipped, not vetoed again from its stale sample"
+        );
+        assert_eq!(
+            propose(t0 + forbid),
+            (3, LevelReason::QueuePressure, 1),
+            "at the lapse the stale compression sample goes: level 3 gets a buffer"
+        );
+        // That buffer re-measures the compressor: still slow, so the next
+        // proposal is vetoed on the fresh sample.
+        bw.record_compression(3, 100_000, Duration::from_millis(100));
+        assert_eq!(
+            propose(t0 + forbid + Duration::from_millis(1)),
+            (1, LevelReason::ThroughputDiverged, 2)
+        );
+    }
+
+    #[test]
+    fn custom_policies_are_guarded_too() {
+        struct Pin3;
+        impl LevelPolicy for Pin3 {
+            fn decide(&mut self, _ctx: &PolicyCtx<'_>) -> LevelDecision {
+                LevelDecision::queue(3)
+            }
+        }
+        let cfg = test_cfg().with_policy(std::sync::Arc::new(|| Box::new(Pin3)));
+        let bw = slow_compressor_at_3();
+        let mut c = LevelController::new(&cfg);
+        let t0 = Instant::now();
+        assert_eq!(c.next_level_with(0, &bw, None, t0, &cfg), 1);
+        assert_eq!(c.last_reason(), LevelReason::ThroughputDiverged);
+        assert_eq!(c.divergence_reverts, 1);
+        // While the forbid holds the pinned level falls to the next one.
+        let soon = t0 + Duration::from_millis(1);
+        assert_eq!(c.next_level_with(0, &bw, None, soon, &cfg), 2);
+    }
+
+    #[test]
+    fn a_message_starts_with_no_queue_delta() {
+        // Every message has a fresh emission queue, so the delta a policy
+        // sees on its first buffer is 0, not measured against the
+        // previous message's last queue length.
+        use std::sync::{Arc, Mutex};
+        struct Deltas(Arc<Mutex<Vec<isize>>>);
+        impl LevelPolicy for Deltas {
+            fn decide(&mut self, ctx: &PolicyCtx<'_>) -> LevelDecision {
+                self.0.lock().unwrap().push(ctx.delta);
+                LevelDecision::queue(ctx.candidate)
+            }
+        }
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&seen);
+        let cfg = test_cfg().with_policy(Arc::new(move || Box::new(Deltas(Arc::clone(&log)))));
+        let bw = BandwidthMonitor::new();
+        let mut c = LevelController::new(&cfg);
+        c.next_level(25, &bw, &cfg);
+        c.begin_message();
+        c.next_level(0, &bw, &cfg);
+        assert_eq!(*seen.lock().unwrap(), [0, 0]);
+    }
+
+    #[test]
+    fn a_full_queue_counts_as_growth() {
+        // Fig. 2's queue is unbounded; a bounded one pinned at capacity
+        // has its producer waiting on the link — time to compress harder,
+        // not to hold.
+        let cfg = test_cfg();
+        let bw = BandwidthMonitor::new();
+        let mut c = LevelController::new(&cfg);
+        c.level = 2;
+        c.last_len = Some(cfg.queue_cap);
+        assert_eq!(c.next_level(cfg.queue_cap, &bw, &cfg), 4);
+        // Just below capacity a steady queue holds, as Fig. 2 says.
+        c.last_len = Some(cfg.queue_cap - 1);
+        assert_eq!(c.next_level(cfg.queue_cap - 1, &bw, &cfg), 4);
     }
 
     #[test]
@@ -754,7 +859,7 @@ mod tests {
         let cfg = AdocConfig::default().with_levels(2, 8);
         let bw = BandwidthMonitor::new();
         let mut c = LevelController::new(&cfg);
-        assert_eq!(c.level(), 2);
+        assert_eq!(c.level, 2);
         assert_eq!(
             c.next_level(0, &bw, &cfg),
             2,

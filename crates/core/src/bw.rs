@@ -1,15 +1,17 @@
 //! Per-level visible-bandwidth accounting (paper §5, "Compression level
-//! divergence"): the emission thread records, for every packet it puts on
-//! the wire, how many *raw* (pre-compression) bytes that packet
-//! represented and how long the write took. The compression thread
-//! consults these rates when updating the level.
+//! divergence"), in raw (pre-compression) bits/s. Per level, the
+//! emission thread records each packet's raw share and how long its
+//! admission and write took (the **wire side**), and the compression
+//! thread each buffer's raw size and how long its whole encode took, CPU
+//! model included (the **compression side**). Visible bandwidth is the
+//! slower of the two — the Fig. 1 pipeline's steady-state throughput at
+//! that level — once the level has been on the wire. A monitor belongs
+//! to one stream and outlives its messages.
 //!
-//! The monitor sits on the per-packet hot path, so it avoids locks
-//! entirely: each level owns a cache-line-padded seqlock cell the single
-//! writer (the emission thread) updates wait-free, and readers (the
-//! compression thread's level updates) retry the rare torn read. The old
-//! design took a `Mutex` per packet — contended between exactly the two
-//! threads whose overlap is the whole point of the paper.
+//! The monitor sits on the per-packet hot path, so it avoids locks: each
+//! rate is a cache-line-padded seqlock cell its single writer (the
+//! emission or the compression thread) updates wait-free; readers retry
+//! the rare torn read.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::time::Duration;
@@ -61,7 +63,7 @@ struct RateCell {
 }
 
 impl RateCell {
-    /// Single-writer update (the emission thread). Wait-free.
+    /// Single-writer update. Wait-free.
     fn write(&self, rate: DecayingRate) {
         let s = self.seq.load(Ordering::Relaxed);
         self.seq.store(s.wrapping_add(1), Ordering::Release);
@@ -84,14 +86,22 @@ impl RateCell {
             std::hint::spin_loop();
         }
     }
+
+    /// Folds one sample into the cell (its single writer only).
+    fn add(&self, raw_bytes: u64, elapsed: Duration) {
+        let mut rate = self.read();
+        rate.add(raw_bytes, elapsed.as_secs_f64());
+        self.write(rate);
+    }
 }
 
-/// Shared monitor: one decaying rate per compression level, plus a raw-
-/// byte total that must reconcile with
+/// One stream's monitor: each compression level's wire-side and
+/// compression-side rate, plus a raw-byte total that must reconcile with
 /// [`crate::stats::TransferStats::raw_bytes`] for adaptive traffic.
 #[derive(Debug, Default)]
 pub struct BandwidthMonitor {
-    cells: [RateCell; LEVELS],
+    wire: [RateCell; LEVELS],
+    compression: [RateCell; LEVELS],
     total_raw: AtomicU64,
 }
 
@@ -101,33 +111,47 @@ impl BandwidthMonitor {
         Self::default()
     }
 
-    /// Records a packet send: `raw_bytes` of pre-compression payload left
-    /// the host in `elapsed`. Intended for a single writer (the emission
-    /// thread); concurrent writers never corrupt memory but may overwrite
-    /// each other's samples.
+    /// Records a packet send (wire side): `raw_bytes` of pre-compression
+    /// payload left the host in `elapsed`. Single writer: the emission
+    /// thread.
     pub fn record(&self, level: u8, raw_bytes: u64, elapsed: Duration) {
-        let cell = &self.cells[level as usize];
-        let mut rate = cell.read();
-        rate.add(raw_bytes, elapsed.as_secs_f64());
-        cell.write(rate);
+        self.wire[level as usize].add(raw_bytes, elapsed);
         self.total_raw.fetch_add(raw_bytes, Ordering::Relaxed);
     }
 
-    /// Visible bandwidth at `level` in raw bits/s, if observed recently.
-    pub fn visible(&self, level: u8) -> Option<f64> {
-        self.cells[level as usize].read().rate()
+    /// Records a buffer encode (compression side): `raw_bytes` were
+    /// encoded at `level` in `elapsed`. Single writer: the compression
+    /// thread.
+    pub fn record_compression(&self, level: u8, raw_bytes: u64, elapsed: Duration) {
+        self.compression[level as usize].add(raw_bytes, elapsed);
     }
 
-    /// The level `< limit` with the highest recorded visible bandwidth,
-    /// if any level below `limit` has been observed.
+    /// Drops `level`'s compression-side history, so that level is
+    /// measured afresh the next time it encodes. Called from the
+    /// compression thread (the side's single writer).
+    pub fn forget_compression(&self, level: u8) {
+        self.compression[level as usize].write(DecayingRate::default());
+    }
+
+    /// Visible bandwidth at `level` in raw bits/s — the wire-side rate,
+    /// capped by the compression-side rate when there is one — if the
+    /// level has been on the wire.
+    pub fn visible(&self, level: u8) -> Option<f64> {
+        let wire = self.wire[level as usize].read().rate()?;
+        let compression = self.compression[level as usize].read().rate();
+        Some(compression.map_or(wire, |c| wire.min(c)))
+    }
+
+    /// The level `< limit` with the highest visible bandwidth, if any
+    /// level below `limit` has been observed.
     pub fn best_below(&self, limit: u8) -> Option<(u8, f64)> {
         (0..limit)
-            .filter_map(|l| self.cells[l as usize].read().rate().map(|r| (l, r)))
+            .filter_map(|l| self.visible(l).map(|r| (l, r)))
             .max_by(|a, b| a.1.total_cmp(&b.1))
     }
 
-    /// Sum of every `raw_bytes` ever recorded: the exact amount of
-    /// application data whose emission this monitor observed.
+    /// Sum of every `raw_bytes` ever recorded on the wire side: the exact
+    /// amount of application data whose emission this monitor observed.
     pub fn total_raw_bytes(&self) -> u64 {
         self.total_raw.load(Ordering::Relaxed)
     }
@@ -136,18 +160,12 @@ impl BandwidthMonitor {
     /// per-stream monitors: parallel streams move raw data concurrently,
     /// so group throughput is the *sum* of the per-stream rates that have
     /// been observed.
-    pub fn aggregate_visible(monitors: &[BandwidthMonitor], level: u8) -> Option<f64> {
-        let rates: Vec<f64> = monitors.iter().filter_map(|m| m.visible(level)).collect();
-        if rates.is_empty() {
-            None
-        } else {
-            Some(rates.iter().sum())
-        }
-    }
-
-    /// Raw bytes observed by every monitor of a stream group combined.
-    pub fn aggregate_total_raw_bytes(monitors: &[BandwidthMonitor]) -> u64 {
-        monitors.iter().map(|m| m.total_raw_bytes()).sum()
+    pub fn aggregate_visible<'a>(
+        monitors: impl IntoIterator<Item = &'a BandwidthMonitor>,
+        level: u8,
+    ) -> Option<f64> {
+        let rates = monitors.into_iter().filter_map(|m| m.visible(level));
+        rates.reduce(|a, b| a + b)
     }
 }
 
@@ -224,10 +242,49 @@ mod tests {
         let agg = BandwidthMonitor::aggregate_visible(&group, 3).unwrap();
         assert!((agg - 120e6).abs() / 120e6 < 1e-6, "{agg}");
         assert!(BandwidthMonitor::aggregate_visible(&group, 5).is_none());
-        assert_eq!(
-            BandwidthMonitor::aggregate_total_raw_bytes(&group),
-            1_500_000
-        );
+    }
+
+    #[test]
+    fn visible_is_the_slower_of_wire_and_compression() {
+        let m = BandwidthMonitor::new();
+        // Level 3 moves 80 Mbit/s of raw data over the wire but encodes
+        // only 8 Mbit/s: the pipeline delivers the smaller.
+        m.record(3, 1_000_000, Duration::from_millis(100));
+        m.record_compression(3, 100_000, Duration::from_millis(100));
+        let r = m.visible(3).unwrap();
+        assert!((r - 8e6).abs() / 8e6 < 1e-6, "{r}");
+        // A fast compressor leaves the wire side in charge.
+        m.record(1, 500_000, Duration::from_millis(100)); // 40 Mbit
+        m.record_compression(1, 10_000_000, Duration::from_millis(100)); // 800 Mbit
+        let r1 = m.visible(1).unwrap();
+        assert!((r1 - 40e6).abs() / 40e6 < 1e-6, "{r1}");
+        // best_below ranks by the same rule: level 1 beats level 3 even
+        // though level 3's wire side is twice as fast.
+        assert_eq!(m.best_below(4).unwrap().0, 1);
+        // Only the wire side counts towards the raw total.
+        assert_eq!(m.total_raw_bytes(), 1_500_000);
+    }
+
+    #[test]
+    fn a_level_is_observed_only_once_it_reached_the_wire() {
+        let m = BandwidthMonitor::new();
+        m.record_compression(5, 1_000_000, Duration::from_millis(100));
+        assert!(m.visible(5).is_none());
+        assert!(m.best_below(10).is_none());
+    }
+
+    #[test]
+    fn forgotten_compression_side_falls_back_to_the_wire() {
+        let m = BandwidthMonitor::new();
+        m.record(6, 1_000_000, Duration::from_millis(100)); // 80 Mbit
+        m.record_compression(6, 100_000, Duration::from_millis(100)); // 8 Mbit
+        m.forget_compression(6);
+        let r = m.visible(6).unwrap();
+        assert!((r - 80e6).abs() / 80e6 < 1e-6, "{r}");
+        // The next encode is measured afresh, not averaged with the old.
+        m.record_compression(6, 500_000, Duration::from_millis(100)); // 40 Mbit
+        let r = m.visible(6).unwrap();
+        assert!((r - 40e6).abs() / 40e6 < 1e-6, "{r}");
     }
 
     #[test]

@@ -9,9 +9,9 @@ use crate::throttle::{NoThrottle, Throttle};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Builds a fresh [`LevelPolicy`] per transfer pipeline (each stream of
-/// a striped connection gets its own controller, hence its own policy
-/// instance).
+/// Builds a fresh [`LevelPolicy`] per stream of a connection (each stream
+/// keeps its own controller, hence its own policy instance, for as long
+/// as the connection lives).
 pub type LevelPolicyFactory = Arc<dyn Fn() -> Box<dyn LevelPolicy> + Send + Sync>;
 
 /// Configuration of an AdOC endpoint.
@@ -145,7 +145,7 @@ impl Default for AdocConfig {
             pool: BufferPool::default(),
             signals: None,
             delay_signals: true,
-            policy: Arc::new(|| Box::new(DelayAwarePolicy::default())),
+            policy: Arc::new(|| Box::new(DelayAwarePolicy)),
         }
     }
 }

@@ -20,8 +20,8 @@
 //! * production heuristics (paper §5): a direct no-thread path for
 //!   messages < 512 KB, a 256 KB uncompressed probe that disables
 //!   compression on > 500 Mbit/s links, a divergence guard driven by
-//!   per-level visible bandwidth ([`bw`]), and an incompressible-data
-//!   guard.
+//!   per-level visible bandwidth — the slower of wire and compressor
+//!   ([`bw`]) — and an incompressible-data guard.
 //!
 //! Levels: 0 = none, 1 = LZF, 2..=10 = DEFLATE 1..=9 (see `adoc-codec`).
 //!
@@ -73,9 +73,7 @@ pub mod stats;
 pub mod throttle;
 pub mod wire;
 
-pub use adapt::{
-    DelayAwarePolicy, LevelDecision, LevelPolicy, LevelReason, PolicyCtx, ThroughputPolicy,
-};
+pub use adapt::{DelayAwarePolicy, LevelDecision, LevelPolicy, LevelReason, PolicyCtx};
 pub use capi::{
     adoc_close, adoc_read, adoc_receive_file, adoc_register, adoc_register_cfg,
     adoc_register_group, adoc_send_file, adoc_send_file_levels, adoc_write, adoc_write_levels,

@@ -194,11 +194,6 @@ impl<T> BoundedQueue<T> {
         self.len() == 0
     }
 
-    /// True once the consumer reported failure via [`Self::poison`].
-    pub fn is_poisoned(&self) -> bool {
-        self.inner.lock().poisoned
-    }
-
     /// Producer signals end of stream; the consumer drains what remains.
     /// Wakes every waiter on both sides (a producer blocked in [`Self::push`]
     /// on a full queue returns [`PushError::Closed`]). Idempotent.
@@ -346,7 +341,7 @@ mod tests {
         q.poison();
         assert_eq!(t.join().unwrap(), Err(PushError::Closed));
         assert!(q.pop().is_none(), "poisoned queue drops queued packets");
-        assert!(q.is_poisoned());
+        assert!(q.inner.lock().poisoned);
     }
 
     #[test]
@@ -371,7 +366,7 @@ mod tests {
             }
         }
         assert!(consumer.join().is_err(), "consumer must have panicked");
-        assert!(q.is_poisoned());
+        assert!(q.inner.lock().poisoned);
 
         let q = Arc::new(PacketQueue::new(1));
         let qp = q.clone();

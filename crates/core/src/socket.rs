@@ -8,12 +8,11 @@
 use crate::config::AdocConfig;
 use crate::error::AdocError;
 use crate::receiver::{receive_message, RecvProgress};
-use crate::sender::{send_message, SendOutcome};
+use crate::sender::{send_message, SendOutcome, StreamState};
 pub use crate::session::ResumePoint;
 use crate::session::{SessionTicket, TicketKey};
 use crate::stats::TransferStats;
 use crate::wire::{self, session_status, GroupHello, SessionAccept, SessionHello, SessionKind};
-use adoc_codec::Codec;
 use std::fs::File;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
@@ -108,8 +107,10 @@ pub struct AdocStreamGroup<R, W> {
     leftover: Vec<u8>,
     leftover_pos: usize,
     stats: TransferStats,
-    /// Codec state kept across messages: `[i]` encodes stream `i`, `[0]` decodes.
-    codecs: Vec<Codec>,
+    /// Per-stream state kept across messages: `[i]` sends on stream `i`
+    /// (codec, level controller, bandwidth monitor); `[0]`'s codec also
+    /// decodes.
+    stream_state: Vec<StreamState>,
 }
 
 impl<R, W> std::fmt::Debug for AdocStreamGroup<R, W> {
@@ -207,7 +208,7 @@ impl<R: Read + Send, W: Write + Send> AdocStreamGroup<R, W> {
         cfg.ensure_signal_hub();
         let (readers, writers): (Vec<R>, Vec<W>) = pairs.into_iter().unzip();
         Ok(AdocStreamGroup {
-            codecs: vec![Codec::new()],
+            stream_state: vec![StreamState::new(&cfg)],
             readers,
             writers,
             cfg,
@@ -264,8 +265,8 @@ impl<R: Read + Send, W: Write + Send> AdocStreamGroup<R, W> {
             .ok()
             .and_then(|d| data.get(d..))
             .unwrap_or_default();
-        let (writers, codecs) = (&mut self.writers, &mut self.codecs);
-        let out = send_message(writers, &mut tail, total, Some(at), &self.cfg, codecs)?;
+        let (writers, streams) = (&mut self.writers, &mut self.stream_state);
+        let out = send_message(writers, &mut tail, total, Some(at), &self.cfg, streams)?;
         Ok(self.merge(out, total - at.delivered_raw))
     }
 
@@ -302,7 +303,7 @@ impl<R: Read + Send, W: Write + Send> AdocStreamGroup<R, W> {
                 &self.cfg,
                 &mut RecvProgress::default(),
                 None,
-                &mut self.codecs[0],
+                &mut self.stream_state[0].codec,
             )?;
             return Ok(sink.filled);
         }
@@ -340,7 +341,8 @@ impl<R: Read + Send, W: Write + Send> AdocStreamGroup<R, W> {
         len: u64,
         cfg: &AdocConfig,
     ) -> io::Result<SendReport> {
-        let out = send_message(&mut self.writers, source, len, None, cfg, &mut self.codecs)?;
+        let (writers, streams) = (&mut self.writers, &mut self.stream_state);
+        let out = send_message(writers, source, len, None, cfg, streams)?;
         Ok(self.merge(out, len))
     }
 
@@ -389,7 +391,7 @@ impl<R: Read + Send, W: Write + Send> AdocStreamGroup<R, W> {
         sink.write_all(&self.leftover[self.leftover_pos..])?;
         self.leftover.clear();
         self.leftover_pos = 0;
-        let codec = &mut self.codecs[0];
+        let codec = &mut self.stream_state[0].codec;
         let n = receive_message(&mut self.readers, sink, &self.cfg, progress, resume, codec)?;
         Ok(drained + n.unwrap_or(0))
     }
@@ -963,7 +965,7 @@ mod tests {
     #[test]
     fn second_message_reuses_the_first_messages_codec() {
         let (mut tx, mut rx) = pair();
-        assert_eq!(tx.codecs[0].dictionary_len(), 0);
+        assert_eq!(tx.stream_state[0].codec.dictionary_len(), 0);
         let data = payload(500_000);
         let expect = data.clone();
         let t = thread::spawn(move || {
@@ -977,13 +979,13 @@ mod tests {
         // Forced DEFLATE: the stream's encoder sizes its dictionary to the
         // compression buffer on the first message …
         tx.write_levels(&data, 2, 2).unwrap();
-        let warm = tx.codecs[0].dictionary_len();
+        let warm = tx.stream_state[0].codec.dictionary_len();
         assert_eq!(warm, tx.cfg.buffer_size);
         // … and the second message compresses with that same state.
         tx.write_levels(&data, 2, 2).unwrap();
-        assert_eq!(tx.codecs.len(), 1);
-        assert_eq!(tx.codecs[0].dictionary_len(), warm);
-        assert_eq!(t.join().unwrap().codecs.len(), 1);
+        assert_eq!(tx.stream_state.len(), 1);
+        assert_eq!(tx.stream_state[0].codec.dictionary_len(), warm);
+        assert_eq!(t.join().unwrap().stream_state.len(), 1);
     }
 
     #[test]

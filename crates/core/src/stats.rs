@@ -71,9 +71,10 @@ pub struct TransferStats {
     pub per_stream: Vec<StreamSendStats>,
     /// Last observed visible bandwidth per compression level in raw
     /// bits/s (0.0 = that level has never been measured on this
-    /// connection). Snapshotted from the per-message
-    /// [`crate::bw::BandwidthMonitor`]s — the per-level view a server's
-    /// metrics endpoint exports.
+    /// connection): the slower of what the level moved over the wire and
+    /// what its compressor encoded, as the connection's per-stream
+    /// [`crate::bw::BandwidthMonitor`]s hold it after the latest adaptive
+    /// message — the per-level view a server's metrics endpoint exports.
     pub level_bps: [f64; 11],
     epoch: Instant,
 }
@@ -106,16 +107,12 @@ impl TransferStats {
 
     /// Records one buffer compressed at `level`.
     pub fn record_buffer(&mut self, level: u8) {
-        self.record_buffer_at(Instant::now(), level);
+        self.record_buffer_reason(Instant::now(), level, LevelReason::default());
     }
 
-    /// Records one buffer compressed at `level` at a given instant (the
-    /// sender reports timestamps captured inside the compression thread).
-    pub fn record_buffer_at(&mut self, t: Instant, level: u8) {
-        self.record_buffer_reason(t, level, LevelReason::default());
-    }
-
-    /// [`Self::record_buffer_at`] with the controller's verdict attached.
+    /// Records one buffer compressed at `level` at instant `t` (the sender
+    /// reports timestamps captured inside the compression thread), with
+    /// the controller's verdict attached.
     pub fn record_buffer_reason(&mut self, t: Instant, level: u8, reason: LevelReason) {
         self.buffers_at_level[level as usize] += 1;
         if self.level_timeline.len() < TIMELINE_CAP {
@@ -164,20 +161,12 @@ impl TransferStats {
     /// totals (no-op for single-stream messages).
     pub fn merge_per_stream(&mut self, per_message: &[StreamSendStats]) {
         for s in per_message {
-            let idx = s.stream as usize;
-            if self.per_stream.len() <= idx {
-                self.per_stream.resize(
-                    idx + 1,
-                    StreamSendStats {
-                        stream: 0,
-                        ..StreamSendStats::default()
-                    },
-                );
-                for (i, slot) in self.per_stream.iter_mut().enumerate() {
-                    slot.stream = i as u8;
-                }
+            while self.per_stream.len() <= s.stream as usize {
+                let stream = self.per_stream.len() as u8;
+                let slot = StreamSendStats::default();
+                self.per_stream.push(StreamSendStats { stream, ..slot });
             }
-            let t = &mut self.per_stream[idx];
+            let t = &mut self.per_stream[s.stream as usize];
             t.wire_bytes += s.wire_bytes;
             t.raw_bytes += s.raw_bytes;
             t.frames += s.frames;

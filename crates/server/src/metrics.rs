@@ -178,8 +178,9 @@ pub struct ConnMetrics {
     pub delay_state: Option<&'static str>,
     /// Registry-steered compression-level bounds.
     pub level_bounds: (u8, u8),
-    /// Observed throughput by compression level (index = level), bytes
-    /// per second; zero entries are elided when rendered.
+    /// Visible bandwidth by compression level (index = level), raw bits/s:
+    /// the slower of wire and compressor, as `adoc::TransferStats::level_bps`
+    /// defines it. Zero entries are elided when rendered.
     pub level_bps: [f64; 11],
 }
 

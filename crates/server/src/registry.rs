@@ -90,7 +90,8 @@ pub struct ConnSnapshot {
     /// receive path does not expose the client's wire volume).
     pub reply_wire_bytes: u64,
     /// Last observed per-level visible bandwidth of the server's own
-    /// sends (echo direction), bits/s; 0 = level unobserved.
+    /// sends (echo direction), raw bits/s, the slower of wire and
+    /// compressor; 0 = level unobserved.
     pub level_bps: [f64; 11],
     /// Latest delay-gradient snapshot from the connection's signal hub
     /// (refreshed on every [`ConnRegistry::update`]).

@@ -334,11 +334,6 @@ impl TraceCenter {
         self.conns.lock().remove(&conn);
     }
 
-    /// Live connections with a trace entry.
-    pub fn traced_conns(&self) -> usize {
-        self.conns.lock().len()
-    }
-
     /// Records one finished message: server-wide histograms,
     /// per-connection histograms, and the connection's flight recorder
     /// (creating the trace if `conn` was never registered — the
@@ -465,7 +460,7 @@ mod tests {
         tc.deregister(9);
         assert!(tc.trace_json(9).is_none(), "departed conns 404");
         assert_eq!(tc.messages(), 1, "global aggregate survives departure");
-        assert_eq!(tc.traced_conns(), 0);
+        assert_eq!(tc.conns.lock().len(), 0);
     }
 
     #[test]

@@ -32,10 +32,6 @@ fn retry_timing(attempts: usize, mut f: impl FnMut() -> Result<(), String>) {
 
 type Sock = AdocSocket<LinkReader, LinkWriter>;
 
-fn adoc_pair(cfg_link: LinkCfg) -> (Sock, Sock) {
-    adoc_pair_cfg(cfg_link, AdocConfig::default(), AdocConfig::default())
-}
-
 fn adoc_pair_cfg(cfg_link: LinkCfg, tx_cfg: AdocConfig, rx_cfg: AdocConfig) -> (Sock, Sock) {
     let (a, b) = duplex(cfg_link);
     let (ar, aw) = a.split();
@@ -49,7 +45,16 @@ fn adoc_pair_cfg(cfg_link: LinkCfg, tx_cfg: AdocConfig, rx_cfg: AdocConfig) -> (
 /// One-way transfer time through AdOC (receiver acks a byte so the sender
 /// measures full delivery).
 fn adoc_transfer_secs(link: LinkCfg, data: Arc<Vec<u8>>) -> (f64, adoc::TransferStats) {
-    let (mut tx, mut rx) = adoc_pair(link);
+    adoc_transfer_secs_cfg(link, AdocConfig::default(), data)
+}
+
+/// [`adoc_transfer_secs`] with the sender configured by `tx_cfg`.
+fn adoc_transfer_secs_cfg(
+    link: LinkCfg,
+    tx_cfg: AdocConfig,
+    data: Arc<Vec<u8>>,
+) -> (f64, adoc::TransferStats) {
+    let (mut tx, mut rx) = adoc_pair_cfg(link, tx_cfg, AdocConfig::default());
     let n = data.len();
     let receiver = thread::spawn(move || {
         let mut buf = vec![0u8; n];
@@ -259,19 +264,27 @@ fn congestion_trace_raises_level_mid_transfer() {
     // time appears and the level should rise.
     let _guard = timing_lock();
     retry_timing(3, || {
-        // Note: the probe sees ~4/3 of nominal capacity thanks to the send
-        // buffer's burst credit (same effect as a real socket buffer), so the
-        // fast phase must stay below 500 × 3/4 Mbit to avoid the fast path.
-        // The fast phase covers ~the first 5 MB of the 8 MB transfer; the
-        // rest rides through the congestion.
+        // The message must still be compressing once the link slows: the
+        // sender's queue holds 40 packets (just above Fig. 2's high water)
+        // instead of megabytes, and the fast phase is short and slow enough
+        // to carry at most about half of it. The congested rate is one even
+        // an unoptimized build's DEFLATE outruns, and it lasts well past the
+        // 1 s forbid the divergence guard may set while the fast phase is
+        // compressor-bound. (The probe sees ~4/3 of nominal capacity
+        // thanks to the send buffer's burst credit, so the fast phase also
+        // stays clear of the 500 Mbit/s fast path.)
         let trace = adoc_sim::BandwidthTrace::piecewise(vec![
-            (0.15, adoc_sim::mbit(300.0)), // fast phase: little time to compress
-            (60.0, adoc_sim::mbit(20.0)),  // congestion: lots of time
+            (0.10, adoc_sim::mbit(150.0)), // fast phase: little time to compress
+            (60.0, adoc_sim::mbit(5.0)),   // congestion: lots of time
         ]);
         let link =
-            LinkCfg::new(adoc_sim::mbit(300.0), Duration::from_micros(200)).with_trace(trace);
+            LinkCfg::new(adoc_sim::mbit(150.0), Duration::from_micros(200)).with_trace(trace);
         let data = Arc::new(generate(DataKind::Ascii, 8 << 20, 49));
-        let (_, stats) = adoc_transfer_secs(link, data);
+        let tx_cfg = AdocConfig {
+            queue_cap: 40,
+            ..AdocConfig::default()
+        };
+        let (_, stats) = adoc_transfer_secs_cfg(link, tx_cfg, data);
         let early_max = stats
             .level_timeline
             .iter()
