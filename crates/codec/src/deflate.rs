@@ -24,7 +24,7 @@ const STORED_MAX: usize = 65_535;
 /// Longest RLE form of a dynamic header's code-length sequence.
 const MAX_CLEN_OPS: usize = NUM_LITLEN + NUM_DIST;
 
-/// Staged-token layout: a [`Token`]'s bits, with a match's distance code
+/// Staged-token layout: a [`crate::lz77::Token`]'s bits, with a match's distance code
 /// (known since it was counted) in the five bits the token leaves free.
 const STAGED_MATCH: u32 = 0x8000_0000;
 const STAGED_DIST_CODE_SHIFT: u32 = 24;

@@ -17,7 +17,7 @@ const FNAME: u8 = 0x08;
 const FCOMMENT: u8 = 0x10;
 
 /// Compresses `data` into a gzip member appended to `out`, reusing the
-/// caller's [`DeflateEncoder`] state — the allocation-free streaming form
+/// caller's [`crate::DeflateEncoder`] state — the allocation-free streaming form
 /// of [`gzip_compress`].
 pub fn gzip_compress_with(
     enc: &mut crate::deflate::DeflateEncoder,

@@ -319,15 +319,7 @@ impl LevelController {
             delay,
             cfg,
         });
-        // Effective bounds: the config's static limits intersected with
-        // any registry-steered bounds on the signal hub (a server-side
-        // policy narrowing this connection's range at runtime).
-        let (mut lo, mut hi) = (cfg.min_level, cfg.max_level);
-        if let Some(hub) = cfg.signal_hub() {
-            let (slo, shi) = hub.level_bounds();
-            lo = lo.max(slo).min(cfg.max_level);
-            hi = hi.min(shi).max(lo);
-        }
+        let (lo, hi) = (cfg.min_level, cfg.max_level);
         let mut reason = decision.reason;
         let mut cand = self.below_forbids(decision.level.clamp(lo, hi), lo, &mut reason);
 
@@ -830,28 +822,6 @@ mod tests {
         let l = c.next_level_with(15, &bw, Some(snap), Instant::now(), &cfg);
         assert_eq!(l, 3, "stale signal must not boost");
         assert_eq!(c.last_reason(), LevelReason::QueuePressure);
-    }
-
-    #[test]
-    fn registry_steered_bounds_clamp_the_controller() {
-        let mut cfg = test_cfg();
-        cfg.ensure_signal_hub();
-        let hub = cfg.signals.clone().unwrap();
-        let bw = BandwidthMonitor::new();
-        let mut c = LevelController::new(&cfg);
-        hub.set_level_bounds(2, 4);
-        c.level = 4;
-        c.last_len = Some(20);
-        // Very large growing queue wants +2; the steered ceiling holds it.
-        assert_eq!(c.next_level(50, &bw, &cfg), 4);
-        // A shrinking small queue wants to halve; the steered floor holds.
-        c.last_len = Some(8);
-        assert_eq!(c.next_level(5, &bw, &cfg), 2);
-        // Bounds released: the controller can climb again.
-        hub.set_level_bounds(0, 10);
-        c.level = 4;
-        c.last_len = Some(20);
-        assert_eq!(c.next_level(50, &bw, &cfg), 6);
     }
 
     #[test]

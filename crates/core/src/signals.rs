@@ -6,8 +6,8 @@
 //! for a full bandwidth-estimation window. This module measures that
 //! delay directly, the way TWCC-style congestion controllers do, and
 //! publishes it as a [`DelaySnapshot`] that the level controller
-//! ([`crate::adapt`]), the server's fair scheduler and the connection
-//! registry all consume. Policies live above; this layer only measures.
+//! ([`crate::adapt`]) consumes and the server's connection registry
+//! reports. Policies live above; this layer only measures.
 //!
 //! # Estimator
 //!
@@ -51,7 +51,6 @@
 
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU16, Ordering};
 use std::time::{Duration, Instant};
 
 /// Departure-time span of one packet group (TWCC's burst interval):
@@ -396,8 +395,8 @@ struct Slot {
 
 /// Per-connection home of the delay signals: the sender's emission path
 /// feeds the **local** estimator, the receiver's wire-timestamp path
-/// feeds the **remote** one, and every consumer (level policy,
-/// scheduler, registry) reads [`SignalHub::snapshot`].
+/// feeds the **remote** one, and every reader (the level policy, the
+/// server's registry) takes [`SignalHub::snapshot`].
 ///
 /// All methods take `&self`; the two estimators are independently
 /// locked, so recording on the emission thread never contends with the
@@ -407,10 +406,6 @@ pub struct SignalHub {
     origin: Instant,
     local: Mutex<Slot>,
     remote: Mutex<Slot>,
-    /// Packed externally-steered level bounds (low byte = min, high
-    /// byte = max): a registry-level policy writes, the connection's
-    /// level controller clamps every decision through it.
-    bounds: AtomicU16,
 }
 
 impl Default for SignalHub {
@@ -419,13 +414,8 @@ impl Default for SignalHub {
             origin: Instant::now(),
             local: Mutex::new(Slot::default()),
             remote: Mutex::new(Slot::default()),
-            bounds: AtomicU16::new(pack_bounds(0, adoc_codec::ADOC_MAX_LEVEL)),
         }
     }
-}
-
-fn pack_bounds(min: u8, max: u8) -> u16 {
-    u16::from(min) | (u16::from(max) << 8)
 }
 
 impl SignalHub {
@@ -488,21 +478,6 @@ impl SignalHub {
                 .est
                 .snapshot(SignalSource::Local, now.saturating_duration_since(t)),
         )
-    }
-
-    /// Steers the connection's compression-level bounds from outside the
-    /// pipeline (the server registry's policy hook). `min > max` is
-    /// coerced to the degenerate `(max, max)`.
-    pub fn set_level_bounds(&self, min: u8, max: u8) {
-        let max = max.min(adoc_codec::ADOC_MAX_LEVEL);
-        let min = min.min(max);
-        self.bounds.store(pack_bounds(min, max), Ordering::Relaxed);
-    }
-
-    /// Currently steered level bounds (defaults to the full 0..=10).
-    pub fn level_bounds(&self) -> (u8, u8) {
-        let b = self.bounds.load(Ordering::Relaxed);
-        ((b & 0xFF) as u8, (b >> 8) as u8)
     }
 }
 

@@ -1142,4 +1142,177 @@ mod tests {
         zero3[3] = 0;
         assert!(GroupHello::read(&mut Cursor::new(zero3)).is_err());
     }
+
+    /// Serves its bytes one at a time and counts how many were taken.
+    struct Counting<'a> {
+        data: &'a [u8],
+        taken: usize,
+    }
+
+    impl Read for Counting<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            match (self.data.split_first(), buf.first_mut()) {
+                (Some((&b, rest)), Some(slot)) => {
+                    *slot = b;
+                    self.data = rest;
+                    self.taken += 1;
+                    Ok(1)
+                }
+                _ => Ok(0),
+            }
+        }
+    }
+
+    /// One peer-controlled record: a parser, and the length its layout
+    /// declares for a given header (a flag or version byte may lengthen it).
+    struct Record {
+        what: &'static str,
+        bytes: Vec<u8>,
+        parse: fn(&mut Counting<'_>) -> io::Result<()>,
+        layout: fn(&[u8]) -> usize,
+    }
+
+    #[test]
+    fn every_parser_is_total_on_damaged_records() {
+        let session = SessionHello {
+            streams: 3,
+            stream_id: 1,
+            token: 0x0102_0304_0506_0708,
+            kind: SessionKind::Resume,
+            session_id: 77,
+            expires_us: 1_000_000,
+            mac: [0xAB; 16],
+        };
+        let accept = SessionAccept {
+            status: session_status::OK,
+            resumed: 1,
+            session_id: 5,
+            expires_us: 123,
+            mac: [0x5C; 16],
+            next_seq: 17,
+            delivered_raw: 3_400_000,
+        };
+        let v2 = FrameHeaderV2::data(6, 1, 9, 204_800, 51_000);
+        let v2_ts = FrameHeaderV2 {
+            ts_us: Some(123_456),
+            ..v2
+        };
+        let frame_v2_layout = |h: &[u8]| match h[0] {
+            LEVEL_FIN => FRAME_HEADER_V2_LEN,
+            b if b & FRAME_TS_FLAG != 0 => FRAME_HEADER_V2_TS_LEN,
+            _ => FRAME_HEADER_V2_LEN,
+        };
+        let group_layout = |h: &[u8]| match h[2] {
+            GROUP_VERSION_TOKENED => GROUP_HELLO_TOKENED_LEN,
+            _ => GROUP_HELLO_LEN,
+        };
+        let hello_layout = |h: &[u8]| match h[2] {
+            GROUP_VERSION_TOKENED => GROUP_HELLO_TOKENED_LEN,
+            GROUP_VERSION_SESSION => SESSION_HELLO_LEN,
+            _ => GROUP_HELLO_LEN,
+        };
+        let records = [
+            Record {
+                what: "message header",
+                bytes: encode_msg_header(MsgKind::Adaptive, 3 << 20).to_vec(),
+                parse: |r| read_msg_header(r, 1 << 30).map(drop),
+                layout: |_| MSG_HEADER_LEN,
+            },
+            Record {
+                what: "v1 frame header",
+                bytes: FrameHeader {
+                    level: 4,
+                    raw_len: 204_800,
+                    payload_len: 60_000,
+                }
+                .encode()
+                .to_vec(),
+                parse: |r| FrameHeader::read(r, adoc_codec::ADOC_MAX_LEVEL).map(drop),
+                layout: |_| FRAME_HEADER_LEN,
+            },
+            Record {
+                what: "v2 frame header",
+                bytes: v2.encode().to_vec(),
+                parse: |r| FrameHeaderV2::read(r, adoc_codec::ADOC_MAX_LEVEL).map(drop),
+                layout: frame_v2_layout,
+            },
+            Record {
+                what: "timestamped v2 frame header",
+                bytes: v2_ts.encode().to_vec(),
+                parse: |r| FrameHeaderV2::read(r, adoc_codec::ADOC_MAX_LEVEL).map(drop),
+                layout: frame_v2_layout,
+            },
+            Record {
+                what: "v2 group hello",
+                bytes: GroupHello::new(4, 2).encode(),
+                parse: |r| GroupHello::read(r).map(drop),
+                layout: group_layout,
+            },
+            Record {
+                what: "v3 group hello",
+                bytes: GroupHello {
+                    streams: 2,
+                    stream_id: 1,
+                    token: 0xDEAD_BEEF,
+                }
+                .encode(),
+                parse: |r| GroupHello::read(r).map(drop),
+                layout: group_layout,
+            },
+            Record {
+                what: "v4 session hello",
+                bytes: session.encode().to_vec(),
+                parse: |r| read_hello(r).map(drop),
+                layout: hello_layout,
+            },
+            Record {
+                what: "session accept",
+                bytes: accept.encode().to_vec(),
+                parse: |r| SessionAccept::read(r).map(drop),
+                layout: |_| SESSION_ACCEPT_LEN,
+            },
+        ];
+        // Whatever follows a record on the stream belongs to the next
+        // one: a parser that reads into it would desynchronise.
+        let trailer = [0xEEu8; 64];
+        // A panic anywhere below fails the test; an error of any kind is
+        // an acceptable answer to a damaged record.
+        let parse = |rec: &Record, input: &[u8]| {
+            let mut r = Counting {
+                data: input,
+                taken: 0,
+            };
+            ((rec.parse)(&mut r), r.taken)
+        };
+        for rec in &records {
+            let full = rec.bytes.len();
+            assert_eq!((rec.layout)(&rec.bytes), full, "{}: layout", rec.what);
+            let (intact, taken) = parse(rec, &[rec.bytes.as_slice(), &trailer].concat());
+            assert!(intact.is_ok(), "{}: intact record refused", rec.what);
+            assert_eq!(taken, full, "{}: intact record consumed", rec.what);
+            // Every truncation is an error (the empty message header is a
+            // clean end of stream, which is `Ok(None)`).
+            for cut in 1..full {
+                let (got, _) = parse(rec, &rec.bytes[..cut]);
+                assert!(got.is_err(), "{}: cut at {cut} accepted", rec.what);
+            }
+            let _ = parse(rec, &[]);
+            // Every value at every position, with more bytes behind the
+            // record than any layout declares.
+            let mut damaged = [rec.bytes.as_slice(), &trailer].concat();
+            for at in 0..full {
+                for byte in 0..=u8::MAX {
+                    damaged[at] = byte;
+                    let (_, taken) = parse(rec, &damaged);
+                    let layout = (rec.layout)(&damaged);
+                    assert!(
+                        taken <= layout,
+                        "{}: byte {at} = {byte:#04x} read {taken} bytes, layout {layout}",
+                        rec.what
+                    );
+                }
+                damaged[at] = rec.bytes[at];
+            }
+        }
+    }
 }

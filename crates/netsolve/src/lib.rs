@@ -14,7 +14,7 @@
 //! * [`transport`] — the `communicator.c` seam: [`transport::TransportMode::Raw`]
 //!   vs [`transport::TransportMode::Adoc`];
 //! * [`proto`] — request/response and matrix wire encodings;
-//! * [`dgemm`] — blocked multi-threaded matrix multiply.
+//! * [`mod@dgemm`] — blocked multi-threaded matrix multiply.
 //!
 //! ```
 //! use netsolve::prelude::*;

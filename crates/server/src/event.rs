@@ -435,12 +435,6 @@ pub struct EventCounts {
     pub worker_jobs: u64,
     /// Deepest worker-pool queue observed at enqueue time.
     pub worker_queue_peak: u64,
-    /// `SessionResumed` events.
-    pub sessions_resumed: u64,
-    /// `TicketRejected` events.
-    pub tickets_rejected: u64,
-    /// `SessionExpired` events.
-    pub sessions_expired: u64,
 }
 
 /// The aggregating built-in subscriber: lock-free counters a metrics
@@ -466,9 +460,6 @@ pub struct MetricsSubscriber {
     reactor_ticks: AtomicU64,
     worker_jobs: AtomicU64,
     worker_queue_peak: AtomicU64,
-    sessions_resumed: AtomicU64,
-    tickets_rejected: AtomicU64,
-    sessions_expired: AtomicU64,
 }
 
 impl MetricsSubscriber {
@@ -496,9 +487,6 @@ impl MetricsSubscriber {
             reactor_ticks: self.reactor_ticks.load(Ordering::Relaxed),
             worker_jobs: self.worker_jobs.load(Ordering::Relaxed),
             worker_queue_peak: self.worker_queue_peak.load(Ordering::Relaxed),
-            sessions_resumed: self.sessions_resumed.load(Ordering::Relaxed),
-            tickets_rejected: self.tickets_rejected.load(Ordering::Relaxed),
-            sessions_expired: self.sessions_expired.load(Ordering::Relaxed),
         }
     }
 }
@@ -530,10 +518,13 @@ impl Subscriber for MetricsSubscriber {
                 self.worker_queue_peak
                     .fetch_max(depth as u64, Ordering::Relaxed);
             }
-            Event::SessionResumed { .. } => bump(&self.sessions_resumed, 1),
-            Event::TicketRejected { .. } => bump(&self.tickets_rejected, 1),
-            Event::SessionExpired { .. } => bump(&self.sessions_expired, 1),
-            Event::ConnError { .. } | Event::DrainFinished => {}
+            // The session table counts resumes, rejections and expiries
+            // for the metrics document's `sessions` section.
+            Event::SessionResumed { .. }
+            | Event::TicketRejected { .. }
+            | Event::SessionExpired { .. }
+            | Event::ConnError { .. }
+            | Event::DrainFinished => {}
         }
     }
 }
@@ -1040,10 +1031,8 @@ mod tests {
         sub.on_event(&meta, &resumed);
         sub.on_event(&meta, &rejected);
         sub.on_event(&meta, &expired);
-        let c = sub.counts();
-        assert_eq!(c.sessions_resumed, 1);
-        assert_eq!(c.tickets_rejected, 1);
-        assert_eq!(c.sessions_expired, 1);
+        // Counted by the session table, not here.
+        assert_eq!(sub.counts(), EventCounts::default());
 
         let line = render_json_line(&meta, &resumed);
         assert!(line.contains("\"event\": \"session_resumed\""), "{line}");

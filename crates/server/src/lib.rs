@@ -493,7 +493,6 @@ impl Server {
         subs.extend(cfg.subscribers.iter().cloned());
         let bus = Arc::new(EventBus::new(subs));
         let registry = ConnRegistry::with_bus(Arc::clone(&bus));
-        registry.set_policy(Some(Arc::new(registry::SharedBottleneckPolicy)));
         let sched = FairScheduler::with_bus(cfg.budget_bytes_per_sec, Arc::clone(&bus));
         let tracer = TraceCenter::new(cfg.trace_ring_cap);
         let ticket_key = match &cfg.auth_secret {
@@ -645,9 +644,8 @@ impl Server {
     }
 
     /// The post-message epilogue every serve path runs once a reply's
-    /// last byte is written: registry counters (whose delay snapshot
-    /// feeds the scheduler), the stage-latency layer, then the
-    /// message's events. `last_level` is the send level this
+    /// last byte is written: registry counters, the stage-latency layer,
+    /// then the message's events. `last_level` is the send level this
     /// connection was last seen at — a change becomes an
     /// [`Event::LevelChange`]; the first observation is a baseline.
     pub(crate) fn message_served(
@@ -657,12 +655,8 @@ impl Server {
         last_level: &mut Option<u8>,
     ) {
         let (raw_bytes, reply_wire_bytes) = (msg.raw_bytes, msg.reply_wire_bytes);
-        let update = self
-            .registry
+        self.registry
             .update(id, raw_bytes, reply_wire_bytes, msg.stats);
-        if let Some(snap) = update {
-            self.sched.report_delay(id, snap);
-        }
         if let Some(times) = msg.times.filter(|_| self.cfg.instrument) {
             self.tracer
                 .record(id, raw_bytes, self.bus.now().as_secs_f64(), &times);
@@ -760,8 +754,8 @@ impl Server {
         let throttle = throttle.with_cpu(Arc::clone(&base.throttle));
         let mut cfg = base.with_throttle(Arc::new(throttle)).with_streams(streams);
         // Give the connection its own signal hub and hand the registry a
-        // handle: delay snapshots flow registry-ward on every update and
-        // the registry policy steers level bounds back through it.
+        // handle: it reads the delay snapshot on every update, for the
+        // metrics document.
         cfg.ensure_signal_hub();
         if let Some(hub) = cfg.signals.clone().filter(|_| cfg.delay_signals) {
             self.registry.attach_hub(id, hub);

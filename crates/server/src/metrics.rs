@@ -49,9 +49,8 @@
 //!                      "streams": 1, "messages": 1, "raw_bytes": 1,
 //!                      "reply_wire_bytes": 1, "age_secs": 1.0,
 //!                      "sched_admitted": 1, "sched_tier": "bulk",
-//!                      "sched_weight": 1.0, "sched_boost": 1.0,
+//!                      "sched_weight": 1.0,
 //!                      "delay_us": 1200, "delay_state": "normal",
-//!                      "level_bounds": [0, 10],
 //!                      "level_bps": { "3": 1.0 } } ]
 //! }
 //! ```
@@ -166,18 +165,14 @@ pub struct ConnMetrics {
     pub sched_admitted: u64,
     /// Scheduling tier.
     pub sched_tier: Tier,
-    /// Effective scheduling weight.
+    /// Scheduling weight.
     pub sched_weight: f64,
-    /// Delay-driven scheduler weight boost (1.0 = none).
-    pub sched_boost: f64,
     /// Latest queueing delay above the path baseline, µs (`None` until
     /// the delay estimator completes a packet group).
     pub delay_us: Option<u64>,
     /// Congestion-state name from the delay estimator (`"normal"`,
     /// `"overuse"`, `"underuse"`).
     pub delay_state: Option<&'static str>,
-    /// Registry-steered compression-level bounds.
-    pub level_bounds: (u8, u8),
     /// Visible bandwidth by compression level (index = level), raw bits/s:
     /// the slower of wire and compressor, as `adoc::TransferStats::level_bps`
     /// defines it. Zero entries are elided when rendered.
@@ -253,10 +248,8 @@ impl MetricsDoc {
                     sched_admitted: bucket.map_or(0, |b| b.admitted),
                     sched_tier: bucket.map_or(Tier::Bulk, |b| b.tier),
                     sched_weight: bucket.map_or(1.0, |b| b.weight),
-                    sched_boost: bucket.map_or(1.0, |b| b.boost),
                     delay_us: c.delay.map(|d| d.above_baseline_us()),
                     delay_state: c.delay.map(|d| d.state.as_str()),
-                    level_bounds: c.level_bounds,
                     level_bps: c.level_bps,
                     peer: c.peer,
                 }
@@ -458,8 +451,7 @@ impl MetricsDoc {
                 "    {{ \"id\": {}, \"peer\": \"{}\", \"state\": \"{}\", \"streams\": {}, \
                  \"messages\": {}, \"raw_bytes\": {}, \"reply_wire_bytes\": {}, \"age_secs\": {:.3}, \
                  \"sched_admitted\": {}, \"sched_tier\": \"{}\", \"sched_weight\": {:.2}, \
-                 \"sched_boost\": {:.2}, \"delay_us\": {}, \"delay_state\": {}, \
-                 \"level_bounds\": [{}, {}], \"level_bps\": {{ {} }} }}{}",
+                 \"delay_us\": {}, \"delay_state\": {}, \"level_bps\": {{ {} }} }}{}",
                 c.id,
                 json_escape(&c.peer),
                 c.state,
@@ -471,7 +463,6 @@ impl MetricsDoc {
                 c.sched_admitted,
                 c.sched_tier,
                 c.sched_weight,
-                c.sched_boost,
                 match c.delay_us {
                     Some(us) => us.to_string(),
                     None => "null".into(),
@@ -480,8 +471,6 @@ impl MetricsDoc {
                     Some(s) => format!("\"{s}\""),
                     None => "null".into(),
                 },
-                c.level_bounds.0,
-                c.level_bounds.1,
                 levels,
                 sep,
             );
@@ -533,10 +522,8 @@ mod tests {
             "\"state\": \"active\"",
             "\"sched_tier\": \"bulk\"",
             "\"sched_weight\": 1.00",
-            "\"sched_boost\": 1.00",
             "\"delay_us\": null",
             "\"delay_state\": null",
-            "\"level_bounds\": [0, 10]",
             "\\\"quote", // escaping
         ] {
             assert!(doc.contains(needle), "missing {needle} in:\n{doc}");
@@ -558,11 +545,9 @@ mod tests {
         }
         let stats = adoc::TransferStats::new();
         server.registry().update(id, 1, 1, &stats);
-        hub.set_level_bounds(1, 8);
         let doc = server.metrics_json();
         assert!(doc.contains("\"delay_us\": "), "{doc}");
         assert!(!doc.contains("\"delay_state\": null"), "{doc}");
-        assert!(doc.contains("\"level_bounds\": [1, 8]"), "{doc}");
     }
 
     #[test]

@@ -17,17 +17,12 @@
 //! disagree about "now".
 
 use crate::event::{Event, EventBus};
-use adoc::{CongestionState, DelaySnapshot, SignalHub, TransferStats};
+use adoc::{DelaySnapshot, SignalHub, TransferStats};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// How often the registry re-runs its [`RegistryPolicy`] over the
-/// fleet-wide delay view (per-message updates in between only refresh
-/// the stored snapshots).
-const STEER_PERIOD: Duration = Duration::from_millis(100);
 
 /// Identifier of one registered connection (a v2 stream group counts as
 /// one connection no matter how many sockets it stripes over).
@@ -96,9 +91,6 @@ pub struct ConnSnapshot {
     /// Latest delay-gradient snapshot from the connection's signal hub
     /// (refreshed on every [`ConnRegistry::update`]).
     pub delay: Option<DelaySnapshot>,
-    /// Compression-level bounds currently steered onto the connection
-    /// by the registry policy (`(0, 10)` = unconstrained).
-    pub level_bounds: (u8, u8),
     /// Seconds since the connection was registered.
     pub age_secs: f64,
 }
@@ -133,8 +125,7 @@ struct Entry {
     reply_wire_bytes: u64,
     level_bps: [f64; 11],
     /// The connection's delay-signal hub, attached by the serve path at
-    /// admission. Snapshots are read from it on update; the policy's
-    /// level bounds are written back through it.
+    /// admission. Snapshots are read from it on update.
     hub: Option<Arc<SignalHub>>,
     /// Latest delay snapshot read from the hub.
     delay: Option<DelaySnapshot>,
@@ -142,68 +133,16 @@ struct Entry {
     registered_at: Duration,
 }
 
-/// One connection's row in the fleet-wide delay view a
-/// [`RegistryPolicy`] steers from.
-#[derive(Debug, Clone, Copy)]
-pub struct DelayView {
-    /// Registry id.
-    pub id: ConnId,
-    /// Lifecycle state.
-    pub state: ConnState,
-    /// Latest delay snapshot, if the connection has produced one.
-    pub delay: Option<DelaySnapshot>,
-}
-
-/// A registry-level steering policy: given the fleet-wide delay view,
-/// it may narrow (or relax) each connection's compression-level bounds.
-/// The registry runs it at most every [`STEER_PERIOD`], **outside** its
-/// own lock (a policy may therefore poll the registry), and applies the
-/// returned bounds through each connection's [`SignalHub`] — the level
-/// controller clamps every subsequent decision through them.
-pub trait RegistryPolicy: Send + Sync {
-    /// Returns `(conn, (min, max))` bounds to apply. Connections not
-    /// mentioned keep their current bounds.
-    fn steer(&self, view: &[DelayView]) -> Vec<(ConnId, (u8, u8))>;
-}
-
-/// The default policy: when at least half of the connections with a
-/// delay signal report [`CongestionState::Overuse`], the shared path is
-/// the bottleneck, so every active connection gets a compression floor
-/// (`min >= 1`) — squeeze more payload through the congested pipe. When
-/// the fleet calms down the floor is released.
-#[derive(Debug, Default)]
-pub struct SharedBottleneckPolicy;
-
-impl RegistryPolicy for SharedBottleneckPolicy {
-    fn steer(&self, view: &[DelayView]) -> Vec<(ConnId, (u8, u8))> {
-        let signalled = view.iter().filter(|v| v.delay.is_some()).count();
-        let overused = view
-            .iter()
-            .filter(|v| v.delay.is_some_and(|d| d.state == CongestionState::Overuse))
-            .count();
-        let congested = signalled > 0 && overused * 2 >= signalled;
-        let bounds = if congested { (1, 10) } else { (0, 10) };
-        view.iter()
-            .filter(|v| v.state == ConnState::Active)
-            .map(|v| (v.id, bounds))
-            .collect()
-    }
-}
-
 /// Thread-safe connection registry (see the module docs).
 pub struct ConnRegistry {
     next_id: AtomicU64,
     bus: Arc<EventBus>,
     inner: Mutex<Inner>,
-    /// Steering policy over the fleet delay view, if installed.
-    policy: Mutex<Option<Arc<dyn RegistryPolicy>>>,
 }
 
 struct Inner {
     live: HashMap<ConnId, Entry>,
     totals: RegistryTotals,
-    /// When the policy last ran, on the bus clock.
-    last_steer: Duration,
 }
 
 impl Default for ConnRegistry {
@@ -229,16 +168,8 @@ impl ConnRegistry {
             inner: Mutex::new(Inner {
                 live: HashMap::new(),
                 totals: RegistryTotals::default(),
-                last_steer: Duration::ZERO,
             }),
-            policy: Mutex::new(None),
         }
-    }
-
-    /// Installs the registry-level steering policy (replacing any
-    /// previous one). Pass `None` to disable steering.
-    pub fn set_policy(&self, policy: Option<Arc<dyn RegistryPolicy>>) {
-        *self.policy.lock() = policy;
     }
 
     /// Registers a connection in the [`ConnState::Handshaking`] state and
@@ -271,9 +202,8 @@ impl ConnRegistry {
     }
 
     /// Attaches a connection's [`SignalHub`] so the registry can read
-    /// delay snapshots from it on every update and the installed
-    /// [`RegistryPolicy`] can steer level bounds back through it. The
-    /// serve path calls this at admission.
+    /// delay snapshots from it on every update. The serve path calls
+    /// this at admission.
     pub fn attach_hub(&self, id: ConnId, hub: Arc<SignalHub>) {
         let mut g = self.inner.lock();
         if let Some(e) = g.live.get_mut(&id) {
@@ -344,23 +274,13 @@ impl ConnRegistry {
     /// received message's payload size, `reply_wire` the wire volume of
     /// the server's reply (the serving socket only tracks its own
     /// sends, so the client's wire volume is not available here), and
-    /// `stats` the serving socket's cumulative view. Returns the
-    /// connection's freshly read delay snapshot (if a hub is attached
-    /// and has one) so the serve path can forward it to the scheduler
-    /// without a second lock round-trip.
-    pub fn update(
-        &self,
-        id: ConnId,
-        recv_raw: u64,
-        reply_wire: u64,
-        stats: &TransferStats,
-    ) -> Option<DelaySnapshot> {
-        let now = self.bus.now();
+    /// `stats` the serving socket's cumulative view. The connection's
+    /// delay snapshot is refreshed from its hub, if one is attached.
+    pub fn update(&self, id: ConnId, recv_raw: u64, reply_wire: u64, stats: &TransferStats) {
         let mut g = self.inner.lock();
         g.totals.messages += 1;
         g.totals.raw_bytes += recv_raw;
         g.totals.reply_wire_bytes += reply_wire;
-        let mut fresh = None;
         if let Some(e) = g.live.get_mut(&id) {
             e.messages += 1;
             e.raw_bytes += recv_raw;
@@ -368,41 +288,8 @@ impl ConnRegistry {
             e.level_bps = stats.level_bps;
             if let Some(hub) = &e.hub {
                 e.delay = hub.snapshot();
-                fresh = e.delay;
             }
         }
-        // Throttled fleet-wide steering pass: collect the delay view and
-        // hub handles under the lock, run the policy and apply its
-        // bounds *outside* it.
-        if now.saturating_sub(g.last_steer) < STEER_PERIOD {
-            return fresh;
-        }
-        let policy = match self.policy.lock().clone() {
-            Some(p) => p,
-            None => return fresh,
-        };
-        g.last_steer = now;
-        let view: Vec<DelayView> = g
-            .live
-            .iter()
-            .map(|(&id, e)| DelayView {
-                id,
-                state: e.state,
-                delay: e.delay,
-            })
-            .collect();
-        let hubs: HashMap<ConnId, Arc<SignalHub>> = g
-            .live
-            .iter()
-            .filter_map(|(&id, e)| e.hub.clone().map(|h| (id, h)))
-            .collect();
-        drop(g);
-        for (conn, (min, max)) in policy.steer(&view) {
-            if let Some(hub) = hubs.get(&conn) {
-                hub.set_level_bounds(min, max);
-            }
-        }
-        fresh
     }
 
     /// Removes `id`, folding it into the lifetime totals.
@@ -476,11 +363,6 @@ impl ConnRegistry {
                 reply_wire_bytes: e.reply_wire_bytes,
                 level_bps: e.level_bps,
                 delay: e.delay,
-                level_bounds: e
-                    .hub
-                    .as_ref()
-                    .map(|h| h.level_bounds())
-                    .unwrap_or((0, adoc_codec::ADOC_MAX_LEVEL)),
                 age_secs: now.saturating_sub(e.registered_at).as_secs_f64(),
             })
             .collect();
@@ -610,66 +492,6 @@ mod tests {
             snap[0].delay.is_some(),
             "snapshot should carry the hub's delay estimate"
         );
-        assert_eq!(snap[0].level_bounds, (0, adoc_codec::ADOC_MAX_LEVEL));
-    }
-
-    #[test]
-    fn policy_steering_applies_bounds_through_the_hub() {
-        struct FloorEverything;
-        impl RegistryPolicy for FloorEverything {
-            fn steer(&self, view: &[DelayView]) -> Vec<(ConnId, (u8, u8))> {
-                view.iter().map(|v| (v.id, (2, 7))).collect()
-            }
-        }
-
-        let reg = ConnRegistry::new();
-        let id = reg.register("p");
-        reg.activate(id, 1);
-        let hub = Arc::new(SignalHub::new());
-        reg.attach_hub(id, hub.clone());
-        reg.set_policy(Some(Arc::new(FloorEverything)));
-
-        let stats = TransferStats::new();
-        // First update after registration: last_steer starts at zero, so
-        // the bus clock has already advanced past the first period only
-        // once real time does — sleep past STEER_PERIOD to be sure.
-        std::thread::sleep(STEER_PERIOD + Duration::from_millis(20));
-        reg.update(id, 1, 1, &stats);
-        assert_eq!(hub.level_bounds(), (2, 7));
-        assert_eq!(reg.snapshot()[0].level_bounds, (2, 7));
-    }
-
-    #[test]
-    fn shared_bottleneck_policy_floors_only_when_half_overuse() {
-        let mk = |id, state| DelayView {
-            id,
-            state: ConnState::Active,
-            delay: Some(DelaySnapshot {
-                queue_delay_us: 0,
-                baseline_us: 0,
-                gradient: 0.0,
-                state,
-                target_bps: None,
-                groups: 10,
-                source: adoc::SignalSource::Local,
-                age: Duration::ZERO,
-            }),
-        };
-        let policy = SharedBottleneckPolicy;
-
-        let calm = [
-            mk(1, CongestionState::Normal),
-            mk(2, CongestionState::Normal),
-            mk(3, CongestionState::Overuse),
-        ];
-        assert!(policy.steer(&calm).iter().all(|&(_, b)| b == (0, 10)));
-
-        let congested = [
-            mk(1, CongestionState::Overuse),
-            mk(2, CongestionState::Overuse),
-            mk(3, CongestionState::Normal),
-        ];
-        assert!(policy.steer(&congested).iter().all(|&(_, b)| b == (1, 10)));
     }
 
     #[test]

@@ -2,12 +2,11 @@
 //! scheduler over the daemon's aggregate wire budget.
 //!
 //! One [`FairScheduler`] guards the budget. Each connection registers a
-//! token bucket whose *weight* is its [`Tier`]'s (times a delay-driven
-//! boost for the control tier); the budget is refilled into the buckets
-//! by weighted water-filling, so share a quiet connection leaves on the
-//! table flows to backlogged peers instead of evaporating — the policy
-//! layer the middleware papers argue should sit *above* the transport,
-//! plugged in through the transport's own seam:
+//! token bucket whose *weight* is its [`Tier`]'s; the budget is refilled
+//! into the buckets by weighted water-filling, so share a quiet
+//! connection leaves on the table flows to backlogged peers instead of
+//! evaporating — the policy layer the middleware papers argue should sit
+//! *above* the transport, plugged in through the transport's own seam:
 //! [`adoc::Throttle::acquire_wire`].
 //!
 //! ## Allocator and drivers
@@ -25,7 +24,7 @@
 //!   ([`Verdict::wakes`]: only an admission whose refill handed out
 //!   credit).
 //! * The drivers ([`driver`]) decide everything about *threads*. The
-//!   allocator sits behind one mutex; [`ConnThrottle::acquire_wire`]
+//!   allocator sits behind one mutex; [`ConnThrottle`]'s `acquire_wire`
 //!   loops on a condvar until its attempt is admitted,
 //!   `try_acquire_wire` makes one attempt and hands the reactor the
 //!   retry hint to park on, and after unlocking both issue the wakeups
@@ -89,7 +88,6 @@ mod driver;
 
 pub use driver::{ConnThrottle, FairScheduler};
 
-use adoc::DelaySnapshot;
 use std::collections::HashMap;
 use std::time::Duration;
 
@@ -120,13 +118,6 @@ const MAX_RETRY_SECS: f64 = 3600.0;
 /// admission's debt is paid at no less than this share of the budget,
 /// which is what bounds its admission latency.
 const CONTROL_PREEMPT_FRACTION: f64 = 0.5;
-
-/// Ceiling on the delay-driven weight boost [`FairScheduler::report_delay`]
-/// may apply to a Control-tier connection.
-const MAX_DELAY_BOOST: f64 = 2.0;
-
-/// Queueing delay above baseline (µs) at which the delay boost saturates.
-const BOOST_SATURATION_US: f64 = 10_000.0;
 
 /// Priority tier of a connection's traffic: `Control > Paid > Bulk`.
 ///
@@ -210,15 +201,10 @@ pub struct BucketSnapshot {
     pub tokens: f64,
     /// Total wire bytes admitted so far.
     pub admitted: u64,
-    /// Effective scheduling weight (tier × delay boost).
+    /// Scheduling weight (the tier's).
     pub weight: f64,
     /// Priority tier.
     pub tier: Tier,
-    /// Queueing delay (µs) of the latest reported delay snapshot, if
-    /// the connection has one.
-    pub delay_us: Option<u64>,
-    /// Delay-driven weight boost currently applied (1.0 = none).
-    pub boost: f64,
 }
 
 /// One pacing bucket (a registered connection, or the shared drain
@@ -231,10 +217,6 @@ struct Bucket {
     /// Wire bytes ever admitted through this bucket.
     admitted: u64,
     tier: Tier,
-    /// Delay-driven weight boost (1.0 = none).
-    boost: f64,
-    /// Queueing delay (µs) of the latest reported delay snapshot.
-    delay_us: Option<u64>,
     /// Refused admissions pending on this bucket: blocked threads (a
     /// striped group's emission threads share one bucket, orphans share
     /// the drain bucket) plus a connection parked in its reactor. While
@@ -254,17 +236,14 @@ impl Bucket {
             tokens,
             admitted: 0,
             tier,
-            boost: 1.0,
-            delay_us: None,
             pending: 0,
             backlogged_since: None,
             parked: false,
         }
     }
 
-    /// Effective scheduling weight: tier multiplier × delay boost.
     fn weight(&self) -> f64 {
-        self.tier.weight() * self.boost
+        self.tier.weight()
     }
 
     /// True when an admission is pending on this bucket. Backlogged
@@ -281,8 +260,6 @@ impl Bucket {
             admitted: self.admitted,
             weight: self.weight(),
             tier: self.tier,
-            delay_us: self.delay_us,
-            boost: self.boost,
         }
     }
 }
@@ -514,24 +491,6 @@ impl Allocator {
         };
         b.tier = tier;
         true
-    }
-
-    /// Records `conn`'s latest delay snapshot. A Control-tier
-    /// connection whose queueing delay is building gets a transient
-    /// weight boost (up to [`MAX_DELAY_BOOST`]×, saturating at
-    /// [`BOOST_SATURATION_US`] above baseline); other tiers are never
-    /// boosted — their delay is the congestion being managed.
-    fn report_delay(&mut self, conn: u64, snap: DelaySnapshot) {
-        let Some(b) = self.buckets.get_mut(&conn) else {
-            return;
-        };
-        b.boost = match b.tier {
-            Tier::Control => {
-                (1.0 + snap.above_baseline_us() as f64 / BOOST_SATURATION_US).min(MAX_DELAY_BOOST)
-            }
-            _ => 1.0,
-        };
-        b.delay_us = Some(snap.queue_delay_us);
     }
 
     /// Replaces the budget at `now`. Balances are clamped down to the
@@ -1070,19 +1029,6 @@ mod tests {
         got
     }
 
-    fn overuse_snap(above_us: u64) -> DelaySnapshot {
-        DelaySnapshot {
-            queue_delay_us: above_us,
-            baseline_us: 0,
-            gradient: 100.0,
-            state: adoc::CongestionState::Overuse,
-            target_bps: None,
-            groups: 30,
-            source: adoc::SignalSource::Remote,
-            age: Duration::ZERO,
-        }
-    }
-
     // ---- The allocator in virtual time ----
 
     #[test]
@@ -1438,7 +1384,6 @@ mod tests {
         let snap = sched.snapshot();
         let row = snap.iter().find(|r| r.conn == 9).expect("restored row");
         assert_eq!(row.admitted, 5120, "lifetime counter must survive");
-        // Effective weight = the tier's (boost is 1.0 after a restore).
         assert_eq!(row.weight, Tier::Paid.weight());
         assert_eq!(row.tier, Tier::Paid);
         restored.acquire_wire(100);
@@ -1692,30 +1637,6 @@ mod tests {
     }
 
     #[test]
-    fn delay_reports_boost_only_the_control_tier() {
-        let sched = FairScheduler::new(Some(8e6));
-        let c = sched.register_with(1, Tier::Control);
-        let b = sched.register(2);
-        // Saturated delay: control doubles, bulk stays at weight 1.
-        sched.report_delay(1, overuse_snap(20_000));
-        sched.report_delay(2, overuse_snap(20_000));
-        let snap = sched.snapshot();
-        let of = |conn: u64| *snap.iter().find(|s| s.conn == conn).unwrap();
-        assert_eq!(of(1).boost, MAX_DELAY_BOOST);
-        assert_eq!(of(1).weight, Tier::Control.weight() * MAX_DELAY_BOOST);
-        assert_eq!(of(2).boost, 1.0);
-        assert_eq!(of(2).weight, 1.0);
-        assert_eq!(of(1).delay_us, Some(20_000));
-        assert_eq!(of(2).delay_us, Some(20_000));
-        // A calmed signal releases the boost.
-        let mut calm = overuse_snap(0);
-        calm.state = adoc::CongestionState::Normal;
-        sched.report_delay(1, calm);
-        assert_eq!(sched.snapshot()[0].boost, 1.0);
-        drop((c, b));
-    }
-
-    #[test]
     fn utilization_is_none_unlimited_and_zero_fresh() {
         let unlimited = FairScheduler::new(None);
         assert_eq!(unlimited.utilization(), None);
@@ -1759,7 +1680,7 @@ mod tests {
         let mut rng = Rng(1);
         for case in 0..400 {
             // Up to six buckets (five connections and the drain bucket)
-            // at random tiers, boosts, balances and backlog.
+            // at random tiers — so weights vary — balances and backlog.
             let budget = 10f64.powf(5.0 + 3.0 * rng.unit());
             let mut a = Allocator::new(Some(budget));
             for conn in 1..=1 + rng.below(5) {
@@ -1767,9 +1688,6 @@ mod tests {
             }
             let total = a.total_weight();
             for b in a.buckets.values_mut().chain([&mut a.drain]) {
-                if rng.below(4) == 0 {
-                    b.boost = 1.0 + rng.unit();
-                }
                 let cap = Allocator::cap_for(budget, b.weight(), total);
                 b.tokens = cap * (2.5 * rng.unit() - 1.5);
                 b.pending = rng.below(3) as usize;
@@ -1835,7 +1753,7 @@ mod tests {
     }
 
     /// Runs `ops` random operations — arrive, park, retry, deregister,
-    /// restore, re-tier, delay reports, budget changes, rests — against
+    /// restore, re-tier, budget changes, rests — against
     /// one allocator, asserting after each that the books agree with a
     /// model of who is waiting where.
     fn random_schedule(seed: u64, ops: usize) {
@@ -1932,10 +1850,7 @@ mod tests {
                 }
                 11 if !live.is_empty() => {
                     let conn = live[rng.below(live.len() as u64) as usize].0;
-                    match rng.below(2) {
-                        0 => assert!(a.set_tier(conn, rng.tier())),
-                        _ => a.report_delay(conn, overuse_snap(rng.below(30_000))),
-                    }
+                    assert!(a.set_tier(conn, rng.tier()));
                 }
                 12 => {
                     // Carryover round trip on a connection nobody waits on.
@@ -2137,7 +2052,6 @@ mod tests {
             };
             let mut a = Allocator::new(Some(budget));
             a.register(1, rng.tier());
-            a.report_delay(1, overuse_snap(rng.below(30_000)));
             let (mut now, mut stage) = (ZERO, Stage::First);
             for _ in 0..4 {
                 let verdict = a.attempt(1, 1 << 20, now, stage, true);
@@ -2156,9 +2070,8 @@ mod tests {
 
     /// Waits of a control-tier connection's admissions (4 KiB in, 4 KiB
     /// out, 100 requests/s open loop) beside one to five saturating
-    /// bulk or paid connections of random message sizes, boosted to the
-    /// maximum or not.
-    fn control_waits(seed: u64, boosted: bool) -> Vec<Duration> {
+    /// bulk or paid connections of random message sizes.
+    fn control_waits(seed: u64) -> Vec<Duration> {
         let mut rng = Rng(seed);
         let mut sim = Sim::new(8e6);
         for conn in 1..=1 + rng.below(5) {
@@ -2170,31 +2083,29 @@ mod tests {
             Tier::Control,
             Flow::new(99, vec![4096, 4096]).every(secs(0.01)).parked(),
         );
-        if boosted {
-            sim.alloc.report_delay(99, overuse_snap(20_000));
-        }
         sim.run(secs(4.0));
         std::mem::take(&mut sim.flows[control].waits)
     }
 
     #[test]
-    fn control_admission_delay_is_bounded_with_and_without_the_boost() {
-        // The reserve alone pays a control debt (at most 4 KiB) at half
-        // the budget whatever the bulk load: ~1 ms at 8 MB/s. The boost
-        // must not be what holds the bound. (`--nocapture` prints both.)
+    fn control_admission_delay_is_bounded_by_the_reserve() {
+        // The reserve pays a control debt (at most 4 KiB) at half the
+        // budget whatever the bulk load: ~1 ms at 8 MB/s.
+        // (`--nocapture` prints the distribution.)
         let bound = secs(1.02 * 4097.0 / (8e6 * CONTROL_PREEMPT_FRACTION) + 0.001);
-        for boosted in [false, true] {
-            let mut all = Vec::new();
-            for seed in 0..10 {
-                all.extend(control_waits(seed, boosted));
-            }
-            let (p99, max) = (quantile(&all, 0.99), quantile(&all, 1.0));
-            eprintln!("control admission wait, boost {boosted}: p99 {p99:?}, max {max:?} over {} admissions", all.len());
-            assert!(
-                max <= bound,
-                "boost {boosted}: a control admission waited {max:?} > {bound:?}"
-            );
+        let mut all = Vec::new();
+        for seed in 0..10 {
+            all.extend(control_waits(seed));
         }
+        let (p99, max) = (quantile(&all, 0.99), quantile(&all, 1.0));
+        eprintln!(
+            "control admission wait: p99 {p99:?}, max {max:?} over {} admissions",
+            all.len()
+        );
+        assert!(
+            max <= bound,
+            "a control admission waited {max:?} > {bound:?}"
+        );
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use super::{Allocator, BucketSnapshot, SchedCarryover, Stage, Tier, Verdict};
 use crate::event::{Event, EventBus};
-use adoc::{DelaySnapshot, Throttle};
+use adoc::Throttle;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -200,15 +200,6 @@ impl FairScheduler {
             self.wake_all();
         }
         known
-    }
-
-    /// Feeds a connection's latest delay-gradient snapshot into the
-    /// scheduler: a Control-tier connection whose queueing delay is
-    /// building gets a transient weight boost, so the latency-sensitive
-    /// tier wins share exactly when its latency is being hurt. Other
-    /// tiers only record the snapshot (for metrics).
-    pub fn report_delay(&self, conn: u64, snap: DelaySnapshot) {
-        self.lock().report_delay(conn, snap);
     }
 
     /// Snapshots every live bucket, sorted by connection id. Read-only:

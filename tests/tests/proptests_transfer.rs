@@ -34,8 +34,8 @@ fn payload_strategy() -> impl Strategy<Value = Vec<u8>> {
     ]
 }
 
-/// Level bounds accepted by `adoc_write_levels`.
-fn level_bounds() -> impl Strategy<Value = (u8, u8)> {
+/// `(min, max)` level ranges accepted by `adoc_write_levels`.
+fn level_range() -> impl Strategy<Value = (u8, u8)> {
     (0u8..=10, 0u8..=10).prop_map(|(a, b)| if a <= b { (a, b) } else { (b, a) })
 }
 
@@ -43,7 +43,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn any_payload_any_levels_roundtrips((min, max) in level_bounds(), data in payload_strategy()) {
+    fn any_payload_any_levels_roundtrips((min, max) in level_range(), data in payload_strategy()) {
         let (mut tx, mut rx) = pair(AdocConfig::default());
         let expect = data.clone();
         let t = thread::spawn(move || {

@@ -8,7 +8,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-RATCHET=15598
+RATCHET=15371
 
 total=0
 for crate in crates/core/src crates/server/src; do
