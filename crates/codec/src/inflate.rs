@@ -612,21 +612,6 @@ mod tests {
         }
     }
 
-    /// `(level, raw_len, payload)` of every frame in a v1 wire capture:
-    /// a 10-byte message header, a length-prefixed probe, then frames
-    /// under 9-byte headers.
-    fn v1_frames(capture: &[u8]) -> Vec<(u8, usize, &[u8])> {
-        let word = |at: usize| u32::from_le_bytes(capture[at..at + 4].try_into().unwrap()) as usize;
-        let mut at = 10 + 4 + word(10);
-        let mut frames = Vec::new();
-        while at < capture.len() {
-            let (level, raw_len, len) = (capture[at], word(at + 1), word(at + 5));
-            frames.push((level, raw_len, &capture[at + 9..at + 9 + len]));
-            at += 9 + len;
-        }
-        frames
-    }
-
     #[test]
     fn fast_and_checked_loops_agree_on_damaged_fixture_payloads() {
         let captures: [(&str, &[u8]); 3] = [
@@ -644,7 +629,7 @@ mod tests {
             ),
         ];
         for (name, capture) in captures {
-            let frames = v1_frames(capture);
+            let frames = crate::fixtures::v1_frames(capture);
             assert!(frames.len() >= 2, "{name}");
             for (k, &(level, raw_len, payload)) in frames.iter().enumerate() {
                 assert!(level >= 2, "{name}: a DEFLATE frame");

@@ -49,3 +49,21 @@ pub use deflate::DeflateEncoder;
 pub use error::{CodecError, Result};
 pub use level::{compress_at, decompress_at, Algo, Codec, ADOC_MAX_LEVEL, ADOC_MIN_LEVEL};
 pub use lz77::Lz77Encoder;
+
+#[cfg(test)]
+mod fixtures {
+    /// `(level, raw_len, payload)` of every frame in a v1 wire capture:
+    /// a 10-byte message header, a length-prefixed probe, then frames
+    /// under 9-byte headers.
+    pub(crate) fn v1_frames(capture: &[u8]) -> Vec<(u8, usize, &[u8])> {
+        let word = |at: usize| u32::from_le_bytes(capture[at..at + 4].try_into().unwrap()) as usize;
+        let mut at = 10 + 4 + word(10);
+        let mut frames = Vec::new();
+        while at < capture.len() {
+            let (level, raw_len, len) = (capture[at], word(at + 1), word(at + 5));
+            frames.push((level, raw_len, &capture[at + 9..at + 9 + len]));
+            at += 9 + len;
+        }
+        frames
+    }
+}

@@ -166,6 +166,7 @@ pub fn decompress(input: &[u8], out: &mut Vec<u8>, max_out: usize) -> Result<()>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Codec;
 
     fn roundtrip(data: &[u8]) -> Vec<u8> {
         let mut comp = Vec::new();
@@ -274,6 +275,69 @@ mod tests {
         let mut out = Vec::new();
         let err = decompress(&comp, &mut out, 100).unwrap_err();
         assert!(matches!(err, CodecError::OutputLimitExceeded { .. }));
+    }
+
+    /// The receiver's level-1 call on `damaged`: never a panic, never
+    /// more than `raw_len` bytes, a typed error exactly when the decoder
+    /// underneath fails or comes up short.
+    fn assert_total(codec: &mut Codec, damaged: &[u8], raw_len: usize, what: &str) {
+        let mut out = vec![0u8; raw_len];
+        let verdict = codec.decompress_into(1, damaged, &mut out);
+        let mut grown = b"kept".to_vec();
+        let inner = decompress(damaged, &mut grown, raw_len);
+        assert!(
+            grown.len() <= 4 + raw_len && grown.starts_with(b"kept"),
+            "{what}: {} bytes decoded",
+            grown.len() - 4
+        );
+        match verdict {
+            Ok(()) => assert!(inner.is_ok() && grown[4..] == out[..], "{what}"),
+            Err(e) => assert!(
+                matches!(
+                    e,
+                    CodecError::UnexpectedEof
+                        | CodecError::BadDistance { .. }
+                        | CodecError::OutputLimitExceeded { .. }
+                        | CodecError::Corrupt("decoded size differs from frame raw_len")
+                ) && (inner.is_err() || grown.len() < 4 + raw_len),
+                "{what}: {e:?}"
+            ),
+        }
+    }
+
+    #[test]
+    fn decoder_is_total_on_damaged_fixture_frames() {
+        // Every truncation and every single-byte mutation of every LZF
+        // frame the v1 capture carries (`stride` thins both out in
+        // unoptimized builds).
+        let capture = include_bytes!("../../../tests/fixtures/v1_pinned_l1.bin");
+        let frames = crate::fixtures::v1_frames(capture);
+        assert!(frames.len() >= 2);
+        let stride = if cfg!(debug_assertions) { 17 } else { 1 };
+        let mut codec = Codec::new();
+        for (k, &(level, raw_len, payload)) in frames.iter().enumerate() {
+            assert_eq!(level, 1, "frame {k}: an LZF frame");
+            let mut intact = vec![0u8; raw_len];
+            codec.decompress_into(1, payload, &mut intact).unwrap();
+            let mut bad = payload.to_vec();
+            for at in (0..payload.len()).step_by(stride) {
+                assert_total(
+                    &mut codec,
+                    &payload[..at],
+                    raw_len,
+                    &format!("frame {k} cut at {at}"),
+                );
+                let flip = [0x01u8, 0x10, 0xFF][at % 3];
+                bad[at] ^= flip;
+                assert_total(
+                    &mut codec,
+                    &bad,
+                    raw_len,
+                    &format!("frame {k} mutated at {at}"),
+                );
+                bad[at] ^= flip;
+            }
+        }
     }
 
     #[test]

@@ -1,18 +1,14 @@
 //! Every constant the paper fixes, as a tunable (the ablation benches
-//! sweep them).
+//! sweep them). The level controller ([`crate::adapt`]) reads nothing
+//! else: the level bounds, the queue capacity with the Fig. 2
+//! watermarks, and the §5 guard constants below are its whole
+//! configuration.
 
-use crate::adapt::{DelayAwarePolicy, LevelPolicy};
 use crate::error::AdocError;
 use crate::pool::BufferPool;
-use crate::signals::SignalHub;
 use crate::throttle::{NoThrottle, Throttle};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Builds a fresh [`LevelPolicy`] per stream of a connection (each stream
-/// keeps its own controller, hence its own policy instance, for as long
-/// as the connection lives).
-pub type LevelPolicyFactory = Arc<dyn Fn() -> Box<dyn LevelPolicy> + Send + Sync>;
 
 /// Configuration of an AdOC endpoint.
 ///
@@ -86,22 +82,6 @@ pub struct AdocConfig {
     /// share the underlying free list): the send and receive hot paths
     /// draw all their buffers from here instead of the allocator.
     pub pool: BufferPool,
-    /// Per-connection delay-signal hub ([`crate::signals`]): the sender
-    /// feeds its emission delays in, the receiver feeds wire-timestamp
-    /// arrivals in, and the level policy / server scheduler read
-    /// snapshots out. `None` leaves the connection signal-less (the
-    /// socket constructors install a fresh hub when `delay_signals` is
-    /// on); clones share the hub, which is the point — one connection's
-    /// send and receive halves must meet in the same hub.
-    pub signals: Option<Arc<SignalHub>>,
-    /// Stamp departure timestamps into outgoing v2 frames
-    /// ([`crate::wire::FRAME_TS_FLAG`]) and run the delay estimators.
-    /// Off the wire is byte-identical to the previous release; v1
-    /// (single-stream) framing never carries timestamps either way.
-    pub delay_signals: bool,
-    /// Builds the [`LevelPolicy`] each pipeline's controller consults;
-    /// defaults to [`DelayAwarePolicy`].
-    pub policy: LevelPolicyFactory,
 }
 
 impl std::fmt::Debug for AdocConfig {
@@ -143,9 +123,6 @@ impl Default for AdocConfig {
             hello_timeout: Duration::from_secs(10),
             throttle: Arc::new(NoThrottle),
             pool: BufferPool::default(),
-            signals: None,
-            delay_signals: true,
-            policy: Arc::new(|| Box::new(DelayAwarePolicy)),
         }
     }
 }
@@ -177,43 +154,6 @@ impl AdocConfig {
     pub fn with_hello_timeout(mut self, timeout: Duration) -> Self {
         self.hello_timeout = timeout;
         self
-    }
-
-    /// Installs a shared delay-signal hub (see [`AdocConfig::signals`]).
-    pub fn with_signals(mut self, hub: Arc<SignalHub>) -> Self {
-        self.signals = Some(hub);
-        self
-    }
-
-    /// Installs a level-policy factory (see [`AdocConfig::policy`]).
-    pub fn with_policy(mut self, policy: LevelPolicyFactory) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Builds one level policy from the configured factory.
-    pub fn level_policy(&self) -> Box<dyn LevelPolicy> {
-        (self.policy)()
-    }
-
-    /// Installs a fresh hub when delay signals are on and none is
-    /// present yet. The socket constructors call this so every clone of
-    /// a connection's config (each `write` clones it) shares one hub —
-    /// the send and receive halves must meet in the same estimators.
-    pub fn ensure_signal_hub(&mut self) {
-        if self.delay_signals && self.signals.is_none() {
-            self.signals = Some(Arc::new(SignalHub::new()));
-        }
-    }
-
-    /// The connection's signal hub, but only while delay signals are
-    /// enabled — the single gate every producer and consumer shares.
-    pub fn signal_hub(&self) -> Option<&SignalHub> {
-        if self.delay_signals {
-            self.signals.as_deref()
-        } else {
-            None
-        }
     }
 
     /// True when the caller forces compression on (paper: `min` set above

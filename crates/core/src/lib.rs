@@ -67,24 +67,22 @@ pub mod queue;
 pub mod receiver;
 pub mod sender;
 pub mod session;
-pub mod signals;
 pub mod socket;
 pub mod stats;
 pub mod throttle;
 pub mod wire;
 
-pub use adapt::{DelayAwarePolicy, LevelDecision, LevelPolicy, LevelReason, PolicyCtx};
+pub use adapt::LevelReason;
 pub use capi::{
     adoc_close, adoc_read, adoc_receive_file, adoc_register, adoc_register_cfg,
     adoc_register_group, adoc_send_file, adoc_send_file_levels, adoc_write, adoc_write_levels,
 };
-pub use config::{AdocConfig, LevelPolicyFactory};
+pub use config::AdocConfig;
 pub use error::AdocError;
 pub use hist::{HistSnapshot, HistSummary, Histogram};
 pub use pool::{BufferPool, PoolStats, PooledBuf};
 pub use receiver::RecvProgress;
 pub use session::{SessionTicket, TicketError, TicketKey, TICKET_LEN};
-pub use signals::{CongestionState, DelaySnapshot, SignalHub, SignalSource};
 pub use socket::{AdocSocket, AdocStreamGroup, ResumePoint, SendReport, SessionInfo};
 pub use stats::{LevelEvent, StreamSendStats, TransferStats};
 pub use throttle::{NoThrottle, SleepThrottle, Throttle};

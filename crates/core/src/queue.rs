@@ -44,10 +44,6 @@ pub struct Packet {
     /// Share of the buffer's *raw* size this packet represents (for
     /// visible-bandwidth accounting).
     pub raw_share: u32,
-    /// When this packet entered the emission queue, if the sender is
-    /// feeding the delay-signal layer ([`crate::signals`]): the local
-    /// estimator's departure timestamp.
-    pub queued_at: Option<std::time::Instant>,
 }
 
 impl Packet {
@@ -68,7 +64,6 @@ impl Packet {
             len,
             level,
             raw_share,
-            queued_at: None,
         }
     }
 
@@ -194,7 +189,7 @@ impl<T> BoundedQueue<T> {
         self.len() == 0
     }
 
-    /// Producer signals end of stream; the consumer drains what remains.
+    /// Producer marks end of stream; the consumer drains what remains.
     /// Wakes every waiter on both sides (a producer blocked in [`Self::push`]
     /// on a full queue returns [`PushError::Closed`]). Idempotent.
     pub fn close(&self) {
@@ -205,7 +200,7 @@ impl<T> BoundedQueue<T> {
         self.not_full.notify_all();
     }
 
-    /// Consumer signals failure; pending and future pushes fail fast and
+    /// Consumer reports failure; pending and future pushes fail fast and
     /// queued items are dropped. Idempotent.
     pub fn poison(&self) {
         let mut g = self.inner.lock();

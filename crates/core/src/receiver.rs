@@ -121,7 +121,7 @@ where
             raw_len - probe_len
         }
     };
-    let framing = Framing::choose(readers.len(), resume.is_some(), false);
+    let framing = Framing::choose(readers.len(), resume.is_some());
     receive_frames(readers, sink, body_len, framing, cfg, progress, codec)?;
     progress.active = false;
     Ok(Some(progress.total_raw))
@@ -289,7 +289,7 @@ impl ReorderBuffer {
         }
     }
 
-    /// Input side signals death: wakes everyone; the consumer sees an
+    /// Input side reports death: wakes everyone; the consumer sees an
     /// early end and reports the byte shortfall.
     fn abort(&self) {
         let mut g = self.inner.lock();
@@ -300,7 +300,7 @@ impl ReorderBuffer {
         self.can_pop.notify_all();
     }
 
-    /// Consumer signals death: wakes reception threads blocked in `push`.
+    /// Consumer reports death: wakes reception threads blocked in `push`.
     fn fail(&self) {
         let mut g = self.inner.lock();
         g.failed = true;
@@ -431,13 +431,6 @@ fn reception_thread<R: Read>(
         fh.body()
             .check_bounds(cfg.buffer_size, body_len - collected)?;
         let payload = read_payload(reader, fh.payload_len, cfg)?;
-        // Timestamped frame → the remote leg of the delay-signal loop:
-        // departure is the sender's stamp, arrival is now. Both
-        // estimators only consume deltas, so the two clocks never need
-        // to agree on an epoch.
-        if let (Some(ts), Some(hub)) = (fh.ts_us, cfg.signal_hub()) {
-            hub.record_remote(ts, hub.now_us(), fh.payload_len as usize);
-        }
         frames_seen += 1;
         collected += u64::from(fh.raw_len);
         let frame = RecvFrame {
@@ -676,41 +669,6 @@ mod tests {
             assert_eq!(tx.pool.stats().outstanding, 0);
             assert_eq!(rx.pool.stats().outstanding, 0);
         }
-    }
-
-    #[test]
-    fn striped_roundtrip_feeds_the_remote_estimator() {
-        // With hubs installed on both ends, striped frames carry the
-        // 0x40-flagged timestamp and the receiver's hub must come back
-        // with a Remote snapshot; the sender's hub sees local emission
-        // samples regardless.
-        use crate::signals::{SignalHub, SignalSource};
-        let tx_hub = std::sync::Arc::new(SignalHub::new());
-        let rx_hub = std::sync::Arc::new(SignalHub::new());
-        let tx = AdocConfig::default()
-            .with_levels(1, 10)
-            .with_signals(tx_hub.clone());
-        let rx = AdocConfig::default().with_signals(rx_hub.clone());
-        let data = compressible(2 << 20);
-        assert_eq!(roundtrip_striped(3, &tx, &rx, &data), data);
-        let snap = rx_hub
-            .snapshot()
-            .expect("timestamped frames must feed the receiver's estimator");
-        assert_eq!(snap.source, SignalSource::Remote);
-        assert!(tx_hub.snapshot().is_some(), "sender-side local samples");
-    }
-
-    #[test]
-    fn signal_hub_on_tx_only_still_roundtrips() {
-        // A timestamp-stamping sender against a hub-less receiver: the
-        // flag bit must parse cleanly and the bytes must survive.
-        use crate::signals::SignalHub;
-        let tx = AdocConfig::default()
-            .with_levels(1, 10)
-            .with_signals(std::sync::Arc::new(SignalHub::new()));
-        let rx = AdocConfig::default();
-        let data = compressible(1 << 20);
-        assert_eq!(roundtrip_striped(2, &tx, &rx, &data), data);
     }
 
     #[test]

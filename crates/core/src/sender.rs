@@ -25,7 +25,6 @@ use crate::error::AdocError;
 use crate::pool::PooledBuf;
 use crate::queue::{Packet, PacketQueue};
 use crate::session::ResumePoint;
-use crate::signals::SignalHub;
 use crate::stats::{StreamSendStats, TransferStats};
 use crate::wire::{self, FrameHeader, FrameHeaderV2, Framing, MsgKind};
 use adoc_codec::Codec;
@@ -183,9 +182,6 @@ where
         }
     };
 
-    // Fast-path frames skip the timestamp: the link already outran
-    // compression, so there is no adaptation to feed.
-    let timestamped = cfg.signal_hub().is_some() && !out.fast_path;
     let frames = FrameSource {
         state: Mutex::new(SourceState {
             source,
@@ -193,7 +189,7 @@ where
             left: body_len,
             error: None,
         }),
-        framing: Framing::choose(writers.len(), resume.is_some(), timestamped),
+        framing: Framing::choose(writers.len(), resume.is_some()),
     };
     if out.fast_path {
         send_raw_frames(writers, &frames, cfg, &mut out)?;
@@ -373,7 +369,7 @@ fn send_raw_frames<W: Write, S: Read>(
             raw_len: want as u32,
             payload_len: want as u32,
         };
-        framing.encode_header(&mut frame[..hdr], body, 0, seq, None);
+        framing.encode_header(&mut frame[..hdr], body, 0, seq);
         cfg.throttle.acquire_wire(frame.len());
         writers[0].write_all(&frame)?;
         sent += 1;
@@ -435,7 +431,7 @@ where
                 let bw = &*bw;
                 (
                     s.spawn(move || compression_thread(i as u8, frames, q, bw, ctrl, codec, cfg)),
-                    s.spawn(move || emission_thread(w, q, bw, &*cfg.throttle, cfg.signal_hub())),
+                    s.spawn(move || emission_thread(w, q, bw, &*cfg.throttle)),
                 )
             })
             .collect();
@@ -580,12 +576,10 @@ fn push_frame_packets(
     let frame = Arc::new(frame);
     let mut pushed = 0u32;
     let mut offset = 0usize;
-    let queued_at = Instant::now();
     while offset < total {
         let end = (offset + packet_size).min(total);
         let share = raw_share(want, offset, end, total);
-        let mut pkt = Packet::view(Arc::clone(&frame), offset, end - offset, level, share);
-        pkt.queued_at = Some(queued_at);
+        let pkt = Packet::view(Arc::clone(&frame), offset, end - offset, level, share);
         if queue.push(pkt).is_err() {
             return Err(());
         }
@@ -614,16 +608,12 @@ fn compression_thread<S: Read>(
     let _stop = StopOnDrop(frames);
     ctrl.begin_message();
     let mut out = CompOutcome::default();
-    let hub = cfg.signal_hub();
     let framing = frames.framing;
     let hdr = framing.header_len();
 
     while let Some((seq, want, raw)) = frames.claim(cfg) {
-        // §3.2: the level is updated before each new buffer — with the
-        // freshest delay verdict alongside the queue length, when this
-        // connection runs the signal layer.
-        let delay = hub.and_then(|h| h.snapshot());
-        let level = ctrl.next_level_with(queue.len(), bw, delay, Instant::now(), cfg);
+        // §3.2: the level is updated before each new buffer.
+        let level = ctrl.next_level_with(queue.len(), bw, Instant::now(), cfg);
         let t0 = Instant::now();
         let (mut frame, level) = encode_frame_payload(raw, want, hdr, level, ctrl, codec, cfg)?;
         let encoded = Instant::now();
@@ -639,11 +629,7 @@ fn compression_thread<S: Read>(
             raw_len: want as u32,
             payload_len: (frame.len() - hdr) as u32,
         };
-        // Departure stamp for the receiver's remote estimator: taken at
-        // enqueue, so emission-queue wait shows up as delay — exactly the
-        // backlog the gradient is meant to see.
-        let ts_us = hub.map(|h| h.now_us());
-        framing.encode_header(&mut frame[..hdr], body, stream_id, seq, ts_us);
+        framing.encode_header(&mut frame[..hdr], body, stream_id, seq);
 
         match push_frame_packets(queue, frame, want, level, cfg.packet_size) {
             Ok(pushed) => ctrl.packets_pushed(pushed),
@@ -683,7 +669,6 @@ fn emission_thread<W: Write>(
     queue: &PacketQueue,
     bw: &BandwidthMonitor,
     throttle: &dyn crate::throttle::Throttle,
-    signals: Option<&SignalHub>,
 ) -> io::Result<u64> {
     // Any exit — socket error, panic — must unblock a producer waiting
     // for queue space; poisoning after a clean drain is a no-op for the
@@ -700,11 +685,6 @@ fn emission_thread<W: Write>(
         writer.write_all(pkt.bytes())?;
         if pkt.raw_share > 0 {
             bw.record(pkt.level, u64::from(pkt.raw_share), t0.elapsed());
-        }
-        // Local estimator: enqueue → wire is the sender-side leg of the
-        // delay a receiver would echo back, available even on v1 framing.
-        if let (Some(hub), Some(q)) = (signals, pkt.queued_at) {
-            hub.record_local(q, Instant::now(), pkt.len());
         }
         wire_bytes += pkt.len() as u64;
     }
@@ -987,19 +967,22 @@ mod tests {
 
     #[test]
     fn consecutive_messages_report_their_own_guard_counters() {
-        // A policy that always asks for level 3 trips the ratio guard on
-        // incompressible data in every message, and the stream's
-        // controller and monitor carry over from one message to the next.
-        struct Pin3;
-        impl crate::adapt::LevelPolicy for Pin3 {
-            fn decide(&mut self, _ctx: &crate::adapt::PolicyCtx<'_>) -> crate::LevelDecision {
-                crate::LevelDecision::queue(3)
+        // A link slow enough that a buffer's 25 packets are still queued
+        // when the next buffer is chosen: Fig. 2 climbs from 1 to 3 on
+        // the growing queue, so every message trips the ratio guard on
+        // incompressible data, and the stream's controller and monitor
+        // carry over from one message to the next.
+        struct SlowLink;
+        impl crate::throttle::Throttle for SlowLink {
+            fn charge(&self, _elapsed: std::time::Duration) {}
+            fn acquire_wire(&self, _bytes: usize) {
+                std::thread::sleep(std::time::Duration::from_millis(3));
             }
         }
         let cfg = AdocConfig::default()
             .with_levels(1, 10)
-            .with_policy(Arc::new(|| Box::new(Pin3)));
-        let data = noise(1_200_000);
+            .with_throttle(Arc::new(SlowLink));
+        let data = noise(600_000);
         let (mut streams, mut wire) = (Vec::new(), Vec::new());
         let mut stats = TransferStats::new();
         let (mut reverts, mut trips) = (0, 0);
@@ -1047,7 +1030,7 @@ mod tests {
         let first_climb = |st: &mut StreamState, at: Instant| -> Vec<u8> {
             st.ctrl.begin_message();
             [0, 25]
-                .map(|queue| st.ctrl.next_level_with(queue, &st.bw, None, at, &cfg))
+                .map(|queue| st.ctrl.next_level_with(queue, &st.bw, at, &cfg))
                 .to_vec()
         };
         let t0 = Instant::now();

@@ -203,9 +203,8 @@ impl<R: Read + Send, W: Write + Send> AdocStreamGroup<R, W> {
     /// itself (see the `adoc-server` daemon).
     pub fn from_negotiated(pairs: Vec<(R, W)>, cfg: AdocConfig) -> io::Result<Self> {
         assert!(!pairs.is_empty(), "a stream group needs at least 1 stream");
-        let mut cfg = cfg.with_streams(pairs.len());
+        let cfg = cfg.with_streams(pairs.len());
         cfg.validate()?;
-        cfg.ensure_signal_hub();
         let (readers, writers): (Vec<R>, Vec<W>) = pairs.into_iter().unzip();
         Ok(AdocStreamGroup {
             stream_state: vec![StreamState::new(&cfg)],
@@ -588,7 +587,7 @@ impl AdocStreamGroup<TcpStream, TcpStream> {
     /// [`AdocError::AuthFailed`] / [`AdocError::ResumeRejected`].
     fn session_handshake(
         addr: impl ToSocketAddrs,
-        mut cfg: AdocConfig,
+        cfg: AdocConfig,
         token: u64,
         kind: SessionKind,
         session_id: u64,
@@ -596,7 +595,6 @@ impl AdocStreamGroup<TcpStream, TcpStream> {
         mac: [u8; 16],
     ) -> io::Result<(Self, SessionAccept)> {
         cfg.validate()?;
-        cfg.ensure_signal_hub();
         let addr = addr
             .to_socket_addrs()?
             .next()
@@ -707,9 +705,8 @@ impl AdocStreamGroup<TcpStream, TcpStream> {
     /// a typed [`AdocError::HelloTimeout`] instead of wedging the accept
     /// loop forever (a client may die between its dials just as easily
     /// as between connecting and its hello).
-    pub fn accept(listener: &TcpListener, mut cfg: AdocConfig) -> io::Result<Self> {
+    pub fn accept(listener: &TcpListener, cfg: AdocConfig) -> io::Result<Self> {
         cfg.validate()?;
-        cfg.ensure_signal_hub();
         let n = cfg.streams;
         if n == 1 {
             let (s, _) = listener.accept()?;

@@ -326,11 +326,11 @@ mod csv_tests {
     fn timeline_csv_format() {
         let mut s = TransferStats::new();
         s.record_buffer(3);
-        s.record_buffer_reason(Instant::now(), 5, LevelReason::DelayGradient);
+        s.record_buffer_reason(Instant::now(), 5, LevelReason::ThroughputDiverged);
         let csv = s.timeline_csv();
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines[0], "seconds,level,reason");
         assert!(lines[1].ends_with(",3,queue_pressure"));
-        assert!(lines[2].ends_with(",5,delay_gradient"));
+        assert!(lines[2].ends_with(",5,throughput_diverged"));
     }
 }

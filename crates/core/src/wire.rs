@@ -28,6 +28,9 @@
 //!            stream  raw_len:u32 = 0  payload_len:u32 = 0
 //! ```
 //!
+//! This 18-byte header is the only v2 frame layout. Its level byte is a
+//! level (0..=10) or the FIN marker; every other value is `InvalidData`.
+//!
 //! `seq` numbers frames of one message globally from 0 (each stream's
 //! compression thread claims the next unsent frame, so a slow stream
 //! simply carries fewer; per-stream `seq`s only ever increase); the
@@ -111,16 +114,6 @@ pub const SESSION_ACCEPT_LEN: usize = 2 + 1 + 1 + 8 + 8 + 16 + 8 + 8;
 
 /// Level byte marking a v2 end-of-message frame on one stream.
 pub const LEVEL_FIN: u8 = 0xFF;
-
-/// Flag bit in the v2 level byte announcing that a little-endian `u64`
-/// departure timestamp (µs, sender's [`crate::SignalHub`] clock)
-/// follows the fixed header. Compression levels top out at 10, so the
-/// bit never collides with a real level; [`LEVEL_FIN`] is tested first,
-/// so FIN frames (which never carry timestamps) are unaffected.
-pub const FRAME_TS_FLAG: u8 = 0x40;
-
-/// Size of an encoded v2 frame header carrying a departure timestamp.
-pub const FRAME_HEADER_V2_TS_LEN: usize = FRAME_HEADER_V2_LEN + 8;
 
 /// Largest raw (and encoded) frame size the u32 header fields can carry.
 /// The sender refuses larger buffers with
@@ -283,29 +276,10 @@ pub struct FrameHeaderV2 {
     pub raw_len: u32,
     /// Encoded (on-wire) payload size.
     pub payload_len: u32,
-    /// Departure timestamp (µs on the sender's signal clock), carried
-    /// when [`FRAME_TS_FLAG`] is set. Feeds the receiver's
-    /// delay-gradient estimator; `None` on FIN frames, on v2 peers
-    /// predating the flag, and whenever `delay_signals` is off.
-    pub ts_us: Option<u64>,
-}
-
-/// An encoded v2 frame header: 18 bytes, or 26 with a timestamp.
-/// Dereferences to the valid byte slice.
-pub struct EncodedFrameV2 {
-    buf: [u8; FRAME_HEADER_V2_TS_LEN],
-    len: usize,
-}
-
-impl std::ops::Deref for EncodedFrameV2 {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        &self.buf[..self.len]
-    }
 }
 
 impl FrameHeaderV2 {
-    /// A data frame without a timestamp (the pre-signals v2 layout).
+    /// A data frame.
     pub fn data(level: u8, stream: u8, seq: u64, raw_len: u32, payload_len: u32) -> FrameHeaderV2 {
         FrameHeaderV2 {
             level,
@@ -313,7 +287,6 @@ impl FrameHeaderV2 {
             seq,
             raw_len,
             payload_len,
-            ts_us: None,
         }
     }
 
@@ -326,7 +299,6 @@ impl FrameHeaderV2 {
             seq: frames_sent,
             raw_len: 0,
             payload_len: 0,
-            ts_us: None,
         }
     }
 
@@ -344,36 +316,22 @@ impl FrameHeaderV2 {
         }
     }
 
-    /// Encodes into 18 bytes, or 26 when a timestamp rides along.
-    pub fn encode(&self) -> EncodedFrameV2 {
-        let mut h = [0u8; FRAME_HEADER_V2_TS_LEN];
+    /// Encodes into an 18-byte array.
+    pub fn encode(&self) -> [u8; FRAME_HEADER_V2_LEN] {
+        let mut h = [0u8; FRAME_HEADER_V2_LEN];
         h[0] = self.level;
         h[1] = self.stream;
         h[2..10].copy_from_slice(&self.seq.to_le_bytes());
         h[10..14].copy_from_slice(&self.raw_len.to_le_bytes());
         h[14..18].copy_from_slice(&self.payload_len.to_le_bytes());
-        let len = match self.ts_us {
-            Some(ts) if self.level != LEVEL_FIN => {
-                h[0] |= FRAME_TS_FLAG;
-                h[18..26].copy_from_slice(&ts.to_le_bytes());
-                FRAME_HEADER_V2_TS_LEN
-            }
-            _ => FRAME_HEADER_V2_LEN,
-        };
-        EncodedFrameV2 { buf: h, len }
+        h
     }
 
-    /// Reads and validates a v2 frame header (either layout).
+    /// Reads and validates a v2 frame header.
     pub fn read(r: &mut impl Read, max_level: u8) -> io::Result<FrameHeaderV2> {
         let mut h = [0u8; FRAME_HEADER_V2_LEN];
         r.read_exact(&mut h)?;
-        // FIN first: 0xFF has the timestamp bit set but is not a
-        // timestamped frame.
-        let (level, ts_flagged) = if h[0] == LEVEL_FIN {
-            (LEVEL_FIN, false)
-        } else {
-            (h[0] & !FRAME_TS_FLAG, h[0] & FRAME_TS_FLAG != 0)
-        };
+        let level = h[0];
         if level != LEVEL_FIN && level > max_level {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -384,13 +342,6 @@ impl FrameHeaderV2 {
         let seq = u64::from_le_bytes(h[2..10].try_into().expect("8 bytes"));
         let raw_len = u32::from_le_bytes(h[10..14].try_into().expect("4 bytes"));
         let payload_len = u32::from_le_bytes(h[14..18].try_into().expect("4 bytes"));
-        let ts_us = if ts_flagged {
-            let mut t = [0u8; 8];
-            r.read_exact(&mut t)?;
-            Some(u64::from_le_bytes(t))
-        } else {
-            None
-        };
         if level == LEVEL_FIN && (raw_len != 0 || payload_len != 0) {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -409,7 +360,6 @@ impl FrameHeaderV2 {
             seq,
             raw_len,
             payload_len,
-            ts_us,
         })
     }
 }
@@ -424,24 +374,19 @@ pub(crate) enum Framing {
     /// numbered by arrival order; the message ends on its byte count.
     V1,
     /// Striped format: [`FrameHeaderV2`]s naming stream and global
-    /// sequence number (plus a departure stamp when `timestamped`); every
-    /// stream ends the message with a FIN.
-    V2 {
-        /// Data frames carry [`FRAME_TS_FLAG`] and a timestamp.
-        timestamped: bool,
-    },
+    /// sequence number; every stream ends the message with a FIN.
+    V2,
 }
 
 impl Framing {
     /// `V1` iff one stream carries a fresh message: a resumed tail needs
     /// explicit sequence numbers to slot in behind the delivered prefix,
-    /// whatever its width. `timestamped` only matters to the sender (the
-    /// reader follows the per-frame flag).
-    pub(crate) fn choose(streams: usize, resumed: bool, timestamped: bool) -> Framing {
+    /// whatever its width.
+    pub(crate) fn choose(streams: usize, resumed: bool) -> Framing {
         if streams == 1 && !resumed {
             Framing::V1
         } else {
-            Framing::V2 { timestamped }
+            Framing::V2
         }
     }
 
@@ -449,36 +394,25 @@ impl Framing {
     pub(crate) fn header_len(self) -> usize {
         match self {
             Framing::V1 => FRAME_HEADER_LEN,
-            Framing::V2 { timestamped: false } => FRAME_HEADER_V2_LEN,
-            Framing::V2 { timestamped: true } => FRAME_HEADER_V2_TS_LEN,
+            Framing::V2 => FRAME_HEADER_V2_LEN,
         }
     }
 
     /// True when every stream ends the message with a FIN marker (else
     /// the byte count ends it).
     pub(crate) fn owes_fin(self) -> bool {
-        matches!(self, Framing::V2 { .. })
+        self == Framing::V2
     }
 
     /// Encodes a data frame's header into `dst`, which must be exactly
-    /// [`Self::header_len`] bytes. `V1` drops `stream`/`seq`/`ts_us`; an
-    /// untimestamped `V2` drops `ts_us`.
-    pub(crate) fn encode_header(
-        self,
-        dst: &mut [u8],
-        body: FrameHeader,
-        stream: u8,
-        seq: u64,
-        ts_us: Option<u64>,
-    ) {
+    /// [`Self::header_len`] bytes. `V1` drops `stream` and `seq`.
+    pub(crate) fn encode_header(self, dst: &mut [u8], body: FrameHeader, stream: u8, seq: u64) {
         match self {
             Framing::V1 => dst.copy_from_slice(&body.encode()),
-            Framing::V2 { timestamped } => {
-                let mut fh =
-                    FrameHeaderV2::data(body.level, stream, seq, body.raw_len, body.payload_len);
-                fh.ts_us = ts_us.filter(|_| timestamped);
-                dst.copy_from_slice(&fh.encode());
-            }
+            Framing::V2 => dst.copy_from_slice(
+                &FrameHeaderV2::data(body.level, stream, seq, body.raw_len, body.payload_len)
+                    .encode(),
+            ),
         }
     }
 
@@ -495,7 +429,7 @@ impl Framing {
         match self {
             Framing::V1 => FrameHeader::read(r, max_level)
                 .map(|h| FrameHeaderV2::data(h.level, stream, next_seq, h.raw_len, h.payload_len)),
-            Framing::V2 { .. } => FrameHeaderV2::read(r, max_level),
+            Framing::V2 => FrameHeaderV2::read(r, max_level),
         }
     }
 }
@@ -927,65 +861,8 @@ mod tests {
     #[test]
     fn frame_v2_roundtrip() {
         let fh = FrameHeaderV2::data(9, 3, u64::MAX / 3, 204_800, 55_555);
-        let enc = fh.encode();
-        assert_eq!(enc.len(), FRAME_HEADER_V2_LEN, "no ts: layout unchanged");
-        let mut c = Cursor::new(enc.to_vec());
-        assert_eq!(FrameHeaderV2::read(&mut c, 10).unwrap(), fh);
-    }
-
-    #[test]
-    fn frame_v2_timestamp_roundtrip() {
-        let fh = FrameHeaderV2 {
-            ts_us: Some(123_456_789_012),
-            ..FrameHeaderV2::data(7, 1, 42, 204_800, 31_337)
-        };
-        let enc = fh.encode();
-        assert_eq!(enc.len(), FRAME_HEADER_V2_TS_LEN);
-        assert_eq!(enc[0], 7 | FRAME_TS_FLAG);
-        let mut c = Cursor::new(enc.to_vec());
-        let got = FrameHeaderV2::read(&mut c, 10).unwrap();
-        assert_eq!(got, fh);
-        assert_eq!(got.ts_us, Some(123_456_789_012));
-    }
-
-    #[test]
-    fn frame_v2_timestamped_level_zero_roundtrips() {
-        // Level 0 (raw) with the ts flag: the flag must be masked off
-        // before the raw-length consistency check.
-        let fh = FrameHeaderV2 {
-            ts_us: Some(5),
-            ..FrameHeaderV2::data(0, 0, 0, 8_192, 8_192)
-        };
         let mut c = Cursor::new(fh.encode().to_vec());
         assert_eq!(FrameHeaderV2::read(&mut c, 10).unwrap(), fh);
-    }
-
-    #[test]
-    fn frame_v2_truncated_timestamp_is_error() {
-        let fh = FrameHeaderV2 {
-            ts_us: Some(99),
-            ..FrameHeaderV2::data(3, 0, 1, 10, 10)
-        };
-        let enc = fh.encode().to_vec();
-        let mut c = Cursor::new(enc[..FRAME_HEADER_V2_LEN + 3].to_vec());
-        assert!(FrameHeaderV2::read(&mut c, 10).is_err());
-    }
-
-    #[test]
-    fn fin_never_carries_a_timestamp() {
-        // A FIN built with a timestamp silently encodes without one:
-        // 0xFF already has the flag bit, so a timestamped FIN would be
-        // unparseable.
-        let fin = FrameHeaderV2 {
-            ts_us: Some(7),
-            ..FrameHeaderV2::fin(1, 3)
-        };
-        let enc = fin.encode();
-        assert_eq!(enc.len(), FRAME_HEADER_V2_LEN);
-        let mut c = Cursor::new(enc.to_vec());
-        let got = FrameHeaderV2::read(&mut c, 10).unwrap();
-        assert!(got.is_fin());
-        assert_eq!(got.ts_us, None);
     }
 
     #[test]
@@ -1193,15 +1070,6 @@ mod tests {
             delivered_raw: 3_400_000,
         };
         let v2 = FrameHeaderV2::data(6, 1, 9, 204_800, 51_000);
-        let v2_ts = FrameHeaderV2 {
-            ts_us: Some(123_456),
-            ..v2
-        };
-        let frame_v2_layout = |h: &[u8]| match h[0] {
-            LEVEL_FIN => FRAME_HEADER_V2_LEN,
-            b if b & FRAME_TS_FLAG != 0 => FRAME_HEADER_V2_TS_LEN,
-            _ => FRAME_HEADER_V2_LEN,
-        };
         let group_layout = |h: &[u8]| match h[2] {
             GROUP_VERSION_TOKENED => GROUP_HELLO_TOKENED_LEN,
             _ => GROUP_HELLO_LEN,
@@ -1234,13 +1102,7 @@ mod tests {
                 what: "v2 frame header",
                 bytes: v2.encode().to_vec(),
                 parse: |r| FrameHeaderV2::read(r, adoc_codec::ADOC_MAX_LEVEL).map(drop),
-                layout: frame_v2_layout,
-            },
-            Record {
-                what: "timestamped v2 frame header",
-                bytes: v2_ts.encode().to_vec(),
-                parse: |r| FrameHeaderV2::read(r, adoc_codec::ADOC_MAX_LEVEL).map(drop),
-                layout: frame_v2_layout,
+                layout: |_| FRAME_HEADER_V2_LEN,
             },
             Record {
                 what: "v2 group hello",
@@ -1313,6 +1175,16 @@ mod tests {
                 }
                 damaged[at] = rec.bytes[at];
             }
+        }
+        // A v2 level byte is a level or the FIN marker, nothing else: no
+        // bit of it is a flag, so `0x40 | l` (0x40..=0x4A, inside the
+        // range below) is as out of range as 11.
+        for level in 11..=0xFEu8 {
+            let mut h = v2.encode();
+            h[0] = level;
+            let err = FrameHeaderV2::read(&mut Cursor::new(h), adoc_codec::ADOC_MAX_LEVEL)
+                .expect_err("out-of-range level accepted");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "level {level:#04x}");
         }
     }
 }

@@ -174,7 +174,7 @@ pub enum Event<'a> {
         /// New observed level.
         to: u8,
         /// The controller verdict behind the move (queue pressure,
-        /// divergence guard, delay gradient, incompressible guard).
+        /// divergence guard, incompressible guard).
         reason: LevelReason,
     },
     /// A graceful drain began.

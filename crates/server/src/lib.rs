@@ -727,7 +727,7 @@ impl Server {
         peer: &str,
     ) -> AdocConfig {
         let throttle = self.sched.register_with(id, self.tier_for(peer));
-        self.conn_config_with(id, streams, throttle)
+        self.conn_config_with(streams, throttle)
     }
 
     /// Like [`Server::conn_config`], but for a **resumed** session: the
@@ -741,26 +741,13 @@ impl Server {
         streams: usize,
         co: sched::SchedCarryover,
     ) -> AdocConfig {
-        self.conn_config_with(id, streams, self.sched.restore(id, co))
+        self.conn_config_with(streams, self.sched.restore(id, co))
     }
 
-    fn conn_config_with(
-        &self,
-        id: registry::ConnId,
-        streams: usize,
-        throttle: ConnThrottle,
-    ) -> AdocConfig {
+    fn conn_config_with(&self, streams: usize, throttle: ConnThrottle) -> AdocConfig {
         let base = self.cfg.adoc.clone();
         let throttle = throttle.with_cpu(Arc::clone(&base.throttle));
-        let mut cfg = base.with_throttle(Arc::new(throttle)).with_streams(streams);
-        // Give the connection its own signal hub and hand the registry a
-        // handle: it reads the delay snapshot on every update, for the
-        // metrics document.
-        cfg.ensure_signal_hub();
-        if let Some(hub) = cfg.signals.clone().filter(|_| cfg.delay_signals) {
-            self.registry.attach_hub(id, hub);
-        }
-        cfg
+        base.with_throttle(Arc::new(throttle)).with_streams(streams)
     }
 
     /// Serves one already-connected v1 client over any `Read`/`Write`

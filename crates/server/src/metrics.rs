@@ -50,13 +50,12 @@
 //!                      "reply_wire_bytes": 1, "age_secs": 1.0,
 //!                      "sched_admitted": 1, "sched_tier": "bulk",
 //!                      "sched_weight": 1.0,
-//!                      "delay_us": 1200, "delay_state": "normal",
 //!                      "level_bps": { "3": 1.0 } } ]
 //! }
 //! ```
 //!
-//! `delay_us`/`delay_state` are `null` until the connection's delay
-//! estimator completes its first packet group. The deprecated
+//! A connection row's `level_bps` is what its §5 divergence guard judges
+//! by: per level, the slower of wire and compressor. The deprecated
 //! `adoc-server-metrics-v1` rendering has been removed; v2 is the only
 //! schema.
 
@@ -167,12 +166,6 @@ pub struct ConnMetrics {
     pub sched_tier: Tier,
     /// Scheduling weight.
     pub sched_weight: f64,
-    /// Latest queueing delay above the path baseline, µs (`None` until
-    /// the delay estimator completes a packet group).
-    pub delay_us: Option<u64>,
-    /// Congestion-state name from the delay estimator (`"normal"`,
-    /// `"overuse"`, `"underuse"`).
-    pub delay_state: Option<&'static str>,
     /// Visible bandwidth by compression level (index = level), raw bits/s:
     /// the slower of wire and compressor, as `adoc::TransferStats::level_bps`
     /// defines it. Zero entries are elided when rendered.
@@ -248,8 +241,6 @@ impl MetricsDoc {
                     sched_admitted: bucket.map_or(0, |b| b.admitted),
                     sched_tier: bucket.map_or(Tier::Bulk, |b| b.tier),
                     sched_weight: bucket.map_or(1.0, |b| b.weight),
-                    delay_us: c.delay.map(|d| d.above_baseline_us()),
-                    delay_state: c.delay.map(|d| d.state.as_str()),
                     level_bps: c.level_bps,
                     peer: c.peer,
                 }
@@ -451,7 +442,7 @@ impl MetricsDoc {
                 "    {{ \"id\": {}, \"peer\": \"{}\", \"state\": \"{}\", \"streams\": {}, \
                  \"messages\": {}, \"raw_bytes\": {}, \"reply_wire_bytes\": {}, \"age_secs\": {:.3}, \
                  \"sched_admitted\": {}, \"sched_tier\": \"{}\", \"sched_weight\": {:.2}, \
-                 \"delay_us\": {}, \"delay_state\": {}, \"level_bps\": {{ {} }} }}{}",
+                 \"level_bps\": {{ {} }} }}{}",
                 c.id,
                 json_escape(&c.peer),
                 c.state,
@@ -463,14 +454,6 @@ impl MetricsDoc {
                 c.sched_admitted,
                 c.sched_tier,
                 c.sched_weight,
-                match c.delay_us {
-                    Some(us) => us.to_string(),
-                    None => "null".into(),
-                },
-                match c.delay_state {
-                    Some(s) => format!("\"{s}\""),
-                    None => "null".into(),
-                },
                 levels,
                 sep,
             );
@@ -522,32 +505,11 @@ mod tests {
             "\"state\": \"active\"",
             "\"sched_tier\": \"bulk\"",
             "\"sched_weight\": 1.00",
-            "\"delay_us\": null",
-            "\"delay_state\": null",
+            "\"level_bps\": {  }",
             "\\\"quote", // escaping
         ] {
             assert!(doc.contains(needle), "missing {needle} in:\n{doc}");
         }
-    }
-
-    #[test]
-    fn delay_fields_render_once_the_hub_signals() {
-        use adoc::SignalHub;
-        use std::sync::Arc;
-
-        let server = Server::new(ServerConfig::default()).unwrap();
-        let id = server.registry().register("peer-d");
-        server.registry().activate(id, 1);
-        let hub = Arc::new(SignalHub::new());
-        server.registry().attach_hub(id, hub.clone());
-        for i in 0..30u64 {
-            hub.record_remote(i * 20_000, i * 20_000 + 500, 1000);
-        }
-        let stats = adoc::TransferStats::new();
-        server.registry().update(id, 1, 1, &stats);
-        let doc = server.metrics_json();
-        assert!(doc.contains("\"delay_us\": "), "{doc}");
-        assert!(!doc.contains("\"delay_state\": null"), "{doc}");
     }
 
     #[test]

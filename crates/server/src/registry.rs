@@ -17,7 +17,7 @@
 //! disagree about "now".
 
 use crate::event::{Event, EventBus};
-use adoc::{DelaySnapshot, SignalHub, TransferStats};
+use adoc::TransferStats;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -39,8 +39,8 @@ pub enum ConnState {
     /// message, then closes.
     Draining,
     /// The transport died but the session survives: the entry is parked
-    /// under its resume deadline, keeping its lifetime counters and
-    /// signal hub for the reconnect. No sockets are attached while
+    /// under its resume deadline, keeping its lifetime counters for the
+    /// reconnect. No sockets are attached while
     /// detached.
     Detached,
 }
@@ -88,9 +88,6 @@ pub struct ConnSnapshot {
     /// sends (echo direction), raw bits/s, the slower of wire and
     /// compressor; 0 = level unobserved.
     pub level_bps: [f64; 11],
-    /// Latest delay-gradient snapshot from the connection's signal hub
-    /// (refreshed on every [`ConnRegistry::update`]).
-    pub delay: Option<DelaySnapshot>,
     /// Seconds since the connection was registered.
     pub age_secs: f64,
 }
@@ -124,11 +121,6 @@ struct Entry {
     raw_bytes: u64,
     reply_wire_bytes: u64,
     level_bps: [f64; 11],
-    /// The connection's delay-signal hub, attached by the serve path at
-    /// admission. Snapshots are read from it on update.
-    hub: Option<Arc<SignalHub>>,
-    /// Latest delay snapshot read from the hub.
-    delay: Option<DelaySnapshot>,
     /// Registration time on the bus's shared clock.
     registered_at: Duration,
 }
@@ -188,8 +180,6 @@ impl ConnRegistry {
                 raw_bytes: 0,
                 reply_wire_bytes: 0,
                 level_bps: [0.0; 11],
-                hub: None,
-                delay: None,
                 registered_at: self.bus.now(),
             },
         );
@@ -199,16 +189,6 @@ impl ConnRegistry {
             peer: &peer,
         });
         id
-    }
-
-    /// Attaches a connection's [`SignalHub`] so the registry can read
-    /// delay snapshots from it on every update. The serve path calls
-    /// this at admission.
-    pub fn attach_hub(&self, id: ConnId, hub: Arc<SignalHub>) {
-        let mut g = self.inner.lock();
-        if let Some(e) = g.live.get_mut(&id) {
-            e.hub = Some(hub);
-        }
     }
 
     /// Marks `id` active with its negotiated stream count (counted in
@@ -229,8 +209,8 @@ impl ConnRegistry {
     }
 
     /// Parks `id` as [`ConnState::Detached`]: its transport died but a
-    /// resumable session names it, so the entry — lifetime counters,
-    /// signal hub, registration time — survives for the reconnect
+    /// resumable session names it, so the entry — lifetime counters and
+    /// registration time — survives for the reconnect
     /// instead of folding into totals. Returns false when the id is
     /// unknown (already removed).
     pub fn detach(&self, id: ConnId) -> bool {
@@ -274,8 +254,7 @@ impl ConnRegistry {
     /// received message's payload size, `reply_wire` the wire volume of
     /// the server's reply (the serving socket only tracks its own
     /// sends, so the client's wire volume is not available here), and
-    /// `stats` the serving socket's cumulative view. The connection's
-    /// delay snapshot is refreshed from its hub, if one is attached.
+    /// `stats` the serving socket's cumulative view.
     pub fn update(&self, id: ConnId, recv_raw: u64, reply_wire: u64, stats: &TransferStats) {
         let mut g = self.inner.lock();
         g.totals.messages += 1;
@@ -286,9 +265,6 @@ impl ConnRegistry {
             e.raw_bytes += recv_raw;
             e.reply_wire_bytes += reply_wire;
             e.level_bps = stats.level_bps;
-            if let Some(hub) = &e.hub {
-                e.delay = hub.snapshot();
-            }
         }
     }
 
@@ -362,7 +338,6 @@ impl ConnRegistry {
                 raw_bytes: e.raw_bytes,
                 reply_wire_bytes: e.reply_wire_bytes,
                 level_bps: e.level_bps,
-                delay: e.delay,
                 age_secs: now.saturating_sub(e.registered_at).as_secs_f64(),
             })
             .collect();
@@ -469,28 +444,6 @@ mod tests {
                 "conn_closed",
                 "handshake_failed"
             ]
-        );
-    }
-
-    #[test]
-    fn update_refreshes_delay_from_the_attached_hub() {
-        let reg = ConnRegistry::new();
-        let id = reg.register("p");
-        reg.activate(id, 1);
-        let hub = Arc::new(SignalHub::new());
-        reg.attach_hub(id, hub.clone());
-
-        // Feed the remote estimator enough groups to produce a snapshot:
-        // one packet per 20 ms burst window on both virtual clocks.
-        for i in 0..30u64 {
-            hub.record_remote(i * 20_000, i * 20_000 + 1_000, 1000);
-        }
-        let stats = TransferStats::new();
-        reg.update(id, 10, 10, &stats);
-        let snap = reg.snapshot();
-        assert!(
-            snap[0].delay.is_some(),
-            "snapshot should carry the hub's delay estimate"
         );
     }
 

@@ -225,7 +225,7 @@ impl FairScheduler {
     /// Blocking admission for `conn`: attempts until admitted, sleeping
     /// each retry hint out on the condvar, which any admission that
     /// refilled the backlog, a deregistration, a re-tier or a budget
-    /// change signals. A bucket deregistered meanwhile re-resolves to
+    /// change notifies. A bucket deregistered meanwhile re-resolves to
     /// the drain bucket, which inherited the caller's pending count.
     fn acquire_paced(&self, conn: u64, bytes: usize) {
         let mut a = self.lock();

@@ -9,6 +9,7 @@ use adoc::{AdocConfig, AdocStreamGroup};
 use adoc_data::{generate, DataKind};
 use adoc_sim::pipe::{duplex_pipe, PipeReader, PipeWriter};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::io::Cursor;
 use std::thread;
 
@@ -55,7 +56,6 @@ fn fixture_cfg() -> AdocConfig {
         packet_size: 4 * 1024,
         probe_threshold: 8 * 1024,
         probe_size: 4 * 1024,
-        delay_signals: false,
         ..AdocConfig::default()
     }
 }
@@ -122,6 +122,79 @@ fn single_stream_wire_is_byte_identical_v1() {
         golden,
         "v1 direct framing drifted"
     );
+}
+
+/// The data frames of one captured v2 stream by `seq`: header bytes and
+/// payload. The primary stream's message header and probe are skipped;
+/// every stream must end on its FIN.
+fn v2_frames(mut wire: &[u8], primary: bool) -> BTreeMap<u64, (Vec<u8>, Vec<u8>)> {
+    use adoc::wire::{FRAME_HEADER_V2_LEN, LEVEL_FIN, MSG_HEADER_LEN};
+    let u32_at = |b: &[u8], at: usize| u32::from_le_bytes(b[at..at + 4].try_into().unwrap());
+    if primary {
+        let probe = u32_at(wire, MSG_HEADER_LEN) as usize;
+        wire = &wire[MSG_HEADER_LEN + 4 + probe..];
+    }
+    let mut frames = BTreeMap::new();
+    loop {
+        let (hdr, rest) = wire.split_at(FRAME_HEADER_V2_LEN);
+        if hdr[0] == LEVEL_FIN {
+            assert!(rest.is_empty(), "bytes after the FIN");
+            return frames;
+        }
+        let seq = u64::from_le_bytes(hdr[2..10].try_into().unwrap());
+        assert!(
+            hdr[0] <= adoc::ADOC_MAX_LEVEL,
+            "seq {seq}: level byte {:#04x}",
+            hdr[0]
+        );
+        let (payload, rest) = rest.split_at(u32_at(hdr, 14) as usize);
+        assert!(frames
+            .insert(seq, (hdr.to_vec(), payload.to_vec()))
+            .is_none());
+        wire = rest;
+    }
+}
+
+#[test]
+fn default_striped_frames_match_the_v2_capture_seq_by_seq() {
+    // A two-stream connection built from the default config writes the
+    // 18-byte v2 header the capture records, and the same payload for
+    // every `seq`. Only the stream byte may differ: claim-based striping
+    // picks the stream.
+    let data = generate(DataKind::Ascii, 100_000, 7);
+    let cfg = fixture_cfg().with_levels(2, 2);
+    let pairs = vec![
+        (std::io::empty(), Vec::new()),
+        (std::io::empty(), Vec::new()),
+    ];
+    let mut group = AdocStreamGroup::from_negotiated(pairs, cfg).unwrap();
+    group.write(&data).unwrap();
+    let wire: Vec<Vec<u8>> = group.into_pairs().into_iter().map(|(_, w)| w).collect();
+    let frames = |s0: &[u8], s1: &[u8]| {
+        let mut all = v2_frames(s0, true);
+        for (seq, frame) in v2_frames(s1, false) {
+            assert!(
+                all.insert(seq, frame).is_none(),
+                "seq {seq} on both streams"
+            );
+        }
+        all
+    };
+    let sent = frames(&wire[0], &wire[1]);
+    let captured = frames(
+        &fixture("v2_two_streams_l2_s0.bin"),
+        &fixture("v2_two_streams_l2_s1.bin"),
+    );
+    assert_eq!(
+        sent.keys().collect::<Vec<_>>(),
+        captured.keys().collect::<Vec<_>>()
+    );
+    for (seq, (hdr, payload)) in &sent {
+        let (want_hdr, want_payload) = &captured[seq];
+        let no_stream = |h: &[u8]| [&h[..1], &h[2..]].concat();
+        assert_eq!(no_stream(hdr), no_stream(want_hdr), "seq {seq}: header");
+        assert!(payload == want_payload, "seq {seq}: payload");
+    }
 }
 
 #[test]
