@@ -174,12 +174,9 @@ pub fn stream_group_pair(
         left.push(a.split());
         right.push(b.split());
     }
-    let (local, remote) = (local.clone(), remote.clone());
-    thread::scope(|s| {
-        let l = s.spawn(move || AdocStreamGroup::from_pairs(left, local).expect("group handshake"));
-        let r = AdocStreamGroup::from_pairs(right, remote).expect("group handshake");
-        (l.join().expect("group thread"), r)
-    })
+    let l = AdocStreamGroup::from_pairs(left, local.clone()).expect("valid local config");
+    let r = AdocStreamGroup::from_pairs(right, remote.clone()).expect("valid remote config");
+    (l, r)
 }
 
 /// One-way striped transfer: `payload` goes through a fresh

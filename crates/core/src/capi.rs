@@ -118,9 +118,8 @@ where
 }
 
 /// Registers a striped stream group as one descriptor: the paper's API
-/// with multi-stream transport underneath. For `pairs.len() >= 2` the
-/// construction performs the group handshake (both endpoints must build
-/// their group concurrently).
+/// with multi-stream transport underneath. No hello is exchanged: the
+/// peer must register the same streams in the same order.
 pub fn adoc_register_group<R, W>(pairs: Vec<(R, W)>, cfg: AdocConfig) -> io::Result<i32>
 where
     R: Read + Send + 'static,
@@ -298,8 +297,8 @@ mod tests {
 
     #[test]
     fn group_descriptors_stripe_transparently() {
-        // The paper's descriptor API over a 2-stream group: both
-        // handshakes run concurrently, then plain adoc_write/adoc_read.
+        // The paper's descriptor API over a 2-stream group: plain
+        // adoc_write/adoc_read.
         let mut left = Vec::new();
         let mut right = Vec::new();
         for _ in 0..2 {
@@ -308,12 +307,8 @@ mod tests {
             right.push(b.split());
         }
         let cfg = AdocConfig::default().with_levels(1, 10);
-        let cfg2 = cfg.clone();
-        let (tx, rx) = thread::scope(|s| {
-            let l = s.spawn(move || adoc_register_group(left, cfg2).unwrap());
-            let r = adoc_register_group(right, cfg).unwrap();
-            (l.join().unwrap(), r)
-        });
+        let tx = adoc_register_group(left, cfg.clone()).unwrap();
+        let rx = adoc_register_group(right, cfg).unwrap();
         let data = b"striped descriptor payload ".repeat(40_000); // ~1 MB
         let data2 = data.clone();
         let t = thread::spawn(move || {

@@ -70,7 +70,7 @@ pub struct AdocConfig {
     /// [`crate::wire`]).
     pub streams: usize,
     /// How long [`crate::AdocStreamGroup::accept`] (and the server
-    /// daemon) waits for a connected peer's `GroupHello` before failing
+    /// daemon) waits for a connected peer's `SessionHello` before failing
     /// the accept with [`AdocError::HelloTimeout`]. Without this bound a
     /// client that dies between `connect` and its hello wedges the
     /// accept loop forever.

@@ -37,7 +37,7 @@ pub enum AdocError {
         /// Which configuration rule was violated.
         reason: String,
     },
-    /// A stream-group peer connected but never sent its `GroupHello`
+    /// A stream-group peer connected but never sent its `SessionHello`
     /// within [`crate::AdocConfig::hello_timeout`]. Raised by
     /// [`crate::AdocStreamGroup::accept`] (and the server daemon) so a
     /// half-dead client cannot wedge the accept path forever.

@@ -12,7 +12,7 @@ use crate::sender::{send_message, SendOutcome, StreamState};
 pub use crate::session::ResumePoint;
 use crate::session::{SessionTicket, TicketKey};
 use crate::stats::TransferStats;
-use crate::wire::{self, session_status, GroupHello, SessionAccept, SessionHello, SessionKind};
+use crate::wire::{session_status, SessionAccept, SessionHello, SessionKind};
 use std::fs::File;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
@@ -71,9 +71,10 @@ pub type AdocSocket<R, W> = AdocStreamGroup<R, W>;
 /// One logical AdOC connection over `N` parallel streams (`streams[0]`
 /// is the primary). With `N == 1` ([`AdocSocket`]) nothing but the
 /// paper's v1 wire format ever reaches the socket; with `N >= 2` large
-/// messages stripe across one compression pipeline per stream, and the
-/// group negotiates the stream count once at construction (see
-/// [`crate::wire`]'s negotiation rule).
+/// messages stripe across one compression pipeline per stream. A dialled
+/// group negotiates the stream count once, at [`Self::connect`] (see
+/// [`crate::wire`]'s negotiation rule); one built [`Self::from_pairs`]
+/// sends no hello at all.
 ///
 /// ```
 /// use adoc::{AdocConfig, AdocStreamGroup};
@@ -87,12 +88,8 @@ pub type AdocSocket<R, W> = AdocStreamGroup<R, W>;
 ///     right.push(b.split());
 /// }
 /// let cfg = AdocConfig::default().with_streams(n);
-/// let (tx, rx) = std::thread::scope(|s| {
-///     let t = s.spawn(|| AdocStreamGroup::from_pairs(left, cfg.clone()).unwrap());
-///     let rx = AdocStreamGroup::from_pairs(right, cfg.clone()).unwrap();
-///     (t.join().unwrap(), rx)
-/// });
-/// let (mut tx, mut rx) = (tx, rx);
+/// let mut tx = AdocStreamGroup::from_pairs(left, cfg.clone()).unwrap();
+/// let mut rx = AdocStreamGroup::from_pairs(right, cfg).unwrap();
 /// tx.write(b"striped hello").unwrap();
 /// let mut buf = [0u8; 13];
 /// rx.read_exact(&mut buf).unwrap();
@@ -136,72 +133,16 @@ impl<R: Read + Send, W: Write + Send> AdocStreamGroup<R, W> {
     /// letting the bad field panic or hang inside the pipeline threads
     /// later.
     pub fn with_config(reader: R, writer: W, cfg: AdocConfig) -> io::Result<Self> {
-        Self::from_negotiated(vec![(reader, writer)], cfg)
+        Self::from_pairs(vec![(reader, writer)], cfg)
     }
 
-    /// Builds a group over already-connected stream pairs (index 0 is the
-    /// primary). `cfg.streams` is set to `pairs.len()`. For `N >= 2` this
-    /// performs the group handshake: it announces a [`GroupHello`] on
-    /// every stream, then reads and validates the peer's — both sides of
-    /// a connection must construct their group concurrently (as
-    /// [`Self::connect`]/[`Self::accept`] do).
+    /// Builds a group over already-paired streams (index `i` carries
+    /// stream `i`; 0 is the primary). `cfg.streams` is set to
+    /// `pairs.len()`. No hello is written or read at any width: the
+    /// caller has already decided which streams belong together, as
+    /// [`Self::accept`] and the `adoc-server` daemon do after their
+    /// handshake, and as two ends of a set of pipes do by construction.
     pub fn from_pairs(pairs: Vec<(R, W)>, cfg: AdocConfig) -> io::Result<Self> {
-        Self::from_pairs_with_token(pairs, cfg, 0)
-    }
-
-    /// [`Self::from_pairs`] announcing `token` in each hello (0 =
-    /// untokened version-2 hellos). [`Self::connect`] passes a fresh
-    /// token so a multi-client acceptor can tell concurrent dials apart.
-    pub(crate) fn from_pairs_with_token(
-        pairs: Vec<(R, W)>,
-        cfg: AdocConfig,
-        token: u64,
-    ) -> io::Result<Self> {
-        let mut group = Self::from_negotiated(pairs, cfg)?;
-        let n = group.streams();
-        if n > 1 {
-            // Initiator-style handshake: announce on every stream, then
-            // validate the peer's announcements.
-            for (i, w) in group.writers.iter_mut().enumerate() {
-                w.write_all(
-                    &GroupHello {
-                        streams: n as u8,
-                        stream_id: i as u8,
-                        token,
-                    }
-                    .encode(),
-                )?;
-                w.flush()?;
-            }
-            for (i, r) in group.readers.iter_mut().enumerate() {
-                let hello = GroupHello::read(r)?;
-                if hello.streams as usize != n {
-                    return Err(AdocError::StreamCountMismatch {
-                        ours: n as u8,
-                        theirs: hello.streams,
-                    }
-                    .into());
-                }
-                if hello.stream_id as usize != i {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!(
-                            "peer stream {} answered on local stream {i}",
-                            hello.stream_id
-                        ),
-                    ));
-                }
-            }
-        }
-        Ok(group)
-    }
-
-    /// Builds a group over stream pairs whose handshake the caller has
-    /// **already performed** (index `i` carries stream `i`). No hellos
-    /// are written or read — this is the constructor a multi-client
-    /// acceptor uses after matching interleaved connections into groups
-    /// itself (see the `adoc-server` daemon).
-    pub fn from_negotiated(pairs: Vec<(R, W)>, cfg: AdocConfig) -> io::Result<Self> {
         assert!(!pairs.is_empty(), "a stream group needs at least 1 stream");
         let cfg = cfg.with_streams(pairs.len());
         cfg.validate()?;
@@ -468,10 +409,10 @@ fn session_reject_error(status: u8) -> io::Error {
     }
 }
 
-/// A process-unique nonzero group token for [`AdocStreamGroup::connect`]:
+/// A process-unique nonzero group token for a dial's [`SessionHello`]s:
 /// a counter mixed with wall-clock nanoseconds, so tokens from distinct
 /// processes dialling the same server virtually never collide.
-pub(crate) fn fresh_group_token() -> u64 {
+fn fresh_group_token() -> u64 {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::time::{SystemTime, UNIX_EPOCH};
     static COUNTER: AtomicU64 = AtomicU64::new(1);
@@ -488,24 +429,21 @@ pub(crate) fn fresh_group_token() -> u64 {
 
 impl AdocStreamGroup<TcpStream, TcpStream> {
     /// Dials `cfg.streams` TCP connections to `addr` and forms a group
-    /// (connection `i` carries stream `i`), announcing a fresh group
-    /// token in every hello so a multi-client acceptor can match the
+    /// (connection `i` carries stream `i`). One stream is a plain v1
+    /// socket with no hello. Two or more open an unauthenticated session
+    /// ([`Self::connect_session`] with no secret, its [`SessionInfo`]
+    /// dropped), whose token lets a multi-client acceptor match the
     /// connections even when other dials interleave. The peer must
     /// [`Self::accept`] the same number of connections (or be an
     /// `adoc-server` daemon).
     pub fn connect(addr: impl ToSocketAddrs, cfg: AdocConfig) -> io::Result<Self> {
         cfg.validate()?;
-        let addr = addr
-            .to_socket_addrs()?
-            .next()
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "no address resolved"))?;
-        let mut pairs = Vec::with_capacity(cfg.streams);
-        for _ in 0..cfg.streams {
-            let s = TcpStream::connect(addr)?;
-            s.set_nodelay(true).ok();
-            pairs.push((s.try_clone()?, s));
+        if cfg.streams >= 2 {
+            return Self::connect_session(addr, cfg, None).map(|(group, _)| group);
         }
-        Self::from_pairs_with_token(pairs, cfg, fresh_group_token())
+        let s = TcpStream::connect(addr)?;
+        s.set_nodelay(true).ok();
+        Self::from_pairs(vec![(s.try_clone()?, s)], cfg)
     }
 
     /// Dials `cfg.streams` TCP connections and opens an authenticated,
@@ -580,10 +518,8 @@ impl AdocStreamGroup<TcpStream, TcpStream> {
     }
 
     /// The client half of the version-4 handshake: dial every stream,
-    /// announce an identical [`SessionHello`] on each, then read the
-    /// server's per-stream [`GroupHello`] answers and the
-    /// [`SessionAccept`] on the primary. A rejection arrives as a
-    /// `SessionAccept` *instead of* the hellos and surfaces as a typed
+    /// announce an identical [`SessionHello`] on each, then read the one
+    /// [`SessionAccept`] on the primary. A rejection surfaces as a typed
     /// [`AdocError::AuthFailed`] / [`AdocError::ResumeRejected`].
     fn session_handshake(
         addr: impl ToSocketAddrs,
@@ -618,62 +554,18 @@ impl AdocStreamGroup<TcpStream, TcpStream> {
             )?;
             streams.push(s);
         }
-        for s in &streams {
-            s.set_read_timeout(Some(cfg.hello_timeout))?;
-        }
-        // The server answers with per-stream group hellos (accept) or a
-        // session-accept record carrying the rejection status. Sniff two
-        // bytes on the primary to tell them apart, then replay them.
-        let mut sniff = [0u8; 2];
-        (&streams[0])
-            .read_exact(&mut sniff)
-            .map_err(|e| AdocError::map_hello_timeout(e, cfg.hello_timeout))?;
-        let mut primary = io::Read::chain(&sniff[..], &streams[0]);
-        if sniff == [wire::MAGIC, wire::SESSION_MAGIC] {
-            let accept = SessionAccept::read(&mut primary)?;
-            return Err(session_reject_error(accept.status));
-        }
-        let hello = GroupHello::read(&mut primary)
-            .map_err(|e| AdocError::map_hello_timeout(e, cfg.hello_timeout))?;
-        if hello.streams as usize != n {
-            return Err(AdocError::StreamCountMismatch {
-                ours: n as u8,
-                theirs: hello.streams,
-            }
-            .into());
-        }
-        if hello.stream_id != 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("server answered stream {} on the primary", hello.stream_id),
-            ));
-        }
-        for (i, s) in streams.iter().enumerate().skip(1) {
-            let hello = GroupHello::read(&mut &*s)
-                .map_err(|e| AdocError::map_hello_timeout(e, cfg.hello_timeout))?;
-            if hello.streams as usize != n || hello.stream_id as usize != i {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "server answered stream {}/{} on local stream {i}",
-                        hello.stream_id, hello.streams
-                    ),
-                ));
-            }
-        }
-        let accept = SessionAccept::read(&mut primary)
+        streams[0].set_read_timeout(Some(cfg.hello_timeout))?;
+        let accept = SessionAccept::read(&mut &streams[0])
             .map_err(|e| AdocError::map_hello_timeout(e, cfg.hello_timeout))?;
         if accept.status != session_status::OK {
             return Err(session_reject_error(accept.status));
         }
-        for s in &streams {
-            s.set_read_timeout(None)?;
-        }
+        streams[0].set_read_timeout(None)?;
         let mut pairs = Vec::with_capacity(n);
         for s in streams {
             pairs.push((s.try_clone()?, s));
         }
-        let group = Self::from_negotiated(pairs, cfg)?;
+        let group = Self::from_pairs(pairs, cfg)?;
         Ok((group, accept))
     }
 
@@ -694,9 +586,13 @@ impl AdocStreamGroup<TcpStream, TcpStream> {
     }
 
     /// Accepts `cfg.streams` TCP connections from `listener` and forms a
-    /// group. Connections may arrive in any order: each incoming hello
-    /// names its stream id, and the acceptor re-orders accordingly before
-    /// answering — the acceptor half of the negotiation rule.
+    /// group — the acceptor half of the negotiation rule. One stream is a
+    /// plain v1 socket. Otherwise each connection must deliver a
+    /// [`SessionHello`] naming its stream id (they may arrive in any
+    /// order); the acceptor re-orders them and answers one
+    /// [`SessionAccept`] on the primary. It holds no secret, so it
+    /// ignores the MAC, and it keeps no sessions, so it refuses a resume
+    /// with [`AdocError::ResumeRejected`].
     ///
     /// [`AdocConfig::hello_timeout`] bounds both halves of the
     /// handshake: once the *first* connection arrives, the remaining
@@ -752,9 +648,10 @@ impl AdocStreamGroup<TcpStream, TcpStream> {
         listener.set_nonblocking(false)?;
         collect?;
         let mut slots: Vec<Option<TcpStream>> = (0..n).map(|_| None).collect();
-        for mut s in incoming {
+        let mut resume = false;
+        for s in incoming {
             s.set_read_timeout(Some(cfg.hello_timeout))?;
-            let hello = GroupHello::read(&mut s)
+            let hello = SessionHello::read(&mut &s)
                 .map_err(|e| AdocError::map_hello_timeout(e, cfg.hello_timeout))?;
             // Message reads after the handshake block indefinitely again.
             s.set_read_timeout(None)?;
@@ -772,16 +669,26 @@ impl AdocStreamGroup<TcpStream, TcpStream> {
                     format!("invalid or duplicate stream id {id} in group handshake"),
                 ));
             }
+            resume |= hello.kind == SessionKind::Resume;
             slots[id] = Some(s);
         }
+        let streams: Vec<TcpStream> = slots.into_iter().flatten().collect();
+        // This acceptor mints no tickets and keeps no sessions: its OK
+        // names session 0 with a zero MAC, and a resume is refused.
+        let status = if resume {
+            session_status::RESUME_REJECTED
+        } else {
+            session_status::OK
+        };
+        (&streams[0]).write_all(&SessionAccept::reject(status).encode())?;
+        if resume {
+            return Err(session_reject_error(status));
+        }
         let mut pairs = Vec::with_capacity(n);
-        for (i, slot) in slots.into_iter().enumerate() {
-            let mut s = slot.expect("all slots filled");
-            s.write_all(&GroupHello::new(n as u8, i as u8).encode())?;
-            s.flush()?;
+        for s in streams {
             pairs.push((s.try_clone()?, s));
         }
-        Self::from_negotiated(pairs, cfg)
+        Self::from_pairs(pairs, cfg)
     }
 }
 
@@ -1050,8 +957,7 @@ mod group_tests {
 
     type Group = AdocStreamGroup<PipeReader, PipeWriter>;
 
-    /// Builds both ends of an n-stream group over sim pipes, running the
-    /// two handshakes concurrently as real endpoints would.
+    /// Builds both ends of an n-stream group over sim pipes.
     fn group_pair(n: usize, cfg: &AdocConfig) -> (Group, Group) {
         let mut left = Vec::new();
         let mut right = Vec::new();
@@ -1060,13 +966,41 @@ mod group_tests {
             left.push(a.split());
             right.push(b.split());
         }
-        let cfg_l = cfg.clone();
-        let cfg_r = cfg.clone();
-        thread::scope(|s| {
-            let l = s.spawn(move || AdocStreamGroup::from_pairs(left, cfg_l).unwrap());
-            let r = AdocStreamGroup::from_pairs(right, cfg_r).unwrap();
-            (l.join().unwrap(), r)
-        })
+        let tx = AdocStreamGroup::from_pairs(left, cfg.clone()).unwrap();
+        (tx, AdocStreamGroup::from_pairs(right, cfg.clone()).unwrap())
+    }
+
+    /// Dials one loopback connection per hello to a fresh listener and
+    /// sends that hello on it, as a hand-scripted client; the thread
+    /// returns whatever the acceptor answered on the primary.
+    fn scripted_dial(
+        hellos: Vec<SessionHello>,
+    ) -> (TcpListener, thread::JoinHandle<io::Result<SessionAccept>>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let client = thread::spawn(move || {
+            let mut socks = Vec::new();
+            for h in &hellos {
+                let mut s = TcpStream::connect(addr)?;
+                s.write_all(&h.encode())?;
+                socks.push(s);
+            }
+            let primary = hellos.iter().position(|h| h.stream_id == 0).unwrap_or(0);
+            SessionAccept::read(&mut &socks[primary])
+        });
+        (listener, client)
+    }
+
+    fn new_hello(streams: u8, stream_id: u8) -> SessionHello {
+        SessionHello {
+            streams,
+            stream_id,
+            token: 7,
+            kind: SessionKind::New,
+            session_id: 0,
+            expires_us: 0,
+            mac: [0u8; 16],
+        }
     }
 
     fn payload(n: usize) -> Vec<u8> {
@@ -1172,83 +1106,80 @@ mod group_tests {
 
     #[test]
     fn stream_count_mismatch_is_a_typed_error() {
-        // A peer announcing 3 streams on a group we built with 2: the
-        // handshake must fail with the typed mismatch. The peer side is
-        // scripted by hand so the test is free of construction races.
-        use crate::wire::GroupHello;
-        use std::io::Write as _;
-        let (a0, mut b0) = duplex_pipe(1 << 20);
-        let (a1, mut b1) = duplex_pipe(1 << 20);
-        for (i, peer) in [&mut b0, &mut b1].into_iter().enumerate() {
-            peer.write_all(&GroupHello::new(3, i as u8).encode())
-                .unwrap();
-        }
-        let _keep = (b0, b1); // keep peer ends open
-        let two = vec![a0.split(), a1.split()];
-        let err = AdocStreamGroup::from_pairs(two, AdocConfig::default()).unwrap_err();
+        // A peer announcing 3 streams to a 2-stream accept: the handshake
+        // must fail with the typed mismatch.
+        let (listener, client) = scripted_dial(vec![new_hello(3, 0), new_hello(3, 1)]);
+        let cfg = AdocConfig::default().with_streams(2);
+        let err = AdocStreamGroup::accept(&listener, cfg).unwrap_err();
         match AdocError::from_io(&err) {
             Some(AdocError::StreamCountMismatch { ours: 2, theirs: 3 }) => {}
             other => panic!("expected StreamCountMismatch, got {other:?} ({err})"),
         }
+        let _ = client.join().unwrap();
     }
 
     #[test]
-    fn from_negotiated_skips_the_handshake() {
-        // A caller that matched streams itself (the server daemon) can
-        // build both ends with no hello bytes on the wire at all.
+    fn accept_refuses_a_resume_with_a_typed_error() {
+        // The point-to-point acceptor keeps no sessions: a resume hello is
+        // answered with a rejection, and both ends see a typed refusal.
+        let hellos = (0..2)
+            .map(|i| SessionHello {
+                kind: SessionKind::Resume,
+                session_id: 41,
+                ..new_hello(2, i)
+            })
+            .collect();
+        let (listener, client) = scripted_dial(hellos);
+        let cfg = AdocConfig::default().with_streams(2);
+        let err = AdocStreamGroup::accept(&listener, cfg).unwrap_err();
+        assert!(
+            matches!(
+                AdocError::from_io(&err),
+                Some(AdocError::ResumeRejected { .. })
+            ),
+            "want ResumeRejected, got {err}"
+        );
+        let answer = client.join().unwrap().expect("a reply on the primary");
+        assert_eq!(
+            answer,
+            SessionAccept::reject(session_status::RESUME_REJECTED)
+        );
+    }
+
+    #[test]
+    fn accept_answers_one_session_accept_on_the_primary() {
+        let (listener, client) = scripted_dial(vec![new_hello(2, 1), new_hello(2, 0)]);
+        let cfg = AdocConfig::default().with_streams(2);
+        let group = AdocStreamGroup::accept(&listener, cfg).unwrap();
+        assert_eq!(group.streams(), 2);
+        let answer = client.join().unwrap().expect("a reply on the primary");
+        assert_eq!(answer, SessionAccept::reject(session_status::OK));
+    }
+
+    #[test]
+    fn from_pairs_writes_no_hello() {
+        // Both ends are built from pairs with no hello exchanged: the
+        // first bytes on the primary are the message header, every other
+        // stream starts with a v2 frame header naming it, and a peer
+        // built the same way decodes the capture.
+        use crate::wire::{encode_msg_header, FrameHeaderV2, MsgKind};
         let cfg = AdocConfig::default().with_levels(1, 10);
-        let mut left = Vec::new();
-        let mut right = Vec::new();
-        for _ in 0..3 {
-            let (a, b) = duplex_pipe(1 << 20);
-            left.push(a.split());
-            right.push(b.split());
-        }
-        let mut tx = AdocStreamGroup::from_negotiated(left, cfg.clone()).unwrap();
-        let mut rx = AdocStreamGroup::from_negotiated(right, cfg).unwrap();
-        assert_eq!(tx.streams(), 3);
+        let sinks = (0..3).map(|_| (io::empty(), Vec::new())).collect();
+        let mut tx = AdocStreamGroup::from_pairs(sinks, cfg.clone()).unwrap();
         let data = payload(900_000);
-        let expect = data.clone();
-        let t = thread::spawn(move || {
-            tx.write(&data).unwrap();
-            tx
-        });
-        let mut got = vec![0u8; expect.len()];
-        rx.read_exact(&mut got).unwrap();
-        t.join().unwrap();
-        assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn tokened_and_untokened_hellos_interoperate() {
-        // One side announces with a group token (as connect() does), the
-        // other without (plain from_pairs): the handshake still
-        // validates on streams and ids, ignoring the token.
-        let mut left = Vec::new();
-        let mut right = Vec::new();
-        for _ in 0..2 {
-            let (a, b) = duplex_pipe(1 << 20);
-            left.push(a.split());
-            right.push(b.split());
+        tx.write(&data).unwrap();
+        let wire: Vec<Vec<u8>> = tx.into_pairs().into_iter().map(|(_, w)| w).collect();
+        let header = encode_msg_header(MsgKind::Adaptive, data.len() as u64);
+        assert_eq!(wire[0][..header.len()], header, "primary");
+        for (i, w) in wire.iter().enumerate().skip(1) {
+            let first = FrameHeaderV2::read(&mut &w[..], adoc_codec::ADOC_MAX_LEVEL).unwrap();
+            assert_eq!(first.stream as usize, i, "stream {i}");
         }
-        let cfg = AdocConfig::default();
-        let cfg_r = cfg.clone();
-        let (mut tx, mut rx) = thread::scope(|s| {
-            let l = s.spawn(move || {
-                AdocStreamGroup::from_pairs_with_token(
-                    left,
-                    cfg,
-                    crate::socket::fresh_group_token(),
-                )
-                .unwrap()
-            });
-            let r = AdocStreamGroup::from_pairs(right, cfg_r).unwrap();
-            (l.join().unwrap(), r)
-        });
-        tx.write(b"tokened hello interop").unwrap();
-        let mut buf = [0u8; 21];
-        rx.read_exact(&mut buf).unwrap();
-        assert_eq!(&buf, b"tokened hello interop");
+        let sources = wire.into_iter().map(|w| (io::Cursor::new(w), io::sink()));
+        let mut rx = AdocStreamGroup::from_pairs(sources.collect(), cfg).unwrap();
+        let mut got = vec![0u8; data.len()];
+        rx.read_exact(&mut got).unwrap();
+        assert_eq!(got, data);
     }
 
     #[test]

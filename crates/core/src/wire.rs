@@ -46,33 +46,32 @@
 //! # Negotiation rule
 //!
 //! The stream count is negotiated **once, at connection-group setup**,
-//! never per message:
+//! never per message. There are two handshakes:
 //!
-//! * `streams == 1`: nothing is added to the wire. The byte stream is
-//!   exactly v1 — a v2-capable endpoint talking on one stream is
-//!   indistinguishable from (and interoperable with) a v1 endpoint.
-//! * `streams >= 2`: each endpoint sends a [`GroupHello`] on every
-//!   stream and reads its peer's hello from every stream before any
-//!   message flows. Both sides must announce the **same stream count**;
-//!   a mismatch (or a v1 peer's message header arriving where a hello
-//!   was expected) is an `InvalidData` error, not a silent
-//!   renegotiation.
+//! * **None (v1).** A 1-stream connection adds nothing to the wire: the
+//!   byte stream is exactly v1, so a v2-capable endpoint on one stream is
+//!   indistinguishable from (and interoperable with) a v1 endpoint. A
+//!   group whose streams the caller has already paired
+//!   ([`crate::AdocStreamGroup::from_pairs`]) sends no hello either.
+//! * **Session (v4).** A dialled group ([`crate::AdocStreamGroup::connect`]
+//!   with `streams >= 2`, or `connect_session`/`resume_session` at any
+//!   width) sends one 46-byte [`SessionHello`] on every stream, then
+//!   reads one 52-byte [`SessionAccept`] on the primary:
 //!
-//!   Two hello encodings exist:
+//!   ```text
+//!   SessionHello := magic 0xAD  'G'  version:u8 = 4  streams:u8  stream_id:u8
+//!                   token:u64  kind:u8  session_id:u64  expires_us:u64  mac[16]
+//!   SessionAccept:= magic 0xAD  'S'  status:u8  resumed:u8  session_id:u64
+//!                   expires_us:u64  mac[16]  next_seq:u64  delivered_raw:u64
+//!   ```
 //!
-//!   * version 2 — 5 bytes: `magic 0xAD, 'G', 2, streams, stream_id`;
-//!   * version 3 — 13 bytes: the same followed by a little-endian
-//!     `token: u64`. The token names the *group* the stream belongs to,
-//!     so a multi-client daemon can reassemble groups whose connections
-//!     interleave in its accept queue (every client on `127.0.0.1`
-//!     shares a peer address — without the token, two concurrent
-//!     2-stream dials are indistinguishable). `token == 0` is reserved
-//!     to mean "untokened" and is what a version-2 hello decodes to.
-//!
-//!   Readers accept both versions; [`crate::AdocStreamGroup::connect`]
-//!   sends version 3 with a fresh nonzero token, symmetric
-//!   `from_pairs` construction (where grouping is already decided by
-//!   the caller) stays on version 2.
+//!   The nonzero `token` names the *dial* a stream belongs to, so a
+//!   multi-client daemon can reassemble groups whose connections
+//!   interleave in its accept queue (every client on `127.0.0.1` shares a
+//!   peer address). Every stream must announce the acceptor's **stream
+//!   count**; a mismatch, any other version byte, or a v1 message header
+//!   where a hello was expected is an error, never a silent
+//!   renegotiation. Whether the MAC is checked is the acceptor's policy.
 
 use std::io::{self, Read, Write};
 
@@ -82,15 +81,7 @@ pub const MAGIC: u8 = 0xAD;
 /// Second magic byte of a stream-group hello (`'G'`).
 pub const GROUP_MAGIC: u8 = b'G';
 
-/// Wire-format version of an untokened [`GroupHello`].
-pub const GROUP_VERSION: u8 = 2;
-
-/// Wire-format version of a tokened [`GroupHello`] (adds a `u64` group
-/// token after the version-2 fields).
-pub const GROUP_VERSION_TOKENED: u8 = 3;
-
-/// Wire-format version of a [`SessionHello`]: the version-3 layout
-/// followed by the session fields (kind, session id, expiry, MAC).
+/// Wire-format version of a [`SessionHello`], the only hello there is.
 pub const GROUP_VERSION_SESSION: u8 = 4;
 
 /// Second magic byte of a [`SessionAccept`] reply (`'S'`).
@@ -102,13 +93,8 @@ pub const MSG_HEADER_LEN: usize = 10;
 pub const FRAME_HEADER_LEN: usize = 9;
 /// Size of an encoded v2 frame header.
 pub const FRAME_HEADER_V2_LEN: usize = 18;
-/// Size of an encoded untokened (version 2) stream-group hello.
-pub const GROUP_HELLO_LEN: usize = 5;
-/// Size of an encoded tokened (version 3) stream-group hello.
-pub const GROUP_HELLO_TOKENED_LEN: usize = GROUP_HELLO_LEN + 8;
-/// Size of an encoded session (version 4) hello: the tokened layout plus
-/// `kind`, `session_id`, `expires_us` and a 16-byte MAC.
-pub const SESSION_HELLO_LEN: usize = GROUP_HELLO_TOKENED_LEN + 1 + 8 + 8 + 16;
+/// Size of an encoded [`SessionHello`].
+pub const SESSION_HELLO_LEN: usize = 46;
 /// Size of an encoded [`SessionAccept`] reply.
 pub const SESSION_ACCEPT_LEN: usize = 2 + 1 + 1 + 8 + 8 + 16 + 8 + 8;
 
@@ -434,87 +420,6 @@ impl Framing {
     }
 }
 
-/// The per-stream negotiation record exchanged when a stream group forms
-/// (see the module docs' negotiation rule). Never sent when
-/// `streams == 1`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GroupHello {
-    /// Total streams in the group the sender is announcing.
-    pub streams: u8,
-    /// Which stream of the group this hello travels on (0-based).
-    pub stream_id: u8,
-    /// Group token naming which dial this stream belongs to (0 =
-    /// untokened / version-2 hello). A multi-client acceptor groups
-    /// streams by token; point-to-point construction ignores it.
-    pub token: u64,
-}
-
-impl GroupHello {
-    /// An untokened hello (encodes as version 2).
-    pub fn new(streams: u8, stream_id: u8) -> GroupHello {
-        GroupHello {
-            streams,
-            stream_id,
-            token: 0,
-        }
-    }
-
-    /// Encodes as version 2 (5 bytes, `token == 0`) or version 3
-    /// (13 bytes) depending on the token.
-    pub fn encode(&self) -> Vec<u8> {
-        let version = if self.token == 0 {
-            GROUP_VERSION
-        } else {
-            GROUP_VERSION_TOKENED
-        };
-        let mut out = vec![MAGIC, GROUP_MAGIC, version, self.streams, self.stream_id];
-        if self.token != 0 {
-            out.extend_from_slice(&self.token.to_le_bytes());
-        }
-        out
-    }
-
-    /// Reads and validates a hello of either version.
-    pub fn read(r: &mut impl Read) -> io::Result<GroupHello> {
-        let mut h = [0u8; GROUP_HELLO_LEN];
-        r.read_exact(&mut h)?;
-        if h[0] != MAGIC || h[1] != GROUP_MAGIC {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "expected stream-group hello, got {:#04x} {:#04x} (v1 peer on a multi-stream group?)",
-                    h[0], h[1]
-                ),
-            ));
-        }
-        let token = match h[2] {
-            GROUP_VERSION => 0,
-            GROUP_VERSION_TOKENED => {
-                let mut t = [0u8; 8];
-                r.read_exact(&mut t)?;
-                u64::from_le_bytes(t)
-            }
-            other => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("unsupported stream-group version {other}"),
-                ));
-            }
-        };
-        if h[3] == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "stream-group hello announcing zero streams",
-            ));
-        }
-        Ok(GroupHello {
-            streams: h[3],
-            stream_id: h[4],
-            token,
-        })
-    }
-}
-
 /// What a version-4 hello is asking for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SessionKind {
@@ -545,8 +450,9 @@ impl SessionKind {
     }
 }
 
-/// The version-4 per-stream negotiation record: a [`GroupHello`] that
-/// additionally names (or requests) a **session**. All session fields are
+/// The per-stream record that opens a dialled group (see the module
+/// docs' negotiation rule) and names, or requests, a **session**. All
+/// session fields are
 /// identical on every stream of one dial — the MAC deliberately excludes
 /// the stream id — so the acceptor can verify any stream in isolation,
 /// *before* admitting the peer anywhere.
@@ -559,8 +465,8 @@ impl SessionKind {
 ///   verbatim.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SessionHello {
-    /// Total streams in the group the sender is announcing (1 is legal
-    /// here, unlike plain group hellos: a session may span one stream).
+    /// Total streams in the group the sender is announcing (nonzero; a
+    /// session may span one stream).
     pub streams: u8,
     /// Which stream of the group this hello travels on (0-based).
     pub stream_id: u8,
@@ -593,81 +499,37 @@ impl SessionHello {
         out
     }
 
-    /// Reads the fields following the 5-byte hello prefix (magic, group
-    /// magic, version, streams, stream_id), which the caller has already
-    /// consumed and validated as version 4.
-    fn read_tail(r: &mut impl Read, streams: u8, stream_id: u8) -> io::Result<SessionHello> {
-        let mut tail = [0u8; SESSION_HELLO_LEN - GROUP_HELLO_LEN];
-        r.read_exact(&mut tail)?;
-        let token = u64::from_le_bytes(tail[..8].try_into().expect("8 bytes"));
-        let kind = SessionKind::from_byte(tail[8])?;
-        let session_id = u64::from_le_bytes(tail[9..17].try_into().expect("8 bytes"));
-        let expires_us = u64::from_le_bytes(tail[17..25].try_into().expect("8 bytes"));
-        let mut mac = [0u8; 16];
-        mac.copy_from_slice(&tail[25..41]);
-        Ok(SessionHello {
-            streams,
-            stream_id,
-            token,
-            kind,
-            session_id,
-            expires_us,
-            mac,
-        })
-    }
-}
-
-/// Any hello an acceptor may receive: legacy group (v2/v3) or session
-/// (v4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Hello {
-    /// A version-2/3 [`GroupHello`].
-    Group(GroupHello),
-    /// A version-4 [`SessionHello`].
-    Session(SessionHello),
-}
-
-/// Reads a hello of any supported version — the acceptor-side entry
-/// point. Shares validation with [`GroupHello::read`] (magic, version,
-/// nonzero stream count).
-pub fn read_hello(r: &mut impl Read) -> io::Result<Hello> {
-    let mut h = [0u8; GROUP_HELLO_LEN];
-    r.read_exact(&mut h)?;
-    if h[0] != MAGIC || h[1] != GROUP_MAGIC {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
+    /// Reads and validates a hello: magic, version 4, a nonzero stream
+    /// count and the kind byte. A bad prefix is refused after its 5 bytes,
+    /// before the rest of the record is read.
+    pub fn read(r: &mut impl Read) -> io::Result<SessionHello> {
+        let mut h = [0u8; SESSION_HELLO_LEN];
+        r.read_exact(&mut h[..5])?;
+        let bad = |msg: String| Err(io::Error::new(io::ErrorKind::InvalidData, msg));
+        if h[0] != MAGIC || h[1] != GROUP_MAGIC {
+            return bad(format!(
                 "expected stream-group hello, got {:#04x} {:#04x} (v1 peer on a multi-stream group?)",
                 h[0], h[1]
-            ),
-        ));
-    }
-    if h[3] == 0 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "stream-group hello announcing zero streams",
-        ));
-    }
-    match h[2] {
-        GROUP_VERSION => Ok(Hello::Group(GroupHello {
+            ));
+        }
+        if h[2] != GROUP_VERSION_SESSION {
+            return bad(format!("unsupported stream-group version {}", h[2]));
+        }
+        if h[3] == 0 {
+            return bad("stream-group hello announcing zero streams".into());
+        }
+        r.read_exact(&mut h[5..])?;
+        let mut mac = [0u8; 16];
+        mac.copy_from_slice(&h[30..46]);
+        Ok(SessionHello {
             streams: h[3],
             stream_id: h[4],
-            token: 0,
-        })),
-        GROUP_VERSION_TOKENED => {
-            let mut t = [0u8; 8];
-            r.read_exact(&mut t)?;
-            Ok(Hello::Group(GroupHello {
-                streams: h[3],
-                stream_id: h[4],
-                token: u64::from_le_bytes(t),
-            }))
-        }
-        GROUP_VERSION_SESSION => Ok(Hello::Session(SessionHello::read_tail(r, h[3], h[4])?)),
-        other => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("unsupported stream-group version {other}"),
-        )),
+            token: u64::from_le_bytes(h[5..13].try_into().expect("8 bytes")),
+            kind: SessionKind::from_byte(h[13])?,
+            session_id: u64::from_le_bytes(h[14..22].try_into().expect("8 bytes")),
+            expires_us: u64::from_le_bytes(h[22..30].try_into().expect("8 bytes")),
+            mac,
+        })
     }
 }
 
@@ -686,10 +548,9 @@ pub mod session_status {
     pub const TICKET_EXPIRED: u8 = 3;
 }
 
-/// The acceptor's reply to a [`SessionHello`], written on the primary
-/// stream after the per-stream [`GroupHello`] answers (on accept), or on
-/// each stream *instead* of a hello (on reject — so a rejected client
-/// learns why before the socket closes).
+/// The acceptor's one reply to a dial's [`SessionHello`]s, written on the
+/// primary stream (a rejection may also be written on the others, so a
+/// rejected client learns why before the sockets close).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SessionAccept {
     /// One of [`session_status`]; non-zero means rejected and every
@@ -744,13 +605,6 @@ impl SessionAccept {
     pub fn read(r: &mut impl Read) -> io::Result<SessionAccept> {
         let mut h = [0u8; SESSION_ACCEPT_LEN];
         r.read_exact(&mut h)?;
-        Self::parse(&h)
-    }
-
-    /// Parses an already-buffered 52-byte reply (the client sniffs the
-    /// first two bytes to distinguish accept-path hellos from rejects,
-    /// then hands the full buffer here).
-    pub fn parse(h: &[u8; SESSION_ACCEPT_LEN]) -> io::Result<SessionAccept> {
         if h[0] != MAGIC || h[1] != SESSION_MAGIC {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -891,45 +745,28 @@ mod tests {
         assert!(FrameHeaderV2::read(&mut c, 10).is_err());
     }
 
-    #[test]
-    fn group_hello_roundtrip() {
-        let h = GroupHello::new(4, 2);
-        let enc = h.encode();
-        assert_eq!(enc.len(), GROUP_HELLO_LEN, "untokened hello stays v2");
-        assert_eq!(enc[2], GROUP_VERSION);
-        let mut c = Cursor::new(enc);
-        assert_eq!(GroupHello::read(&mut c).unwrap(), h);
-    }
-
-    #[test]
-    fn tokened_group_hello_roundtrip() {
-        let h = GroupHello {
-            streams: 8,
-            stream_id: 5,
-            token: 0xDEAD_BEEF_CAFE_F00D,
-        };
-        let enc = h.encode();
-        assert_eq!(enc.len(), GROUP_HELLO_TOKENED_LEN);
-        assert_eq!(enc[2], GROUP_VERSION_TOKENED);
-        let mut c = Cursor::new(enc);
-        assert_eq!(GroupHello::read(&mut c).unwrap(), h);
+    fn new_hello(streams: u8, stream_id: u8, token: u64) -> SessionHello {
+        SessionHello {
+            streams,
+            stream_id,
+            token,
+            kind: SessionKind::New,
+            session_id: 0,
+            expires_us: 0,
+            mac: [0u8; 16],
+        }
     }
 
     #[test]
     fn truncated_tokened_hello_is_error() {
-        let h = GroupHello {
-            streams: 2,
-            stream_id: 0,
-            token: 42,
-        };
-        let enc = h.encode();
+        let enc = new_hello(2, 0, 42).encode();
         // Cut inside the token field: the reader must not misparse.
-        let mut c = Cursor::new(enc[..GROUP_HELLO_LEN + 3].to_vec());
-        assert!(GroupHello::read(&mut c).is_err());
+        let mut c = Cursor::new(enc[..8].to_vec());
+        assert!(SessionHello::read(&mut c).is_err());
     }
 
     #[test]
-    fn session_hello_roundtrip_via_read_hello() {
+    fn session_hello_roundtrip() {
         let h = SessionHello {
             streams: 3,
             stream_id: 2,
@@ -942,36 +779,22 @@ mod tests {
         let enc = h.encode();
         assert_eq!(enc.len(), SESSION_HELLO_LEN);
         let mut c = Cursor::new(enc.to_vec());
-        assert_eq!(read_hello(&mut c).unwrap(), Hello::Session(h));
-        // Legacy hellos still parse through the same entry point.
-        let legacy = GroupHello {
-            streams: 2,
-            stream_id: 1,
-            token: 99,
-        };
-        let mut c = Cursor::new(legacy.encode());
-        assert_eq!(read_hello(&mut c).unwrap(), Hello::Group(legacy));
+        assert_eq!(SessionHello::read(&mut c).unwrap(), h);
+        // A one-stream session is legal.
+        let one = new_hello(1, 0, 9);
+        assert_eq!(SessionHello::read(&mut &one.encode()[..]).unwrap(), one);
     }
 
     #[test]
     fn session_hello_rejects_truncation_and_bad_kind() {
-        let h = SessionHello {
-            streams: 2,
-            stream_id: 0,
-            token: 1,
-            kind: SessionKind::New,
-            session_id: 0,
-            expires_us: 0,
-            mac: [0u8; 16],
-        };
-        let enc = h.encode();
+        let enc = new_hello(2, 0, 1).encode();
         for cut in [6, 13, 20, 45] {
             let mut c = Cursor::new(enc[..cut].to_vec());
-            assert!(read_hello(&mut c).is_err(), "cut {cut}");
+            assert!(SessionHello::read(&mut c).is_err(), "cut {cut}");
         }
         let mut bad = enc;
         bad[13] = 9; // unknown kind byte
-        assert!(read_hello(&mut Cursor::new(bad.to_vec())).is_err());
+        assert!(SessionHello::read(&mut Cursor::new(bad.to_vec())).is_err());
     }
 
     #[test]
@@ -994,7 +817,7 @@ mod tests {
         assert_eq!(SessionAccept::read(&mut c).unwrap().status, 1);
         let mut bad = a.encode();
         bad[1] = b'X';
-        assert!(SessionAccept::parse(&bad).is_err());
+        assert!(SessionAccept::read(&mut &bad[..]).is_err());
     }
 
     #[test]
@@ -1002,22 +825,16 @@ mod tests {
         // A v1 message header where a hello is expected must error, not
         // be misparsed.
         let msg = encode_msg_header(MsgKind::Direct, 99);
-        assert!(GroupHello::read(&mut Cursor::new(msg.to_vec())).is_err());
-        let mut bad = GroupHello::new(2, 0).encode();
-        bad[2] = 4; // future version
-        assert!(GroupHello::read(&mut Cursor::new(bad)).is_err());
-        let mut zero = GroupHello::new(2, 0).encode();
-        zero[3] = 0;
-        assert!(GroupHello::read(&mut Cursor::new(zero)).is_err());
-        // Zero streams is rejected in the tokened form too.
-        let mut zero3 = GroupHello {
-            streams: 2,
-            stream_id: 0,
-            token: 7,
+        assert!(SessionHello::read(&mut Cursor::new(msg.to_vec())).is_err());
+        // The retired version-2 and version-3 hellos, and a future one.
+        for version in [2, 3, 5] {
+            let mut bad = new_hello(2, 0, 7).encode();
+            bad[2] = version;
+            assert!(SessionHello::read(&mut Cursor::new(bad)).is_err());
         }
-        .encode();
-        zero3[3] = 0;
-        assert!(GroupHello::read(&mut Cursor::new(zero3)).is_err());
+        let mut zero = new_hello(2, 0, 7).encode();
+        zero[3] = 0;
+        assert!(SessionHello::read(&mut Cursor::new(zero)).is_err());
     }
 
     /// Serves its bytes one at a time and counts how many were taken.
@@ -1041,12 +858,12 @@ mod tests {
     }
 
     /// One peer-controlled record: a parser, and the length its layout
-    /// declares for a given header (a flag or version byte may lengthen it).
+    /// declares. No flag or version byte lengthens any of them.
     struct Record {
         what: &'static str,
         bytes: Vec<u8>,
         parse: fn(&mut Counting<'_>) -> io::Result<()>,
-        layout: fn(&[u8]) -> usize,
+        layout: usize,
     }
 
     #[test]
@@ -1070,21 +887,12 @@ mod tests {
             delivered_raw: 3_400_000,
         };
         let v2 = FrameHeaderV2::data(6, 1, 9, 204_800, 51_000);
-        let group_layout = |h: &[u8]| match h[2] {
-            GROUP_VERSION_TOKENED => GROUP_HELLO_TOKENED_LEN,
-            _ => GROUP_HELLO_LEN,
-        };
-        let hello_layout = |h: &[u8]| match h[2] {
-            GROUP_VERSION_TOKENED => GROUP_HELLO_TOKENED_LEN,
-            GROUP_VERSION_SESSION => SESSION_HELLO_LEN,
-            _ => GROUP_HELLO_LEN,
-        };
         let records = [
             Record {
                 what: "message header",
                 bytes: encode_msg_header(MsgKind::Adaptive, 3 << 20).to_vec(),
                 parse: |r| read_msg_header(r, 1 << 30).map(drop),
-                layout: |_| MSG_HEADER_LEN,
+                layout: MSG_HEADER_LEN,
             },
             Record {
                 what: "v1 frame header",
@@ -1096,42 +904,25 @@ mod tests {
                 .encode()
                 .to_vec(),
                 parse: |r| FrameHeader::read(r, adoc_codec::ADOC_MAX_LEVEL).map(drop),
-                layout: |_| FRAME_HEADER_LEN,
+                layout: FRAME_HEADER_LEN,
             },
             Record {
                 what: "v2 frame header",
                 bytes: v2.encode().to_vec(),
                 parse: |r| FrameHeaderV2::read(r, adoc_codec::ADOC_MAX_LEVEL).map(drop),
-                layout: |_| FRAME_HEADER_V2_LEN,
-            },
-            Record {
-                what: "v2 group hello",
-                bytes: GroupHello::new(4, 2).encode(),
-                parse: |r| GroupHello::read(r).map(drop),
-                layout: group_layout,
-            },
-            Record {
-                what: "v3 group hello",
-                bytes: GroupHello {
-                    streams: 2,
-                    stream_id: 1,
-                    token: 0xDEAD_BEEF,
-                }
-                .encode(),
-                parse: |r| GroupHello::read(r).map(drop),
-                layout: group_layout,
+                layout: FRAME_HEADER_V2_LEN,
             },
             Record {
                 what: "v4 session hello",
                 bytes: session.encode().to_vec(),
-                parse: |r| read_hello(r).map(drop),
-                layout: hello_layout,
+                parse: |r| SessionHello::read(r).map(drop),
+                layout: SESSION_HELLO_LEN,
             },
             Record {
                 what: "session accept",
                 bytes: accept.encode().to_vec(),
                 parse: |r| SessionAccept::read(r).map(drop),
-                layout: |_| SESSION_ACCEPT_LEN,
+                layout: SESSION_ACCEPT_LEN,
             },
         ];
         // Whatever follows a record on the stream belongs to the next
@@ -1148,7 +939,7 @@ mod tests {
         };
         for rec in &records {
             let full = rec.bytes.len();
-            assert_eq!((rec.layout)(&rec.bytes), full, "{}: layout", rec.what);
+            assert_eq!(rec.layout, full, "{}: layout", rec.what);
             let (intact, taken) = parse(rec, &[rec.bytes.as_slice(), &trailer].concat());
             assert!(intact.is_ok(), "{}: intact record refused", rec.what);
             assert_eq!(taken, full, "{}: intact record consumed", rec.what);
@@ -1166,10 +957,9 @@ mod tests {
                 for byte in 0..=u8::MAX {
                     damaged[at] = byte;
                     let (_, taken) = parse(rec, &damaged);
-                    let layout = (rec.layout)(&damaged);
                     assert!(
-                        taken <= layout,
-                        "{}: byte {at} = {byte:#04x} read {taken} bytes, layout {layout}",
+                        taken <= full,
+                        "{}: byte {at} = {byte:#04x} read {taken} bytes, layout {full}",
                         rec.what
                     );
                 }
@@ -1185,6 +975,16 @@ mod tests {
             let err = FrameHeaderV2::read(&mut Cursor::new(h), adoc_codec::ADOC_MAX_LEVEL)
                 .expect_err("out-of-range level accepted");
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "level {level:#04x}");
+        }
+        // A hello's version byte is 4, nothing else, and a wrong one is
+        // refused on the 5-byte prefix: no older layout's tail is read.
+        for version in (0..=u8::MAX).filter(|&v| v != GROUP_VERSION_SESSION) {
+            let mut h = [session.encode().as_slice(), &trailer].concat();
+            h[2] = version;
+            let mut r = Counting { data: &h, taken: 0 };
+            let err = SessionHello::read(&mut r).expect_err("foreign hello version accepted");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "version {version}");
+            assert!(r.taken <= 5, "version {version}: read {} bytes", r.taken);
         }
     }
 }

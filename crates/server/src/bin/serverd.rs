@@ -16,7 +16,7 @@
 //! `--secret` keys the HMAC session tickets (v4 clients get a ticket on
 //! connect and can resume a dropped session mid-message with it);
 //! `--require-auth` additionally refuses every unauthenticated client
-//! (v1, plaintext v2/v3 groups, and v4 hellos without a valid MAC).
+//! (v1 sockets, and new-session hellos without a valid MAC).
 //! Without `--secret` the key is random per process, so tickets only
 //! resume against the daemon that minted them.
 //!

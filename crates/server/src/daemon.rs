@@ -8,21 +8,16 @@
 //! (a reactor timer, not a blocking read). The first two bytes decide
 //! the protocol:
 //!
-//! * `0xAD 'G'` — a stream of a v2 group. The reactor flips the socket
-//!   back to blocking and hands it to a dedicated thread; the full
-//!   [`GroupHello`] is read and the socket parks in [`PendingGroups`]
-//!   keyed by `(peer IP, stream count, group token)`; the connection that
-//!   completes its group replies the acceptor hellos and serves the
-//!   whole group. Tokens make concurrent dials from one host (every
-//!   loadgen client on `127.0.0.1`) unambiguous; partial groups expire
-//!   after the hello timeout. **Untokened (version-2) multi-stream
-//!   hellos are rejected**: without a token, two same-sized groups
-//!   dialled concurrently from one IP would be indistinguishable and
-//!   the daemon could cross-weave streams belonging to different
-//!   clients — dial with [`adoc::AdocStreamGroup::connect`], which
-//!   always announces a token. (The point-to-point
-//!   `AdocStreamGroup::accept` still accepts untokened hellos: a single
-//!   dedicated listener has no grouping ambiguity.)
+//! * `0xAD 'G'` — a stream of a session group. The reactor flips the
+//!   socket back to blocking and hands it to a dedicated thread; the
+//!   full [`SessionHello`] is read, its credential checked, and the
+//!   socket parks in [`PendingGroups`] keyed by `(peer IP, stream count,
+//!   group token)`; the connection that completes its group answers one
+//!   [`SessionAccept`] on the primary and serves the whole group. Tokens
+//!   make concurrent dials from one host (every loadgen client on
+//!   `127.0.0.1`) unambiguous; the reserved zero token is refused, and
+//!   partial groups expire after the hello timeout. Any other hello
+//!   version is a handshake failure.
 //! * `0xAD <kind>` — a plain v1 connection; it stays on the reactor as
 //!   a nonblocking state machine for its whole life.
 //! * anything else — a protocol error: the socket is dropped and
@@ -41,9 +36,7 @@
 //! connection, bounded by the drain deadline), then expires parked
 //! sockets and sessions.
 
-use crate::conn::{
-    message_loop, serve_messages, ConnCtl, GuardedReader, GuardedWriter, RegistryGuard,
-};
+use crate::conn::{message_loop, ConnCtl, GuardedReader, GuardedWriter, RegistryGuard};
 use crate::control::Control;
 use crate::event::Event;
 use crate::http::{self, HttpHandle};
@@ -52,9 +45,7 @@ use crate::registry::{ConnId, ConnOutcome};
 use crate::session::{ParkedSession, PartialRecv};
 use crate::Server;
 use adoc::session::unix_now_us;
-use adoc::wire::{
-    self, session_status, GroupHello, Hello, SessionAccept, SessionHello, SessionKind,
-};
+use adoc::wire::{session_status, SessionAccept, SessionHello, SessionKind};
 use adoc::{AdocStreamGroup, SessionTicket, TicketError};
 use adoc_codec::checksum::ct_eq;
 use parking_lot::Mutex;
@@ -73,7 +64,7 @@ struct Pending {
     deadline: Instant,
 }
 
-/// Parking lot for streams of v2 groups whose siblings have not all
+/// Parking lot for streams of session groups whose siblings have not all
 /// arrived yet (see the module docs).
 #[derive(Default)]
 pub struct PendingGroups {
@@ -250,84 +241,6 @@ pub fn spawn(server: Arc<Server>, listen: impl ToSocketAddrs) -> io::Result<Daem
     })
 }
 
-pub(crate) fn handle_group_stream(
-    server: Arc<Server>,
-    pending: Arc<PendingGroups>,
-    mut stream: TcpStream,
-    peer: SocketAddr,
-    sniff: [u8; 2],
-    hello_timeout: Duration,
-) {
-    // Re-attach the sniffed bytes and parse the full hello (any
-    // supported version — v4 session hellos share the v2 prefix).
-    let hello = {
-        let mut chained = io::Read::chain(&sniff[..], &mut stream);
-        match wire::read_hello(&mut chained) {
-            Ok(h) => h,
-            Err(_) => {
-                server.registry().count_handshake_failure();
-                return;
-            }
-        }
-    };
-    match hello {
-        Hello::Group(h) => handle_plain_group(server, pending, stream, peer, h, hello_timeout),
-        Hello::Session(h) => handle_session_stream(server, pending, stream, peer, h, hello_timeout),
-    }
-}
-
-fn handle_plain_group(
-    server: Arc<Server>,
-    pending: Arc<PendingGroups>,
-    stream: TcpStream,
-    peer: SocketAddr,
-    hello: GroupHello,
-    hello_timeout: Duration,
-) {
-    if server.config().require_auth {
-        // A v2/v3 hello carries no MAC, so under require_auth there is
-        // nothing to verify: refuse before the socket can even park.
-        server.sessions().count_rejected();
-        server.registry().count_handshake_failure();
-        server.events().emit(Event::TicketRejected {
-            session_id: None,
-            reason: "auth",
-        });
-        return;
-    }
-    let n = hello.streams as usize;
-    if n < 2 || hello.token == 0 {
-        // A 1-stream client never sends a hello, so announcing 1 is a
-        // protocol violation; and untokened multi-stream dials are
-        // ambiguous under concurrency (see the module docs) — refuse
-        // rather than risk cross-weaving two clients' streams.
-        server.registry().count_handshake_failure();
-        return;
-    }
-    let key: GroupKey = (peer.ip(), hello.streams, hello.token);
-    let Some(streams) = pending.place(&server, key, hello.stream_id, stream, hello_timeout) else {
-        return;
-    };
-
-    // Whole group assembled: answer the acceptor hellos in id order,
-    // then serve it as one connection.
-    let peer_label = format!("{peer} x{n}");
-    let id = server.registry().register(peer_label.clone());
-    let _ghostbuster = RegistryGuard::new(&server, id);
-    let ctl = ConnCtl::new(server.drain_state());
-    let Some(pairs) = answer_session_streams(&server, id, &ctl, streams, None) else {
-        return;
-    };
-    let cfg = server.conn_config(id, n, &peer_label);
-    server.registry().activate(id, n);
-    match AdocStreamGroup::from_negotiated(pairs, cfg) {
-        Ok(mut group) => {
-            let _ = serve_messages(&server, id, &mut group, &ctl);
-        }
-        Err(_) => server.registry().remove(id, ConnOutcome::Failed),
-    }
-}
-
 /// Records the refusal (session counter, handshake failure, typed
 /// event) and writes a [`SessionAccept`] rejection on `stream`.
 fn reject_session(
@@ -348,24 +261,27 @@ fn reject_session(
     let _ = io::Write::flush(stream);
 }
 
-/// One stream of a v4 session group: the credential is verified **per
+/// One stream of a session group: the credential is verified **per
 /// stream, before admission** — a bad MAC or stale ticket never parks a
 /// socket in the group table, let alone reaches the registry.
-fn handle_session_stream(
+pub(crate) fn handle_group_stream(
     server: Arc<Server>,
     pending: Arc<PendingGroups>,
     mut stream: TcpStream,
     peer: SocketAddr,
-    hello: SessionHello,
+    sniff: [u8; 2],
     hello_timeout: Duration,
 ) {
-    let n = hello.streams as usize;
-    // Session hellos are sent on every stream including n == 1, but a
-    // zero stream count or the reserved zero token is a protocol error.
-    if n == 0 || hello.token == 0 {
-        server.registry().count_handshake_failure();
-        return;
-    }
+    // Re-attach the sniffed bytes and parse the full hello.
+    let parsed = SessionHello::read(&mut io::Read::chain(&sniff[..], &mut stream));
+    let hello = match parsed {
+        // The zero token is reserved: it cannot keep concurrent dials apart.
+        Ok(h) if h.token != 0 => h,
+        _ => {
+            server.registry().count_handshake_failure();
+            return;
+        }
+    };
     let verdict: Result<(), (u8, &'static str)> = match hello.kind {
         // Auth optional: a fresh v4 session is always welcome.
         SessionKind::New if !server.config().require_auth => Ok(()),
@@ -409,30 +325,20 @@ fn handle_session_stream(
     }
 }
 
-/// Replies the acceptor [`GroupHello`]s in id order (plus, for a
-/// session, the [`SessionAccept`] on the primary, queued behind its
-/// hello) and wraps every stream in the drain-aware guards. `None` means
-/// a socket write failed; the handshake is already recorded as failed.
+/// Writes the [`SessionAccept`] on the primary and wraps every stream in
+/// the drain-aware guards. `None` means a socket write failed; the
+/// handshake is already recorded as failed.
 fn answer_session_streams(
     server: &Server,
     id: ConnId,
     ctl: &Arc<ConnCtl>,
     streams: Vec<TcpStream>,
-    accept: Option<&SessionAccept>,
+    accept: &SessionAccept,
 ) -> Option<Vec<(GuardedReader<TcpStream>, GuardedWriter<TcpStream>)>> {
-    let n = streams.len();
     let poll = server.config().drain_poll;
-    let mut pairs = Vec::with_capacity(n);
+    let mut pairs = Vec::with_capacity(streams.len());
     for (i, mut s) in streams.into_iter().enumerate() {
-        let mut ok =
-            io::Write::write_all(&mut s, &GroupHello::new(n as u8, i as u8).encode()).is_ok();
-        if ok && i == 0 {
-            if let Some(accept) = accept {
-                ok = io::Write::write_all(&mut s, &accept.encode()).is_ok();
-            }
-        }
-        ok = ok
-            && io::Write::flush(&mut s).is_ok()
+        let ok = (i > 0 || io::Write::write_all(&mut s, &accept.encode()).is_ok())
             && s.set_read_timeout(Some(poll)).is_ok()
             && s.set_write_timeout(Some(poll)).is_ok();
         let reader = if ok { s.try_clone().ok() } else { None };
@@ -473,12 +379,12 @@ fn serve_new_session(server: Arc<Server>, streams: Vec<TcpStream>, peer: SocketA
         next_seq: 0,
         delivered_raw: 0,
     };
-    let Some(pairs) = answer_session_streams(&server, id, &ctl, streams, Some(&accept)) else {
+    let Some(pairs) = answer_session_streams(&server, id, &ctl, streams, &accept) else {
         return;
     };
     let cfg = server.conn_config(id, n, &peer_label);
     server.registry().activate(id, n);
-    match AdocStreamGroup::from_negotiated(pairs, cfg) {
+    match AdocStreamGroup::from_pairs(pairs, cfg) {
         Ok(group) => run_session(
             &server,
             id,
@@ -551,7 +457,7 @@ fn serve_resumed_session(
         next_seq,
         delivered_raw,
     };
-    let Some(pairs) = answer_session_streams(&server, id, &ctl, streams, Some(&accept)) else {
+    let Some(pairs) = answer_session_streams(&server, id, &ctl, streams, &accept) else {
         return;
     };
     // The new transport may have a different stream count; the sender
@@ -568,7 +474,7 @@ fn serve_resumed_session(
         streams: n,
         mid_message: parked.partial.is_some(),
     });
-    match AdocStreamGroup::from_negotiated(pairs, cfg) {
+    match AdocStreamGroup::from_pairs(pairs, cfg) {
         Ok(group) => run_session(
             &server,
             id,

@@ -138,8 +138,8 @@ pub struct ServerConfig {
     /// Additional user subscribers attached to the event bus.
     pub subscribers: Vec<Arc<dyn Subscriber>>,
     /// Refuse every connection that does not authenticate its session
-    /// hello: plaintext v1 connections and unauthenticated v2/v3 group
-    /// hellos are rejected at the handshake, before registry admission.
+    /// hello: plaintext v1 connections and new-session hellos without a
+    /// MAC are rejected at the handshake, before registry admission.
     /// Requires `auth_secret`.
     pub require_auth: bool,
     /// Shared secret the session ticket key derives from. `Some` makes

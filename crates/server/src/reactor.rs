@@ -12,10 +12,10 @@
 //! * a v1 message header → the connection is registered and served to
 //!   completion as a resumable state machine ([`Stage`]) without ever
 //!   blocking the reactor;
-//! * a v2 group hello → the socket is flipped back to blocking mode
-//!   and handed to a dedicated thread running the stream-group path
-//!   (groups are rare, bounded by admission, and their striped frame
-//!   scheduling is inherently thread-shaped);
+//! * a session hello (`0xAD 'G'`) → the socket is flipped back to
+//!   blocking and handed to a dedicated thread running the stream-group
+//!   path (groups are rare, bounded by admission, and their striped
+//!   frame scheduling is inherently thread-shaped);
 //! * anything else → a handshake failure.
 //!
 //! The state machine is a driver, not a protocol implementation: all
@@ -1050,7 +1050,7 @@ impl Reactor {
         verdict.is_ok()
     }
 
-    /// Flips a group-hello socket back to blocking and serves it on a
+    /// Flips a session-hello socket back to blocking and serves it on a
     /// dedicated thread via the stream-group path.
     fn handoff(&mut self, io: Io, sniff: [u8; 2]) {
         let _ = self.poller.deregister(io.stream.as_raw_fd());
@@ -1096,7 +1096,7 @@ impl Reactor {
         }
         if self.server.config().require_auth {
             // A v1 connection has no credential to present: refused
-            // pre-admission, exactly like a plaintext group hello.
+            // pre-admission, exactly like a session hello without a MAC.
             self.server.sessions().count_rejected();
             self.server.events().emit(Event::TicketRejected {
                 session_id: None,

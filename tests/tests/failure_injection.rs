@@ -562,3 +562,58 @@ fn resume_across_drain_refused() {
     // Shutdown reclaims the still-parked session.
     assert!(server.sessions().stats().expired >= 1);
 }
+
+#[test]
+fn plain_group_connect_under_require_auth_is_auth_failed() {
+    // A 2-stream `connect` opens a session with no MAC: a require_auth
+    // daemon refuses it with a typed answer before admitting anything.
+    let handle = spawn_session_server(
+        ServerConfig::builder()
+            .auth_secret(SECRET.to_vec())
+            .require_auth(true)
+            .build()
+            .unwrap(),
+    );
+    let server = Arc::clone(handle.server());
+    let err = AdocStreamGroup::connect(handle.addr(), AdocConfig::default().with_streams(2))
+        .expect_err("a group without a MAC must be refused");
+    assert!(
+        matches!(AdocError::from_io(&err), Some(AdocError::AuthFailed { .. })),
+        "want AuthFailed, got {err:?}"
+    );
+    assert_eq!(server.registry().totals().accepted, 0);
+    handle.shutdown().expect("clean drain");
+}
+
+#[test]
+fn killed_plain_group_is_parked_then_reclaimed() {
+    // A 2-stream `connect` group with no secret is a session too: a hard
+    // kill mid-message detaches it, and once the resume window lapses
+    // with no resume the daemon reclaims the entry and every buffer.
+    let handle = spawn_session_server(
+        ServerConfig::builder()
+            .resume_window(Duration::from_millis(200))
+            .build()
+            .unwrap(),
+    );
+    let server = Arc::clone(handle.server());
+    let cfg = AdocConfig::default().with_streams(2);
+    let conn = AdocStreamGroup::connect(handle.addr(), cfg.clone()).expect("connect");
+    let payload = generate(DataKind::Binary, 1 << 20, 0xC0DE);
+    kill_mid_message(conn, &payload, 600_000, &cfg);
+
+    let t0 = Instant::now();
+    while server.sessions().stats().expired == 0 {
+        assert!(
+            t0.elapsed() < Duration::from_secs(5),
+            "killed group never reclaimed: {:?}",
+            server.sessions().stats()
+        );
+        thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(server.sessions().stats().parked, 0);
+    assert_eq!(server.registry().live_count(), 0);
+    assert_eq!(server.pool().stats().outstanding, 0, "leaked pool buffers");
+    assert_eq!(server.registry().totals().failed, 1);
+    handle.shutdown().expect("clean drain");
+}

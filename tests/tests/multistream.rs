@@ -15,8 +15,7 @@ use std::thread;
 
 type Group = AdocStreamGroup<PipeReader, PipeWriter>;
 
-/// Both ends of an n-stream group over sim pipes (handshakes run
-/// concurrently, like two real endpoints).
+/// Both ends of an n-stream group over sim pipes.
 fn group_pair_caps(caps: &[usize], cfg: &AdocConfig) -> (Group, Group) {
     let mut left = Vec::new();
     let mut right = Vec::new();
@@ -25,13 +24,8 @@ fn group_pair_caps(caps: &[usize], cfg: &AdocConfig) -> (Group, Group) {
         left.push(a.split());
         right.push(b.split());
     }
-    let cfg_l = cfg.clone();
-    let cfg_r = cfg.clone();
-    thread::scope(|s| {
-        let l = s.spawn(move || AdocStreamGroup::from_pairs(left, cfg_l).unwrap());
-        let r = AdocStreamGroup::from_pairs(right, cfg_r).unwrap();
-        (l.join().unwrap(), r)
-    })
+    let tx = AdocStreamGroup::from_pairs(left, cfg.clone()).unwrap();
+    (tx, AdocStreamGroup::from_pairs(right, cfg.clone()).unwrap())
 }
 
 fn group_pair(n: usize, cfg: &AdocConfig) -> (Group, Group) {
@@ -167,7 +161,7 @@ fn default_striped_frames_match_the_v2_capture_seq_by_seq() {
         (std::io::empty(), Vec::new()),
         (std::io::empty(), Vec::new()),
     ];
-    let mut group = AdocStreamGroup::from_negotiated(pairs, cfg).unwrap();
+    let mut group = AdocStreamGroup::from_pairs(pairs, cfg).unwrap();
     group.write(&data).unwrap();
     let wire: Vec<Vec<u8>> = group.into_pairs().into_iter().map(|(_, w)| w).collect();
     let frames = |s0: &[u8], s1: &[u8]| {
@@ -246,13 +240,8 @@ fn dead_stream_mid_transfer_errors_instead_of_hanging() {
         left.push(a.split());
         right.push(b.split());
     }
-    let cfg_l = cfg.clone();
-    let cfg_r = cfg.clone();
-    let (tx, rx) = thread::scope(|s| {
-        let l = s.spawn(move || AdocStreamGroup::from_pairs(left, cfg_l).unwrap());
-        let r = AdocStreamGroup::from_pairs(right, cfg_r).unwrap();
-        (l.join().unwrap(), r)
-    });
+    let tx = AdocStreamGroup::from_pairs(left, cfg.clone()).unwrap();
+    let rx = AdocStreamGroup::from_pairs(right, cfg).unwrap();
     let data = generate(DataKind::Incompressible, 8 << 20, 13);
     let t = thread::spawn(move || {
         let mut tx = tx;

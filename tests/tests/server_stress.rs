@@ -5,6 +5,7 @@
 //! regressions (mid-hello disconnect, partial groups, the
 //! `AdocStreamGroup::accept` hello timeout) and admission backpressure.
 
+use adoc::wire::{SessionHello, SessionKind};
 use adoc::{AdocConfig, AdocError, AdocSocket, AdocStreamGroup};
 use adoc_data::{generate, DataKind};
 use adoc_server::{daemon, DaemonHandle, ServeMode, Server, ServerConfig};
@@ -19,7 +20,21 @@ fn spawn_server(cfg: ServerConfig) -> DaemonHandle {
     daemon::spawn(server, "127.0.0.1:0").expect("bind daemon")
 }
 
-/// One client session: connect (1 stream = v1 socket, else a v2 group),
+/// The 46 bytes a dialled group sends on stream `stream_id`.
+fn session_hello(streams: u8, stream_id: u8, token: u64) -> [u8; 46] {
+    SessionHello {
+        streams,
+        stream_id,
+        token,
+        kind: SessionKind::New,
+        session_id: 0,
+        expires_us: 0,
+        mac: [0u8; 16],
+    }
+    .encode()
+}
+
+/// One client session: connect (1 stream = v1 socket, else a session group),
 /// echo `messages` payloads byte-exactly, close.
 fn run_echo_client(
     addr: SocketAddr,
@@ -136,10 +151,10 @@ fn mid_hello_disconnect_does_not_wedge_the_daemon() {
     );
     let addr = handle.addr();
 
-    // Client 1: sends 3 bytes of a group hello, then vanishes.
+    // Client 1: sends the first 20 bytes of a hello, then vanishes.
     let mut half_dead = TcpStream::connect(addr).expect("connect");
     half_dead
-        .write_all(&[0xAD, b'G', 2])
+        .write_all(&session_hello(2, 0, 5)[..20])
         .expect("partial hello");
 
     // Client 2: connects and never sends anything at all.
@@ -188,10 +203,7 @@ fn partial_group_expires_and_later_groups_still_form() {
     // A client dials 1 stream of an announced 4-stream group and dies.
     {
         let mut s = TcpStream::connect(addr).expect("connect");
-        // Tokened hello: streams = 4, stream_id = 0, token = 99.
-        let mut hello = vec![0xAD, b'G', 3, 4, 0];
-        hello.extend_from_slice(&99u64.to_le_bytes());
-        s.write_all(&hello).expect("hello");
+        s.write_all(&session_hello(4, 0, 99)).expect("hello");
         // Dropped here: the group can never complete.
     }
     thread::sleep(Duration::from_millis(700)); // expiry fires
@@ -211,6 +223,43 @@ fn partial_group_expires_and_later_groups_still_form() {
     let totals = server.registry().totals();
     assert_eq!(totals.completed, 1);
     assert!(totals.handshake_failures >= 1, "expired stream not counted");
+}
+
+#[test]
+fn retired_v3_group_hello_is_a_handshake_failure() {
+    // Both streams of the tokened version-3 hello plain groups used to
+    // send: the daemon refuses each on its version byte, answers
+    // nothing and admits nothing.
+    let handle = spawn_server(ServerConfig::default());
+    let server = Arc::clone(handle.server());
+    let socks: Vec<TcpStream> = (0..2u8)
+        .map(|i| {
+            let mut s = TcpStream::connect(handle.addr()).expect("connect");
+            let mut hello = vec![0xAD, b'G', 3, 2, i];
+            hello.extend_from_slice(&99u64.to_le_bytes());
+            s.write_all(&hello).expect("hello");
+            s
+        })
+        .collect();
+    for mut s in socks {
+        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut reply = Vec::new();
+        // A close or a reset both end the read; a reply must not come.
+        let _ = s.read_to_end(&mut reply);
+        assert!(reply.is_empty(), "daemon answered a v3 hello: {reply:?}");
+    }
+    let t0 = Instant::now();
+    while server.registry().totals().handshake_failures < 2 {
+        assert!(
+            t0.elapsed() < Duration::from_secs(5),
+            "failures never counted"
+        );
+        thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(server.registry().totals().handshake_failures, 2);
+    assert_eq!(server.registry().totals().accepted, 0);
+    assert_eq!(server.registry().live_count(), 0);
+    handle.shutdown().expect("drain");
 }
 
 #[test]

@@ -11,7 +11,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-RATCHET=14560
+RATCHET=14226
 FIELD_RATCHET=40
 
 total=0
