@@ -3,27 +3,54 @@
 //! level controller ([`LevelController`]):
 //!
 //! 1. the §5 incompressible-data penalty pins the minimum level for the
-//!    next 10 packets after a bad ratio;
+//!    next [`RATIO_PENALTY_PACKETS`] packets after a ratio below
+//!    [`RATIO_GUARD`];
 //! 2. otherwise Fig. 2 picks the candidate from the emission queue's
-//!    length and its change (a full bounded queue reads as growing, as
-//!    the paper's unbounded one would be);
+//!    length and its change against the watermarks [`LOW_WATER`],
+//!    [`MID_WATER`] and [`HIGH_WATER`] (a full bounded queue reads as
+//!    growing, as the paper's unbounded one would be);
 //! 3. a level under a divergence forbid is skipped for the next one down;
 //! 4. the §5 divergence guard judges the result: a level whose visible
 //!    bandwidth — the slower of its wire side and its compression side
 //!    ([`BandwidthMonitor::visible`]) — a smaller level beats by
-//!    [`AdocConfig::divergence_margin`] is forbidden for
-//!    [`AdocConfig::forbid_duration`] and the best smaller level used
-//!    instead.
+//!    [`DIVERGENCE_MARGIN`] is forbidden for [`FORBID_DURATION`] and the
+//!    best smaller level used instead.
 //!
 //! When a forbid lapses the level's compression-side sample goes with
 //! it, so the level is measured again rather than banned on one slow
 //! sample. A controller belongs to one stream of a connection and
 //! outlives its messages, so forbids and measurements carry over. Every
 //! decision carries its [`LevelReason`].
+//!
+//! The constants are the paper's own and are not configurable; an
+//! ablation edits them on a branch.
 
 use crate::bw::BandwidthMonitor;
 use crate::config::AdocConfig;
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// Fig. 2 watermarks, in packets: below `LOW_WATER` the level can only
+/// fall …
+pub const LOW_WATER: usize = 10;
+/// … between `LOW_WATER` and `MID_WATER` it moves by ±1 …
+pub const MID_WATER: usize = 20;
+/// … between `MID_WATER` and `HIGH_WATER` it rises by 2 and falls by 1;
+/// above, it only rises.
+pub const HIGH_WATER: usize = 30;
+const _: () = assert!(LOW_WATER < MID_WATER && MID_WATER < HIGH_WATER);
+
+/// Minimum acceptable per-buffer compression ratio before the
+/// incompressible-data guard trips (§5 "Compressed and random data").
+pub const RATIO_GUARD: f64 = 1.05;
+/// Wire packets pinned to the minimum level after the ratio guard trips
+/// (§5: 10 packets).
+pub const RATIO_PENALTY_PACKETS: u32 = 10;
+/// How long a diverging level is forbidden (§5 "Compression level
+/// divergence": 1 second).
+pub const FORBID_DURATION: Duration = Duration::from_secs(1);
+/// Margin by which a smaller level's visible bandwidth must beat the
+/// current one to trigger the divergence guard.
+pub const DIVERGENCE_MARGIN: f64 = 1.10;
 
 /// Figure 2, line for line. `n` is the queue length in packets, `delta`
 /// its change since the previous update, `l` the old level.
@@ -206,9 +233,9 @@ impl LevelController {
             self.level,
             cfg.min_level,
             cfg.max_level,
-            cfg.low_water,
-            cfg.mid_water,
-            cfg.high_water,
+            LOW_WATER,
+            MID_WATER,
+            HIGH_WATER,
         );
 
         let lo = cfg.min_level;
@@ -221,8 +248,8 @@ impl LevelController {
         // forbid is never extended from the same stale sample.
         if cand > lo {
             if let (Some(cur), Some((best, best_bps))) = (bw.visible(cand), bw.best_below(cand)) {
-                if best_bps > cur * cfg.divergence_margin {
-                    self.forbidden_until[cand as usize] = Some(now + cfg.forbid_duration);
+                if best_bps > cur * DIVERGENCE_MARGIN {
+                    self.forbidden_until[cand as usize] = Some(now + FORBID_DURATION);
                     self.divergence_reverts += 1;
                     reason = LevelReason::ThroughputDiverged;
                     cand = self.below_forbids(best.max(lo), lo, &mut reason);
@@ -247,12 +274,9 @@ impl LevelController {
     /// Reports the compression outcome of a buffer: `ratio` = raw/encoded.
     /// Trips the penalty when it falls below the guard threshold.
     pub fn report_ratio(&mut self, ratio: f64, cfg: &AdocConfig) {
-        if cfg.ratio_guard == 0.0 {
-            return; // guard disabled
-        }
-        if ratio < cfg.ratio_guard {
+        if ratio < RATIO_GUARD {
             if self.level > cfg.min_level {
-                self.penalty_packets = cfg.ratio_penalty_packets;
+                self.penalty_packets = RATIO_PENALTY_PACKETS;
                 // The buffer that tripped was chosen *before* the trip;
                 // its packets must not drain the window it just opened.
                 self.penalty_draining = false;
@@ -401,7 +425,7 @@ mod tests {
     fn divergence_forbid_lifts_exactly_at_forbid_duration() {
         // Virtual time: the guard forbids level 3 at t0; proposals at
         // later instants see the forbid until exactly t0 +
-        // forbid_duration. The later proposals read an empty monitor so
+        // FORBID_DURATION. The later proposals read an empty monitor so
         // the guard cannot re-forbid and extend the window.
         let cfg = test_cfg();
         let slow3 = BandwidthMonitor::new();
@@ -417,7 +441,7 @@ mod tests {
             (level, c.last_reason(), c.divergence_reverts)
         };
         let t0 = Instant::now();
-        let forbid = cfg.forbid_duration;
+        let forbid = FORBID_DURATION;
         assert_eq!(propose(&slow3, t0), (1, LevelReason::ThroughputDiverged, 1));
         let tick = Duration::from_nanos(1);
         assert_eq!(
@@ -428,7 +452,7 @@ mod tests {
         assert_eq!(
             propose(&quiet, t0 + forbid),
             (3, LevelReason::QueuePressure, 1),
-            "the forbid lifts exactly at forbid_duration"
+            "the forbid lifts exactly at FORBID_DURATION"
         );
     }
 
@@ -456,7 +480,7 @@ mod tests {
         assert_eq!(c.next_level_with(25, &bw, t0, &cfg), 1);
         assert_eq!(c.last_reason(), LevelReason::ThroughputDiverged);
         assert_eq!(c.divergence_reverts, 1);
-        assert_eq!(c.forbidden_until[3], Some(t0 + cfg.forbid_duration));
+        assert_eq!(c.forbidden_until[3], Some(t0 + FORBID_DURATION));
     }
 
     #[test]
@@ -471,7 +495,7 @@ mod tests {
             (level, c.last_reason(), c.divergence_reverts)
         };
         let t0 = Instant::now();
-        let forbid = cfg.forbid_duration;
+        let forbid = FORBID_DURATION;
         assert_eq!(propose(t0), (1, LevelReason::ThroughputDiverged, 1));
         assert_eq!(
             propose(t0 + forbid / 2),
@@ -557,7 +581,7 @@ mod tests {
         assert_eq!(c.ratio_trips, 1);
         assert_eq!(c.next_level(25, &bw, &cfg), 0, "penalty must pin to min");
         // Penalty drains per packet.
-        c.packets_pushed(cfg.ratio_penalty_packets - 1);
+        c.packets_pushed(RATIO_PENALTY_PACKETS - 1);
         assert_eq!(
             c.next_level(25, &bw, &cfg),
             0,
@@ -627,7 +651,7 @@ mod tests {
         c.level = 6;
         c.report_ratio(0.5, &cfg);
         assert_eq!(c.next_level(5, &bw, &cfg), cfg.min_level);
-        c.packets_pushed(cfg.ratio_penalty_packets); // window fully drained
+        c.packets_pushed(RATIO_PENALTY_PACKETS); // window fully drained
         let l = c.next_level(25, &bw, &cfg);
         assert_eq!(
             l, cfg.min_level,

@@ -1,9 +1,11 @@
-//! Every constant the paper fixes, as a tunable (the ablation benches
-//! sweep them). The level controller ([`crate::adapt`]) reads nothing
-//! else: the level bounds, the queue capacity with the Fig. 2
-//! watermarks, and the §5 guard constants below are its whole
-//! configuration.
+//! The endpoint settings a caller chooses: level bounds, framing
+//! geometry, stream count and the hooks. The level controller
+//! ([`crate::adapt`]) reads only the level bounds and the queue capacity
+//! from here; the Fig. 2 watermarks and the §5 guard constants are the
+//! paper's fixed values, kept as constants beside it
+//! ([`crate::adapt::HIGH_WATER`], [`crate::adapt::FORBID_DURATION`], …).
 
+use crate::adapt::HIGH_WATER;
 use crate::error::AdocError;
 use crate::pool::BufferPool;
 use crate::throttle::{NoThrottle, Throttle};
@@ -37,29 +39,9 @@ pub struct AdocConfig {
     /// Probe speed above which the rest is sent raw (§5: 500 Mbit/s).
     pub fast_bps: f64,
     /// Emission FIFO capacity in packets (bounds sender memory; the paper
-    /// leaves this implicit).
+    /// leaves this implicit). Must exceed [`HIGH_WATER`], so Fig. 2's top
+    /// band is reachable.
     pub queue_cap: usize,
-    /// Fig. 2 thresholds: below `low_water` packets the level can only
-    /// fall (paper: 10) …
-    pub low_water: usize,
-    /// … between `low_water` and `mid_water` it moves by ±1 (paper: 20) …
-    pub mid_water: usize,
-    /// … between `mid_water` and `high_water` it rises by 2 / falls by 1
-    /// (paper: 30); above, it only rises.
-    pub high_water: usize,
-    /// Minimum acceptable per-buffer compression ratio before the
-    /// incompressible-data guard trips (§5 "Compressed and random data").
-    /// Set to `0.0` to disable the guard (ablations).
-    pub ratio_guard: f64,
-    /// Packets pinned to the minimum level after the ratio guard trips
-    /// (§5: 10 packets).
-    pub ratio_penalty_packets: u32,
-    /// How long a diverging level is forbidden (§5 "Compression level
-    /// divergence": 1 second).
-    pub forbid_duration: Duration,
-    /// Margin by which a smaller level's visible bandwidth must beat the
-    /// current one to trigger the divergence guard.
-    pub divergence_margin: f64,
     /// Upper bound accepted for a peer's message size (protects the
     /// receiver from corrupt headers).
     pub max_message: u64,
@@ -111,13 +93,6 @@ impl Default for AdocConfig {
             probe_size: 256 * 1024,
             fast_bps: 500e6,
             queue_cap: 512,
-            low_water: 10,
-            mid_water: 20,
-            high_water: 30,
-            ratio_guard: 1.05,
-            ratio_penalty_packets: 10,
-            forbid_duration: Duration::from_secs(1),
-            divergence_margin: 1.10,
             max_message: 1 << 40,
             streams: 1,
             hello_timeout: Duration::from_secs(10),
@@ -218,22 +193,10 @@ impl AdocConfig {
                 self.probe_size, self.probe_threshold
             ));
         }
-        if !(self.low_water < self.mid_water && self.mid_water < self.high_water) {
+        if self.queue_cap <= HIGH_WATER {
             return bad(format!(
-                "watermarks must be strictly increasing: {} / {} / {}",
-                self.low_water, self.mid_water, self.high_water
-            ));
-        }
-        if self.queue_cap <= self.high_water {
-            return bad(format!(
-                "queue_cap {} must exceed high_water {} (and be non-zero)",
-                self.queue_cap, self.high_water
-            ));
-        }
-        if !(self.ratio_guard == 0.0 || self.ratio_guard >= 1.0) {
-            return bad(format!(
-                "ratio_guard {} must be 0 (disabled) or >= 1",
-                self.ratio_guard
+                "queue_cap {} must exceed HIGH_WATER {HIGH_WATER}",
+                self.queue_cap
             ));
         }
         if self.streams < 1 || self.streams > 255 {
@@ -265,9 +228,6 @@ mod tests {
         assert_eq!(c.probe_threshold, 512 * 1024);
         assert_eq!(c.probe_size, 256 * 1024);
         assert_eq!(c.fast_bps, 500e6);
-        assert_eq!((c.low_water, c.mid_water, c.high_water), (10, 20, 30));
-        assert_eq!(c.forbid_duration, Duration::from_secs(1));
-        assert_eq!(c.ratio_penalty_packets, 10);
         assert!(!c.compression_forced());
         assert!(!c.compression_disabled());
     }
@@ -338,16 +298,10 @@ mod tests {
         assert!(reason(&zero_queue).contains("queue_cap 0 must exceed"));
 
         let shallow_queue = AdocConfig {
-            queue_cap: AdocConfig::default().high_water,
+            queue_cap: HIGH_WATER,
             ..AdocConfig::default()
         };
-        assert!(reason(&shallow_queue).contains("must exceed high_water"));
-
-        let bad_guard = AdocConfig {
-            ratio_guard: 0.5,
-            ..AdocConfig::default()
-        };
-        assert!(reason(&bad_guard).contains("ratio_guard"));
+        assert!(reason(&shallow_queue).contains("must exceed HIGH_WATER"));
     }
 
     #[test]

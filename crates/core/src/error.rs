@@ -197,7 +197,7 @@ mod tests {
     #[test]
     fn invalid_config_roundtrips() {
         let e: io::Error = AdocError::InvalidConfig {
-            reason: "queue_cap must exceed high_water".into(),
+            reason: "queue_cap must exceed HIGH_WATER".into(),
         }
         .into();
         assert_eq!(e.kind(), io::ErrorKind::InvalidInput);

@@ -18,7 +18,7 @@
 //! the receiver reassembles by sequence number. All pipelines draw their
 //! buffers from the one shared [`crate::BufferPool`] in the config.
 
-use crate::adapt::{LevelController, LevelReason};
+use crate::adapt::{LevelController, LevelReason, RATIO_GUARD};
 use crate::bw::BandwidthMonitor;
 use crate::config::AdocConfig;
 use crate::error::AdocError;
@@ -527,7 +527,7 @@ fn encode_frame_payload(
         cfg.throttle.charge(t0.elapsed());
         let check_ratio = check as f64 / probe.len() as f64;
         ctrl.report_ratio(check_ratio, cfg);
-        if cfg.ratio_guard > 0.0 && check_ratio < cfg.ratio_guard {
+        if check_ratio < RATIO_GUARD {
             level = 0; // still incompressible: ship the buffer raw
         }
     }
@@ -546,7 +546,7 @@ fn encode_frame_payload(
 
         let ratio = want as f64 / (enc.len() - header_len) as f64;
         ctrl.report_ratio(ratio, cfg);
-        if cfg.ratio_guard > 0.0 && ratio < cfg.ratio_guard {
+        if ratio < RATIO_GUARD {
             // Abandon the compressed form; the raw frame goes out and
             // `enc` returns to the pool.
             level = 0;
@@ -717,6 +717,7 @@ fn copy_exact<S: Read, W: Write>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adapt::FORBID_DURATION;
     use crate::wire::read_msg_header;
     use std::io::Cursor;
 
@@ -1040,12 +1041,12 @@ mod tests {
             "message 1: the guard vetoes 3"
         );
         assert_eq!(
-            first_climb(&mut st, t0 + cfg.forbid_duration / 2),
+            first_climb(&mut st, t0 + FORBID_DURATION / 2),
             [1, 2],
             "message 2 skips the level message 1 forbade"
         );
         assert_eq!(
-            first_climb(&mut st, t0 + cfg.forbid_duration),
+            first_climb(&mut st, t0 + FORBID_DURATION),
             [1, 3],
             "once the forbid lapses the level is eligible again"
         );

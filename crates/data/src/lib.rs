@@ -8,14 +8,12 @@
 //! * [`corpus`] — Table 1's bench files (`oilpann.hb`-like Harwell–Boeing
 //!   ASCII, `bin.tar`-like executable tarball);
 //! * [`matrix`] — the NetSolve dense/sparse matrices and their ASCII /
-//!   binary wire encodings (Figs. 8–9);
-//! * [`sweep`] — message-size axes matching the figures' log-scale sweeps.
+//!   binary wire encodings (Figs. 8–9).
 
 #![warn(missing_docs)]
 pub mod corpus;
 pub mod gen;
 pub mod matrix;
-pub mod sweep;
 
 pub use gen::{generate, DataKind};
 pub use matrix::Matrix;

@@ -325,6 +325,10 @@ pub(crate) fn handle_group_stream(
     }
 }
 
+/// Socket timeout granularity of a session's streams: how often blocked
+/// reads and writes wake to check the drain state.
+const SESSION_DRAIN_POLL: Duration = Duration::from_millis(100);
+
 /// Writes the [`SessionAccept`] on the primary and wraps every stream in
 /// the drain-aware guards. `None` means a socket write failed; the
 /// handshake is already recorded as failed.
@@ -335,12 +339,11 @@ fn answer_session_streams(
     streams: Vec<TcpStream>,
     accept: &SessionAccept,
 ) -> Option<Vec<(GuardedReader<TcpStream>, GuardedWriter<TcpStream>)>> {
-    let poll = server.config().drain_poll;
     let mut pairs = Vec::with_capacity(streams.len());
     for (i, mut s) in streams.into_iter().enumerate() {
         let ok = (i > 0 || io::Write::write_all(&mut s, &accept.encode()).is_ok())
-            && s.set_read_timeout(Some(poll)).is_ok()
-            && s.set_write_timeout(Some(poll)).is_ok();
+            && s.set_read_timeout(Some(SESSION_DRAIN_POLL)).is_ok()
+            && s.set_write_timeout(Some(SESSION_DRAIN_POLL)).is_ok();
         let reader = if ok { s.try_clone().ok() } else { None };
         match reader {
             Some(r) => pairs.push((

@@ -440,8 +440,8 @@ pub struct EventCounts {
 /// The aggregating built-in subscriber: lock-free counters a metrics
 /// snapshot folds into the typed [`crate::metrics::MetricsDoc`]. Every
 /// event is a handful of relaxed atomic adds — attaching it costs the
-/// hot path one virtual call and nothing else (the bench suite pins
-/// this at < 3% on `fig_server_scale`).
+/// hot path one virtual call and nothing else (the benchmark harness
+/// reports the cost as `event.instrument_overhead_share`).
 #[derive(Debug, Default)]
 pub struct MetricsSubscriber {
     conns_accepted: AtomicU64,

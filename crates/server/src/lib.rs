@@ -97,9 +97,6 @@ pub struct ServerConfig {
     pub budget_bytes_per_sec: Option<f64>,
     /// What to do with received messages.
     pub mode: ServeMode,
-    /// Socket read-timeout granularity: how often blocked reads wake to
-    /// check the drain state.
-    pub drain_poll: Duration,
     /// Once draining, how long in-flight messages get before their
     /// connections are cut mid-frame.
     pub drain_deadline: Duration,
@@ -122,17 +119,9 @@ pub struct ServerConfig {
     /// (`None` = no listener). The TCP front end ([`daemon::spawn`])
     /// binds it; a bare [`Server`] ignores it.
     pub metrics_addr: Option<String>,
-    /// Retention capacity of the built-in [`EventLog`] ring buffer.
-    pub event_log_cap: usize,
-    /// End-to-end latency above which a traced message additionally
-    /// emits [`Event::SlowRequest`] with its full stage span.
-    pub slow_request_threshold: Duration,
-    /// Spans retained per connection by the [`TraceCenter`]'s flight
-    /// recorder (the `GET /trace?conn=ID` ring).
-    pub trace_ring_cap: usize,
     /// Attach the built-in [`MetricsSubscriber`] and [`EventLog`]
     /// (`false` runs the event bus bare — only explicitly added
-    /// subscribers see events; the bench suite uses this to price
+    /// subscribers see events; the harness uses this to price
     /// instrumentation).
     pub instrument: bool,
     /// Additional user subscribers attached to the event bus.
@@ -165,16 +154,12 @@ impl Default for ServerConfig {
             max_conns: 256,
             budget_bytes_per_sec: None,
             mode: ServeMode::Echo,
-            drain_poll: Duration::from_millis(100),
             drain_deadline: Duration::from_secs(30),
             pool_max_idle: Some(64),
             pool_max_idle_bytes: Some(64 << 20),
             default_tier: Tier::Bulk,
             tier_overrides: Vec::new(),
             metrics_addr: None,
-            event_log_cap: 1024,
-            slow_request_threshold: Duration::from_secs(1),
-            trace_ring_cap: 64,
             instrument: true,
             subscribers: Vec::new(),
             require_auth: false,
@@ -191,16 +176,12 @@ impl std::fmt::Debug for ServerConfig {
             .field("max_conns", &self.max_conns)
             .field("budget_bytes_per_sec", &self.budget_bytes_per_sec)
             .field("mode", &self.mode)
-            .field("drain_poll", &self.drain_poll)
             .field("drain_deadline", &self.drain_deadline)
             .field("pool_max_idle", &self.pool_max_idle)
             .field("pool_max_idle_bytes", &self.pool_max_idle_bytes)
             .field("default_tier", &self.default_tier)
             .field("tier_overrides", &self.tier_overrides)
             .field("metrics_addr", &self.metrics_addr)
-            .field("event_log_cap", &self.event_log_cap)
-            .field("slow_request_threshold", &self.slow_request_threshold)
-            .field("trace_ring_cap", &self.trace_ring_cap)
             .field("instrument", &self.instrument)
             .field("subscribers", &self.subscribers.len())
             .field("require_auth", &self.require_auth)
@@ -268,12 +249,6 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Drain-poll granularity (must be > 0).
-    pub fn drain_poll(mut self, poll: Duration) -> Self {
-        self.cfg.drain_poll = poll;
-        self
-    }
-
     /// Hard deadline for in-flight messages once draining.
     pub fn drain_deadline(mut self, deadline: Duration) -> Self {
         self.cfg.drain_deadline = deadline;
@@ -308,26 +283,6 @@ impl ServerConfigBuilder {
     /// Listen address for the embedded metrics/control HTTP listener.
     pub fn metrics_addr(mut self, addr: impl Into<String>) -> Self {
         self.cfg.metrics_addr = Some(addr.into());
-        self
-    }
-
-    /// Retention capacity of the built-in [`EventLog`] (must be ≥ 1).
-    pub fn event_log_cap(mut self, cap: usize) -> Self {
-        self.cfg.event_log_cap = cap;
-        self
-    }
-
-    /// Latency threshold above which a traced message emits
-    /// [`Event::SlowRequest`] (must be > 0; default 1s).
-    pub fn slow_request_threshold(mut self, threshold: Duration) -> Self {
-        self.cfg.slow_request_threshold = threshold;
-        self
-    }
-
-    /// Per-connection flight-recorder capacity (must be ≥ 1;
-    /// default 64).
-    pub fn trace_ring_cap(mut self, cap: usize) -> Self {
-        self.cfg.trace_ring_cap = cap;
         self
     }
 
@@ -377,14 +332,7 @@ impl ServerConfigBuilder {
         let bad_budget = format!("budget_bytes_per_sec must be positive and finite, got {budget}");
         let violations = [
             (cfg.max_conns == 0, "max_conns must be >= 1"),
-            (cfg.drain_poll.is_zero(), "drain_poll must be > 0"),
             (!(budget > 0.0 && budget.is_finite()), bad_budget.as_str()),
-            (cfg.event_log_cap == 0, "event_log_cap must be >= 1"),
-            (
-                cfg.slow_request_threshold.is_zero(),
-                "slow_request_threshold must be > 0",
-            ),
-            (cfg.trace_ring_cap == 0, "trace_ring_cap must be >= 1"),
             (
                 cfg.metrics_addr
                     .as_ref()
@@ -429,7 +377,7 @@ pub(crate) struct ServedMessage<'a> {
 /// The daemon core: registry + scheduler + shared pool + event bus +
 /// drain state. Transport-agnostic — the TCP front end lives in
 /// [`daemon`], and [`Server::serve_stream`] drives any `Read`/`Write`
-/// pair (the bench harness runs it over simulated links).
+/// pair (the tests run it over simulated links).
 pub struct Server {
     cfg: ServerConfig,
     registry: ConnRegistry,
@@ -467,6 +415,15 @@ impl std::fmt::Debug for Server {
     }
 }
 
+/// Retention capacity of the built-in [`EventLog`] ring buffer.
+const EVENT_LOG_CAP: usize = 1024;
+/// Spans retained per connection by the [`TraceCenter`]'s flight
+/// recorder (the `GET /trace?conn=ID` ring).
+const TRACE_RING_CAP: usize = 64;
+/// End-to-end latency above which a traced message additionally emits
+/// [`Event::SlowRequest`] with its full stage span.
+const SLOW_REQUEST_THRESHOLD: Duration = Duration::from_secs(1);
+
 impl Server {
     /// Builds a server, validating the embedded AdOC configuration and
     /// applying the pool idle cap. Prefer constructing the config with
@@ -484,7 +441,7 @@ impl Server {
             cfg.adoc.pool.set_max_idle_bytes(budget);
         }
         let metrics_sub = Arc::new(MetricsSubscriber::new());
-        let event_log = Arc::new(EventLog::new(cfg.event_log_cap));
+        let event_log = Arc::new(EventLog::new(EVENT_LOG_CAP));
         let mut subs: Vec<Arc<dyn Subscriber>> = Vec::new();
         if cfg.instrument {
             subs.push(metrics_sub.clone());
@@ -494,7 +451,7 @@ impl Server {
         let bus = Arc::new(EventBus::new(subs));
         let registry = ConnRegistry::with_bus(Arc::clone(&bus));
         let sched = FairScheduler::with_bus(cfg.budget_bytes_per_sec, Arc::clone(&bus));
-        let tracer = TraceCenter::new(cfg.trace_ring_cap);
+        let tracer = TraceCenter::new(TRACE_RING_CAP);
         let ticket_key = match &cfg.auth_secret {
             Some(secret) => adoc::TicketKey::from_secret(secret),
             None => adoc::TicketKey::random(),
@@ -667,7 +624,7 @@ impl Server {
             reply_wire_bytes,
             times: msg.times.unwrap_or_default(),
         });
-        let slow_us = self.cfg.slow_request_threshold.as_micros() as u64;
+        let slow_us = SLOW_REQUEST_THRESHOLD.as_micros() as u64;
         let judged = msg.times.filter(|_| msg.from_first_byte);
         if let Some(times) = judged.filter(|t| t.total_us > slow_us) {
             self.bus.emit(Event::SlowRequest {
@@ -751,7 +708,7 @@ impl Server {
     }
 
     /// Serves one already-connected v1 client over any `Read`/`Write`
-    /// pair (the transport-agnostic entry the bench harness uses with
+    /// pair (the transport-agnostic entry the tests use with
     /// simulated links; the TCP daemon adds sniffing, timeouts and
     /// grouping on top). Blocks until the client closes, the server
     /// drains at a message boundary, or an error occurs; returns the
@@ -868,26 +825,6 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(err.to_string().contains("budget"));
-        let err = ServerConfig::builder()
-            .event_log_cap(0)
-            .build()
-            .unwrap_err();
-        assert!(err.to_string().contains("event_log_cap"));
-        let err = ServerConfig::builder()
-            .drain_poll(Duration::ZERO)
-            .build()
-            .unwrap_err();
-        assert!(err.to_string().contains("drain_poll"));
-        let err = ServerConfig::builder()
-            .slow_request_threshold(Duration::ZERO)
-            .build()
-            .unwrap_err();
-        assert!(err.to_string().contains("slow_request_threshold"));
-        let err = ServerConfig::builder()
-            .trace_ring_cap(0)
-            .build()
-            .unwrap_err();
-        assert!(err.to_string().contains("trace_ring_cap"));
         // Struct-literal construction reports the same violations
         // through Server::new.
         let err = Server::new(ServerConfig {
@@ -920,16 +857,12 @@ mod tests {
             .max_conns(3)
             .budget(Some(1e6))
             .mode(ServeMode::Sink)
-            .drain_poll(Duration::from_millis(5))
             .drain_deadline(Duration::from_secs(2))
             .pool_max_idle(None)
             .pool_max_idle_bytes(Some(8 << 20))
             .default_tier(Tier::Paid)
             .tier_override("vip-", Tier::Control)
             .metrics_addr("127.0.0.1:0")
-            .event_log_cap(16)
-            .slow_request_threshold(Duration::from_millis(250))
-            .trace_ring_cap(8)
             .instrument(false)
             .build()
             .unwrap();
@@ -943,9 +876,6 @@ mod tests {
             vec![("vip-".to_string(), Tier::Control)]
         );
         assert_eq!(cfg.metrics_addr.as_deref(), Some("127.0.0.1:0"));
-        assert_eq!(cfg.event_log_cap, 16);
-        assert_eq!(cfg.slow_request_threshold, Duration::from_millis(250));
-        assert_eq!(cfg.trace_ring_cap, 8);
         assert!(!cfg.instrument);
     }
 

@@ -20,9 +20,9 @@
 //!   recent spans ([`TraceCenter::trace_json`]).
 //!
 //! Recording is cheap on purpose: a handful of relaxed atomic adds per
-//! message plus one short ring lock — the bench suite prices the whole
-//! instrumented path (spans included) at < 3% of `fig_server_scale`
-//! throughput.
+//! message plus one short ring lock. The benchmark harness prices the
+//! whole instrumented path (spans included) against a bare run as
+//! `event.instrument_overhead_share`.
 
 use crate::registry::ConnId;
 use crate::workers::JobTiming;

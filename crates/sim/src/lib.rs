@@ -12,7 +12,7 @@
 //! * [`trace`] — piecewise-constant bandwidth traces for congestion
 //!   scenarios;
 //! * [`netprofiles`] — the paper's four networks as ready-made configs;
-//! * [`stats`] — timing/summary helpers for the experiment harness.
+//! * [`stats`] — unit conversions for throughput reports.
 //!
 //! ```
 //! use adoc_sim::{link, netprofiles::NetProfile};

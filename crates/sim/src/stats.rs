@@ -1,87 +1,8 @@
-//! Measurement helpers for the experiment harness: repeated timings,
-//! best-of/average summaries (the paper plots both, Figs. 4 vs 5), and
-//! unit conversions.
-
-use std::time::{Duration, Instant};
-
-/// Times `f` once, returning (elapsed, result).
-pub fn time_once<T>(f: impl FnOnce() -> T) -> (Duration, T) {
-    let start = Instant::now();
-    let out = f();
-    (start.elapsed(), out)
-}
-
-/// A set of repeated timing samples.
-#[derive(Debug, Clone, Default)]
-pub struct Samples {
-    secs: Vec<f64>,
-}
-
-impl Samples {
-    /// Collects `n` samples of `f`.
-    pub fn collect(n: usize, mut f: impl FnMut()) -> Self {
-        let mut s = Samples::default();
-        for _ in 0..n {
-            let (d, ()) = time_once(&mut f);
-            s.push(d);
-        }
-        s
-    }
-
-    /// Adds one sample.
-    pub fn push(&mut self, d: Duration) {
-        self.secs.push(d.as_secs_f64());
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.secs.len()
-    }
-
-    /// True when no samples have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.secs.is_empty()
-    }
-
-    /// Fastest sample in seconds (the paper's "best timings", Fig. 5).
-    pub fn best(&self) -> f64 {
-        self.secs.iter().copied().fold(f64::INFINITY, f64::min)
-    }
-
-    /// Mean in seconds (the paper's "average timings", Fig. 4).
-    pub fn mean(&self) -> f64 {
-        if self.secs.is_empty() {
-            return f64::NAN;
-        }
-        self.secs.iter().sum::<f64>() / self.secs.len() as f64
-    }
-
-    /// Sample standard deviation in seconds.
-    pub fn stddev(&self) -> f64 {
-        let n = self.secs.len();
-        if n < 2 {
-            return 0.0;
-        }
-        let m = self.mean();
-        let var = self.secs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (n - 1) as f64;
-        var.sqrt()
-    }
-}
+//! Unit conversions for the examples' throughput reports.
 
 /// Application-level bandwidth in Mbit/s for `bytes` moved in `secs`.
 pub fn mbits_per_sec(bytes: usize, secs: f64) -> f64 {
     (bytes as f64 * 8.0) / secs / 1e6
-}
-
-/// Formats a byte count the way the paper's x-axes do.
-pub fn fmt_size(bytes: usize) -> String {
-    if bytes >= 1 << 20 {
-        format!("{}MB", bytes >> 20)
-    } else if bytes >= 1 << 10 {
-        format!("{}KB", bytes >> 10)
-    } else {
-        format!("{bytes}B")
-    }
 }
 
 #[cfg(test)]
@@ -89,37 +10,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn samples_summaries() {
-        let mut s = Samples::default();
-        for ms in [10u64, 20, 30] {
-            s.push(Duration::from_millis(ms));
-        }
-        assert_eq!(s.len(), 3);
-        assert!((s.best() - 0.010).abs() < 1e-9);
-        assert!((s.mean() - 0.020).abs() < 1e-9);
-        assert!((s.stddev() - 0.010).abs() < 1e-9);
-    }
-
-    #[test]
     fn bandwidth_conversion() {
         // 1 MB in 0.08 s = 100 Mbit/s.
         let v = mbits_per_sec(1_000_000, 0.08);
         assert!((v - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn size_formatting() {
-        assert_eq!(fmt_size(10), "10B");
-        assert_eq!(fmt_size(2048), "2KB");
-        assert_eq!(fmt_size(32 << 20), "32MB");
-    }
-
-    #[test]
-    fn empty_samples_do_not_panic() {
-        let s = Samples::default();
-        assert!(s.is_empty());
-        assert!(s.mean().is_nan());
-        assert_eq!(s.stddev(), 0.0);
-        assert!(s.best().is_infinite());
     }
 }

@@ -5,7 +5,7 @@
 //! `/control/*`) against a live TCP daemon.
 
 use adoc::AdocSocket;
-use adoc_server::{daemon, Event, EventMeta, Server, ServerConfig, Subscriber};
+use adoc_server::{daemon, Event, EventLog, EventMeta, Server, ServerConfig, Subscriber};
 use adoc_sim::pipe::duplex_pipe;
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
@@ -87,12 +87,15 @@ fn per_connection_events_arrive_in_lifecycle_order() {
 
 #[test]
 fn event_log_stays_bounded_under_burst() {
-    let cfg = ServerConfig::builder().event_log_cap(8).build().unwrap();
+    let log = Arc::new(EventLog::new(8));
+    let cfg = ServerConfig::builder()
+        .subscriber(log.clone())
+        .build()
+        .unwrap();
     let server = Server::new(cfg).unwrap();
     // 30 messages ⇒ ≥ 33 events through an 8-slot ring.
     echo_over_pipe(&server, 30);
 
-    let log = server.event_log();
     assert_eq!(log.len(), 8, "ring must stay at capacity");
     assert!(log.dropped() > 0, "burst must overwrite, not grow");
     let records = log.records_since(0);

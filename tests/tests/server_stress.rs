@@ -85,7 +85,7 @@ fn sixty_four_concurrent_mixed_clients_with_clean_drain() {
                 let kind = [DataKind::Ascii, DataKind::Binary, DataKind::Incompressible][c % 3];
                 // In-envelope but deliberately ugly geometries: packets
                 // barely above a frame header, buffers that are not
-                // packet multiples, a queue barely above high_water.
+                // packet multiples, a queue barely above HIGH_WATER.
                 let mut cfg = AdocConfig::default().with_levels(1, 10);
                 match c % 4 {
                     0 => {}
@@ -96,7 +96,7 @@ fn sixty_four_concurrent_mixed_clients_with_clean_drain() {
                     2 => {
                         cfg.packet_size = 8 << 10;
                         cfg.buffer_size = (8 << 10) * 3 + 17;
-                        cfg.queue_cap = cfg.high_water + 1;
+                        cfg.queue_cap = adoc::adapt::HIGH_WATER + 1;
                     }
                     _ => {
                         cfg.packet_size = 1 << 16;
@@ -844,6 +844,23 @@ fn ten_thousand_idle_connections_hold_flat_memory_and_drain() {
         server.pool().idle_bytes(),
         IDLE_BYTE_BUDGET
     );
+
+    // No thread per connection: a server that parked a thread on each
+    // idle socket would hold at least `n` threads here, while the
+    // reactor, its worker pool and the tests running beside this one
+    // come to a few hundred. (The count is read from Linux's procfs.)
+    if cfg!(target_os = "linux") {
+        let status = std::fs::read_to_string("/proc/self/status").expect("/proc/self/status");
+        let threads: usize = status
+            .lines()
+            .find_map(|l| l.strip_prefix("Threads:"))
+            .and_then(|v| v.trim().parse().ok())
+            .expect("Threads: line");
+        assert!(
+            threads < n / 4,
+            "{threads} threads while holding {n} idle connections"
+        );
+    }
 
     // Drain: 10k idle boundary connections must close in one sweep,
     // far inside the 30 s default deadline.

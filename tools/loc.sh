@@ -11,8 +11,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-RATCHET=14226
-FIELD_RATCHET=40
+RATCHET=14173
+FIELD_RATCHET=29
 
 total=0
 for crate in crates/core/src crates/server/src; do
