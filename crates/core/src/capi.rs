@@ -22,15 +22,11 @@ trait AdocStreamObj: Send {
     fn write_levels(&mut self, data: &[u8], min: u8, max: u8) -> io::Result<SendReport>;
     fn read(&mut self, out: &mut [u8]) -> io::Result<usize>;
     fn send_file_levels(&mut self, f: &mut File, min: u8, max: u8) -> io::Result<SendReport>;
-    fn receive_file(&mut self, f: &mut dyn WriteSend) -> io::Result<u64>;
+    fn receive_file(&mut self, f: &mut File) -> io::Result<u64>;
     fn close(&mut self) -> io::Result<()>;
     fn min_level(&self) -> u8;
     fn max_level(&self) -> u8;
 }
-
-/// Helper trait: `Write + Send` as a single object bound.
-pub trait WriteSend: Write + Send {}
-impl<T: Write + Send> WriteSend for T {}
 
 impl<R: Read + Send, W: Write + Send> AdocStreamObj for AdocStreamGroup<R, W> {
     fn write_levels(&mut self, data: &[u8], min: u8, max: u8) -> io::Result<SendReport> {
@@ -45,8 +41,8 @@ impl<R: Read + Send, W: Write + Send> AdocStreamObj for AdocStreamGroup<R, W> {
         AdocStreamGroup::send_file_levels(self, f, min, max)
     }
 
-    fn receive_file(&mut self, f: &mut dyn WriteSend) -> io::Result<u64> {
-        AdocStreamGroup::receive_file(self, &mut WriteShim(f))
+    fn receive_file(&mut self, f: &mut File) -> io::Result<u64> {
+        AdocStreamGroup::receive_file(self, f)
     }
 
     fn close(&mut self) -> io::Result<()> {
@@ -59,19 +55,6 @@ impl<R: Read + Send, W: Write + Send> AdocStreamObj for AdocStreamGroup<R, W> {
 
     fn max_level(&self) -> u8 {
         self.config().max_level
-    }
-}
-
-/// Adapter giving a `&mut dyn WriteSend` the `Write + Send` bounds the
-/// generic receive path wants.
-struct WriteShim<'a>(&'a mut dyn WriteSend);
-
-impl Write for WriteShim<'_> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.0.write(buf)
-    }
-    fn flush(&mut self) -> io::Result<()> {
-        self.0.flush()
     }
 }
 

@@ -1,23 +1,22 @@
 //! The reception side of AdOC (paper Fig. 1, "symmetric but does not
-//! monitor the queue size"): reception threads reading frames off the
-//! sockets, and a decompression thread draining them into the application
-//! sink.
+//! monitor the queue size"): frames read off the sockets and decompressed
+//! into the application sink on the caller's thread.
 //!
 //! [`receive_message`] mirrors [`crate::sender::send_message`] for any
-//! stream count: one reception thread per stream parks its frames in a
-//! shared, bounded [`ReorderBuffer`] keyed by sequence number, and the
-//! decompression thread drains them in sequence order — so the
-//! application sees bytes **in order** no matter how the streams
-//! interleaved. A v1 stream (one stream, fresh message) is simply a
-//! reception thread that numbers frames itself and ends on the message's
-//! byte count instead of a FIN. Payloads live in pooled buffers from the
-//! shared [`crate::BufferPool`]; the reorder window is a few frames, so a
-//! stalled stream or a slow decompressor backpressures the network
-//! promptly instead of buffering unboundedly.
+//! stream count. One stream (a fresh v1 message, or a resumed tail of
+//! width 1) is read on the caller's thread too: its frames arrive in
+//! sequence, so there is nothing to reorder, no thread and no window — a
+//! raw frame costs what a POSIX read of it does. Two or more streams get
+//! a reception thread each, parking frames in a shared, bounded
+//! [`ReorderBuffer`] keyed by sequence number that the caller drains in
+//! order, so the application sees bytes **in order** however the streams
+//! interleaved. Payloads live in pooled buffers from the shared
+//! [`crate::BufferPool`]; the window is a few frames, so a stalled stream
+//! or a slow decompressor backpressures the network promptly.
 
 use crate::config::AdocConfig;
 use crate::pool::PooledBuf;
-use crate::wire::{self, FrameHeader, Framing, MsgKind};
+use crate::wire::{self, FrameHeaderV2, Framing, MsgKind};
 use adoc_codec::Codec;
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
@@ -25,7 +24,7 @@ use std::io::{self, Read, Write};
 use std::time::Instant;
 
 /// Frames the reorder window buffers between the reception threads and
-/// the decompression thread. Kept small so a slow decompressor
+/// the consumer. Kept small so a slow decompressor
 /// backpressures the network promptly — that is the signal the sender's
 /// divergence guard reacts to.
 const RECV_WINDOW_FRAMES: usize = 16;
@@ -70,22 +69,18 @@ impl RecvProgress {
 /// frames with sequence numbers below `next_seq` — replays — are
 /// rejected as duplicates.
 ///
-/// `codec` lends the decompression thread the connection's decoder tables.
+/// `codec` holds the connection's decoder tables.
 ///
 /// Returns `Ok(None)` on clean end-of-stream, `Ok(Some(raw_len))` after a
 /// full message.
-pub fn receive_message<R, K>(
+pub fn receive_message<R: Read + Send, K: Write>(
     readers: &mut [R],
     sink: &mut K,
     cfg: &AdocConfig,
     progress: &mut RecvProgress,
     resume: Option<RecvProgress>,
     codec: &mut Codec,
-) -> io::Result<Option<u64>>
-where
-    R: Read + Send,
-    K: Write + Send,
-{
+) -> io::Result<Option<u64>> {
     assert!(!readers.is_empty(), "a connection needs at least 1 stream");
     let body_len = match resume {
         Some(at) => {
@@ -107,13 +102,12 @@ where
                 return Ok(None);
             };
             if kind == MsgKind::Direct {
-                copy_exact(primary, sink, raw_len, cfg.buffer_size, cfg)?;
+                wire::copy_raw(primary, sink, raw_len, cfg.buffer_size, cfg, &mut 0)?;
                 return Ok(Some(raw_len));
             }
             progress.active = true;
             progress.total_raw = raw_len;
-            let probe_len = read_probe_prefix(primary, sink, raw_len, cfg)?;
-            progress.delivered_raw = probe_len;
+            let probe_len = read_probe(primary, sink, raw_len, cfg, &mut progress.delivered_raw)?;
             if probe_len == raw_len {
                 progress.active = false;
                 return Ok(Some(raw_len));
@@ -128,12 +122,14 @@ where
 }
 
 /// Reads and validates the probe-length prefix, copying the probe bytes
-/// straight to the sink. Returns the probe length.
-fn read_probe_prefix<R: Read, K: Write>(
+/// straight to the sink and counting them into `delivered` as they land.
+/// Returns the probe length.
+fn read_probe<R: Read, K: Write>(
     reader: &mut R,
     sink: &mut K,
     raw_len: u64,
     cfg: &AdocConfig,
+    delivered: &mut u64,
 ) -> io::Result<u64> {
     let probe_len = u64::from(wire::read_u32(reader)?);
     if probe_len > raw_len {
@@ -142,7 +138,7 @@ fn read_probe_prefix<R: Read, K: Write>(
             "probe longer than message",
         ));
     }
-    copy_exact(reader, sink, probe_len, cfg.packet_size, cfg)?;
+    wire::copy_raw(reader, sink, probe_len, cfg.packet_size, cfg, delivered)?;
     Ok(probe_len)
 }
 
@@ -180,9 +176,9 @@ enum ReorderPushError {
     Duplicate,
 }
 
-/// One frame parked in the reorder window.
+/// One data frame read off a stream.
 struct RecvFrame {
-    hdr: FrameHeader,
+    hdr: FrameHeaderV2,
     payload: PooledBuf,
 }
 
@@ -199,17 +195,16 @@ struct ReorderInner {
     failed: bool,
 }
 
-/// The shared reassembly window of a receive: reception threads
-/// [`push`](ReorderBuffer::push) frames keyed by global sequence number,
-/// the decompression thread [`pop_next`](ReorderBuffer::pop_next)s them
-/// in order. Bounded: a push beyond the window blocks — **except** for
-/// the frame the consumer is waiting on (`seq == next`), which is always
+/// The shared reassembly window of a multi-stream receive: reception
+/// threads [`push`](ReorderBuffer::push) frames keyed by global sequence
+/// number, the consumer [`pop_next`](ReorderBuffer::pop_next)s them in
+/// order. Bounded: a push beyond the window blocks — **except** for the
+/// frame the consumer is waiting on (`seq == next`), which is always
 /// admitted so a full window can never deadlock the pipeline.
 struct ReorderBuffer {
     inner: Mutex<ReorderInner>,
     can_push: Condvar,
     can_pop: Condvar,
-    cap: usize,
 }
 
 impl ReorderBuffer {
@@ -229,17 +224,17 @@ impl ReorderBuffer {
             }),
             can_push: Condvar::new(),
             can_pop: Condvar::new(),
-            cap: RECV_WINDOW_FRAMES,
         }
     }
 
-    /// Parks `frame` under `seq`. Blocks while the window is full (unless
-    /// this is the very frame the consumer needs). Fails once either side
-    /// of the pipeline has died, or on a duplicate sequence number —
-    /// the two cases are distinct because a duplicate is *corruption the
-    /// pusher must report*, while a stopped pipeline already has a more
-    /// authoritative error elsewhere.
-    fn push(&self, seq: u64, frame: RecvFrame) -> Result<(), ReorderPushError> {
+    /// Parks `frame` under its sequence number. Blocks while the window
+    /// is full (unless this is the very frame the consumer needs). Fails
+    /// once either side of the pipeline has died, or on a duplicate
+    /// sequence number — the two cases are distinct because a duplicate
+    /// is *corruption the pusher must report*, while a stopped pipeline
+    /// already has a more authoritative error elsewhere.
+    fn push(&self, frame: RecvFrame) -> Result<(), ReorderPushError> {
+        let seq = frame.hdr.seq;
         let mut g = self.inner.lock();
         loop {
             if g.failed || g.aborted {
@@ -248,7 +243,7 @@ impl ReorderBuffer {
             if seq < g.next || g.frames.contains_key(&seq) {
                 return Err(ReorderPushError::Duplicate);
             }
-            if seq == g.next || g.frames.len() < self.cap {
+            if seq == g.next || g.frames.len() < RECV_WINDOW_FRAMES {
                 g.frames.insert(seq, frame);
                 drop(g);
                 self.can_pop.notify_all();
@@ -313,8 +308,8 @@ impl ReorderBuffer {
 
 /// Fires [`ReorderBuffer::abort`] on drop unless disarmed — the
 /// reception-thread counterpart of the queue guards: an error or panic
-/// must never strand the decompression thread waiting on a frame that
-/// will never come.
+/// must never strand the consumer waiting on a frame that will never
+/// come.
 struct AbortOnDrop<'a> {
     rb: &'a ReorderBuffer,
     armed: bool,
@@ -328,8 +323,8 @@ impl Drop for AbortOnDrop<'_> {
     }
 }
 
-/// Fires [`ReorderBuffer::fail`] on drop — held by the decompression
-/// stage; a no-op for reception threads that already finished.
+/// Fires [`ReorderBuffer::fail`] on drop — held by the consumer; a no-op
+/// for reception threads that already finished.
 struct FailOnDrop<'a> {
     rb: &'a ReorderBuffer,
 }
@@ -340,11 +335,13 @@ impl Drop for FailOnDrop<'_> {
     }
 }
 
-/// The frame stage of a receive: per-stream reception threads feed the
-/// reorder window, which the decompression thread drains in
-/// global-sequence order. Shared by the fresh path (after the probe) and
-/// the resume path (no probe, window starting at the parked cursor).
-fn receive_frames<R, K>(
+/// The frame stage of a receive, shared by the fresh path (after the
+/// probe) and the resume path (no probe, sequence starting at the parked
+/// cursor). The caller's thread delivers the frames. One stream is read
+/// right there: its frames arrive in sequence, so there is nothing to
+/// reorder. Two or more streams each get a reception thread feeding the
+/// reorder window, which the caller drains.
+fn receive_frames<R: Read + Send, K: Write>(
     readers: &mut [R],
     sink: &mut K,
     body_len: u64,
@@ -352,43 +349,46 @@ fn receive_frames<R, K>(
     cfg: &AdocConfig,
     progress: &mut RecvProgress,
     codec: &mut Codec,
-) -> io::Result<()>
-where
-    R: Read + Send,
-    K: Write + Send,
-{
+) -> io::Result<()> {
+    if let [reader] = readers {
+        let next = read_frames(reader, 0, body_len, framing, cfg);
+        return caught(|| deliver(next, sink, cfg, progress, codec));
+    }
     let reorder = ReorderBuffer::new(readers.len(), progress.next_seq);
-    let (recv_res, decomp_res) = std::thread::scope(|s| {
-        let rb = &reorder;
+    let rb = &reorder;
+    std::thread::scope(|s| {
         let handles: Vec<_> = readers
             .iter_mut()
             .enumerate()
             .map(|(i, r)| s.spawn(move || reception_thread(i as u8, r, body_len, framing, rb, cfg)))
             .collect();
-        let decomp =
-            s.spawn(move || decompression_thread(sink, body_len, rb, cfg, progress, codec));
-        (
-            handles.into_iter().map(|h| h.join()).collect::<Vec<_>>(),
-            decomp.join(),
-        )
-    });
-
-    // A panicking thread has already released its peers through the
-    // window guards; it surfaces as an error instead of aborting the
-    // caller. A reception (socket) error is the root cause when present
-    // — the consumer's "truncated" error is its downstream symptom.
-    // Decode and sink failures surface from the consumer, whose reception
-    // threads then end quietly.
-    for res in recv_res {
-        res.map_err(|_| io::Error::other("reception thread panicked"))??;
-    }
-    decomp_res.map_err(|_| io::Error::other("decompression thread panicked"))?
+        let delivered = caught(|| {
+            let _fail = FailOnDrop { rb };
+            deliver(|| Ok(rb.pop_next()), sink, cfg, progress, codec)
+        });
+        // A panicking reception thread has already released the consumer
+        // through its window guard. A reception (socket) error is the root
+        // cause when present — the consumer's "truncated" error is its
+        // downstream symptom. Decode and sink failures surface from the
+        // consumer, whose reception threads then end quietly.
+        for h in handles {
+            h.join()
+                .map_err(|_| io::Error::other("reception thread panicked"))??;
+        }
+        delivered
+    })
 }
 
-/// One stream's reception thread: reads frames off the socket into the
-/// reorder window until the stream's share of the message is over — at
-/// its FIN, or for v1 framing (which has none) at the message's byte
-/// count.
+/// Runs the consumer on the caller's thread: a panic in it (the codec, or
+/// a user [`crate::Throttle`]) becomes an error, as a panicking reception
+/// thread's does, instead of unwinding into the caller.
+fn caught(consumer: impl FnOnce() -> io::Result<()>) -> io::Result<()> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(consumer))
+        .unwrap_or_else(|_| Err(io::Error::other("receive panicked")))
+}
+
+/// One stream's reception thread (two or more streams): moves the
+/// stream's frames into the reorder window.
 fn reception_thread<R: Read>(
     stream_id: u8,
     reader: &mut R,
@@ -401,43 +401,10 @@ fn reception_thread<R: Read>(
         rb: reorder,
         armed: true,
     };
-    let mut frames_seen = 0u64;
-    let mut collected = 0u64;
-    while framing.owes_fin() || collected < body_len {
-        let fh = framing.read_header(reader, stream_id, frames_seen)?;
-        if fh.stream != stream_id {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "frame for stream {} arrived on stream {stream_id}",
-                    fh.stream
-                ),
-            ));
-        }
-        if fh.is_fin() {
-            if fh.seq != frames_seen {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "stream {stream_id} FIN declares {} frames, saw {frames_seen}",
-                        fh.seq
-                    ),
-                ));
-            }
-            break;
-        }
-        // Before anything is sized from the header: no one stream can
-        // carry more than the whole body.
-        fh.body()
-            .check_bounds(cfg.buffer_size, body_len - collected)?;
-        let payload = read_payload(reader, fh.payload_len, cfg)?;
-        frames_seen += 1;
-        collected += u64::from(fh.raw_len);
-        let frame = RecvFrame {
-            hdr: fh.body(),
-            payload,
-        };
-        match reorder.push(fh.seq, frame) {
+    let mut next = read_frames(reader, stream_id, body_len, framing, cfg);
+    while let Some(frame) = next()? {
+        let seq = frame.hdr.seq;
+        match reorder.push(frame) {
             Ok(()) => {}
             Err(ReorderPushError::Stopped) => {
                 // The consumer (or a sibling stream) failed; that error
@@ -450,7 +417,7 @@ fn reception_thread<R: Read>(
                 // aborts the pipeline for everyone else).
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
-                    format!("duplicate frame sequence {} on stream {stream_id}", fh.seq),
+                    format!("duplicate frame sequence {seq} on stream {stream_id}"),
                 ));
             }
         }
@@ -460,65 +427,106 @@ fn reception_thread<R: Read>(
     Ok(())
 }
 
-/// The decompression thread: drains the reorder window in sequence order
-/// into the sink, advancing `progress` frame by frame.
-fn decompression_thread<K: Write>(
-    sink: &mut K,
+/// One stream's frames, one per call, validated as they are read; `None`
+/// once the stream's share of the message is over — at its FIN, or for
+/// v1 framing (which has none) at the message's byte count.
+fn read_frames<'a, R: Read>(
+    reader: &'a mut R,
+    stream_id: u8,
     body_len: u64,
-    reorder: &ReorderBuffer,
+    framing: Framing,
+    cfg: &'a AdocConfig,
+) -> impl FnMut() -> io::Result<Option<RecvFrame>> + 'a {
+    let mut frames_seen = 0u64;
+    let mut collected = 0u64;
+    move || {
+        if !framing.owes_fin() && collected >= body_len {
+            return Ok(None);
+        }
+        let hdr = framing.read_header(reader, stream_id, frames_seen)?;
+        if hdr.stream != stream_id {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "frame for stream {} arrived on stream {stream_id}",
+                    hdr.stream
+                ),
+            ));
+        }
+        if hdr.is_fin() {
+            if hdr.seq != frames_seen {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "stream {stream_id} FIN declares {} frames, saw {frames_seen}",
+                        hdr.seq
+                    ),
+                ));
+            }
+            return Ok(None);
+        }
+        // Before anything is sized from the header: no one stream can
+        // carry more than the whole body.
+        hdr.body()
+            .check_bounds(cfg.buffer_size, body_len - collected)?;
+        let payload = read_payload(reader, hdr.payload_len, cfg)?;
+        frames_seen += 1;
+        collected += u64::from(hdr.raw_len);
+        Ok(Some(RecvFrame { hdr, payload }))
+    }
+}
+
+/// The consumer: decodes the frames `next` yields into the sink,
+/// advancing `progress` frame by frame. Each frame must carry the
+/// sequence number the message needs next — below it is a replay, above
+/// it a gap — and together they must carry the whole message.
+fn deliver<K: Write>(
+    mut next: impl FnMut() -> io::Result<Option<RecvFrame>>,
+    sink: &mut K,
     cfg: &AdocConfig,
     progress: &mut RecvProgress,
     codec: &mut Codec,
 ) -> io::Result<()> {
-    let _fail = FailOnDrop { rb: reorder };
-    let mut produced = 0u64;
     // Decode scratch: pooled, sized once to the largest frame and reused
     // across the message; the codec decodes straight into a frame's share.
+    let left = progress.total_raw - progress.delivered_raw;
     let mut scratch = cfg.pool.get(cfg.buffer_size);
-    scratch.resize((cfg.buffer_size as u64).min(body_len) as usize, 0);
-    while let Some(RecvFrame { hdr, payload }) = reorder.pop_next() {
-        // Each reception thread could only bound its own stream; the
-        // streams together must not overrun the message either.
-        hdr.check_bounds(cfg.buffer_size, body_len - produced)?;
-        let raw = &mut scratch[..hdr.raw_len as usize];
+    scratch.resize((cfg.buffer_size as u64).min(left) as usize, 0);
+    while let Some(RecvFrame { hdr, payload }) = next()? {
+        let (seq, want) = (hdr.seq, progress.next_seq);
+        if seq != want {
+            let what = if seq < want { "duplicate" } else { "early" };
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("{what} frame sequence {seq}, expected {want}"),
+            ));
+        }
+        // Each stream could only bound its own share; the streams
+        // together must not overrun the message either.
+        let hdr = hdr.body();
+        hdr.check_bounds(cfg.buffer_size, progress.total_raw - progress.delivered_raw)?;
+        let raw_len = hdr.raw_len as usize;
+        if scratch.len() < raw_len {
+            // A peer with a larger `buffer_size` sends larger frames.
+            scratch.resize(raw_len, 0);
+        }
+        let raw = &mut scratch[..raw_len];
         let t0 = Instant::now();
         let decoded = codec.decompress_into(hdr.level, &payload, raw);
         decoded.map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
         cfg.throttle.charge(t0.elapsed());
         sink.write_all(raw)?;
-        produced += u64::from(hdr.raw_len);
         progress.delivered_raw += u64::from(hdr.raw_len);
         progress.next_seq += 1;
     }
-    if produced != body_len {
+    if progress.delivered_raw != progress.total_raw {
         return Err(io::Error::new(
             io::ErrorKind::UnexpectedEof,
-            format!("message truncated: {produced} of {body_len} bytes"),
+            format!(
+                "message truncated: {} of {} bytes",
+                progress.delivered_raw, progress.total_raw
+            ),
         ));
-    }
-    Ok(())
-}
-
-fn copy_exact<R: Read, W: Write>(
-    reader: &mut R,
-    sink: &mut W,
-    len: u64,
-    chunk: usize,
-    cfg: &AdocConfig,
-) -> io::Result<()> {
-    if len == 0 {
-        return Ok(());
-    }
-    let size = chunk.max(1).min(len.try_into().unwrap_or(usize::MAX));
-    let mut buf = cfg.pool.get(size);
-    buf.resize(size, 0);
-    let mut left = len;
-    while left > 0 {
-        let want = (buf.len() as u64).min(left) as usize;
-        cfg.throttle.acquire_wire(want);
-        reader.read_exact(&mut buf[..want])?;
-        sink.write_all(&buf[..want])?;
-        left -= want as u64;
     }
     Ok(())
 }
@@ -528,6 +536,7 @@ mod tests {
     use super::*;
     use crate::sender::send_message;
     use crate::session::ResumePoint;
+    use std::collections::HashSet;
     use std::io::Cursor;
 
     /// A fresh (non-resumed) receive with throwaway progress.
@@ -653,6 +662,21 @@ mod tests {
             let data = compressible(600_000);
             assert_eq!(roundtrip_with(&tx, &rx, &data), data, "level {level}");
         }
+    }
+
+    #[test]
+    fn frames_larger_than_the_receivers_buffer_size_decode() {
+        // Frame size is the sender's `buffer_size`; a receiver configured
+        // smaller grows its decode scratch instead of failing.
+        let mut tx = AdocConfig::default().with_levels(1, 10);
+        tx.buffer_size = 256 << 10;
+        let rx = AdocConfig {
+            buffer_size: 32 << 10,
+            ..AdocConfig::default()
+        };
+        let data = compressible(1 << 20);
+        assert_eq!(roundtrip_with(&tx, &rx, &data), data);
+        assert_eq!(roundtrip_striped(2, &tx, &rx, &data), data);
     }
 
     #[test]
@@ -853,35 +877,246 @@ mod tests {
     fn replayed_sequences_on_resume_are_rejected() {
         // A peer that replays the message from seq 0 although the
         // receiver already delivered 4 frames: every replayed frame sits
-        // below the reorder window's start and must be refused as a
-        // duplicate rather than re-delivered.
+        // below the resume cursor and must be refused as a duplicate
+        // rather than re-delivered — by the reorder window on two
+        // streams, by the in-sequence check on one.
         let data = compressible(1 << 20);
+        for streams in [1usize, 2] {
+            let tx = AdocConfig::default().with_levels(1, 10);
+            let mut sinks: Vec<Vec<u8>> = vec![Vec::new(); streams];
+            let mut src = &data[..];
+            let from_zero = Some(ResumePoint::default());
+            send_message(
+                &mut sinks,
+                &mut src,
+                data.len() as u64,
+                from_zero,
+                &tx,
+                &mut Vec::new(),
+            )
+            .unwrap();
+            let mut cursors: Vec<Cursor<Vec<u8>>> = sinks.into_iter().map(Cursor::new).collect();
+            let mut out = Vec::new();
+            let err = receive_message(
+                &mut cursors,
+                &mut out,
+                &AdocConfig::default(),
+                &mut RecvProgress::default(),
+                parked(2 * data.len() as u64, data.len() as u64, 4),
+                &mut Codec::new(),
+            )
+            .unwrap_err();
+            assert_eq!(
+                err.kind(),
+                io::ErrorKind::InvalidData,
+                "streams = {streams}"
+            );
+            assert!(err.to_string().contains("duplicate"), "{err}");
+        }
+    }
+
+    #[test]
+    fn one_stream_resume_that_skips_a_sequence_is_invalid_not_a_hang() {
+        // The receiver parked at seq 4, but the peer's tail starts at 5:
+        // on one stream nothing else can fill the hole, so the gap is
+        // corrupt data, reported before any byte of the tail lands.
+        let data = compressible(1 << 20);
+        let at = ResumePoint {
+            next_seq: 5,
+            delivered_raw: 200_000,
+        };
         let tx = AdocConfig::default().with_levels(1, 10);
-        let mut sinks: Vec<Vec<u8>> = vec![Vec::new(); 2];
-        let mut src = &data[..];
-        let from_zero = Some(ResumePoint::default());
+        let mut wire = vec![Vec::new()];
+        let mut src = &data[200_000..];
         send_message(
-            &mut sinks,
+            &mut wire,
             &mut src,
             data.len() as u64,
-            from_zero,
+            Some(at),
             &tx,
             &mut Vec::new(),
         )
         .unwrap();
-        let mut cursors: Vec<Cursor<Vec<u8>>> = sinks.into_iter().map(Cursor::new).collect();
-        let mut out = Vec::new();
-        let err = receive_message(
-            &mut cursors,
-            &mut out,
-            &AdocConfig::default(),
-            &mut RecvProgress::default(),
-            parked(2 * data.len() as u64, data.len() as u64, 4),
-            &mut Codec::new(),
-        )
-        .unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("duplicate"), "{err}");
+        let (done, verdict) = std::sync::mpsc::channel();
+        let receiver = std::thread::spawn(move || {
+            let mut out = Vec::new();
+            let res = receive_message(
+                &mut [Cursor::new(wire.pop().unwrap())],
+                &mut out,
+                &AdocConfig::default(),
+                &mut RecvProgress::default(),
+                parked(data.len() as u64, 200_000, 4),
+                &mut Codec::new(),
+            );
+            done.send((res.map_err(|e| (e.kind(), e.to_string())), out.len()))
+        });
+        let (res, delivered) = verdict
+            .recv_timeout(std::time::Duration::from_secs(20))
+            .expect("a sequence gap on one stream must not hang the receive");
+        receiver.join().unwrap().unwrap();
+        let (kind, msg) = res.unwrap_err();
+        assert_eq!(kind, io::ErrorKind::InvalidData, "{msg}");
+        assert_eq!(delivered, 0);
+    }
+
+    /// One stream carrying ≥ 20 frames, fresh (v1) and as a resumed tail
+    /// (v2, width 1): each case's wire, resume point, and the prefix the
+    /// receiver already holds.
+    fn one_stream_cases(data: &[u8]) -> Vec<(Vec<u8>, Option<RecvProgress>, Vec<u8>)> {
+        let mut tx = AdocConfig::default().with_levels(1, 10);
+        tx.buffer_size = 32 << 10;
+        let send = |from: Option<ResumePoint>| {
+            let mut wire = vec![Vec::new()];
+            let mut src = &data[from.map_or(0, |at| at.delivered_raw as usize)..];
+            send_message(
+                &mut wire,
+                &mut src,
+                data.len() as u64,
+                from,
+                &tx,
+                &mut Vec::new(),
+            )
+            .unwrap();
+            wire.pop().unwrap()
+        };
+        let at = ResumePoint {
+            next_seq: 7,
+            delivered_raw: 123_456,
+        };
+        vec![
+            (send(None), None, Vec::new()),
+            (
+                send(Some(at)),
+                parked(data.len() as u64, at.delivered_raw, at.next_seq),
+                data[..at.delivered_raw as usize].to_vec(),
+            ),
+        ]
+    }
+
+    #[test]
+    fn one_stream_is_read_on_the_callers_thread() {
+        /// Notes the thread every `read` runs on.
+        struct Tally(Cursor<Vec<u8>>, HashSet<std::thread::ThreadId>);
+        impl Read for Tally {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                self.1.insert(std::thread::current().id());
+                self.0.read(buf)
+            }
+        }
+        let data = compressible(1 << 20);
+        for (wire, resume, mut out) in one_stream_cases(&data) {
+            let mut readers = [Tally(Cursor::new(wire), HashSet::new())];
+            let mut progress = RecvProgress::default();
+            let cfg = AdocConfig::default();
+            receive_message(
+                &mut readers,
+                &mut out,
+                &cfg,
+                &mut progress,
+                resume,
+                &mut Codec::new(),
+            )
+            .unwrap();
+            assert!(out == data, "resume {resume:?}");
+            let frames = progress.next_seq - resume.map_or(0, |r| r.next_seq);
+            assert!(frames >= 20, "only {frames} frames");
+            let me = HashSet::from([std::thread::current().id()]);
+            assert_eq!(readers[0].1, me, "resume {resume:?}: a read ran elsewhere");
+        }
+    }
+
+    #[test]
+    fn one_stream_holds_one_payload_and_the_scratch() {
+        // No window: a frame's payload is released before the next one
+        // is read.
+        let data = compressible(1 << 20);
+        for (wire, resume, mut out) in one_stream_cases(&data) {
+            // Its own pool, so no sender's buffers are counted.
+            let rx = AdocConfig::default();
+            let mut progress = RecvProgress::default();
+            let mut readers = [Cursor::new(wire)];
+            receive_message(
+                &mut readers,
+                &mut out,
+                &rx,
+                &mut progress,
+                resume,
+                &mut Codec::new(),
+            )
+            .unwrap();
+            assert!(out == data, "resume {resume:?}");
+            let stats = rx.pool.stats();
+            assert!(stats.peak_outstanding <= 2, "resume {resume:?}: {stats:?}");
+            assert_eq!(stats.outstanding, 0);
+        }
+    }
+
+    #[test]
+    fn one_stream_receive_is_total_on_damaged_v1_fixtures() {
+        // Every truncation and every single-byte mutation of two v1
+        // captures (thinned ×17 in unoptimized builds): each returns Ok
+        // or a typed error — never a caught panic — and the sink holds
+        // exactly what `progress` accounts for, never more than the
+        // header's `raw_len`.
+        let captures: [(&str, &[u8]); 2] = [
+            (
+                "v1_pinned_l2",
+                include_bytes!("../../../tests/fixtures/v1_pinned_l2.bin"),
+            ),
+            (
+                "v1_fast_path",
+                include_bytes!("../../../tests/fixtures/v1_fast_path.bin"),
+            ),
+        ];
+        // The geometry the captures were taken with.
+        let cfg = AdocConfig {
+            buffer_size: 32 * 1024,
+            packet_size: 4 * 1024,
+            probe_threshold: 8 * 1024,
+            probe_size: 4 * 1024,
+            ..AdocConfig::default()
+        };
+        let stride = if cfg!(debug_assertions) { 17 } else { 1 };
+        let mut codec = Codec::new();
+        let mut check = |bytes: &[u8], what: &str| {
+            let mut out = Vec::new();
+            let mut progress = RecvProgress::default();
+            let res = receive_message(
+                &mut [Cursor::new(bytes)],
+                &mut out,
+                &cfg,
+                &mut progress,
+                None,
+                &mut codec,
+            );
+            if let Err(e) = &res {
+                assert!(!e.to_string().contains("panicked"), "{what}: {e}");
+            }
+            let raw_len = bytes
+                .get(2..wire::MSG_HEADER_LEN)
+                .map_or(0, |b| u64::from_le_bytes(b.try_into().unwrap()));
+            assert!(out.len() as u64 <= raw_len, "{what}: {} bytes", out.len());
+            if bytes.get(1) == Some(&wire::encode_msg_header(MsgKind::Adaptive, 0)[1]) {
+                assert_eq!(progress.delivered_raw, out.len() as u64, "{what}");
+            } else {
+                // Direct bodies (or no header at all) report no progress.
+                assert_eq!(progress, RecvProgress::default(), "{what}");
+            }
+            if let Ok(Some(n)) = res {
+                assert_eq!(n, out.len() as u64, "{what}");
+            }
+        };
+        for (name, capture) in captures {
+            check(capture, name);
+            let mut bad = capture.to_vec();
+            for at in (0..capture.len()).step_by(stride) {
+                check(&capture[..at], &format!("{name} cut at {at}"));
+                let flip = [0x01u8, 0x10, 0xFF][at % 3];
+                bad[at] ^= flip;
+                check(&bad, &format!("{name} mutated at {at}"));
+                bad[at] ^= flip;
+            }
+        }
     }
 
     #[test]

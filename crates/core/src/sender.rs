@@ -208,8 +208,7 @@ fn send_direct<W: Write, S: Read>(
     cfg: &AdocConfig,
 ) -> io::Result<SendOutcome> {
     writer.write_all(&wire::encode_msg_header(MsgKind::Direct, raw_len))?;
-    let copied = copy_exact(source, writer, raw_len, cfg.buffer_size, cfg)?;
-    debug_assert_eq!(copied, raw_len);
+    wire::copy_raw(source, writer, raw_len, cfg.buffer_size, cfg, &mut 0)?;
     writer.flush()?;
     Ok(SendOutcome {
         wire_bytes: wire::MSG_HEADER_LEN as u64 + raw_len,
@@ -237,7 +236,7 @@ fn write_probe<W: Write, S: Read>(
     out.wire_bytes += 4;
     if probe_len > 0 {
         let t0 = Instant::now();
-        copy_exact(source, writer, probe_len, cfg.packet_size, cfg)?;
+        wire::copy_raw(source, writer, probe_len, cfg.packet_size, cfg, &mut 0)?;
         writer.flush()?;
         let secs = t0.elapsed().as_secs_f64().max(1e-9);
         let bps = probe_len as f64 * 8.0 / secs;
@@ -689,29 +688,6 @@ fn emission_thread<W: Write>(
         wire_bytes += pkt.len() as u64;
     }
     Ok(wire_bytes)
-}
-
-/// Copies exactly `len` bytes from `source` to `writer` in bounded chunks
-/// drawn from the pool, acquiring wire budget per chunk.
-fn copy_exact<S: Read, W: Write>(
-    source: &mut S,
-    writer: &mut W,
-    len: u64,
-    chunk: usize,
-    cfg: &AdocConfig,
-) -> io::Result<u64> {
-    let size = chunk.min(len.try_into().unwrap_or(usize::MAX)).max(1);
-    let mut buf = cfg.pool.get(size);
-    buf.resize(size, 0);
-    let mut left = len;
-    while left > 0 {
-        let want = (buf.len() as u64).min(left) as usize;
-        source.read_exact(&mut buf[..want])?;
-        cfg.throttle.acquire_wire(want);
-        writer.write_all(&buf[..want])?;
-        left -= want as u64;
-    }
-    Ok(len)
 }
 
 #[cfg(test)]

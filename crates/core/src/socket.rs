@@ -310,7 +310,7 @@ impl<R: Read + Send, W: Write + Send> AdocStreamGroup<R, W> {
     /// `adoc_receive_file`: drains any partially-read message, then
     /// receives exactly one message, streaming it into `sink`. Returns the
     /// number of bytes stored.
-    pub fn receive_file(&mut self, sink: &mut (impl Write + Send)) -> io::Result<u64> {
+    pub fn receive_file(&mut self, sink: &mut impl Write) -> io::Result<u64> {
         self.receive_file_tracked(sink, &mut RecvProgress::default(), None)
     }
 
@@ -323,7 +323,7 @@ impl<R: Read + Send, W: Write + Send> AdocStreamGroup<R, W> {
     /// [`receive_message`]) instead of starting a fresh one.
     pub fn receive_file_tracked(
         &mut self,
-        sink: &mut (impl Write + Send),
+        sink: &mut impl Write,
         progress: &mut RecvProgress,
         resume: Option<RecvProgress>,
     ) -> io::Result<u64> {

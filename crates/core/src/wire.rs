@@ -637,6 +637,35 @@ pub fn read_u32(r: &mut impl Read) -> io::Result<u32> {
     Ok(u32::from_le_bytes(b))
 }
 
+/// Copies `len` raw bytes — a direct body or a probe — from `reader` to
+/// `writer` through one pooled `chunk`-sized buffer, acquiring wire budget
+/// per chunk and adding each chunk to `copied` once it is written.
+pub(crate) fn copy_raw<R: Read, W: Write>(
+    reader: &mut R,
+    writer: &mut W,
+    len: u64,
+    chunk: usize,
+    cfg: &crate::AdocConfig,
+    copied: &mut u64,
+) -> io::Result<()> {
+    if len == 0 {
+        return Ok(());
+    }
+    let size = chunk.max(1).min(len.try_into().unwrap_or(usize::MAX));
+    let mut buf = cfg.pool.get(size);
+    buf.resize(size, 0);
+    let mut left = len;
+    while left > 0 {
+        let want = (buf.len() as u64).min(left) as usize;
+        cfg.throttle.acquire_wire(want);
+        reader.read_exact(&mut buf[..want])?;
+        writer.write_all(&buf[..want])?;
+        *copied += want as u64;
+        left -= want as u64;
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -491,7 +491,7 @@ fn main() {
             latency,
             bulk_raw,
             bulk_latency,
-            server_metrics,
+            server,
         }) => {
             let mib = total_raw as f64 / wall / (1024.0 * 1024.0);
             let lat = latency.summary();
@@ -532,8 +532,8 @@ fn main() {
                     bulk_latency.summary().p50 as f64 / 1e3,
                 );
             }
-            if let Some(m) = &server_metrics {
-                println!("{m}");
+            if let Some(s) = &server {
+                println!("{}", s.metrics_json());
             }
             if let Some(path) = json {
                 let mut entries = vec![format!(
@@ -565,8 +565,10 @@ fn main() {
                         blat.max,
                     ));
                 }
+                let utilization = server.and_then(|s| s.scheduler().utilization());
                 let doc = format!(
-                    "{{\n  \"schema\": \"adoc-loadgen-v1\",\n  \"results\": [\n{}\n  ]\n}}\n",
+                    "{{\n  \"schema\": \"adoc-loadgen-v1\",\n  \"sched_utilization\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
+                    utilization.map_or("null".to_string(), |u| format!("{u:.4}")),
                     entries.join(",\n")
                 );
                 if let Err(e) = std::fs::write(&path, doc) {
@@ -593,7 +595,8 @@ struct Outcome {
     bulk_raw: u64,
     /// Per-message latency histogram of the background population.
     bulk_latency: HistSnapshot,
-    server_metrics: Option<String>,
+    /// The in-process daemon, drained, when the run spawned one.
+    server: Option<Arc<Server>>,
 }
 
 impl Outcome {
@@ -601,7 +604,7 @@ impl Outcome {
         results: Vec<Result<ClientResult, String>>,
         bulk: Vec<Result<ClientResult, String>>,
         wall: f64,
-        server_metrics: Option<String>,
+        server: Option<Arc<Server>>,
     ) -> Result<Outcome, String> {
         let mut total_raw = 0u64;
         let mut client_secs = Vec::with_capacity(results.len());
@@ -626,7 +629,7 @@ impl Outcome {
             latency,
             bulk_raw,
             bulk_latency,
-            server_metrics,
+            server,
         })
     }
 }
@@ -835,7 +838,7 @@ fn run_tcp(
                     pool.outstanding
                 ));
             }
-            Some(server.metrics_json())
+            Some(server)
         }
         None => None,
     };
@@ -1089,6 +1092,5 @@ fn run_sim(plan: &Plan, profile: NetProfile, budget_mbit: Option<f64>) -> Result
             pool.outstanding
         ));
     }
-    let metrics = Some(server.metrics_json());
-    Outcome::collect(results, Vec::new(), wall, metrics)
+    Outcome::collect(results, Vec::new(), wall, Some(server))
 }

@@ -153,7 +153,7 @@ impl Chan {
     }
 }
 
-fn xorshift(state: &mut u64) -> u64 {
+pub(crate) fn xorshift(state: &mut u64) -> u64 {
     let mut x = *state;
     x ^= x << 13;
     x ^= x >> 7;

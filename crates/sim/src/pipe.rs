@@ -75,6 +75,7 @@ impl Write for PipeWriter {
             let space = st.capacity - st.buf.len();
             if space > 0 {
                 let n = space.min(data.len());
+                // `extend` from a byte slice lowers to memcpy.
                 st.buf.extend(&data[..n]);
                 drop(st);
                 self.shared.not_empty.notify_one();
@@ -113,10 +114,14 @@ impl Read for PipeReader {
         let mut st = self.shared.state.lock();
         loop {
             if !st.buf.is_empty() {
-                let n = out.len().min(st.buf.len());
-                for slot in out.iter_mut().take(n) {
-                    *slot = st.buf.pop_front().expect("checked non-empty");
-                }
+                // Two memcpys at most: the ring's front run, then its
+                // wrapped-around back run.
+                let (front, back) = st.buf.as_slices();
+                let n = out.len().min(front.len() + back.len());
+                let k = n.min(front.len());
+                out[..k].copy_from_slice(&front[..k]);
+                out[k..n].copy_from_slice(&back[..n - k]);
+                st.buf.drain(..n);
                 drop(st);
                 self.shared.not_full.notify_one();
                 return Ok(n);
@@ -286,5 +291,59 @@ mod tests {
         let (mut w, mut r) = pipe(4);
         assert_eq!(w.write(b"").unwrap(), 0);
         assert_eq!(r.read(&mut []).unwrap(), 0);
+    }
+
+    /// True when the buffered bytes wrap around the ring's end.
+    fn wrapped(r: &PipeReader) -> bool {
+        !r.shared.state.lock().buf.as_slices().1.is_empty()
+    }
+
+    #[test]
+    fn one_read_returns_both_halves_of_wrapped_data() {
+        let (mut w, mut r) = pipe(8);
+        let data: Vec<u8> = (1..=12).collect();
+        assert_eq!(w.write(&data[..6]).unwrap(), 6);
+        let mut out = [0u8; 64];
+        assert_eq!(r.read(&mut out[..4]).unwrap(), 4);
+        assert_eq!(w.write(&data[6..]).unwrap(), 6);
+        assert!(wrapped(&r), "the test needs data across the ring's end");
+        assert_eq!(r.read(&mut out).unwrap(), 8);
+        assert_eq!(&out[..8], &data[4..]);
+    }
+
+    #[test]
+    fn random_interleavings_through_a_small_pipe_match_a_reference() {
+        // Single-threaded, so an op only runs when it cannot block: a
+        // write needs space, a read needs bytes. A 64-byte pipe with ops
+        // up to 100 bytes wraps the ring often.
+        let mut wraps = 0;
+        for seed in 1..=16u64 {
+            let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut next = |below: u64| crate::link::xorshift(&mut rng) % below;
+            let (mut w, mut r) = pipe(64);
+            let mut sent: Vec<u8> = Vec::new();
+            let mut got: Vec<u8> = Vec::new();
+            for _ in 0..1_000 {
+                let buffered = sent.len() - got.len();
+                let len = 1 + next(100) as usize;
+                if buffered < 64 && (buffered == 0 || next(2) == 0) {
+                    let chunk: Vec<u8> = (0..len).map(|_| next(256) as u8).collect();
+                    let n = w.write(&chunk).unwrap();
+                    assert_eq!(n, len.min(64 - buffered), "seed {seed}: write");
+                    sent.extend_from_slice(&chunk[..n]);
+                } else {
+                    wraps += usize::from(wrapped(&r));
+                    let mut out = vec![0u8; len];
+                    let n = r.read(&mut out).unwrap();
+                    assert_eq!(n, len.min(buffered), "seed {seed}: read");
+                    got.extend_from_slice(&out[..n]);
+                    assert_eq!(got[..], sent[..got.len()], "seed {seed}: bytes");
+                }
+            }
+            drop(w);
+            r.read_to_end(&mut got).unwrap();
+            assert_eq!(got, sent, "seed {seed}: drained");
+        }
+        assert!(wraps > 100, "only {wraps} reads saw wrapped data");
     }
 }
