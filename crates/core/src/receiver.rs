@@ -16,7 +16,7 @@
 
 use crate::config::AdocConfig;
 use crate::pool::PooledBuf;
-use crate::wire::{self, FrameHeaderV2, Framing, MsgKind};
+use crate::wire::{self, BodyKind, Event, FrameDecoder, FrameHeaderV2, MsgKind, Want};
 use adoc_codec::Codec;
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
@@ -82,88 +82,68 @@ pub fn receive_message<R: Read + Send, K: Write>(
     codec: &mut Codec,
 ) -> io::Result<Option<u64>> {
     assert!(!readers.is_empty(), "a connection needs at least 1 stream");
-    let body_len = match resume {
+    let (primary, body_len) = match resume {
         Some(at) => {
             *progress = RecvProgress { active: true, ..at };
             // Even with nothing left to deliver the peer sends its
             // per-stream FINs, which must be consumed here or they would
             // corrupt the next message's parse.
-            at.total_raw.checked_sub(at.delivered_raw).ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "resume point beyond message length",
-                )
-            })?
+            let beyond = at.delivered_raw > at.total_raw;
+            wire::check(!beyond, || "resume point beyond message length".into())?;
+            let body_len = at.total_raw - at.delivered_raw;
+            (FrameDecoder::frames(cfg, 0, body_len), body_len)
         }
         None => {
             progress.reset();
+            let mut dec = FrameDecoder::message(cfg, readers.len());
             let primary = &mut readers[0];
-            let Some((kind, raw_len)) = wire::read_msg_header(primary, cfg.max_message)? else {
-                return Ok(None);
-            };
-            if kind == MsgKind::Direct {
-                wire::copy_raw(primary, sink, raw_len, cfg.buffer_size, cfg, &mut 0)?;
-                return Ok(Some(raw_len));
+            let mut head = [0u8; wire::MSG_HEADER_LEN];
+            if primary.read(&mut head[..1])? == 0 {
+                return Ok(None); // a clean end of stream: no byte at all
             }
-            progress.active = true;
-            progress.total_raw = raw_len;
-            let probe_len = read_probe(primary, sink, raw_len, cfg, &mut progress.delivered_raw)?;
-            if probe_len == raw_len {
+            primary.read_exact(&mut head[1..])?;
+            let Event::Message { kind, raw_len } = dec.header(&head)? else {
+                unreachable!("a fresh decoder parses a message header");
+            };
+            // Direct bodies report no progress: an interrupted one restarts.
+            if kind == MsgKind::Adaptive {
+                (progress.active, progress.total_raw) = (true, raw_len);
+            }
+            let mut direct = 0;
+            let delivered = match progress.active {
+                true => &mut progress.delivered_raw,
+                false => &mut direct,
+            };
+            // The direct body, or the probe, straight into the sink.
+            drive(primary, &mut dec, sink, delivered, cfg)?;
+            if dec.want().is_none() {
+                // A direct body, or a message its probe covered.
                 progress.active = false;
                 return Ok(Some(raw_len));
             }
-            raw_len - probe_len
+            (dec, raw_len - progress.delivered_raw)
         }
     };
-    let framing = Framing::choose(readers.len(), resume.is_some());
-    receive_frames(readers, sink, body_len, framing, cfg, progress, codec)?;
+    receive_frames(readers, sink, primary, body_len, cfg, progress, codec)?;
     progress.active = false;
     Ok(Some(progress.total_raw))
 }
 
-/// Reads and validates the probe-length prefix, copying the probe bytes
-/// straight to the sink and counting them into `delivered` as they land.
-/// Returns the probe length.
-fn read_probe<R: Read, K: Write>(
-    reader: &mut R,
-    sink: &mut K,
-    raw_len: u64,
-    cfg: &AdocConfig,
-    delivered: &mut u64,
-) -> io::Result<u64> {
-    let probe_len = u64::from(wire::read_u32(reader)?);
-    if probe_len > raw_len {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "probe longer than message",
-        ));
-    }
-    wire::copy_raw(reader, sink, probe_len, cfg.packet_size, cfg, delivered)?;
-    Ok(probe_len)
-}
-
-/// Reads exactly `payload_len` bytes into a pooled buffer, acquiring
-/// wire budget first — inbound pacing: a throttled reader drains the
-/// socket at its share, and TCP backpressure slows the greedy sender.
-/// Filled through `Take` so the reserved capacity is never zeroed first.
-fn read_payload<R: Read>(
-    reader: &mut R,
-    payload_len: u32,
-    cfg: &AdocConfig,
-) -> io::Result<PooledBuf> {
-    cfg.throttle.acquire_wire(payload_len as usize);
-    let mut payload = cfg.pool.get(payload_len as usize);
-    match reader
-        .by_ref()
-        .take(u64::from(payload_len))
-        .read_to_end(&mut payload)
-    {
-        Ok(n) if n == payload_len as usize => Ok(payload),
-        Ok(_) => Err(io::Error::new(
+/// Reads exactly `len` payload bytes into a pooled buffer, acquiring
+/// wire budget for all of them first — inbound pacing: a throttled
+/// reader drains the socket at its share, and TCP backpressure slows the
+/// greedy sender. The buffer starts at [`wire::reserve`] of the claim
+/// and grows only as bytes land, so a lying header costs no memory.
+fn read_payload<R: Read>(reader: &mut R, len: u32, cfg: &AdocConfig) -> io::Result<PooledBuf> {
+    cfg.throttle.acquire_wire(len as usize);
+    let mut payload = cfg.pool.get(wire::reserve(u64::from(len)));
+    let got = reader.take(u64::from(len)).read_to_end(&mut payload)?;
+    match got == len as usize {
+        true => Ok(payload),
+        false => Err(io::Error::new(
             io::ErrorKind::UnexpectedEof,
             "frame payload truncated",
         )),
-        Err(e) => Err(e),
     }
 }
 
@@ -344,14 +324,15 @@ impl Drop for FailOnDrop<'_> {
 fn receive_frames<R: Read + Send, K: Write>(
     readers: &mut [R],
     sink: &mut K,
+    primary: FrameDecoder,
     body_len: u64,
-    framing: Framing,
     cfg: &AdocConfig,
     progress: &mut RecvProgress,
     codec: &mut Codec,
 ) -> io::Result<()> {
     if let [reader] = readers {
-        let next = read_frames(reader, 0, body_len, framing, cfg);
+        let mut dec = primary;
+        let next = || drive(reader, &mut dec, &mut io::sink(), &mut 0, cfg);
         return caught(|| deliver(next, sink, cfg, progress, codec));
     }
     let reorder = ReorderBuffer::new(readers.len(), progress.next_seq);
@@ -360,7 +341,13 @@ fn receive_frames<R: Read + Send, K: Write>(
         let handles: Vec<_> = readers
             .iter_mut()
             .enumerate()
-            .map(|(i, r)| s.spawn(move || reception_thread(i as u8, r, body_len, framing, rb, cfg)))
+            .map(|(i, r)| {
+                let dec = match i {
+                    0 => primary,
+                    _ => FrameDecoder::frames(cfg, i as u8, body_len),
+                };
+                s.spawn(move || reception_thread(i as u8, r, dec, rb, cfg))
+            })
             .collect();
         let delivered = caught(|| {
             let _fail = FailOnDrop { rb };
@@ -392,8 +379,7 @@ fn caught(consumer: impl FnOnce() -> io::Result<()>) -> io::Result<()> {
 fn reception_thread<R: Read>(
     stream_id: u8,
     reader: &mut R,
-    body_len: u64,
-    framing: Framing,
+    mut dec: FrameDecoder,
     reorder: &ReorderBuffer,
     cfg: &AdocConfig,
 ) -> io::Result<()> {
@@ -401,8 +387,7 @@ fn reception_thread<R: Read>(
         rb: reorder,
         armed: true,
     };
-    let mut next = read_frames(reader, stream_id, body_len, framing, cfg);
-    while let Some(frame) = next()? {
+    while let Some(frame) = drive(reader, &mut dec, &mut io::sink(), &mut 0, cfg)? {
         let seq = frame.hdr.seq;
         match reorder.push(frame) {
             Ok(()) => {}
@@ -427,53 +412,41 @@ fn reception_thread<R: Read>(
     Ok(())
 }
 
-/// One stream's frames, one per call, validated as they are read; `None`
-/// once the stream's share of the message is over — at its FIN, or for
-/// v1 framing (which has none) at the message's byte count.
-fn read_frames<'a, R: Read>(
-    reader: &'a mut R,
-    stream_id: u8,
-    body_len: u64,
-    framing: Framing,
-    cfg: &'a AdocConfig,
-) -> impl FnMut() -> io::Result<Option<RecvFrame>> + 'a {
-    let mut frames_seen = 0u64;
-    let mut collected = 0u64;
-    move || {
-        if !framing.owes_fin() && collected >= body_len {
-            return Ok(None);
-        }
-        let hdr = framing.read_header(reader, stream_id, frames_seen)?;
-        if hdr.stream != stream_id {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "frame for stream {} arrived on stream {stream_id}",
-                    hdr.stream
-                ),
-            ));
-        }
-        if hdr.is_fin() {
-            if hdr.seq != frames_seen {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "stream {stream_id} FIN declares {} frames, saw {frames_seen}",
-                        hdr.seq
-                    ),
-                ));
-            }
-            return Ok(None);
-        }
-        // Before anything is sized from the header: no one stream can
-        // carry more than the whole body.
-        hdr.body()
-            .check_bounds(cfg.buffer_size, body_len - collected)?;
-        let payload = read_payload(reader, hdr.payload_len, cfg)?;
-        frames_seen += 1;
-        collected += u64::from(hdr.raw_len);
-        Ok(Some(RecvFrame { hdr, payload }))
+/// Drives `dec` over `reader` with `read_exact` to its next frame, read
+/// whole into a pooled payload. A raw run — the direct body or the probe
+/// at the head of a fresh message — goes straight to `sink`, counted
+/// into `delivered`, and ends the call. `None` after a raw run or once
+/// the decoder's share of the message is over.
+fn drive<R: Read, K: Write>(
+    reader: &mut R,
+    dec: &mut FrameDecoder,
+    sink: &mut K,
+    delivered: &mut u64,
+    cfg: &AdocConfig,
+) -> io::Result<Option<RecvFrame>> {
+    let mut head = [0u8; wire::FRAME_HEADER_V2_LEN];
+    while let Some(Want::Header(n)) = dec.want() {
+        reader.read_exact(&mut head[..n])?;
+        dec.header(&head[..n])?;
     }
+    let hdr = match dec.want() {
+        Some(
+            Want::Payload(hdr)
+            | Want::Body {
+                kind: BodyKind::Stored(hdr),
+                ..
+            },
+        ) => hdr,
+        Some(Want::Body { len, quantum, .. }) => {
+            wire::copy_raw(reader, sink, len, quantum, cfg, delivered)?;
+            dec.body_done();
+            return Ok(None);
+        }
+        _ => return Ok(None),
+    };
+    let payload = read_payload(reader, hdr.payload_len, cfg)?;
+    dec.body_done();
+    Ok(Some(RecvFrame { hdr, payload }))
 }
 
 /// The consumer: decodes the frames `next` yields into the sink,
@@ -489,25 +462,24 @@ fn deliver<K: Write>(
 ) -> io::Result<()> {
     // Decode scratch: pooled, sized once to the largest frame and reused
     // across the message; the codec decodes straight into a frame's share.
-    let left = progress.total_raw - progress.delivered_raw;
     let mut scratch = cfg.pool.get(cfg.buffer_size);
-    scratch.resize((cfg.buffer_size as u64).min(left) as usize, 0);
     while let Some(RecvFrame { hdr, payload }) = next()? {
         let (seq, want) = (hdr.seq, progress.next_seq);
-        if seq != want {
-            let what = if seq < want { "duplicate" } else { "early" };
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("{what} frame sequence {seq}, expected {want}"),
-            ));
-        }
-        // Each stream could only bound its own share; the streams
-        // together must not overrun the message either.
-        let hdr = hdr.body();
-        hdr.check_bounds(cfg.buffer_size, progress.total_raw - progress.delivered_raw)?;
+        let what = if seq < want { "duplicate" } else { "early" };
+        wire::check(seq == want, || {
+            format!("{what} frame sequence {seq}, expected {want}")
+        })?;
+        // Each stream's decoder could only bound its own share; the
+        // streams together must not overrun the message either.
+        let left = progress.total_raw - progress.delivered_raw;
+        wire::check(u64::from(hdr.raw_len) <= left, || {
+            "frames exceed message length".into()
+        })?;
         let raw_len = hdr.raw_len as usize;
         if scratch.len() < raw_len {
-            // A peer with a larger `buffer_size` sends larger frames.
+            // Zero-filled once per size; a peer with a larger
+            // `buffer_size` sends larger frames, which the decoder bounded
+            // by the payload that carried them.
             scratch.resize(raw_len, 0);
         }
         let raw = &mut scratch[..raw_len];
@@ -536,6 +508,7 @@ mod tests {
     use super::*;
     use crate::sender::send_message;
     use crate::session::ResumePoint;
+    use crate::wire::tests::{feed, random_split, Seen};
     use std::collections::HashSet;
     use std::io::Cursor;
 
@@ -770,20 +743,15 @@ mod tests {
         // 0 starts behind the message header and probe-length field.
         let mut found = Vec::new();
         for (i, sink) in sinks.iter().enumerate() {
-            let mut c = Cursor::new(&sink[..]);
-            c.set_position(if i == 0 {
-                wire::MSG_HEADER_LEN as u64 + 4
-            } else {
-                0
-            });
+            let mut at = if i == 0 { wire::MSG_HEADER_LEN + 4 } else { 0 };
             loop {
-                let at = c.position() as usize;
-                let fh = wire::FrameHeaderV2::read(&mut c, 10).unwrap();
+                let h = &sink[at..at + wire::FRAME_HEADER_V2_LEN];
+                let fh = wire::FrameHeaderV2::decode(h.try_into().unwrap());
                 if fh.is_fin() {
                     break;
                 }
                 found.push((i, at, fh.seq));
-                c.set_position(c.position() + u64::from(fh.payload_len));
+                at += wire::FRAME_HEADER_V2_LEN + fh.payload_len as usize;
             }
         }
         assert_eq!(found.len(), 4);
@@ -1057,7 +1025,9 @@ mod tests {
         // captures (thinned ×17 in unoptimized builds): each returns Ok
         // or a typed error — never a caught panic — and the sink holds
         // exactly what `progress` accounts for, never more than the
-        // header's `raw_len`.
+        // header's `raw_len`. A push-fed `FrameDecoder` given the same
+        // bytes whole, at random splits and (every 32nd case) one byte at
+        // a time reaches the same verdict.
         let captures: [(&str, &[u8]); 2] = [
             (
                 "v1_pinned_l2",
@@ -1078,6 +1048,7 @@ mod tests {
         };
         let stride = if cfg!(debug_assertions) { 17 } else { 1 };
         let mut codec = Codec::new();
+        let mut cases = 0usize;
         let mut check = |bytes: &[u8], what: &str| {
             let mut out = Vec::new();
             let mut progress = RecvProgress::default();
@@ -1105,6 +1076,22 @@ mod tests {
             if let Ok(Some(n)) = res {
                 assert_eq!(n, out.len() as u64, "{what}");
             }
+            // A push-fed decoder reaches the same verdict, and sees the
+            // same events, at any split.
+            cases += 1;
+            let (whole, verdict) = feed(&mut FrameDecoder::message(&cfg, 1), [bytes]);
+            let fed = verdict.is_ok() && decodes(&whole, &mut codec);
+            assert_eq!(fed, res.is_ok(), "{what}: push-fed");
+            let mut splits = vec![random_split(bytes, cases as u64, 64)];
+            if cases.is_multiple_of(32) {
+                splits.push(bytes.chunks(1).collect());
+            }
+            for pieces in splits {
+                let n = pieces.len();
+                let (seen, split) = feed(&mut FrameDecoder::message(&cfg, 1), pieces);
+                assert!(seen == whole, "{what}: fed in {n} pieces");
+                assert_eq!(split.is_ok(), verdict.is_ok(), "{what}: fed in {n} pieces");
+            }
         };
         for (name, capture) in captures {
             check(capture, name);
@@ -1117,6 +1104,24 @@ mod tests {
                 bad[at] ^= flip;
             }
         }
+    }
+
+    /// Whether every frame a push-fed decoder saw decodes, as a
+    /// receiver would decode it.
+    fn decodes(seen: &[Seen], codec: &mut Codec) -> bool {
+        let mut frame = None;
+        let mut raw = Vec::new();
+        seen.iter().all(|s| match s {
+            Seen::Event(Event::Frame(hdr)) => {
+                frame = Some(*hdr);
+                true
+            }
+            Seen::Run(payload) => frame.take().is_none_or(|hdr| {
+                raw.resize(hdr.raw_len as usize, 0);
+                codec.decompress_into(hdr.level, payload, &mut raw).is_ok()
+            }),
+            Seen::Event(_) => true,
+        })
     }
 
     #[test]

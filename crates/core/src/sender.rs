@@ -694,8 +694,8 @@ fn emission_thread<W: Write>(
 mod tests {
     use super::*;
     use crate::adapt::FORBID_DURATION;
-    use crate::wire::read_msg_header;
-    use std::io::Cursor;
+    use crate::wire::tests::{feed, Seen};
+    use crate::wire::{decode_msg_header, Event, FrameDecoder};
 
     fn send_to_vec(data: &[u8], cfg: &AdocConfig) -> (Vec<u8>, SendOutcome) {
         let mut wire = Vec::new();
@@ -720,8 +720,7 @@ mod tests {
         assert!(out.direct);
         assert!(out.probe_bps.is_none());
         assert_eq!(wire.len(), wire::MSG_HEADER_LEN + data.len());
-        let mut c = Cursor::new(wire);
-        let (kind, len) = read_msg_header(&mut c, u64::MAX).unwrap().unwrap();
+        let (kind, len) = decode_msg_header(wire[..10].try_into().unwrap()).unwrap();
         assert_eq!(kind, MsgKind::Direct);
         assert_eq!(len, data.len() as u64);
     }
@@ -763,8 +762,7 @@ mod tests {
         let (wire, out) = send_to_vec(b"", &cfg);
         assert!(!out.direct);
         assert_eq!(out.wire_bytes, wire.len() as u64);
-        let mut c = Cursor::new(wire);
-        let (kind, len) = read_msg_header(&mut c, u64::MAX).unwrap().unwrap();
+        let (kind, len) = decode_msg_header(wire[..10].try_into().unwrap()).unwrap();
         assert_eq!(kind, MsgKind::Adaptive);
         assert_eq!(len, 0);
     }
@@ -1112,19 +1110,25 @@ mod tests {
         let data = adoc_data_stub(1 << 20);
         let (v1, out) = send_to_vec(&data, &AdocConfig::default().with_levels(4, 4));
         assert!(out.per_stream.is_empty(), "v1 reports no per-stream stats");
-        let mut c = Cursor::new(v1);
-        let (kind, len) = read_msg_header(&mut c, u64::MAX).unwrap().unwrap();
-        assert_eq!((kind, len), (MsgKind::Adaptive, data.len() as u64));
-        assert_eq!(wire::read_u32(&mut c).unwrap(), 0, "forced: no probe");
+        let mut dec = FrameDecoder::message(&AdocConfig::default(), 1);
+        let (seen, verdict) = feed(&mut dec, [&v1[..]]);
+        assert_eq!(verdict.unwrap(), v1.len(), "nothing after v1");
+        let len = data.len() as u64;
+        let head = [Event::Message {
+            kind: MsgKind::Adaptive,
+            raw_len: len,
+        }];
+        assert_eq!(seen[..1], head.map(Seen::Event));
+        assert_eq!(seen[1], Seen::Event(Event::Probe(0)), "forced: no probe");
         let mut raw = 0u64;
-        while raw < len {
-            let fh = FrameHeader::read(&mut c, 10).unwrap();
-            assert_eq!(fh.level, 4);
-            raw += u64::from(fh.raw_len);
-            c.set_position(c.position() + u64::from(fh.payload_len));
+        for s in &seen {
+            if let Seen::Event(Event::Frame(fh)) = s {
+                assert_eq!(fh.level, 4);
+                raw += u64::from(fh.raw_len);
+            }
         }
         assert_eq!(raw, len);
-        assert_eq!(c.position(), c.get_ref().len() as u64, "nothing after v1");
+        assert_eq!(seen.last(), Some(&Seen::Event(Event::MessageEnd)));
     }
 
     #[test]

@@ -1172,7 +1172,7 @@ mod group_tests {
         let header = encode_msg_header(MsgKind::Adaptive, data.len() as u64);
         assert_eq!(wire[0][..header.len()], header, "primary");
         for (i, w) in wire.iter().enumerate().skip(1) {
-            let first = FrameHeaderV2::read(&mut &w[..], adoc_codec::ADOC_MAX_LEVEL).unwrap();
+            let first = FrameHeaderV2::decode(w[..18].try_into().unwrap());
             assert_eq!(first.stream as usize, i, "stream {i}");
         }
         let sources = wire.into_iter().map(|w| (io::Cursor::new(w), io::sink()));

@@ -72,6 +72,16 @@
 //!   count**; a mismatch, any other version byte, or a v1 message header
 //!   where a hello was expected is an error, never a silent
 //!   renegotiation. Whether the MAC is checked is the acceptor's policy.
+//!
+//! # Receiving: one decoder
+//!
+//! Every receive path — the blocking receiver with `read_exact`, the
+//! daemon's reactor from its nonblocking `fill` — drives one sans-IO
+//! [`FrameDecoder`] per stream, which holds no body bytes. **Allocation
+//! rule:** no peer's length field sizes memory more than [`ALLOC_STEP`]
+//! ahead of the bytes that back it — a run reserves [`reserve`]`(claim)`
+//! and zero-fills as bytes land ([`grow`]), and a compressed frame may
+//! claim at most [`MAX_EXPANSION`] raw bytes per payload byte.
 
 use std::io::{self, Read, Write};
 
@@ -108,73 +118,31 @@ pub const MAX_FRAME_LEN: u64 = u32::MAX as u64;
 
 /// How a message's body is encoded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum MsgKind {
     /// Raw bytes, no threads involved.
-    Direct,
+    Direct = 0,
     /// Probe prefix + compressed frames.
-    Adaptive,
-}
-
-impl MsgKind {
-    fn to_byte(self) -> u8 {
-        match self {
-            MsgKind::Direct => 0,
-            MsgKind::Adaptive => 1,
-        }
-    }
-
-    fn from_byte(b: u8) -> io::Result<Self> {
-        match b {
-            0 => Ok(MsgKind::Direct),
-            1 => Ok(MsgKind::Adaptive),
-            other => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unknown AdOC message kind {other}"),
-            )),
-        }
-    }
+    Adaptive = 1,
 }
 
 /// Encodes a message header into a 10-byte array.
 pub fn encode_msg_header(kind: MsgKind, raw_len: u64) -> [u8; MSG_HEADER_LEN] {
     let mut h = [0u8; MSG_HEADER_LEN];
     h[0] = MAGIC;
-    h[1] = kind.to_byte();
+    h[1] = kind as u8;
     h[2..10].copy_from_slice(&raw_len.to_le_bytes());
     h
 }
 
-/// Reads a message header. Returns `Ok(None)` on clean EOF (no bytes at
-/// all); a partial header is an error, and so is a length above
-/// `max_message` — the bound every receiver (blocking or reactor) applies
-/// before it sizes anything from this peer-controlled field.
-pub fn read_msg_header(r: &mut impl Read, max_message: u64) -> io::Result<Option<(MsgKind, u64)>> {
-    let mut h = [0u8; MSG_HEADER_LEN];
-    // First byte decides between EOF and a real header.
-    let mut got = 0usize;
-    while got < 1 {
-        let n = r.read(&mut h[..1])?;
-        if n == 0 {
-            return Ok(None);
-        }
-        got = n;
-    }
-    r.read_exact(&mut h[1..])?;
-    if h[0] != MAGIC {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("bad AdOC magic {:#04x}", h[0]),
-        ));
-    }
-    let kind = MsgKind::from_byte(h[1])?;
+/// Decodes a message header: the magic byte, the kind byte and the raw
+/// length. Bounding the length is the [`FrameDecoder`]'s business.
+pub fn decode_msg_header(h: &[u8; MSG_HEADER_LEN]) -> io::Result<(MsgKind, u64)> {
+    check(h[0] == MAGIC, || format!("bad AdOC magic {:#04x}", h[0]))?;
+    check(h[1] <= 1, || format!("unknown AdOC message kind {}", h[1]))?;
+    let kind = [MsgKind::Direct, MsgKind::Adaptive][h[1] as usize];
     let raw_len = u64::from_le_bytes(h[2..10].try_into().expect("8 bytes"));
-    if raw_len > max_message {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("message of {raw_len} bytes exceeds configured maximum"),
-        ));
-    }
-    Ok(Some((kind, raw_len)))
+    Ok((kind, raw_len))
 }
 
 /// One compression buffer on the wire.
@@ -198,52 +166,14 @@ impl FrameHeader {
         h
     }
 
-    /// Reads and validates a frame header.
-    pub fn read(r: &mut impl Read, max_level: u8) -> io::Result<FrameHeader> {
-        let mut h = [0u8; FRAME_HEADER_LEN];
-        r.read_exact(&mut h)?;
-        let level = h[0];
-        if level > max_level {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("frame level {level} exceeds protocol maximum {max_level}"),
-            ));
+    /// Decodes a 9-byte header as laid out; the [`FrameDecoder`]
+    /// validates it.
+    pub fn decode(h: &[u8; FRAME_HEADER_LEN]) -> FrameHeader {
+        FrameHeader {
+            level: h[0],
+            raw_len: u32::from_le_bytes(h[1..5].try_into().expect("4 bytes")),
+            payload_len: u32::from_le_bytes(h[5..9].try_into().expect("4 bytes")),
         }
-        let raw_len = u32::from_le_bytes(h[1..5].try_into().expect("4 bytes"));
-        let payload_len = u32::from_le_bytes(h[5..9].try_into().expect("4 bytes"));
-        if level == 0 && raw_len != payload_len {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "raw frame with mismatched lengths",
-            ));
-        }
-        Ok(FrameHeader {
-            level,
-            raw_len,
-            payload_len,
-        })
-    }
-
-    /// The peer-controlled length bounds, checked before anything is
-    /// allocated or read for this frame: the frame must fit in the
-    /// `raw_left` bytes the message still owes, and a payload can exceed
-    /// its raw size only by small codec overhead — anything larger is
-    /// corruption.
-    pub fn check_bounds(&self, buffer_size: usize, raw_left: u64) -> io::Result<()> {
-        if u64::from(self.raw_len) > raw_left {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "frames exceed message length",
-            ));
-        }
-        if u64::from(self.payload_len) > 2 * u64::from(self.raw_len).max(buffer_size as u64) + 1024
-        {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "frame payload too large",
-            ));
-        }
-        Ok(())
     }
 }
 
@@ -293,15 +223,6 @@ impl FrameHeaderV2 {
         self.level == LEVEL_FIN
     }
 
-    /// The stream-independent part: level and the two lengths.
-    pub fn body(&self) -> FrameHeader {
-        FrameHeader {
-            level: self.level,
-            raw_len: self.raw_len,
-            payload_len: self.payload_len,
-        }
-    }
-
     /// Encodes into an 18-byte array.
     pub fn encode(&self) -> [u8; FRAME_HEADER_V2_LEN] {
         let mut h = [0u8; FRAME_HEADER_V2_LEN];
@@ -313,40 +234,16 @@ impl FrameHeaderV2 {
         h
     }
 
-    /// Reads and validates a v2 frame header.
-    pub fn read(r: &mut impl Read, max_level: u8) -> io::Result<FrameHeaderV2> {
-        let mut h = [0u8; FRAME_HEADER_V2_LEN];
-        r.read_exact(&mut h)?;
-        let level = h[0];
-        if level != LEVEL_FIN && level > max_level {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("frame level {level} exceeds protocol maximum {max_level}"),
-            ));
+    /// Decodes an 18-byte header as laid out; the [`FrameDecoder`]
+    /// validates it.
+    pub fn decode(h: &[u8; FRAME_HEADER_V2_LEN]) -> FrameHeaderV2 {
+        FrameHeaderV2 {
+            level: h[0],
+            stream: h[1],
+            seq: u64::from_le_bytes(h[2..10].try_into().expect("8 bytes")),
+            raw_len: u32::from_le_bytes(h[10..14].try_into().expect("4 bytes")),
+            payload_len: u32::from_le_bytes(h[14..18].try_into().expect("4 bytes")),
         }
-        let stream = h[1];
-        let seq = u64::from_le_bytes(h[2..10].try_into().expect("8 bytes"));
-        let raw_len = u32::from_le_bytes(h[10..14].try_into().expect("4 bytes"));
-        let payload_len = u32::from_le_bytes(h[14..18].try_into().expect("4 bytes"));
-        if level == LEVEL_FIN && (raw_len != 0 || payload_len != 0) {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "FIN frame with non-empty payload",
-            ));
-        }
-        if level == 0 && raw_len != payload_len {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "raw frame with mismatched lengths",
-            ));
-        }
-        Ok(FrameHeaderV2 {
-            level,
-            stream,
-            seq,
-            raw_len,
-            payload_len,
-        })
     }
 }
 
@@ -401,53 +298,255 @@ impl Framing {
             ),
         }
     }
+}
 
-    /// Reads and validates the next frame header on `stream`. A `V1`
-    /// header names neither stream nor sequence number, so the reader
-    /// supplies them: `next_seq` is how many frames it has seen so far.
-    pub(crate) fn read_header(
-        self,
-        r: &mut impl Read,
-        stream: u8,
-        next_seq: u64,
-    ) -> io::Result<FrameHeaderV2> {
-        let max_level = adoc_codec::ADOC_MAX_LEVEL;
-        match self {
-            Framing::V1 => FrameHeader::read(r, max_level)
-                .map(|h| FrameHeaderV2::data(h.level, stream, next_seq, h.raw_len, h.payload_len)),
-            Framing::V2 => FrameHeaderV2::read(r, max_level),
+/// The allocation rule's step (see the module docs): 4 MiB covers the
+/// benchmark's largest messages, so they take one pool checkout.
+pub const ALLOC_STEP: usize = 4 << 20;
+
+/// The most raw bytes one payload byte of any level decodes to:
+/// DEFLATE's 258-byte match in two bits is 1032:1 (LZF's is 88:1).
+pub const MAX_EXPANSION: u64 = 1032;
+
+/// Capacity to reserve for a run of `claim` bytes a peer announced.
+pub fn reserve(claim: u64) -> usize {
+    claim.min(ALLOC_STEP as u64) as usize
+}
+
+/// Zero-fills `buf` toward `end`, ahead of the `landed` bytes by as many
+/// as have landed (64 KiB at first, [`ALLOC_STEP`] at most), so a bare
+/// claim touches no more than that; returns how far `buf` reaches.
+pub fn grow(buf: &mut Vec<u8>, landed: usize, end: usize) -> usize {
+    let to = end.min(landed + landed.clamp(64 << 10, ALLOC_STEP));
+    if buf.len() < to {
+        buf.resize(to, 0);
+    }
+    buf.len().min(end)
+}
+
+/// What a [`FrameDecoder`] wants next.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Want {
+    /// Exactly this many header bytes, for [`FrameDecoder::header`].
+    Header(usize),
+    /// `len` raw message bytes, admitted `quantum` at a time: a direct
+    /// body by `buffer_size`, a probe by `packet_size`, a stored frame
+    /// whole.
+    #[allow(missing_docs)]
+    Body {
+        kind: BodyKind,
+        len: u64,
+        quantum: usize,
+    },
+    /// This frame's compressed payload, admitted whole.
+    Payload(FrameHeaderV2),
+}
+
+/// Whose raw bytes a [`Want::Body`] run is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[allow(missing_docs)]
+pub enum BodyKind {
+    Direct,
+    Probe,
+    Stored(FrameHeaderV2),
+}
+
+/// What a [`FrameDecoder`] found.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Event {
+    /// A message header.
+    #[allow(missing_docs)]
+    Message { kind: MsgKind, raw_len: u64 },
+    /// An adaptive message's probe length; the probe bytes follow.
+    Probe(u64),
+    /// A data frame's header; its payload follows.
+    Frame(FrameHeaderV2),
+    /// This stream's share of the message is over (its FIN).
+    StreamEnd,
+    /// The whole message is in (v1 frames end on its length).
+    MessageEnd,
+}
+
+/// One stream's receive side of the wire format (see the module docs).
+/// Its state is what it [`Self::want`]s next; [`Self::header`] and
+/// [`Self::body_done`] yield [`Event`]s. Every per-frame check lives
+/// here: level range, stored lengths, an empty and counted FIN, the
+/// frame's stream, its raw size against the stream's share and against
+/// its payload.
+#[derive(Debug, Clone, Copy)]
+pub struct FrameDecoder {
+    /// `None` once this stream's share is over.
+    want: Option<Want>,
+    framing: Framing,
+    stream: u8,
+    max_message: u64,
+    buffer_size: usize,
+    packet_size: usize,
+    /// Raw bytes this stream's frames may still carry.
+    owed: u64,
+    /// Data frames seen on this stream.
+    frames: u64,
+}
+
+/// The probe-length prefix of an adaptive body.
+const PROBE_LEN: Want = Want::Header(4);
+
+impl FrameDecoder {
+    /// A fresh message on the primary of a `streams`-wide connection.
+    pub fn message(cfg: &crate::AdocConfig, streams: usize) -> FrameDecoder {
+        FrameDecoder {
+            want: Some(Want::Header(MSG_HEADER_LEN)),
+            framing: Framing::choose(streams, false),
+            stream: 0,
+            max_message: cfg.max_message,
+            buffer_size: cfg.buffer_size,
+            packet_size: cfg.packet_size,
+            owed: 0,
+            frames: 0,
         }
+    }
+
+    /// The v2 frames of one message on `stream`, owing at most `owed`
+    /// raw bytes: a striped share, or any stream of a resumed tail.
+    pub fn frames(cfg: &crate::AdocConfig, stream: u8, owed: u64) -> FrameDecoder {
+        let mut dec = FrameDecoder::message(cfg, 2);
+        (dec.want, dec.stream, dec.owed) = (Some(Want::Header(FRAME_HEADER_V2_LEN)), stream, owed);
+        dec
+    }
+
+    /// What to feed next; `None` once this stream's share is over.
+    pub fn want(&self) -> Option<Want> {
+        self.want
+    }
+
+    /// True before any byte of a message header has been decoded.
+    pub fn at_message_start(&self) -> bool {
+        self.want == Some(Want::Header(MSG_HEADER_LEN))
+    }
+
+    /// Takes the header bytes [`Want::Header`] asked for.
+    pub fn header(&mut self, bytes: &[u8]) -> io::Result<Event> {
+        let (event, want) = match self.want {
+            Some(Want::Header(MSG_HEADER_LEN)) => {
+                let (kind, raw_len) = decode_msg_header(exact(bytes)?)?;
+                check(raw_len <= self.max_message, || {
+                    format!("message of {raw_len} bytes exceeds configured maximum")
+                })?;
+                let want = match kind {
+                    MsgKind::Direct => body(BodyKind::Direct, raw_len, self.buffer_size),
+                    MsgKind::Adaptive => Some(PROBE_LEN),
+                };
+                self.owed = if want == Some(PROBE_LEN) { raw_len } else { 0 };
+                (Event::Message { kind, raw_len }, want)
+            }
+            Some(PROBE_LEN) => {
+                let probe = u64::from(u32::from_le_bytes(*exact(bytes)?));
+                check(probe <= self.owed, || "probe longer than message".into())?;
+                self.owed -= probe;
+                let want = body(BodyKind::Probe, probe, self.packet_size);
+                (Event::Probe(probe), want)
+            }
+            Some(Want::Header(_)) => self.frame_header(bytes)?,
+            _ => return Err(io::ErrorKind::InvalidInput.into()),
+        };
+        self.want = want;
+        Ok(event)
+    }
+
+    fn frame_header(&mut self, bytes: &[u8]) -> io::Result<(Event, Option<Want>)> {
+        let hdr = match self.framing {
+            Framing::V1 => {
+                let h = FrameHeader::decode(exact(bytes)?);
+                FrameHeaderV2::data(h.level, self.stream, self.frames, h.raw_len, h.payload_len)
+            }
+            Framing::V2 => FrameHeaderV2::decode(exact(bytes)?),
+        };
+        let (raw, payload): (u64, u64) = (hdr.raw_len.into(), hdr.payload_len.into());
+        let level = hdr.level;
+        check(hdr.stream == self.stream, || {
+            format!(
+                "frame for stream {} arrived on stream {}",
+                hdr.stream, self.stream
+            )
+        })?;
+        if hdr.is_fin() && self.framing.owes_fin() {
+            let counted = raw == 0 && payload == 0 && hdr.seq == self.frames;
+            check(counted, || {
+                format!("{hdr:?} after {} frames is corrupt", self.frames)
+            })?;
+            return Ok((Event::StreamEnd, None));
+        }
+        check(level <= adoc_codec::ADOC_MAX_LEVEL, || {
+            format!("frame level {level} exceeds protocol maximum")
+        })?;
+        check(level > 0 || raw == payload, || {
+            "raw frame with mismatched lengths".into()
+        })?;
+        check(raw <= self.owed, || "frames exceed message length".into())?;
+        // A payload exceeds its raw size only by small codec overhead,
+        // and decodes to at most `MAX_EXPANSION` times its size.
+        let fits = payload <= 2 * raw.max(self.buffer_size as u64) + 1024;
+        let fits = fits && raw <= payload * MAX_EXPANSION;
+        check(fits, || {
+            format!("frame of {raw} raw bytes in a {payload}-byte payload")
+        })?;
+        self.owed -= raw;
+        self.frames += 1;
+        let want = match level {
+            0 => body(BodyKind::Stored(hdr), raw, raw as usize),
+            _ => Some(Want::Payload(hdr)),
+        };
+        Ok((Event::Frame(hdr), want))
+    }
+
+    /// The run [`Want::Body`] or [`Want::Payload`] asked for has moved;
+    /// `Some(MessageEnd)` when that completed the message.
+    pub fn body_done(&mut self) -> Option<Event> {
+        let frame = match self.want? {
+            Want::Body {
+                kind: BodyKind::Stored(_),
+                ..
+            }
+            | Want::Payload(_) => true,
+            Want::Body { .. } => false,
+            Want::Header(_) => return None,
+        };
+        if self.owed > 0 || (frame && self.framing.owes_fin()) {
+            self.want = Some(Want::Header(self.framing.header_len()));
+            return None;
+        }
+        self.want = None;
+        Some(Event::MessageEnd)
+    }
+}
+
+fn body(kind: BodyKind, len: u64, quantum: usize) -> Option<Want> {
+    Some(Want::Body { kind, len, quantum })
+}
+
+fn exact<const N: usize>(bytes: &[u8]) -> io::Result<&[u8; N]> {
+    bytes
+        .try_into()
+        .map_err(|_| io::ErrorKind::InvalidInput.into())
+}
+
+/// `InvalidData` with `what` unless `ok`: the decoder's one way to refuse.
+pub(crate) fn check(ok: bool, what: impl FnOnce() -> String) -> io::Result<()> {
+    match ok {
+        true => Ok(()),
+        false => Err(io::Error::new(io::ErrorKind::InvalidData, what())),
     }
 }
 
 /// What a version-4 hello is asking for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum SessionKind {
     /// Open a fresh session; the ticket fields are zero (or, under
     /// `require_auth`, the MAC authenticates the hello itself).
-    New,
+    New = 0,
     /// Resume the session the embedded ticket names.
-    Resume,
-}
-
-impl SessionKind {
-    fn to_byte(self) -> u8 {
-        match self {
-            SessionKind::New => 0,
-            SessionKind::Resume => 1,
-        }
-    }
-
-    fn from_byte(b: u8) -> io::Result<Self> {
-        match b {
-            0 => Ok(SessionKind::New),
-            1 => Ok(SessionKind::Resume),
-            other => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unknown session hello kind {other}"),
-            )),
-        }
-    }
+    Resume = 1,
 }
 
 /// The per-stream record that opens a dialled group (see the module
@@ -492,7 +591,7 @@ impl SessionHello {
         out[3] = self.streams;
         out[4] = self.stream_id;
         out[5..13].copy_from_slice(&self.token.to_le_bytes());
-        out[13] = self.kind.to_byte();
+        out[13] = self.kind as u8;
         out[14..22].copy_from_slice(&self.session_id.to_le_bytes());
         out[22..30].copy_from_slice(&self.expires_us.to_le_bytes());
         out[30..46].copy_from_slice(&self.mac);
@@ -505,30 +604,28 @@ impl SessionHello {
     pub fn read(r: &mut impl Read) -> io::Result<SessionHello> {
         let mut h = [0u8; SESSION_HELLO_LEN];
         r.read_exact(&mut h[..5])?;
-        let bad = |msg: String| Err(io::Error::new(io::ErrorKind::InvalidData, msg));
-        if h[0] != MAGIC || h[1] != GROUP_MAGIC {
-            return bad(format!(
-                "expected stream-group hello, got {:#04x} {:#04x} (v1 peer on a multi-stream group?)",
-                h[0], h[1]
-            ));
-        }
-        if h[2] != GROUP_VERSION_SESSION {
-            return bad(format!("unsupported stream-group version {}", h[2]));
-        }
-        if h[3] == 0 {
-            return bad("stream-group hello announcing zero streams".into());
-        }
+        check(h[0] == MAGIC && h[1] == GROUP_MAGIC, || {
+            let (a, b) = (h[0], h[1]);
+            format!("expected stream-group hello, got {a:#04x} {b:#04x} (v1 peer on a group?)")
+        })?;
+        let version = h[2];
+        check(version == GROUP_VERSION_SESSION, || {
+            format!("unsupported stream-group version {version}")
+        })?;
+        check(h[3] > 0, || {
+            "stream-group hello announcing zero streams".into()
+        })?;
         r.read_exact(&mut h[5..])?;
-        let mut mac = [0u8; 16];
-        mac.copy_from_slice(&h[30..46]);
+        let kind = h[13];
+        check(kind <= 1, || format!("unknown session hello kind {kind}"))?;
         Ok(SessionHello {
             streams: h[3],
             stream_id: h[4],
             token: u64::from_le_bytes(h[5..13].try_into().expect("8 bytes")),
-            kind: SessionKind::from_byte(h[13])?,
+            kind: [SessionKind::New, SessionKind::Resume][kind as usize],
             session_id: u64::from_le_bytes(h[14..22].try_into().expect("8 bytes")),
             expires_us: u64::from_le_bytes(h[22..30].try_into().expect("8 bytes")),
-            mac,
+            mac: h[30..46].try_into().expect("16 bytes"),
         })
     }
 }
@@ -605,20 +702,15 @@ impl SessionAccept {
     pub fn read(r: &mut impl Read) -> io::Result<SessionAccept> {
         let mut h = [0u8; SESSION_ACCEPT_LEN];
         r.read_exact(&mut h)?;
-        if h[0] != MAGIC || h[1] != SESSION_MAGIC {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("expected session accept, got {:#04x} {:#04x}", h[0], h[1]),
-            ));
-        }
-        let mut mac = [0u8; 16];
-        mac.copy_from_slice(&h[20..36]);
+        check(h[0] == MAGIC && h[1] == SESSION_MAGIC, || {
+            format!("expected session accept, got {:#04x} {:#04x}", h[0], h[1])
+        })?;
         Ok(SessionAccept {
             status: h[2],
             resumed: h[3],
             session_id: u64::from_le_bytes(h[4..12].try_into().expect("8 bytes")),
             expires_us: u64::from_le_bytes(h[12..20].try_into().expect("8 bytes")),
-            mac,
+            mac: h[20..36].try_into().expect("16 bytes"),
             next_seq: u64::from_le_bytes(h[36..44].try_into().expect("8 bytes")),
             delivered_raw: u64::from_le_bytes(h[44..52].try_into().expect("8 bytes")),
         })
@@ -628,13 +720,6 @@ impl SessionAccept {
 /// Writes a `u32` length prefix (probe segment).
 pub fn write_u32(w: &mut impl Write, v: u32) -> io::Result<()> {
     w.write_all(&v.to_le_bytes())
-}
-
-/// Reads a `u32` length prefix.
-pub fn read_u32(r: &mut impl Read) -> io::Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
 }
 
 /// Copies `len` raw bytes — a direct body or a probe — from `reader` to
@@ -667,45 +752,180 @@ pub(crate) fn copy_raw<R: Read, W: Write>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::io::Cursor;
+
+    /// Limits wide enough that only the check under test can refuse.
+    fn open_cfg() -> crate::AdocConfig {
+        crate::AdocConfig {
+            max_message: u64::MAX,
+            ..crate::AdocConfig::default()
+        }
+    }
+
+    /// What a push-fed run of a decoder saw, in order.
+    #[derive(Debug, Clone, PartialEq)]
+    pub(crate) enum Seen {
+        Event(Event),
+        /// A body run or payload, as it landed.
+        Run(Vec<u8>),
+    }
+
+    /// Feeds `chunks` to `dec` as a push-fed driver does: header bytes
+    /// gather until the decoder's want is met, body bytes are collected
+    /// off their run. Returns what it saw and the verdict: the bytes
+    /// consumed once the decoder is done (or the input is empty), the
+    /// decoder's error, or `UnexpectedEof` for input that ends first.
+    pub(crate) fn feed<'a>(
+        dec: &mut FrameDecoder,
+        chunks: impl IntoIterator<Item = &'a [u8]>,
+    ) -> (Vec<Seen>, io::Result<usize>) {
+        let (mut seen, mut head, mut run) = (Vec::new(), Vec::new(), Vec::new());
+        let mut consumed = 0;
+        for mut chunk in chunks {
+            while let Some(want) = dec.want() {
+                let wanted = match want {
+                    Want::Header(n) => n - head.len(),
+                    Want::Body { len, .. } => len as usize - run.len(),
+                    Want::Payload(hdr) => hdr.payload_len as usize - run.len(),
+                };
+                let take = wanted.min(chunk.len());
+                if take == 0 && wanted > 0 {
+                    break;
+                }
+                let (got, rest) = chunk.split_at(take);
+                chunk = rest;
+                consumed += take;
+                if let Want::Header(_) = want {
+                    head.extend_from_slice(got);
+                    if take == wanted {
+                        match dec.header(&head) {
+                            Ok(event) => seen.push(Seen::Event(event)),
+                            Err(e) => return (seen, Err(e)),
+                        }
+                        head.clear();
+                    }
+                } else {
+                    run.extend_from_slice(got);
+                    if take == wanted {
+                        seen.push(Seen::Run(std::mem::take(&mut run)));
+                        seen.extend(dec.body_done().map(Seen::Event));
+                    }
+                }
+            }
+        }
+        let over = dec.want().is_none() || (consumed == 0 && dec.at_message_start());
+        let verdict = match over {
+            true => Ok(consumed),
+            false => Err(io::ErrorKind::UnexpectedEof.into()),
+        };
+        (seen, verdict)
+    }
+
+    /// `bytes` in pieces of 1..=`max` bytes drawn from `seed`.
+    pub(crate) fn random_split(bytes: &[u8], seed: u64, max: usize) -> Vec<&[u8]> {
+        let mut x = seed | 1;
+        let mut rest = bytes;
+        let mut pieces = Vec::new();
+        while !rest.is_empty() {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let (piece, tail) = rest.split_at((1 + x as usize % max).min(rest.len()));
+            pieces.push(piece);
+            rest = tail;
+        }
+        pieces
+    }
+
+    /// Reads the header `dec` wants off `r` and hands it over.
+    fn next_header(dec: &mut FrameDecoder, r: &mut impl Read) -> io::Result<Event> {
+        let Some(Want::Header(n)) = dec.want() else {
+            panic!("the decoder wants no header");
+        };
+        let mut h = [0u8; FRAME_HEADER_V2_LEN];
+        r.read_exact(&mut h[..n])?;
+        dec.header(&h[..n])
+    }
+
+    /// A one-stream decoder past an adaptive header and an empty probe:
+    /// it wants a v1 frame header.
+    fn at_v1_frame(cfg: &crate::AdocConfig) -> FrameDecoder {
+        let mut dec = FrameDecoder::message(cfg, 1);
+        dec.header(&encode_msg_header(MsgKind::Adaptive, 1 << 40))
+            .unwrap();
+        dec.header(&0u32.to_le_bytes()).unwrap();
+        assert_eq!(dec.body_done(), None);
+        dec
+    }
+
+    fn v1_frame(level: u8, raw_len: u32, payload_len: u32) -> io::Result<Event> {
+        let fh = FrameHeader {
+            level,
+            raw_len,
+            payload_len,
+        };
+        at_v1_frame(&open_cfg()).header(&fh.encode())
+    }
+
+    fn v2_frame(fh: FrameHeaderV2) -> io::Result<Event> {
+        FrameDecoder::frames(&open_cfg(), fh.stream, 1 << 30).header(&fh.encode())
+    }
 
     #[test]
     fn msg_header_roundtrip() {
         for (kind, len) in [(MsgKind::Direct, 0u64), (MsgKind::Adaptive, u64::MAX / 2)] {
             let enc = encode_msg_header(kind, len);
-            let mut c = Cursor::new(enc.to_vec());
-            let (k, l) = read_msg_header(&mut c, u64::MAX).unwrap().unwrap();
-            assert_eq!((k, l), (kind, len));
+            assert_eq!(decode_msg_header(&enc).unwrap(), (kind, len));
+            let mut dec = FrameDecoder::message(&open_cfg(), 1);
+            let event = next_header(&mut dec, &mut &enc[..]).unwrap();
+            assert_eq!(event, Event::Message { kind, raw_len: len });
         }
+        // The configured maximum is the decoder's.
+        let mut dec = FrameDecoder::message(&crate::AdocConfig::default(), 1);
+        let huge = encode_msg_header(MsgKind::Direct, u64::MAX / 2);
+        assert!(dec.header(&huge).is_err());
     }
 
     #[test]
     fn clean_eof_is_none() {
-        let mut c = Cursor::new(Vec::<u8>::new());
-        assert!(read_msg_header(&mut c, u64::MAX).unwrap().is_none());
+        // No byte at all is a clean end, not a truncated header.
+        let mut dec = FrameDecoder::message(&open_cfg(), 1);
+        let (seen, verdict) = feed(&mut dec, []);
+        assert!(seen.is_empty());
+        assert_eq!(verdict.unwrap(), 0);
+        assert!(dec.at_message_start());
     }
 
     #[test]
     fn partial_header_is_error() {
         let enc = encode_msg_header(MsgKind::Direct, 42);
-        let mut c = Cursor::new(enc[..4].to_vec());
-        assert!(read_msg_header(&mut c, u64::MAX).is_err());
+        let mut dec = FrameDecoder::message(&open_cfg(), 1);
+        let (seen, verdict) = feed(&mut dec, [&enc[..4]]);
+        assert!(seen.is_empty());
+        assert_eq!(verdict.unwrap_err().kind(), io::ErrorKind::UnexpectedEof);
+        // A header slice of the wrong length is the driver's mistake.
+        let err = FrameDecoder::message(&open_cfg(), 1)
+            .header(&enc[..4])
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 
     #[test]
     fn bad_magic_rejected() {
-        let mut enc = encode_msg_header(MsgKind::Direct, 1).to_vec();
+        let mut enc = encode_msg_header(MsgKind::Direct, 1);
         enc[0] = 0x00;
-        assert!(read_msg_header(&mut Cursor::new(enc), u64::MAX).is_err());
+        assert!(decode_msg_header(&enc).is_err());
+        assert!(FrameDecoder::message(&open_cfg(), 1).header(&enc).is_err());
     }
 
     #[test]
     fn bad_kind_rejected() {
-        let mut enc = encode_msg_header(MsgKind::Direct, 1).to_vec();
+        let mut enc = encode_msg_header(MsgKind::Direct, 1);
         enc[1] = 9;
-        assert!(read_msg_header(&mut Cursor::new(enc), u64::MAX).is_err());
+        assert!(decode_msg_header(&enc).is_err());
+        assert!(FrameDecoder::message(&open_cfg(), 1).header(&enc).is_err());
     }
 
     #[test]
@@ -715,63 +935,205 @@ mod tests {
             raw_len: 204_800,
             payload_len: 31_337,
         };
-        let mut c = Cursor::new(fh.encode().to_vec());
-        assert_eq!(FrameHeader::read(&mut c, 10).unwrap(), fh);
+        assert_eq!(FrameHeader::decode(&fh.encode()), fh);
+        // A v1 header's stream and sequence number are the decoder's.
+        let want = FrameHeaderV2::data(7, 0, 0, 204_800, 31_337);
+        assert_eq!(v1_frame(7, 204_800, 31_337).unwrap(), Event::Frame(want));
     }
 
     #[test]
     fn frame_level_out_of_range() {
-        let fh = FrameHeader {
-            level: 11,
-            raw_len: 10,
-            payload_len: 10,
-        };
-        let mut c = Cursor::new(fh.encode().to_vec());
-        assert!(FrameHeader::read(&mut c, 10).is_err());
+        assert!(v1_frame(11, 10, 10).is_err());
+        // A v1 stream has no FIN: its marker is just another bad level.
+        assert!(v1_frame(LEVEL_FIN, 0, 0).is_err());
     }
 
     #[test]
     fn raw_frame_length_mismatch_rejected() {
-        let fh = FrameHeader {
-            level: 0,
-            raw_len: 10,
-            payload_len: 9,
-        };
-        let mut c = Cursor::new(fh.encode().to_vec());
-        assert!(FrameHeader::read(&mut c, 10).is_err());
+        assert!(v1_frame(0, 10, 9).is_err());
     }
 
     #[test]
     fn frame_v2_roundtrip() {
         let fh = FrameHeaderV2::data(9, 3, u64::MAX / 3, 204_800, 55_555);
-        let mut c = Cursor::new(fh.encode().to_vec());
-        assert_eq!(FrameHeaderV2::read(&mut c, 10).unwrap(), fh);
+        assert_eq!(FrameHeaderV2::decode(&fh.encode()), fh);
+        assert_eq!(v2_frame(fh).unwrap(), Event::Frame(fh));
     }
 
     #[test]
     fn frame_v2_fin_roundtrip() {
         let fin = FrameHeaderV2::fin(2, 41);
         assert!(fin.is_fin());
-        let mut c = Cursor::new(fin.encode().to_vec());
-        let got = FrameHeaderV2::read(&mut c, 10).unwrap();
+        let got = FrameHeaderV2::decode(&fin.encode());
         assert_eq!(got, fin);
         assert_eq!(got.seq, 41);
+        // The FIN must count the frames its stream carried: none here.
+        assert!(v2_frame(fin).is_err());
+        let mut dec = FrameDecoder::frames(&open_cfg(), 2, 0);
+        let empty = FrameHeaderV2::fin(2, 0).encode();
+        assert_eq!(dec.header(&empty).unwrap(), Event::StreamEnd);
+        assert_eq!(dec.want(), None);
     }
 
     #[test]
     fn frame_v2_rejects_bad_level_and_nonempty_fin() {
-        let mut bad_level = FrameHeaderV2::data(11, 0, 0, 1, 1).encode().to_vec();
-        assert!(FrameHeaderV2::read(&mut Cursor::new(bad_level.clone()), 10).is_err());
+        let bad_level = FrameHeaderV2::data(11, 0, 0, 1, 1);
+        assert!(v2_frame(bad_level).is_err());
         // A FIN whose length fields are non-zero is corrupt.
-        bad_level[0] = LEVEL_FIN;
-        assert!(FrameHeaderV2::read(&mut Cursor::new(bad_level), 10).is_err());
+        assert!(v2_frame(FrameHeaderV2 {
+            level: LEVEL_FIN,
+            ..bad_level
+        })
+        .is_err());
     }
 
     #[test]
     fn frame_v2_raw_length_mismatch_rejected() {
-        let fh = FrameHeaderV2::data(0, 1, 7, 10, 9);
-        let mut c = Cursor::new(fh.encode().to_vec());
-        assert!(FrameHeaderV2::read(&mut c, 10).is_err());
+        assert!(v2_frame(FrameHeaderV2::data(0, 1, 7, 10, 9)).is_err());
+    }
+
+    #[test]
+    fn frame_on_the_wrong_stream_rejected() {
+        let mut dec = FrameDecoder::frames(&open_cfg(), 1, 1 << 30);
+        let err = dec
+            .header(&FrameHeaderV2::data(2, 2, 0, 100, 50).encode())
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn a_frame_cannot_claim_more_than_its_payload_decodes_to() {
+        // 12 payload bytes can decode to at most 12 × 1032 raw bytes, so
+        // a level-1 frame claiming u32::MAX is refused before anything
+        // is sized for it; at the bound it is admitted.
+        assert!(v1_frame(1, u32::MAX, 12).is_err());
+        assert!(v1_frame(1, 12 * MAX_EXPANSION as u32 + 1, 12).is_err());
+        assert!(v1_frame(1, 12 * MAX_EXPANSION as u32, 12).is_ok());
+        // A stored frame's payload is its raw bytes, however large the
+        // claim: it is bounded by what the message still owes instead.
+        assert!(v1_frame(0, u32::MAX, u32::MAX).is_ok());
+        let mut dec = FrameDecoder::message(&open_cfg(), 1);
+        dec.header(&encode_msg_header(MsgKind::Adaptive, 1000))
+            .unwrap();
+        dec.header(&0u32.to_le_bytes()).unwrap();
+        dec.body_done();
+        let stored = FrameHeader {
+            level: 0,
+            raw_len: 1001,
+            payload_len: 1001,
+        };
+        assert!(dec.header(&stored.encode()).is_err());
+    }
+
+    #[test]
+    fn peer_lengths_size_one_step_at_most() {
+        assert_eq!(reserve(0), 0);
+        assert_eq!(reserve(1024), 1024);
+        assert_eq!(reserve(4 << 20), 4 << 20);
+        assert_eq!(reserve(512 << 30), ALLOC_STEP);
+        let mut buf = Vec::new();
+        // A 512 GiB claim zero-fills 64 KiB before its first byte lands,
+        // then as far ahead as has landed, one step at most.
+        assert_eq!(grow(&mut buf, 0, 512 << 30), 64 << 10);
+        assert_eq!(buf.len(), 64 << 10);
+        assert_eq!(grow(&mut buf, 1 << 20, 512 << 30), 2 << 20);
+        assert_eq!(grow(&mut buf, 16 << 20, 512 << 30), (16 << 20) + ALLOC_STEP);
+        // A short run stops at its end.
+        let mut buf = Vec::new();
+        assert_eq!(grow(&mut buf, 0, 10), 10);
+        assert_eq!(grow(&mut buf, 5, 10), 10);
+        assert_eq!(buf.len(), 10);
+    }
+
+    /// The fixture captures by name, each with the decoder that reads it
+    /// from its first byte.
+    fn fixtures() -> Vec<(&'static str, &'static [u8], FrameDecoder)> {
+        macro_rules! capture {
+            ($name:literal) => {
+                include_bytes!(concat!("../../../tests/fixtures/", $name, ".bin"))
+            };
+        }
+        let one = FrameDecoder::message(&open_cfg(), 1);
+        let s0: &[u8] = capture!("v2_two_streams_l2_s0");
+        // The secondary stream owes what the primary's probe left over.
+        let mut primary = FrameDecoder::message(&open_cfg(), 2);
+        let (seen, _) = feed(&mut primary, [s0]);
+        let owed = match seen[..] {
+            [Seen::Event(Event::Message { raw_len, .. }), Seen::Event(Event::Probe(probe)), ..] => {
+                raw_len - probe
+            }
+            _ => panic!("v2 primary starts {:?}", &seen[..2]),
+        };
+        vec![
+            ("v1_direct", capture!("v1_direct"), one),
+            ("v1_fast_path", capture!("v1_fast_path"), one),
+            ("v1_pinned_l1", capture!("v1_pinned_l1"), one),
+            ("v1_pinned_l2", capture!("v1_pinned_l2"), one),
+            ("v1_pinned_l10", capture!("v1_pinned_l10"), one),
+            (
+                "v2_two_streams_l2_s0",
+                s0,
+                FrameDecoder::message(&open_cfg(), 2),
+            ),
+            (
+                "v2_two_streams_l2_s1",
+                capture!("v2_two_streams_l2_s1"),
+                FrameDecoder::frames(&open_cfg(), 1, owed),
+            ),
+            (
+                "daemon_reply_direct_1k",
+                capture!("daemon_reply_direct_1k"),
+                one,
+            ),
+            (
+                "daemon_reply_l0_600k",
+                capture!("daemon_reply_l0_600k"),
+                one,
+            ),
+            (
+                "daemon_reply_l2_300k",
+                capture!("daemon_reply_l2_300k"),
+                one,
+            ),
+            (
+                "daemon_reply_sink_ack",
+                capture!("daemon_reply_sink_ack"),
+                one,
+            ),
+        ]
+    }
+
+    #[test]
+    fn every_fixture_decodes_the_same_at_every_split() {
+        for (name, bytes, dec) in fixtures() {
+            let (whole, verdict) = feed(&mut dec.clone(), [bytes]);
+            assert_eq!(verdict.unwrap(), bytes.len(), "{name}: whole");
+            let last = whole.last().expect("events");
+            assert!(
+                matches!(last, Seen::Event(Event::MessageEnd | Event::StreamEnd)),
+                "{name}: ends on {last:?}"
+            );
+            let frames = whole
+                .iter()
+                .filter(|s| matches!(s, Seen::Event(Event::Frame(_))))
+                .count();
+            let direct = Seen::Event(Event::Message {
+                kind: MsgKind::Direct,
+                raw_len: bytes.len() as u64 - MSG_HEADER_LEN as u64,
+            });
+            assert!(frames > 0 || whole[0] == direct, "{name}: no frames");
+            let one_byte = bytes.chunks(1).collect::<Vec<_>>();
+            let mut splits = vec![("1-byte", one_byte)];
+            for seed in [1u64, 7, 99] {
+                splits.push(("random", random_split(bytes, seed, 4096)));
+                splits.push(("random small", random_split(bytes, seed, 23)));
+            }
+            for (how, pieces) in splits {
+                let (seen, verdict) = feed(&mut dec.clone(), pieces);
+                assert_eq!(verdict.unwrap(), bytes.len(), "{name}: {how}");
+                assert!(seen == whole, "{name}: {how} feed saw other events");
+            }
+        }
     }
 
     fn new_hello(streams: u8, stream_id: u8, token: u64) -> SessionHello {
@@ -887,12 +1249,21 @@ mod tests {
     }
 
     /// One peer-controlled record: a parser, and the length its layout
-    /// declares. No flag or version byte lengthens any of them.
+    /// declares. No flag or version byte lengthens any of them. The wire
+    /// format's records are parsed by a [`FrameDecoder`] positioned by
+    /// `decoder`; the two handshake records have a `Read` parser of
+    /// their own.
     struct Record {
         what: &'static str,
         bytes: Vec<u8>,
-        parse: fn(&mut Counting<'_>) -> io::Result<()>,
+        parse: Parser,
         layout: usize,
+    }
+
+    enum Parser {
+        /// A decoder wanting this record's header.
+        Decoder(fn() -> FrameDecoder),
+        Read(fn(&mut Counting<'_>) -> io::Result<()>),
     }
 
     #[test]
@@ -920,7 +1291,13 @@ mod tests {
             Record {
                 what: "message header",
                 bytes: encode_msg_header(MsgKind::Adaptive, 3 << 20).to_vec(),
-                parse: |r| read_msg_header(r, 1 << 30).map(drop),
+                parse: Parser::Decoder(|| {
+                    let cfg = crate::AdocConfig {
+                        max_message: 1 << 30,
+                        ..crate::AdocConfig::default()
+                    };
+                    FrameDecoder::message(&cfg, 1)
+                }),
                 layout: MSG_HEADER_LEN,
             },
             Record {
@@ -932,25 +1309,25 @@ mod tests {
                 }
                 .encode()
                 .to_vec(),
-                parse: |r| FrameHeader::read(r, adoc_codec::ADOC_MAX_LEVEL).map(drop),
+                parse: Parser::Decoder(|| at_v1_frame(&open_cfg())),
                 layout: FRAME_HEADER_LEN,
             },
             Record {
                 what: "v2 frame header",
                 bytes: v2.encode().to_vec(),
-                parse: |r| FrameHeaderV2::read(r, adoc_codec::ADOC_MAX_LEVEL).map(drop),
+                parse: Parser::Decoder(|| FrameDecoder::frames(&open_cfg(), 1, 1 << 30)),
                 layout: FRAME_HEADER_V2_LEN,
             },
             Record {
                 what: "v4 session hello",
                 bytes: session.encode().to_vec(),
-                parse: |r| SessionHello::read(r).map(drop),
+                parse: Parser::Read(|r| SessionHello::read(r).map(drop)),
                 layout: SESSION_HELLO_LEN,
             },
             Record {
                 what: "session accept",
                 bytes: accept.encode().to_vec(),
-                parse: |r| SessionAccept::read(r).map(drop),
+                parse: Parser::Read(|r| SessionAccept::read(r).map(drop)),
                 layout: SESSION_ACCEPT_LEN,
             },
         ];
@@ -958,13 +1335,27 @@ mod tests {
         // one: a parser that reads into it would desynchronise.
         let trailer = [0xEEu8; 64];
         // A panic anywhere below fails the test; an error of any kind is
-        // an acceptable answer to a damaged record.
+        // an acceptable answer to a damaged record. A decoder's verdict
+        // must not depend on how its input is split: fed one byte at a
+        // time, it accepts exactly the records `read_exact` feeds it.
         let parse = |rec: &Record, input: &[u8]| {
             let mut r = Counting {
                 data: input,
                 taken: 0,
             };
-            ((rec.parse)(&mut r), r.taken)
+            let verdict = match rec.parse {
+                Parser::Decoder(make) => {
+                    let verdict = next_header(&mut make(), &mut r).map(drop);
+                    // (No byte at all is a clean end to the decoder.)
+                    let (seen, _) = feed(&mut make(), input.chunks(1));
+                    let header_ok = !seen.is_empty();
+                    let same = input.is_empty() || verdict.is_ok() == header_ok;
+                    assert!(same, "{}: fed 1 byte at a time", rec.what);
+                    verdict
+                }
+                Parser::Read(parse) => parse(&mut r),
+            };
+            (verdict, r.taken)
         };
         for rec in &records {
             let full = rec.bytes.len();
@@ -1001,8 +1392,7 @@ mod tests {
         for level in 11..=0xFEu8 {
             let mut h = v2.encode();
             h[0] = level;
-            let err = FrameHeaderV2::read(&mut Cursor::new(h), adoc_codec::ADOC_MAX_LEVEL)
-                .expect_err("out-of-range level accepted");
+            let err = v2_frame(FrameHeaderV2::decode(&h)).expect_err("out-of-range level accepted");
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "level {level:#04x}");
         }
         // A hello's version byte is 4, nothing else, and a wrong one is

@@ -19,8 +19,8 @@
 //! * anything else → a handshake failure.
 //!
 //! The state machine is a driver, not a protocol implementation: all
-//! inbound bytes arrive through one resumable read ([`fill`], told
-//! *what* it fills by a [`Target`]), all outbound bytes leave through
+//! inbound bytes arrive through one resumable read ([`fill`]) into what
+//! [`adoc::wire::FrameDecoder`] wants next, all outbound bytes leave through
 //! one drain ([`drain`]) over the reply's short queue of byte spans
 //! ([`Span`]), both meet the scheduler in one place
 //! ([`Cursor::limit`]), and the one piece of policy — the level of the
@@ -62,10 +62,11 @@ use crate::trace::{MsgSpan, StageKind};
 use crate::workers::{default_worker_threads, Job, JobTiming, WorkerPool};
 use crate::{ServedMessage, Server};
 use adoc::wire::{
-    self, FrameHeader, MsgKind, FRAME_HEADER_LEN, GROUP_MAGIC, MAGIC, MSG_HEADER_LEN,
+    self, Event as Parsed, FrameDecoder, FrameHeader, MsgKind, Want, FRAME_HEADER_LEN,
+    FRAME_HEADER_V2_LEN, GROUP_MAGIC, MAGIC, MSG_HEADER_LEN,
 };
 use adoc::{AdocConfig, PooledBuf};
-use adoc_codec::{Codec, ADOC_MAX_LEVEL};
+use adoc_codec::Codec;
 use parking_lot::Mutex;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
@@ -115,7 +116,7 @@ type JobResult = Result<Done, String>;
 
 enum Done {
     /// The inbound message, one more frame inflated into it.
-    Inflated(Inbound),
+    Inflated(Read),
     /// The reply, the level its next frame used (0 = stored) and the frame.
     Deflated(Reply, u8, Vec<u8>),
 }
@@ -207,19 +208,12 @@ struct Session {
 /// Resumable protocol position of the message in flight. Every buffer
 /// a stage needs travels inside it.
 enum Stage {
-    /// Filling [`Read::target`] from the socket.
+    /// Feeding the message's decoder from the socket.
     Read(Read),
     /// A codec job is in flight with the message; its [`Done`] resumes us.
     Job,
     /// Writing the reply.
     Reply(Reply),
-}
-
-/// The inbound message: a buffer of the announced raw length and how
-/// much of it has been assembled.
-struct Inbound {
-    buf: PooledBuf,
-    filled: usize,
 }
 
 /// Progress through one run of bytes moving under wire admission.
@@ -262,71 +256,36 @@ impl Cursor {
     }
 }
 
-/// One resumable inbound read: what is being filled and how far.
+/// One resumable inbound message: the decoder's place in it, the
+/// bytes assembled so far, and the progress of the run being filled.
 struct Read {
-    target: Target,
+    dec: FrameDecoder,
+    /// The message, zero-filled only as far as its bytes have landed.
+    msg: PooledBuf,
+    /// Bytes of `msg` assembled.
+    filled: usize,
+    /// A compressed frame's payload while it lands.
+    payload: PooledBuf,
     cur: Cursor,
-    /// Where the header-sized targets land.
-    scratch: [u8; MSG_HEADER_LEN],
-}
-
-/// What a [`Read`] fills.
-enum Target {
-    /// The 10-byte message header; nothing of it read yet is the
-    /// message boundary.
-    MsgHeader,
-    /// An adaptive message's 4-byte probe-length prefix.
-    ProbeLen(Inbound),
-    /// A 9-byte frame header.
-    FrameHeader(Inbound),
-    /// Raw bytes into `msg.buf[msg.filled..end]`, admitted `quantum` at
-    /// a time: a direct body (`buffer_size` quanta, like the blocking
-    /// receiver), a probe (`packet_size`), or a stored frame (whole).
-    Body {
-        msg: Inbound,
-        end: usize,
-        quantum: usize,
-    },
-    /// A compressed frame's payload, admitted whole before its first
-    /// byte.
-    Payload(Inbound, FrameHeader, PooledBuf),
+    /// Where header bytes land.
+    scratch: [u8; FRAME_HEADER_V2_LEN],
 }
 
 impl Read {
-    fn new(target: Target) -> Read {
-        let mut cur = Cursor::default();
-        if let Target::Body { msg, .. } = &target {
-            cur.pos = msg.filled;
-        }
+    fn new(cfg: &AdocConfig) -> Read {
         Read {
-            target,
-            cur,
-            scratch: [0u8; MSG_HEADER_LEN],
+            dec: FrameDecoder::message(cfg, 1),
+            msg: PooledBuf::detached(Vec::new()),
+            filled: 0,
+            payload: PooledBuf::detached(Vec::new()),
+            cur: Cursor::default(),
+            scratch: [0u8; FRAME_HEADER_V2_LEN],
         }
     }
 
-    /// The step that starts reading `target`.
-    fn step(target: Target) -> Step {
-        Step::Next(Stage::Read(Read::new(target)))
-    }
-
+    /// No byte of the next message has arrived.
     fn at_boundary(&self) -> bool {
-        matches!(self.target, Target::MsgHeader) && self.cur.pos == 0
-    }
-
-    /// The bytes being filled, their admission quantum, the cursor.
-    fn window(&mut self) -> (&mut [u8], usize, &mut Cursor) {
-        let (dst, quantum) = match &mut self.target {
-            Target::MsgHeader => (&mut self.scratch[..], 0),
-            Target::ProbeLen(_) => (&mut self.scratch[..4], 0),
-            Target::FrameHeader(_) => (&mut self.scratch[..FRAME_HEADER_LEN], 0),
-            Target::Body { msg, end, quantum } => (&mut msg.buf[..*end], *quantum),
-            Target::Payload(_, _, payload) => {
-                let len = payload.len();
-                (&mut payload[..], len)
-            }
-        };
-        (dst, quantum, &mut self.cur)
+        self.dec.at_message_start() && self.cur.pos == 0
     }
 }
 
@@ -352,20 +311,23 @@ fn read_step(stream: &mut TcpStream, buf: &mut [u8]) -> Result<usize, Fill> {
     }
 }
 
-/// The one resumable read: pulls bytes from `stream` into `dst` until
-/// it is full, the socket runs dry, or `admit` refuses the next quantum
-/// of a metered target. Never reads past what was admitted.
+/// The one resumable read: pulls bytes from `stream` into `dst`, the
+/// front of a `len`-byte run, until it is full, the socket runs dry, or
+/// `admit` refuses the run's next quantum (`quantum == 0`: unmetered).
+/// Never reads past what was admitted.
 fn fill(
     stream: &mut TcpStream,
     dst: &mut [u8],
+    len: usize,
     quantum: usize,
     cur: &mut Cursor,
     mut admit: impl FnMut(usize) -> bool,
 ) -> Fill {
     while cur.pos < dst.len() {
-        let Some(end) = cur.limit(dst.len(), quantum, &mut admit) else {
+        let Some(end) = cur.limit(len, quantum, &mut admit) else {
             return Fill::Parked;
         };
+        let end = end.min(dst.len());
         match read_step(stream, &mut dst[cur.pos..end]) {
             Ok(n) => cur.advance(n),
             Err(ended) => return ended,
@@ -837,7 +799,8 @@ impl Reactor {
         self.arm_timer(token, &mut io.timer_gen, hello_timeout);
         // The client may have sent its first bytes already; serve them
         // this tick instead of waiting for the next poll.
-        self.sniff(io, Read::new(Target::MsgHeader));
+        let read = Read::new(&self.server.config().adoc);
+        self.sniff(io, read);
     }
 
     fn fire_timers(&mut self) -> usize {
@@ -989,9 +952,8 @@ impl Reactor {
             }
         }
         let (sess, step) = match (state, result) {
-            (State::Serving(mut sess, Stage::Job), Ok(Done::Inflated(msg))) => {
-                let step = self.after_inbound(&mut sess, msg);
-                (sess, step)
+            (State::Serving(sess, Stage::Job), Ok(Done::Inflated(read))) => {
+                (sess, Step::Next(Stage::Read(read)))
             }
             (State::Serving(mut sess, Stage::Job), Ok(Done::Deflated(mut reply, level, frame))) => {
                 sess.stats.record_buffer(level);
@@ -1080,7 +1042,7 @@ impl Reactor {
     /// Reads the two protocol bytes and decides what the socket is.
     fn sniff(&mut self, mut io: Io, mut read: Read) {
         let (dst, cur) = (&mut read.scratch[..2], &mut read.cur);
-        match fill(&mut io.stream, dst, 0, cur, |_| true) {
+        match fill(&mut io.stream, dst, 2, 0, cur, |_| true) {
             Fill::Done => {}
             Fill::Block | Fill::Parked => return self.keep(io, State::Sniff(read), Interest::READ),
             Fill::Eof | Fill::Fail => return self.close(io, None),
@@ -1130,30 +1092,7 @@ impl Reactor {
     /// One turn of the state machine.
     fn step(&mut self, io: &mut Io, sess: &mut Session, stage: Stage) -> Step {
         match stage {
-            Stage::Read(mut read) => {
-                let at_boundary = read.at_boundary();
-                if at_boundary && self.drain.is_draining() {
-                    // A draining server takes no further messages.
-                    return Step::Close(ConnOutcome::Completed);
-                }
-                let (dst, quantum, cur) = read.window();
-                let filled = fill(&mut io.stream, dst, quantum, cur, |bytes| {
-                    self.try_admit(io.token, &mut io.timer_gen, sess, bytes, StageKind::Read)
-                });
-                if at_boundary && !read.at_boundary() && self.traced && sess.span.is_none() {
-                    // The span starts at a message's first header byte:
-                    // client idle time between messages is excluded.
-                    sess.span = Some(MsgSpan::begin());
-                }
-                match filled {
-                    Fill::Done => self.filled(io.token, sess, read),
-                    Fill::Block => Step::Wait(Stage::Read(read), Interest::READ),
-                    Fill::Parked => Step::Wait(Stage::Read(read), Interest::NONE),
-                    // The client hung up between messages.
-                    Fill::Eof if read.at_boundary() => Step::Close(ConnOutcome::Completed),
-                    Fill::Eof | Fill::Fail => Step::Close(ConnOutcome::Failed),
-                }
-            }
+            Stage::Read(read) => self.read(io, sess, read),
             // Waiting on the worker; the completion resumes us.
             Stage::Job => Step::Wait(stage, Interest::NONE),
             Stage::Reply(mut reply) => {
@@ -1177,105 +1116,106 @@ impl Reactor {
         }
     }
 
-    /// A read completed: parse what it filled and decide what comes
-    /// next. Every peer-controlled length is bounded here, before
-    /// anything is sized from it.
-    fn filled(&mut self, token: u64, sess: &mut Session, read: Read) -> Step {
-        let Read {
-            target, scratch, ..
-        } = read;
-        let fail = Step::Close(ConnOutcome::Failed);
-        let cfg = &sess.cfg;
-        match target {
-            Target::MsgHeader => {
-                let Ok(Some((kind, raw_len))) =
-                    wire::read_msg_header(&mut &scratch[..], cfg.max_message)
-                else {
-                    return fail;
-                };
-                if raw_len == 0 {
-                    // A zero-byte message is a client-initiated close,
-                    // as in the blocking serve loop.
-                    return Step::Close(ConnOutcome::Completed);
-                }
-                let end = raw_len as usize;
-                let mut buf = cfg.pool.get(end);
-                buf.resize(end, 0);
-                let msg = Inbound { buf, filled: 0 };
-                let quantum = cfg.buffer_size;
-                Read::step(match kind {
-                    MsgKind::Direct => Target::Body { msg, end, quantum },
-                    MsgKind::Adaptive => Target::ProbeLen(msg),
-                })
+    /// Feeds the message's decoder from the socket until the message is
+    /// in, a codec job takes it, or the socket or the scheduler makes
+    /// it wait.
+    fn read(&mut self, io: &mut Io, sess: &mut Session, mut read: Read) -> Step {
+        loop {
+            let at_boundary = read.at_boundary();
+            if at_boundary && self.drain.is_draining() {
+                // A draining server takes no further messages.
+                return Step::Close(ConnOutcome::Completed);
             }
-            Target::ProbeLen(msg) => match wire::read_u32(&mut &scratch[..4]) {
-                // A zero-length probe is an empty body: complete at once.
-                Ok(probe_len) if probe_len as usize <= msg.buf.len() => {
-                    let (end, quantum) = (probe_len as usize, cfg.packet_size);
-                    Read::step(Target::Body { msg, end, quantum })
+            let Some(want) = read.dec.want() else {
+                return self.after_inbound(sess, read.msg);
+            };
+            let (pos, at) = (read.cur.pos, read.filled);
+            let (dst, len, quantum) = match want {
+                Want::Header(n) => (&mut read.scratch[..n], n, 0),
+                Want::Body { len, quantum, .. } => {
+                    let ready = wire::grow(&mut read.msg, at + pos, at + len as usize);
+                    (&mut read.msg[at..ready], len as usize, quantum)
                 }
-                _ => fail,
-            },
-            Target::Body { mut msg, end, .. } => {
-                msg.filled = end;
-                self.after_inbound(sess, msg)
+                Want::Payload(hdr) => {
+                    let len = hdr.payload_len as usize;
+                    let ready = wire::grow(&mut read.payload, pos, len);
+                    (&mut read.payload[..ready], len, len)
+                }
+            };
+            let filled = fill(&mut io.stream, dst, len, quantum, &mut read.cur, |bytes| {
+                self.try_admit(io.token, &mut io.timer_gen, sess, bytes, StageKind::Read)
+            });
+            if at_boundary && !read.at_boundary() && self.traced && sess.span.is_none() {
+                // The span starts at a message's first header byte:
+                // client idle time between messages is excluded.
+                sess.span = Some(MsgSpan::begin());
             }
-            Target::FrameHeader(msg) => {
-                let raw_left = (msg.buf.len() - msg.filled) as u64;
-                let hdr = match FrameHeader::read(&mut &scratch[..FRAME_HEADER_LEN], ADOC_MAX_LEVEL)
-                {
-                    Ok(hdr) if hdr.check_bounds(cfg.buffer_size, raw_left).is_ok() => hdr,
-                    _ => return fail,
-                };
-                let len = hdr.payload_len as usize;
-                if hdr.level > 0 {
-                    let mut payload = cfg.pool.get(len);
-                    payload.resize(len, 0);
-                    return Read::step(Target::Payload(msg, hdr, payload));
-                }
-                // A stored frame's payload is the raw bytes.
-                if hdr.payload_len != hdr.raw_len {
-                    return fail;
-                }
-                let (end, quantum) = (msg.filled + len, len);
-                Read::step(Target::Body { msg, end, quantum })
+            match filled {
+                // The buffer is zero-filled only as far as bytes landed.
+                Fill::Done if read.cur.pos < len => continue,
+                Fill::Done => read.cur = Cursor::default(),
+                Fill::Block => return Step::Wait(Stage::Read(read), Interest::READ),
+                Fill::Parked => return Step::Wait(Stage::Read(read), Interest::NONE),
+                // The client hung up between messages.
+                Fill::Eof if read.at_boundary() => return Step::Close(ConnOutcome::Completed),
+                Fill::Eof | Fill::Fail => return Step::Close(ConnOutcome::Failed),
             }
-            Target::Payload(mut msg, hdr, payload) => {
-                // Decompression is codec work: off the reactor, into the message.
-                if let Some(span) = sess.span.as_mut() {
-                    // Close the read lap; the worker measures its own
-                    // queue/codec interval.
-                    span.flush();
+            if let Want::Header(n) = want {
+                let pool = &sess.cfg.pool;
+                match read.dec.header(&read.scratch[..n]) {
+                    // A zero-byte message is a client-initiated close, as
+                    // in the blocking serve loop.
+                    Ok(Parsed::Message { raw_len: 0, .. }) => {
+                        return Step::Close(ConnOutcome::Completed)
+                    }
+                    Ok(Parsed::Message { raw_len, .. }) => {
+                        read.msg = pool.get(wire::reserve(raw_len))
+                    }
+                    Ok(Parsed::Frame(h)) if h.level > 0 => {
+                        read.payload = pool.get(wire::reserve(h.payload_len.into()))
+                    }
+                    Ok(_) => {}
+                    Err(_) => return Step::Close(ConnOutcome::Failed),
                 }
-                self.pool.submit(Job {
-                    conn: token,
-                    work: Box::new(move |codec| {
-                        // `check_bounds` kept the frame inside the message.
-                        let end = msg.filled + hdr.raw_len as usize;
-                        let dst = &mut msg.buf[msg.filled..end];
-                        let decoded = codec.decompress_into(hdr.level, &payload, dst);
-                        decoded.map_err(|e| e.to_string())?;
-                        msg.filled = end;
-                        Ok(Done::Inflated(msg))
-                    }),
-                });
-                Step::Wait(Stage::Job, Interest::NONE)
+                continue;
             }
+            read.dec.body_done();
+            let Want::Payload(hdr) = want else {
+                read.filled += len;
+                continue;
+            };
+            // Decompression is codec work: off the reactor, into the
+            // message (the decoder kept the frame inside it).
+            if let Some(span) = sess.span.as_mut() {
+                // Close the read lap; the worker measures its own
+                // queue/codec interval.
+                span.flush();
+            }
+            self.pool.submit(Job {
+                conn: io.token,
+                work: Box::new(move |codec| {
+                    let end = read.filled + hdr.raw_len as usize;
+                    read.msg.resize(end, 0);
+                    let dst = &mut read.msg[read.filled..];
+                    let decoded = codec.decompress_into(hdr.level, &read.payload, dst);
+                    decoded.map_err(|e| e.to_string())?;
+                    read.filled = end;
+                    read.payload = PooledBuf::detached(Vec::new());
+                    Ok(Done::Inflated(read))
+                }),
+            });
+            return Step::Wait(Stage::Job, Interest::NONE);
         }
     }
 
-    /// After probe/frame/body bytes landed: more frames, or a finished
-    /// message — build its reply.
-    fn after_inbound(&mut self, sess: &mut Session, msg: Inbound) -> Step {
-        if msg.filled < msg.buf.len() {
-            return Read::step(Target::FrameHeader(msg));
-        }
-        let raw_len = msg.buf.len() as u64;
+    /// The message is in: build its reply.
+    fn after_inbound(&mut self, sess: &mut Session, msg: PooledBuf) -> Step {
+        let raw_len = msg.len() as u64;
         let cfg = &sess.cfg;
         let (kind, body) = match self.server.mode() {
             ServeMode::Sink => (
                 MsgKind::Direct,
-                Some(Span::Ack(sink_ack(raw_len, fnv1a64(&msg.buf)))),
+                Some(Span::Ack(sink_ack(raw_len, fnv1a64(&msg)))),
             ),
             ServeMode::Echo
                 if cfg.compression_disabled() || raw_len < cfg.probe_threshold as u64 =>
@@ -1292,7 +1232,7 @@ impl Reactor {
             // write side (a refused admission re-takes the clock).
             span.switch(StageKind::Write);
         }
-        Step::Next(Stage::Reply(Reply::new(kind, body, msg.buf)))
+        Step::Next(Stage::Reply(Reply::new(kind, body, msg)))
     }
 
     /// Encodes the adaptive reply's next `buffer_size` chunk as a frame
@@ -1341,7 +1281,7 @@ impl Reactor {
             .message_served(sess.id, msg, &mut sess.last_level);
         // Dropping the reply returns the message buffer to the pool at
         // every boundary: idle memory is capped at socket buffers.
-        Step::Wait(Stage::Read(Read::new(Target::MsgHeader)), Interest::READ)
+        Step::Wait(Stage::Read(Read::new(&sess.cfg)), Interest::READ)
     }
 }
 

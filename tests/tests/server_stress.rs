@@ -789,7 +789,7 @@ fn ten_thousand_idle_connections_hold_flat_memory_and_drain() {
     let dialers: Vec<_> = (0..DIALERS)
         .map(|d| {
             thread::spawn(move || {
-                use adoc::wire::{encode_msg_header, read_msg_header, MsgKind};
+                use adoc::wire::{decode_msg_header, encode_msg_header, MsgKind, MSG_HEADER_LEN};
                 let payload = generate(DataKind::Ascii, 512, d as u64 + 1);
                 let mut held = Vec::with_capacity(per_dialer);
                 for _ in 0..per_dialer {
@@ -800,9 +800,9 @@ fn ten_thousand_idle_connections_hold_flat_memory_and_drain() {
                     sock.write_all(&payload).expect("send body");
                     // 512 B is under the probe threshold, so the echo
                     // comes back as one direct message.
-                    let (kind, raw_len) = read_msg_header(&mut sock, u64::MAX)
-                        .expect("reply header")
-                        .expect("server closed before replying");
+                    let mut head = [0u8; MSG_HEADER_LEN];
+                    sock.read_exact(&mut head).expect("reply header");
+                    let (kind, raw_len) = decode_msg_header(&head).expect("reply header");
                     assert_eq!(kind, MsgKind::Direct);
                     assert_eq!(raw_len, payload.len() as u64);
                     let mut back = vec![0u8; payload.len()];
