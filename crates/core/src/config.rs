@@ -178,8 +178,12 @@ impl AdocConfig {
                 crate::wire::FRAME_HEADER_LEN
             ));
         }
-        if self.buffer_size == 0 {
-            return bad("buffer_size must be > 0");
+        if self.buffer_size == 0 || self.buffer_size as u64 > crate::wire::MAX_FRAME_LEN {
+            return bad(format!(
+                "buffer_size {} must be in 1..={} (a frame's u32 length fields)",
+                self.buffer_size,
+                crate::wire::MAX_FRAME_LEN
+            ));
         }
         if self.packet_size > self.buffer_size {
             return bad(format!(
@@ -302,6 +306,21 @@ mod tests {
             ..AdocConfig::default()
         };
         assert!(reason(&shallow_queue).contains("must exceed HIGH_WATER"));
+    }
+
+    #[test]
+    fn a_buffer_larger_than_a_frame_is_refused() {
+        let largest = crate::wire::MAX_FRAME_LEN as usize;
+        let at_limit = AdocConfig {
+            buffer_size: largest,
+            ..AdocConfig::default()
+        };
+        at_limit.validate().unwrap();
+        let over = AdocConfig {
+            buffer_size: largest + 1,
+            ..AdocConfig::default()
+        };
+        assert!(reason(&over).contains("must be in 1..=4294967295"));
     }
 
     #[test]

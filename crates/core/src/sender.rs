@@ -21,12 +21,11 @@
 use crate::adapt::{LevelController, LevelReason, RATIO_GUARD};
 use crate::bw::BandwidthMonitor;
 use crate::config::AdocConfig;
-use crate::error::AdocError;
 use crate::pool::PooledBuf;
 use crate::queue::{Packet, PacketQueue};
 use crate::session::ResumePoint;
 use crate::stats::{StreamSendStats, TransferStats};
-use crate::wire::{self, FrameHeader, FrameHeaderV2, Framing, MsgKind};
+use crate::wire::{self, Chunk, Framing, MsgHead, MsgKind};
 use adoc_codec::Codec;
 use std::io::{self, Read, Write};
 use std::sync::{Arc, Mutex};
@@ -163,22 +162,15 @@ where
             (left, at.next_seq)
         }
         None => {
-            let primary = &mut writers[0];
-            if cfg.compression_disabled()
-                || (!cfg.compression_forced() && raw_len < cfg.probe_threshold as u64)
-            {
-                return send_direct(primary, source, raw_len, cfg);
-            }
-            primary.write_all(&wire::encode_msg_header(MsgKind::Adaptive, raw_len))?;
-            out.wire_bytes += wire::MSG_HEADER_LEN as u64;
-            let probe_len = write_probe(primary, source, raw_len, cfg, &mut out)?;
-            if probe_len == raw_len {
-                // Nothing left to frame: the receiver stops after the
-                // probe too, so no FINs are owed either.
-                primary.flush()?;
+            out.direct = cfg.compression_disabled()
+                || (!cfg.compression_forced() && raw_len < cfg.probe_threshold as u64);
+            let run = write_head(&mut writers[0], source, raw_len, cfg, &mut out)?;
+            if run == raw_len {
+                // Nothing left to frame: the receiver stops after a direct
+                // body or a whole-message probe, so no FINs are owed.
                 return Ok(out);
             }
-            (raw_len - probe_len, 0)
+            (raw_len - run, 0)
         }
     };
 
@@ -199,52 +191,38 @@ where
     Ok(out)
 }
 
-/// §5 "Small messages": header + raw bytes, no threads, latency identical
-/// to plain write.
-fn send_direct<W: Write, S: Read>(
-    writer: &mut W,
-    source: &mut S,
-    raw_len: u64,
-    cfg: &AdocConfig,
-) -> io::Result<SendOutcome> {
-    writer.write_all(&wire::encode_msg_header(MsgKind::Direct, raw_len))?;
-    wire::copy_raw(source, writer, raw_len, cfg.buffer_size, cfg, &mut 0)?;
-    writer.flush()?;
-    Ok(SendOutcome {
-        wire_bytes: wire::MSG_HEADER_LEN as u64 + raw_len,
-        direct: true,
-        ..SendOutcome::default()
-    })
-}
-
-/// Writes the probe prefix (primary stream), measuring link speed and
-/// setting `out.fast_path` when the link outruns `cfg.fast_bps`. Returns
-/// the probe length.
-fn write_probe<W: Write, S: Read>(
+/// Writes the message's head and the raw run behind it on the primary:
+/// a direct body (§5 "Small messages": no threads, latency identical to
+/// a plain write) or an adaptive message's probe (§5 "Fast Networks"),
+/// timed to set `out.fast_path` when the link outruns `cfg.fast_bps`.
+/// Returns the run's length.
+fn write_head<W: Write, S: Read>(
     writer: &mut W,
     source: &mut S,
     raw_len: u64,
     cfg: &AdocConfig,
     out: &mut SendOutcome,
 ) -> io::Result<u64> {
-    let probe_len = if cfg.compression_forced() {
-        0u64
+    let (kind, run, quantum) = if out.direct {
+        (MsgKind::Direct, raw_len, cfg.buffer_size)
+    } else if cfg.compression_forced() {
+        (MsgKind::Adaptive, 0, cfg.packet_size)
     } else {
-        (cfg.probe_size as u64).min(raw_len)
+        let probe = (cfg.probe_size as u64).min(raw_len);
+        (MsgKind::Adaptive, probe, cfg.packet_size)
     };
-    wire::write_u32(writer, probe_len as u32)?;
-    out.wire_bytes += 4;
-    if probe_len > 0 {
-        let t0 = Instant::now();
-        wire::copy_raw(source, writer, probe_len, cfg.packet_size, cfg, &mut 0)?;
-        writer.flush()?;
-        let secs = t0.elapsed().as_secs_f64().max(1e-9);
-        let bps = probe_len as f64 * 8.0 / secs;
-        out.probe_bps = Some(bps);
-        out.wire_bytes += probe_len;
-        out.fast_path = bps > cfg.fast_bps;
+    // A direct head carries no probe length.
+    let head = MsgHead::new(kind, raw_len, run as u32);
+    writer.write_all(&head)?;
+    out.wire_bytes += head.len() as u64 + run;
+    let t0 = Instant::now();
+    wire::copy_raw(source, writer, run, quantum, cfg, &mut 0)?;
+    writer.flush()?;
+    if run > 0 && !out.direct {
+        let bps = run as f64 * 8.0 / t0.elapsed().as_secs_f64().max(1e-9);
+        (out.probe_bps, out.fast_path) = (Some(bps), bps > cfg.fast_bps);
     }
-    Ok(probe_len)
+    Ok(run)
 }
 
 /// The message body as a shared supply of raw compression buffers: each
@@ -296,29 +274,29 @@ impl<S: Read> FrameSource<'_, S> {
         if st.left == 0 {
             return None;
         }
-        let read = next_frame_size(cfg.buffer_size, st.left).and_then(|want| {
-            let hdr = self.framing.header_len();
-            let mut buf = cfg.pool.get(hdr + want);
+        // Checked against the u32 wire limit before anything is read or
+        // allocated for the frame.
+        let want = (cfg.buffer_size as u64).min(st.left);
+        let hdr = self.framing.header_len();
+        let read = wire::frame_len(want).and_then(|_| {
+            let mut buf = cfg.pool.get(hdr + want as usize);
             buf.resize(hdr, 0);
-            match st.source.by_ref().take(want as u64).read_to_end(&mut buf) {
-                Ok(n) if n == want => Ok((want, buf)),
-                Ok(_) => Err(io::Error::new(
+            match st.source.by_ref().take(want).read_to_end(&mut buf)? as u64 {
+                n if n == want => Ok(buf),
+                _ => Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
                     "source ended before the promised message length",
                 )),
-                Err(e) => Err(e),
             }
         });
         match read {
-            Ok((want, buf)) => {
+            Ok(buf) => {
                 let seq = st.next_seq;
-                st.next_seq += 1;
-                st.left -= want as u64;
-                Some((seq, want, buf))
+                (st.next_seq, st.left) = (seq + 1, st.left - want);
+                Some((seq, want as usize, buf))
             }
             Err(e) => {
-                st.left = 0;
-                st.error = Some(e);
+                (st.left, st.error) = (0, Some(e));
                 None
             }
         }
@@ -334,16 +312,6 @@ impl<S> Drop for StopOnDrop<'_, '_, S> {
     fn drop(&mut self) {
         self.0.stop();
     }
-}
-
-/// Next frame's raw size, checked against the u32 wire limit (a silent
-/// `as u32` truncation here used to corrupt ≥ 4 GiB buffers).
-fn next_frame_size(buffer_size: usize, remaining: u64) -> io::Result<usize> {
-    let want = (buffer_size as u64).min(remaining);
-    if want > wire::MAX_FRAME_LEN {
-        return Err(AdocError::FrameTooLarge { len: want }.into());
-    }
-    Ok(want as usize)
 }
 
 /// §5 "Fast Networks": too fast to compress, so the rest goes out as raw
@@ -362,13 +330,8 @@ fn send_raw_frames<W: Write, S: Read>(
     let framing = frames.framing;
     let hdr = framing.header_len();
     let (mut sent, mut sent_bytes) = (0u64, 0u64);
-    while let Some((seq, want, mut frame)) = frames.claim(cfg) {
-        let body = FrameHeader {
-            level: 0,
-            raw_len: want as u32,
-            payload_len: want as u32,
-        };
-        framing.encode_header(&mut frame[..hdr], body, 0, seq);
+    while let Some((seq, _, raw)) = frames.claim(cfg) {
+        let frame = framing.seal(Chunk::Staged(raw), None, &cfg.pool, 0, seq)?.0;
         cfg.throttle.acquire_wire(frame.len());
         writers[0].write_all(&frame)?;
         sent += 1;
@@ -381,13 +344,13 @@ fn send_raw_frames<W: Write, S: Read>(
     }
     out.wire_bytes += sent_bytes;
     for (i, w) in writers.iter_mut().enumerate() {
-        if framing.owes_fin() {
-            let (frames, frame_bytes) = if i == 0 { (sent, sent_bytes) } else { (0, 0) };
-            w.write_all(&FrameHeaderV2::fin(i as u8, frames).encode())?;
-            out.wire_bytes += wire::FRAME_HEADER_V2_LEN as u64;
+        let (frames, frame_bytes) = if i == 0 { (sent, sent_bytes) } else { (0, 0) };
+        if let Some(fin) = framing.fin(i as u8, frames) {
+            w.write_all(&fin)?;
+            out.wire_bytes += fin.len() as u64;
             out.per_stream.push(StreamSendStats {
                 stream: i as u8,
-                wire_bytes: wire::FRAME_HEADER_V2_LEN as u64 + frame_bytes,
+                wire_bytes: fin.len() as u64 + frame_bytes,
                 raw_bytes: frame_bytes - frames * hdr as u64,
                 frames,
             });
@@ -502,62 +465,29 @@ struct CompOutcome {
     frames: u64,
 }
 
-/// The §5 ratio-guard stage: picks the level for
-/// a raw buffer (suspicious pre-check + full compression + ratio report)
-/// and returns the wire-ready frame body with `header_len` reserved bytes
-/// at the front, plus the level it ended up encoded at.
-fn encode_frame_payload(
-    raw: PooledBuf,
-    want: usize,
-    header_len: usize,
-    mut level: u8,
+/// §5 "Compressed and random data", early abort: while the stream looks
+/// incompressible, a prefix of `raw` is tested before a full buffer is
+/// compressed, and `level` drops to 0 if it fails.
+fn prescreen(
+    level: &mut u8,
+    raw: &[u8],
     ctrl: &mut LevelController,
     codec: &mut Codec,
     cfg: &AdocConfig,
-) -> io::Result<(PooledBuf, u8)> {
-    // §5 "Compressed and random data", early abort: while the stream
-    // looks incompressible, test a small prefix before paying for a
-    // full-buffer compression.
-    if level > 0 && ctrl.is_suspicious() {
-        let check = (4 * cfg.packet_size).min(want);
-        let t0 = Instant::now();
-        let mut probe = cfg.pool.get(check + 64);
-        codec.compress_at(level, &raw[header_len..header_len + check], &mut probe);
-        cfg.throttle.charge(t0.elapsed());
-        let check_ratio = check as f64 / probe.len() as f64;
-        ctrl.report_ratio(check_ratio, cfg);
-        if check_ratio < RATIO_GUARD {
-            level = 0; // still incompressible: ship the buffer raw
-        }
+) {
+    if *level == 0 || !ctrl.is_suspicious() {
+        return;
     }
-
-    // `frame` ends up holding header + payload; at level 0 that is the
-    // raw buffer itself (zero copies), otherwise a second pooled buffer
-    // the codec encoded into (the only data movement is the compression
-    // itself).
-    let mut frame = raw;
-    if level > 0 {
-        let t0 = Instant::now();
-        let mut enc = cfg.pool.get(header_len + want / 2 + 64);
-        enc.resize(header_len, 0);
-        codec.compress_at(level, &frame[header_len..], &mut enc);
-        cfg.throttle.charge(t0.elapsed());
-
-        let ratio = want as f64 / (enc.len() - header_len) as f64;
-        ctrl.report_ratio(ratio, cfg);
-        if ratio < RATIO_GUARD {
-            // Abandon the compressed form; the raw frame goes out and
-            // `enc` returns to the pool.
-            level = 0;
-        } else {
-            frame = enc; // the raw buffer returns to the pool
-        }
+    let check = &raw[..(4 * cfg.packet_size).min(raw.len())];
+    let t0 = Instant::now();
+    let mut probe = cfg.pool.get(check.len() + 64);
+    codec.compress_at(*level, check, &mut probe);
+    cfg.throttle.charge(t0.elapsed());
+    let ratio = check.len() as f64 / probe.len() as f64;
+    ctrl.report_ratio(ratio, cfg);
+    if ratio < RATIO_GUARD {
+        *level = 0; // still incompressible: ship the buffer raw
     }
-    let payload_len = (frame.len() - header_len) as u64;
-    if payload_len > wire::MAX_FRAME_LEN {
-        return Err(AdocError::FrameTooLarge { len: payload_len }.into());
-    }
-    Ok((frame, level))
 }
 
 /// Splits a wire-ready frame into shared `(offset, len)` packet views and
@@ -612,9 +542,17 @@ fn compression_thread<S: Read>(
 
     while let Some((seq, want, raw)) = frames.claim(cfg) {
         // §3.2: the level is updated before each new buffer.
-        let level = ctrl.next_level_with(queue.len(), bw, Instant::now(), cfg);
+        let mut level = ctrl.next_level_with(queue.len(), bw, Instant::now(), cfg);
         let t0 = Instant::now();
-        let (mut frame, level) = encode_frame_payload(raw, want, hdr, level, ctrl, codec, cfg)?;
+        prescreen(&mut level, &raw[hdr..], ctrl, codec, cfg);
+        let sealing = Instant::now();
+        let codec_at = Some((&mut *codec, level));
+        let (frame, level, ratio) =
+            framing.seal(Chunk::Staged(raw), codec_at, &cfg.pool, stream_id, seq)?;
+        if let Some(ratio) = ratio {
+            cfg.throttle.charge(sealing.elapsed());
+            ctrl.report_ratio(ratio, cfg);
+        }
         let encoded = Instant::now();
         // The level's compression side: the whole encode, CPU model
         // included. A buffer the ratio guard sent raw charges no level.
@@ -622,14 +560,6 @@ fn compression_thread<S: Read>(
             bw.record_compression(level, want as u64, encoded - t0);
         }
         out.level_events.push((encoded, level, ctrl.last_reason()));
-
-        let body = FrameHeader {
-            level,
-            raw_len: want as u32,
-            payload_len: (frame.len() - hdr) as u32,
-        };
-        framing.encode_header(&mut frame[..hdr], body, stream_id, seq);
-
         match push_frame_packets(queue, frame, want, level, cfg.packet_size) {
             Ok(pushed) => ctrl.packets_pushed(pushed),
             // Consumer failed; its error is authoritative.
@@ -638,11 +568,11 @@ fn compression_thread<S: Read>(
         out.frames += 1;
     }
 
-    if framing.owes_fin() {
-        // End of message on this stream: the FIN marker records how many
-        // data frames the receiver must have seen.
-        let mut fbuf = cfg.pool.get(wire::FRAME_HEADER_V2_LEN);
-        fbuf.extend_from_slice(&FrameHeaderV2::fin(stream_id, out.frames).encode());
+    // End of message on this stream: the FIN marker records how many data
+    // frames the receiver must have seen.
+    if let Some(fin) = framing.fin(stream_id, out.frames) {
+        let mut fbuf = cfg.pool.get(fin.len());
+        fbuf.extend_from_slice(&fin);
         let len = fbuf.len();
         let _ = queue.push(Packet::view(Arc::new(fbuf), 0, len, 0, 0));
     }
@@ -694,6 +624,7 @@ fn emission_thread<W: Write>(
 mod tests {
     use super::*;
     use crate::adapt::FORBID_DURATION;
+    use crate::error::AdocError;
     use crate::wire::tests::{feed, Seen};
     use crate::wire::{decode_msg_header, Event, FrameDecoder};
 

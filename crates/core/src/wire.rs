@@ -82,8 +82,22 @@
 //! ahead of the bytes that back it — a run reserves [`reserve`]`(claim)`
 //! and zero-fills as bytes land ([`grow`]), and a compressed frame may
 //! claim at most [`MAX_EXPANSION`] raw bytes per payload byte.
+//!
+//! # Sending: one encoder
+//!
+//! Every send path — the blocking sender, the reactor and its workers —
+//! writes a message's head as one [`MsgHead`] and every frame through
+//! [`Framing::seal`], which compresses a chunk into a pooled buffer
+//! behind its header slot, **stores** the chunk instead when the ratio
+//! is under [`RATIO_GUARD`] (§5 "Compressed and random data"), and
+//! writes the v1 or v2 header in place. The level asked for is each
+//! driver's policy; what goes on the wire for it is decided here.
 
-use std::io::{self, Read, Write};
+use crate::adapt::RATIO_GUARD;
+use crate::error::AdocError;
+use crate::pool::{BufferPool, PooledBuf};
+use adoc_codec::Codec;
+use std::io::{self, Read};
 
 /// Message header magic byte.
 pub const MAGIC: u8 = 0xAD;
@@ -206,18 +220,6 @@ impl FrameHeaderV2 {
         }
     }
 
-    /// The end-of-message marker for `stream`, recording how many data
-    /// frames that stream carried.
-    pub fn fin(stream: u8, frames_sent: u64) -> FrameHeaderV2 {
-        FrameHeaderV2 {
-            level: LEVEL_FIN,
-            stream,
-            seq: frames_sent,
-            raw_len: 0,
-            payload_len: 0,
-        }
-    }
-
     /// True when this header marks end-of-message on its stream.
     pub fn is_fin(&self) -> bool {
         self.level == LEVEL_FIN
@@ -252,7 +254,7 @@ impl FrameHeaderV2 {
 /// whether the message is a resumed tail — once per message, so the
 /// pipeline code is the same for every stream count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Framing {
+pub enum Framing {
     /// The paper's format: 9-byte [`FrameHeader`]s on the only stream,
     /// numbered by arrival order; the message ends on its byte count.
     V1,
@@ -274,7 +276,7 @@ impl Framing {
     }
 
     /// Bytes a data frame's header occupies in front of its payload.
-    pub(crate) fn header_len(self) -> usize {
+    pub fn header_len(self) -> usize {
         match self {
             Framing::V1 => FRAME_HEADER_LEN,
             Framing::V2 => FRAME_HEADER_V2_LEN,
@@ -287,16 +289,104 @@ impl Framing {
         self == Framing::V2
     }
 
-    /// Encodes a data frame's header into `dst`, which must be exactly
-    /// [`Self::header_len`] bytes. `V1` drops `stream` and `seq`.
-    pub(crate) fn encode_header(self, dst: &mut [u8], body: FrameHeader, stream: u8, seq: u64) {
-        match self {
-            Framing::V1 => dst.copy_from_slice(&body.encode()),
-            Framing::V2 => dst.copy_from_slice(
-                &FrameHeaderV2::data(body.level, stream, seq, body.raw_len, body.payload_len)
-                    .encode(),
-            ),
+    /// Seals `chunk` as frame `seq` of `stream` (v1 drops both):
+    /// compressed by `codec` at its level when raw over compressed size
+    /// reaches [`RATIO_GUARD`], else (or with no codec) stored. Returns
+    /// the frame, its level (0 = stored) and the ratio, if measured.
+    pub fn seal(
+        self,
+        chunk: Chunk<'_>,
+        codec: Option<(&mut Codec, u8)>,
+        pool: &BufferPool,
+        stream: u8,
+        seq: u64,
+    ) -> io::Result<(PooledBuf, u8, Option<f64>)> {
+        let hdr = self.header_len();
+        let raw = match &chunk {
+            Chunk::Slice(raw) => raw,
+            Chunk::Staged(buf) => &buf[hdr..],
+        };
+        let raw_len = frame_len(raw.len() as u64)?;
+        let (mut level, mut ratio, mut compressed) = (0, None, None);
+        if let Some((codec, at)) = codec.filter(|&(_, at)| at > 0) {
+            let mut frame = pool.get(hdr + raw.len() / 2 + 64);
+            frame.resize(hdr, 0);
+            codec.compress_at(at, raw, &mut frame);
+            let r = raw.len() as f64 / (frame.len() - hdr) as f64;
+            ratio = Some(r);
+            if r >= RATIO_GUARD {
+                (level, compressed) = (at, Some(frame));
+            }
         }
+        let mut frame = match (compressed, chunk) {
+            (Some(frame), _) | (None, Chunk::Staged(frame)) => frame,
+            (None, Chunk::Slice(raw)) => {
+                let mut frame = pool.get(hdr + raw.len());
+                frame.resize(hdr, 0);
+                frame.extend_from_slice(raw);
+                frame
+            }
+        };
+        // A stored payload is the chunk, a compressed one is smaller.
+        let payload_len = (frame.len() - hdr) as u32;
+        let v1 = FrameHeader {
+            level,
+            raw_len,
+            payload_len,
+        };
+        let v2 = FrameHeaderV2::data(level, stream, seq, raw_len, payload_len);
+        match self {
+            Framing::V1 => frame[..hdr].copy_from_slice(&v1.encode()),
+            Framing::V2 => frame[..hdr].copy_from_slice(&v2.encode()),
+        }
+        Ok((frame, level, ratio))
+    }
+
+    /// The marker ending `stream`'s share of a message after `frames`
+    /// data frames, or `None` when the byte count ends it (v1).
+    pub fn fin(self, stream: u8, frames: u64) -> Option<[u8; FRAME_HEADER_V2_LEN]> {
+        let fin = FrameHeaderV2::data(LEVEL_FIN, stream, frames, 0, 0);
+        self.owes_fin().then(|| fin.encode())
+    }
+}
+
+/// A raw chunk for [`Framing::seal`].
+pub enum Chunk<'a> {
+    /// Bytes to compress, or to copy when stored.
+    Slice(&'a [u8]),
+    /// A [`Framing::header_len`] slot then the chunk: stored, the frame.
+    Staged(PooledBuf),
+}
+
+/// `len` as a frame header's u32 length field, or
+/// [`AdocError::FrameTooLarge`] — never a silent truncation.
+pub(crate) fn frame_len(len: u64) -> io::Result<u32> {
+    u32::try_from(len).map_err(|_| AdocError::FrameTooLarge { len }.into())
+}
+
+/// A message's head, put on the wire in one write: the message header
+/// and, behind an adaptive message's, its probe length.
+#[derive(Debug, Clone, Copy)]
+pub struct MsgHead([u8; MSG_HEADER_LEN + 4], usize);
+
+impl MsgHead {
+    /// The head of a `kind` message of `raw_len` bytes, an adaptive one
+    /// sending its first `probe_len` raw.
+    pub fn new(kind: MsgKind, raw_len: u64, probe_len: u32) -> MsgHead {
+        let mut head = [0u8; MSG_HEADER_LEN + 4];
+        head[..MSG_HEADER_LEN].copy_from_slice(&encode_msg_header(kind, raw_len));
+        head[MSG_HEADER_LEN..].copy_from_slice(&probe_len.to_le_bytes());
+        // Direct is kind 0, Adaptive kind 1.
+        let len = MSG_HEADER_LEN + 4 * kind as usize;
+        MsgHead(head, len)
+    }
+}
+
+impl std::ops::Deref for MsgHead {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.0[..self.1]
     }
 }
 
@@ -717,15 +807,10 @@ impl SessionAccept {
     }
 }
 
-/// Writes a `u32` length prefix (probe segment).
-pub fn write_u32(w: &mut impl Write, v: u32) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
 /// Copies `len` raw bytes — a direct body or a probe — from `reader` to
 /// `writer` through one pooled `chunk`-sized buffer, acquiring wire budget
 /// per chunk and adding each chunk to `copied` once it is written.
-pub(crate) fn copy_raw<R: Read, W: Write>(
+pub(crate) fn copy_raw<R: Read, W: io::Write>(
     reader: &mut R,
     writer: &mut W,
     len: u64,
@@ -962,15 +1047,15 @@ pub(crate) mod tests {
 
     #[test]
     fn frame_v2_fin_roundtrip() {
-        let fin = FrameHeaderV2::fin(2, 41);
+        assert_eq!(Framing::V1.fin(2, 41), None, "v1 ends on the byte count");
+        let fin = FrameHeaderV2::decode(&Framing::V2.fin(2, 41).expect("v2 FIN"));
         assert!(fin.is_fin());
-        let got = FrameHeaderV2::decode(&fin.encode());
-        assert_eq!(got, fin);
-        assert_eq!(got.seq, 41);
+        let fields = (fin.stream, fin.seq, fin.raw_len, fin.payload_len);
+        assert_eq!(fields, (2, 41, 0, 0));
         // The FIN must count the frames its stream carried: none here.
         assert!(v2_frame(fin).is_err());
         let mut dec = FrameDecoder::frames(&open_cfg(), 2, 0);
-        let empty = FrameHeaderV2::fin(2, 0).encode();
+        let empty = Framing::V2.fin(2, 0).expect("v2 FIN");
         assert_eq!(dec.header(&empty).unwrap(), Event::StreamEnd);
         assert_eq!(dec.want(), None);
     }

@@ -24,12 +24,17 @@
 //! one drain ([`drain`]) over the reply's short queue of byte spans
 //! ([`Span`]), both meet the scheduler in one place
 //! ([`Cursor::limit`]), and the one piece of policy — the level of the
-//! next reply frame — is [`next_reply_level`]. Codec work never runs
-//! here: frames above level 0 go through the bounded [`WorkerPool`]
-//! (one job in flight per connection), so a core count's worth of
-//! workers bounds compression CPU however many sockets are registered —
-//! the paper's "compression may use spare cycles, never extra capacity"
-//! applied to the server's concurrency structure.
+//! next reply frame — is [`next_reply_level`]. What goes on the wire is
+//! not decided here either: a reply's head is an [`adoc::wire::MsgHead`],
+//! and every reply frame is sealed by [`adoc::wire::Framing::seal`] into
+//! a buffer from the connection's pool — the same stage, and the same
+//! §5 rule for storing a chunk that compresses by less than 5 %, as the
+//! blocking sender's. Codec work never runs here: frames above level 0
+//! are sealed on the bounded [`WorkerPool`] (one job in flight per
+//! connection), so a core count's worth of workers bounds compression
+//! CPU however many sockets are registered — the paper's "compression
+//! may use spare cycles, never extra capacity" applied to the server's
+//! concurrency structure.
 //!
 //! ## Backpressure and fairness
 //!
@@ -62,11 +67,10 @@ use crate::trace::{MsgSpan, StageKind};
 use crate::workers::{default_worker_threads, Job, JobTiming, WorkerPool};
 use crate::{ServedMessage, Server};
 use adoc::wire::{
-    self, Event as Parsed, FrameDecoder, FrameHeader, MsgKind, Want, FRAME_HEADER_LEN,
-    FRAME_HEADER_V2_LEN, GROUP_MAGIC, MAGIC, MSG_HEADER_LEN,
+    self, Chunk, Event as Parsed, FrameDecoder, Framing, MsgHead, MsgKind, Want,
+    FRAME_HEADER_V2_LEN, GROUP_MAGIC, MAGIC,
 };
 use adoc::{AdocConfig, PooledBuf};
-use adoc_codec::Codec;
 use parking_lot::Mutex;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
@@ -117,8 +121,8 @@ type JobResult = Result<Done, String>;
 enum Done {
     /// The inbound message, one more frame inflated into it.
     Inflated(Read),
-    /// The reply, the level its next frame used (0 = stored) and the frame.
-    Deflated(Reply, u8, Vec<u8>),
+    /// The reply, its next frame and that frame's level (0 = stored).
+    Deflated(Reply, PooledBuf, u8),
 }
 
 /// Gives a group thread's admission slot back when it ends — by return
@@ -336,17 +340,14 @@ fn fill(
     Fill::Done
 }
 
-/// Message header plus an adaptive reply's zero probe-length prefix.
-const HEAD_MAX: usize = MSG_HEADER_LEN + 4;
-
 /// One contiguous run of reply bytes.
 enum Span {
-    /// The first `.1` bytes of `.0`: the head, never metered.
-    Head([u8; HEAD_MAX], usize),
+    /// The message head, never metered.
+    Head(MsgHead),
     /// A sink-mode acknowledgement, admitted whole.
     Ack([u8; 16]),
-    /// An encoded frame (header included), admitted whole.
-    Frame(Vec<u8>),
+    /// A sealed frame (header included), admitted whole.
+    Frame(PooledBuf),
     /// The message itself (a direct echo), in `buffer_size` quanta.
     Body,
 }
@@ -383,13 +384,10 @@ impl Reply {
             _ => msg.len(),
         } as u64;
         let adaptive = kind == MsgKind::Adaptive;
-        let mut head = [0u8; HEAD_MAX];
-        head[..MSG_HEADER_LEN].copy_from_slice(&wire::encode_msg_header(kind, raw));
-        let head_len = if adaptive { HEAD_MAX } else { MSG_HEADER_LEN };
         Reply {
             next_chunk: if adaptive { 0 } else { msg.len() },
             msg,
-            out: [Some(Span::Head(head, head_len)), body],
+            out: [Some(Span::Head(MsgHead::new(kind, raw, 0))), body],
             cur: Cursor::default(),
             blocked: false,
             wire: 0,
@@ -440,7 +438,7 @@ fn drain(
     loop {
         let (bytes, quantum): (&[u8], usize) = match &reply.out[0] {
             None => return Drain::Empty,
-            Some(Span::Head(head, len)) => (&head[..*len], 0),
+            Some(Span::Head(head)) => (&head[..], 0),
             Some(Span::Ack(ack)) => (&ack[..], ack.len()),
             Some(Span::Frame(frame)) => (&frame[..], frame.len()),
             Some(Span::Body) => (&reply.msg[..], buffer_size),
@@ -484,32 +482,6 @@ fn next_reply_level(blocked: bool, level: u8, cfg: &AdocConfig) -> u8 {
     } else {
         level
     }
-}
-
-/// A frame on the wire, built in one buffer: room for the header, then `raw`
-/// compressed by `codec` at its level — or stored (level 0) for want of a
-/// codec or of a gain. Returns the level used with the frame.
-fn encode_frame(codec: Option<(&mut Codec, u8)>, raw: &[u8]) -> (u8, Vec<u8>) {
-    let mut frame = vec![0; FRAME_HEADER_LEN];
-    let mut level = 0;
-    if let Some((codec, at)) = codec {
-        codec.compress_at(at, raw, &mut frame);
-        level = at;
-    }
-    if level == 0 || frame.len() - FRAME_HEADER_LEN >= raw.len() {
-        frame.truncate(FRAME_HEADER_LEN);
-        frame.extend_from_slice(raw);
-        level = 0;
-    }
-    let (raw_len, payload_len) = (raw.len() as u32, (frame.len() - FRAME_HEADER_LEN) as u32);
-    let hdr = FrameHeader {
-        level,
-        raw_len,
-        payload_len,
-    }
-    .encode();
-    frame[..FRAME_HEADER_LEN].copy_from_slice(&hdr);
-    (level, frame)
 }
 
 /// What one turn of a connection's state machine produced.
@@ -955,9 +927,9 @@ impl Reactor {
             (State::Serving(sess, Stage::Job), Ok(Done::Inflated(read))) => {
                 (sess, Step::Next(Stage::Read(read)))
             }
-            (State::Serving(mut sess, Stage::Job), Ok(Done::Deflated(mut reply, level, frame))) => {
+            (State::Serving(mut sess, Stage::Job), Ok(Done::Deflated(mut reply, frame, level))) => {
                 sess.stats.record_buffer(level);
-                // Level 0 from a compression job is the fallback.
+                // Level 0 from a compression job is the §5 ratio guard.
                 sess.stats.ratio_trips += u64::from(level == 0);
                 reply.push(Span::Frame(frame));
                 (sess, Step::Next(Stage::Reply(reply)))
@@ -1241,11 +1213,14 @@ impl Reactor {
         let start = reply.next_chunk;
         let end = (start + sess.cfg.buffer_size).min(reply.msg.len());
         reply.next_chunk = end;
-        let level = sess.level;
+        let (level, pool) = (sess.level, sess.cfg.pool.clone());
         if level == 0 {
-            // Stored frames are pure memcpy: build inline.
+            // Stored frames are pure memcpy: seal inline.
+            let chunk = Chunk::Slice(&reply.msg[start..end]);
+            let Ok((frame, ..)) = Framing::V1.seal(chunk, None, &pool, 0, 0) else {
+                return Step::Close(ConnOutcome::Failed);
+            };
             sess.stats.record_buffer(0);
-            let (_, frame) = encode_frame(None, &reply.msg[start..end]);
             reply.push(Span::Frame(frame));
             return Step::Next(Stage::Reply(reply));
         }
@@ -1257,8 +1232,10 @@ impl Reactor {
         self.pool.submit(Job {
             conn: token,
             work: Box::new(move |codec| {
-                let (level, frame) = encode_frame(Some((codec, level)), &reply.msg[start..end]);
-                Ok(Done::Deflated(reply, level, frame))
+                let chunk = Chunk::Slice(&reply.msg[start..end]);
+                let sealed = Framing::V1.seal(chunk, Some((codec, level)), &pool, 0, 0);
+                let (frame, level, _) = sealed.map_err(|e| e.to_string())?;
+                Ok(Done::Deflated(reply, frame, level))
             }),
         });
         Step::Wait(Stage::Job, Interest::NONE)
@@ -1289,7 +1266,7 @@ impl Reactor {
 mod tests {
     use super::*;
     use crate::{ServeMode, ServerConfig};
-    use adoc::AdocSocket;
+    use adoc::{AdocSocket, PoolStats};
     use std::sync::atomic::AtomicBool;
 
     /// A reactor listening on an ephemeral loopback port, driven by
@@ -1364,6 +1341,172 @@ mod tests {
         assert_eq!(totals.completed, 1);
         assert_eq!(totals.failed, 0);
         assert_eq!(server.pool().stats().outstanding, 0, "no leaked buffers");
+    }
+
+    #[test]
+    fn adaptive_echoes_seal_reply_frames_into_the_pool() {
+        let (mut reactor, server, addr) = reactor_with(
+            ServerConfig::builder()
+                .adoc(AdocConfig::default().with_levels(2, 2))
+                .build()
+                .expect("config"),
+        );
+        let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
+        let (echoed_tx, echoed_rx) = std::sync::mpsc::channel::<()>();
+        let client = std::thread::spawn(move || {
+            let big = adoc_data::generate(adoc_data::DataKind::Ascii, 1 << 20, 9);
+            let sock = TcpStream::connect(addr).expect("connect");
+            let r = sock.try_clone().expect("clone");
+            // Its own pool: only the server's checkouts are counted.
+            let cfg = AdocConfig::default().with_levels(2, 2);
+            let mut conn = AdocSocket::with_config(r, sock, cfg).expect("client cfg");
+            let mut back = vec![0u8; big.len()];
+            while go_rx.recv().is_ok() {
+                conn.write_all(&big).expect("send");
+                conn.read_exact(&mut back).expect("echo");
+                assert_eq!(back, big, "echo must be byte-exact");
+                echoed_tx.send(()).expect("report");
+            }
+        });
+        let mut warm = None;
+        for _ in 0..5 {
+            go_tx.send(()).expect("go");
+            run_until(&mut reactor, Duration::from_secs(30), |_| {
+                echoed_rx.try_recv().is_ok()
+            });
+            warm.get_or_insert(server.pool().stats());
+        }
+        drop(go_tx);
+        client.join().expect("client");
+        run_until(&mut reactor, Duration::from_secs(10), |r| r.live() == 0);
+        let (warm, end) = (warm.expect("warm-up"), server.pool().stats());
+        // Per message: the inbound buffer, one payload per level-2
+        // frame in, and one sealed frame per chunk out.
+        let frames = (1u64 << 20).div_ceil(200 * 1024);
+        let checkouts = |s: PoolStats| s.hits + s.misses;
+        assert!(
+            checkouts(end) - checkouts(warm) >= 4 * (1 + 2 * frames),
+            "reply frames are not pooled: {warm:?} -> {end:?}"
+        );
+        assert!(
+            end.misses - warm.misses <= 2,
+            "steady-state echoes allocated: {warm:?} -> {end:?}"
+        );
+        assert_eq!(end.outstanding, 0, "no leaked buffers");
+    }
+
+    /// `n` bytes of noise in which every 100 noise bytes are followed by
+    /// a copy of their first 10: level 1 (LZF) shrinks each chunk by
+    /// about 2.8 %, under the §5 guard's 5 %.
+    fn barely_compressible(n: usize) -> Vec<u8> {
+        let (mut x, mut v) = (1u64, Vec::with_capacity(n + 110));
+        while v.len() < n {
+            let start = v.len();
+            for _ in 0..100 {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                v.push((x >> 40) as u8);
+            }
+            v.extend_from_within(start..start + 10);
+        }
+        v.truncate(n);
+        v
+    }
+
+    /// One AdOC message read off `r`: its wire bytes and its frames'
+    /// levels.
+    fn read_message(r: &mut impl io::Read, cfg: &AdocConfig) -> (Vec<u8>, Vec<u8>) {
+        let mut dec = FrameDecoder::message(cfg, 1);
+        let (mut bytes, mut levels) = (Vec::new(), Vec::new());
+        while let Some(want) = dec.want() {
+            let n = match want {
+                Want::Header(n) => n,
+                Want::Body { len, .. } => len as usize,
+                Want::Payload(hdr) => hdr.payload_len as usize,
+            };
+            let at = bytes.len();
+            bytes.resize(at + n, 0);
+            r.read_exact(&mut bytes[at..]).expect("message bytes");
+            if let Want::Header(_) = want {
+                if let Parsed::Frame(hdr) = dec.header(&bytes[at..]).expect("header") {
+                    levels.push(hdr.level);
+                }
+            } else {
+                dec.body_done();
+            }
+        }
+        (bytes, levels)
+    }
+
+    #[test]
+    fn a_reply_chunk_under_the_ratio_guard_goes_out_stored() {
+        let adoc = AdocConfig {
+            probe_threshold: 64 << 10,
+            probe_size: 32 << 10,
+            buffer_size: 32 << 10,
+            ..AdocConfig::default()
+        }
+        .with_levels(1, 1);
+        let data = barely_compressible(100_000);
+        for chunk in data.chunks(adoc.buffer_size) {
+            let mut lzf = Vec::new();
+            adoc_codec::compress_at(1, chunk, &mut lzf);
+            let ratio = chunk.len() as f64 / lzf.len() as f64;
+            let under_guard = 1.0..adoc::adapt::RATIO_GUARD;
+            assert!(under_guard.contains(&ratio), "level-1 ratio {ratio}");
+        }
+        // The blocking sender stores every chunk...
+        let mut sent = Vec::new();
+        let mut streams = Vec::new();
+        let one = std::slice::from_mut(&mut sent);
+        let len = data.len() as u64;
+        adoc::sender::send_message(one, &mut &data[..], len, None, &adoc, &mut streams)
+            .expect("send_message");
+        let (_, levels) = read_message(&mut &sent[..], &adoc);
+        assert_eq!(levels, [0; 4], "send_message's frame levels");
+
+        // ...and so does the reactor, counting each as a guard trip.
+        let (mut reactor, _server, addr) = reactor_with(
+            ServerConfig::builder()
+                .adoc(adoc.clone())
+                .build()
+                .expect("config"),
+        );
+        let (reply_tx, reply_rx) = std::sync::mpsc::channel();
+        let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+        let client = {
+            let (sent, adoc) = (sent.clone(), adoc.clone());
+            std::thread::spawn(move || {
+                let mut sock = TcpStream::connect(addr).expect("connect");
+                sock.write_all(&sent).expect("request");
+                reply_tx
+                    .send(read_message(&mut sock, &adoc))
+                    .expect("report");
+                // Hold the connection open while its stats are read.
+                let _ = done_rx.recv();
+            })
+        };
+        let mut reply = None;
+        run_until(&mut reactor, Duration::from_secs(30), |_| {
+            reply = reply_rx.try_recv().ok();
+            reply.is_some()
+        });
+        let (bytes, levels) = reply.expect("reply");
+        assert_eq!(levels, [0; 4], "the reactor's frame levels");
+        assert!(bytes == sent, "the reply is what send_message wrote");
+        let trips: Vec<u64> = reactor
+            .conns
+            .values()
+            .filter_map(|c| match &c.state {
+                State::Serving(sess, _) => Some(sess.stats.ratio_trips),
+                State::Sniff(_) => None,
+            })
+            .collect();
+        assert_eq!(trips, [4], "one guard trip per stored chunk");
+        done_tx.send(()).expect("release");
+        client.join().expect("client");
+        run_until(&mut reactor, Duration::from_secs(10), |r| r.live() == 0);
     }
 
     #[test]

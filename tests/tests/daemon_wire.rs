@@ -37,8 +37,7 @@ fn direct_request(body: &[u8]) -> Vec<u8> {
 /// of `body`: a `probe`-byte raw probe, then `chunk`-byte frames whose
 /// levels cycle through `levels` (0 = stored).
 fn adaptive_request(body: &[u8], probe: usize, chunk: usize, levels: &[u8]) -> Vec<u8> {
-    let mut req = wire::encode_msg_header(MsgKind::Adaptive, body.len() as u64).to_vec();
-    wire::write_u32(&mut req, probe as u32).unwrap();
+    let mut req = wire::MsgHead::new(MsgKind::Adaptive, body.len() as u64, probe as u32).to_vec();
     req.extend_from_slice(&body[..probe]);
     for (i, raw) in body[probe..].chunks(chunk).enumerate() {
         let level = levels[i % levels.len()];
@@ -193,6 +192,40 @@ fn daemon_replies_are_byte_identical_at_every_split_point() {
             "{}",
             case.fixture
         );
+        daemon.shutdown().expect("shutdown");
+    }
+}
+
+#[test]
+fn the_daemon_and_send_message_write_the_same_adaptive_bytes() {
+    // Both drivers seal frames through one core stage, so at a pinned
+    // level the daemon's adaptive echo is what the blocking sender
+    // writes for the same bytes — the head, every frame header, every
+    // payload, and the short last frame (100,000 = 3 × 32 KiB + 1,696).
+    let data = generate(DataKind::Ascii, 100_000, 21);
+    for level in [1, 2, 10] {
+        let adoc = AdocConfig {
+            probe_threshold: 64 * 1024,
+            probe_size: 32 * 1024,
+            buffer_size: 32 * 1024,
+            packet_size: 4 * 1024,
+            ..AdocConfig::default()
+        }
+        .with_levels(level, level);
+        let mut sent = Vec::new();
+        adoc::sender::send_message(
+            std::slice::from_mut(&mut sent),
+            &mut &data[..],
+            data.len() as u64,
+            None,
+            &adoc,
+            &mut Vec::new(),
+        )
+        .expect("send_message");
+        let daemon = spawn(server_cfg(adoc, ServeMode::Echo));
+        let reply = exchange(&daemon, &sent, Pace::Whole);
+        let what = format!("level {level}");
+        assert_same(&what, &reply, &sent, "daemon echo vs send_message");
         daemon.shutdown().expect("shutdown");
     }
 }
