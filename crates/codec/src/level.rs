@@ -86,12 +86,7 @@ impl Codec {
                 out.copy_from_slice(input);
                 out.len()
             }
-            Algo::Lzf => {
-                let mut decoded = Vec::with_capacity(out.len());
-                lzf::decompress(input, &mut decoded, out.len())?;
-                out[..decoded.len()].copy_from_slice(&decoded);
-                decoded.len()
-            }
+            Algo::Lzf => lzf::decompress_into(input, out)?,
             Algo::Deflate(_) => zlib::zlib_decompress_with(&mut self.inflate, input, out)?,
         };
         if produced != out.len() {

@@ -108,10 +108,20 @@ fn emit_literals(lits: &[u8], out: &mut Vec<u8>) {
 
 /// Decompresses an LZF stream produced by [`compress`] (or liblzf),
 /// appending to `out`. `max_out` bounds the decoded size to protect against
-/// corrupt streams.
+/// corrupt streams; nothing is appended on error.
 pub fn decompress(input: &[u8], out: &mut Vec<u8>, max_out: usize) -> Result<()> {
     let base = out.len();
-    let mut i = 0usize;
+    out.resize(base + max_out, 0);
+    let decoded = decompress_into(input, &mut out[base..]);
+    out.truncate(base + decoded.as_ref().map_or(0, |&n| n));
+    decoded.map(drop)
+}
+
+/// Decompresses an LZF stream into `out`, which bounds the decoded size;
+/// returns the bytes decoded.
+pub fn decompress_into(input: &[u8], out: &mut [u8]) -> Result<usize> {
+    let limit = out.len();
+    let (mut i, mut o) = (0usize, 0usize);
     while i < input.len() {
         let ctrl = input[i] as usize;
         i += 1;
@@ -120,11 +130,11 @@ pub fn decompress(input: &[u8], out: &mut Vec<u8>, max_out: usize) -> Result<()>
             if i + run > input.len() {
                 return Err(CodecError::UnexpectedEof);
             }
-            if out.len() - base + run > max_out {
-                return Err(CodecError::OutputLimitExceeded { limit: max_out });
+            if o + run > limit {
+                return Err(CodecError::OutputLimitExceeded { limit });
             }
-            out.extend_from_slice(&input[i..i + run]);
-            i += run;
+            out[o..o + run].copy_from_slice(&input[i..i + run]);
+            (i, o) = (i + run, o + run);
         } else {
             let mut len = ctrl >> 5;
             let mut off = (ctrl & 0x1f) << 8;
@@ -142,25 +152,25 @@ pub fn decompress(input: &[u8], out: &mut Vec<u8>, max_out: usize) -> Result<()>
             off |= input[i] as usize;
             i += 1;
             let dist = off + 1;
-            let produced = out.len() - base;
-            if dist > produced {
-                return Err(CodecError::BadDistance {
-                    dist,
-                    have: produced,
-                });
+            if dist > o {
+                return Err(CodecError::BadDistance { dist, have: o });
             }
-            if produced + len > max_out {
-                return Err(CodecError::OutputLimitExceeded { limit: max_out });
+            if o + len > limit {
+                return Err(CodecError::OutputLimitExceeded { limit });
             }
-            // Overlapping copy: must go byte-by-byte when dist < len.
-            let start = out.len() - dist;
-            for src in start..start + len {
-                let b = out[src];
-                out.push(b);
+            let start = o - dist;
+            if dist >= len {
+                out.copy_within(start..start + len, o);
+            } else {
+                // Overlapping copy: each byte may be one this copy wrote.
+                for k in 0..len {
+                    out[o + k] = out[start + k];
+                }
             }
+            o += len;
         }
     }
-    Ok(())
+    Ok(o)
 }
 
 #[cfg(test)]

@@ -5,28 +5,25 @@
 //! [`receive_message`] mirrors [`crate::sender::send_message`] for any
 //! stream count. One stream (a fresh v1 message, or a resumed tail of
 //! width 1) is read on the caller's thread too: its frames arrive in
-//! sequence, so there is nothing to reorder, no thread and no window — a
-//! raw frame costs what a POSIX read of it does. Two or more streams get
-//! a reception thread each, parking frames in a shared, bounded
-//! [`ReorderBuffer`] keyed by sequence number that the caller drains in
-//! order, so the application sees bytes **in order** however the streams
-//! interleaved. Payloads live in pooled buffers from the shared
-//! [`crate::BufferPool`]; the window is a few frames, so a stalled stream
-//! or a slow decompressor backpressures the network promptly.
+//! sequence, so there is nothing to reorder and no thread, and a stored
+//! frame that fits the caller's buffer lands there — a raw byte costs what
+//! a POSIX read of it does. Two or more streams get a reception thread
+//! each, feeding a few frames into a bounded channel that the caller
+//! [`Merge`]s in sequence order, so the application sees bytes **in
+//! order** however the streams interleaved, and a stalled stream or a
+//! slow decompressor backpressures the network promptly.
 
 use crate::config::AdocConfig;
 use crate::pool::PooledBuf;
 use crate::wire::{self, BodyKind, Event, FrameDecoder, FrameHeaderV2, MsgKind, Want};
 use adoc_codec::Codec;
-use parking_lot::{Condvar, Mutex};
-use std::collections::HashMap;
 use std::io::{self, Read, Write};
+use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::time::Instant;
 
-/// Frames the reorder window buffers between the reception threads and
-/// the consumer. Kept small so a slow decompressor
-/// backpressures the network promptly — that is the signal the sender's
-/// divergence guard reacts to.
+/// Frames the reception threads of one receive may hold between them. Kept
+/// small so a slow decompressor backpressures the network promptly — that
+/// is the signal the sender's divergence guard reacts to.
 const RECV_WINDOW_FRAMES: usize = 16;
 
 /// Live progress of an adaptive receive, exposed so a session-serving
@@ -45,7 +42,7 @@ pub struct RecvProgress {
     /// Raw bytes delivered contiguously to the sink so far (probe bytes
     /// plus in-order frames).
     pub delivered_raw: u64,
-    /// The next global frame sequence number the reorder window expects.
+    /// The next global frame sequence number the message needs.
     pub next_seq: u64,
 }
 
@@ -74,6 +71,31 @@ impl RecvProgress {
 /// Returns `Ok(None)` on clean end-of-stream, `Ok(Some(raw_len))` after a
 /// full message.
 pub fn receive_message<R: Read + Send, K: Write>(
+    readers: &mut [R],
+    sink: &mut K,
+    cfg: &AdocConfig,
+    progress: &mut RecvProgress,
+    resume: Option<RecvProgress>,
+    codec: &mut Codec,
+) -> io::Result<Option<u64>> {
+    receive(readers, &mut &mut *sink, cfg, progress, resume, codec)
+}
+
+/// Where a receive puts a message's bytes: a writer that may lend a window
+/// of its own memory, so a stored frame lands there straight off the wire.
+pub(crate) trait Sink: Write {
+    /// The sink's next `len` bytes, counted as written, if it has that
+    /// much room; `None`, the default, takes every byte through [`Write`].
+    fn window(&mut self, _len: usize) -> Option<&mut [u8]> {
+        None
+    }
+}
+
+/// A plain writer lends no window.
+impl<K: Write + ?Sized> Sink for &mut K {}
+
+/// [`receive_message`] into a [`Sink`].
+pub(crate) fn receive<R: Read + Send, K: Sink>(
     readers: &mut [R],
     sink: &mut K,
     cfg: &AdocConfig,
@@ -115,7 +137,11 @@ pub fn receive_message<R: Read + Send, K: Write>(
                 false => &mut direct,
             };
             // The direct body, or the probe, straight into the sink.
-            drive(primary, &mut dec, sink, delivered, cfg)?;
+            next_frame(primary, &mut dec)?;
+            if let Some(Want::Body { len, quantum, .. }) = dec.want() {
+                wire::copy_raw(primary, sink, len, quantum, cfg, delivered)?;
+                dec.body_done();
+            }
             if dec.want().is_none() {
                 // A direct body, or a message its probe covered.
                 progress.active = false;
@@ -147,181 +173,46 @@ fn read_payload<R: Read>(reader: &mut R, len: u32, cfg: &AdocConfig) -> io::Resu
     }
 }
 
-/// Why a [`ReorderBuffer::push`] was refused.
-enum ReorderPushError {
-    /// Some side of the pipeline already died; stop quietly, the root
-    /// cause is reported elsewhere.
-    Stopped,
-    /// Two frames claimed the same sequence number (wire corruption).
-    Duplicate,
+/// A data frame a reception thread read off its stream, payload and all.
+type Frame = (FrameHeaderV2, PooledBuf);
+
+/// The frames of two or more streams in sequence order. Each stream's
+/// reception thread fills a bounded channel of its own, and a stream's
+/// frames rise, so the frame the message needs next heads one stream:
+/// the merge holds each stream's earliest frame and blocks only on a
+/// stream whose head it has not seen.
+struct Merge {
+    heads: Vec<Option<Frame>>,
+    /// `None` once the stream's frames are over.
+    feeds: Vec<Option<Receiver<Frame>>>,
 }
 
-/// One data frame read off a stream.
-struct RecvFrame {
-    hdr: FrameHeaderV2,
-    payload: PooledBuf,
-}
-
-struct ReorderInner {
-    frames: HashMap<u64, RecvFrame>,
-    /// Next sequence number the consumer will deliver.
-    next: u64,
-    /// Streams that have delivered their FIN for this message.
-    streams_done: usize,
-    total_streams: usize,
-    /// Input side died (socket error / corrupt header on some stream).
-    aborted: bool,
-    /// Consumer side died (decode or sink failure).
-    failed: bool,
-}
-
-/// The shared reassembly window of a multi-stream receive: reception
-/// threads [`push`](ReorderBuffer::push) frames keyed by global sequence
-/// number, the consumer [`pop_next`](ReorderBuffer::pop_next)s them in
-/// order. Bounded: a push beyond the window blocks — **except** for the
-/// frame the consumer is waiting on (`seq == next`), which is always
-/// admitted so a full window can never deadlock the pipeline.
-struct ReorderBuffer {
-    inner: Mutex<ReorderInner>,
-    can_push: Condvar,
-    can_pop: Condvar,
-}
-
-impl ReorderBuffer {
-    /// `start_seq` is the first global sequence number the window
-    /// expects — 0 for a fresh message, the parked `next_seq` when
-    /// resuming one; anything below it is a replay and is rejected as a
-    /// duplicate.
-    fn new(total_streams: usize, start_seq: u64) -> ReorderBuffer {
-        ReorderBuffer {
-            inner: Mutex::new(ReorderInner {
-                frames: HashMap::new(),
-                next: start_seq,
-                streams_done: 0,
-                total_streams,
-                aborted: false,
-                failed: false,
-            }),
-            can_push: Condvar::new(),
-            can_pop: Condvar::new(),
-        }
-    }
-
-    /// Parks `frame` under its sequence number. Blocks while the window
-    /// is full (unless this is the very frame the consumer needs). Fails
-    /// once either side of the pipeline has died, or on a duplicate
-    /// sequence number — the two cases are distinct because a duplicate
-    /// is *corruption the pusher must report*, while a stopped pipeline
-    /// already has a more authoritative error elsewhere.
-    fn push(&self, frame: RecvFrame) -> Result<(), ReorderPushError> {
-        let seq = frame.hdr.seq;
-        let mut g = self.inner.lock();
+impl Merge {
+    /// The earliest head once it is numbered `next` or below (a replay,
+    /// which the consumer refuses), or once every stream has shown its
+    /// head (a gap); `None` when every stream is over.
+    fn pop(&mut self, next: u64) -> Option<Frame> {
         loop {
-            if g.failed || g.aborted {
-                return Err(ReorderPushError::Stopped);
+            let seq = |i: usize| self.heads[i].as_ref().map_or(u64::MAX, |(hdr, _)| hdr.seq);
+            let earliest = (0..self.heads.len()).min_by_key(|&i| seq(i))?;
+            let unseen =
+                (0..self.heads.len()).find(|&i| self.heads[i].is_none() && self.feeds[i].is_some());
+            let Some(i) = unseen.filter(|_| seq(earliest) > next) else {
+                return self.heads[earliest].take();
+            };
+            match self.feeds[i].as_ref().map(Receiver::recv) {
+                Some(Ok(frame)) => self.heads[i] = Some(frame),
+                _ => self.feeds[i] = None,
             }
-            if seq < g.next || g.frames.contains_key(&seq) {
-                return Err(ReorderPushError::Duplicate);
-            }
-            if seq == g.next || g.frames.len() < RECV_WINDOW_FRAMES {
-                g.frames.insert(seq, frame);
-                drop(g);
-                self.can_pop.notify_all();
-                return Ok(());
-            }
-            self.can_push.wait(&mut g);
         }
-    }
-
-    /// Marks one stream's FIN as seen; once every stream is done the
-    /// consumer can observe end-of-message.
-    fn stream_done(&self) {
-        let mut g = self.inner.lock();
-        g.streams_done += 1;
-        drop(g);
-        self.can_pop.notify_all();
-    }
-
-    /// Next frame in sequence order; `None` once every stream finished
-    /// (or the pipeline died) and the frame is not coming.
-    fn pop_next(&self) -> Option<RecvFrame> {
-        let mut g = self.inner.lock();
-        loop {
-            if g.failed || g.aborted {
-                return None;
-            }
-            let next = g.next;
-            if let Some(f) = g.frames.remove(&next) {
-                g.next += 1;
-                drop(g);
-                self.can_push.notify_all();
-                return Some(f);
-            }
-            if g.streams_done == g.total_streams {
-                return None;
-            }
-            self.can_pop.wait(&mut g);
-        }
-    }
-
-    /// Input side reports death: wakes everyone; the consumer sees an
-    /// early end and reports the byte shortfall.
-    fn abort(&self) {
-        let mut g = self.inner.lock();
-        g.aborted = true;
-        g.frames.clear();
-        drop(g);
-        self.can_push.notify_all();
-        self.can_pop.notify_all();
-    }
-
-    /// Consumer reports death: wakes reception threads blocked in `push`.
-    fn fail(&self) {
-        let mut g = self.inner.lock();
-        g.failed = true;
-        g.frames.clear();
-        drop(g);
-        self.can_push.notify_all();
-        self.can_pop.notify_all();
-    }
-}
-
-/// Fires [`ReorderBuffer::abort`] on drop unless disarmed — the
-/// reception-thread counterpart of the queue guards: an error or panic
-/// must never strand the consumer waiting on a frame that will never
-/// come.
-struct AbortOnDrop<'a> {
-    rb: &'a ReorderBuffer,
-    armed: bool,
-}
-
-impl Drop for AbortOnDrop<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            self.rb.abort();
-        }
-    }
-}
-
-/// Fires [`ReorderBuffer::fail`] on drop — held by the consumer; a no-op
-/// for reception threads that already finished.
-struct FailOnDrop<'a> {
-    rb: &'a ReorderBuffer,
-}
-
-impl Drop for FailOnDrop<'_> {
-    fn drop(&mut self) {
-        self.rb.fail();
     }
 }
 
 /// The frame stage of a receive, shared by the fresh path (after the
 /// probe) and the resume path (no probe, sequence starting at the parked
-/// cursor). The caller's thread delivers the frames. One stream is read
-/// right there: its frames arrive in sequence, so there is nothing to
-/// reorder. Two or more streams each get a reception thread feeding the
-/// reorder window, which the caller drains.
-fn receive_frames<R: Read + Send, K: Write>(
+/// cursor). The caller's thread delivers the frames: one stream's straight
+/// off the wire, two or more streams' from their reception threads.
+fn receive_frames<R: Read + Send, K: Sink>(
     readers: &mut [R],
     sink: &mut K,
     primary: FrameDecoder,
@@ -331,13 +222,12 @@ fn receive_frames<R: Read + Send, K: Write>(
     codec: &mut Codec,
 ) -> io::Result<()> {
     if let [reader] = readers {
-        let mut dec = primary;
-        let next = || drive(reader, &mut dec, &mut io::sink(), &mut 0, cfg);
-        return caught(|| deliver(next, sink, cfg, progress, codec));
+        let frames = Frames::One(reader, primary);
+        return caught(|| deliver(frames, sink, cfg, progress, codec));
     }
-    let reorder = ReorderBuffer::new(readers.len(), progress.next_seq);
-    let rb = &reorder;
+    let window = (RECV_WINDOW_FRAMES / readers.len()).max(1);
     std::thread::scope(|s| {
+        let mut feeds = Vec::new();
         let handles: Vec<_> = readers
             .iter_mut()
             .enumerate()
@@ -346,18 +236,20 @@ fn receive_frames<R: Read + Send, K: Write>(
                     0 => primary,
                     _ => FrameDecoder::frames(cfg, i as u8, body_len),
                 };
-                s.spawn(move || reception_thread(i as u8, r, dec, rb, cfg))
+                let (tx, rx) = mpsc::sync_channel(window);
+                feeds.push(Some(rx));
+                s.spawn(move || reception_thread(r, dec, tx, cfg))
             })
             .collect();
-        let delivered = caught(|| {
-            let _fail = FailOnDrop { rb };
-            deliver(|| Ok(rb.pop_next()), sink, cfg, progress, codec)
-        });
-        // A panicking reception thread has already released the consumer
-        // through its window guard. A reception (socket) error is the root
-        // cause when present — the consumer's "truncated" error is its
+        let heads = feeds.iter().map(|_| None).collect();
+        let merge = Frames::<R>::Striped(Merge { heads, feeds });
+        // The merge goes with the consumer, so a reception thread still
+        // sending stops quietly.
+        let delivered = caught(|| deliver(merge, sink, cfg, progress, codec));
+        // A reception (socket) error, or a panic, is the root cause when
+        // present — the consumer's "truncated" or "early" error is its
         // downstream symptom. Decode and sink failures surface from the
-        // consumer, whose reception threads then end quietly.
+        // consumer.
         for h in handles {
             h.join()
                 .map_err(|_| io::Error::other("reception thread panicked"))??;
@@ -375,119 +267,141 @@ fn caught(consumer: impl FnOnce() -> io::Result<()>) -> io::Result<()> {
 }
 
 /// One stream's reception thread (two or more streams): moves the
-/// stream's frames into the reorder window.
+/// stream's frames into its feed until its share of the message is over
+/// or the consumer has gone.
 fn reception_thread<R: Read>(
-    stream_id: u8,
     reader: &mut R,
     mut dec: FrameDecoder,
-    reorder: &ReorderBuffer,
+    feed: SyncSender<Frame>,
     cfg: &AdocConfig,
 ) -> io::Result<()> {
-    let mut guard = AbortOnDrop {
-        rb: reorder,
-        armed: true,
-    };
-    while let Some(frame) = drive(reader, &mut dec, &mut io::sink(), &mut 0, cfg)? {
-        let seq = frame.hdr.seq;
-        match reorder.push(frame) {
-            Ok(()) => {}
-            Err(ReorderPushError::Stopped) => {
-                // The consumer (or a sibling stream) failed; that error
-                // wins.
-                guard.armed = false;
-                return Ok(());
-            }
-            Err(ReorderPushError::Duplicate) => {
-                // Corruption detected here: report it (the drop guard
-                // aborts the pipeline for everyone else).
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("duplicate frame sequence {seq} on stream {stream_id}"),
-                ));
-            }
+    while let Some(hdr) = next_frame(reader, &mut dec)? {
+        let payload = read_payload(reader, hdr.payload_len, cfg)?;
+        dec.body_done();
+        if feed.send((hdr, payload)).is_err() {
+            break;
         }
     }
-    reorder.stream_done();
-    guard.armed = false;
     Ok(())
 }
 
-/// Drives `dec` over `reader` with `read_exact` to its next frame, read
-/// whole into a pooled payload. A raw run — the direct body or the probe
-/// at the head of a fresh message — goes straight to `sink`, counted
-/// into `delivered`, and ends the call. `None` after a raw run or once
-/// the decoder's share of the message is over.
-fn drive<R: Read, K: Write>(
+/// Reads the headers `dec` wants off `reader` with `read_exact`, up to its
+/// next run: the header of the frame whose payload is next, or `None` when
+/// a raw run (a direct body or a probe) is next or the decoder's share of
+/// the message is over.
+fn next_frame<R: Read>(
     reader: &mut R,
     dec: &mut FrameDecoder,
-    sink: &mut K,
-    delivered: &mut u64,
-    cfg: &AdocConfig,
-) -> io::Result<Option<RecvFrame>> {
+) -> io::Result<Option<FrameHeaderV2>> {
     let mut head = [0u8; wire::FRAME_HEADER_V2_LEN];
     while let Some(Want::Header(n)) = dec.want() {
         reader.read_exact(&mut head[..n])?;
         dec.header(&head[..n])?;
     }
-    let hdr = match dec.want() {
+    Ok(match dec.want() {
         Some(
             Want::Payload(hdr)
             | Want::Body {
                 kind: BodyKind::Stored(hdr),
                 ..
             },
-        ) => hdr,
-        Some(Want::Body { len, quantum, .. }) => {
-            wire::copy_raw(reader, sink, len, quantum, cfg, delivered)?;
-            dec.body_done();
-            return Ok(None);
-        }
-        _ => return Ok(None),
-    };
-    let payload = read_payload(reader, hdr.payload_len, cfg)?;
-    dec.body_done();
-    Ok(Some(RecvFrame { hdr, payload }))
+        ) => Some(hdr),
+        _ => None,
+    })
 }
 
-/// The consumer: decodes the frames `next` yields into the sink,
-/// advancing `progress` frame by frame. Each frame must carry the
-/// sequence number the message needs next — below it is a replay, above
-/// it a gap — and together they must carry the whole message.
-fn deliver<K: Write>(
-    mut next: impl FnMut() -> io::Result<Option<RecvFrame>>,
+/// Where the consumer takes a message's frames from.
+enum Frames<'a, R> {
+    /// The one stream, read right here: a frame's payload is still on the
+    /// wire when its header is in.
+    One(&'a mut R, FrameDecoder),
+    /// The merged feeds of two or more streams' reception threads.
+    Striped(Merge),
+}
+
+/// Checks a frame against the message before a byte of it is put: it must
+/// carry the sequence number the message needs next — below it is a
+/// replay, above it a gap — and, as each stream's decoder could only bound
+/// its own share, must not overrun the message.
+fn admit(hdr: &FrameHeaderV2, progress: &RecvProgress) -> io::Result<()> {
+    let (seq, want) = (hdr.seq, progress.next_seq);
+    let what = if seq < want { "duplicate" } else { "early" };
+    wire::check(seq == want, || {
+        format!("{what} frame sequence {seq}, expected {want}")
+    })?;
+    let left = progress.total_raw - progress.delivered_raw;
+    wire::check(u64::from(hdr.raw_len) <= left, || {
+        "frames exceed message length".into()
+    })
+}
+
+/// The consumer: puts the frames of `frames` into the sink, each once
+/// [`admit`]ted, advancing `progress` frame by frame; together they must
+/// carry the whole message. A stored frame on one stream lands straight in
+/// the sink's window when it fits there, so its bytes are copied once; any
+/// other frame's payload is read whole, and a stored one is written from
+/// there, a compressed one decoded first.
+fn deliver<R: Read, K: Sink>(
+    mut frames: Frames<'_, R>,
     sink: &mut K,
     cfg: &AdocConfig,
     progress: &mut RecvProgress,
     codec: &mut Codec,
 ) -> io::Result<()> {
-    // Decode scratch: pooled, sized once to the largest frame and reused
-    // across the message; the codec decodes straight into a frame's share.
-    let mut scratch = cfg.pool.get(cfg.buffer_size);
-    while let Some(RecvFrame { hdr, payload }) = next()? {
-        let (seq, want) = (hdr.seq, progress.next_seq);
-        let what = if seq < want { "duplicate" } else { "early" };
-        wire::check(seq == want, || {
-            format!("{what} frame sequence {seq}, expected {want}")
-        })?;
-        // Each stream's decoder could only bound its own share; the
-        // streams together must not overrun the message either.
-        let left = progress.total_raw - progress.delivered_raw;
-        wire::check(u64::from(hdr.raw_len) <= left, || {
-            "frames exceed message length".into()
-        })?;
-        let raw_len = hdr.raw_len as usize;
-        if scratch.len() < raw_len {
-            // Zero-filled once per size; a peer with a larger
-            // `buffer_size` sends larger frames, which the decoder bounded
-            // by the payload that carried them.
-            scratch.resize(raw_len, 0);
+    // Decode scratch: pooled on the first compressed frame, sized to the
+    // largest and reused across the message.
+    let mut scratch: Option<PooledBuf> = None;
+    loop {
+        let (hdr, payload) = match &mut frames {
+            Frames::One(reader, dec) => {
+                let Some(hdr) = next_frame(reader, dec)? else {
+                    break;
+                };
+                admit(&hdr, progress)?;
+                let raw_len = hdr.raw_len as usize;
+                let window = (hdr.level == 0).then(|| sink.window(raw_len)).flatten();
+                let payload = match window {
+                    Some(window) => {
+                        cfg.throttle.acquire_wire(raw_len);
+                        reader.read_exact(window)?;
+                        None
+                    }
+                    None => Some(read_payload(reader, hdr.payload_len, cfg)?),
+                };
+                dec.body_done();
+                (hdr, payload)
+            }
+            Frames::Striped(merge) => {
+                let Some((hdr, payload)) = merge.pop(progress.next_seq) else {
+                    break;
+                };
+                admit(&hdr, progress)?;
+                (hdr, Some(payload))
+            }
+        };
+        if let Some(payload) = payload {
+            let raw_len = hdr.raw_len as usize;
+            let raw = match hdr.level {
+                // The decoder checked a stored payload's length.
+                0 => &payload[..],
+                level => {
+                    let scratch = scratch.get_or_insert_with(|| cfg.pool.get(cfg.buffer_size));
+                    if scratch.len() < raw_len {
+                        // Zero-filled once per size; a peer with a larger
+                        // `buffer_size` sends larger frames, which the
+                        // decoder bounded by the payload that carried them.
+                        scratch.resize(raw_len, 0);
+                    }
+                    let raw = &mut scratch[..raw_len];
+                    let t0 = Instant::now();
+                    let decoded = codec.decompress_into(level, &payload, raw);
+                    decoded.map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+                    cfg.throttle.charge(t0.elapsed());
+                    raw
+                }
+            };
+            sink.write_all(raw)?;
         }
-        let raw = &mut scratch[..raw_len];
-        let t0 = Instant::now();
-        let decoded = codec.decompress_into(hdr.level, &payload, raw);
-        decoded.map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        cfg.throttle.charge(t0.elapsed());
-        sink.write_all(raw)?;
         progress.delivered_raw += u64::from(hdr.raw_len);
         progress.next_seq += 1;
     }
@@ -504,7 +418,7 @@ fn deliver<K: Write>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::sender::send_message;
     use crate::session::ResumePoint;
@@ -719,12 +633,12 @@ mod tests {
     #[test]
     fn striped_duplicate_sequence_detected() {
         // Rewrite one frame's sequence number to collide with another
-        // frame's: the reorder buffer must reject the duplicate instead
-        // of silently dropping or reordering data. (A 700 KB message
-        // keeps the frame count below the reorder window, so the
-        // duplicate is actually pushed rather than the pipeline stalling
-        // on the missing renamed sequence — a stall that, on a real
-        // socket, is indistinguishable from a slow peer.)
+        // frame's: the receive must refuse it instead of silently
+        // dropping or reordering data. (A 700 KB message keeps every
+        // frame inside the streams' channels, so the receive sees the
+        // collision rather than the pipeline stalling on the missing
+        // renamed sequence — a stall that, on a real socket, is
+        // indistinguishable from a slow peer.)
         let tx = AdocConfig::default().with_levels(3, 3);
         let data = compressible(700_000); // 4 frames
         let mut sinks: Vec<Vec<u8>> = vec![Vec::new(); 2];
@@ -846,8 +760,7 @@ mod tests {
         // A peer that replays the message from seq 0 although the
         // receiver already delivered 4 frames: every replayed frame sits
         // below the resume cursor and must be refused as a duplicate
-        // rather than re-delivered — by the reorder window on two
-        // streams, by the in-sequence check on one.
+        // rather than re-delivered, on one stream and on two.
         let data = compressible(1 << 20);
         for streams in [1usize, 2] {
             let tx = AdocConfig::default().with_levels(1, 10);
@@ -925,6 +838,75 @@ mod tests {
         let (kind, msg) = res.unwrap_err();
         assert_eq!(kind, io::ErrorKind::InvalidData, "{msg}");
         assert_eq!(delivered, 0);
+    }
+
+    /// A sink that lends its whole unfilled tail, as a caller's buffer does.
+    struct Room {
+        buf: Vec<u8>,
+        filled: usize,
+    }
+
+    impl Write for Room {
+        fn write(&mut self, data: &[u8]) -> io::Result<usize> {
+            let end = self.filled + data.len();
+            self.buf[self.filled..end].copy_from_slice(data);
+            self.filled = end;
+            Ok(data.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Sink for Room {
+        fn window(&mut self, len: usize) -> Option<&mut [u8]> {
+            let window = self.buf.get_mut(self.filled..self.filled + len)?;
+            self.filled += len;
+            Some(window)
+        }
+    }
+
+    #[test]
+    fn a_stored_frame_lands_only_after_its_sequence_check() {
+        // A stored tail whose frames start at 5, for a receiver parked at
+        // 4, into a sink with room for all of it: refused before a byte
+        // lands. The same tail parked at 5 lands whole.
+        let data = compressible(1 << 20);
+        let at = ResumePoint {
+            next_seq: 5,
+            delivered_raw: 200_000,
+        };
+        let tx = AdocConfig::default().with_levels(0, 0);
+        let mut wire = vec![Vec::new()];
+        let (len, tail) = (data.len() as u64, &data[200_000..]);
+        send_message(
+            &mut wire,
+            &mut &tail[..],
+            len,
+            Some(at),
+            &tx,
+            &mut Vec::new(),
+        )
+        .unwrap();
+        for (parked_seq, ok) in [(4, false), (5, true)] {
+            let mut sink = Room {
+                buf: vec![0u8; tail.len()],
+                filled: 0,
+            };
+            let res = receive(
+                &mut [Cursor::new(&wire[0][..])],
+                &mut sink,
+                &AdocConfig::default(),
+                &mut RecvProgress::default(),
+                parked(len, 200_000, parked_seq),
+                &mut Codec::new(),
+            );
+            assert_eq!(res.is_ok(), ok, "parked at {parked_seq}: {res:?}");
+            let landed = if ok { tail.len() } else { 0 };
+            assert_eq!(sink.filled, landed, "parked at {parked_seq}");
+            assert!(sink.buf[..sink.filled] == tail[..landed]);
+        }
     }
 
     /// One stream carrying ≥ 20 frames, fresh (v1) and as a resumed tail
@@ -1019,15 +1001,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn one_stream_receive_is_total_on_damaged_v1_fixtures() {
-        // Every truncation and every single-byte mutation of two v1
-        // captures (thinned ×17 in unoptimized builds): each returns Ok
-        // or a typed error — never a caught panic — and the sink holds
-        // exactly what `progress` accounts for, never more than the
-        // header's `raw_len`. A push-fed `FrameDecoder` given the same
-        // bytes whole, at random splits and (every 32nd case) one byte at
-        // a time reaches the same verdict.
+    /// Hands `check` every truncation and every single-byte mutation of
+    /// two v1 captures (thinned ×17 in unoptimized builds), with the
+    /// geometry the captures were taken with.
+    pub(crate) fn damaged_v1_cases(mut check: impl FnMut(&AdocConfig, &[u8], &str)) {
         let captures: [(&str, &[u8]); 2] = [
             (
                 "v1_pinned_l2",
@@ -1047,15 +1024,35 @@ mod tests {
             ..AdocConfig::default()
         };
         let stride = if cfg!(debug_assertions) { 17 } else { 1 };
+        for (name, capture) in captures {
+            check(&cfg, capture, name);
+            let mut bad = capture.to_vec();
+            for at in (0..capture.len()).step_by(stride) {
+                check(&cfg, &capture[..at], &format!("{name} cut at {at}"));
+                let flip = [0x01u8, 0x10, 0xFF][at % 3];
+                bad[at] ^= flip;
+                check(&cfg, &bad, &format!("{name} mutated at {at}"));
+                bad[at] ^= flip;
+            }
+        }
+    }
+
+    #[test]
+    fn one_stream_receive_is_total_on_damaged_v1_fixtures() {
+        // Every damaged case returns Ok or a typed error — never a caught
+        // panic — and the sink holds exactly what `progress` accounts for,
+        // never more than the header's `raw_len`. A push-fed
+        // `FrameDecoder` given the same bytes whole, at random splits and
+        // (every 32nd case) one byte at a time reaches the same verdict.
         let mut codec = Codec::new();
         let mut cases = 0usize;
-        let mut check = |bytes: &[u8], what: &str| {
+        damaged_v1_cases(|cfg, bytes, what| {
             let mut out = Vec::new();
             let mut progress = RecvProgress::default();
             let res = receive_message(
                 &mut [Cursor::new(bytes)],
                 &mut out,
-                &cfg,
+                cfg,
                 &mut progress,
                 None,
                 &mut codec,
@@ -1079,7 +1076,7 @@ mod tests {
             // A push-fed decoder reaches the same verdict, and sees the
             // same events, at any split.
             cases += 1;
-            let (whole, verdict) = feed(&mut FrameDecoder::message(&cfg, 1), [bytes]);
+            let (whole, verdict) = feed(&mut FrameDecoder::message(cfg, 1), [bytes]);
             let fed = verdict.is_ok() && decodes(&whole, &mut codec);
             assert_eq!(fed, res.is_ok(), "{what}: push-fed");
             let mut splits = vec![random_split(bytes, cases as u64, 64)];
@@ -1088,22 +1085,11 @@ mod tests {
             }
             for pieces in splits {
                 let n = pieces.len();
-                let (seen, split) = feed(&mut FrameDecoder::message(&cfg, 1), pieces);
+                let (seen, split) = feed(&mut FrameDecoder::message(cfg, 1), pieces);
                 assert!(seen == whole, "{what}: fed in {n} pieces");
                 assert_eq!(split.is_ok(), verdict.is_ok(), "{what}: fed in {n} pieces");
             }
-        };
-        for (name, capture) in captures {
-            check(capture, name);
-            let mut bad = capture.to_vec();
-            for at in (0..capture.len()).step_by(stride) {
-                check(&capture[..at], &format!("{name} cut at {at}"));
-                let flip = [0x01u8, 0x10, 0xFF][at % 3];
-                bad[at] ^= flip;
-                check(&bad, &format!("{name} mutated at {at}"));
-                bad[at] ^= flip;
-            }
-        }
+        });
     }
 
     /// Whether every frame a push-fed decoder saw decodes, as a

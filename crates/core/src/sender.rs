@@ -25,7 +25,7 @@ use crate::pool::PooledBuf;
 use crate::queue::{Packet, PacketQueue};
 use crate::session::ResumePoint;
 use crate::stats::{StreamSendStats, TransferStats};
-use crate::wire::{self, Chunk, Framing, MsgHead, MsgKind};
+use crate::wire::{self, Chunk, FrameHeaderV2, Framing, MsgHead, MsgKind};
 use adoc_codec::Codec;
 use std::io::{self, Read, Write};
 use std::sync::{Arc, Mutex};
@@ -89,13 +89,18 @@ impl SendOutcome {
 }
 
 /// One stream's sending state, kept by the connection across messages:
-/// the warm [`Codec`] and the [`LevelController`] and
-/// [`BandwidthMonitor`] the divergence guard learns in.
+/// the warm [`Codec`], the [`LevelController`] and [`BandwidthMonitor`]
+/// the divergence guard learns in, and the primary's last probe rates.
 pub struct StreamState {
     pub(crate) codec: Codec,
     ctrl: LevelController,
     bw: BandwidthMonitor,
+    /// The last [`PROBE_WINDOW`] whole-probe rates in bits/s, oldest first.
+    probes: Vec<f64>,
 }
+
+/// Probe rates the fast-path verdict is the median of.
+const PROBE_WINDOW: usize = 3;
 
 impl StreamState {
     /// Fresh state for a stream configured by `cfg`.
@@ -104,7 +109,21 @@ impl StreamState {
             codec: Codec::new(),
             ctrl: LevelController::new(cfg),
             bw: BandwidthMonitor::new(),
+            probes: Vec::with_capacity(PROBE_WINDOW),
         }
+    }
+
+    /// Records this message's probe rate and returns the §5 "Fast
+    /// Networks" verdict: the median of the recent rates (of two, the
+    /// faster) beats `fast_bps`, i.e. at least half of them do. One
+    /// stalled probe cannot flip it.
+    fn judge_probe(&mut self, bps: f64, fast_bps: f64) -> bool {
+        if self.probes.len() == PROBE_WINDOW {
+            self.probes.remove(0);
+        }
+        self.probes.push(bps);
+        let fast = self.probes.iter().filter(|&&rate| rate > fast_bps).count();
+        2 * fast >= self.probes.len()
     }
 
     /// Lifetime raw bytes emitted, divergence reverts and ratio trips.
@@ -142,6 +161,19 @@ where
     W: Write + Send,
     S: Read + Send,
 {
+    let supply = Supply::Reader(source);
+    send(writers, supply, raw_len, resume, cfg, streams)
+}
+
+/// [`send_message`] of a body from `supply`.
+pub(crate) fn send<W: Write + Send, S: Read + Send>(
+    writers: &mut [W],
+    mut supply: Supply<'_, S>,
+    raw_len: u64,
+    resume: Option<ResumePoint>,
+    cfg: &AdocConfig,
+    streams: &mut Vec<StreamState>,
+) -> io::Result<SendOutcome> {
     assert!(!writers.is_empty(), "a connection needs at least 1 stream");
     assert!(writers.len() <= 255, "stream ids are u8");
     if streams.len() < writers.len() {
@@ -164,7 +196,12 @@ where
         None => {
             out.direct = cfg.compression_disabled()
                 || (!cfg.compression_forced() && raw_len < cfg.probe_threshold as u64);
-            let run = write_head(&mut writers[0], source, raw_len, cfg, &mut out)?;
+            let mut source: &mut dyn Read = match &mut supply {
+                Supply::Reader(source) => source,
+                Supply::Slice(rest) => rest,
+            };
+            let (w, st) = (&mut writers[0], &mut streams[0]);
+            let run = write_head(w, &mut source, raw_len, cfg, st, &mut out)?;
             if run == raw_len {
                 // Nothing left to frame: the receiver stops after a direct
                 // body or a whole-message probe, so no FINs are owed.
@@ -176,7 +213,7 @@ where
 
     let frames = FrameSource {
         state: Mutex::new(SourceState {
-            source,
+            supply,
             next_seq: start_seq,
             left: body_len,
             error: None,
@@ -194,13 +231,14 @@ where
 /// Writes the message's head and the raw run behind it on the primary:
 /// a direct body (§5 "Small messages": no threads, latency identical to
 /// a plain write) or an adaptive message's probe (§5 "Fast Networks"),
-/// timed to set `out.fast_path` when the link outruns `cfg.fast_bps`.
-/// Returns the run's length.
+/// timed, and judged by the primary's [`StreamState::judge_probe`] to set
+/// `out.fast_path`. Returns the run's length.
 fn write_head<W: Write, S: Read>(
     writer: &mut W,
     source: &mut S,
     raw_len: u64,
     cfg: &AdocConfig,
+    primary: &mut StreamState,
     out: &mut SendOutcome,
 ) -> io::Result<u64> {
     let (kind, run, quantum) = if out.direct {
@@ -220,7 +258,7 @@ fn write_head<W: Write, S: Read>(
     writer.flush()?;
     if run > 0 && !out.direct {
         let bps = run as f64 * 8.0 / t0.elapsed().as_secs_f64().max(1e-9);
-        (out.probe_bps, out.fast_path) = (Some(bps), bps > cfg.fast_bps);
+        (out.probe_bps, out.fast_path) = (Some(bps), primary.judge_probe(bps, cfg.fast_bps));
     }
     Ok(run)
 }
@@ -235,8 +273,17 @@ struct FrameSource<'a, S> {
     framing: Framing,
 }
 
+/// Where a message's body comes from.
+pub(crate) enum Supply<'a, S> {
+    /// A reader, staged into pooled frame buffers.
+    Reader(&'a mut S),
+    /// The caller's bytes, exactly as many as the body owes, lent to the
+    /// frames: a fast-path frame goes out as its header then these bytes.
+    Slice(&'a [u8]),
+}
+
 struct SourceState<'a, S> {
-    source: &'a mut S,
+    supply: Supply<'a, S>,
     next_seq: u64,
     /// Body bytes not yet claimed; zeroed to end the supply early.
     left: u64,
@@ -260,14 +307,14 @@ impl<S> FrameSource<'_, S> {
     }
 }
 
-impl<S: Read> FrameSource<'_, S> {
-    /// The next `(seq, raw size, buffer)`, or `None` once the body is
+impl<'a, S: Read> FrameSource<'a, S> {
+    /// The next `(seq, raw size, chunk)`, or `None` once the body is
     /// exhausted, the source failed, or a pipeline stopped the supply.
-    /// The raw bytes are read straight into frame position — reserved
-    /// header space first, payload appended behind it via `Take`, which
-    /// fills spare capacity without a zeroing pass — so a level-0 buffer
-    /// is already a complete frame with no copy.
-    fn claim(&self, cfg: &AdocConfig) -> Option<(u64, usize, PooledBuf)> {
+    /// A slice lends its next chunk. A reader's raw bytes are read straight
+    /// into frame position — reserved header space first, payload appended
+    /// behind it via `Take`, which fills spare capacity without a zeroing
+    /// pass — so a level-0 buffer is already a complete frame with no copy.
+    fn claim(&self, cfg: &AdocConfig) -> Option<(u64, usize, Chunk<'a>)> {
         // A poisoned lock means the source panicked under another
         // claimer, whose thread reports it.
         let mut st = self.state.lock().ok()?;
@@ -278,15 +325,22 @@ impl<S: Read> FrameSource<'_, S> {
         // allocated for the frame.
         let want = (cfg.buffer_size as u64).min(st.left);
         let hdr = self.framing.header_len();
-        let read = wire::frame_len(want).and_then(|_| {
-            let mut buf = cfg.pool.get(hdr + want as usize);
-            buf.resize(hdr, 0);
-            match st.source.by_ref().take(want).read_to_end(&mut buf)? as u64 {
-                n if n == want => Ok(buf),
-                _ => Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "source ended before the promised message length",
-                )),
+        let read = wire::frame_len(want).and_then(|_| match &mut st.supply {
+            Supply::Slice(rest) => {
+                let (chunk, tail) = rest.split_at(want as usize);
+                *rest = tail;
+                Ok(Chunk::Slice(chunk))
+            }
+            Supply::Reader(source) => {
+                let mut buf = cfg.pool.get(hdr + want as usize);
+                buf.resize(hdr, 0);
+                match source.by_ref().take(want).read_to_end(&mut buf)? as u64 {
+                    n if n == want => Ok(Chunk::Staged(buf)),
+                    _ => Err(io::Error::new(
+                        io::ErrorKind::UnexpectedEof,
+                        "source ended before the promised message length",
+                    )),
+                }
             }
         });
         match read {
@@ -316,11 +370,12 @@ impl<S> Drop for StopOnDrop<'_, '_, S> {
 
 /// §5 "Fast Networks": too fast to compress, so the rest goes out as raw
 /// frames on the primary stream, inline (compression is not the
-/// bottleneck, so neither threads nor striping buy anything). Each frame
-/// is assembled in a pooled buffer and put on the wire with a single
-/// write; the buffer is back in the pool before the next claim, so a
-/// multi-buffer send touches the allocator at most once. Streams that owe
-/// a FIN still send it so the receiver's per-stream readers unblock.
+/// bottleneck, so neither threads nor striping buy anything). A frame of
+/// the caller's bytes is its header then those bytes, staged nowhere; a
+/// frame read from a source is assembled in a pooled buffer that is back
+/// in the pool before the next claim, so a multi-buffer send touches the
+/// allocator at most once. Streams that owe a FIN still send it so the
+/// receiver's per-stream readers unblock.
 fn send_raw_frames<W: Write, S: Read>(
     writers: &mut [W],
     frames: &FrameSource<'_, S>,
@@ -330,12 +385,27 @@ fn send_raw_frames<W: Write, S: Read>(
     let framing = frames.framing;
     let hdr = framing.header_len();
     let (mut sent, mut sent_bytes) = (0u64, 0u64);
-    while let Some((seq, _, raw)) = frames.claim(cfg) {
-        let frame = framing.seal(Chunk::Staged(raw), None, &cfg.pool, 0, seq)?.0;
-        cfg.throttle.acquire_wire(frame.len());
-        writers[0].write_all(&frame)?;
+    let mut head = [0; wire::FRAME_HEADER_V2_LEN];
+    while let Some((seq, _, chunk)) = frames.claim(cfg) {
+        let len = match chunk {
+            Chunk::Slice(raw) => {
+                // `claim` checked the length against the wire's limit.
+                let (len, head) = (raw.len() as u32, &mut head[..hdr]);
+                framing.put_head(head, FrameHeaderV2::data(0, 0, seq, len, len));
+                cfg.throttle.acquire_wire(hdr + raw.len());
+                writers[0].write_all(head)?;
+                writers[0].write_all(raw)?;
+                hdr + raw.len()
+            }
+            staged => {
+                let frame = framing.seal(staged, None, &cfg.pool, 0, seq)?.0;
+                cfg.throttle.acquire_wire(frame.len());
+                writers[0].write_all(&frame)?;
+                frame.len()
+            }
+        };
         sent += 1;
-        sent_bytes += frame.len() as u64;
+        sent_bytes += len as u64;
         out.level_events
             .push((Instant::now(), 0, LevelReason::default()));
     }
@@ -389,8 +459,7 @@ where
             .zip(&queues)
             .enumerate()
             .map(|(i, ((w, st), q))| {
-                let StreamState { codec, ctrl, bw } = st;
-                let bw = &*bw;
+                let (codec, ctrl, bw) = (&mut st.codec, &mut st.ctrl, &st.bw);
                 (
                     s.spawn(move || compression_thread(i as u8, frames, q, bw, ctrl, codec, cfg)),
                     s.spawn(move || emission_thread(w, q, bw, &*cfg.throttle)),
@@ -540,15 +609,18 @@ fn compression_thread<S: Read>(
     let framing = frames.framing;
     let hdr = framing.header_len();
 
-    while let Some((seq, want, raw)) = frames.claim(cfg) {
+    while let Some((seq, want, chunk)) = frames.claim(cfg) {
         // §3.2: the level is updated before each new buffer.
         let mut level = ctrl.next_level_with(queue.len(), bw, Instant::now(), cfg);
         let t0 = Instant::now();
-        prescreen(&mut level, &raw[hdr..], ctrl, codec, cfg);
+        let raw = match &chunk {
+            Chunk::Slice(raw) => raw,
+            Chunk::Staged(buf) => &buf[hdr..],
+        };
+        prescreen(&mut level, raw, ctrl, codec, cfg);
         let sealing = Instant::now();
         let codec_at = Some((&mut *codec, level));
-        let (frame, level, ratio) =
-            framing.seal(Chunk::Staged(raw), codec_at, &cfg.pool, stream_id, seq)?;
+        let (frame, level, ratio) = framing.seal(chunk, codec_at, &cfg.pool, stream_id, seq)?;
         if let Some(ratio) = ratio {
             cfg.throttle.charge(sealing.elapsed());
             ctrl.report_ratio(ratio, cfg);
@@ -1090,11 +1162,11 @@ mod tests {
 
     #[test]
     fn fast_path_reuses_one_pooled_buffer() {
-        // Vec sink → probe classifies the link fast → raw frames. The
-        // frame buffer must cycle through the pool, not the allocator.
+        // Vec sink → probe classifies the link fast → raw frames. A frame
+        // read from a source cycles one pooled buffer, not the allocator.
         let cfg = AdocConfig::default();
         let data = vec![7u8; 4 << 20]; // ~19 fast-path frames
-        let (_wire, out) = send_to_vec(&data, &cfg);
+        let (staged, out) = send_to_vec(&data, &cfg);
         assert!(out.fast_path);
         let s = cfg.pool.stats();
         assert_eq!(s.outstanding, 0);
@@ -1105,6 +1177,43 @@ mod tests {
             buffers_at(&out, 0..=0)
         );
         assert!(buffers_at(&out, 0..=0) >= 15);
+        // A frame of the caller's own bytes takes no buffer at all: the
+        // probe's copy buffer is the message's one checkout, and the wire
+        // bytes are the staged frames' byte for byte.
+        let cfg = AdocConfig::default();
+        let mut wire = Vec::new();
+        let len = data.len() as u64;
+        let one = std::slice::from_mut(&mut wire);
+        let slice = Supply::<&[u8]>::Slice(&data);
+        let out = send(one, slice, len, None, &cfg, &mut Vec::new()).unwrap();
+        assert!(out.fast_path);
+        assert!(wire == staged, "a slice's frames differ from a reader's");
+        let s = cfg.pool.stats();
+        assert_eq!((s.hits + s.misses, s.outstanding), (1, 0), "{s:?}");
+    }
+
+    #[test]
+    fn one_stalled_probe_cannot_flip_the_fast_path() {
+        let cfg = AdocConfig::default();
+        let fast = cfg.fast_bps;
+        let judge = |st: &mut StreamState, rates: &[f64]| -> Vec<bool> {
+            rates
+                .iter()
+                .map(|&r| st.judge_probe(r * fast, fast))
+                .collect()
+        };
+        // The first probe of a connection decides alone.
+        assert_eq!(judge(&mut StreamState::new(&cfg), &[0.5]), [false]);
+        assert_eq!(judge(&mut StreamState::new(&cfg), &[2.0]), [true]);
+        // Fast, fast, stalled: the stall leaves the link fast.
+        let mut st = StreamState::new(&cfg);
+        assert_eq!(judge(&mut st, &[10.0, 10.0, 0.01]), [true; 3]);
+        // A sustained drop resumes compression on its second message.
+        let mut st = StreamState::new(&cfg);
+        assert_eq!(judge(&mut st, &[10.0, 10.0, 10.0]), [true; 3]);
+        assert_eq!(judge(&mut st, &[0.1, 0.1, 0.1]), [true, false, false]);
+        // And a recovered link sends raw again on its second.
+        assert_eq!(judge(&mut st, &[10.0, 10.0]), [false, true]);
     }
 
     #[test]

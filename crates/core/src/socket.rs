@@ -7,8 +7,8 @@
 
 use crate::config::AdocConfig;
 use crate::error::AdocError;
-use crate::receiver::{receive_message, RecvProgress};
-use crate::sender::{send_message, SendOutcome, StreamState};
+use crate::receiver::{receive, receive_message, RecvProgress, Sink};
+use crate::sender::{send, send_message, SendOutcome, StreamState, Supply};
 pub use crate::session::ResumePoint;
 use crate::session::{SessionTicket, TicketKey};
 use crate::stats::TransferStats;
@@ -30,6 +30,21 @@ pub struct SessionInfo {
     /// True when this handshake resumed an existing session rather than
     /// opening a fresh one.
     pub resumed: bool,
+}
+
+/// The session an OK [`SessionAccept`] granted.
+fn session_info(accept: &SessionAccept) -> SessionInfo {
+    let session_id = accept.session_id;
+    let (expires_us, mac) = (accept.expires_us, accept.mac);
+    SessionInfo {
+        session_id,
+        ticket: SessionTicket {
+            session_id,
+            expires_us,
+            mac,
+        },
+        resumed: accept.resumed != 0,
+    }
 }
 
 /// What one send did, mirroring the paper's `slen` out-parameter
@@ -178,8 +193,7 @@ impl<R: Read + Send, W: Write + Send> AdocStreamGroup<R, W> {
     /// until every byte is on the sockets, adapting the compression
     /// level throughout.
     pub fn write(&mut self, data: &[u8]) -> io::Result<SendReport> {
-        let cfg = self.cfg.clone();
-        self.send_reader(&mut &*data, data.len() as u64, &cfg)
+        self.write_levels(data, self.cfg.min_level, self.cfg.max_level)
     }
 
     /// `adoc_write_levels`: like [`Self::write`] with level bounds for
@@ -188,7 +202,10 @@ impl<R: Read + Send, W: Write + Send> AdocStreamGroup<R, W> {
     pub fn write_levels(&mut self, data: &[u8], min: u8, max: u8) -> io::Result<SendReport> {
         let cfg = self.cfg.clone().with_levels(min, max);
         cfg.validate()?;
-        self.send_reader(&mut &*data, data.len() as u64, &cfg)
+        let (writers, streams) = (&mut self.writers, &mut self.stream_state);
+        let (slice, len) = (Supply::<R>::Slice(data), data.len() as u64);
+        let out = send(writers, slice, len, None, &cfg, streams)?;
+        Ok(self.merge(out, len))
     }
 
     /// Continues sending a message interrupted on a previous connection:
@@ -199,14 +216,15 @@ impl<R: Read + Send, W: Write + Send> AdocStreamGroup<R, W> {
     /// portion only.
     pub fn write_resumed(&mut self, data: &[u8], at: ResumePoint) -> io::Result<SendReport> {
         let total = data.len() as u64;
-        // A resume point past the end is refused by `send_message` before
-        // it reads anything.
-        let mut tail = usize::try_from(at.delivered_raw)
+        // A resume point past the end is refused by `send` before it
+        // writes anything.
+        let tail = usize::try_from(at.delivered_raw)
             .ok()
             .and_then(|d| data.get(d..))
             .unwrap_or_default();
         let (writers, streams) = (&mut self.writers, &mut self.stream_state);
-        let out = send_message(writers, &mut tail, total, Some(at), &self.cfg, streams)?;
+        let tail = Supply::<R>::Slice(tail);
+        let out = send(writers, tail, total, Some(at), &self.cfg, streams)?;
         Ok(self.merge(out, total - at.delivered_raw))
     }
 
@@ -237,7 +255,7 @@ impl<R: Read + Send, W: Write + Send> AdocStreamGroup<R, W> {
                 filled: 0,
                 spill: &mut self.leftover,
             };
-            receive_message(
+            receive(
                 &mut self.readers,
                 &mut sink,
                 &self.cfg,
@@ -365,7 +383,8 @@ impl<R: Read + Send, W: Write + Send> AdocStreamGroup<R, W> {
 /// straight into the caller's buffer, and only what does not fit spills
 /// into the connection's leftover buffer for the next read. A caller that
 /// reads whole messages never makes the connection hold a message-sized
-/// allocation of its own.
+/// allocation of its own, and its unfilled tail is the window a stored
+/// frame that fits lands in.
 struct ReadSink<'a> {
     out: &'a mut [u8],
     filled: usize,
@@ -383,6 +402,16 @@ impl Write for ReadSink<'_> {
 
     fn flush(&mut self) -> io::Result<()> {
         Ok(())
+    }
+}
+
+impl Sink for ReadSink<'_> {
+    fn window(&mut self, len: usize) -> Option<&mut [u8]> {
+        let start = self.filled;
+        self.filled = start
+            .checked_add(len)
+            .filter(|&end| end <= self.out.len())?;
+        Some(&mut self.out[start..self.filled])
     }
 }
 
@@ -466,16 +495,7 @@ impl AdocStreamGroup<TcpStream, TcpStream> {
         };
         let (group, accept) =
             Self::session_handshake(addr, cfg, token, SessionKind::New, 0, 0, mac)?;
-        let info = SessionInfo {
-            session_id: accept.session_id,
-            ticket: SessionTicket {
-                session_id: accept.session_id,
-                expires_us: accept.expires_us,
-                mac: accept.mac,
-            },
-            resumed: accept.resumed != 0,
-        };
-        Ok((group, info))
+        Ok((group, session_info(&accept)))
     }
 
     /// Reconnects to a session after a disconnect, presenting `ticket`
@@ -501,20 +521,11 @@ impl AdocStreamGroup<TcpStream, TcpStream> {
             ticket.expires_us,
             ticket.mac,
         )?;
-        let info = SessionInfo {
-            session_id: accept.session_id,
-            ticket: SessionTicket {
-                session_id: accept.session_id,
-                expires_us: accept.expires_us,
-                mac: accept.mac,
-            },
-            resumed: accept.resumed != 0,
-        };
         let at = ResumePoint {
             next_seq: accept.next_seq,
             delivered_raw: accept.delivered_raw,
         };
-        Ok((group, info, at))
+        Ok((group, session_info(&accept), at))
     }
 
     /// The client half of the version-4 handshake: dial every stream,
@@ -830,6 +841,124 @@ mod tests {
         t.join().unwrap();
         assert_eq!(buf[..n], data[..]);
         assert_eq!(rx.leftover.capacity(), 0);
+    }
+
+    /// A socket pair whose probe always judges the link fast.
+    fn fast_pair(tx_cfg: &AdocConfig, rx_cfg: &AdocConfig) -> (Sock, Sock) {
+        let (a, b) = duplex_pipe(1 << 20);
+        let ((ar, aw), (br, bw)) = (a.split(), b.split());
+        let tx = AdocSocket::with_config(ar, aw, tx_cfg.clone()).unwrap();
+        (tx, AdocSocket::with_config(br, bw, rx_cfg.clone()).unwrap())
+    }
+
+    type Sock = AdocSocket<adoc_sim::pipe::PipeReader, adoc_sim::pipe::PipeWriter>;
+
+    fn fast_cfg() -> AdocConfig {
+        AdocConfig {
+            fast_bps: 0.0,
+            ..AdocConfig::default()
+        }
+    }
+
+    #[test]
+    fn a_fast_path_echo_checks_out_no_buffer_per_frame() {
+        // 16 MiB, 81 stored frames behind the probe: after a warm-up
+        // message, a frame leaves from the caller's slice and lands in the
+        // caller's buffer, so each side's one checkout per message is the
+        // probe's copy buffer.
+        let (tx_cfg, rx_cfg) = (fast_cfg(), fast_cfg());
+        let (mut tx, mut rx) = fast_pair(&tx_cfg, &rx_cfg);
+        let data = payload(16 << 20);
+        let checkouts = |cfg: &AdocConfig| {
+            let s = cfg.pool.stats();
+            s.hits + s.misses
+        };
+        let sender = thread::spawn({
+            let (data, cfg) = (data.clone(), tx_cfg.clone());
+            move || {
+                (0..3)
+                    .map(|_| {
+                        let before = checkouts(&cfg);
+                        assert!(tx.write(&data).unwrap().fast_path);
+                        checkouts(&cfg) - before
+                    })
+                    .collect::<Vec<_>>()
+            }
+        });
+        let mut buf = vec![0u8; data.len()];
+        let mut received = Vec::new();
+        for _ in 0..3 {
+            let before = checkouts(&rx_cfg);
+            rx.read_exact(&mut buf).unwrap();
+            received.push(checkouts(&rx_cfg) - before);
+            assert!(buf == data);
+        }
+        let sent = sender.join().unwrap();
+        assert_eq!((&sent[1..], &received[1..]), (&[1, 1][..], &[1, 1][..]));
+    }
+
+    #[test]
+    fn a_stored_frame_larger_than_the_room_left_spills_byte_exactly() {
+        // The 256 KiB probe leaves 37,856 bytes of a 300,000-byte read, so
+        // the first 200 KiB frame does not fit what is left: it is
+        // delivered through the pooled payload, its tail and every later
+        // frame through the leftover buffer, in odd-sized short reads.
+        let (tx, mut rx) = fast_pair(&fast_cfg(), &fast_cfg());
+        let data = payload(1_000_000);
+        let t = thread::spawn({
+            let data = data.clone();
+            move || {
+                let mut tx = tx;
+                assert!(tx.write(&data).unwrap().fast_path);
+                tx.write(b"next").unwrap();
+            }
+        });
+        let mut got = vec![0u8; 300_000];
+        assert_eq!(rx.read(&mut got).unwrap(), 300_000);
+        assert_eq!(rx.leftover_len(), 700_000);
+        let mut buf = vec![0u8; 77_777];
+        while got.len() < data.len() {
+            let n = rx.read(&mut buf).unwrap();
+            assert!(n > 0 && n <= data.len() - got.len());
+            got.extend_from_slice(&buf[..n]);
+        }
+        assert!(got == data);
+        assert_eq!(rx.read(&mut buf).unwrap(), 4, "the next message");
+        assert_eq!(&buf[..4], b"next");
+        t.join().unwrap();
+    }
+
+    #[test]
+    fn reads_are_total_on_damaged_v1_fixtures() {
+        // Every damaged case read through `read` gives the verdict and the
+        // bytes a `Vec` sink gets. A 38,000-byte read of the intact
+        // 40,000-byte fast-path capture lands its probe and first stored
+        // frame in the buffer and spills the second frame.
+        let mut buf = vec![0u8; 38_000];
+        crate::receiver::tests::damaged_v1_cases(|cfg, bytes, what| {
+            let mut want = Vec::new();
+            let mut codec = adoc_codec::Codec::new();
+            let mut progress = RecvProgress::default();
+            let res = receive_message(
+                &mut [io::Cursor::new(bytes)],
+                &mut want,
+                cfg,
+                &mut progress,
+                None,
+                &mut codec,
+            );
+            let (source, sink) = (io::Cursor::new(bytes), io::sink());
+            let mut sock = AdocSocket::with_config(source, sink, cfg.clone()).unwrap();
+            let read = sock.read(&mut buf);
+            assert_eq!(read.is_ok(), res.is_ok(), "{what}");
+            if let Ok(n) = read {
+                let got = [&buf[..n], &sock.leftover[..]].concat();
+                assert!(got == want, "{what}");
+            }
+            if what == "v1_fast_path" {
+                assert_eq!(sock.leftover.len(), 2_000, "the intact capture spills");
+            }
+        });
     }
 
     #[test]

@@ -91,7 +91,10 @@
 //! behind its header slot, **stores** the chunk instead when the ratio
 //! is under [`RATIO_GUARD`] (§5 "Compressed and random data"), and
 //! writes the v1 or v2 header in place. The level asked for is each
-//! driver's policy; what goes on the wire for it is decided here.
+//! driver's policy; what goes on the wire for it is decided here. A
+//! fast-path frame of the caller's own bytes is [`Framing::put_head`]'s
+//! header then those bytes, and on one stream a stored frame that fits
+//! lands in the caller's buffer: a stored byte is copied once per side.
 
 use crate::adapt::RATIO_GUARD;
 use crate::error::AdocError;
@@ -329,17 +332,26 @@ impl Framing {
         };
         // A stored payload is the chunk, a compressed one is smaller.
         let payload_len = (frame.len() - hdr) as u32;
+        let head = FrameHeaderV2::data(level, stream, seq, raw_len, payload_len);
+        self.put_head(&mut frame[..hdr], head);
+        Ok((frame, level, ratio))
+    }
+
+    /// Writes a data frame's header into `head`, [`Self::header_len`]
+    /// bytes (v1 drops stream and sequence number): the one writer,
+    /// behind [`Self::seal`] and in front of a stored frame that goes on the
+    /// wire straight from its sender's bytes, with no byte of it staged.
+    pub(crate) fn put_head(self, head: &mut [u8], hdr: FrameHeaderV2) {
+        let (level, raw_len, payload_len) = (hdr.level, hdr.raw_len, hdr.payload_len);
         let v1 = FrameHeader {
             level,
             raw_len,
             payload_len,
         };
-        let v2 = FrameHeaderV2::data(level, stream, seq, raw_len, payload_len);
         match self {
-            Framing::V1 => frame[..hdr].copy_from_slice(&v1.encode()),
-            Framing::V2 => frame[..hdr].copy_from_slice(&v2.encode()),
+            Framing::V1 => head.copy_from_slice(&v1.encode()),
+            Framing::V2 => head.copy_from_slice(&hdr.encode()),
         }
-        Ok((frame, level, ratio))
     }
 
     /// The marker ending `stream`'s share of a message after `frames`

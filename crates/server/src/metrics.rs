@@ -50,7 +50,7 @@
 //!                      "reply_wire_bytes": 1, "age_secs": 1.0,
 //!                      "sched_admitted": 1, "sched_tier": "bulk",
 //!                      "sched_weight": 1.0,
-//!                      "level_bps": { "3": 1.0 } } ]
+//!                      "level_bps": { "3": 1.0 }, "ratio_trips": 0 } ]
 //! }
 //! ```
 //!
@@ -170,6 +170,8 @@ pub struct ConnMetrics {
     /// the slower of wire and compressor, as `adoc::TransferStats::level_bps`
     /// defines it. Zero entries are elided when rendered.
     pub level_bps: [f64; 11],
+    /// §5 ratio-guard trips of the connection's replies so far.
+    pub ratio_trips: u64,
 }
 
 /// A complete, typed metrics snapshot (see the module docs for the
@@ -242,6 +244,7 @@ impl MetricsDoc {
                     sched_tier: bucket.map_or(Tier::Bulk, |b| b.tier),
                     sched_weight: bucket.map_or(1.0, |b| b.weight),
                     level_bps: c.level_bps,
+                    ratio_trips: c.ratio_trips,
                     peer: c.peer,
                 }
             })
@@ -442,7 +445,7 @@ impl MetricsDoc {
                 "    {{ \"id\": {}, \"peer\": \"{}\", \"state\": \"{}\", \"streams\": {}, \
                  \"messages\": {}, \"raw_bytes\": {}, \"reply_wire_bytes\": {}, \"age_secs\": {:.3}, \
                  \"sched_admitted\": {}, \"sched_tier\": \"{}\", \"sched_weight\": {:.2}, \
-                 \"level_bps\": {{ {} }} }}{}",
+                 \"level_bps\": {{ {} }}, \"ratio_trips\": {} }}{}",
                 c.id,
                 json_escape(&c.peer),
                 c.state,
@@ -455,6 +458,7 @@ impl MetricsDoc {
                 c.sched_tier,
                 c.sched_weight,
                 levels,
+                c.ratio_trips,
                 sep,
             );
         }
@@ -505,7 +509,7 @@ mod tests {
             "\"state\": \"active\"",
             "\"sched_tier\": \"bulk\"",
             "\"sched_weight\": 1.00",
-            "\"level_bps\": {  }",
+            "\"level_bps\": {  }, \"ratio_trips\": 0",
             "\\\"quote", // escaping
         ] {
             assert!(doc.contains(needle), "missing {needle} in:\n{doc}");

@@ -1467,7 +1467,7 @@ mod tests {
         assert_eq!(levels, [0; 4], "send_message's frame levels");
 
         // ...and so does the reactor, counting each as a guard trip.
-        let (mut reactor, _server, addr) = reactor_with(
+        let (mut reactor, server, addr) = reactor_with(
             ServerConfig::builder()
                 .adoc(adoc.clone())
                 .build()
@@ -1495,14 +1495,8 @@ mod tests {
         let (bytes, levels) = reply.expect("reply");
         assert_eq!(levels, [0; 4], "the reactor's frame levels");
         assert!(bytes == sent, "the reply is what send_message wrote");
-        let trips: Vec<u64> = reactor
-            .conns
-            .values()
-            .filter_map(|c| match &c.state {
-                State::Serving(sess, _) => Some(sess.stats.ratio_trips),
-                State::Sniff(_) => None,
-            })
-            .collect();
+        let doc = server.metrics_doc();
+        let trips: Vec<u64> = doc.connections.iter().map(|c| c.ratio_trips).collect();
         assert_eq!(trips, [4], "one guard trip per stored chunk");
         done_tx.send(()).expect("release");
         client.join().expect("client");

@@ -29,9 +29,10 @@ use std::time::Duration;
 pub type ConnId = u64;
 
 /// Lifecycle of a registered connection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ConnState {
     /// Accepted, protocol not yet sniffed / group not yet complete.
+    #[default]
     Handshaking,
     /// Serving messages.
     Active,
@@ -67,7 +68,7 @@ pub enum ConnOutcome {
 }
 
 /// Compact, copyable view of one live connection.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ConnSnapshot {
     /// Registry id.
     pub id: ConnId,
@@ -88,6 +89,8 @@ pub struct ConnSnapshot {
     /// sends (echo direction), raw bits/s, the slower of wire and
     /// compressor; 0 = level unobserved.
     pub level_bps: [f64; 11],
+    /// §5 ratio-guard trips of the server's own sends so far.
+    pub ratio_trips: u64,
     /// Seconds since the connection was registered.
     pub age_secs: f64,
 }
@@ -113,18 +116,6 @@ pub struct RegistryTotals {
     pub reply_wire_bytes: u64,
 }
 
-struct Entry {
-    peer: String,
-    streams: usize,
-    state: ConnState,
-    messages: u64,
-    raw_bytes: u64,
-    reply_wire_bytes: u64,
-    level_bps: [f64; 11],
-    /// Registration time on the bus's shared clock.
-    registered_at: Duration,
-}
-
 /// Thread-safe connection registry (see the module docs).
 pub struct ConnRegistry {
     next_id: AtomicU64,
@@ -133,7 +124,9 @@ pub struct ConnRegistry {
 }
 
 struct Inner {
-    live: HashMap<ConnId, Entry>,
+    /// Each live connection's row, and its registration time on the
+    /// bus's shared clock.
+    live: HashMap<ConnId, (ConnSnapshot, Duration)>,
     totals: RegistryTotals,
 }
 
@@ -172,16 +165,15 @@ impl ConnRegistry {
         let mut g = self.inner.lock();
         g.live.insert(
             id,
-            Entry {
-                peer: peer.clone(),
-                streams: 1,
-                state: ConnState::Handshaking,
-                messages: 0,
-                raw_bytes: 0,
-                reply_wire_bytes: 0,
-                level_bps: [0.0; 11],
-                registered_at: self.bus.now(),
-            },
+            (
+                ConnSnapshot {
+                    id,
+                    peer: peer.clone(),
+                    streams: 1,
+                    ..ConnSnapshot::default()
+                },
+                self.bus.now(),
+            ),
         );
         drop(g);
         self.bus.emit(Event::ConnAccepted {
@@ -196,7 +188,7 @@ impl ConnRegistry {
     pub fn activate(&self, id: ConnId, streams: usize) {
         let mut g = self.inner.lock();
         let mut admitted = false;
-        if let Some(e) = g.live.get_mut(&id) {
+        if let Some((e, _)) = g.live.get_mut(&id) {
             e.state = ConnState::Active;
             e.streams = streams;
             g.totals.accepted += 1;
@@ -216,7 +208,7 @@ impl ConnRegistry {
     pub fn detach(&self, id: ConnId) -> bool {
         let mut g = self.inner.lock();
         match g.live.get_mut(&id) {
-            Some(e) => {
+            Some((e, _)) => {
                 e.state = ConnState::Detached;
                 true
             }
@@ -231,7 +223,7 @@ impl ConnRegistry {
     pub fn resume(&self, id: ConnId, streams: usize) -> bool {
         let mut g = self.inner.lock();
         match g.live.get_mut(&id) {
-            Some(e) if e.state == ConnState::Detached => {
+            Some((e, _)) if e.state == ConnState::Detached => {
                 e.state = ConnState::Active;
                 e.streams = streams;
                 true
@@ -243,7 +235,7 @@ impl ConnRegistry {
     /// Moves every live connection to [`ConnState::Draining`].
     pub fn mark_all_draining(&self) {
         let mut g = self.inner.lock();
-        for e in g.live.values_mut() {
+        for (e, _) in g.live.values_mut() {
             if e.state == ConnState::Active {
                 e.state = ConnState::Draining;
             }
@@ -260,11 +252,11 @@ impl ConnRegistry {
         g.totals.messages += 1;
         g.totals.raw_bytes += recv_raw;
         g.totals.reply_wire_bytes += reply_wire;
-        if let Some(e) = g.live.get_mut(&id) {
+        if let Some((e, _)) = g.live.get_mut(&id) {
             e.messages += 1;
             e.raw_bytes += recv_raw;
             e.reply_wire_bytes += reply_wire;
-            e.level_bps = stats.level_bps;
+            (e.level_bps, e.ratio_trips) = (stats.level_bps, stats.ratio_trips);
         }
     }
 
@@ -272,7 +264,7 @@ impl ConnRegistry {
     pub fn remove(&self, id: ConnId, outcome: ConnOutcome) {
         let mut g = self.inner.lock();
         let removed = g.live.remove(&id);
-        if let Some(e) = &removed {
+        if let Some((e, _)) = &removed {
             match outcome {
                 ConnOutcome::Completed => g.totals.completed += 1,
                 ConnOutcome::Failed => g.totals.failed += 1,
@@ -328,17 +320,10 @@ impl ConnRegistry {
         let g = self.inner.lock();
         let mut out: Vec<ConnSnapshot> = g
             .live
-            .iter()
-            .map(|(&id, e)| ConnSnapshot {
-                id,
-                peer: e.peer.clone(),
-                streams: e.streams,
-                state: e.state,
-                messages: e.messages,
-                raw_bytes: e.raw_bytes,
-                reply_wire_bytes: e.reply_wire_bytes,
-                level_bps: e.level_bps,
-                age_secs: now.saturating_sub(e.registered_at).as_secs_f64(),
+            .values()
+            .map(|(e, at)| ConnSnapshot {
+                age_secs: now.saturating_sub(*at).as_secs_f64(),
+                ..e.clone()
             })
             .collect();
         out.sort_by_key(|s| s.id);

@@ -213,7 +213,7 @@ fn round_robin_striped_capture_still_decodes() {
 #[test]
 fn one_stalling_stream_backpressures_but_completes() {
     // Stream 1 gets a 2 KB pipe and the receiver only starts draining
-    // after a delay: the sender must stall (bounded reorder window, no
+    // after a delay: the sender must stall (bounded per-stream channels, no
     // unbounded buffering) yet the transfer must complete byte-exactly
     // once the stream unblocks.
     let cfg = AdocConfig::default().with_levels(1, 10);
