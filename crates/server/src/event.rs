@@ -33,19 +33,21 @@
 //!
 //! ## Built-in subscribers
 //!
-//! * [`MetricsSubscriber`] — lock-free counters aggregated into the
-//!   `events` section of the v2 metrics document;
-//! * [`EventLog`] — a bounded ring buffer of rendered JSON event lines,
-//!   drainable via [`EventLog::json_lines_since`] (the HTTP listener's
-//!   `GET /events?since=seq`).
+//! * [`MetricsSubscriber`] — lock-free counters for the `events` section
+//!   of the v2 metrics document. Each is one line of a table that
+//!   declares its [`EventCounts`] field, its atomic cell, the event that
+//!   moves it, and its place in the rendered `counts` object;
+//! * [`EventLog`] — a bounded ring buffer of rendered JSON event lines
+//!   ([`render_json_line`]), drainable via [`EventLog::json_lines_since`]
+//!   (the HTTP listener's `GET /events?since=seq`).
 
+use crate::json::{self, Fields, Fixed, Object, BARE};
 use crate::registry::{ConnId, ConnOutcome};
 use crate::sched::Tier;
 use crate::trace::StageTimes;
 use adoc::LevelReason;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -242,34 +244,6 @@ pub enum Event<'a> {
     },
 }
 
-impl Event<'_> {
-    /// Snake-case name of the event kind (the `"event"` field of a
-    /// rendered JSON line).
-    pub fn name(&self) -> &'static str {
-        match self {
-            Event::ConnAccepted { .. } => "conn_accepted",
-            Event::ConnAdmitted { .. } => "conn_admitted",
-            Event::ConnClosed { .. } => "conn_closed",
-            Event::HandshakeFailed { .. } => "handshake_failed",
-            Event::ConnError { .. } => "conn_error",
-            Event::MessageServed { .. } => "message_served",
-            Event::SlowRequest { .. } => "slow_request",
-            Event::SchedWait { .. } => "sched_wait",
-            Event::RefillEpoch { .. } => "refill_epoch",
-            Event::LevelChange { .. } => "level_change",
-            Event::DrainStarted => "drain_started",
-            Event::DrainFinished => "drain_finished",
-            Event::PoolEvict { .. } => "pool_evict",
-            Event::BudgetChanged { .. } => "budget_changed",
-            Event::ReactorTick { .. } => "reactor_tick",
-            Event::WorkerQueueDepth { .. } => "worker_queue_depth",
-            Event::SessionResumed { .. } => "session_resumed",
-            Event::TicketRejected { .. } => "ticket_rejected",
-            Event::SessionExpired { .. } => "session_expired",
-        }
-    }
-}
-
 /// Per-event envelope the bus stamps before dispatch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EventMeta {
@@ -337,11 +311,6 @@ impl EventBus {
         EventBus::new(Vec::new())
     }
 
-    /// The shared monotonic clock.
-    pub fn clock(&self) -> &EventClock {
-        &self.clock
-    }
-
     /// Monotonic time since the bus (= the server) was created.
     pub fn now(&self) -> Duration {
         self.clock.now()
@@ -399,134 +368,101 @@ impl EventBus {
     }
 }
 
-/// Lifetime event counts aggregated by a [`MetricsSubscriber`] — the
-/// `events` section of the v2 metrics document.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct EventCounts {
+/// Builds [`EventCounts`], the [`MetricsSubscriber`] cells behind it,
+/// and its JSON field list from one table, whose order is the render
+/// order: per counter, its type, whether an event adds to its `u64`
+/// cell or raises it, which event, by how much, and how the cell reads
+/// out if not as it is.
+macro_rules! event_counters {
+    ($($(#[$doc:meta])* $name:ident: $ty:ty =
+        $op:ident($pat:pat => $by:expr) $(, read $read:expr)?;)*) => {
+        /// Lifetime event counts aggregated by a [`MetricsSubscriber`] —
+        /// the `events.counts` object of the v2 metrics document.
+        #[derive(Debug, Clone, Copy, Default, PartialEq)]
+        pub struct EventCounts {
+            $($(#[$doc])* pub $name: $ty,)*
+        }
+
+        /// The aggregating built-in subscriber: lock-free counters that a metrics
+        /// snapshot folds into [`crate::metrics::MetricsDoc`]. An event costs the hot
+        /// path one virtual call and a relaxed atomic add or two (the benchmark
+        /// harness prices it as `event.instrument_overhead_share`).
+        #[derive(Debug, Default)]
+        pub struct MetricsSubscriber {
+            $($name: AtomicU64,)*
+        }
+
+        impl MetricsSubscriber {
+            /// A fresh subscriber with all counters at zero.
+            pub fn new() -> MetricsSubscriber {
+                MetricsSubscriber::default()
+            }
+
+            /// Snapshot of every counter.
+            pub fn counts(&self) -> EventCounts {
+                EventCounts {
+                    $($name: {
+                        let raw = self.$name.load(Ordering::Relaxed);
+                        $(let raw = ($read)(raw);)?
+                        raw
+                    },)*
+                }
+            }
+        }
+
+        impl Subscriber for MetricsSubscriber {
+            fn on_event(&self, _meta: &EventMeta, event: &Event<'_>) {
+                $(if let $pat = *event {
+                    self.$name.$op($by, Ordering::Relaxed);
+                })*
+            }
+        }
+
+        impl Fields for EventCounts {
+            fn fields(&self, o: &mut Object<'_>) {
+                $(o.field(stringify!($name), self.$name);)*
+            }
+        }
+    };
+}
+
+// Session resumes, ticket rejections and expiries are counted by the
+// session table (the metrics document's `sessions` section); connection
+// errors and drain completions by nothing.
+event_counters! {
     /// `ConnAccepted` events.
-    pub conns_accepted: u64,
+    conns_accepted: u64 = fetch_add(Event::ConnAccepted { .. } => 1);
     /// `ConnAdmitted` events.
-    pub conns_admitted: u64,
+    conns_admitted: u64 = fetch_add(Event::ConnAdmitted { .. } => 1);
     /// `ConnClosed` events.
-    pub conns_closed: u64,
+    conns_closed: u64 = fetch_add(Event::ConnClosed { .. } => 1);
     /// `HandshakeFailed` events.
-    pub handshake_failures: u64,
+    handshake_failures: u64 = fetch_add(Event::HandshakeFailed { .. } => 1);
     /// `MessageServed` events.
-    pub messages_served: u64,
-    /// `SlowRequest` events (messages over the latency threshold).
-    pub slow_requests: u64,
+    messages_served: u64 = fetch_add(Event::MessageServed { .. } => 1);
     /// `SchedWait` events (blocked admissions).
-    pub sched_waits: u64,
+    sched_waits: u64 = fetch_add(Event::SchedWait { .. } => 1);
     /// Total time blocked admissions spent waiting, in seconds.
-    pub sched_wait_secs: f64,
+    sched_wait_secs: f64 = fetch_add(Event::SchedWait { waited, .. } => waited.as_nanos() as u64),
+        read |ns: u64| ns as f64 / 1e9;
     /// `RefillEpoch` events (coalesced per admission episode).
-    pub refill_epochs: u64,
+    refill_epochs: u64 = fetch_add(Event::RefillEpoch { .. } => 1);
     /// `LevelChange` events.
-    pub level_changes: u64,
+    level_changes: u64 = fetch_add(Event::LevelChange { .. } => 1);
     /// `PoolEvict` events' evicted-buffer total.
-    pub pool_evictions: u64,
+    pool_evictions: u64 = fetch_add(Event::PoolEvict { evicted } => evicted);
     /// `BudgetChanged` events.
-    pub budget_changes: u64,
+    budget_changes: u64 = fetch_add(Event::BudgetChanged { .. } => 1);
     /// `DrainStarted` events (0 or 1 in a normal lifetime).
-    pub drains: u64,
+    drains: u64 = fetch_add(Event::DrainStarted => 1);
     /// `ReactorTick` events (non-idle poll cycles).
-    pub reactor_ticks: u64,
+    reactor_ticks: u64 = fetch_add(Event::ReactorTick { .. } => 1);
     /// `WorkerQueueDepth` events (codec jobs enqueued).
-    pub worker_jobs: u64,
+    worker_jobs: u64 = fetch_add(Event::WorkerQueueDepth { .. } => 1);
     /// Deepest worker-pool queue observed at enqueue time.
-    pub worker_queue_peak: u64,
-}
-
-/// The aggregating built-in subscriber: lock-free counters a metrics
-/// snapshot folds into the typed [`crate::metrics::MetricsDoc`]. Every
-/// event is a handful of relaxed atomic adds — attaching it costs the
-/// hot path one virtual call and nothing else (the benchmark harness
-/// reports the cost as `event.instrument_overhead_share`).
-#[derive(Debug, Default)]
-pub struct MetricsSubscriber {
-    conns_accepted: AtomicU64,
-    conns_admitted: AtomicU64,
-    conns_closed: AtomicU64,
-    handshake_failures: AtomicU64,
-    messages_served: AtomicU64,
-    slow_requests: AtomicU64,
-    sched_waits: AtomicU64,
-    sched_wait_nanos: AtomicU64,
-    refill_epochs: AtomicU64,
-    level_changes: AtomicU64,
-    pool_evictions: AtomicU64,
-    budget_changes: AtomicU64,
-    drains: AtomicU64,
-    reactor_ticks: AtomicU64,
-    worker_jobs: AtomicU64,
-    worker_queue_peak: AtomicU64,
-}
-
-impl MetricsSubscriber {
-    /// A fresh subscriber with all counters at zero.
-    pub fn new() -> MetricsSubscriber {
-        MetricsSubscriber::default()
-    }
-
-    /// Snapshot of every counter.
-    pub fn counts(&self) -> EventCounts {
-        EventCounts {
-            conns_accepted: self.conns_accepted.load(Ordering::Relaxed),
-            conns_admitted: self.conns_admitted.load(Ordering::Relaxed),
-            conns_closed: self.conns_closed.load(Ordering::Relaxed),
-            handshake_failures: self.handshake_failures.load(Ordering::Relaxed),
-            messages_served: self.messages_served.load(Ordering::Relaxed),
-            slow_requests: self.slow_requests.load(Ordering::Relaxed),
-            sched_waits: self.sched_waits.load(Ordering::Relaxed),
-            sched_wait_secs: self.sched_wait_nanos.load(Ordering::Relaxed) as f64 / 1e9,
-            refill_epochs: self.refill_epochs.load(Ordering::Relaxed),
-            level_changes: self.level_changes.load(Ordering::Relaxed),
-            pool_evictions: self.pool_evictions.load(Ordering::Relaxed),
-            budget_changes: self.budget_changes.load(Ordering::Relaxed),
-            drains: self.drains.load(Ordering::Relaxed),
-            reactor_ticks: self.reactor_ticks.load(Ordering::Relaxed),
-            worker_jobs: self.worker_jobs.load(Ordering::Relaxed),
-            worker_queue_peak: self.worker_queue_peak.load(Ordering::Relaxed),
-        }
-    }
-}
-
-impl Subscriber for MetricsSubscriber {
-    fn on_event(&self, _meta: &EventMeta, event: &Event<'_>) {
-        let bump = |cell: &AtomicU64, by: u64| {
-            cell.fetch_add(by, Ordering::Relaxed);
-        };
-        match *event {
-            Event::ConnAccepted { .. } => bump(&self.conns_accepted, 1),
-            Event::ConnAdmitted { .. } => bump(&self.conns_admitted, 1),
-            Event::ConnClosed { .. } => bump(&self.conns_closed, 1),
-            Event::HandshakeFailed { .. } => bump(&self.handshake_failures, 1),
-            Event::MessageServed { .. } => bump(&self.messages_served, 1),
-            Event::SlowRequest { .. } => bump(&self.slow_requests, 1),
-            Event::SchedWait { waited, .. } => {
-                bump(&self.sched_waits, 1);
-                bump(&self.sched_wait_nanos, waited.as_nanos() as u64);
-            }
-            Event::RefillEpoch { .. } => bump(&self.refill_epochs, 1),
-            Event::LevelChange { .. } => bump(&self.level_changes, 1),
-            Event::DrainStarted => bump(&self.drains, 1),
-            Event::PoolEvict { evicted } => bump(&self.pool_evictions, evicted),
-            Event::BudgetChanged { .. } => bump(&self.budget_changes, 1),
-            Event::ReactorTick { .. } => bump(&self.reactor_ticks, 1),
-            Event::WorkerQueueDepth { depth } => {
-                bump(&self.worker_jobs, 1);
-                self.worker_queue_peak
-                    .fetch_max(depth as u64, Ordering::Relaxed);
-            }
-            // The session table counts resumes, rejections and expiries
-            // for the metrics document's `sessions` section.
-            Event::SessionResumed { .. }
-            | Event::TicketRejected { .. }
-            | Event::SessionExpired { .. }
-            | Event::ConnError { .. }
-            | Event::DrainFinished => {}
-        }
-    }
+    worker_queue_peak: u64 = fetch_max(Event::WorkerQueueDepth { depth } => depth as u64);
+    /// `SlowRequest` events (messages over the latency threshold).
+    slow_requests: u64 = fetch_add(Event::SlowRequest { .. } => 1);
 }
 
 /// One retained event in an [`EventLog`]: the stamped envelope plus the
@@ -570,11 +506,6 @@ impl EventLog {
             inner: Mutex::new(VecDeque::with_capacity(capacity.clamp(1, 4096))),
             dropped: AtomicU64::new(0),
         }
-    }
-
-    /// Configured retention capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Events currently retained.
@@ -631,164 +562,78 @@ impl Subscriber for EventLog {
 
 /// Renders one stamped event as a single-line JSON object.
 pub fn render_json_line(meta: &EventMeta, event: &Event<'_>) -> String {
-    let mut out = String::with_capacity(96);
-    let _ = write!(
-        out,
-        "{{\"seq\": {}, \"t\": {:.6}, \"event\": \"{}\"",
-        meta.seq,
-        meta.t.as_secs_f64(),
-        event.name()
-    );
-    match *event {
-        Event::ConnAccepted { conn, peer } => {
-            let _ = write!(
-                out,
-                ", \"conn\": {conn}, \"peer\": \"{}\"",
-                json_escape(peer)
-            );
-        }
-        Event::ConnAdmitted { conn, streams } => {
-            let _ = write!(out, ", \"conn\": {conn}, \"streams\": {streams}");
-        }
-        Event::ConnClosed {
-            conn,
-            outcome,
-            messages,
-        } => {
-            let _ = write!(
-                out,
-                ", \"conn\": {conn}, \"outcome\": \"{}\", \"messages\": {messages}",
-                match outcome {
-                    ConnOutcome::Completed => "completed",
-                    ConnOutcome::Failed => "failed",
+    json::render(BARE, 256, |o| {
+        o.field("seq", meta.seq)
+            .field("t", meta.t.as_secs_f64())
+            .field("event", event.name());
+        event.fields(o);
+    })
+}
+
+/// Builds [`Event::name`] and each event's JSON fields (after `seq`, `t`
+/// and `event`) from one table: per variant, the fields it binds, its
+/// name, and what it writes into the object `o`.
+macro_rules! event_table {
+    (|$o:ident| $($variant:ident $({ $($bind:tt)* })? => $name:literal $(: $fields:expr)?;)*) => {
+        impl Event<'_> {
+            /// Snake-case name of the event kind (the `"event"` field of a
+            /// rendered JSON line).
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $(Event::$variant { .. } => $name,)*
                 }
-            );
-        }
-        Event::HandshakeFailed { conn } => {
-            let _ = write!(out, ", \"conn\": {}", OrNull(conn));
-        }
-        Event::ConnError { conn, error } => {
-            let (conn, error) = (OrNull(conn), json_escape(error));
-            let _ = write!(out, ", \"conn\": {conn}, \"error\": \"{error}\"");
-        }
-        Event::MessageServed {
-            conn,
-            raw_bytes,
-            reply_wire_bytes,
-            times,
-        } => {
-            let _ = write!(
-                out,
-                ", \"conn\": {conn}, \"raw_bytes\": {raw_bytes}, \"reply_wire_bytes\": {reply_wire_bytes}"
-            );
-            write_stages(&mut out, &times);
-        }
-        Event::SlowRequest {
-            conn,
-            raw_bytes,
-            times,
-        } => {
-            let _ = write!(out, ", \"conn\": {conn}, \"raw_bytes\": {raw_bytes}");
-            write_stages(&mut out, &times);
-        }
-        Event::SchedWait { conn, tier, waited } => {
-            let _ = write!(
-                out,
-                ", \"conn\": {conn}, \"tier\": \"{tier}\", \"waited_ms\": {:.3}",
-                waited.as_secs_f64() * 1e3
-            );
-        }
-        Event::RefillEpoch { credit } => {
-            let _ = write!(out, ", \"credit_bytes\": {credit:.0}");
-        }
-        Event::LevelChange {
-            conn,
-            from,
-            to,
-            reason,
-        } => {
-            let _ = write!(
-                out,
-                ", \"conn\": {conn}, \"from\": {from}, \"to\": {to}, \"reason\": \"{}\"",
-                reason.as_str()
-            );
-        }
-        Event::DrainStarted | Event::DrainFinished => {}
-        Event::PoolEvict { evicted } => {
-            let _ = write!(out, ", \"evicted\": {evicted}");
-        }
-        Event::BudgetChanged { bytes_per_sec } => match bytes_per_sec {
-            Some(b) => {
-                let _ = write!(out, ", \"bytes_per_sec\": {b:.1}");
             }
-            None => out.push_str(", \"bytes_per_sec\": null"),
-        },
-        Event::ReactorTick { ready, parked } => {
-            let _ = write!(out, ", \"ready\": {ready}, \"parked\": {parked}");
         }
-        Event::WorkerQueueDepth { depth } => {
-            let _ = write!(out, ", \"depth\": {depth}");
-        }
-        Event::SessionResumed {
-            conn,
-            session_id,
-            streams,
-            mid_message,
-        } => {
-            let _ = write!(
-                out,
-                ", \"conn\": {conn}, \"session_id\": {session_id}, \"streams\": {streams}, \
-                 \"mid_message\": {mid_message}"
-            );
-        }
-        Event::TicketRejected { session_id, reason } => {
-            let (id, reason) = (OrNull(session_id), json_escape(reason));
-            let _ = write!(out, ", \"session_id\": {id}, \"reason\": \"{reason}\"");
-        }
-        Event::SessionExpired { conn, session_id } => {
-            let _ = write!(out, ", \"conn\": {conn}, \"session_id\": {session_id}");
-        }
-    }
-    out.push('}');
-    out
-}
 
-/// An optional id in a JSON line: the number, or `null`.
-struct OrNull(Option<u64>);
-
-impl std::fmt::Display for OrNull {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.0 {
-            Some(id) => write!(f, "{id}"),
-            None => f.write_str("null"),
-        }
-    }
-}
-
-/// Appends a `"stages"` object with the span's per-stage microseconds.
-fn write_stages(out: &mut String, t: &StageTimes) {
-    let _ = write!(
-        out,
-        ", \"stages\": {{\"read_us\": {}, \"sched_us\": {}, \"queue_us\": {}, \
-         \"codec_us\": {}, \"write_us\": {}, \"total_us\": {}}}",
-        t.read_us, t.sched_us, t.queue_us, t.codec_us, t.write_us, t.total_us
-    );
-}
-
-/// Escapes `s` for inclusion in a JSON string literal.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+        impl Fields for Event<'_> {
+            fn fields(&self, $o: &mut Object<'_>) {
+                match *self {
+                    $(Event::$variant $({ $($bind)* })? => {
+                        $($fields;)?
+                    })*
+                }
             }
-            c => out.push(c),
         }
-    }
-    out
+    };
+}
+
+event_table! { |o|
+    ConnAccepted { conn, peer } => "conn_accepted": o.field("conn", conn).field("peer", peer);
+    ConnAdmitted { conn, streams } => "conn_admitted":
+        o.field("conn", conn).field("streams", streams);
+    ConnClosed { conn, outcome, messages } => "conn_closed": o.field("conn", conn)
+        .field("outcome", match outcome {
+            ConnOutcome::Completed => "completed",
+            ConnOutcome::Failed => "failed",
+        })
+        .field("messages", messages);
+    HandshakeFailed { conn } => "handshake_failed": o.field("conn", conn);
+    ConnError { conn, error } => "conn_error": o.field("conn", conn).field("error", error);
+    MessageServed { conn, raw_bytes, reply_wire_bytes, times } => "message_served":
+        o.field("conn", conn).field("raw_bytes", raw_bytes)
+            .field("reply_wire_bytes", reply_wire_bytes).record("stages", BARE, &times);
+    SlowRequest { conn, raw_bytes, times } => "slow_request":
+        o.field("conn", conn).field("raw_bytes", raw_bytes).record("stages", BARE, &times);
+    SchedWait { conn, tier, waited } => "sched_wait": o.field("conn", conn)
+        .field("tier", tier.name()).field("waited_ms", Fixed(waited.as_secs_f64() * 1e3, 3));
+    RefillEpoch { credit } => "refill_epoch": o.field("credit_bytes", Fixed(credit, 0));
+    LevelChange { conn, from, to, reason } => "level_change": o.field("conn", conn)
+        .field("from", from).field("to", to).field("reason", reason.as_str());
+    DrainStarted => "drain_started";
+    DrainFinished => "drain_finished";
+    PoolEvict { evicted } => "pool_evict": o.field("evicted", evicted);
+    BudgetChanged { bytes_per_sec } => "budget_changed":
+        o.field("bytes_per_sec", bytes_per_sec.map(|b| Fixed(b, 1)));
+    ReactorTick { ready, parked } => "reactor_tick":
+        o.field("ready", ready).field("parked", parked);
+    WorkerQueueDepth { depth } => "worker_queue_depth": o.field("depth", depth);
+    SessionResumed { conn, session_id, streams, mid_message } => "session_resumed":
+        o.field("conn", conn).field("session_id", session_id).field("streams", streams)
+            .field("mid_message", mid_message);
+    TicketRejected { session_id, reason } => "ticket_rejected":
+        o.field("session_id", session_id).field("reason", reason);
+    SessionExpired { conn, session_id } => "session_expired":
+        o.field("conn", conn).field("session_id", session_id);
 }
 
 #[cfg(test)]

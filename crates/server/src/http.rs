@@ -10,8 +10,8 @@
 //!   lines (`since` defaults to 0, i.e. everything still buffered)
 //! * `GET /latency` — server-wide per-stage latency percentiles
 //!   (`adoc-latency-v1`)
-//! * `GET /trace?conn=<id>` — one connection's flight recorder:
-//!   stage summaries plus recent spans (`adoc-trace-v1`)
+//! * `GET /trace?conn=<id>` — one connection's flight recorder: its
+//!   recent spans and their stage summaries (`adoc-trace-v1`)
 //! * `POST /control/drain` — begin a graceful drain
 //! * `POST /control/budget` — body `<mbit>` or `off`
 //!
@@ -239,40 +239,22 @@ fn route(control: &Control, method: &str, path: &str, query: &str, body: &str) -
             }
             Response::ok("application/json", control.metrics_json())
         }
-        ("GET", "/events") => {
-            let since = match query_param(query, "since") {
-                Some(v) => match v.parse::<u64>() {
-                    Ok(n) => n,
-                    Err(_) => {
-                        return Response::error(
-                            "400 Bad Request",
-                            &format!("bad since \"{v}\" (want an event sequence number)"),
-                        )
-                    }
-                },
-                None => 0,
-            };
-            Response::ok("application/x-ndjson", control.events_json_lines(since))
-        }
+        ("GET", "/events") => match u64_param(query, "since", "an event sequence number") {
+            Ok(since) => Response::ok(
+                "application/x-ndjson",
+                control.events_json_lines(since.unwrap_or(0)),
+            ),
+            Err(resp) => resp,
+        },
         ("GET", "/latency") => Response::ok("application/json", control.latency_json()),
-        ("GET", "/trace") => {
-            let conn = match query_param(query, "conn") {
-                Some(v) => match v.parse::<u64>() {
-                    Ok(n) => n,
-                    Err(_) => {
-                        return Response::error(
-                            "400 Bad Request",
-                            &format!("bad conn \"{v}\" (want a connection id)"),
-                        )
-                    }
-                },
-                None => return Response::error("400 Bad Request", "missing conn parameter"),
-            };
-            match control.trace_json(conn) {
+        ("GET", "/trace") => match u64_param(query, "conn", "a connection id") {
+            Ok(Some(conn)) => match control.trace_json(conn) {
                 Some(doc) => Response::ok("application/json", doc),
                 None => Response::error("404 Not Found", &format!("unknown conn {conn}")),
-            }
-        }
+            },
+            Ok(None) => Response::error("400 Bad Request", "missing conn parameter"),
+            Err(resp) => resp,
+        },
         ("POST", "/control/drain") => {
             control.drain();
             Response::ok("text/plain", "draining\n".into())
@@ -301,6 +283,20 @@ fn query_param<'q>(query: &'q str, name: &str) -> Option<&'q str> {
         .filter_map(|pair| pair.split_once('='))
         .find(|(k, _)| *k == name)
         .map(|(_, v)| v)
+}
+
+/// Parses query parameter `name` as a number; a value that is not one
+/// gets a 400 saying what the parameter should be (`want`).
+fn u64_param(query: &str, name: &str, want: &str) -> Result<Option<u64>, Response> {
+    let bad = |v| {
+        Response::error(
+            "400 Bad Request",
+            &format!("bad {name} \"{v}\" (want {want})"),
+        )
+    };
+    query_param(query, name)
+        .map(|v| v.parse().map_err(|_| bad(v)))
+        .transpose()
 }
 
 fn write_response(stream: &mut TcpStream, resp: Response) -> io::Result<()> {

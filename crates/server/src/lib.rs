@@ -48,6 +48,7 @@ pub mod control;
 pub mod daemon;
 pub mod event;
 pub mod http;
+mod json;
 pub mod metrics;
 pub mod poll;
 pub mod reactor;
@@ -389,9 +390,9 @@ pub struct Server {
     /// Worker-pool gauges: the reactor's [`WorkerPool`] updates them
     /// while it runs; the metrics document reads them unconditionally.
     worker_gauges: Arc<WorkerGauges>,
-    /// Per-message stage-latency layer: server-wide histograms plus the
-    /// per-connection flight recorders behind `GET /latency` and
-    /// `GET /trace?conn=ID`.
+    /// Per-message stage-latency layer: the server-wide histograms
+    /// behind `GET /latency`, and per connection only a ring of recent
+    /// spans, which `GET /trace?conn=ID` summarizes when read.
     tracer: TraceCenter,
     /// Pool evictions already reported as [`Event::PoolEvict`] — the
     /// pool counter is monotonic, so the delta since this watermark is
@@ -499,7 +500,8 @@ impl Server {
 
     /// The event bus every producer in this server emits through. Its
     /// [`EventClock`] is the single monotonic time source behind
-    /// [`Server::uptime_secs`], connection ages, and event timestamps.
+    /// the metrics document's `uptime_secs`, connection ages, and event
+    /// timestamps.
     pub fn events(&self) -> &EventBus {
         &self.bus
     }
@@ -527,8 +529,8 @@ impl Server {
         &self.cfg.adoc.pool
     }
 
-    /// The per-message stage-latency layer (histograms + flight
-    /// recorders). Serving paths record into it only when
+    /// The per-message stage-latency layer (server-wide histograms +
+    /// per-connection flight recorders). Serving paths record into it only when
     /// [`ServerConfig::instrument`] is on; it always answers reads.
     pub fn tracer(&self) -> &TraceCenter {
         &self.tracer
@@ -549,12 +551,6 @@ impl Server {
     /// What the server does with received messages.
     pub fn mode(&self) -> ServeMode {
         self.cfg.mode
-    }
-
-    /// Seconds since the server was created, on the event layer's
-    /// monotonic clock.
-    pub fn uptime_secs(&self) -> f64 {
-        self.bus.now().as_secs_f64()
     }
 
     /// Starts a graceful drain: live connections finish their in-flight

@@ -1,65 +1,26 @@
 //! Typed metrics: one [`MetricsDoc`] snapshot describing the whole
 //! daemon — registry, scheduler buckets, shared pool, event layer —
 //! collected from read-only snapshots (a metrics poll cannot stall
-//! admissions or mutate pacing state) and rendered to JSON without
-//! serde (the workspace builds offline).
+//! admissions or mutate pacing state).
 //!
 //! Every number in one document is taken against a **single** "now"
 //! read once from the server's [`crate::EventClock`]: `uptime_secs`,
 //! per-connection ages, and event timestamps can never disagree about
 //! what time it is.
 //!
-//! Current schema (`adoc-server-metrics-v2`, [`MetricsDoc::to_json`]):
-//!
-//! ```json
-//! {
-//!   "schema": "adoc-server-metrics-v2",
-//!   "uptime_secs": 1.0, "draining": false, "mode": "echo",
-//!   "budget_bytes_per_sec": 1000000.0,
-//!   "sched": { "work_conserving": true, "drain_admitted": 0,
-//!              "total_admitted": 123456, "utilization": 0.87,
-//!              "parked_on_throttle": 0 },
-//!   "sessions": { "minted": 0, "resumed": 0, "rejected": 0,
-//!                 "expired": 0, "parked": 0 },
-//!   "events": { "last_seq": 42, "log_len": 42, "log_dropped": 0,
-//!               "subscribers_poisoned": 0,
-//!               "counts": { "conns_accepted": 1, "conns_admitted": 1,
-//!                           "conns_closed": 0, "handshake_failures": 0,
-//!                           "messages_served": 1, "sched_waits": 0,
-//!                           "sched_wait_secs": 0.0, "refill_epochs": 0,
-//!                           "level_changes": 0, "pool_evictions": 0,
-//!                           "budget_changes": 0, "drains": 0,
-//!                           "reactor_ticks": 0, "worker_jobs": 0,
-//!                           "worker_queue_peak": 0,
-//!                           "slow_requests": 0 } },
-//!   "workers": { "threads": 1, "queued": 0, "in_flight": 0,
-//!                "completed": 0, "panics": 0, "queue_peak": 0 },
-//!   "latency": { "messages": 1,
-//!                "read": { "count": 1, "p50_us": 10, "p90_us": 10,
-//!                          "p99_us": 10, "p999_us": 10, "max_us": 10 },
-//!                "sched_wait": { … }, "queue_wait": { … },
-//!                "codec": { … }, "write": { … }, "total": { … } },
-//!   "totals": { "accepted": 1, "completed": 1, "failed": 0,
-//!               "handshake_failures": 0, "messages": 1,
-//!               "raw_bytes": 1, "reply_wire_bytes": 1 },
-//!   "pool": { "hits": 1, "misses": 1, "returns": 1, "evicted": 0,
-//!             "outstanding": 0, "peak_outstanding": 2, "idle": 2,
-//!             "max_idle": 64, "idle_bytes": 4096 },
-//!   "connections": [ { "id": 1, "peer": "…", "state": "active",
-//!                      "streams": 1, "messages": 1, "raw_bytes": 1,
-//!                      "reply_wire_bytes": 1, "age_secs": 1.0,
-//!                      "sched_admitted": 1, "sched_tier": "bulk",
-//!                      "sched_weight": 1.0,
-//!                      "level_bps": { "3": 1.0 }, "ratio_trips": 0 } ]
-//! }
-//! ```
+//! [`MetricsDoc::to_json`] renders it as the `adoc-server-metrics-v2`
+//! document: `uptime_secs`, `draining`, `mode`, `budget_bytes_per_sec`,
+//! one object per section keyed by its struct's field names, and one row
+//! per live connection; `crates/server/tests/golden/metrics_full.json`
+//! is a complete example.
 //!
 //! A connection row's `level_bps` is what its §5 divergence guard judges
 //! by: per level, the slower of wire and compressor. The deprecated
 //! `adoc-server-metrics-v1` rendering has been removed; v2 is the only
 //! schema.
 
-use crate::event::{json_escape, EventCounts};
+use crate::event::EventCounts;
+use crate::json::{self, Fields, Fixed, Object, DOCUMENT, PADDED};
 use crate::registry::{ConnId, RegistryTotals};
 use crate::sched::{BucketSnapshot, Tier};
 use crate::session::SessionStats;
@@ -67,7 +28,6 @@ use crate::trace::StageSummaries;
 use crate::workers::WorkerStats;
 use crate::{ServeMode, Server};
 use std::collections::HashMap;
-use std::fmt::Write as _;
 
 /// Scheduler section of a metrics document.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -214,8 +174,6 @@ impl MetricsDoc {
     /// the server's event clock and derives every age and rate from it.
     pub fn collect(server: &Server) -> MetricsDoc {
         let now = server.events().now();
-        let uptime_secs = now.as_secs_f64();
-        let totals = server.registry().totals();
         let pool_stats = server.pool().stats();
         let buckets: HashMap<u64, BucketSnapshot> = server
             .scheduler()
@@ -223,9 +181,6 @@ impl MetricsDoc {
             .into_iter()
             .map(|b| (b.conn, b))
             .collect();
-        let budget = server.scheduler().budget();
-        let total_admitted = server.scheduler().total_admitted();
-        let utilization = server.scheduler().utilization();
         let connections = server
             .registry()
             .snapshot_at(now)
@@ -250,15 +205,15 @@ impl MetricsDoc {
             })
             .collect();
         MetricsDoc {
-            uptime_secs,
+            uptime_secs: now.as_secs_f64(),
             draining: server.is_draining(),
             mode: server.mode(),
-            budget_bytes_per_sec: budget,
+            budget_bytes_per_sec: server.scheduler().budget(),
             sched: SchedMetrics {
                 work_conserving: true,
                 drain_admitted: server.scheduler().drain_snapshot().admitted,
-                total_admitted,
-                utilization,
+                total_admitted: server.scheduler().total_admitted(),
+                utilization: server.scheduler().utilization(),
                 parked_on_throttle: server.scheduler().parked(),
             },
             sessions: server.sessions().stats(),
@@ -274,7 +229,7 @@ impl MetricsDoc {
                 subscribers_poisoned: server.events().poisoned(),
                 counts: server.event_counts(),
             },
-            totals,
+            totals: server.registry().totals(),
             pool: PoolMetrics {
                 hits: pool_stats.hits,
                 misses: pool_stats.misses,
@@ -292,177 +247,95 @@ impl MetricsDoc {
 
     /// Renders the current (`adoc-server-metrics-v2`) JSON document.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        let _ = writeln!(out, "{{\n  \"schema\": \"{SCHEMA_V2}\",");
-        self.render_header(&mut out);
-        let _ = writeln!(
-            out,
-            "  \"sched\": {{ \"work_conserving\": {}, \"drain_admitted\": {}, \
-             \"total_admitted\": {}, \"utilization\": {}, \"parked_on_throttle\": {} }},",
-            self.sched.work_conserving,
-            self.sched.drain_admitted,
-            self.sched.total_admitted,
-            match self.sched.utilization {
-                Some(u) => format!("{u:.4}"),
-                None => "null".into(),
-            },
-            self.sched.parked_on_throttle,
-        );
-        let s = &self.sessions;
-        let _ = writeln!(
-            out,
-            "  \"sessions\": {{ \"minted\": {}, \"resumed\": {}, \"rejected\": {}, \
-             \"expired\": {}, \"parked\": {} }},",
-            s.minted, s.resumed, s.rejected, s.expired, s.parked,
-        );
-        let c = &self.events.counts;
-        let _ = writeln!(
-            out,
-            "  \"events\": {{ \"last_seq\": {}, \"log_len\": {}, \"log_dropped\": {}, \
-             \"subscribers_poisoned\": {},",
-            self.events.last_seq,
-            self.events.log_len,
-            self.events.log_dropped,
-            self.events.subscribers_poisoned,
-        );
-        let _ = writeln!(
-            out,
-            "    \"counts\": {{ \"conns_accepted\": {}, \"conns_admitted\": {}, \
-             \"conns_closed\": {}, \"handshake_failures\": {}, \"messages_served\": {}, \
-             \"sched_waits\": {}, \"sched_wait_secs\": {:.6}, \"refill_epochs\": {}, \
-             \"level_changes\": {}, \"pool_evictions\": {}, \"budget_changes\": {}, \
-             \"drains\": {}, \"reactor_ticks\": {}, \"worker_jobs\": {}, \
-             \"worker_queue_peak\": {}, \"slow_requests\": {} }} }},",
-            c.conns_accepted,
-            c.conns_admitted,
-            c.conns_closed,
-            c.handshake_failures,
-            c.messages_served,
-            c.sched_waits,
-            c.sched_wait_secs,
-            c.refill_epochs,
-            c.level_changes,
-            c.pool_evictions,
-            c.budget_changes,
-            c.drains,
-            c.reactor_ticks,
-            c.worker_jobs,
-            c.worker_queue_peak,
-            c.slow_requests,
-        );
-        let w = &self.workers;
-        let _ = writeln!(
-            out,
-            "  \"workers\": {{ \"threads\": {}, \"queued\": {}, \"in_flight\": {}, \
-             \"completed\": {}, \"panics\": {}, \"queue_peak\": {} }},",
-            w.threads, w.queued, w.in_flight, w.completed, w.panics, w.queue_peak,
-        );
-        let _ = write!(
-            out,
-            "  \"latency\": {{ \"messages\": {}, ",
-            self.latency.messages
-        );
-        self.latency.stages.write_json_fields(&mut out);
-        out.push_str(" },\n");
-        self.render_tail(&mut out);
-        out
+        json::render(DOCUMENT, 1024, |o| self.fields(o))
     }
+}
 
-    /// The uptime/draining/mode/budget lines of the document header.
-    fn render_header(&self, out: &mut String) {
-        let _ = writeln!(
-            out,
-            "  \"uptime_secs\": {:.3}, \"draining\": {}, \"mode\": \"{}\",",
-            self.uptime_secs,
-            self.draining,
-            match self.mode {
-                ServeMode::Echo => "echo",
-                ServeMode::Sink => "sink",
-            }
-        );
-        match self.budget_bytes_per_sec {
-            Some(b) => {
-                let _ = writeln!(out, "  \"budget_bytes_per_sec\": {b:.1},");
-            }
-            None => out.push_str("  \"budget_bytes_per_sec\": null,\n"),
-        }
+impl Fields for MetricsDoc {
+    fn fields(&self, o: &mut Object<'_>) {
+        let mode = match self.mode {
+            ServeMode::Echo => "echo",
+            ServeMode::Sink => "sink",
+        };
+        o.field("schema", SCHEMA_V2)
+            .field("uptime_secs", Fixed(self.uptime_secs, 3))
+            .next_sep(", ")
+            .field("draining", self.draining)
+            .next_sep(", ")
+            .field("mode", mode)
+            .field(
+                "budget_bytes_per_sec",
+                self.budget_bytes_per_sec.map(|b| Fixed(b, 1)),
+            )
+            .record("sched", PADDED, &self.sched)
+            .record("sessions", PADDED, &self.sessions)
+            .record("events", PADDED, &self.events)
+            .record("workers", PADDED, &self.workers)
+            .record("latency", PADDED, &self.latency)
+            .record("totals", PADDED, &self.totals)
+            .record("pool", PADDED, &self.pool)
+            .rows("connections", &self.connections);
     }
+}
 
-    /// The totals/pool/connections sections of the document.
-    fn render_tail(&self, out: &mut String) {
-        let t = &self.totals;
-        let _ = writeln!(
-            out,
-            "  \"totals\": {{ \"accepted\": {}, \"completed\": {}, \"failed\": {}, \
-             \"handshake_failures\": {}, \"messages\": {}, \"raw_bytes\": {}, \"reply_wire_bytes\": {} }},",
-            t.accepted,
-            t.completed,
-            t.failed,
-            t.handshake_failures,
-            t.messages,
-            t.raw_bytes,
-            t.reply_wire_bytes,
-        );
-        let p = &self.pool;
-        let _ = writeln!(
-            out,
-            "  \"pool\": {{ \"hits\": {}, \"misses\": {}, \"returns\": {}, \"evicted\": {}, \
-             \"outstanding\": {}, \"peak_outstanding\": {}, \"idle\": {}, \"max_idle\": {}, \
-             \"idle_bytes\": {} }},",
-            p.hits,
-            p.misses,
-            p.returns,
-            p.evicted,
-            p.outstanding,
-            p.peak_outstanding,
-            p.idle,
-            p.max_idle,
-            p.idle_bytes,
-        );
-        out.push_str("  \"connections\": [\n");
-        for (i, c) in self.connections.iter().enumerate() {
-            let mut levels = String::new();
-            let mut first = true;
-            for (level, &bps) in c.level_bps.iter().enumerate() {
-                if bps > 0.0 {
-                    let _ = write!(
-                        levels,
-                        "{}\"{}\": {:.0}",
-                        if first { "" } else { ", " },
-                        level,
-                        bps
-                    );
-                    first = false;
+impl Fields for SchedMetrics {
+    fn fields(&self, o: &mut Object<'_>) {
+        o.field("work_conserving", self.work_conserving)
+            .field("drain_admitted", self.drain_admitted)
+            .field("total_admitted", self.total_admitted)
+            .field("utilization", self.utilization.map(|u| Fixed(u, 4)))
+            .field("parked_on_throttle", self.parked_on_throttle);
+    }
+}
+
+impl Fields for EventsMetrics {
+    fn fields(&self, o: &mut Object<'_>) {
+        o.field("last_seq", self.last_seq)
+            .field("log_len", self.log_len)
+            .field("log_dropped", self.log_dropped)
+            .field("subscribers_poisoned", self.subscribers_poisoned)
+            .next_sep(",\n    ")
+            .record("counts", PADDED, &self.counts);
+    }
+}
+
+impl Fields for LatencyMetrics {
+    fn fields(&self, o: &mut Object<'_>) {
+        o.field("messages", self.messages);
+        self.stages.fields(o);
+    }
+}
+
+json::plain_fields! {
+    SessionStats: minted, resumed, rejected, expired, parked;
+    WorkerStats: threads, queued, in_flight, completed, panics, queue_peak;
+    RegistryTotals: accepted, completed, failed, handshake_failures, messages, raw_bytes,
+        reply_wire_bytes;
+    PoolMetrics: hits, misses, returns, evicted, outstanding, peak_outstanding, idle, max_idle,
+        idle_bytes;
+}
+
+impl Fields for ConnMetrics {
+    fn fields(&self, o: &mut Object<'_>) {
+        o.field("id", self.id)
+            .field("peer", self.peer.as_str())
+            .field("state", self.state)
+            .field("streams", self.streams)
+            .field("messages", self.messages)
+            .field("raw_bytes", self.raw_bytes)
+            .field("reply_wire_bytes", self.reply_wire_bytes)
+            .field("age_secs", Fixed(self.age_secs, 3))
+            .field("sched_admitted", self.sched_admitted)
+            .field("sched_tier", self.sched_tier.name())
+            .field("sched_weight", Fixed(self.sched_weight, 2))
+            .object("level_bps", PADDED, |levels| {
+                for (level, &bps) in self.level_bps.iter().enumerate() {
+                    if bps > 0.0 {
+                        levels.field(&level.to_string(), Fixed(bps, 0));
+                    }
                 }
-            }
-            let sep = if i + 1 == self.connections.len() {
-                ""
-            } else {
-                ","
-            };
-            let _ = writeln!(
-                out,
-                "    {{ \"id\": {}, \"peer\": \"{}\", \"state\": \"{}\", \"streams\": {}, \
-                 \"messages\": {}, \"raw_bytes\": {}, \"reply_wire_bytes\": {}, \"age_secs\": {:.3}, \
-                 \"sched_admitted\": {}, \"sched_tier\": \"{}\", \"sched_weight\": {:.2}, \
-                 \"level_bps\": {{ {} }}, \"ratio_trips\": {} }}{}",
-                c.id,
-                json_escape(&c.peer),
-                c.state,
-                c.streams,
-                c.messages,
-                c.raw_bytes,
-                c.reply_wire_bytes,
-                c.age_secs,
-                c.sched_admitted,
-                c.sched_tier,
-                c.sched_weight,
-                levels,
-                c.ratio_trips,
-                sep,
-            );
-        }
-        out.push_str("  ]\n}\n");
+            })
+            .field("ratio_trips", self.ratio_trips);
     }
 }
 

@@ -1,38 +1,30 @@
 //! Per-message stage tracing: where one served message's wall-clock
-//! time went, as mergeable latency histograms and a bounded
-//! flight recorder.
+//! time went.
 //!
 //! The reactor stamps every message with a [`StageTimes`] breakdown —
 //! socket reads, scheduler admission waits, worker-queue waits, codec
-//! work, and reply writes — and hands it to the server's
-//! [`TraceCenter`], which records each stage into **server-wide** and
-//! **per-connection** [`adoc::Histogram`]s (lock-free log-linear
-//! buckets, ~1µs–100s, ≤ 1/32 relative error) and appends the span to
-//! the connection's flight recorder: a bounded ring of recent
-//! [`SpanRecord`]s, overwriting the oldest like [`crate::EventLog`].
+//! work, and reply writes — and hands it to the server's [`TraceCenter`].
+//! That records each stage into one **server-wide** [`StageHists`]
+//! (lock-free log-linear [`adoc::Histogram`]s, ≤ 1/32 relative error),
+//! behind `GET /latency` and the metrics document's `latency` section,
+//! and appends the span to its connection's flight recorder: a ring of
+//! recent [`SpanRecord`]s that overwrites the oldest. A connection keeps
+//! no histograms of its own — six are 35 KB, twenty times an idle
+//! connection's other state — so `GET /trace?conn=ID` summarizes the
+//! ring's spans when it is read.
 //!
-//! Two HTTP views sit on top (see [`crate::http`]):
-//!
-//! * `GET /latency` — server-wide per-stage percentile summaries
-//!   ([`TraceCenter::latency_json`], also the `latency` section of the
-//!   v2 metrics document);
-//! * `GET /trace?conn=ID` — one connection's stage summaries plus its
-//!   recent spans ([`TraceCenter::trace_json`]).
-//!
-//! Recording is cheap on purpose: a handful of relaxed atomic adds per
-//! message plus one short ring lock. The benchmark harness prices the
-//! whole instrumented path (spans included) against a bare run as
+//! Recording is cheap on purpose: a handful of relaxed atomic adds plus
+//! one short map lock per message. The benchmark harness prices the
+//! whole instrumented path against a bare run as
 //! `event.instrument_overhead_share`.
 
+use crate::json::{self, Fields, Object, DOCUMENT, PADDED};
 use crate::registry::ConnId;
 use crate::workers::JobTiming;
 use adoc::{HistSummary, Histogram};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::collections::VecDeque;
-use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Stage-by-stage wall-clock breakdown of one served message, in
@@ -75,9 +67,7 @@ pub(crate) enum StageKind {
 /// in `sched_us` no matter which stage the refusal interrupted.
 /// Created when the first header byte arrives (idle client think-time
 /// between messages belongs to no span) and finished at the reply's
-/// last byte. Stages deliberately need not sum to `total_us`: handoff
-/// slivers (a completion waiting for the next poll) are dropped rather
-/// than misattributed.
+/// last byte.
 pub(crate) struct MsgSpan {
     started: Instant,
     mark: Instant,
@@ -145,9 +135,10 @@ pub struct SpanRecord {
     pub times: StageTimes,
 }
 
-/// Six lock-free histograms, one per stage plus the total. Shared by
-/// the server-wide aggregate and every per-connection trace.
-#[derive(Debug)]
+/// Six lock-free histograms, one per stage plus the total: the
+/// server-wide aggregate, and the transient summary of one connection's
+/// flight recorder.
+#[derive(Debug, Default)]
 pub struct StageHists {
     /// Inbound-read stage.
     pub read: Histogram,
@@ -163,25 +154,7 @@ pub struct StageHists {
     pub total: Histogram,
 }
 
-impl Default for StageHists {
-    fn default() -> Self {
-        StageHists::new()
-    }
-}
-
 impl StageHists {
-    /// Six empty histograms.
-    pub fn new() -> StageHists {
-        StageHists {
-            read: Histogram::new(),
-            sched_wait: Histogram::new(),
-            queue_wait: Histogram::new(),
-            codec: Histogram::new(),
-            write: Histogram::new(),
-            total: Histogram::new(),
-        }
-    }
-
     /// Records one message's stage breakdown (every stage, including
     /// zero-valued ones, so stage counts stay comparable).
     pub fn record(&self, t: &StageTimes) {
@@ -224,62 +197,41 @@ pub struct StageSummaries {
     pub total: HistSummary,
 }
 
-impl StageSummaries {
-    /// Stage names in render order, paired with their summaries.
-    pub fn stages(&self) -> [(&'static str, &HistSummary); 6] {
-        [
-            ("read", &self.read),
-            ("sched_wait", &self.sched_wait),
-            ("queue_wait", &self.queue_wait),
-            ("codec", &self.codec),
-            ("write", &self.write),
-            ("total", &self.total),
-        ]
-    }
-
-    /// Appends `"read": {…}, …, "total": {…}` (no surrounding braces)
-    /// to `out` — the shared rendering behind every latency surface.
-    pub(crate) fn write_json_fields(&self, out: &mut String) {
-        for (i, (name, s)) in self.stages().into_iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}\"{}\": {{ \"count\": {}, \"p50_us\": {}, \"p90_us\": {}, \
-                 \"p99_us\": {}, \"p999_us\": {}, \"max_us\": {} }}",
-                if i == 0 { "" } else { ", " },
-                name,
-                s.count,
-                s.p50,
-                s.p90,
-                s.p99,
-                s.p999,
-                s.max,
-            );
-        }
+/// `"read": {…}, …, "total": {…}`: the fields behind every latency
+/// surface.
+impl Fields for StageSummaries {
+    fn fields(&self, o: &mut Object<'_>) {
+        o.record("read", PADDED, &self.read)
+            .record("sched_wait", PADDED, &self.sched_wait)
+            .record("queue_wait", PADDED, &self.queue_wait)
+            .record("codec", PADDED, &self.codec)
+            .record("write", PADDED, &self.write)
+            .record("total", PADDED, &self.total);
     }
 }
 
-/// One connection's trace: per-stage histograms plus the bounded
-/// flight-recorder ring of its most recent spans.
-#[derive(Debug)]
+json::plain_fields! {
+    StageTimes: read_us, sched_us, queue_us, codec_us, write_us, total_us;
+    HistSummary: count, p50_us = p50, p90_us = p90, p99_us = p99, p999_us = p999, max_us = max;
+}
+
+impl Fields for SpanRecord {
+    fn fields(&self, o: &mut Object<'_>) {
+        o.field("msg", self.msg)
+            .field("t", self.t_secs)
+            .field("raw_bytes", self.raw_bytes);
+        self.times.fields(o);
+    }
+}
+
+/// One connection's flight recorder: its most recent spans, oldest
+/// first, in a ring that grows as they arrive up to the cap, and the
+/// messages recorded over its lifetime (span ordinals come from here;
+/// the ring overwrote all but `spans.len()` of them).
+#[derive(Debug, Default)]
 struct ConnTrace {
-    hists: StageHists,
-    ring: Mutex<VecDeque<SpanRecord>>,
-    /// Messages recorded over the connection's lifetime (ring ordinals
-    /// come from here).
-    msgs: AtomicU64,
-    /// Spans overwritten because the ring was full.
-    dropped: AtomicU64,
-}
-
-impl ConnTrace {
-    fn new(ring_cap: usize) -> ConnTrace {
-        ConnTrace {
-            hists: StageHists::new(),
-            ring: Mutex::new(VecDeque::with_capacity(ring_cap.min(1024))),
-            msgs: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-        }
-    }
+    spans: VecDeque<SpanRecord>,
+    msgs: u64,
 }
 
 /// The server's latency layer: one server-wide [`StageHists`] plus a
@@ -290,7 +242,7 @@ impl ConnTrace {
 pub struct TraceCenter {
     ring_cap: usize,
     global: StageHists,
-    conns: Mutex<HashMap<ConnId, Arc<ConnTrace>>>,
+    conns: Mutex<HashMap<ConnId, ConnTrace>>,
 }
 
 impl TraceCenter {
@@ -299,14 +251,9 @@ impl TraceCenter {
     pub fn new(ring_cap: usize) -> TraceCenter {
         TraceCenter {
             ring_cap: ring_cap.max(1),
-            global: StageHists::new(),
+            global: StageHists::default(),
             conns: Mutex::new(HashMap::new()),
         }
-    }
-
-    /// Per-connection flight-recorder capacity.
-    pub fn ring_cap(&self) -> usize {
-        self.ring_cap
     }
 
     /// The server-wide stage histograms.
@@ -322,39 +269,29 @@ impl TraceCenter {
     /// Creates `conn`'s trace eagerly, so a live connection answers
     /// `GET /trace` (with an empty ring) before its first message.
     pub fn register(&self, conn: ConnId) {
-        self.conns
-            .lock()
-            .entry(conn)
-            .or_insert_with(|| Arc::new(ConnTrace::new(self.ring_cap)));
+        self.conns.lock().entry(conn).or_default();
     }
 
-    /// Drops `conn`'s trace (its histograms stay merged into the
-    /// server-wide aggregate only through the records already made).
+    /// Drops `conn`'s trace (its spans stay in the server-wide
+    /// histograms).
     pub fn deregister(&self, conn: ConnId) {
         self.conns.lock().remove(&conn);
     }
 
-    /// Records one finished message: server-wide histograms,
-    /// per-connection histograms, and the connection's flight recorder
-    /// (creating the trace if `conn` was never registered — the
-    /// blocking serve path records without registering).
+    /// Records one finished message: server-wide histograms and the
+    /// connection's flight recorder (creating the trace if `conn` was
+    /// never registered — the blocking serve path records without
+    /// registering).
     pub fn record(&self, conn: ConnId, raw_bytes: u64, t_secs: f64, times: &StageTimes) {
         self.global.record(times);
-        let trace = Arc::clone(
-            self.conns
-                .lock()
-                .entry(conn)
-                .or_insert_with(|| Arc::new(ConnTrace::new(self.ring_cap))),
-        );
-        trace.hists.record(times);
-        let msg = trace.msgs.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut ring = trace.ring.lock();
-        if ring.len() >= self.ring_cap {
-            ring.pop_front();
-            trace.dropped.fetch_add(1, Ordering::Relaxed);
+        let mut conns = self.conns.lock();
+        let trace = conns.entry(conn).or_default();
+        trace.msgs += 1;
+        if trace.spans.len() >= self.ring_cap {
+            trace.spans.pop_front();
         }
-        ring.push_back(SpanRecord {
-            msg,
+        trace.spans.push_back(SpanRecord {
+            msg: trace.msgs,
             t_secs,
             raw_bytes,
             times: *times,
@@ -364,53 +301,35 @@ impl TraceCenter {
     /// The `GET /latency` document: server-wide per-stage percentile
     /// summaries (schema `adoc-latency-v1`).
     pub fn latency_json(&self) -> String {
-        let mut out = String::with_capacity(768);
-        let _ = write!(
-            out,
-            "{{\n  \"schema\": \"adoc-latency-v1\",\n  \"messages\": {},\n  \"stages\": {{ ",
-            self.messages()
-        );
-        self.global.summaries().write_json_fields(&mut out);
-        out.push_str(" }\n}\n");
-        out
+        json::render(DOCUMENT, 768, |o| {
+            o.field("schema", "adoc-latency-v1")
+                .field("messages", self.messages())
+                .record("stages", PADDED, &self.global.summaries());
+        })
     }
 
-    /// The `GET /trace?conn=ID` document: one connection's stage
-    /// summaries plus its recent spans, oldest first (schema
-    /// `adoc-trace-v1`). `None` when the connection has no trace.
+    /// The `GET /trace?conn=ID` document (schema `adoc-trace-v1`): one
+    /// connection's lifetime message and overwrite counts, per-stage
+    /// summaries of the spans its ring holds, and those spans, oldest
+    /// first. `None` when the connection has no trace.
     pub fn trace_json(&self, conn: ConnId) -> Option<String> {
-        let trace = Arc::clone(self.conns.lock().get(&conn)?);
-        let spans: Vec<SpanRecord> = trace.ring.lock().iter().copied().collect();
-        let mut out = String::with_capacity(512 + spans.len() * 160);
-        let _ = write!(
-            out,
-            "{{\n  \"schema\": \"adoc-trace-v1\",\n  \"conn\": {conn},\n  \"messages\": {},\n  \"dropped\": {},\n  \"stages\": {{ ",
-            trace.msgs.load(Ordering::Relaxed),
-            trace.dropped.load(Ordering::Relaxed),
-        );
-        trace.hists.summaries().write_json_fields(&mut out);
-        out.push_str(" },\n  \"spans\": [\n");
-        for (i, s) in spans.iter().enumerate() {
-            let t = &s.times;
-            let _ = writeln!(
-                out,
-                "    {{ \"msg\": {}, \"t\": {:.6}, \"raw_bytes\": {}, \"read_us\": {}, \
-                 \"sched_us\": {}, \"queue_us\": {}, \"codec_us\": {}, \"write_us\": {}, \
-                 \"total_us\": {} }}{}",
-                s.msg,
-                s.t_secs,
-                s.raw_bytes,
-                t.read_us,
-                t.sched_us,
-                t.queue_us,
-                t.codec_us,
-                t.write_us,
-                t.total_us,
-                if i + 1 == spans.len() { "" } else { "," },
-            );
+        let (spans, msgs) = {
+            let conns = self.conns.lock();
+            let trace = conns.get(&conn)?;
+            (trace.spans.iter().copied().collect::<Vec<_>>(), trace.msgs)
+        };
+        let hists = StageHists::default();
+        for span in &spans {
+            hists.record(&span.times);
         }
-        out.push_str("  ]\n}\n");
-        Some(out)
+        Some(json::render(DOCUMENT, 512 + spans.len() * 160, |o| {
+            o.field("schema", "adoc-trace-v1")
+                .field("conn", conn)
+                .field("messages", msgs)
+                .field("dropped", msgs - spans.len() as u64)
+                .record("stages", PADDED, &hists.summaries())
+                .rows("spans", &spans);
+        }))
     }
 }
 
@@ -430,7 +349,7 @@ mod tests {
     }
 
     #[test]
-    fn records_land_in_global_and_per_conn_histograms() {
+    fn records_land_in_global_histograms_and_the_ring() {
         let tc = TraceCenter::new(8);
         tc.register(3);
         for i in 1..=20 {
@@ -441,10 +360,13 @@ mod tests {
         assert_eq!(s.total.count, 20);
         assert!(s.codec.p99 >= s.codec.p50);
         assert!(s.total.max >= 80 * 20 * 31 / 32, "max tracks the top span");
-        // Per-conn view: full histograms, ring capped at 8.
+        // Per-conn view: lifetime counts, the ring capped at 8, and
+        // stage summaries over the 8 spans it holds.
         let doc = tc.trace_json(3).expect("traced conn");
         assert!(doc.contains("\"messages\": 20"), "{doc}");
         assert!(doc.contains("\"dropped\": 12"), "{doc}");
+        assert!(doc.contains("\"total\": { \"count\": 8, "), "{doc}");
+        assert!(doc.contains("\"max_us\": 1600 }"), "{doc}");
         assert_eq!(doc.matches("\"msg\": ").count(), 8, "{doc}");
         assert!(doc.contains("\"msg\": 13"), "oldest retained span: {doc}");
         assert!(doc.contains("\"msg\": 20"), "newest span: {doc}");

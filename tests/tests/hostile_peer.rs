@@ -5,6 +5,10 @@
 //! The allocator refuses any single request above 256 MiB, so a receiver
 //! that sizes memory from a claim aborts this binary at once instead of
 //! committing the memory.
+//!
+//! The same counter prices an idle connection on an instrumented daemon
+//! against one on a bare daemon: observation must not outweigh what it
+//! observes.
 
 use adoc::receiver::{receive_message, RecvProgress};
 use adoc::wire::{encode_msg_header, FrameHeader, MsgKind};
@@ -212,5 +216,58 @@ fn the_daemon_serves_on_after_headers_claiming_512_gib() {
         (totals.messages, totals.failed, totals.completed),
         (1, 2, 1),
         "{totals:?}"
+    );
+}
+
+/// Live-heap rise per connection of `n` v1 connections to an in-process
+/// daemon built with `instrument`: each echoes one 512-byte direct
+/// message, then is held idle while the rise is read.
+fn heap_per_idle_conn(instrument: bool, n: usize) -> usize {
+    let cfg = ServerConfig::builder()
+        .instrument(instrument)
+        .max_conns(n + 1)
+        .build();
+    let daemon = daemon::spawn(
+        Server::new(cfg.expect("config")).expect("server"),
+        "127.0.0.1:0",
+    )
+    .expect("daemon");
+    let server = daemon.server().clone();
+    let mut request = encode_msg_header(MsgKind::Direct, 512).to_vec();
+    request.resize(request.len() + 512, 0x42);
+    let mut reply = vec![0u8; request.len()];
+    let mut idle = Vec::with_capacity(n);
+    let start = LIVE.load(Ordering::Relaxed);
+    for _ in 0..n {
+        let mut sock = TcpStream::connect(daemon.addr()).expect("connect");
+        sock.set_read_timeout(Some(Duration::from_secs(20)))
+            .expect("timeout");
+        sock.write_all(&request).expect("send");
+        io::Read::read_exact(&mut sock, &mut reply).expect("echo");
+        assert_eq!(reply, request, "a direct message comes back as sent");
+        idle.push(sock);
+    }
+    // The reply's last byte can reach the client before the daemon has
+    // booked the message.
+    let end = Instant::now() + Duration::from_secs(20);
+    while server.registry().totals().messages < n as u64 {
+        assert!(Instant::now() < end, "the daemon never booked every echo");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let rise = LIVE.load(Ordering::Relaxed).saturating_sub(start);
+    drop(idle);
+    daemon.shutdown().expect("shutdown");
+    rise / n
+}
+
+#[test]
+fn an_idle_traced_connection_costs_about_what_a_bare_one_does() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let traced = heap_per_idle_conn(true, 1000);
+    let bare = heap_per_idle_conn(false, 1000);
+    eprintln!("live heap per idle connection: traced {traced} B, bare {bare} B");
+    assert!(
+        traced <= bare + 4096,
+        "an idle traced connection holds {traced} B against {bare} B bare"
     );
 }

@@ -11,7 +11,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-RATCHET=14162
+RATCHET=14012
 FIELD_RATCHET=29
 
 total=0
