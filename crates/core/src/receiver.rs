@@ -5,13 +5,14 @@
 //! [`receive_message`] mirrors [`crate::sender::send_message`] for any
 //! stream count. One stream (a fresh v1 message, or a resumed tail of
 //! width 1) is read on the caller's thread too: its frames arrive in
-//! sequence, so there is nothing to reorder and no thread, and a stored
-//! frame that fits the caller's buffer lands there — a raw byte costs what
-//! a POSIX read of it does. Two or more streams get a reception thread
-//! each, feeding a few frames into a bounded channel that the caller
-//! [`Merge`]s in sequence order, so the application sees bytes **in
-//! order** however the streams interleaved, and a stalled stream or a
-//! slow decompressor backpressures the network promptly.
+//! sequence, so there is nothing to reorder and no thread, and a direct
+//! body, a probe or a stored frame that fits the caller's buffer lands
+//! there — a raw byte costs what a POSIX read of it does. Two or more
+//! streams get a reception thread each, feeding a few frames into a
+//! bounded channel that the caller [`Merge`]s in sequence order, so the
+//! application sees bytes **in order** however the streams interleaved,
+//! and a stalled stream or a slow decompressor backpressures the network
+//! promptly.
 
 use crate::config::AdocConfig;
 use crate::pool::PooledBuf;
@@ -82,7 +83,7 @@ pub fn receive_message<R: Read + Send, K: Write>(
 }
 
 /// Where a receive puts a message's bytes: a writer that may lend a window
-/// of its own memory, so a stored frame lands there straight off the wire.
+/// of its own memory, so a raw run lands there straight off the wire.
 pub(crate) trait Sink: Write {
     /// The sink's next `len` bytes, counted as written, if it has that
     /// much room; `None`, the default, takes every byte through [`Write`].
@@ -136,10 +137,20 @@ pub(crate) fn receive<R: Read + Send, K: Sink>(
                 true => &mut progress.delivered_raw,
                 false => &mut direct,
             };
-            // The direct body, or the probe, straight into the sink.
+            // The direct body, or the probe, straight into the sink: into
+            // its window when the run fits there, a quantum at a time.
             next_frame(primary, &mut dec)?;
             if let Some(Want::Body { len, quantum, .. }) = dec.want() {
-                wire::copy_raw(primary, sink, len, quantum, cfg, delivered)?;
+                match usize::try_from(len).ok().and_then(|len| sink.window(len)) {
+                    Some(window) => {
+                        for quantum in window.chunks_mut(quantum.max(1)) {
+                            cfg.throttle.acquire_wire(quantum.len());
+                            primary.read_exact(quantum)?;
+                            *delivered += quantum.len() as u64;
+                        }
+                    }
+                    None => wire::copy_raw(primary, sink, len, quantum, cfg, delivered)?,
+                }
                 dec.body_done();
             }
             if dec.want().is_none() {
@@ -841,9 +852,19 @@ pub(crate) mod tests {
     }
 
     /// A sink that lends its whole unfilled tail, as a caller's buffer does.
-    struct Room {
-        buf: Vec<u8>,
-        filled: usize,
+    pub(crate) struct Room {
+        pub(crate) buf: Vec<u8>,
+        pub(crate) filled: usize,
+    }
+
+    impl Room {
+        /// `len` zeroed bytes of room.
+        pub(crate) fn new(len: usize) -> Room {
+            Room {
+                buf: vec![0u8; len],
+                filled: 0,
+            }
+        }
     }
 
     impl Write for Room {

@@ -196,12 +196,8 @@ pub(crate) fn send<W: Write + Send, S: Read + Send>(
         None => {
             out.direct = cfg.compression_disabled()
                 || (!cfg.compression_forced() && raw_len < cfg.probe_threshold as u64);
-            let mut source: &mut dyn Read = match &mut supply {
-                Supply::Reader(source) => source,
-                Supply::Slice(rest) => rest,
-            };
             let (w, st) = (&mut writers[0], &mut streams[0]);
-            let run = write_head(w, &mut source, raw_len, cfg, st, &mut out)?;
+            let run = write_head(w, &mut supply, raw_len, cfg, st, &mut out)?;
             if run == raw_len {
                 // Nothing left to frame: the receiver stops after a direct
                 // body or a whole-message probe, so no FINs are owed.
@@ -232,10 +228,11 @@ pub(crate) fn send<W: Write + Send, S: Read + Send>(
 /// a direct body (§5 "Small messages": no threads, latency identical to
 /// a plain write) or an adaptive message's probe (§5 "Fast Networks"),
 /// timed, and judged by the primary's [`StreamState::judge_probe`] to set
-/// `out.fast_path`. Returns the run's length.
+/// `out.fast_path`. Returns the run's length. A direct body of a slice
+/// leaves from it.
 fn write_head<W: Write, S: Read>(
     writer: &mut W,
-    source: &mut S,
+    supply: &mut Supply<'_, S>,
     raw_len: u64,
     cfg: &AdocConfig,
     primary: &mut StreamState,
@@ -254,7 +251,16 @@ fn write_head<W: Write, S: Read>(
     writer.write_all(&head)?;
     out.wire_bytes += head.len() as u64 + run;
     let t0 = Instant::now();
-    wire::copy_raw(source, writer, run, quantum, cfg, &mut 0)?;
+    match supply {
+        Supply::Slice(body) if out.direct => {
+            for quantum in std::mem::take(body).chunks(quantum.max(1)) {
+                cfg.throttle.acquire_wire(quantum.len());
+                writer.write_all(quantum)?;
+            }
+        }
+        Supply::Slice(rest) => wire::copy_raw(rest, writer, run, quantum, cfg, &mut 0)?,
+        Supply::Reader(source) => wire::copy_raw(source, writer, run, quantum, cfg, &mut 0)?,
+    }
     writer.flush()?;
     if run > 0 && !out.direct {
         let bps = run as f64 * 8.0 / t0.elapsed().as_secs_f64().max(1e-9);
@@ -697,6 +703,7 @@ mod tests {
     use super::*;
     use crate::adapt::FORBID_DURATION;
     use crate::error::AdocError;
+    use crate::receiver::tests::Room;
     use crate::wire::tests::{feed, Seen};
     use crate::wire::{decode_msg_header, Event, FrameDecoder};
 
@@ -1253,6 +1260,29 @@ mod tests {
             rec.0.load(Ordering::Relaxed),
             out.wire_bytes - wire::MSG_HEADER_LEN as u64 - 4
         );
+        // Received into a window, a direct body, and a probe and its
+        // stored frames, are admitted byte for byte as they land.
+        for (len, direct) in [(100_000, true), (2 << 20, false)] {
+            let data = adoc_data_stub(len);
+            let (wire, out) = send_to_vec(&data, &AdocConfig::default());
+            assert_eq!(out.direct, direct);
+            let rec = std::sync::Arc::new(Recorder::default());
+            let cfg = AdocConfig::default().with_throttle(rec.clone());
+            let mut room = Room::new(len);
+            let mut progress = crate::receiver::RecvProgress::default();
+            let got = crate::receiver::receive(
+                &mut [&wire[..]],
+                &mut room,
+                &cfg,
+                &mut progress,
+                None,
+                &mut Codec::new(),
+            );
+            assert_eq!(got.unwrap(), Some(len as u64));
+            assert!(room.buf == data && room.filled == len);
+            assert_eq!(rec.0.load(Ordering::Relaxed), len as u64);
+            assert_eq!(cfg.pool.stats().hits + cfg.pool.stats().misses, 0);
+        }
     }
 
     #[test]

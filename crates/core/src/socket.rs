@@ -860,27 +860,29 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_fast_path_echo_checks_out_no_buffer_per_frame() {
-        // 16 MiB, 81 stored frames behind the probe: after a warm-up
-        // message, a frame leaves from the caller's slice and lands in the
-        // caller's buffer, so each side's one checkout per message is the
-        // probe's copy buffer.
-        let (tx_cfg, rx_cfg) = (fast_cfg(), fast_cfg());
+    /// Pool checkouts per message on each side of three `len`-byte
+    /// messages, each side configured by `cfg` with a pool of its own and
+    /// each send checked by `sent_as`.
+    fn checkouts_per_message(
+        cfg: fn() -> AdocConfig,
+        len: usize,
+        sent_as: fn(&SendReport) -> bool,
+    ) -> (Vec<u64>, Vec<u64>) {
+        let (tx_cfg, rx_cfg) = (cfg(), cfg());
         let (mut tx, mut rx) = fast_pair(&tx_cfg, &rx_cfg);
-        let data = payload(16 << 20);
+        let data = payload(len);
         let checkouts = |cfg: &AdocConfig| {
             let s = cfg.pool.stats();
             s.hits + s.misses
         };
         let sender = thread::spawn({
-            let (data, cfg) = (data.clone(), tx_cfg.clone());
+            let data = data.clone();
             move || {
                 (0..3)
                     .map(|_| {
-                        let before = checkouts(&cfg);
-                        assert!(tx.write(&data).unwrap().fast_path);
-                        checkouts(&cfg) - before
+                        let before = checkouts(&tx_cfg);
+                        assert!(sent_as(&tx.write(&data).unwrap()));
+                        checkouts(&tx_cfg) - before
                     })
                     .collect::<Vec<_>>()
             }
@@ -893,8 +895,27 @@ mod tests {
             received.push(checkouts(&rx_cfg) - before);
             assert!(buf == data);
         }
-        let sent = sender.join().unwrap();
-        assert_eq!((&sent[1..], &received[1..]), (&[1, 1][..], &[1, 1][..]));
+        (sender.join().unwrap(), received)
+    }
+
+    #[test]
+    fn a_fast_path_echo_checks_out_no_buffer_per_frame() {
+        // 16 MiB, 81 stored frames behind the probe: after a warm-up
+        // message, a frame leaves from the caller's slice and the probe
+        // and every frame land in the caller's buffer, so the sender's one
+        // checkout per message is the probe's copy buffer and the
+        // receiver takes none.
+        let (sent, received) = checkouts_per_message(fast_cfg, 16 << 20, |r| r.fast_path);
+        assert_eq!((&sent[1..], &received[1..]), (&[1, 1][..], &[0, 0][..]));
+    }
+
+    #[test]
+    fn a_direct_echo_checks_out_no_buffer() {
+        // 4 MiB at level 0 is one direct body: after a warm-up message it
+        // leaves from the caller's slice and lands in the caller's buffer.
+        let cfg = || fast_cfg().with_levels(0, 0);
+        let (sent, received) = checkouts_per_message(cfg, 4 << 20, |r| r.probe_bps.is_none());
+        assert_eq!((&sent[1..], &received[1..]), (&[0, 0][..], &[0, 0][..]));
     }
 
     #[test]

@@ -92,9 +92,10 @@
 //! is under [`RATIO_GUARD`] (§5 "Compressed and random data"), and
 //! writes the v1 or v2 header in place. The level asked for is each
 //! driver's policy; what goes on the wire for it is decided here. A
-//! fast-path frame of the caller's own bytes is [`Framing::put_head`]'s
-//! header then those bytes, and on one stream a stored frame that fits
-//! lands in the caller's buffer: a stored byte is copied once per side.
+//! fast-path frame or a direct body of the caller's own bytes is its
+//! header then those bytes, and on one stream a stored frame, a direct
+//! body or a probe that fits lands in the caller's buffer: a stored or
+//! direct byte is copied once per side (a probe leaves via [`copy_raw`]).
 
 use crate::adapt::RATIO_GUARD;
 use crate::error::AdocError;
@@ -819,9 +820,10 @@ impl SessionAccept {
     }
 }
 
-/// Copies `len` raw bytes — a direct body or a probe — from `reader` to
-/// `writer` through one pooled `chunk`-sized buffer, acquiring wire budget
-/// per chunk and adding each chunk to `copied` once it is written.
+/// Copies `len` raw bytes — a probe, or a direct body a window cannot
+/// take — from `reader` to `writer` through one pooled `chunk`-sized
+/// buffer, acquiring wire budget per chunk and adding each chunk to
+/// `copied` once it is written.
 pub(crate) fn copy_raw<R: Read, W: io::Write>(
     reader: &mut R,
     writer: &mut W,

@@ -6,10 +6,9 @@
 //! ## Design (s2n-events style)
 //!
 //! Producers call [`EventBus::emit`] with a borrowed [`Event`] — an enum
-//! of small `Copy` payloads (the only non-`Copy` field is a borrowed
-//! `&str` peer label on the accept path), so **emitting allocates
-//! nothing**. The bus stamps the event with a sequence number and a
-//! timestamp from its monotonic [`EventClock`], then makes exactly one
+//! of small `Copy` payloads (a peer label, an error and a refusal reason
+//! are borrowed `&str`s), so **emitting allocates nothing**. The bus stamps the event with a sequence number and a
+//! monotonic timestamp ([`EventBus::now`]), then makes exactly one
 //! virtual call per attached subscriber ([`Subscriber::on_event`], the
 //! trait's only method). With no subscribers attached, `emit` is a
 //! branch on an empty slice; a subscriber that cares about one event
@@ -37,9 +36,10 @@
 //!   of the v2 metrics document. Each is one line of a table that
 //!   declares its [`EventCounts`] field, its atomic cell, the event that
 //!   moves it, and its place in the rendered `counts` object;
-//! * [`EventLog`] — a bounded ring buffer of rendered JSON event lines
-//!   ([`render_json_line`]), drainable via [`EventLog::json_lines_since`]
-//!   (the HTTP listener's `GET /events?since=seq`).
+//! * [`EventLog`] — a bounded ring buffer of typed events, rendered as
+//!   JSON lines ([`render_json_line`]) only when read, via
+//!   [`EventLog::json_lines_since`] (the HTTP listener's
+//!   `GET /events?since=seq`).
 
 use crate::json::{self, Fields, Fixed, Object, BARE};
 use crate::registry::{ConnId, ConnOutcome};
@@ -51,35 +51,6 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// The single monotonic clock every timestamp in the daemon derives
-/// from: event times, `uptime_secs`, and per-connection ages all read
-/// this one origin, so one metrics document can never contain two
-/// timelines that disagree about "now".
-#[derive(Debug, Clone)]
-pub struct EventClock {
-    origin: Instant,
-}
-
-impl Default for EventClock {
-    fn default() -> Self {
-        EventClock::new()
-    }
-}
-
-impl EventClock {
-    /// A clock whose origin is now.
-    pub fn new() -> EventClock {
-        EventClock {
-            origin: Instant::now(),
-        }
-    }
-
-    /// Monotonic time since the clock's origin.
-    pub fn now(&self) -> Duration {
-        self.origin.elapsed()
-    }
-}
 
 /// Everything the daemon reports about itself, as typed values. Borrowed
 /// string fields keep emission allocation-free; subscribers that need to
@@ -250,7 +221,7 @@ pub struct EventMeta {
     /// Globally unique, monotonically assigned sequence number
     /// (starts at 1).
     pub seq: u64,
-    /// Time of emission on the daemon's shared [`EventClock`].
+    /// Time of emission on the daemon's shared clock ([`EventBus::now`]).
     pub t: Duration,
 }
 
@@ -274,7 +245,8 @@ struct SubscriberEntry {
 /// [`crate::ServerConfigBuilder::subscriber`], so the emit path reads a
 /// plain slice — no lock, no registration races.
 pub struct EventBus {
-    clock: EventClock,
+    /// The daemon's one clock origin ([`EventBus::now`]).
+    origin: Instant,
     seq: AtomicU64,
     subscribers: Vec<SubscriberEntry>,
 }
@@ -290,11 +262,10 @@ impl std::fmt::Debug for EventBus {
 }
 
 impl EventBus {
-    /// A bus dispatching to `subscribers`, timestamping on a fresh
-    /// clock.
+    /// A bus dispatching to `subscribers`, its clock starting now.
     pub fn new(subscribers: Vec<Arc<dyn Subscriber>>) -> EventBus {
         EventBus {
-            clock: EventClock::new(),
+            origin: Instant::now(),
             seq: AtomicU64::new(0),
             subscribers: subscribers
                 .into_iter()
@@ -311,9 +282,12 @@ impl EventBus {
         EventBus::new(Vec::new())
     }
 
-    /// Monotonic time since the bus (= the server) was created.
+    /// Monotonic time since the bus (= the server) was created: the one
+    /// clock every timestamp in the daemon derives from — event times,
+    /// `uptime_secs`, per-connection ages — so one metrics document can
+    /// never contain two timelines that disagree about "now".
     pub fn now(&self) -> Duration {
-        self.clock.now()
+        self.origin.elapsed()
     }
 
     /// Sequence number of the most recently emitted event (0 = none
@@ -346,7 +320,7 @@ impl EventBus {
         }
         let meta = EventMeta {
             seq: self.seq.fetch_add(1, Ordering::Relaxed) + 1,
-            t: self.clock.now(),
+            t: self.now(),
         };
         for entry in &self.subscribers {
             if entry.poisoned.load(Ordering::Relaxed) {
@@ -466,7 +440,7 @@ event_counters! {
 }
 
 /// One retained event in an [`EventLog`]: the stamped envelope plus the
-/// pre-rendered JSON object line.
+/// JSON object line, rendered when read.
 #[derive(Debug, Clone)]
 pub struct EventRecord {
     /// Sequence number (strictly increasing across the log).
@@ -479,12 +453,15 @@ pub struct EventRecord {
 }
 
 /// The bounded ring-buffer built-in subscriber: retains the last
-/// `capacity` events as rendered JSON lines. When full, the **oldest**
-/// record is overwritten — a burst never blocks a producer and never
-/// grows memory; [`EventLog::dropped`] counts what was overwritten.
+/// `capacity` events as typed values, so the emitting thread renders
+/// nothing. When full, the **oldest** event is overwritten — a burst
+/// never blocks a producer and never grows memory; [`EventLog::dropped`]
+/// counts what was overwritten.
 pub struct EventLog {
     capacity: usize,
-    inner: Mutex<VecDeque<EventRecord>>,
+    /// Each event with its borrowed string, if it has one, owned beside
+    /// it ([`Event::map_str`]).
+    inner: Mutex<VecDeque<(EventMeta, Event<'static>, Box<str>)>>,
     dropped: AtomicU64,
 }
 
@@ -523,11 +500,17 @@ impl EventLog {
         self.dropped.load(Ordering::Relaxed)
     }
 
-    /// Copies out every retained record with `seq > since`, oldest
-    /// first.
+    /// Renders every retained event with `seq > since`, oldest first,
+    /// outside the lock the emitting threads take.
     pub fn records_since(&self, since: u64) -> Vec<EventRecord> {
-        let g = self.inner.lock();
-        g.iter().filter(|r| r.seq > since).cloned().collect()
+        let kept: Vec<_> = self.inner.lock().iter().cloned().collect();
+        let kept = kept.into_iter().filter(|(meta, ..)| meta.seq > since);
+        let record = |(meta, event, text): (EventMeta, Event, Box<str>)| EventRecord {
+            seq: meta.seq,
+            t_secs: meta.t.as_secs_f64(),
+            json: render_json_line(&meta, &event.map_str(|_| &text)).into(),
+        };
+        kept.map(record).collect()
     }
 
     /// Renders every retained record with `seq > since` as JSON lines
@@ -535,28 +518,23 @@ impl EventLog {
     /// `GET /events?since=seq`.
     pub fn json_lines_since(&self, since: u64) -> String {
         let records = self.records_since(since);
-        let mut out = String::with_capacity(records.len() * 96);
-        for r in records {
-            out.push_str(&r.json);
-            out.push('\n');
-        }
-        out
+        records.iter().flat_map(|r| [&*r.json, "\n"]).collect()
     }
 }
 
 impl Subscriber for EventLog {
     fn on_event(&self, meta: &EventMeta, event: &Event<'_>) {
-        let record = EventRecord {
-            seq: meta.seq,
-            t_secs: meta.t.as_secs_f64(),
-            json: render_json_line(meta, event).into(),
-        };
+        let mut text = Box::default();
+        let event = event.map_str(|s| {
+            text = s.into();
+            ""
+        });
         let mut g = self.inner.lock();
         if g.len() >= self.capacity {
             g.pop_front();
             self.dropped.fetch_add(1, Ordering::Relaxed);
         }
-        g.push_back(record);
+        g.push_back((*meta, event, text));
     }
 }
 
@@ -570,11 +548,13 @@ pub fn render_json_line(meta: &EventMeta, event: &Event<'_>) -> String {
     })
 }
 
-/// Builds [`Event::name`] and each event's JSON fields (after `seq`, `t`
-/// and `event`) from one table: per variant, the fields it binds, its
-/// name, and what it writes into the object `o`.
+/// Builds [`Event::name`], each event's JSON fields (after `seq`, `t`
+/// and `event`) and its [`Event::map_str`] from one table: per variant,
+/// the fields it binds (a borrowed string first, marked `&`), its name,
+/// and what it writes into the object `o`.
 macro_rules! event_table {
-    (|$o:ident| $($variant:ident $({ $($bind:tt)* })? => $name:literal $(: $fields:expr)?;)*) => {
+    (|$o:ident| $($variant:ident $({ $(&$str:ident,)? $($bind:ident),* })?
+        => $name:literal $(: $fields:expr)?;)*) => {
         impl Event<'_> {
             /// Snake-case name of the event kind (the `"event"` field of a
             /// rendered JSON line).
@@ -583,12 +563,24 @@ macro_rules! event_table {
                     $(Event::$variant { .. } => $name,)*
                 }
             }
+
+            /// This event with its borrowed string, if it has one, replaced
+            /// by `f` of it: how an [`EventLog`] keeps an event, and gives
+            /// it its string back.
+            fn map_str<'b>(&self, f: impl FnOnce(&str) -> &'b str) -> Event<'b> {
+                match *self {
+                    $(Event::$variant $({ $($str,)? $($bind),* })? => {
+                        $($(let $str = f($str);)?)?
+                        Event::$variant $({ $($str,)? $($bind),* })?
+                    })*
+                }
+            }
         }
 
         impl Fields for Event<'_> {
             fn fields(&self, $o: &mut Object<'_>) {
                 match *self {
-                    $(Event::$variant $({ $($bind)* })? => {
+                    $(Event::$variant $({ $($str,)? $($bind),* })? => {
                         $($fields;)?
                     })*
                 }
@@ -598,7 +590,7 @@ macro_rules! event_table {
 }
 
 event_table! { |o|
-    ConnAccepted { conn, peer } => "conn_accepted": o.field("conn", conn).field("peer", peer);
+    ConnAccepted { &peer, conn } => "conn_accepted": o.field("conn", conn).field("peer", peer);
     ConnAdmitted { conn, streams } => "conn_admitted":
         o.field("conn", conn).field("streams", streams);
     ConnClosed { conn, outcome, messages } => "conn_closed": o.field("conn", conn)
@@ -608,7 +600,7 @@ event_table! { |o|
         })
         .field("messages", messages);
     HandshakeFailed { conn } => "handshake_failed": o.field("conn", conn);
-    ConnError { conn, error } => "conn_error": o.field("conn", conn).field("error", error);
+    ConnError { &error, conn } => "conn_error": o.field("conn", conn).field("error", error);
     MessageServed { conn, raw_bytes, reply_wire_bytes, times } => "message_served":
         o.field("conn", conn).field("raw_bytes", raw_bytes)
             .field("reply_wire_bytes", reply_wire_bytes).record("stages", BARE, &times);
@@ -630,7 +622,7 @@ event_table! { |o|
     SessionResumed { conn, session_id, streams, mid_message } => "session_resumed":
         o.field("conn", conn).field("session_id", session_id).field("streams", streams)
             .field("mid_message", mid_message);
-    TicketRejected { session_id, reason } => "ticket_rejected":
+    TicketRejected { &reason, session_id } => "ticket_rejected":
         o.field("session_id", session_id).field("reason", reason);
     SessionExpired { conn, session_id } => "session_expired":
         o.field("conn", conn).field("session_id", session_id);
@@ -808,6 +800,41 @@ mod tests {
         let lines = log.json_lines_since(6);
         assert_eq!(lines.lines().count(), 2);
         assert!(lines.contains("\"event\": \"refill_epoch\""));
+    }
+
+    #[test]
+    fn a_kept_event_renders_as_it_was_emitted() {
+        let log = EventLog::new(8);
+        let events = [
+            Event::ConnAccepted {
+                conn: 1,
+                peer: "10.0.0.1:\"9\"",
+            },
+            Event::ConnError {
+                conn: None,
+                error: "codec\nworker",
+            },
+            Event::TicketRejected {
+                session_id: Some(4),
+                reason: "expired",
+            },
+            Event::SessionExpired {
+                conn: 2,
+                session_id: 4,
+            },
+            Event::DrainFinished,
+        ];
+        let mut expected = String::new();
+        for (seq, event) in (1..).zip(&events) {
+            let meta = EventMeta {
+                seq,
+                t: Duration::from_millis(seq * 3),
+            };
+            log.on_event(&meta, event);
+            expected += &render_json_line(&meta, event);
+            expected.push('\n');
+        }
+        assert_eq!(log.json_lines_since(0), expected);
     }
 
     #[test]

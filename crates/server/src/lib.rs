@@ -61,9 +61,7 @@ pub mod workers;
 pub use conn::{fnv1a64, sink_ack, ServeMode};
 pub use control::{parse_command, Command, Control};
 pub use daemon::{DaemonHandle, PendingGroups};
-pub use event::{
-    Event, EventBus, EventClock, EventCounts, EventLog, EventMeta, MetricsSubscriber, Subscriber,
-};
+pub use event::{Event, EventBus, EventCounts, EventLog, EventMeta, MetricsSubscriber, Subscriber};
 pub use http::HttpHandle;
 pub use metrics::MetricsDoc;
 pub use registry::{ConnOutcome, ConnRegistry, ConnSnapshot, ConnState, RegistryTotals};
@@ -499,7 +497,7 @@ impl Server {
     }
 
     /// The event bus every producer in this server emits through. Its
-    /// [`EventClock`] is the single monotonic time source behind
+    /// [`EventBus::now`] is the single monotonic time source behind
     /// the metrics document's `uptime_secs`, connection ages, and event
     /// timestamps.
     pub fn events(&self) -> &EventBus {

@@ -4,7 +4,7 @@
 //! admissions or mutate pacing state).
 //!
 //! Every number in one document is taken against a **single** "now"
-//! read once from the server's [`crate::EventClock`]: `uptime_secs`,
+//! read once from the server's [`crate::EventBus::now`]: `uptime_secs`,
 //! per-connection ages, and event timestamps can never disagree about
 //! what time it is.
 //!

@@ -18,28 +18,31 @@
 //!   frame scheduling is inherently thread-shaped);
 //! * anything else → a handshake failure.
 //!
-//! The state machine is a driver, not a protocol implementation: all
-//! inbound bytes arrive through one resumable read ([`fill`]) into what
-//! [`adoc::wire::FrameDecoder`] wants next, all outbound bytes leave through
-//! one drain ([`drain`]) over the reply's short queue of byte spans
-//! ([`Span`]), both meet the scheduler in one place
-//! ([`Cursor::limit`]), and the one piece of policy — the level of the
-//! next reply frame — is [`next_reply_level`]. What goes on the wire is
-//! not decided here either: a reply's head is an [`adoc::wire::MsgHead`],
-//! and every reply frame is sealed by [`adoc::wire::Framing::seal`] into
-//! a buffer from the connection's pool — the same stage, and the same
-//! §5 rule for storing a chunk that compresses by less than 5 %, as the
-//! blocking sender's. Codec work never runs here: frames above level 0
-//! are sealed on the bounded [`WorkerPool`] (one job in flight per
+//! The state machine is a driver, not a protocol implementation: bytes
+//! arrive into what [`adoc::wire::FrameDecoder`] wants next and leave
+//! through one drain ([`drain`]) over the reply's short queue of byte
+//! spans ([`Span`]), both through one resumable pump, the one place I/O
+//! meets the scheduler ([`Cursor::pump`]); the one piece of policy —
+//! the level of the next reply frame — is [`next_reply_level`]. A
+//! message's header decides its reply ([`Reply::new`]). A direct echo's
+//! head and landed bytes leave whenever the socket has nothing more to
+//! read ([`Reactor::relay`]); the connection never stops reading because
+//! its writes block, so a client that is not reading gets
+//! store-and-forward in the same one message buffer. Adaptive replies
+//! and sink acknowledgements start once the message is in. A reply's
+//! head is an [`adoc::wire::MsgHead`] and every reply frame is sealed by
+//! [`adoc::wire::Framing::seal`] into a pooled buffer, as the blocking
+//! sender's are. Codec work never runs here: frames above level 0 are
+//! sealed on the bounded [`WorkerPool`] (one job in flight per
 //! connection), so a core count's worth of workers bounds compression
 //! CPU however many sockets are registered — the paper's "compression
-//! may use spare cycles, never extra capacity" applied to the server's
-//! concurrency structure.
+//! may use spare cycles, never extra capacity".
 //!
 //! ## Backpressure and fairness
 //!
 //! All wire throttling goes through the scheduler's non-blocking
-//! [`adoc::Throttle::try_acquire_wire`]: a refused admission *parks*
+//! [`adoc::Throttle::try_acquire_wire`] — a run whole while no budget is
+//! set, else a quantum at a time — and a refused admission *parks*
 //! the connection — its poller interest drops to [`Interest::NONE`]
 //! (level-triggered polling would otherwise spin on the readable
 //! socket it must not drain yet) and a reactor timer re-tries at the
@@ -120,9 +123,10 @@ type JobResult = Result<Done, String>;
 
 enum Done {
     /// The inbound message, one more frame inflated into it.
-    Inflated(Read),
-    /// The reply, its next frame and that frame's level (0 = stored).
-    Deflated(Reply, PooledBuf, u8),
+    Inflated(Msg),
+    /// The message, its reply's next frame and that frame's level (0 =
+    /// stored).
+    Deflated(Msg, PooledBuf, u8),
 }
 
 /// Gives a group thread's admission slot back when it ends — by return
@@ -179,7 +183,7 @@ struct Conn {
 enum State {
     /// Pre-registry: reading the two protocol-sniff bytes — the start
     /// of a message header, if this is a v1 connection.
-    Sniff(Read),
+    Sniff(Msg),
     /// A registered v1 connection and where its current message stands.
     Serving(Box<Session>, Stage),
 }
@@ -213,11 +217,11 @@ struct Session {
 /// a stage needs travels inside it.
 enum Stage {
     /// Feeding the message's decoder from the socket.
-    Read(Read),
+    Read(Msg),
     /// A codec job is in flight with the message; its [`Done`] resumes us.
     Job,
     /// Writing the reply.
-    Reply(Reply),
+    Reply(Msg),
 }
 
 /// Progress through one run of bytes moving under wire admission.
@@ -230,60 +234,69 @@ struct Cursor {
 }
 
 impl Cursor {
-    /// How far the next I/O call may go in a `len`-byte run — the one
-    /// place I/O meets the scheduler: to the run's end when unmetered
-    /// (`quantum == 0`), else to the end of what wire admission has
-    /// covered, asking `admit` for the next quantum when that is
-    /// nothing. `None` = refused: the connection parks.
-    fn limit(
+    /// The one resumable read or write, and the one place I/O meets the
+    /// scheduler: moves a `len`-byte run's bytes up to `end` through
+    /// `io`, one nonblocking call on a range of them at a time, until they
+    /// have all moved, the socket pushes back, or `admit` refuses to cover
+    /// the rest of the run, `quantum` at a time (0: unmetered) — `None`,
+    /// and the connection parks. Never moves past what admission covered.
+    fn pump(
         &mut self,
-        len: usize,
-        quantum: usize,
-        admit: &mut impl FnMut(usize) -> bool,
-    ) -> Option<usize> {
-        if quantum == 0 {
-            return Some(len);
-        }
-        if self.credit == 0 {
-            let want = (len - self.pos).min(quantum);
-            if !admit(want) {
-                return None;
+        (end, len, quantum): (usize, usize, usize),
+        mut admit: impl FnMut(usize, usize) -> Option<usize>,
+        mut io: impl FnMut(std::ops::Range<usize>) -> io::Result<usize>,
+    ) -> Moved {
+        while self.pos < end {
+            if quantum > 0 && self.credit == 0 {
+                match admit(len - self.pos, quantum) {
+                    Some(covered) => self.credit = covered,
+                    None => return Moved::Parked,
+                }
             }
-            self.credit = want;
+            let to = if quantum > 0 {
+                self.pos + self.credit
+            } else {
+                end
+            };
+            match moved(io(self.pos..to.min(end))) {
+                Ok(n) => {
+                    self.pos += n;
+                    self.credit = self.credit.saturating_sub(n);
+                }
+                Err(ended) => return ended,
+            }
         }
-        Some(self.pos + self.credit)
-    }
-
-    fn advance(&mut self, n: usize) {
-        self.pos += n;
-        self.credit = self.credit.saturating_sub(n);
+        Moved::Done
     }
 }
 
-/// One resumable inbound message: the decoder's place in it, the
-/// bytes assembled so far, and the progress of the run being filled.
-struct Read {
+/// One resumable message: the decoder's place in it, the bytes
+/// assembled so far, the progress of the run being filled, and the
+/// reply its header decided ([`Reply::new`]).
+struct Msg {
     dec: FrameDecoder,
     /// The message, zero-filled only as far as its bytes have landed.
-    msg: PooledBuf,
-    /// Bytes of `msg` assembled.
+    buf: PooledBuf,
+    /// Bytes of `buf` assembled.
     filled: usize,
     /// A compressed frame's payload while it lands.
     payload: PooledBuf,
     cur: Cursor,
     /// Where header bytes land.
     scratch: [u8; FRAME_HEADER_V2_LEN],
+    reply: Reply,
 }
 
-impl Read {
-    fn new(cfg: &AdocConfig) -> Read {
-        Read {
+impl Msg {
+    fn new(cfg: &AdocConfig) -> Msg {
+        Msg {
             dec: FrameDecoder::message(cfg, 1),
-            msg: PooledBuf::detached(Vec::new()),
+            buf: PooledBuf::detached(Vec::new()),
             filled: 0,
             payload: PooledBuf::detached(Vec::new()),
             cur: Cursor::default(),
             scratch: [0u8; FRAME_HEADER_V2_LEN],
+            reply: Reply::default(),
         }
     }
 
@@ -293,51 +306,31 @@ impl Read {
     }
 }
 
-/// How a [`fill`] ended.
-enum Fill {
-    /// The target is full.
+/// How a [`Cursor::pump`] or a [`drain`] ended.
+enum Moved {
+    /// Every byte there is so far has moved: the target is full, or the
+    /// reply's queue is on the wire.
     Done,
-    /// The socket has no more bytes for now.
+    /// A reply frame just completed; `true` = its write saw backpressure.
+    Frame(bool),
+    /// The socket has no more bytes, or no more room, for now.
     Block,
     /// Wire admission was refused.
     Parked,
+    /// A read found the peer gone, or a write moved nothing.
     Eof,
     Fail,
 }
 
-fn read_step(stream: &mut TcpStream, buf: &mut [u8]) -> Result<usize, Fill> {
-    match stream.read(buf) {
-        Ok(0) => Err(Fill::Eof),
+/// One nonblocking read's or write's outcome.
+fn moved(res: io::Result<usize>) -> Result<usize, Moved> {
+    match res {
+        Ok(0) => Err(Moved::Eof),
         Ok(n) => Ok(n),
-        Err(e) if e.kind() == io::ErrorKind::WouldBlock => Err(Fill::Block),
+        Err(e) if e.kind() == io::ErrorKind::WouldBlock => Err(Moved::Block),
         Err(e) if e.kind() == io::ErrorKind::Interrupted => Ok(0),
-        Err(_) => Err(Fill::Fail),
+        Err(_) => Err(Moved::Fail),
     }
-}
-
-/// The one resumable read: pulls bytes from `stream` into `dst`, the
-/// front of a `len`-byte run, until it is full, the socket runs dry, or
-/// `admit` refuses the run's next quantum (`quantum == 0`: unmetered).
-/// Never reads past what was admitted.
-fn fill(
-    stream: &mut TcpStream,
-    dst: &mut [u8],
-    len: usize,
-    quantum: usize,
-    cur: &mut Cursor,
-    mut admit: impl FnMut(usize) -> bool,
-) -> Fill {
-    while cur.pos < dst.len() {
-        let Some(end) = cur.limit(len, quantum, &mut admit) else {
-            return Fill::Parked;
-        };
-        let end = end.min(dst.len());
-        match read_step(stream, &mut dst[cur.pos..end]) {
-            Ok(n) => cur.advance(n),
-            Err(ended) => return ended,
-        }
-    }
-    Fill::Done
 }
 
 /// One contiguous run of reply bytes.
@@ -352,11 +345,10 @@ enum Span {
     Body,
 }
 
-/// Progress of one reply: the message it answers and a short queue of
-/// byte spans still to put on the wire.
+/// Progress of one reply: a short queue of byte spans still to put on
+/// the wire.
+#[derive(Default)]
 struct Reply {
-    /// The inbound message (echoed, or acknowledged and dropped).
-    msg: PooledBuf,
     /// Spans not yet fully written, front first: a head plus the one
     /// body span known up front, or one adaptive frame at a time.
     out: [Option<Span>; 2],
@@ -374,19 +366,21 @@ struct Reply {
 }
 
 impl Reply {
-    /// A reply of `kind` to `msg`: its head, then `body` if that is
-    /// one span known up front. An adaptive reply's frames are queued
-    /// as they are encoded, after a zero-length probe (the level rule,
-    /// not a probe, picks the starting level).
-    fn new(kind: MsgKind, body: Option<Span>, msg: PooledBuf) -> Reply {
-        let raw = match &body {
-            Some(Span::Ack(ack)) => ack.len(),
-            _ => msg.len(),
-        } as u64;
-        let adaptive = kind == MsgKind::Adaptive;
+    /// The reply to a message of `len` bytes, decided once from its
+    /// header: its head, then a sink's acknowledgement (its hash filled
+    /// in once the message is in) or a direct echo of the message. An
+    /// adaptive reply's frames are queued as they are encoded, after a
+    /// zero-length probe (the level rule, not a probe, picks the level).
+    fn new(mode: ServeMode, cfg: &AdocConfig, len: u64) -> Reply {
+        let (kind, body, raw) = match mode {
+            ServeMode::Sink => (MsgKind::Direct, Some(Span::Ack([0; 16])), 16),
+            ServeMode::Echo if cfg.compression_disabled() || len < cfg.probe_threshold as u64 => {
+                (MsgKind::Direct, Some(Span::Body), len)
+            }
+            ServeMode::Echo => (MsgKind::Adaptive, None, len),
+        };
         Reply {
-            next_chunk: if adaptive { 0 } else { msg.len() },
-            msg,
+            next_chunk: if body.is_none() { 0 } else { len as usize },
             out: [Some(Span::Head(MsgHead::new(kind, raw, 0))), body],
             cur: Cursor::default(),
             blocked: false,
@@ -394,68 +388,36 @@ impl Reply {
             raw,
         }
     }
-
-    fn push(&mut self, span: Span) {
-        let slot = if self.out[0].is_none() { 0 } else { 1 };
-        self.out[slot] = Some(span);
-    }
-}
-
-/// How a [`drain`] ended.
-enum Drain {
-    /// Every queued span is on the wire.
-    Empty,
-    /// A frame just completed; `blocked` = its write saw backpressure.
-    Frame {
-        blocked: bool,
-    },
-    /// The socket's send buffer is full.
-    Block,
-    /// Wire admission was refused.
-    Parked,
-    Fail,
-}
-
-fn write_step(stream: &mut TcpStream, buf: &[u8]) -> Result<usize, Drain> {
-    match stream.write(buf) {
-        Ok(0) => Err(Drain::Fail),
-        Ok(n) => Ok(n),
-        Err(e) if e.kind() == io::ErrorKind::WouldBlock => Err(Drain::Block),
-        Err(e) if e.kind() == io::ErrorKind::Interrupted => Ok(0),
-        Err(_) => Err(Drain::Fail),
-    }
 }
 
 /// The one reply drain: writes the queued spans front to back until
 /// the queue is empty, the socket pushes back, or `admit` refuses the
-/// next quantum of a metered span. Never writes past what was admitted.
+/// next quantum of a metered span. The body — the message's bytes that
+/// have `landed` — goes out in `quantum`s. Never writes past what was
+/// admitted.
 fn drain(
     stream: &mut TcpStream,
     reply: &mut Reply,
-    buffer_size: usize,
-    mut admit: impl FnMut(usize) -> bool,
-) -> Drain {
+    landed: &[u8],
+    quantum: usize,
+    mut admit: impl FnMut(usize, usize) -> Option<usize>,
+) -> Moved {
     loop {
-        let (bytes, quantum): (&[u8], usize) = match &reply.out[0] {
-            None => return Drain::Empty,
-            Some(Span::Head(head)) => (&head[..], 0),
-            Some(Span::Ack(ack)) => (&ack[..], ack.len()),
-            Some(Span::Frame(frame)) => (&frame[..], frame.len()),
-            Some(Span::Body) => (&reply.msg[..], buffer_size),
+        let (bytes, len, quantum): (&[u8], usize, usize) = match &reply.out[0] {
+            None => return Moved::Done,
+            Some(Span::Head(head)) => (&head[..], head.len(), 0),
+            Some(Span::Ack(ack)) => (&ack[..], ack.len(), ack.len()),
+            Some(Span::Frame(frame)) => (&frame[..], frame.len(), frame.len()),
+            Some(Span::Body) => (landed, reply.raw as usize, quantum),
         };
-        while reply.cur.pos < bytes.len() {
-            let Some(end) = reply.cur.limit(bytes.len(), quantum, &mut admit) else {
-                return Drain::Parked;
-            };
-            match write_step(stream, &bytes[reply.cur.pos..end]) {
-                Ok(n) => {
-                    reply.cur.advance(n);
-                    reply.wire += n as u64;
-                }
-                Err(ended) => {
-                    reply.blocked |= matches!(ended, Drain::Block);
-                    return ended;
-                }
+        let run = (bytes.len(), len, quantum);
+        match reply.cur.pump(run, &mut admit, |r| stream.write(&bytes[r])) {
+            // The rest of the body has not landed.
+            Moved::Done if reply.cur.pos < len => return Moved::Done,
+            Moved::Done => reply.wire += len as u64,
+            ended => {
+                reply.blocked |= matches!(ended, Moved::Block);
+                return ended;
             }
         }
         let done = reply.out[0].take();
@@ -463,7 +425,7 @@ fn drain(
         reply.cur = Cursor::default();
         let blocked = std::mem::take(&mut reply.blocked);
         if let Some(Span::Frame(_)) = done {
-            return Drain::Frame { blocked };
+            return Moved::Frame(blocked);
         }
     }
 }
@@ -771,7 +733,7 @@ impl Reactor {
         self.arm_timer(token, &mut io.timer_gen, hello_timeout);
         // The client may have sent its first bytes already; serve them
         // this tick instead of waiting for the next poll.
-        let read = Read::new(&self.server.config().adoc);
+        let read = Msg::new(&self.server.config().adoc);
         self.sniff(io, read);
     }
 
@@ -927,12 +889,12 @@ impl Reactor {
             (State::Serving(sess, Stage::Job), Ok(Done::Inflated(read))) => {
                 (sess, Step::Next(Stage::Read(read)))
             }
-            (State::Serving(mut sess, Stage::Job), Ok(Done::Deflated(mut reply, frame, level))) => {
+            (State::Serving(mut sess, Stage::Job), Ok(Done::Deflated(mut msg, frame, level))) => {
                 sess.stats.record_buffer(level);
                 // Level 0 from a compression job is the §5 ratio guard.
                 sess.stats.ratio_trips += u64::from(level == 0);
-                reply.push(Span::Frame(frame));
-                (sess, Step::Next(Stage::Reply(reply)))
+                msg.reply.out[0] = Some(Span::Frame(frame));
+                (sess, Step::Next(Stage::Reply(msg)))
             }
             (state, result) => {
                 // The typed worker-failure path: a panicked or failed
@@ -958,17 +920,22 @@ impl Reactor {
             .push(Reverse((Instant::now() + after, token, *timer_gen)));
     }
 
-    /// Wire admission for `bytes`: `true` = admitted (the span's lap
-    /// clock goes to `stage`), `false` = parked (retry timer armed, the
-    /// lap clock goes to sched-wait).
+    /// Wire admission for the `rest` of a run: `quantum` of it under a
+    /// budget, all of it without one. Admitted, it returns the bytes it
+    /// covered (the span's lap clock goes to `stage`); refused, `None`
+    /// (retry timer armed, the lap clock goes to sched-wait).
     fn try_admit(
         &mut self,
         token: u64,
         timer_gen: &mut u64,
         sess: &mut Session,
-        bytes: usize,
+        (rest, quantum): (usize, usize),
         stage: StageKind,
-    ) -> bool {
+    ) -> Option<usize> {
+        let bytes = match self.server.scheduler().budget() {
+            Some(_) => rest.min(quantum),
+            None => rest,
+        };
         let verdict = sess.cfg.throttle.try_acquire_wire(bytes);
         if let Some(span) = sess.span.as_mut() {
             span.switch(if verdict.is_ok() {
@@ -981,7 +948,7 @@ impl Reactor {
             self.throttled.insert(token);
             self.arm_timer(token, timer_gen, retry);
         }
-        verdict.is_ok()
+        verdict.ok().map(|()| bytes)
     }
 
     /// Flips a session-hello socket back to blocking and serves it on a
@@ -1012,12 +979,14 @@ impl Reactor {
     }
 
     /// Reads the two protocol bytes and decides what the socket is.
-    fn sniff(&mut self, mut io: Io, mut read: Read) {
+    fn sniff(&mut self, mut io: Io, mut read: Msg) {
         let (dst, cur) = (&mut read.scratch[..2], &mut read.cur);
-        match fill(&mut io.stream, dst, 2, 0, cur, |_| true) {
-            Fill::Done => {}
-            Fill::Block | Fill::Parked => return self.keep(io, State::Sniff(read), Interest::READ),
-            Fill::Eof | Fill::Fail => return self.close(io, None),
+        match cur.pump((2, 2, 0), |n, _| Some(n), |r| io.stream.read(&mut dst[r])) {
+            Moved::Done => {}
+            Moved::Block | Moved::Parked => {
+                return self.keep(io, State::Sniff(read), Interest::READ)
+            }
+            _ => return self.close(io, None),
         }
         let bytes = [read.scratch[0], read.scratch[1]];
         if bytes == [MAGIC, GROUP_MAGIC] {
@@ -1067,22 +1036,23 @@ impl Reactor {
             Stage::Read(read) => self.read(io, sess, read),
             // Waiting on the worker; the completion resumes us.
             Stage::Job => Step::Wait(stage, Interest::NONE),
-            Stage::Reply(mut reply) => {
-                let drained = drain(&mut io.stream, &mut reply, sess.cfg.buffer_size, |bytes| {
-                    self.try_admit(io.token, &mut io.timer_gen, sess, bytes, StageKind::Write)
+            Stage::Reply(mut msg) => {
+                let (reply, quantum) = (&mut msg.reply, sess.cfg.buffer_size);
+                let drained = drain(&mut io.stream, reply, &msg.buf, quantum, |n, q| {
+                    self.try_admit(io.token, &mut io.timer_gen, sess, (n, q), StageKind::Write)
                 });
                 match drained {
-                    Drain::Fail => Step::Close(ConnOutcome::Failed),
-                    Drain::Block => Step::Wait(Stage::Reply(reply), Interest::WRITE),
-                    Drain::Parked => Step::Wait(Stage::Reply(reply), Interest::NONE),
-                    Drain::Frame { blocked } => {
+                    Moved::Block => Step::Wait(Stage::Reply(msg), Interest::WRITE),
+                    Moved::Parked => Step::Wait(Stage::Reply(msg), Interest::NONE),
+                    Moved::Frame(blocked) => {
                         sess.level = next_reply_level(blocked, sess.level, &sess.cfg);
-                        Step::Next(Stage::Reply(reply))
+                        Step::Next(Stage::Reply(msg))
                     }
-                    Drain::Empty if reply.next_chunk < reply.msg.len() => {
-                        self.encode_next(io.token, sess, reply)
+                    Moved::Done if msg.reply.next_chunk < msg.buf.len() => {
+                        self.encode_next(io.token, sess, msg)
                     }
-                    Drain::Empty => self.finish_message(sess, reply),
+                    Moved::Done => self.finish_message(sess, msg),
+                    Moved::Eof | Moved::Fail => Step::Close(ConnOutcome::Failed),
                 }
             }
         }
@@ -1091,7 +1061,7 @@ impl Reactor {
     /// Feeds the message's decoder from the socket until the message is
     /// in, a codec job takes it, or the socket or the scheduler makes
     /// it wait.
-    fn read(&mut self, io: &mut Io, sess: &mut Session, mut read: Read) -> Step {
+    fn read(&mut self, io: &mut Io, sess: &mut Session, mut read: Msg) -> Step {
         loop {
             let at_boundary = read.at_boundary();
             if at_boundary && self.drain.is_draining() {
@@ -1099,14 +1069,14 @@ impl Reactor {
                 return Step::Close(ConnOutcome::Completed);
             }
             let Some(want) = read.dec.want() else {
-                return self.after_inbound(sess, read.msg);
+                return self.after_inbound(sess, read);
             };
             let (pos, at) = (read.cur.pos, read.filled);
             let (dst, len, quantum) = match want {
                 Want::Header(n) => (&mut read.scratch[..n], n, 0),
                 Want::Body { len, quantum, .. } => {
-                    let ready = wire::grow(&mut read.msg, at + pos, at + len as usize);
-                    (&mut read.msg[at..ready], len as usize, quantum)
+                    let ready = wire::grow(&mut read.buf, at + pos, at + len as usize);
+                    (&mut read.buf[at..ready], len as usize, quantum)
                 }
                 Want::Payload(hdr) => {
                     let len = hdr.payload_len as usize;
@@ -1114,9 +1084,10 @@ impl Reactor {
                     (&mut read.payload[..ready], len, len)
                 }
             };
-            let filled = fill(&mut io.stream, dst, len, quantum, &mut read.cur, |bytes| {
-                self.try_admit(io.token, &mut io.timer_gen, sess, bytes, StageKind::Read)
-            });
+            let admit =
+                |n, q| self.try_admit(io.token, &mut io.timer_gen, sess, (n, q), StageKind::Read);
+            let run = (dst.len(), len, quantum);
+            let filled = read.cur.pump(run, admit, |r| io.stream.read(&mut dst[r]));
             if at_boundary && !read.at_boundary() && self.traced && sess.span.is_none() {
                 // The span starts at a message's first header byte:
                 // client idle time between messages is excluded.
@@ -1124,13 +1095,13 @@ impl Reactor {
             }
             match filled {
                 // The buffer is zero-filled only as far as bytes landed.
-                Fill::Done if read.cur.pos < len => continue,
-                Fill::Done => read.cur = Cursor::default(),
-                Fill::Block => return Step::Wait(Stage::Read(read), Interest::READ),
-                Fill::Parked => return Step::Wait(Stage::Read(read), Interest::NONE),
+                Moved::Done if read.cur.pos < len => continue,
+                Moved::Done => read.cur = Cursor::default(),
+                Moved::Block => return self.relay(io, sess, read, Interest::READ),
+                Moved::Parked => return self.relay(io, sess, read, Interest::NONE),
                 // The client hung up between messages.
-                Fill::Eof if read.at_boundary() => return Step::Close(ConnOutcome::Completed),
-                Fill::Eof | Fill::Fail => return Step::Close(ConnOutcome::Failed),
+                Moved::Eof if read.at_boundary() => return Step::Close(ConnOutcome::Completed),
+                _ => return Step::Close(ConnOutcome::Failed),
             }
             if let Want::Header(n) = want {
                 let pool = &sess.cfg.pool;
@@ -1141,7 +1112,8 @@ impl Reactor {
                         return Step::Close(ConnOutcome::Completed)
                     }
                     Ok(Parsed::Message { raw_len, .. }) => {
-                        read.msg = pool.get(wire::reserve(raw_len))
+                        read.buf = pool.get(wire::reserve(raw_len));
+                        read.reply = Reply::new(self.server.mode(), &sess.cfg, raw_len);
                     }
                     Ok(Parsed::Frame(h)) if h.level > 0 => {
                         read.payload = pool.get(wire::reserve(h.payload_len.into()))
@@ -1167,8 +1139,8 @@ impl Reactor {
                 conn: io.token,
                 work: Box::new(move |codec| {
                     let end = read.filled + hdr.raw_len as usize;
-                    read.msg.resize(end, 0);
-                    let dst = &mut read.msg[read.filled..];
+                    read.buf.resize(end, 0);
+                    let dst = &mut read.buf[read.filled..];
                     let decoded = codec.decompress_into(hdr.level, &read.payload, dst);
                     decoded.map_err(|e| e.to_string())?;
                     read.filled = end;
@@ -1180,23 +1152,40 @@ impl Reactor {
         }
     }
 
-    /// The message is in: build its reply.
-    fn after_inbound(&mut self, sess: &mut Session, msg: PooledBuf) -> Step {
-        let raw_len = msg.len() as u64;
-        let cfg = &sess.cfg;
-        let (kind, body) = match self.server.mode() {
-            ServeMode::Sink => (
-                MsgKind::Direct,
-                Some(Span::Ack(sink_ack(raw_len, fnv1a64(&msg)))),
-            ),
-            ServeMode::Echo
-                if cfg.compression_disabled() || raw_len < cfg.probe_threshold as u64 =>
-            {
-                (MsgKind::Direct, Some(Span::Body))
-            }
-            ServeMode::Echo => (MsgKind::Adaptive, None),
+    /// The read waits — for the socket (`READ`) or the scheduler (`NONE`),
+    /// whose clock the span stays on: meanwhile a direct echo's landed
+    /// bytes leave, and the connection also waits for room to write while
+    /// they meet backpressure, or for nothing while they are parked.
+    fn relay(&mut self, io: &mut Io, sess: &mut Session, mut read: Msg, wait: Interest) -> Step {
+        // Only a direct echo, whose body is the message, leaves early.
+        let ([_, Some(Span::Body)] | [Some(Span::Body), _]) = read.reply.out else {
+            return Step::Wait(Stage::Read(read), wait);
         };
-        if kind == MsgKind::Direct {
+        let landing = matches!(read.dec.want(), Some(Want::Body { .. }));
+        let landed = read.filled + if landing { read.cur.pos } else { 0 };
+        let (landed, quantum) = (&read.buf[..landed], sess.cfg.buffer_size);
+        let stage = [StageKind::SchedWait, StageKind::Read][usize::from(wait.readable)];
+        let interest = match drain(&mut io.stream, &mut read.reply, landed, quantum, |n, q| {
+            self.try_admit(io.token, &mut io.timer_gen, sess, (n, q), stage)
+        }) {
+            Moved::Eof | Moved::Fail => return Step::Close(ConnOutcome::Failed),
+            Moved::Parked => Interest::NONE,
+            Moved::Block => Interest {
+                writable: true,
+                ..wait
+            },
+            _ => wait,
+        };
+        Step::Wait(Stage::Read(read), interest)
+    }
+
+    /// The message is in: on to the reply its header decided.
+    fn after_inbound(&mut self, sess: &mut Session, mut msg: Msg) -> Step {
+        if let [_, Some(Span::Ack(ack))] = &mut msg.reply.out {
+            *ack = sink_ack(msg.buf.len() as u64, fnv1a64(&msg.buf));
+        }
+        // A direct reply has nothing to encode.
+        if msg.reply.next_chunk == msg.buf.len() {
             sess.stats.direct_messages += 1;
         }
         if let Some(span) = sess.span.as_mut() {
@@ -1204,25 +1193,25 @@ impl Reactor {
             // write side (a refused admission re-takes the clock).
             span.switch(StageKind::Write);
         }
-        Step::Next(Stage::Reply(Reply::new(kind, body, msg)))
+        Step::Next(Stage::Reply(msg))
     }
 
     /// Encodes the adaptive reply's next `buffer_size` chunk as a frame
     /// at the connection's current level.
-    fn encode_next(&mut self, token: u64, sess: &mut Session, mut reply: Reply) -> Step {
-        let start = reply.next_chunk;
-        let end = (start + sess.cfg.buffer_size).min(reply.msg.len());
-        reply.next_chunk = end;
+    fn encode_next(&mut self, token: u64, sess: &mut Session, mut msg: Msg) -> Step {
+        let start = msg.reply.next_chunk;
+        let end = (start + sess.cfg.buffer_size).min(msg.buf.len());
+        msg.reply.next_chunk = end;
         let (level, pool) = (sess.level, sess.cfg.pool.clone());
         if level == 0 {
             // Stored frames are pure memcpy: seal inline.
-            let chunk = Chunk::Slice(&reply.msg[start..end]);
+            let chunk = Chunk::Slice(&msg.buf[start..end]);
             let Ok((frame, ..)) = Framing::V1.seal(chunk, None, &pool, 0, 0) else {
                 return Step::Close(ConnOutcome::Failed);
             };
             sess.stats.record_buffer(0);
-            reply.push(Span::Frame(frame));
-            return Step::Next(Stage::Reply(reply));
+            msg.reply.out[0] = Some(Span::Frame(frame));
+            return Step::Next(Stage::Reply(msg));
         }
         // Compression is worker-pool work, on the message itself; one
         // job in flight per connection bounds the queue.
@@ -1232,10 +1221,10 @@ impl Reactor {
         self.pool.submit(Job {
             conn: token,
             work: Box::new(move |codec| {
-                let chunk = Chunk::Slice(&reply.msg[start..end]);
+                let chunk = Chunk::Slice(&msg.buf[start..end]);
                 let sealed = Framing::V1.seal(chunk, Some((codec, level)), &pool, 0, 0);
                 let (frame, level, _) = sealed.map_err(|e| e.to_string())?;
-                Ok(Done::Deflated(reply, frame, level))
+                Ok(Done::Deflated(msg, frame, level))
             }),
         });
         Step::Wait(Stage::Job, Interest::NONE)
@@ -1243,22 +1232,23 @@ impl Reactor {
 
     /// Reply fully written: run the message epilogue and return to the
     /// message boundary.
-    fn finish_message(&mut self, sess: &mut Session, reply: Reply) -> Step {
+    fn finish_message(&mut self, sess: &mut Session, msg: Msg) -> Step {
+        let reply = &msg.reply;
         sess.stats.messages += 1;
         sess.stats.raw_bytes += reply.raw;
         sess.stats.wire_bytes += reply.wire;
-        let msg = ServedMessage {
-            raw_bytes: reply.msg.len() as u64,
+        let served = ServedMessage {
+            raw_bytes: msg.buf.len() as u64,
             reply_wire_bytes: reply.wire,
             stats: &sess.stats,
             times: sess.span.take().map(MsgSpan::finish),
             from_first_byte: true,
         };
         self.server
-            .message_served(sess.id, msg, &mut sess.last_level);
-        // Dropping the reply returns the message buffer to the pool at
-        // every boundary: idle memory is capped at socket buffers.
-        Step::Wait(Stage::Read(Read::new(&sess.cfg)), Interest::READ)
+            .message_served(sess.id, served, &mut sess.last_level);
+        // Dropping the message returns its buffer to the pool at every
+        // boundary: idle memory is capped at socket buffers.
+        Step::Wait(Stage::Read(Msg::new(&sess.cfg)), Interest::READ)
     }
 }
 
@@ -1559,6 +1549,133 @@ mod tests {
             conn.read_exact(&mut back).expect("echo");
             assert_eq!(back, payload);
         })
+    }
+
+    /// A reactor whose echoes of any size are direct.
+    fn level_zero_reactor(budget: Option<f64>) -> (Reactor, Arc<Server>, SocketAddr) {
+        let adoc = AdocConfig::default().with_levels(0, 0);
+        reactor_with(
+            ServerConfig::builder()
+                .adoc(adoc)
+                .budget(budget)
+                .build()
+                .expect("config"),
+        )
+    }
+
+    #[test]
+    fn a_client_that_writes_everything_before_reading_gets_its_echo() {
+        // 32 MiB is far more than both socket buffers hold: the relay
+        // meets backpressure, keeps reading, and ends store-and-forward.
+        let (mut reactor, server, addr) = level_zero_reactor(None);
+        let client = std::thread::spawn(move || {
+            let payload = adoc_data::generate(adoc_data::DataKind::Binary, 32 << 20, 5);
+            let sock = TcpStream::connect(addr).expect("connect");
+            let r = sock.try_clone().expect("clone");
+            let cfg = AdocConfig::default().with_levels(0, 0);
+            let mut conn = AdocSocket::with_config(r, sock, cfg).expect("client cfg");
+            conn.write_all(&payload).expect("send");
+            let mut back = vec![0u8; payload.len()];
+            conn.read_exact(&mut back).expect("echo");
+            assert!(back == payload, "echo must be byte-exact");
+        });
+        run_until(&mut reactor, Duration::from_secs(60), |_| {
+            client.is_finished()
+        });
+        client.join().expect("client");
+        run_until(&mut reactor, Duration::from_secs(10), |r| r.live() == 0);
+        let totals = server.registry().totals();
+        assert_eq!((totals.completed, totals.failed), (1, 0));
+        assert_eq!(server.pool().stats().outstanding, 0);
+    }
+
+    /// A raw-TCP client that sends a direct head and the first 256 KiB
+    /// of `payload`, and the rest only once those have come back; it
+    /// returns what the reply echoed, or the read that timed out.
+    fn hold_back_client(addr: SocketAddr, payload: Vec<u8>) -> JoinHandle<io::Result<Vec<u8>>> {
+        std::thread::spawn(move || {
+            let mut sock = TcpStream::connect(addr)?;
+            sock.set_read_timeout(Some(Duration::from_secs(10)))?;
+            let first = 256 << 10;
+            let head = wire::encode_msg_header(MsgKind::Direct, payload.len() as u64);
+            sock.write_all(&head)?;
+            sock.write_all(&payload[..first])?;
+            let mut back = vec![0u8; head.len() + payload.len()];
+            sock.read_exact(&mut back[..head.len() + first])?;
+            sock.write_all(&payload[first..])?;
+            sock.read_exact(&mut back[head.len() + first..])?;
+            assert_eq!(back[..head.len()], head, "the echo's head");
+            Ok(back.split_off(head.len()))
+        })
+    }
+
+    #[test]
+    fn a_direct_echo_leaves_as_its_message_lands() {
+        // Store-and-forward would never answer the held-back message.
+        let (mut reactor, server, addr) = level_zero_reactor(None);
+        let payload = adoc_data::generate(adoc_data::DataKind::Binary, 1 << 20, 6);
+        let client = hold_back_client(addr, payload.clone());
+        run_until(&mut reactor, Duration::from_secs(30), |_| {
+            client.is_finished()
+        });
+        let back = client.join().expect("client");
+        assert!(back.expect("the landed bytes came back first") == payload);
+        run_until(&mut reactor, Duration::from_secs(10), |r| r.live() == 0);
+        assert_eq!(server.registry().totals().completed, 1);
+    }
+
+    #[test]
+    fn a_relayed_reply_is_admitted_byte_for_byte() {
+        // Under an 8 MB/s budget the held-back bytes can only come back
+        // through the relay, each of them admitted once on the way in
+        // and once on the way out.
+        let (mut reactor, server, addr) = level_zero_reactor(Some(8e6));
+        let payload = adoc_data::generate(adoc_data::DataKind::Binary, 1 << 20, 13);
+        let client = hold_back_client(addr, payload.clone());
+        run_until(&mut reactor, Duration::from_secs(30), |_| {
+            client.is_finished()
+        });
+        let back = client.join().expect("client");
+        assert!(back.expect("the landed bytes came back first") == payload);
+        run_until(&mut reactor, Duration::from_secs(10), |r| r.live() == 0);
+        assert_eq!(server.registry().totals().completed, 1);
+        let inbound_and_reply = 2 * payload.len() as u64;
+        assert_eq!(server.scheduler().total_admitted(), inbound_and_reply);
+    }
+
+    #[test]
+    fn a_reset_in_mid_relay_fails_the_connection_and_frees_its_buffer() {
+        let (mut reactor, server, addr) = level_zero_reactor(None);
+        let sock = TcpStream::connect(addr).expect("connect");
+        let client = {
+            let mut sock = sock.try_clone().expect("clone");
+            std::thread::spawn(move || {
+                let timeout = Some(Duration::from_secs(10));
+                sock.set_read_timeout(timeout).expect("timeout");
+                let head = wire::encode_msg_header(MsgKind::Direct, 4 << 20);
+                sock.write_all(&head).expect("head");
+                sock.write_all(&[7u8; 256 << 10]).expect("first bytes");
+                let mut relayed = [0u8; 4096];
+                sock.read_exact(&mut relayed).expect("relayed bytes");
+            })
+        };
+        run_until(&mut reactor, Duration::from_secs(30), |_| {
+            client.is_finished()
+        });
+        client.join().expect("client");
+        rst_close(sock);
+        run_until(&mut reactor, Duration::from_secs(10), |r| r.live() == 0);
+        let totals = server.registry().totals();
+        assert_eq!((totals.completed, totals.failed), (0, 1));
+        assert_eq!(server.pool().stats().outstanding, 0, "the message buffer");
+        // The daemon serves the next dial.
+        let next = direct_echo_client(addr, 64 << 10, 14);
+        run_until(&mut reactor, Duration::from_secs(30), |_| {
+            next.is_finished()
+        });
+        next.join().expect("next client");
+        run_until(&mut reactor, Duration::from_secs(10), |r| r.live() == 0);
+        assert_eq!(server.registry().totals().completed, 1);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! [`Event::ConnClosed`] / [`Event::HandshakeFailed`]), always *after*
 //! the registry lock is released — a subscriber that turns around and
 //! polls the registry can never deadlock. Timestamps come from the
-//! bus's [`crate::EventClock`], the daemon's single monotonic time
+//! bus's [`crate::EventBus::now`], the daemon's single monotonic time
 //! source, so a connection's age and the document's uptime can never
 //! disagree about "now".
 
