@@ -25,12 +25,14 @@
 //! `--secret` makes the spawned daemon require authentication and sends
 //! MAC'd hellos (it matches `adoc-serverd --secret`).
 //!
-//! `--idle-clients N` holds N extra connections open (each does one
-//! tiny echo to register, then sits idle) while the busy clients
-//! transfer — the skewed-load shape that separates a work-conserving
-//! scheduler (busy clients run the whole `--budget-mbit`) from a fixed
-//! fair-share one (pinned at `budget / (busy + idle)`). Idle traffic is
-//! excluded from the reported aggregate.
+//! `--idle-clients N` holds N extra connections open while the busy
+//! clients transfer: before the wall clock starts, the main thread dials
+//! each one and does one tiny echo to register it, then keeps it as a
+//! held socket with no thread of its own until the busy phase ends. This
+//! is the skewed-load shape that separates a work-conserving scheduler
+//! (busy clients run the whole `--budget-mbit`) from a fixed fair-share
+//! one (pinned at `budget / (busy + idle)`). Idle traffic is excluded
+//! from the reported aggregate.
 //!
 //! `--tier` + `--rps` turn the busy clients into request/response
 //! latency probes: each client is re-tiered on the spawned daemon's
@@ -70,7 +72,9 @@ use adoc_sim::link::duplex;
 use adoc_sim::netprofiles::NetProfile;
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::{self, ScopedJoinHandle};
 use std::time::{Duration, Instant};
 
 fn usage() -> ! {
@@ -89,7 +93,8 @@ fn usage() -> ! {
          reporting resumed vs restarted transfers (--secret matches\n\
          adoc-serverd --secret and turns on require-auth when spawning)\n\
          --idle-clients holds N extra registered-but-idle connections open\n\
-         (skewed load: a work-conserving budget still runs at full rate)\n\
+         as sockets with no thread each (skewed load: a work-conserving\n\
+         budget still runs at full rate)\n\
          --tier/--rps run the busy clients as paced request/response\n\
          latency probes and report a p50/p99 round-trip histogram\n\
          --bulk-clients adds saturating background traffic for the\n\
@@ -107,6 +112,24 @@ fn parse<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>, flag: &s
         eprintln!("bad value {v:?} for {flag}");
         usage();
     })
+}
+
+/// `flag`'s value, which must be a positive finite number of `unit`.
+fn parse_rate(args: &mut impl Iterator<Item = String>, flag: &str, unit: &str) -> f64 {
+    let v: f64 = parse(args, flag);
+    if !(v > 0.0 && v.is_finite()) {
+        eprintln!("{flag} wants a positive finite {unit}, got {v}");
+        usage();
+    }
+    v
+}
+
+/// `flag`'s comma-separated values.
+fn parse_csv<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>, flag: &str) -> Vec<T> {
+    let csv: String = parse(args, flag);
+    csv.split(',')
+        .map(|s| s.trim().parse().unwrap_or_else(|_| usage()))
+        .collect()
 }
 
 #[derive(Clone)]
@@ -133,149 +156,174 @@ struct Plan {
     bulk_clients: usize,
     /// Message size of the saturating background clients.
     bulk_size: usize,
+    /// Bandwidth budget of a spawned in-process daemon, Mbit/s.
+    budget_mbit: Option<f64>,
+    /// Key of the `--churn` sessions' hellos, which the spawned daemon
+    /// then demands.
+    secret: Option<String>,
 }
 
-#[derive(Debug)]
-struct ClientResult {
-    raw_bytes: u64,
-    secs: f64,
-    /// Round-trip latency histogram (mergeable across clients).
-    latency: HistSnapshot,
+impl Plan {
+    /// This plan cut to single unpaced messages of `size` bytes on one
+    /// connection: an idle client's registration, a probe's warmup, a
+    /// bulk client's rounds.
+    fn one_message(&self, size: usize) -> Plan {
+        Plan {
+            messages: 1,
+            size,
+            rps: None,
+            ..self.clone()
+        }
+    }
+
+    fn client_cfg(&self) -> AdocConfig {
+        match self.levels {
+            Some((min, max)) => AdocConfig::default().with_levels(min, max),
+            None => AdocConfig::default(),
+        }
+    }
 }
 
-/// One client's whole session: `messages` send+verify round trips.
+/// One client's session on `conn`: `plan.messages` send+verify round
+/// trips or, given `until`, round trips until it is set.
 fn run_client_on(
-    conn: &mut dyn ClientConn,
+    conn: &mut (impl Read + Write),
     plan: &Plan,
     payload: &[u8],
-) -> Result<ClientResult, String> {
+    until: Option<&AtomicBool>,
+) -> Result<Tally, String> {
     let start = Instant::now();
     let mut raw = 0u64;
-    let interval = plan
-        .rps
-        .map(|r| std::time::Duration::from_secs_f64(1.0 / r));
+    let interval = plan.rps.map(|r| Duration::from_secs_f64(1.0 / r));
     let latency = Histogram::new();
-    for m in 0..plan.messages {
+    // What the server must send back: the echo, or the sink's ack.
+    let ack;
+    let (reply, legs, what, wrong) = match plan.mode {
+        ServeMode::Echo => (payload, 2, "echo", "was not byte-exact"),
+        ServeMode::Sink => {
+            ack = sink_ack(payload.len() as u64, fnv1a64(payload));
+            (&ack[..], 1, "ack", "mismatched (len or checksum)")
+        }
+    };
+    for m in 0.. {
+        if until.map_or(m >= plan.messages, |stop| stop.load(Ordering::Relaxed)) {
+            break;
+        }
         if let Some(iv) = interval {
             // Pace against the schedule, not the previous completion,
             // so a slow round trip does not smear every later slot.
             let slot = start + iv.mul_f32(m as f32);
-            let now = Instant::now();
-            if slot > now {
-                std::thread::sleep(slot - now);
-            }
+            thread::sleep(slot.saturating_duration_since(Instant::now()));
         }
         let req = Instant::now();
-        conn.send(payload).map_err(|e| format!("send {m}: {e}"))?;
-        match plan.mode {
-            ServeMode::Echo => {
-                let mut back = vec![0u8; payload.len()];
-                conn.read_exact(&mut back)
-                    .map_err(|e| format!("echo read {m}: {e}"))?;
-                if back != payload {
-                    return Err(format!("echo {m} was not byte-exact"));
-                }
-                raw += 2 * payload.len() as u64;
-            }
-            ServeMode::Sink => {
-                let mut ack = [0u8; 16];
-                conn.read_exact(&mut ack)
-                    .map_err(|e| format!("ack read {m}: {e}"))?;
-                if ack != sink_ack(payload.len() as u64, fnv1a64(payload)) {
-                    return Err(format!("ack {m} mismatched (len or checksum)"));
-                }
-                raw += payload.len() as u64;
-            }
+        conn.write_all(payload)
+            .map_err(|e| format!("send {m}: {e}"))?;
+        let mut back = vec![0u8; reply.len()];
+        conn.read_exact(&mut back)
+            .map_err(|e| format!("{what} read {m}: {e}"))?;
+        if back != reply {
+            return Err(format!("{what} {m} {wrong}"));
         }
+        raw += legs * payload.len() as u64;
         latency.record_duration(req.elapsed());
     }
-    Ok(ClientResult {
-        raw_bytes: raw,
-        secs: start.elapsed().as_secs_f64(),
+    Ok(Tally {
+        raw,
+        secs: vec![start.elapsed().as_secs_f64()],
         latency: latency.snapshot(),
     })
 }
 
+/// One small untimed round trip (1 KiB of ASCII from `seed`), after
+/// which the daemon has sniffed, registered and admitted the connection.
+fn register(conn: &mut (impl Read + Write), plan: &Plan, seed: u64) -> Result<(), String> {
+    let payload = generate(DataKind::Ascii, 1024, seed);
+    run_client_on(conn, &plan.one_message(payload.len()), &payload, None).map(drop)
+}
+
 /// Moves a latency probe's connection onto `tier` on the spawned
-/// daemon's scheduler: one small untimed warmup round trip gets the
-/// connection sniffed, registered, and admitted, then the registry row
-/// whose peer matches the probe's local socket address is re-tiered.
+/// daemon's scheduler: a warmup round trip gets the connection
+/// registered, then the registry row whose peer matches the probe's
+/// local socket address is re-tiered.
 fn retier_probe(
-    server: &Arc<Server>,
-    conn: &mut dyn ClientConn,
+    server: &Server,
+    conn: &mut (impl Read + Write),
     plan: &Plan,
     local_addr: &str,
     tier: Tier,
 ) -> Result<(), String> {
-    let warmup = Plan {
-        clients: 1,
-        idle_clients: 0,
-        messages: 1,
-        size: 1024,
-        rps: None,
-        ..plan.clone()
-    };
-    let payload = generate(DataKind::Ascii, warmup.size, 0xBEEF);
-    run_client_on(conn, &warmup, &payload).map_err(|e| format!("warmup: {e}"))?;
-    let deadline = Instant::now() + std::time::Duration::from_secs(5);
-    loop {
-        let id = server
-            .registry()
-            .snapshot()
-            .into_iter()
-            .find(|s| s.peer == local_addr)
-            .map(|s| s.id);
-        if let Some(id) = id {
-            if server.scheduler().set_tier(id, tier) {
-                return Ok(());
-            }
+    register(conn, plan, 0xBEEF).map_err(|e| format!("warmup: {e}"))?;
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while Instant::now() < deadline {
+        let rows = server.registry().snapshot();
+        let row = rows.into_iter().find(|s| s.peer == local_addr);
+        if row.is_some_and(|row| server.scheduler().set_tier(row.id, tier)) {
+            return Ok(());
         }
-        if Instant::now() >= deadline {
-            return Err(format!(
-                "could not re-tier: peer {local_addr} not admitted within 5s"
-            ));
-        }
-        std::thread::sleep(std::time::Duration::from_millis(5));
+        thread::sleep(Duration::from_millis(5));
     }
+    Err(format!(
+        "could not re-tier: peer {local_addr} not admitted within 5s"
+    ))
 }
 
-/// Object-safe client connection (plain socket or stream group).
-trait ClientConn {
-    fn send(&mut self, data: &[u8]) -> std::io::Result<()>;
-    fn read_exact(&mut self, out: &mut [u8]) -> std::io::Result<()>;
+type Conn = AdocSocket<TcpStream, TcpStream>;
+
+/// Dials a client connection of `streams` streams to `addr`. A
+/// single-stream one also returns the local address it dials from: the
+/// peer its registry row on the daemon shows, which `--tier` looks up.
+fn dial(addr: &str, plan: &Plan, streams: usize) -> Result<(Conn, Option<String>), String> {
+    let cfg = plan.client_cfg().with_streams(streams);
+    if streams > 1 {
+        let group =
+            AdocStreamGroup::connect(addr, cfg).map_err(|e| format!("group connect: {e}"))?;
+        return Ok((group, None));
+    }
+    let sock = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
+    sock.set_nodelay(true).ok();
+    let local = sock.local_addr().map_err(|e| format!("local addr: {e}"))?;
+    let r = sock.try_clone().map_err(|e| format!("clone: {e}"))?;
+    let conn = AdocSocket::with_config(r, sock, cfg).map_err(|e| format!("cfg: {e}"))?;
+    Ok((conn, Some(local.to_string())))
 }
 
-impl<R: Read + Send, W: Write + Send> ClientConn for AdocStreamGroup<R, W> {
-    fn send(&mut self, data: &[u8]) -> std::io::Result<()> {
-        AdocStreamGroup::write(self, data).map(|_| ())
-    }
-    fn read_exact(&mut self, out: &mut [u8]) -> std::io::Result<()> {
-        AdocStreamGroup::read_exact(self, out)
-    }
+/// Every client thread's result; one that panicked counts as failed, so
+/// the caller still stops the bulk population after it.
+fn joined<T>(handles: Vec<ScopedJoinHandle<'_, Result<T, String>>>) -> Vec<Result<T, String>> {
+    let join = |h: ScopedJoinHandle<'_, _>| h.join().unwrap_or_else(|_| Err("panicked".into()));
+    handles.into_iter().map(join).collect()
 }
 
-fn client_cfg(plan: &Plan) -> AdocConfig {
-    match plan.levels {
-        Some((min, max)) => AdocConfig::default().with_levels(min, max),
-        None => AdocConfig::default(),
-    }
+/// Runs `client(c)` for each of the plan's `clients` on its own thread.
+/// Returns their results, each error prefixed with `who` and `c`, and the
+/// wall time they took together.
+fn each_client<T: Send>(
+    plan: &Plan,
+    who: &str,
+    client: impl Fn(usize) -> Result<T, String> + Sync,
+) -> (Vec<Result<T, String>>, f64) {
+    let start = Instant::now();
+    let client = |c| client(c).map_err(|e| format!("{who} {c}: {e}"));
+    let results = thread::scope(|s| {
+        let handles = (0..plan.clients).map(|c| s.spawn(move || client(c)));
+        joined(handles.collect())
+    });
+    (results, start.elapsed().as_secs_f64())
 }
 
 fn main() {
     let mut connect: Option<String> = None;
     let mut sim: Option<NetProfile> = None;
-    let mut budget_mbit: Option<f64> = None;
     let mut json: Option<String> = None;
     let mut quick = false;
     let mut churn: Option<u64> = None;
-    let mut secret: Option<String> = None;
     let mut plan = Plan {
         clients: 8,
         idle_clients: 0,
         messages: 4,
         size: 1 << 20,
         streams: vec![1],
-        kinds: vec![DataKind::Ascii, DataKind::Binary, DataKind::Incompressible],
+        kinds: DataKind::ALL.to_vec(),
         levels: None,
         mode: ServeMode::Echo,
         default_tier: Tier::Bulk,
@@ -283,6 +331,8 @@ fn main() {
         rps: None,
         bulk_clients: 0,
         bulk_size: 1 << 20,
+        budget_mbit: None,
+        secret: None,
     };
 
     let mut args = std::env::args().skip(1);
@@ -295,49 +345,26 @@ fn main() {
             "--bulk-size" => plan.bulk_size = parse(&mut args, "--bulk-size"),
             "--default-tier" => plan.default_tier = parse(&mut args, "--default-tier"),
             "--tier" => plan.tier = Some(parse(&mut args, "--tier")),
-            "--rps" => {
-                let rps: f64 = parse(&mut args, "--rps");
-                if !(rps > 0.0 && rps.is_finite()) {
-                    eprintln!("--rps wants a positive finite rate, got {rps}");
-                    usage();
-                }
-                plan.rps = Some(rps);
-            }
+            "--rps" => plan.rps = Some(parse_rate(&mut args, "--rps", "rate")),
             "--messages" => plan.messages = parse(&mut args, "--messages"),
             "--size" => plan.size = parse(&mut args, "--size"),
-            "--streams" => {
-                let csv: String = parse(&mut args, "--streams");
-                plan.streams = csv
-                    .split(',')
-                    .map(|s| s.trim().parse().unwrap_or_else(|_| usage()))
-                    .collect();
-                if plan.streams.is_empty() {
-                    usage();
-                }
-            }
+            "--streams" => plan.streams = parse_csv(&mut args, "--streams"),
             "--kind" => {
                 plan.kinds = match parse::<String>(&mut args, "--kind").as_str() {
                     "ascii" => vec![DataKind::Ascii],
                     "binary" => vec![DataKind::Binary],
                     "incompressible" => vec![DataKind::Incompressible],
-                    "mixed" => vec![DataKind::Ascii, DataKind::Binary, DataKind::Incompressible],
+                    "mixed" => DataKind::ALL.to_vec(),
                     other => {
                         eprintln!("unknown kind {other:?}");
                         usage();
                     }
                 }
             }
-            "--levels" => {
-                let csv: String = parse(&mut args, "--levels");
-                let parts: Vec<&str> = csv.split(',').collect();
-                if parts.len() != 2 {
-                    usage();
-                }
-                plan.levels = Some((
-                    parts[0].trim().parse().unwrap_or_else(|_| usage()),
-                    parts[1].trim().parse().unwrap_or_else(|_| usage()),
-                ));
-            }
+            "--levels" => match parse_csv(&mut args, "--levels")[..] {
+                [min, max] => plan.levels = Some((min, max)),
+                _ => usage(),
+            },
             "--mode" => {
                 plan.mode = match parse::<String>(&mut args, "--mode").as_str() {
                     "echo" => ServeMode::Echo,
@@ -346,12 +373,7 @@ fn main() {
                 }
             }
             "--budget-mbit" => {
-                let mbit: f64 = parse(&mut args, "--budget-mbit");
-                if !(mbit > 0.0 && mbit.is_finite()) {
-                    eprintln!("--budget-mbit wants a positive finite Mbit/s, got {mbit}");
-                    usage();
-                }
-                budget_mbit = Some(mbit);
+                plan.budget_mbit = Some(parse_rate(&mut args, "--budget-mbit", "Mbit/s"))
             }
             "--sim" => {
                 sim = Some(match parse::<String>(&mut args, "--sim").as_str() {
@@ -365,15 +387,14 @@ fn main() {
                     }
                 })
             }
-            "--churn" => {
-                let secs: u64 = parse(&mut args, "--churn");
-                if secs == 0 {
+            "--churn" => match parse(&mut args, "--churn") {
+                0 => {
                     eprintln!("--churn wants a positive duration in seconds");
                     usage();
                 }
-                churn = Some(secs);
-            }
-            "--secret" => secret = Some(parse(&mut args, "--secret")),
+                secs => churn = Some(secs),
+            },
+            "--secret" => plan.secret = Some(parse(&mut args, "--secret")),
             "--quick" => quick = true,
             "--json" => json = Some(parse(&mut args, "--json")),
             "--help" | "-h" => usage(),
@@ -390,62 +411,37 @@ fn main() {
     }
     // Reject flag combinations that would silently measure a different
     // configuration than the one requested.
-    if sim.is_some() && plan.streams.iter().any(|&s| s != 1) {
-        eprintln!(
-            "adoc-loadgen: --sim drives v1 (single-stream) connections only; \
-             stream groups need the TCP path. Drop --streams or --sim."
-        );
+    let striped = plan.streams.iter().any(|&s| s != 1);
+    let (simulated, external) = (sim.is_some(), connect.is_some());
+    let (tiered, churning) = (plan.tier.is_some(), churn.is_some());
+    #[rustfmt::skip]
+    let rules = [
+        (simulated && striped, "--sim drives v1 (single-stream) connections only; \
+            stream groups need the TCP path. Drop --streams or --sim."),
+        (simulated && external, "--sim and --connect are mutually exclusive"),
+        (simulated && plan.idle_clients > 0, "--idle-clients needs the TCP path; drop --sim"),
+        (simulated && plan.bulk_clients > 0, "--bulk-clients needs the TCP path; drop --sim"),
+        (tiered && external, "--tier re-tiers connections on the spawned in-process \
+            daemon's scheduler; an external server's tiers are set on adoc-serverd"),
+        (tiered && simulated, "--tier needs the spawned TCP path; drop --sim"),
+        (tiered && striped, "--tier probes use single-stream connections; drop --streams"),
+        (external && plan.budget_mbit.is_some(), "--budget-mbit only configures a spawned \
+            in-process daemon; an external server's budget is set on adoc-serverd"),
+        (churning && (simulated || tiered || plan.rps.is_some()),
+            "--churn drives plain v4 sessions over TCP; drop --sim/--tier/--rps"),
+        (churning && plan.idle_clients + plan.bulk_clients > 0,
+            "--churn does not mix with --idle-clients/--bulk-clients"),
+        (churning && plan.mode != ServeMode::Echo,
+            "--churn verifies byte-exact echoes; drop --mode sink"),
+        (!churning && plan.secret.is_some(),
+            "--secret keys session-mode clients; it needs --churn"),
+    ];
+    if let Some((_, message)) = rules.iter().find(|(violated, _)| *violated) {
+        eprintln!("adoc-loadgen: {message}");
         std::process::exit(2);
     }
-    if sim.is_some() && connect.is_some() {
-        eprintln!("adoc-loadgen: --sim and --connect are mutually exclusive");
-        std::process::exit(2);
-    }
-    if sim.is_some() && plan.idle_clients > 0 {
-        eprintln!("adoc-loadgen: --idle-clients needs the TCP path; drop --sim");
-        std::process::exit(2);
-    }
-    if sim.is_some() && plan.bulk_clients > 0 {
-        eprintln!("adoc-loadgen: --bulk-clients needs the TCP path; drop --sim");
-        std::process::exit(2);
-    }
-    if plan.tier.is_some() && connect.is_some() {
-        eprintln!(
-            "adoc-loadgen: --tier re-tiers connections on the spawned in-process \
-             daemon's scheduler; an external server's tiers are set on adoc-serverd"
-        );
-        std::process::exit(2);
-    }
-    if plan.tier.is_some() && sim.is_some() {
-        eprintln!("adoc-loadgen: --tier needs the spawned TCP path; drop --sim");
-        std::process::exit(2);
-    }
-    if plan.tier.is_some() && plan.streams.iter().any(|&s| s != 1) {
-        eprintln!("adoc-loadgen: --tier probes use single-stream connections; drop --streams");
-        std::process::exit(2);
-    }
-    if connect.is_some() && budget_mbit.is_some() {
-        eprintln!(
-            "adoc-loadgen: --budget-mbit only configures a spawned in-process \
-             daemon; an external server's budget is set on adoc-serverd"
-        );
-        std::process::exit(2);
-    }
-    if churn.is_some() {
-        if sim.is_some() || plan.tier.is_some() || plan.rps.is_some() {
-            eprintln!(
-                "adoc-loadgen: --churn drives plain v4 sessions over TCP; drop --sim/--tier/--rps"
-            );
-            std::process::exit(2);
-        }
-        if plan.idle_clients > 0 || plan.bulk_clients > 0 {
-            eprintln!("adoc-loadgen: --churn does not mix with --idle-clients/--bulk-clients");
-            std::process::exit(2);
-        }
-        if plan.mode != ServeMode::Echo {
-            eprintln!("adoc-loadgen: --churn verifies byte-exact echoes; drop --mode sink");
-            std::process::exit(2);
-        }
+
+    let result = if let Some(secs) = churn {
         // Mid-message resume needs *trackable* receives: multi-stream
         // striped-adaptive messages past the 512 KiB probe threshold
         // (smaller ones ship Direct, and single-stream fresh receives
@@ -458,391 +454,266 @@ fn main() {
             );
             plan.size = CHURN_MIN_SIZE;
         }
-        if plan.streams.iter().all(|&s| s == 1) {
+        if !striped {
             plan.streams = vec![2, 3];
         }
-    } else if secret.is_some() {
-        eprintln!("adoc-loadgen: --secret keys session-mode clients; it needs --churn");
-        std::process::exit(2);
-    }
-
-    if let Some(secs) = churn {
-        let key = secret.as_ref().map(|s| s.as_bytes());
-        match run_churn(&plan, connect, budget_mbit, secs, key, json.as_deref()) {
-            Ok(()) => return,
-            Err(e) => {
-                eprintln!("adoc-loadgen: FAILED: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-
-    let result = if let Some(profile) = sim {
-        run_sim(&plan, profile, budget_mbit)
-    } else {
-        run_tcp(&plan, connect, budget_mbit)
-    };
-
-    match result {
-        Ok(Outcome {
-            total_raw,
-            wall,
-            client_secs,
-            latency,
-            bulk_raw,
-            bulk_latency,
-            server,
-        }) => {
-            let mib = total_raw as f64 / wall / (1024.0 * 1024.0);
-            let lat = latency.summary();
-            let fastest = client_secs.iter().cloned().fold(f64::INFINITY, f64::min);
-            let slowest = client_secs.iter().cloned().fold(0.0, f64::max);
-            println!(
-                "adoc-loadgen: {} clients{} x {} messages x {} B: {:.1} MiB moved in {:.3}s = {:.2} MiB/s aggregate (client {:.3}s..{:.3}s)",
-                plan.clients,
-                if plan.idle_clients > 0 {
-                    format!(" (+{} idle)", plan.idle_clients)
-                } else {
-                    String::new()
-                },
-                plan.messages,
-                plan.size,
-                total_raw as f64 / (1024.0 * 1024.0),
-                wall,
-                mib,
-                fastest,
-                slowest
-            );
-            if plan.tier.is_some() || plan.rps.is_some() {
-                println!(
-                    "adoc-loadgen: round-trip latency over {} requests: p50 {:.3} ms, p99 {:.3} ms, max {:.3} ms",
-                    lat.count,
-                    lat.p50 as f64 / 1e3,
-                    lat.p99 as f64 / 1e3,
-                    lat.max as f64 / 1e3,
-                );
-            }
-            if plan.bulk_clients > 0 {
-                println!(
-                    "adoc-loadgen: {} bulk clients x {} B background: {:.1} MiB moved = {:.2} MiB/s (message p50 {:.1} ms)",
-                    plan.bulk_clients,
-                    plan.bulk_size,
-                    bulk_raw as f64 / (1024.0 * 1024.0),
-                    bulk_raw as f64 / wall / (1024.0 * 1024.0),
-                    bulk_latency.summary().p50 as f64 / 1e3,
-                );
-            }
-            if let Some(s) = &server {
-                println!("{}", s.metrics_json());
-            }
-            if let Some(path) = json {
-                let mut entries = vec![format!(
-                    "    {{ \"id\": \"loadgen/{}/clients={}\", \"mean_ns\": {}, \"samples\": 1, \"throughput_bytes\": {}, \"mib_per_s\": {:.2},\n      \"latency\": {{ \"count\": {}, \"p50_us\": {}, \"p99_us\": {}, \"max_us\": {} }} }}",
-                    match plan.mode {
-                        ServeMode::Echo => "echo",
-                        ServeMode::Sink => "sink",
-                    },
-                    plan.clients,
-                    (wall * 1e9) as u128,
-                    total_raw,
-                    mib,
-                    lat.count,
-                    lat.p50,
-                    lat.p99,
-                    lat.max,
-                )];
-                if plan.bulk_clients > 0 {
-                    let blat = bulk_latency.summary();
-                    entries.push(format!(
-                        "    {{ \"id\": \"loadgen/bulk/clients={}\", \"mean_ns\": {}, \"samples\": 1, \"throughput_bytes\": {}, \"mib_per_s\": {:.2},\n      \"latency\": {{ \"count\": {}, \"p50_us\": {}, \"p99_us\": {}, \"max_us\": {} }} }}",
-                        plan.bulk_clients,
-                        (wall * 1e9) as u128,
-                        bulk_raw,
-                        bulk_raw as f64 / wall / (1024.0 * 1024.0),
-                        blat.count,
-                        blat.p50,
-                        blat.p99,
-                        blat.max,
-                    ));
-                }
-                let utilization = server.and_then(|s| s.scheduler().utilization());
-                let doc = format!(
-                    "{{\n  \"schema\": \"adoc-loadgen-v1\",\n  \"sched_utilization\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
-                    utilization.map_or("null".to_string(), |u| format!("{u:.4}")),
-                    entries.join(",\n")
-                );
-                if let Err(e) = std::fs::write(&path, doc) {
-                    eprintln!("adoc-loadgen: cannot write {path}: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
-        Err(e) => {
-            eprintln!("adoc-loadgen: FAILED: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-/// What a whole run produced.
-struct Outcome {
-    total_raw: u64,
-    wall: f64,
-    client_secs: Vec<f64>,
-    /// Round-trip latency histogram merged across every busy client.
-    latency: HistSnapshot,
-    /// Raw bytes moved by the saturating background population.
-    bulk_raw: u64,
-    /// Per-message latency histogram of the background population.
-    bulk_latency: HistSnapshot,
-    /// The in-process daemon, drained, when the run spawned one.
-    server: Option<Arc<Server>>,
-}
-
-impl Outcome {
-    fn collect(
-        results: Vec<Result<ClientResult, String>>,
-        bulk: Vec<Result<ClientResult, String>>,
-        wall: f64,
-        server: Option<Arc<Server>>,
-    ) -> Result<Outcome, String> {
-        let mut total_raw = 0u64;
-        let mut client_secs = Vec::with_capacity(results.len());
-        let mut latency = HistSnapshot::default();
-        for r in results {
-            let r = r?;
-            total_raw += r.raw_bytes;
-            client_secs.push(r.secs);
-            latency.merge(&r.latency);
-        }
-        let mut bulk_raw = 0u64;
-        let mut bulk_latency = HistSnapshot::default();
-        for r in bulk {
-            let r = r?;
-            bulk_raw += r.raw_bytes;
-            bulk_latency.merge(&r.latency);
-        }
-        Ok(Outcome {
-            total_raw,
-            wall,
-            client_secs,
-            latency,
-            bulk_raw,
-            bulk_latency,
-            server,
+        let max_conns = (plan.clients * 8).max(64);
+        serve(&plan, connect, true, max_conns, |addr, _| {
+            run_churn(&plan, addr, secs)
         })
+        .and_then(|(ran, server)| report_churn(&plan, secs, ran, server, json.as_deref()))
+    } else {
+        let max_conns = ((plan.clients + plan.idle_clients + plan.bulk_clients) * 2).max(64);
+        let clients = |addr: &str, server: Option<&Arc<Server>>| match sim {
+            Some(profile) => run_sim(&plan, server.expect("--sim serves in process"), profile),
+            None => run_tcp(&plan, addr, server),
+        };
+        serve(&plan, connect, sim.is_none(), max_conns, clients)
+            .and_then(|(ran, server)| report(&plan, ran, server, json.as_deref()))
+    };
+    if let Err(e) = result {
+        eprintln!("adoc-loadgen: FAILED: {e}");
+        std::process::exit(1);
     }
 }
 
-/// Runs the plan over TCP; spawns an in-process daemon unless `connect`
-/// names an external server.
-fn run_tcp(
+/// One run's server side, start to finish. `connect` names an external
+/// server; otherwise one is built in process and, when `spawn`, served
+/// as a daemon on an ephemeral loopback port (`--sim` clients feed it
+/// over simulated links instead). `clients` runs against the address
+/// and the in-process server; then the daemon is drained and the server
+/// checked for leaked pool buffers. Returns what `clients` returned and
+/// the in-process server.
+fn serve<R>(
     plan: &Plan,
     connect: Option<String>,
-    budget_mbit: Option<f64>,
-) -> Result<Outcome, String> {
-    let (addr, handle) = match connect {
-        Some(addr) => (addr, None),
+    spawn: bool,
+    max_conns: usize,
+    clients: impl FnOnce(&str, Option<&Arc<Server>>) -> Result<R, String>,
+) -> Result<(R, Option<Arc<Server>>), String> {
+    let server = match connect {
+        Some(_) => None,
         None => {
-            let cfg = ServerConfig::builder()
+            let mut builder = ServerConfig::builder()
                 .mode(plan.mode)
-                .budget(budget_mbit.map(|m| m * 1e6 / 8.0))
-                .max_conns(((plan.clients + plan.idle_clients + plan.bulk_clients) * 2).max(64))
-                .default_tier(plan.default_tier)
-                .build()
-                .map_err(|e| format!("server config: {e}"))?;
-            let server = Server::new(cfg).map_err(|e| format!("server config: {e}"))?;
-            let handle =
-                daemon::spawn(server, "127.0.0.1:0").map_err(|e| format!("spawn daemon: {e}"))?;
-            (handle.addr().to_string(), Some(handle))
+                .budget(plan.budget_mbit.map(|m| m * 1e6 / 8.0))
+                .max_conns(max_conns)
+                .default_tier(plan.default_tier);
+            if let Some(s) = &plan.secret {
+                // A keyed run exercises the full path: MAC'd hellos are
+                // demanded, plaintext clients are refused.
+                builder = builder
+                    .auth_secret(s.as_bytes().to_vec())
+                    .require_auth(true);
+            }
+            let cfg = builder.build().map_err(|e| format!("server config: {e}"))?;
+            Some(Server::new(cfg).map_err(|e| format!("server config: {e}"))?)
         }
     };
-
-    // Skewed load: the idle clients connect and do one tiny echo first
-    // (so the daemon registers them with the scheduler), then hold
-    // their connections open — but idle — for the whole busy phase. The
-    // wall clock starts only once every idle connection is in place.
-    // The release flag is set through a drop guard so a panicking busy
-    // client cannot leave the idle spinners (and the whole process)
-    // hanging.
-    struct SetOnDrop<'a>(&'a std::sync::atomic::AtomicBool);
-    impl Drop for SetOnDrop<'_> {
-        fn drop(&mut self) {
-            self.0.store(true, std::sync::atomic::Ordering::Relaxed);
-        }
+    let daemon = (server.as_ref().filter(|_| spawn))
+        .map(|server| daemon::spawn(Arc::clone(server), "127.0.0.1:0"))
+        .transpose()
+        .map_err(|e| format!("spawn daemon: {e}"))?;
+    let spawned = daemon.as_ref().map(|d| d.addr().to_string());
+    let addr = connect.or(spawned).unwrap_or_default();
+    let ran = clients(&addr, server.as_ref())?;
+    if let Some(daemon) = daemon {
+        daemon.shutdown().map_err(|e| format!("drain: {e}"))?;
     }
-    let idle_ready = std::sync::Barrier::new(plan.idle_clients + 1);
-    let busy_done = std::sync::atomic::AtomicBool::new(false);
-    // The saturating background population: connected and verified
-    // before the wall clock starts, released only after every busy
-    // client has finished (so the probes never see an unloaded server).
-    let bulk_ready = std::sync::Barrier::new(plan.bulk_clients + 1);
-    let bulk_stop = std::sync::atomic::AtomicBool::new(false);
-    let mut wall = 0.0;
-    type ClientResults = Vec<Result<ClientResult, String>>;
-    let (results, bulk): (ClientResults, ClientResults) = std::thread::scope(|s| {
-        let mut idle_handles = Vec::with_capacity(plan.idle_clients);
-        for c in 0..plan.idle_clients {
-            let addr = addr.clone();
-            let (idle_ready, busy_done) = (&idle_ready, &busy_done);
-            idle_handles.push(s.spawn(move || {
-                let run = || -> Result<(), String> {
-                    let tiny = Plan {
-                        clients: 1,
-                        idle_clients: 0,
-                        messages: 1,
-                        size: 1024,
-                        ..plan.clone()
-                    };
-                    let payload = generate(DataKind::Ascii, tiny.size, c as u64 + 9001);
-                    let sock = TcpStream::connect(&addr).map_err(|e| format!("connect: {e}"))?;
-                    sock.set_nodelay(true).ok();
-                    let r = sock.try_clone().map_err(|e| format!("clone: {e}"))?;
-                    let mut conn = AdocSocket::with_config(r, sock, client_cfg(&tiny))
-                        .map_err(|e| format!("cfg: {e}"))?;
-                    run_client_on(&mut conn, &tiny, &payload)?;
-                    idle_ready.wait();
-                    while !busy_done.load(std::sync::atomic::Ordering::Relaxed) {
-                        std::thread::sleep(std::time::Duration::from_millis(10));
-                    }
-                    Ok(())
-                };
-                let out = run();
-                if out.is_err() {
-                    // Do not leave the main thread stuck at the barrier.
-                    idle_ready.wait();
-                }
-                out.map_err(|e| format!("idle client {c}: {e}"))
-            }));
-        }
-        idle_ready.wait();
-        let release_idles = SetOnDrop(&busy_done);
+    let leaked = server.as_ref().map_or(0, |s| s.pool().stats().outstanding);
+    if leaked != 0 {
+        return Err(format!(
+            "pool leak after drain: {leaked} buffers outstanding"
+        ));
+    }
+    Ok((ran, server))
+}
 
-        let mut bulk_handles = Vec::with_capacity(plan.bulk_clients);
-        for c in 0..plan.bulk_clients {
-            let addr = addr.clone();
-            let (bulk_ready, bulk_stop) = (&bulk_ready, &bulk_stop);
-            bulk_handles.push(s.spawn(move || {
-                let one = Plan {
-                    clients: 1,
-                    idle_clients: 0,
-                    messages: 1,
-                    size: plan.bulk_size,
-                    tier: None,
-                    rps: None,
-                    ..plan.clone()
-                };
-                let payload = generate(plan.kinds[c % plan.kinds.len()], one.size, c as u64 + 5001);
-                let started = Instant::now();
-                let mut reached_barrier = false;
-                let run = |reached: &mut bool| -> Result<ClientResult, String> {
-                    let sock = TcpStream::connect(&addr).map_err(|e| format!("connect: {e}"))?;
-                    sock.set_nodelay(true).ok();
-                    let r = sock.try_clone().map_err(|e| format!("clone: {e}"))?;
-                    let mut conn = AdocSocket::with_config(r, sock, client_cfg(&one))
-                        .map_err(|e| format!("cfg: {e}"))?;
-                    bulk_ready.wait();
-                    *reached = true;
-                    let mut raw = 0u64;
-                    let mut latency = HistSnapshot::default();
-                    while !bulk_stop.load(std::sync::atomic::Ordering::Relaxed) {
-                        let round = run_client_on(&mut conn, &one, &payload)?;
-                        raw += round.raw_bytes;
-                        latency.merge(&round.latency);
-                    }
-                    Ok(ClientResult {
-                        raw_bytes: raw,
-                        secs: started.elapsed().as_secs_f64(),
-                        latency,
-                    })
-                };
-                let out = run(&mut reached_barrier);
-                if !reached_barrier {
-                    // Do not leave the main thread stuck at the barrier.
-                    bulk_ready.wait();
-                }
-                out.map_err(|e| format!("bulk client {c}: {e}"))
-            }));
-        }
-        bulk_ready.wait();
-        let release_bulk = SetOnDrop(&bulk_stop);
+/// What a client population moved, merged across its clients.
+#[derive(Default)]
+struct Tally {
+    raw: u64,
+    /// Each client's session time.
+    secs: Vec<f64>,
+    /// Round-trip latency histogram.
+    latency: HistSnapshot,
+}
 
-        let tier_server: Option<&Arc<Server>> = handle.as_ref().map(|h| h.server());
-        let wall_start = Instant::now();
-        let mut handles = Vec::with_capacity(plan.clients);
-        for c in 0..plan.clients {
-            let addr = addr.clone();
-            handles.push(s.spawn(move || {
-                let payload = generate(
-                    plan.kinds[c % plan.kinds.len()],
-                    plan.size,
-                    (c as u64 + 1) * 7,
-                );
-                let streams = plan.streams[c % plan.streams.len()];
-                let cfg = client_cfg(plan);
-                if streams == 1 {
-                    let sock = TcpStream::connect(&addr)
-                        .map_err(|e| format!("client {c} connect: {e}"))?;
-                    sock.set_nodelay(true).ok();
-                    let local = sock
-                        .local_addr()
-                        .map_err(|e| format!("client {c} local addr: {e}"))?
-                        .to_string();
-                    let r = sock
-                        .try_clone()
-                        .map_err(|e| format!("client {c} clone: {e}"))?;
-                    let mut conn = AdocSocket::with_config(r, sock, cfg)
-                        .map_err(|e| format!("client {c} cfg: {e}"))?;
-                    if let Some(tier) = plan.tier {
-                        let server =
-                            tier_server.expect("--tier is rejected without a spawned daemon");
-                        retier_probe(server, &mut conn, plan, &local, tier)
-                            .map_err(|e| format!("client {c}: {e}"))?;
-                    }
-                    run_client_on(&mut conn, plan, &payload)
-                } else {
-                    let mut conn = AdocStreamGroup::connect(&addr, cfg.with_streams(streams))
-                        .map_err(|e| format!("client {c} group connect: {e}"))?;
-                    run_client_on(&mut conn, plan, &payload)
-                }
-                .map_err(|e| format!("client {c}: {e}"))
-            }));
+impl Tally {
+    fn of(results: Vec<Result<Tally, String>>) -> Result<Tally, String> {
+        let mut tally = Tally::default();
+        for r in results {
+            let r = r?;
+            tally.raw += r.raw;
+            tally.secs.extend(r.secs);
+            tally.latency.merge(&r.latency);
         }
-        let mut results: Vec<Result<ClientResult, String>> =
-            handles.into_iter().map(|h| h.join().unwrap()).collect();
-        wall = wall_start.elapsed().as_secs_f64();
-        drop(release_bulk); // busy phase over: stop the saturators…
-        drop(release_idles); // …and release the idle holders.
-                             // Idle sessions must end cleanly too, but contribute no bytes
-                             // or client timings to the aggregate.
-        let bulk: Vec<Result<ClientResult, String>> = bulk_handles
-            .into_iter()
-            .map(|h| h.join().unwrap())
-            .collect();
-        for h in idle_handles {
-            if let Err(e) = h.join().unwrap() {
-                results.push(Err(e));
-            }
-        }
-        (results, bulk)
-    });
+        Ok(tally)
+    }
 
-    let metrics = match handle {
-        Some(h) => {
-            let server = Arc::clone(h.server());
-            h.shutdown().map_err(|e| format!("drain: {e}"))?;
-            let pool = server.pool().stats();
-            if pool.outstanding != 0 {
-                return Err(format!(
-                    "pool leak after drain: {} buffers outstanding",
-                    pool.outstanding
-                ));
-            }
-            Some(server)
-        }
-        None => None,
+    fn mib_per_s(&self, wall: f64) -> f64 {
+        self.raw as f64 / wall / (1024.0 * 1024.0)
+    }
+
+    /// This population's entry in the `results` of an `adoc-loadgen-v1`
+    /// document.
+    fn json_entry(&self, id: String, wall: f64) -> String {
+        let (raw, ns, mib) = (self.raw, (wall * 1e9) as u128, self.mib_per_s(wall));
+        let lat = self.latency.summary();
+        let (count, p50, p99, max) = (lat.count, lat.p50, lat.p99, lat.max);
+        format!("    {{ \"id\": \"loadgen/{id}\", \"mean_ns\": {ns}, \"samples\": 1, \"throughput_bytes\": {raw}, \"mib_per_s\": {mib:.2},\n      \"latency\": {{ \"count\": {count}, \"p50_us\": {p50}, \"p99_us\": {p99}, \"max_us\": {max} }} }}")
+    }
+}
+
+/// What a client run produced: the busy clients, timed over `wall`
+/// seconds, and the bulk population beside them.
+struct Outcome {
+    busy: Tally,
+    bulk: Tally,
+    wall: f64,
+}
+
+/// Prints a client run's report lines and the in-process server's
+/// metrics, and writes the `adoc-loadgen-v1` document to `json`.
+fn report(
+    plan: &Plan,
+    ran: Outcome,
+    server: Option<Arc<Server>>,
+    json: Option<&str>,
+) -> Result<(), String> {
+    let Outcome { busy, bulk, wall } = ran;
+    let lat = busy.latency.summary();
+    let fastest = busy.secs.iter().cloned().fold(f64::INFINITY, f64::min);
+    let slowest = busy.secs.iter().cloned().fold(0.0, f64::max);
+    let idle = match plan.idle_clients {
+        0 => String::new(),
+        n => format!(" (+{n} idle)"),
     };
-    Outcome::collect(results, bulk, wall, metrics)
+    println!(
+        "adoc-loadgen: {} clients{idle} x {} messages x {} B: {:.1} MiB moved in {wall:.3}s = {:.2} MiB/s aggregate (client {fastest:.3}s..{slowest:.3}s)",
+        plan.clients,
+        plan.messages,
+        plan.size,
+        busy.raw as f64 / (1024.0 * 1024.0),
+        busy.mib_per_s(wall),
+    );
+    if plan.tier.is_some() || plan.rps.is_some() {
+        println!(
+            "adoc-loadgen: round-trip latency over {} requests: p50 {:.3} ms, p99 {:.3} ms, max {:.3} ms",
+            lat.count,
+            lat.p50 as f64 / 1e3,
+            lat.p99 as f64 / 1e3,
+            lat.max as f64 / 1e3,
+        );
+    }
+    if plan.bulk_clients > 0 {
+        println!(
+            "adoc-loadgen: {} bulk clients x {} B background: {:.1} MiB moved = {:.2} MiB/s (message p50 {:.1} ms)",
+            plan.bulk_clients,
+            plan.bulk_size,
+            bulk.raw as f64 / (1024.0 * 1024.0),
+            bulk.mib_per_s(wall),
+            bulk.latency.summary().p50 as f64 / 1e3,
+        );
+    }
+    if let Some(s) = &server {
+        println!("{}", s.metrics_json());
+    }
+    let Some(path) = json else { return Ok(()) };
+    let echo = plan.mode == ServeMode::Echo;
+    let mode = if echo { "echo" } else { "sink" };
+    let mut entries = vec![busy.json_entry(format!("{mode}/clients={}", plan.clients), wall)];
+    if plan.bulk_clients > 0 {
+        entries.push(bulk.json_entry(format!("bulk/clients={}", plan.bulk_clients), wall));
+    }
+    let utilization = server.and_then(|s| s.scheduler().utilization());
+    let doc = format!(
+        "{{\n  \"schema\": \"adoc-loadgen-v1\",\n  \"sched_utilization\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
+        utilization.map_or("null".to_string(), |u| format!("{u:.4}")),
+        entries.join(",\n")
+    );
+    std::fs::write(path, doc).map_err(|e| format!("cannot write {path}: {e}"))
+}
+
+/// Runs the plan's TCP clients against `addr`. The idle clients are
+/// registered and held, and the bulk clients connected, before the wall
+/// clock starts; the bulk clients saturate the server until every busy
+/// client has finished, so the probes never see an unloaded server.
+/// `server` is the spawned daemon's, which re-tiers `--tier` probes.
+fn run_tcp(plan: &Plan, addr: &str, server: Option<&Arc<Server>>) -> Result<Outcome, String> {
+    // Skewed load: each idle connection is registered by one tiny echo,
+    // then held here, with no thread of its own, until the busy phase
+    // is over.
+    let hold = |c: usize| -> Result<Conn, String> {
+        let (mut conn, _) = dial(addr, plan, 1)?;
+        register(&mut conn, plan, c as u64 + 9001)?;
+        Ok(conn)
+    };
+    let idle = (0..plan.idle_clients)
+        .map(|c| hold(c).map_err(|e| format!("idle client {c}: {e}")))
+        .collect::<Result<Vec<_>, _>>()?;
+    let bulk_plan = plan.one_message(plan.bulk_size);
+    let bulk = (0..plan.bulk_clients)
+        .map(|c| dial(addr, plan, 1).map_err(|e| format!("bulk client {c}: {e}")))
+        .collect::<Result<Vec<_>, _>>()?;
+    let busy_client = |c: usize| -> Result<Tally, String> {
+        let kind = plan.kinds[c % plan.kinds.len()];
+        let payload = generate(kind, plan.size, (c as u64 + 1) * 7);
+        let (mut conn, local) = dial(addr, plan, plan.streams[c % plan.streams.len()])?;
+        if let Some(tier) = plan.tier {
+            let server = server.expect("--tier is rejected without a spawned daemon");
+            let local = local.expect("--tier is rejected with --streams");
+            retier_probe(server, &mut conn, plan, &local, tier)?;
+        }
+        run_client_on(&mut conn, plan, &payload, None)
+    };
+    let stop = AtomicBool::new(false);
+    thread::scope(|s| {
+        let (bulk_plan, stop) = (&bulk_plan, &stop);
+        let bulk: Vec<_> = (bulk.into_iter().enumerate())
+            .map(|(c, (mut conn, _))| {
+                s.spawn(move || {
+                    let kind = plan.kinds[c % plan.kinds.len()];
+                    let payload = generate(kind, plan.bulk_size, c as u64 + 5001);
+                    run_client_on(&mut conn, bulk_plan, &payload, Some(stop))
+                        .map_err(|e| format!("bulk client {c}: {e}"))
+                })
+            })
+            .collect();
+        let (busy, wall) = each_client(plan, "client", busy_client);
+        stop.store(true, Ordering::Relaxed);
+        drop(idle);
+        Ok(Outcome {
+            busy: Tally::of(busy)?,
+            bulk: Tally::of(joined(bulk))?,
+            wall,
+        })
+    })
+}
+
+/// Runs the plan over per-client `adoc-sim` shaped links straight into
+/// `server`'s core (v1 connections; stream groups need the TCP path).
+fn run_sim(plan: &Plan, server: &Arc<Server>, profile: NetProfile) -> Result<Outcome, String> {
+    let sim_client = |c: usize| -> Result<Tally, String> {
+        let kind = plan.kinds[c % plan.kinds.len()];
+        let payload = generate(kind, plan.size, (c as u64 + 1) * 7);
+        let (client_end, server_end) = duplex(profile.link_cfg());
+        let (sr, sw) = server_end.split();
+        thread::scope(|s| {
+            s.spawn(|| server.serve_stream(sr, sw, &format!("sim-client-{c}")));
+            let (cr, cw) = client_end.split();
+            let mut conn = AdocSocket::with_config(cr, cw, plan.client_cfg())
+                .map_err(|e| format!("cfg: {e}"))?;
+            // Dropping `conn` on return is the server side's EOF.
+            run_client_on(&mut conn, plan, &payload, None)
+        })
+    };
+    let (results, wall) = each_client(plan, "client", sim_client);
+    Ok(Outcome {
+        busy: Tally::of(results)?,
+        bulk: Tally::default(),
+        wall,
+    })
 }
 
 /// What one churn client tallied over its whole run.
@@ -865,24 +736,17 @@ struct ChurnResult {
 fn churn_client(
     addr: &str,
     plan: &Plan,
-    secret: Option<&[u8]>,
     deadline: Instant,
-    seed: u64,
+    c: usize,
 ) -> Result<ChurnResult, String> {
-    let payload = generate(
-        plan.kinds[seed as usize % plan.kinds.len()],
-        plan.size,
-        seed * 7 + 1,
-    );
-    let base_streams = plan.streams[seed as usize % plan.streams.len()];
+    let secret = plan.secret.as_deref().map(str::as_bytes);
+    let kind = plan.kinds[c % plan.kinds.len()];
+    let payload = generate(kind, plan.size, c as u64 * 7 + 1);
+    let base = plan.streams[c % plan.streams.len()];
     // Resumes alternate onto a different width so re-striping the
     // remainder of a message across a new stream count gets exercised.
-    let alt_streams = if base_streams >= 2 {
-        base_streams - 1
-    } else {
-        2
-    };
-    let cfg = client_cfg(plan).with_streams(base_streams);
+    let alt = if base >= 2 { base - 1 } else { 2 };
+    let cfg = plan.client_cfg().with_streams(base);
     let (mut conn, mut info) = AdocStreamGroup::connect_session(addr, cfg.clone(), secret)
         .map_err(|e| format!("connect_session: {e}"))?;
     let mut out = ChurnResult::default();
@@ -898,37 +762,29 @@ fn churn_client(
             let _ = conn.send_reader(&mut src, payload.len() as u64, &cfg);
             let _ = conn.shutdown_streams();
             drop(conn);
-            let width = if attempt % 4 == 1 {
-                alt_streams
-            } else {
-                base_streams
-            };
-            let resume_cfg = client_cfg(plan).with_streams(width);
-            match AdocStreamGroup::resume_session(addr, resume_cfg, &info.ticket) {
+            let width = if attempt % 4 == 1 { alt } else { base };
+            let resume_cfg = plan.client_cfg().with_streams(width);
+            let resumed = match AdocStreamGroup::resume_session(addr, resume_cfg, &info.ticket) {
                 Ok((c2, i2, at)) => {
-                    conn = c2;
-                    info = i2;
-                    if at.mid_message() {
-                        conn.write_resumed(&payload, at)
-                            .map_err(|e| format!("write_resumed: {e}"))?;
-                        out.resumed += 1;
-                    } else {
-                        AdocStreamGroup::write(&mut conn, &payload)
-                            .map_err(|e| format!("restart send: {e}"))?;
-                        out.restarted += 1;
-                    }
+                    (conn, info) = (c2, i2);
+                    Some(at).filter(|at| at.mid_message())
                 }
                 Err(resume_err) => {
                     // Session gone (completed, swept, or the server
                     // restarted): open a fresh one and re-send.
-                    let (c2, i2) = AdocStreamGroup::connect_session(addr, cfg.clone(), secret)
+                    (conn, info) = AdocStreamGroup::connect_session(addr, cfg.clone(), secret)
                         .map_err(|e| format!("reconnect after \"{resume_err}\": {e}"))?;
-                    conn = c2;
-                    info = i2;
-                    AdocStreamGroup::write(&mut conn, &payload)
-                        .map_err(|e| format!("restart send: {e}"))?;
-                    out.restarted += 1;
+                    None
                 }
+            };
+            if let Some(at) = resumed {
+                conn.write_resumed(&payload, at)
+                    .map_err(|e| format!("write_resumed: {e}"))?;
+                out.resumed += 1;
+            } else {
+                AdocStreamGroup::write(&mut conn, &payload)
+                    .map_err(|e| format!("restart send: {e}"))?;
+                out.restarted += 1;
             }
         } else {
             AdocStreamGroup::write(&mut conn, &payload).map_err(|e| format!("send: {e}"))?;
@@ -947,51 +803,12 @@ fn churn_client(
 }
 
 /// Session-churn mode: `plan.clients` resumable sessions cutting and
-/// resuming their connections for `secs` seconds (see the module docs).
-fn run_churn(
-    plan: &Plan,
-    connect: Option<String>,
-    budget_mbit: Option<f64>,
-    secs: u64,
-    secret: Option<&[u8]>,
-    json: Option<&str>,
-) -> Result<(), String> {
-    let (addr, handle) = match connect {
-        Some(addr) => (addr, None),
-        None => {
-            let mut builder = ServerConfig::builder()
-                .mode(ServeMode::Echo)
-                .budget(budget_mbit.map(|m| m * 1e6 / 8.0))
-                .max_conns((plan.clients * 8).max(64))
-                .default_tier(plan.default_tier);
-            if let Some(s) = secret {
-                // A keyed run exercises the full path: MAC'd hellos are
-                // demanded, plaintext clients are refused.
-                builder = builder.auth_secret(s.to_vec()).require_auth(true);
-            }
-            let cfg = builder.build().map_err(|e| format!("server config: {e}"))?;
-            let server = Server::new(cfg).map_err(|e| format!("server config: {e}"))?;
-            let handle =
-                daemon::spawn(server, "127.0.0.1:0").map_err(|e| format!("spawn daemon: {e}"))?;
-            (handle.addr().to_string(), Some(handle))
-        }
-    };
-
+/// resuming their connections against `addr` for `secs` seconds (see
+/// the module docs). Returns their sum and the wall time.
+fn run_churn(plan: &Plan, addr: &str, secs: u64) -> Result<(ChurnResult, f64), String> {
     let deadline = Instant::now() + Duration::from_secs(secs);
-    let wall_start = Instant::now();
-    let results: Vec<Result<ChurnResult, String>> = std::thread::scope(|s| {
-        let mut handles = Vec::with_capacity(plan.clients);
-        for c in 0..plan.clients {
-            let addr = addr.clone();
-            handles.push(s.spawn(move || {
-                churn_client(&addr, plan, secret, deadline, c as u64)
-                    .map_err(|e| format!("churn client {c}: {e}"))
-            }));
-        }
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    let wall = wall_start.elapsed().as_secs_f64();
-
+    let churner = |c| churn_client(addr, plan, deadline, c);
+    let (results, wall) = each_client(plan, "churn client", churner);
     let mut total = ChurnResult::default();
     for r in results {
         let r = r?;
@@ -1000,23 +817,18 @@ fn run_churn(
         total.messages += r.messages;
         total.raw_bytes += r.raw_bytes;
     }
+    Ok((total, wall))
+}
 
-    let server_metrics = match handle {
-        Some(h) => {
-            let server = Arc::clone(h.server());
-            h.shutdown().map_err(|e| format!("drain: {e}"))?;
-            let pool = server.pool().stats();
-            if pool.outstanding != 0 {
-                return Err(format!(
-                    "pool leak after drain: {} buffers outstanding",
-                    pool.outstanding
-                ));
-            }
-            Some(server.metrics_json())
-        }
-        None => None,
-    };
-
+/// Prints a churn run's report line and the in-process server's
+/// metrics, and writes the `adoc-loadgen-churn-v1` document to `json`.
+fn report_churn(
+    plan: &Plan,
+    secs: u64,
+    (total, wall): (ChurnResult, f64),
+    server: Option<Arc<Server>>,
+    json: Option<&str>,
+) -> Result<(), String> {
     println!(
         "adoc-loadgen: churn: {} clients x {} B for {}s: {} messages verified byte-exact, {} resumed mid-message, {} restarted, {:.1} MiB moved in {:.3}s",
         plan.clients,
@@ -1028,69 +840,13 @@ fn run_churn(
         total.raw_bytes as f64 / (1024.0 * 1024.0),
         wall,
     );
-    if let Some(m) = &server_metrics {
-        println!("{m}");
+    if let Some(s) = &server {
+        println!("{}", s.metrics_json());
     }
-    if let Some(path) = json {
-        let doc = format!(
-            "{{\n  \"schema\": \"adoc-loadgen-churn-v1\",\n  \"results\": [\n    {{ \"id\": \"loadgen/churn/clients={}\", \"resumed\": {}, \"restarted\": {}, \"messages\": {}, \"throughput_bytes\": {}, \"wall_s\": {:.3} }}\n  ]\n}}\n",
-            plan.clients, total.resumed, total.restarted, total.messages, total.raw_bytes, wall,
-        );
-        if let Err(e) = std::fs::write(path, doc) {
-            return Err(format!("cannot write {path}: {e}"));
-        }
-    }
-    Ok(())
-}
-
-/// Runs the plan over per-client `adoc-sim` shaped links straight into
-/// the server core (v1 connections; stream groups need the TCP path).
-fn run_sim(plan: &Plan, profile: NetProfile, budget_mbit: Option<f64>) -> Result<Outcome, String> {
-    let cfg = ServerConfig::builder()
-        .mode(plan.mode)
-        .budget(budget_mbit.map(|m| m * 1e6 / 8.0))
-        .max_conns((plan.clients * 2).max(64))
-        .default_tier(plan.default_tier)
-        .build()
-        .map_err(|e| format!("server config: {e}"))?;
-    let server = Server::new(cfg).map_err(|e| format!("server config: {e}"))?;
-
-    let wall_start = Instant::now();
-    let results: Vec<Result<ClientResult, String>> = std::thread::scope(|s| {
-        let mut handles = Vec::with_capacity(plan.clients);
-        for c in 0..plan.clients {
-            let server = Arc::clone(&server);
-            handles.push(s.spawn(move || {
-                let payload = generate(
-                    plan.kinds[c % plan.kinds.len()],
-                    plan.size,
-                    (c as u64 + 1) * 7,
-                );
-                let (client_end, server_end) = duplex(profile.link_cfg());
-                let (sr, sw) = server_end.split();
-                let serving = std::thread::spawn(move || {
-                    let _ = server.serve_stream(sr, sw, &format!("sim-client-{c}"));
-                });
-                let (cr, cw) = client_end.split();
-                let mut conn = AdocSocket::with_config(cr, cw, client_cfg(plan))
-                    .map_err(|e| format!("client {c} cfg: {e}"))?;
-                let out = run_client_on(&mut conn, plan, &payload)
-                    .map_err(|e| format!("client {c}: {e}"))?;
-                drop(conn); // EOF to the server side
-                serving.join().map_err(|_| "server thread panicked")?;
-                Ok(out)
-            }));
-        }
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    let wall = wall_start.elapsed().as_secs_f64();
-
-    let pool = server.pool().stats();
-    if pool.outstanding != 0 {
-        return Err(format!(
-            "pool leak: {} buffers outstanding",
-            pool.outstanding
-        ));
-    }
-    Outcome::collect(results, Vec::new(), wall, Some(server))
+    let Some(path) = json else { return Ok(()) };
+    let doc = format!(
+        "{{\n  \"schema\": \"adoc-loadgen-churn-v1\",\n  \"results\": [\n    {{ \"id\": \"loadgen/churn/clients={}\", \"resumed\": {}, \"restarted\": {}, \"messages\": {}, \"throughput_bytes\": {}, \"wall_s\": {:.3} }}\n  ]\n}}\n",
+        plan.clients, total.resumed, total.restarted, total.messages, total.raw_bytes, wall,
+    );
+    std::fs::write(path, doc).map_err(|e| format!("cannot write {path}: {e}"))
 }

@@ -28,7 +28,8 @@
 //! Events produced by one thread (one connection's lifecycle) are
 //! dispatched in order; events from different threads may reach a
 //! subscriber interleaved, but their sequence numbers still order them
-//! totally.
+//! totally. An [`EventLog`] hands them out in seq order and never past a
+//! seq still in flight.
 //!
 //! ## Built-in subscribers
 //!
@@ -457,19 +458,32 @@ pub struct EventRecord {
 /// nothing. When full, the **oldest** event is overwritten — a burst
 /// never blocks a producer and never grows memory; [`EventLog::dropped`]
 /// counts what was overwritten.
+///
+/// Emitters take their seqs before they reach the ring, so seq 6 can
+/// land before seq 5. The ring keeps seq order and hands out only the
+/// gap-free run of seqs, so a poll never skips a seq that lands late
+/// (every seq reaches every subscriber that has not panicked). One that
+/// lands below an overwritten seq counts as dropped.
 pub struct EventLog {
     capacity: usize,
+    inner: Mutex<Ring>,
+    dropped: AtomicU64,
+}
+
+/// An [`EventLog`]'s retained events, oldest seq first.
+struct Ring {
     /// Each event with its borrowed string, if it has one, owned beside
     /// it ([`Event::map_str`]).
-    inner: Mutex<VecDeque<(EventMeta, Event<'static>, Box<str>)>>,
-    dropped: AtomicU64,
+    events: VecDeque<(EventMeta, Event<'static>, Box<str>)>,
+    /// Every seq up to this one has landed or been overwritten.
+    complete: u64,
 }
 
 impl std::fmt::Debug for EventLog {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventLog")
             .field("capacity", &self.capacity)
-            .field("len", &self.inner.lock().len())
+            .field("len", &self.len())
             .field("dropped", &self.dropped())
             .finish()
     }
@@ -480,19 +494,22 @@ impl EventLog {
     pub fn new(capacity: usize) -> EventLog {
         EventLog {
             capacity: capacity.max(1),
-            inner: Mutex::new(VecDeque::with_capacity(capacity.clamp(1, 4096))),
+            inner: Mutex::new(Ring {
+                events: VecDeque::with_capacity(capacity.clamp(1, 4096)),
+                complete: 0,
+            }),
             dropped: AtomicU64::new(0),
         }
     }
 
     /// Events currently retained.
     pub fn len(&self) -> usize {
-        self.inner.lock().len()
+        self.inner.lock().events.len()
     }
 
     /// True when nothing has been retained yet.
     pub fn is_empty(&self) -> bool {
-        self.inner.lock().is_empty()
+        self.inner.lock().events.is_empty()
     }
 
     /// Events overwritten because the ring was full.
@@ -500,25 +517,41 @@ impl EventLog {
         self.dropped.load(Ordering::Relaxed)
     }
 
-    /// Renders every retained event with `seq > since`, oldest first,
-    /// outside the lock the emitting threads take.
+    /// Copies out the events a read may hand out with `seq > since`,
+    /// oldest first: only those are copied under the lock the emitting
+    /// threads take, and nothing is rendered there.
+    fn kept_since(&self, since: u64) -> Vec<(EventMeta, Event<'static>, Box<str>)> {
+        let ring = self.inner.lock();
+        let from = ring.events.partition_point(|(meta, ..)| meta.seq <= since);
+        let ready = ring
+            .events
+            .range(from..)
+            .take_while(|(meta, ..)| meta.seq <= ring.complete);
+        ready.cloned().collect()
+    }
+
+    /// Renders every event a read may hand out with `seq > since`,
+    /// oldest first, outside the lock the emitting threads take.
     pub fn records_since(&self, since: u64) -> Vec<EventRecord> {
-        let kept: Vec<_> = self.inner.lock().iter().cloned().collect();
-        let kept = kept.into_iter().filter(|(meta, ..)| meta.seq > since);
         let record = |(meta, event, text): (EventMeta, Event, Box<str>)| EventRecord {
             seq: meta.seq,
             t_secs: meta.t.as_secs_f64(),
             json: render_json_line(&meta, &event.map_str(|_| &text)).into(),
         };
-        kept.map(record).collect()
+        self.kept_since(since).into_iter().map(record).collect()
     }
 
-    /// Renders every retained record with `seq > since` as JSON lines
-    /// (one object per line, oldest first) — the payload of
-    /// `GET /events?since=seq`.
+    /// Renders the same events as [`Self::records_since`] as JSON lines
+    /// (one object per line, oldest first) into one string — the
+    /// payload of `GET /events?since=seq`.
     pub fn json_lines_since(&self, since: u64) -> String {
-        let records = self.records_since(since);
-        records.iter().flat_map(|r| [&*r.json, "\n"]).collect()
+        let kept = self.kept_since(since);
+        let mut out = String::with_capacity(kept.len() * 128);
+        for (meta, event, text) in kept {
+            write_json_line(&mut out, &meta, &event.map_str(|_| &text));
+            out.push('\n');
+        }
+        out
     }
 }
 
@@ -529,18 +562,36 @@ impl Subscriber for EventLog {
             text = s.into();
             ""
         });
-        let mut g = self.inner.lock();
-        if g.len() >= self.capacity {
-            g.pop_front();
+        let mut ring = self.inner.lock();
+        if meta.seq <= ring.complete {
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        let at = ring.events.partition_point(|(m, ..)| m.seq < meta.seq);
+        ring.events.insert(at, (*meta, event, text));
+        if ring.events.len() > self.capacity {
+            let (oldest, ..) = ring.events.pop_front().expect("over capacity");
+            ring.complete = ring.complete.max(oldest.seq);
             self.dropped.fetch_add(1, Ordering::Relaxed);
         }
-        g.push_back((*meta, event, text));
+        // Extend the gap-free run over the seqs that follow it.
+        let Ring { events, complete } = &mut *ring;
+        let from = events.partition_point(|(m, ..)| m.seq <= *complete);
+        let next = events.range(from..).zip(*complete + 1..);
+        *complete += next.take_while(|((m, ..), want)| m.seq == *want).count() as u64;
     }
 }
 
 /// Renders one stamped event as a single-line JSON object.
 pub fn render_json_line(meta: &EventMeta, event: &Event<'_>) -> String {
-    json::render(BARE, 256, |o| {
+    let mut out = String::with_capacity(256);
+    write_json_line(&mut out, meta, event);
+    out
+}
+
+/// Appends [`render_json_line`]'s text to `out`.
+fn write_json_line(out: &mut String, meta: &EventMeta, event: &Event<'_>) {
+    json::Object::write(out, BARE, |o| {
         o.field("seq", meta.seq)
             .field("t", meta.t.as_secs_f64())
             .field("event", event.name());
@@ -800,6 +851,34 @@ mod tests {
         let lines = log.json_lines_since(6);
         assert_eq!(lines.lines().count(), 2);
         assert!(lines.contains("\"event\": \"refill_epoch\""));
+    }
+
+    #[test]
+    fn a_poll_never_skips_a_seq_that_lands_late() {
+        let log = EventLog::new(16);
+        let push = |seq| {
+            let meta = EventMeta {
+                seq,
+                t: Duration::from_millis(seq),
+            };
+            log.on_event(&meta, &Event::RefillEpoch { credit: seq as f64 });
+        };
+        let seqs = |since| {
+            log.records_since(since)
+                .iter()
+                .map(|r| r.seq)
+                .collect::<Vec<_>>()
+        };
+        for seq in 1..=4 {
+            push(seq);
+        }
+        // Seq 6's emitter reached the ring before seq 5's.
+        push(6);
+        let first = seqs(0);
+        let last_seen = *first.last().unwrap();
+        push(5);
+        assert_eq!(seqs(last_seen), vec![5, 6], "first poll saw {first:?}");
+        assert_eq!(log.json_lines_since(0).lines().count(), 6);
     }
 
     #[test]

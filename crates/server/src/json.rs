@@ -68,7 +68,8 @@ pub(crate) fn render(layout: Layout, capacity: usize, f: impl FnOnce(&mut Object
 }
 
 impl<'a> Object<'a> {
-    fn write(out: &'a mut String, layout: Layout, f: impl FnOnce(&mut Object<'_>)) {
+    /// Appends one object laid out as `layout` to `out`.
+    pub(crate) fn write(out: &'a mut String, layout: Layout, f: impl FnOnce(&mut Object<'_>)) {
         out.push_str(layout.0);
         let next = layout.1;
         f(&mut Object {

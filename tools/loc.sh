@@ -11,7 +11,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-RATCHET=14011
+RATCHET=13819
 FIELD_RATCHET=29
 
 total=0
